@@ -1,10 +1,13 @@
 """Responsibility assignment between ground-truth shapes and anchors.
 
-Hard rules pick winning anchors per ground-truth box. The soft rule
-spreads responsibility over all anchors with a temperature-controlled
-softmax so that every anchor receives gradient early in training; the
-temperature and the clustering-term coefficient both decay linearly
-over a warm-up window, after which training falls back to the hard rule.
+Every rule returns a dense (n, A) weight matrix W over n ground truths
+and A anchors (both given as log shapes). Hard rules pick winning
+anchors per ground-truth box: the yolo rule is one-hot, the threshold
+rule multi-hot. The soft rule spreads responsibility over all anchors
+with a temperature-controlled softmax so that every anchor receives
+gradient early in training; the temperature and the clustering-term
+coefficient both decay linearly over a warm-up window, after which
+training falls back to the hard rule.
 """
 
 from __future__ import annotations
@@ -14,47 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import AnchorSet, LogShape, Metric, log_shapes_array, shape_dist_matrix
-
-
-class Assignment:
-    """Sparse (gt_index, anchor_index, weight) responsibility triples.
-
-    Entries are canonicalized to (gt_index, anchor_index, weight) order
-    at construction so downstream reductions are independent of the
-    order the caller produced them in, bit for bit.
-    """
-
-    __slots__ = ("gt_idx", "anchor_idx", "weights")
-
-    def __init__(self, gt_idx, anchor_idx, weights) -> None:
-        gt = np.asarray(gt_idx, dtype=np.intp).ravel()
-        anc = np.asarray(anchor_idx, dtype=np.intp).ravel()
-        w = np.asarray(weights, dtype=float).ravel()
-        if not (gt.shape == anc.shape == w.shape):
-            raise ValueError("gt_idx, anchor_idx and weights must have equal length")
-        if w.size and (float(np.min(w)) < 0.0 or float(np.max(w)) > 1.0):
-            raise ValueError("assignment weights must lie in [0, 1]")
-        if gt.size and (int(gt.min()) < 0 or int(anc.min()) < 0):
-            raise ValueError("assignment indices must be nonnegative")
-        order = np.lexsort((w, anc, gt))
-        self.gt_idx = gt[order]
-        self.anchor_idx = anc[order]
-        self.weights = w[order]
-        for a in (self.gt_idx, self.anchor_idx, self.weights):
-            a.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.gt_idx.size)
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(j), int(k), float(w))
-            for j, k, w in zip(self.gt_idx, self.anchor_idx, self.weights)
-        ]
-
-    def __repr__(self) -> str:
-        return f"Assignment(entries={len(self)})"
+from .geometry import LogShape, Metric, log_shapes_array, shape_dist_matrix
 
 
 @dataclass(frozen=True)
@@ -103,95 +66,80 @@ def cluster_weight_at(t: int, sched: WarmupSchedule) -> float:
     return sched.lambda_start * max(0.0, 1.0 - t / sched.warmup_iters)
 
 
+
+
 def hard_assign_yolo(
     gts: "Sequence[LogShape] | np.ndarray",
-    anchors: AnchorSet,
+    anchors: "Sequence[LogShape] | np.ndarray",
     metric: Metric = "one_minus_iou",
-) -> Assignment:
-    """Assign each ground truth to its single nearest anchor with weight 1.
+) -> np.ndarray:
+    """One-hot (n, A) weights: each ground truth goes to its nearest anchor.
 
     Exact distance ties break toward the lowest anchor index.
     """
-    g = log_shapes_array(gts)
-    n = g.shape[0]
-    if n == 0:
-        return Assignment([], [], [])
-    dist = shape_dist_matrix(g, anchors.as_array(), metric)
+    dist = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), metric)
     winners = np.argmin(dist, axis=1)
-    return Assignment(np.arange(n), winners, np.ones(n))
+    # the distance matrix is not needed again: reuse its memory for W
+    w = dist
+    w.fill(0.0)
+    w[np.arange(w.shape[0]), winners] = 1.0
+    return w
 
 
 def hard_assign_threshold(
     gts: "Sequence[LogShape] | np.ndarray",
-    anchors: AnchorSet,
+    anchors: "Sequence[LogShape] | np.ndarray",
     tau: float,
-) -> Assignment:
-    """Weight-1 entries for every anchor whose aligned IoU reaches ``tau``.
+) -> np.ndarray:
+    """Multi-hot (n, A) weights: 1 for every anchor whose aligned IoU reaches ``tau``.
 
     Each ground truth additionally activates its best-IoU anchor, so no
     ground truth is left unassigned even when no anchor clears ``tau``.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    g = log_shapes_array(gts)
-    n = g.shape[0]
-    if n == 0:
-        return Assignment([], [], [])
-    iou = 1.0 - shape_dist_matrix(g, anchors.as_array(), "one_minus_iou")
-    hit = iou >= tau
-    hit[np.arange(n), np.argmax(iou, axis=1)] = True
-    j, k = np.nonzero(hit)
-    return Assignment(j, k, np.ones(j.size))
+    iou = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), "one_minus_iou")
+    np.subtract(1.0, iou, out=iou)
+    best = np.argmax(iou, axis=1)
+    w = np.greater_equal(iou, tau, out=iou)
+    w[np.arange(w.shape[0]), best] = 1.0
+    return w
 
 
 def soft_assign(
     gts: "Sequence[LogShape] | np.ndarray",
-    anchors: AnchorSet,
+    anchors: "Sequence[LogShape] | np.ndarray",
     metric: Metric,
     temperature: float,
-) -> Assignment:
-    """Softmax responsibilities over all anchors per ground truth.
+) -> np.ndarray:
+    """Softmax responsibilities (n, A) over all anchors per ground truth.
 
     Row weights are softmax(-distance / temperature) computed with the
     usual max subtraction, so they are finite for any positive
-    temperature and sum to 1 per ground truth.
+    temperature and sum to 1 per ground truth. At low temperatures some
+    weights underflow to exactly 0; every pair still belongs to the soft
+    assignment, so callers must not read membership off ``W > 0``.
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    g = log_shapes_array(gts)
-    n = g.shape[0]
-    if n == 0:
-        return Assignment([], [], [])
-    num_anchors = len(anchors)
-    z = -shape_dist_matrix(g, anchors.as_array(), metric) / temperature
+    z = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), metric)
+    z /= -temperature
+    if z.shape[0] == 0:
+        return z
     z -= z.max(axis=1, keepdims=True)
-    w = np.exp(z)
+    w = np.exp(z, out=z)
     w /= w.sum(axis=1, keepdims=True)
-    j = np.repeat(np.arange(n), num_anchors)
-    k = np.tile(np.arange(num_anchors), n)
-    return Assignment(j, k, w.ravel())
+    return w
 
 
-def utilization_counts(assign: Assignment, num_anchors: int, soft: bool = False) -> np.ndarray:
-    """Per-anchor counts of ground truths the assignment makes it responsible for.
+def utilization_counts(w: np.ndarray, soft: bool = False) -> np.ndarray:
+    """Per-anchor counts of ground truths the (n, A) weights make it responsible for.
 
-    Hard assignments count every entry (the threshold rule may count a
-    ground truth toward several anchors). Soft assignments count only
-    the highest-weight anchor per ground truth, ties toward the lowest
+    Hard weights count every nonzero entry (the threshold rule may count
+    a ground truth toward several anchors). Soft weights count only the
+    highest-weight anchor per ground truth, ties toward the lowest
     anchor index.
     """
-    counts = np.zeros(num_anchors, dtype=np.int64)
-    if len(assign) == 0:
-        return counts
-    if not soft:
-        np.add.at(counts, assign.anchor_idx, 1)
-        return counts
-    best_w: dict[int, float] = {}
-    best_k: dict[int, int] = {}
-    for j, k, w in zip(assign.gt_idx, assign.anchor_idx, assign.weights):
-        j = int(j)
-        if j not in best_w or w > best_w[j] or (w == best_w[j] and k < best_k[j]):
-            best_w[j] = float(w)
-            best_k[j] = int(k)
-    np.add.at(counts, list(best_k.values()), 1)
-    return counts
+    if soft:
+        return np.bincount(np.argmax(w, axis=1), minlength=w.shape[1])
+    return (w != 0.0).sum(axis=0)

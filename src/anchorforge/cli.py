@@ -277,7 +277,13 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
     stride = int(opt["stride"])
     num_anchors = int(opt["num_anchors"])
     if mode == "uniform":
-        return init_uniform(stride)
+        anchors = init_uniform(stride)
+        if len(anchors) != num_anchors:
+            raise ParseError(
+                f"init=uniform provides {len(anchors)} anchors but num_anchors is {num_anchors}; "
+                f"use --init identical, kmeans or file for other counts"
+            )
+        return anchors
     if mode == "identical":
         return init_identical(stride, num_anchors)
     if mode == "kmeans":
@@ -294,17 +300,27 @@ def _scaled(value: int, scale: float) -> int:
     return max(0, int(round(value * scale)))
 
 
+def _scaled_schedule(schedule: tuple[tuple[int, float], ...], scale: float) -> tuple[tuple[int, float], ...]:
+    """Scale the schedule's breakpoints; reject a scale that merges two of them."""
+    scaled = tuple((_scaled(start, scale), lr) for start, lr in schedule)
+    for (a, _), (b, _), (sa, _), (sb, _) in zip(schedule, schedule[1:], scaled, scaled[1:]):
+        if a < b and sa >= sb:
+            raise ParseError(
+                f"scale {scale:g} maps lr_schedule breakpoints {a} and {b} "
+                f"both to iteration {sb}; use a larger scale or fewer breakpoints"
+            )
+    return scaled
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     opt = _merge_options("optimize", args)
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
-    out_dir = _make_run_dir(args, "optimize")
-    anchors0 = _initial_anchors(opt, ds)
 
     scale = float(opt["scale"])
     iters = max(1, _scaled(int(opt["iters"]), scale))
-    schedule = tuple((_scaled(s, scale), lr) for s, lr in opt["lr_schedule"])
+    schedule = _scaled_schedule(opt["lr_schedule"], scale)
     warmup_iters = _scaled(int(opt["warmup_iters"]), scale)
 
     cw_text = str(opt["cluster_weight"]).strip().lower()
@@ -338,6 +354,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         seed=int(opt["seed"]),
         log_every=int(opt["log_every"]),
     )
+    anchors0 = _initial_anchors(opt, ds)
+    out_dir = _make_run_dir(args, "optimize")
     _echo_config(out_dir, "optimize", {**opt, "iters": iters, "lr_schedule": schedule, "warmup_iters": warmup_iters})
 
     before = {

@@ -1,43 +1,39 @@
 """Localization losses, the clustering pull, and their analytic gradients.
 
 The trainable objective is a weighted sum of squared log-space size
-residuals over assigned (ground truth, anchor) pairs, optionally
-augmented with a clustering term that pulls anchors directly toward the
-shapes assigned to them:
+residuals over (ground truth, anchor) pairs, weighted by the dense
+(n, A) assignment matrix W, optionally augmented with a clustering term
+that pulls anchors directly toward the shapes assigned to them:
 
-    total = sum_e w_e * loss_wh(delta_e, anchor_e, gt_e)
-          + lam / (2 N) * sum_e w_e * cluster_term(anchor_e, gt_e)
+    total = sum_jk W_jk * loss_wh(delta_jk, anchor_k, gt_j)
+          + lam / (2 N) * sum_jk W_jk * cluster_term(anchor_k, gt_j)
 
-with N = sum_e w_e. Anchor gradients are analytic. A small per-anchor
-affine map stands in for a detector's offset-regression head; Gaussian
-feature noise is its capacity knob, and an optional batch normalization
-(scale only, no shift) can be applied to its outputs per batch.
+with N = sum_jk W_jk. Gradients are analytic. A small per-anchor affine
+map stands in for a detector's offset-regression head; Gaussian feature
+noise is its capacity knob, and an optional batch normalization (scale
+only, no shift) can be applied to its outputs per batch.
 
-All functions are pure: they never mutate their inputs, and reductions
-run in the assignment's canonical entry order, so results for the same
-inputs are bitwise reproducible.
+A training step runs three stages on one forward pass:
+:func:`head_outputs` (offsets and a cache), :func:`_loss_from_arrays`
+(loss, anchor gradient and offset gradient) and :func:`grad_head` (head
+gradients from the offset gradient and the cache).
+
+All functions are pure: they never mutate their inputs, and every
+reduction runs over arrays of fixed shape in a fixed order, so results
+for the same inputs are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .assign import Assignment
-from .geometry import AnchorSet, LogShape, log_shapes_array
+from .geometry import LogShape, log_shapes_array
 
 BN_EPS = 1e-5
-
-
-@dataclass(frozen=True)
-class DeltaWH:
-    """Predicted log-space size offsets for one (ground truth, anchor) pair."""
-
-    dw: float
-    dh: float
 
 
 @dataclass(frozen=True)
@@ -107,25 +103,10 @@ class HeadGrads:
     gamma: np.ndarray
 
 
-def loss_xy(
-    delta_xy: Sequence[float],
-    anchor_center: Sequence[float],
-    gt_center: Sequence[float],
-) -> float:
-    """Squared error of predicted center offsets.
-
-    Anchor centers sit on a fixed grid, so this term carries no gradient
-    for anchor shapes; it is provided for completeness and reporting.
-    """
-    rx = delta_xy[0] + anchor_center[0] - gt_center[0]
-    ry = delta_xy[1] + anchor_center[1] - gt_center[1]
-    return rx * rx + ry * ry
-
-
-def loss_wh(delta: DeltaWH, anchor: LogShape, gt: LogShape) -> float:
-    """Squared log-space size residual for one pair."""
-    rw = delta.dw + anchor.lw - gt.lw
-    rh = delta.dh + anchor.lh - gt.lh
+def loss_wh(delta: Sequence[float], anchor: LogShape, gt: LogShape) -> float:
+    """Squared log-space size residual for one pair with (dw, dh) offsets."""
+    rw = delta[0] + anchor.lw - gt.lw
+    rh = delta[1] + anchor.lh - gt.lh
     return rw * rw + rh * rh
 
 
@@ -138,127 +119,6 @@ def cluster_term(anchor: LogShape, gt: LogShape) -> float:
     cw = anchor.lw - gt.lw
     ch = anchor.lh - gt.lh
     return cw * cw + ch * ch
-
-
-def zero_deltas(assign: Assignment) -> dict[tuple[int, int], DeltaWH]:
-    """An all-zero offset per assigned pair (the no-head case)."""
-    zero = DeltaWH(0.0, 0.0)
-    return {(int(j), int(k)): zero for j, k in zip(assign.gt_idx, assign.anchor_idx)}
-
-
-def deltas_from_array(assign: Assignment, out: np.ndarray) -> dict[tuple[int, int], DeltaWH]:
-    """Wrap an (m, 2) offset array aligned with the assignment's entry order."""
-    out = np.asarray(out, dtype=float)
-    if out.shape != (len(assign), 2):
-        raise ValueError(f"expected offsets of shape ({len(assign)}, 2), got {out.shape}")
-    return {
-        (int(j), int(k)): DeltaWH(float(row[0]), float(row[1]))
-        for j, k, row in zip(assign.gt_idx, assign.anchor_idx, out)
-    }
-
-
-def _delta_arrays(
-    assign: Assignment, deltas: Mapping[tuple[int, int], DeltaWH]
-) -> tuple[np.ndarray, np.ndarray]:
-    m = len(assign)
-    dw = np.empty(m)
-    dh = np.empty(m)
-    for i, (j, k) in enumerate(zip(assign.gt_idx, assign.anchor_idx)):
-        d = deltas.get((int(j), int(k)))
-        if d is None:
-            raise ValueError(f"missing delta for assigned pair (gt={int(j)}, anchor={int(k)})")
-        dw[i] = d.dw
-        dh[i] = d.dh
-    return dw, dh
-
-
-def _check_cluster_weight(cluster_weight: float) -> None:
-    if not 0.0 <= cluster_weight <= 1.0:
-        raise ValueError(f"cluster weight must lie in [0, 1], got {cluster_weight}")
-
-
-def _loss_from_arrays(
-    dw: np.ndarray,
-    dh: np.ndarray,
-    assign: Assignment,
-    s: np.ndarray,
-    g: np.ndarray,
-    cluster_weight: float,
-) -> float:
-    j, k, w = assign.gt_idx, assign.anchor_idx, assign.weights
-    rw = dw + s[k, 0] - g[j, 0]
-    rh = dh + s[k, 1] - g[j, 1]
-    total = float(np.sum(w * (rw * rw + rh * rh)))
-    if cluster_weight > 0.0:
-        n_eff = float(np.sum(w))
-        if n_eff > 0.0:
-            cw = s[k, 0] - g[j, 0]
-            ch = s[k, 1] - g[j, 1]
-            total += cluster_weight / (2.0 * n_eff) * float(np.sum(w * (cw * cw + ch * ch)))
-    return total
-
-
-def total_loss(
-    assign: Assignment,
-    deltas: Mapping[tuple[int, int], DeltaWH],
-    anchors: AnchorSet,
-    gts: "Sequence[LogShape] | np.ndarray",
-    cluster_weight: float = 0.0,
-) -> float:
-    """Weighted size loss plus the normalized clustering term.
-
-    The clustering term is scaled by cluster_weight / (2 N) where N is
-    the total assignment weight; an empty assignment gives 0.
-    """
-    _check_cluster_weight(cluster_weight)
-    if len(assign) == 0:
-        return 0.0
-    dw, dh = _delta_arrays(assign, deltas)
-    return _loss_from_arrays(dw, dh, assign, anchors.as_array(), log_shapes_array(gts), cluster_weight)
-
-
-def _grad_anchors_from_arrays(
-    dw: np.ndarray,
-    dh: np.ndarray,
-    assign: Assignment,
-    s: np.ndarray,
-    g: np.ndarray,
-    cluster_weight: float,
-) -> np.ndarray:
-    grad = np.zeros_like(s)
-    j, k, w = assign.gt_idx, assign.anchor_idx, assign.weights
-    rw = dw + s[k, 0] - g[j, 0]
-    rh = dh + s[k, 1] - g[j, 1]
-    np.add.at(grad[:, 0], k, 2.0 * w * rw)
-    np.add.at(grad[:, 1], k, 2.0 * w * rh)
-    if cluster_weight > 0.0:
-        n_eff = float(np.sum(w))
-        if n_eff > 0.0:
-            scale = cluster_weight / n_eff
-            np.add.at(grad[:, 0], k, scale * w * (s[k, 0] - g[j, 0]))
-            np.add.at(grad[:, 1], k, scale * w * (s[k, 1] - g[j, 1]))
-    return grad
-
-
-def grad_anchors(
-    assign: Assignment,
-    deltas: Mapping[tuple[int, int], DeltaWH],
-    anchors: AnchorSet,
-    gts: "Sequence[LogShape] | np.ndarray",
-    cluster_weight: float = 0.0,
-) -> np.ndarray:
-    """Gradient of :func:`total_loss` with respect to each log anchor shape.
-
-    Returns an (A, 2) array; anchors with no assigned ground truth get a
-    zero row. Offsets are treated as constants here: the head does not
-    read the anchor shapes, so no gradient flows through it.
-    """
-    _check_cluster_weight(cluster_weight)
-    s = anchors.as_array()
-    if len(assign) == 0:
-        return np.zeros_like(s)
-    dw, dh = _delta_arrays(assign, deltas)
-    return _grad_anchors_from_arrays(dw, dh, assign, s, log_shapes_array(gts), cluster_weight)
 
 
 def bn_no_shift(values: np.ndarray, gamma: float) -> tuple[np.ndarray, BNState]:
@@ -294,135 +154,114 @@ def make_features(
     return g + sigma * rng.standard_normal(g.shape)
 
 
-def head_forward(
-    gt: LogShape,
-    anchor_index: int,
-    params: HeadParams,
-    rng: Optional[np.random.Generator] = None,
-) -> DeltaWH:
-    """Raw offsets for one pair: u[k] @ (gt + noise) + c[k].
-
-    Batch normalization is a batch-level operation and is applied by
-    :func:`head_outputs`, not here.
-    """
-    phi = make_features([gt], params.sigma, rng)[0]
-    raw = params.u[anchor_index] @ phi + params.c[anchor_index]
-    return DeltaWH(float(raw[0]), float(raw[1]))
-
-
-def _bn_groups(
-    anchor_idx: np.ndarray, num_anchors: int, per_anchor: bool
-) -> list[tuple[int, np.ndarray]]:
-    if not per_anchor:
-        return [(-1, np.arange(anchor_idx.size))]
-    groups = []
-    for k in range(num_anchors):
-        rows = np.flatnonzero(anchor_idx == k)
-        if rows.size:
-            groups.append((k, rows))
-    return groups
-
-
-def _forward_with_cache(
-    params: HeadParams,
-    features: np.ndarray,
-    gt_idx: np.ndarray,
-    anchor_idx: np.ndarray,
-    bn: bool,
-    bn_per_anchor: bool,
-):
-    """Shared forward pass. Returns (out, raw, cache, states).
-
-    cache maps (group_id, channel) -> (rows, xhat, istd) for every group
-    that was actually normalized; groups smaller than 2 pass through raw
-    so a lone pair never fabricates statistics.
-    """
-    phi = features[gt_idx]
-    raw = np.einsum("mij,mj->mi", params.u[anchor_idx], phi) + params.c[anchor_idx]
-    out = raw.copy()
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
-    states: dict[tuple[int, int], BNState] = {}
-    if bn:
-        for gid, rows in _bn_groups(anchor_idx, params.num_anchors, bn_per_anchor):
-            if rows.size < 2:
-                continue
-            gamma_rows = params.gamma[anchor_idx[rows]]
-            for ch in (0, 1):
-                x = raw[rows, ch]
-                mean = float(np.mean(x))
-                var = float(np.mean((x - mean) ** 2))
-                istd = 1.0 / math.sqrt(var + BN_EPS)
-                xhat = (x - mean) * istd
-                out[rows, ch] = gamma_rows[:, ch] * xhat
-                cache[(gid, ch)] = (rows, xhat, istd)
-                # gid -1 is the joint group: statistics are shared while the
-                # per-anchor scales still apply row-wise, so record gamma=1.
-                gamma_rec = float(gamma_rows[0, ch]) if gid >= 0 else 1.0
-                states[(gid, ch)] = BNState(mean=mean, std=1.0 / istd, gamma=gamma_rec)
-    return out, raw, cache, phi, states
-
-
 def head_outputs(
-    params: HeadParams,
+    u: np.ndarray,
+    c: np.ndarray,
+    gamma: np.ndarray,
     features: np.ndarray,
-    gt_idx: np.ndarray,
-    anchor_idx: np.ndarray,
+    member: np.ndarray,
     bn: bool = True,
     bn_per_anchor: bool = True,
-) -> tuple[np.ndarray, dict[tuple[int, int], BNState]]:
-    """Batched head forward pass.
+) -> tuple[np.ndarray, Optional[tuple]]:
+    """Head forward pass for every (ground truth, anchor) pair.
 
-    features is the (n, 2) array from :func:`make_features`; gt_idx and
-    anchor_idx select the assigned pairs (aligned with an Assignment's
-    canonical entry order). Returns the (m, 2) offsets and the
-    normalization statistics that were applied, keyed by (group,
-    channel); with bn_per_anchor the group id is the anchor index.
+    u, c and gamma are the :class:`HeadParams` arrays; features is the
+    (n, 2) array from :func:`make_features`; member is the (n, A)
+    boolean mask of the pairs the assignment covers, which define the
+    batch-normalization groups: one group per anchor column, or one
+    joint group over all member pairs when ``bn_per_anchor`` is false.
+    Raw offsets are ``u[k] @ features[j] + c[k]``; members of a group of
+    at least 2 pairs are normalized with the group's statistics and
+    scaled by ``gamma[k]``, everything else passes through raw.
+
+    Returns the (n, A, 2) offsets and the cache :func:`grad_head` reuses
+    (None without BN).
     """
-    gt_idx = np.asarray(gt_idx, dtype=np.intp)
-    anchor_idx = np.asarray(anchor_idx, dtype=np.intp)
-    out, _, _, _, states = _forward_with_cache(params, features, gt_idx, anchor_idx, bn, bn_per_anchor)
-    return out, states
+    n, a = member.shape
+    raw = (features @ u.reshape(2 * a, 2).T).reshape(n, a, 2) + c
+    if not bn:
+        return raw, None
+    axes = 0 if bn_per_anchor else (0, 1)
+    mask = member[:, :, None]
+    count = mask.sum(axis=axes, keepdims=True)
+    denom = np.maximum(count, 1)
+    xc = raw - np.where(mask, raw, 0.0).sum(axis=axes, keepdims=True) / denom
+    var = np.where(mask, xc * xc, 0.0).sum(axis=axes, keepdims=True) / denom
+    istd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = xc * istd
+    active = mask & (count >= 2)
+    return np.where(active, gamma * xhat, raw), (xhat, istd, count, denom, axes)
+
+
+def _loss_from_arrays(
+    out: np.ndarray,
+    w: np.ndarray,
+    s: np.ndarray,
+    g: np.ndarray,
+    cluster_weight: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted size loss plus the normalized clustering term, with gradients.
+
+    out is the (n, A, 2) array of predicted offsets (zeros without a
+    head), w the (n, A) assignment weights, s the (A, 2) log anchors and
+    g the (n, 2) log ground truths:
+
+        loss = sum_jk w_jk |out_jk + s_k - g_j|^2
+             + lam / (2 N) * sum_jk w_jk |s_k - g_j|^2,   N = sum_jk w_jk
+
+    The clustering term is dropped when N is 0. Returns the loss, its
+    (A, 2) gradient with respect to the anchors (offsets held constant:
+    the head does not read the anchor shapes) and its (n, A, 2) gradient
+    with respect to out, which :func:`grad_head` consumes.
+    """
+    if not 0.0 <= cluster_weight <= 1.0:
+        raise ValueError(f"cluster weight must lie in [0, 1], got {cluster_weight}")
+    if out.shape != w.shape + (2,):
+        raise ValueError(f"expected offsets of shape {w.shape + (2,)}, got {out.shape}")
+    gap = s - g[:, None, :]
+    r = out + gap
+    w3 = w[:, :, None]
+    dout = (2.0 * w3) * r
+    loss = 0.5 * float(np.sum(dout * r))
+    grad = dout.sum(axis=0)
+    if cluster_weight > 0.0:
+        n_eff = float(np.sum(w))
+        if n_eff > 0.0:
+            wgap = w3 * gap
+            loss += cluster_weight / (2.0 * n_eff) * float(np.sum(wgap * gap))
+            grad += cluster_weight / n_eff * wgap.sum(axis=0)
+    return loss, grad, dout
 
 
 def grad_head(
-    assign: Assignment,
-    anchors: AnchorSet,
-    gts: "Sequence[LogShape] | np.ndarray",
-    params: HeadParams,
+    dout: np.ndarray,
+    cache,
     features: np.ndarray,
-    bn: bool = True,
-    bn_per_anchor: bool = True,
+    member: np.ndarray,
+    gamma: np.ndarray,
 ) -> HeadGrads:
-    """Gradients of the total loss with respect to the head parameters.
+    """Gradients of the loss with respect to the head parameters.
 
-    Chain rule through the affine map and, where applied, the batch
-    normalization (including its batch statistics). The clustering term
-    does not involve the head, so the result holds for any cluster
-    weight. Anchors with no assigned pairs get zero gradients.
+    Chain rule from the offset gradient ``dout`` of
+    :func:`_loss_from_arrays` through the batch normalization (including
+    its batch statistics) recorded in ``cache`` by :func:`head_outputs`
+    and through the affine map. Pairs outside ``member`` must carry zero
+    weight, hence zero ``dout``. The clustering term does not involve the
+    head, so the result holds for any cluster weight. Anchors with no
+    assigned pairs, and the scales of groups left raw, get zero gradients.
     """
-    gu = np.zeros_like(params.u)
-    gc = np.zeros_like(params.c)
-    gg = np.zeros_like(params.gamma)
-    m = len(assign)
-    if m == 0:
-        return HeadGrads(gu, gc, gg)
-    j, k, w = assign.gt_idx, assign.anchor_idx, assign.weights
-    out, _, cache, phi, _ = _forward_with_cache(params, features, j, k, bn, bn_per_anchor)
-
-    s = anchors.as_array()
-    g = log_shapes_array(gts)
-    dout = np.empty((m, 2))
-    dout[:, 0] = w * 2.0 * (out[:, 0] + s[k, 0] - g[j, 0])
-    dout[:, 1] = w * 2.0 * (out[:, 1] + s[k, 1] - g[j, 1])
-
-    draw = dout.copy()
-    for (_, ch), (rows, xhat, istd) in cache.items():
-        gamma_rows = params.gamma[k[rows], ch]
-        d_ch = dout[rows, ch]
-        np.add.at(gg[:, ch], k[rows], d_ch * xhat)
-        dxhat = gamma_rows * d_ch
-        draw[rows, ch] = istd * (dxhat - np.mean(dxhat) - xhat * np.mean(dxhat * xhat))
-
-    np.add.at(gu, k, draw[:, :, None] * phi[:, None, :])
-    np.add.at(gc, k, draw)
-    return HeadGrads(gu, gc, gg)
+    n, a = member.shape
+    draw = dout
+    if cache is None:
+        gg = np.zeros_like(gamma)
+    else:
+        xhat, istd, count, denom, axes = cache
+        active = member[:, :, None] & (count >= 2)
+        dxhat = np.where(active, dout, 0.0)
+        gg = (dxhat * xhat).sum(axis=0)
+        dxhat *= gamma
+        m1 = dxhat.sum(axis=axes, keepdims=True) / denom
+        m2 = (dxhat * xhat).sum(axis=axes, keepdims=True) / denom
+        draw = np.where(active, istd * (dxhat - m1 - xhat * m2), dout)
+    gu = (draw.reshape(n, 2 * a).T @ features).reshape(a, 2, 2)
+    return HeadGrads(gu, draw.sum(axis=0), gg)

@@ -123,13 +123,13 @@ def build_report(
     dataset size; the threshold rule may count a box more than once.
     """
     ordered = anchors.sorted_by_area()
+    log_s = ordered.as_array()
     if assignment_rule == "yolo":
-        assign = hard_assign_yolo(ds.log_shapes(), ordered)
+        util = utilization_counts(hard_assign_yolo(ds.log_shapes(), log_s))
     elif assignment_rule == "threshold":
-        assign = hard_assign_threshold(ds.log_shapes(), ordered, threshold_tau)
+        util = utilization_counts(hard_assign_threshold(ds.log_shapes(), log_s, threshold_tau))
     else:
         raise ValueError(f"unknown assignment rule {assignment_rule!r}")
-    util = utilization_counts(assign, len(ordered))
     return AnchorReport(
         canvas=ds.canvas_size,
         stride=ordered.stride,

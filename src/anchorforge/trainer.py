@@ -31,11 +31,10 @@ from .assign import (
     temperature_at,
     utilization_counts,
 )
-from .geometry import AnchorSet, Metric
+from .geometry import METRICS, AnchorSet, Metric
 from .ingest import CanonicalDataset
 from .lossgrad import (
     HeadParams,
-    _grad_anchors_from_arrays,
     _loss_from_arrays,
     grad_head,
     head_outputs,
@@ -111,6 +110,8 @@ class TrainConfig:
             raise ValueError("anchor_lr_multiplier must be positive")
         if self.assignment_rule not in ("yolo", "threshold"):
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
         if self.cluster_weight_mode not in ("anneal", "fixed"):
             raise ValueError(f"unknown cluster weight mode {self.cluster_weight_mode!r}")
         if not 0.0 <= self.cluster_weight_fixed <= 1.0:
@@ -216,17 +217,16 @@ def run_training(
     num_anchors = len(anchors0)
     rng = np.random.default_rng(cfg.seed)
 
-    head: Optional[HeadParams] = None
+    u = c = gamma = None
     if cfg.head.enabled:
-        head = HeadParams.initial(num_anchors, cfg.head.sigma, cfg.head.init_scale, rng)
+        head0 = HeadParams.initial(num_anchors, cfg.head.sigma, cfg.head.init_scale, rng)
+        u, c, gamma = head0.u, head0.c, head0.gamma
+        vel_u, vel_c, vel_gamma = np.zeros_like(u), np.zeros_like(c), np.zeros_like(gamma)
 
     log_g = ds.log_shapes()
     n = log_g.shape[0]
     s = anchors0.as_array()
     vel_s = np.zeros_like(s)
-    vel_u = np.zeros_like(head.u) if head is not None else None
-    vel_c = np.zeros_like(head.c) if head is not None else None
-    vel_gamma = np.zeros_like(head.gamma) if head is not None else None
 
     trajectory = Trajectory()
     fh: Optional[IO[str]] = None
@@ -259,32 +259,33 @@ def run_training(
             cursor += cfg.batch_size
             batch_g = log_g[batch_idx]
 
-            anchors = AnchorSet.from_array(s, anchors0.stride)
             temp = temperature_at(t, cfg.warmup)
             soft = temp is not None
             if soft:
-                assign = soft_assign(batch_g, anchors, cfg.metric, temp)
+                w = soft_assign(batch_g, s, cfg.metric, temp)
             elif cfg.assignment_rule == "threshold":
-                assign = hard_assign_threshold(batch_g, anchors, cfg.threshold_tau)
+                w = hard_assign_threshold(batch_g, s, cfg.threshold_tau)
             else:
-                assign = hard_assign_yolo(batch_g, anchors, cfg.metric)
+                w = hard_assign_yolo(batch_g, s, cfg.metric)
 
             if cfg.cluster_weight_mode == "fixed":
                 lam = cfg.cluster_weight_fixed
             else:
                 lam = cluster_weight_at(t, cfg.warmup)
 
-            if head is not None:
-                features = make_features(batch_g, head.sigma, rng)
-                out, _ = head_outputs(
-                    head, features, assign.gt_idx, assign.anchor_idx,
+            if u is not None:
+                # every pair belongs to a soft assignment, even where its
+                # weight underflowed to 0; a hard one covers its nonzeros
+                member = np.ones(w.shape, dtype=bool) if soft else w > 0.0
+                features = make_features(batch_g, cfg.head.sigma, rng)
+                out, cache = head_outputs(
+                    u, c, gamma, features, member,
                     bn=cfg.head.bn, bn_per_anchor=cfg.head.bn_per_anchor,
                 )
             else:
-                features = None
-                out = np.zeros((len(assign), 2))
+                out = np.zeros(w.shape + (2,))
 
-            loss = _loss_from_arrays(out[:, 0], out[:, 1], assign, s, batch_g, lam)
+            loss, gs, dout = _loss_from_arrays(out, w, s, batch_g, lam)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(t, loss, s.copy())
 
@@ -296,22 +297,17 @@ def run_training(
 
             lr = lr_at(t, cfg.lr_schedule)
             if cfg.train_anchors:
-                gs = _grad_anchors_from_arrays(out[:, 0], out[:, 1], assign, s, batch_g, lam)
                 s, vel_s = sgd_step(s, gs, vel_s, lr * cfg.anchor_lr_multiplier, cfg.momentum)
-            if head is not None:
-                hg = grad_head(
-                    assign, anchors, batch_g, head, features,
-                    bn=cfg.head.bn, bn_per_anchor=cfg.head.bn_per_anchor,
-                )
-                new_u, vel_u = sgd_step(head.u, hg.u, vel_u, lr, cfg.momentum)
-                new_c, vel_c = sgd_step(head.c, hg.c, vel_c, lr, cfg.momentum)
-                new_gamma, vel_gamma = sgd_step(head.gamma, hg.gamma, vel_gamma, lr, cfg.momentum)
+            if u is not None:
+                hg = grad_head(dout, cache, features, member, gamma)
+                u, vel_u = sgd_step(u, hg.u, vel_u, lr, cfg.momentum)
+                c, vel_c = sgd_step(c, hg.c, vel_c, lr, cfg.momentum)
+                gamma, vel_gamma = sgd_step(gamma, hg.gamma, vel_gamma, lr, cfg.momentum)
                 # keep scales strictly positive; BN output is odd in gamma so
                 # the loss landscape does not need the sign
-                new_gamma = np.maximum(new_gamma, 1e-6)
-                head = HeadParams(new_u, new_c, new_gamma, head.sigma)
+                gamma = np.maximum(gamma, 1e-6)
 
-            counts = utilization_counts(assign, num_anchors, soft=soft)
+            counts = utilization_counts(w, soft)
             epoch_counts += counts
             window_counts += counts
 
@@ -341,4 +337,5 @@ def run_training(
         )
     trajectory.final_smoothed_loss = ema
     final_anchors = AnchorSet.from_array(s, anchors0.stride)
+    head = HeadParams(u, c, gamma, cfg.head.sigma) if u is not None else None
     return TrainResult(final_anchors, head, trajectory)

@@ -80,3 +80,64 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def head_loss_longhand(w, member, s, g, lam, head=None, features=None,
+                       bn=True, bn_per_anchor=True, eps=1e-5):
+    """The training objective written out pair by pair and group by group.
+
+    w is the (n, A) assignment weight matrix and member the (n, A)
+    boolean mask of the pairs the assignment covers; pairs outside it
+    must have zero weight. head is None (all offsets zero) or a tuple
+    (u, c, gamma) of per-anchor linear maps, biases and scales applied
+    to the (n, 2) features. With bn, member pairs are grouped per anchor
+    (or into one joint group), each group of at least 2 pairs is
+    normalized per channel with its own biased mean and variance and
+    scaled by the pair's anchor scale; smaller groups stay raw.
+
+    Returns (loss, offsets), offsets mapping each member pair (j, k) to
+    its [dw, dh].
+    """
+    n, a = len(w), len(w[0]) if len(w) else 0
+    pairs = [(j, k) for j in range(n) for k in range(a) if member[j][k]]
+    for j in range(n):
+        for k in range(a):
+            if not member[j][k] and w[j][k] != 0.0:
+                raise ValueError(f"pair ({j}, {k}) has weight outside the membership mask")
+    offsets = {}
+    for j, k in pairs:
+        if head is None:
+            offsets[(j, k)] = [0.0, 0.0]
+            continue
+        u, c, _ = head
+        offsets[(j, k)] = [
+            u[k][i][0] * features[j][0] + u[k][i][1] * features[j][1] + c[k][i]
+            for i in (0, 1)
+        ]
+    if head is not None and bn:
+        gamma = head[2]
+        groups = {}
+        for j, k in pairs:
+            groups.setdefault(k if bn_per_anchor else -1, []).append((j, k))
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            for i in (0, 1):
+                values = [offsets[p][i] for p in members]
+                mean = sum(values) / len(values)
+                var = sum((v - mean) ** 2 for v in values) / len(values)
+                std = (var + eps) ** 0.5
+                for (j, k), v in zip(members, values):
+                    offsets[(j, k)][i] = gamma[k][i] * (v - mean) / std
+    loss = 0.0
+    cluster = 0.0
+    total_weight = 0.0
+    for j, k in pairs:
+        weight = float(w[j][k])
+        gap = [s[k][i] - g[j][i] for i in (0, 1)]
+        loss += weight * sum((offsets[(j, k)][i] + gap[i]) ** 2 for i in (0, 1))
+        cluster += weight * (gap[0] ** 2 + gap[1] ** 2)
+        total_weight += weight
+    if lam > 0.0 and total_weight > 0.0:
+        loss += lam / (2.0 * total_weight) * cluster
+    return loss, offsets

@@ -21,9 +21,8 @@ from anchorforge import (
     avg_best_iou,
     bn_no_shift,
     cluster_weight_at,
-    deltas_from_array,
-    grad_anchors,
     grad_head,
+    hard_assign_threshold,
     hard_assign_yolo,
     head_outputs,
     init_identical,
@@ -35,11 +34,10 @@ from anchorforge import (
     shape_dist,
     soft_assign,
     temperature_at,
-    total_loss,
     write_anchors_json,
-    zero_deltas,
 )
 from anchorforge.cli import main
+from anchorforge.lossgrad import _loss_from_arrays
 from oracles import fd_grad, lloyd_log_l2, rel_err
 
 
@@ -92,67 +90,62 @@ def cluster_equiv_run(mixture3_ds, tmp_path_factory):
 
 class TestCriterion1:
     def test_gradients_match_finite_differences(self):
+        """The stages the trainer runs (head_outputs, _loss_from_arrays,
+        grad_head) against finite differences: every rule, every BN mode
+        and three clustering weights."""
         rng = np.random.default_rng(101)
         worst = 0.0
         instances = 0
-        for _ in range(9):
+        for _ in range(3):
             for lam in (0.0, 0.5, 1.0):
-                for mode in ("yolo", "soft"):
-                    for with_head in (False, True):
+                for rule in ("yolo", "threshold", "soft"):
+                    for mode in ("no head", "bn off", "bn per anchor", "bn joint"):
                         n = int(rng.integers(5, 51))
                         gts = rng.uniform(np.log(8.0), np.log(300.0), size=(n, 2))
-                        anchors = AnchorSet.from_array(
-                            rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2)))
+                        s = rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2))
                         metric = ("one_minus_iou", "sq_l2_log")[int(rng.integers(2))]
-                        if mode == "yolo":
-                            assign = hard_assign_yolo(gts, anchors, metric)
+                        if rule == "yolo":
+                            w = hard_assign_yolo(gts, s, metric)
+                        elif rule == "threshold":
+                            w = hard_assign_threshold(gts, s, 0.5)
                         else:
-                            assign = soft_assign(gts, anchors, metric, temperature=1.0)
+                            w = soft_assign(gts, s, metric, temperature=1.0)
+                        member = np.ones(w.shape, dtype=bool) if rule == "soft" else w > 0.0
 
-                        if with_head:
+                        bn = mode != "bn off"
+                        per_anchor = mode != "bn joint"
+                        if mode == "no head":
+                            out = np.zeros(w.shape + (2,))
+                        else:
                             head = HeadParams.initial(5, sigma=0.3, init_scale=0.1, rng=rng)
                             features = make_features(gts, 0.3, rng)
-                            bn = bool(rng.integers(2))
-                            per_anchor = bool(rng.integers(2))
-                            out, _ = head_outputs(head, features, assign.gt_idx,
-                                                  assign.anchor_idx, bn=bn,
-                                                  bn_per_anchor=per_anchor)
-                            deltas = deltas_from_array(assign, out)
-                        else:
-                            deltas = zero_deltas(assign)
+                            out, cache = head_outputs(head.u, head.c, head.gamma, features,
+                                                      member, bn=bn, bn_per_anchor=per_anchor)
 
-                        analytic = grad_anchors(assign, deltas, anchors, gts, lam)
+                        _, analytic, dout = _loss_from_arrays(out, w, s, gts, lam)
 
-                        def loss_of_anchors(arr, assign=assign, deltas=deltas,
-                                            gts=gts, lam=lam):
-                            return total_loss(assign, deltas, AnchorSet.from_array(arr),
-                                              gts, lam)
+                        def loss_of_anchors(arr, out=out, w=w, gts=gts, lam=lam):
+                            return _loss_from_arrays(out, w, arr, gts, lam)[0]
 
-                        numeric = fd_grad(loss_of_anchors, anchors.as_array().copy())
+                        numeric = fd_grad(loss_of_anchors, s.copy())
                         worst = max(worst, rel_err(analytic, numeric))
 
-                        if with_head:
-                            hg = grad_head(assign, anchors, gts, head, features,
-                                           bn=bn, bn_per_anchor=per_anchor)
+                        if mode != "no head":
+                            hg = grad_head(dout, cache, features, member, head.gamma)
                             nu, nc = head.u.size, head.c.size
                             packed = np.concatenate(
                                 [head.u.ravel(), head.c.ravel(), head.gamma.ravel()])
 
-                            def loss_of_head(vec, assign=assign, anchors=anchors,
-                                             gts=gts, lam=lam, head=head,
-                                             features=features, bn=bn,
+                            def loss_of_head(vec, w=w, member=member, s=s, gts=gts, lam=lam,
+                                             head=head, features=features, bn=bn,
                                              per_anchor=per_anchor, nu=nu, nc=nc):
-                                params = HeadParams(
+                                o, _ = head_outputs(
                                     vec[:nu].reshape(head.u.shape),
                                     vec[nu:nu + nc].reshape(head.c.shape),
                                     vec[nu + nc:].reshape(head.gamma.shape),
-                                    head.sigma,
+                                    features, member, bn=bn, bn_per_anchor=per_anchor,
                                 )
-                                o, _ = head_outputs(params, features, assign.gt_idx,
-                                                    assign.anchor_idx, bn=bn,
-                                                    bn_per_anchor=per_anchor)
-                                return total_loss(assign, deltas_from_array(assign, o),
-                                                  anchors, gts, lam)
+                                return _loss_from_arrays(o, w, s, gts, lam)[0]
 
                             analytic_h = np.concatenate(
                                 [hg.u.ravel(), hg.c.ravel(), hg.gamma.ravel()])
@@ -290,18 +283,15 @@ class TestCriterion6:
         for _ in range(50):
             n = int(rng.integers(2, 40))
             gts = rng.uniform(np.log(8.0), np.log(300.0), size=(n, 2))
-            anchors = AnchorSet.from_array(
-                rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2)))
+            s = rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2))
             metric = ("one_minus_iou", "sq_l2_log")[int(rng.integers(2))]
-            soft = soft_assign(gts, anchors, metric,
-                               temperature=float(rng.uniform(0.05, 3.0)))
-            w = soft.weights.reshape(n, 5)
+            w = soft_assign(gts, s, metric, temperature=float(rng.uniform(0.05, 3.0)))
             rows_ok &= bool(np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-9))
 
-            at_floor = soft_assign(gts, anchors, metric, temperature=sched.temp_floor)
-            winners = np.argmax(at_floor.weights.reshape(n, 5), axis=1)
-            hard = hard_assign_yolo(gts, anchors, metric)
-            floor_agrees &= bool(np.array_equal(winners, hard.anchor_idx))
+            at_floor = soft_assign(gts, s, metric, temperature=sched.temp_floor)
+            hard = hard_assign_yolo(gts, s, metric)
+            floor_agrees &= bool(np.array_equal(np.argmax(at_floor, axis=1),
+                                                np.argmax(hard, axis=1)))
 
         schedules_ok = (
             temperature_at(0, sched) == 2.0

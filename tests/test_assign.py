@@ -5,7 +5,6 @@ import pytest
 
 from anchorforge import (
     AnchorSet,
-    Assignment,
     LogShape,
     WarmupSchedule,
     cluster_weight_at,
@@ -18,6 +17,7 @@ from anchorforge import (
     temperature_at,
     utilization_counts,
 )
+from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs
 from oracles import softmax_rows
 
 
@@ -26,74 +26,100 @@ def random_log_shapes(rng, n):
 
 
 class TestAssignment:
+    """The dense (n, A) weight matrix every rule returns."""
+
+    RULES = (
+        lambda g, s: hard_assign_yolo(g, s, "sq_l2_log"),
+        lambda g, s: hard_assign_threshold(g, s, 0.4),
+        lambda g, s: soft_assign(g, s, "one_minus_iou", 0.5),
+    )
+
     def test_canonical_order(self):
-        """Entries come back sorted by (gt, anchor) no matter the input order."""
-        a = Assignment([2, 0, 1, 0], [1, 3, 0, 1], [0.5, 1.0, 0.25, 0.75])
-        assert a.entries() == [(0, 1, 0.75), (0, 3, 1.0), (1, 0, 0.25), (2, 1, 0.5)]
+        """Column k belongs to anchor k: reordering the anchors reorders W's columns
+        (up to rounding, since a softmax row then sums in another order)."""
+        rng = np.random.default_rng(20)
+        for rule in self.RULES:
+            g = rng.normal(3.0, 1.0, size=(12, 2))
+            s = rng.normal(3.0, 1.0, size=(4, 2))
+            perm = rng.permutation(4)
+            np.testing.assert_allclose(rule(g, s[perm]), rule(g, s)[:, perm], rtol=1e-14, atol=0)
 
     def test_same_entries_any_order(self):
+        """Row j belongs to ground truth j: reordering the gts reorders W's rows, bit for bit."""
         rng = np.random.default_rng(21)
         for _ in range(50):
             m = int(rng.integers(1, 30))
-            j = rng.integers(0, 10, size=m)
-            k = rng.integers(0, 5, size=m)
-            w = rng.uniform(0.0, 1.0, size=m)
+            g = rng.normal(3.0, 1.0, size=(m, 2))
+            s = rng.normal(3.0, 1.0, size=(int(rng.integers(1, 6)), 2))
             perm = rng.permutation(m)
-            a = Assignment(j, k, w)
-            b = Assignment(j[perm], k[perm], w[perm])
-            np.testing.assert_array_equal(a.gt_idx, b.gt_idx)
-            np.testing.assert_array_equal(a.anchor_idx, b.anchor_idx)
-            np.testing.assert_array_equal(a.weights, b.weights)
+            for rule in self.RULES:
+                np.testing.assert_array_equal(rule(g[perm], s), rule(g, s)[perm])
 
     def test_arrays_are_read_only(self):
-        a = Assignment([0], [0], [1.0])
-        with pytest.raises(ValueError):
-            a.weights[0] = 0.5
+        """Neither the rules nor the training stages write to W or to their inputs."""
+        rng = np.random.default_rng(19)
+        g = rng.normal(3.0, 1.0, size=(10, 2))
+        s = rng.normal(3.0, 1.0, size=(3, 2))
+        u = rng.normal(0.0, 0.3, size=(3, 2, 2))
+        c = np.zeros((3, 2))
+        gamma = np.ones((3, 2))
+        for a in (g, s, u, c, gamma):
+            a.setflags(write=False)
+        for soft, rule in zip((False, False, True), self.RULES):
+            w = rule(g, s)
+            member = np.ones(w.shape, dtype=bool) if soft else w > 0.0
+            w.setflags(write=False)
+            member.setflags(write=False)
+            for per_anchor in (True, False):
+                out, cache = head_outputs(u, c, gamma, g, member, bn=True, bn_per_anchor=per_anchor)
+                _, _, dout = _loss_from_arrays(out, w, s, g, 0.5)
+                grad_head(dout, cache, g, member, gamma)
+            utilization_counts(w, soft)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Assignment([0, 1], [0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            Assignment([0], [0], [1.5])
-        with pytest.raises(ValueError):
-            Assignment([0], [0], [-0.1])
-        with pytest.raises(ValueError):
-            Assignment([-1], [0], [1.0])
+        g = np.zeros((2, 2))
+        for rule in self.RULES:
+            with pytest.raises(ValueError):
+                rule(g, np.zeros((3, 3)))
+            with pytest.raises(ValueError):
+                rule(np.zeros((2, 1)), np.zeros((3, 2)))
 
     def test_empty_ok(self):
-        assert len(Assignment([], [], [])) == 0
+        for rule in self.RULES:
+            w = rule(np.zeros((0, 2)), np.zeros((3, 2)))
+            assert w.shape == (0, 3)
+            np.testing.assert_array_equal(utilization_counts(w), [0, 0, 0])
 
 
 class TestHardYolo:
     def test_each_gt_once_with_weight_one(self):
         rng = np.random.default_rng(22)
-        anchors = AnchorSet.from_array(rng.normal(3.0, 1.0, size=(4, 2)))
+        s = rng.normal(3.0, 1.0, size=(4, 2))
         for _ in range(20):
             gts = random_log_shapes(rng, int(rng.integers(1, 40)))
-            a = hard_assign_yolo(gts, anchors)
-            assert len(a) == len(gts)
-            np.testing.assert_array_equal(a.gt_idx, np.arange(len(gts)))
-            assert np.all(a.weights == 1.0)
+            w = hard_assign_yolo(gts, s)
+            assert w.shape == (len(gts), 4)
+            assert set(np.unique(w)) <= {0.0, 1.0}
+            np.testing.assert_array_equal(w.sum(axis=1), 1.0)
 
     def test_picks_nearest(self):
         rng = np.random.default_rng(23)
         anchors = AnchorSet.from_array(rng.normal(3.0, 1.0, size=(5, 2)))
         for metric in ("one_minus_iou", "sq_l2_log"):
             gts = random_log_shapes(rng, 25)
-            a = hard_assign_yolo(gts, anchors, metric)
-            for j, k, _ in a.entries():
+            w = hard_assign_yolo(gts, anchors.as_array(), metric)
+            for j, k in zip(*np.nonzero(w)):
                 dists = [shape_dist(gts[j], s, metric) for s in anchors.shapes]
                 assert dists[k] == min(dists)
 
     def test_tie_goes_to_lowest_index(self):
         # two identical anchors: index 0 must win every time
-        anchors = AnchorSet((LogShape(1.0, 1.0), LogShape(1.0, 1.0)))
-        a = hard_assign_yolo([LogShape(0.0, 0.0), LogShape(2.0, 2.0)], anchors)
-        assert list(a.anchor_idx) == [0, 0]
+        s = np.array([[1.0, 1.0], [1.0, 1.0]])
+        w = hard_assign_yolo([LogShape(0.0, 0.0), LogShape(2.0, 2.0)], s)
+        np.testing.assert_array_equal(w, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_empty_gts(self):
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
-        assert len(hard_assign_yolo([], anchors)) == 0
+        assert hard_assign_yolo([], np.zeros((1, 2))).shape == (0, 1)
 
 
 class TestHardThreshold:
@@ -104,73 +130,63 @@ class TestHardThreshold:
         for _ in range(20):
             gts = random_log_shapes(rng, 30)
             tau = float(rng.uniform(0.3, 0.7))
-            a = hard_assign_threshold(gts, anchors, tau)
-            got = {(j, k) for j, k, _ in a.entries()}
+            w = hard_assign_threshold(gts, anchors.as_array(), tau)
             for j, g in enumerate(gts):
                 ious = [iou_aligned(decode_log(g), s) for s in shapes]
                 want = {k for k, v in enumerate(ious) if v >= tau}
                 want.add(int(np.argmax(ious)))
-                assert {k for jj, k in got if jj == j} == want
-            assert np.all(a.weights == 1.0)
+                assert set(np.flatnonzero(w[j])) == want
+            assert set(np.unique(w)) <= {0.0, 1.0}
 
     def test_no_gt_unassigned(self):
         """Even a gt below tau for every anchor gets its best anchor."""
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
-        a = hard_assign_threshold([LogShape(5.0, 5.0)], anchors, 0.9)
-        assert a.entries() == [(0, 0, 1.0)]
+        w = hard_assign_threshold([LogShape(5.0, 5.0)], np.zeros((1, 2)), 0.9)
+        np.testing.assert_array_equal(w, [[1.0]])
 
     def test_tau_validation(self):
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
         for tau in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                hard_assign_threshold([LogShape(0.0, 0.0)], anchors, tau)
+                hard_assign_threshold([LogShape(0.0, 0.0)], np.zeros((1, 2)), tau)
 
 
 class TestSoftAssign:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(25)
-        anchors = AnchorSet.from_array(rng.normal(3.0, 1.0, size=(6, 2)))
+        s = rng.normal(3.0, 1.0, size=(6, 2))
         for _ in range(20):
             gts = random_log_shapes(rng, int(rng.integers(1, 30)))
             temp = float(rng.uniform(0.05, 5.0))
-            a = soft_assign(gts, anchors, "sq_l2_log", temp)
-            assert len(a) == len(gts) * len(anchors)
-            sums = np.zeros(len(gts))
-            np.add.at(sums, a.gt_idx, a.weights)
-            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+            w = soft_assign(gts, s, "sq_l2_log", temp)
+            assert w.shape == (len(gts), 6)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_known_two_anchor_weights(self):
         """Distances (0, ln 3) at temperature 1 give weights (3/4, 1/4)."""
-        anchors = AnchorSet((LogShape(0.0, 0.0), LogShape(math.sqrt(math.log(3.0)), 0.0)))
-        a = soft_assign([LogShape(0.0, 0.0)], anchors, "sq_l2_log", 1.0)
-        w = {(j, k): wt for j, k, wt in a.entries()}
-        assert math.isclose(w[(0, 0)], 0.75, rel_tol=1e-12)
-        assert math.isclose(w[(0, 1)], 0.25, rel_tol=1e-12)
+        s = np.array([[0.0, 0.0], [math.sqrt(math.log(3.0)), 0.0]])
+        w = soft_assign([LogShape(0.0, 0.0)], s, "sq_l2_log", 1.0)
+        assert math.isclose(w[0, 0], 0.75, rel_tol=1e-12)
+        assert math.isclose(w[0, 1], 0.25, rel_tol=1e-12)
 
     def test_matches_reference_softmax(self):
         rng = np.random.default_rng(26)
-        anchors = AnchorSet.from_array(rng.normal(3.0, 1.0, size=(4, 2)))
+        s = rng.normal(3.0, 1.0, size=(4, 2))
         from anchorforge import shape_dist_matrix
 
         for _ in range(20):
             g = rng.normal(3.0, 1.0, size=(8, 2))
             temp = float(rng.uniform(0.05, 3.0))
-            want = softmax_rows(-shape_dist_matrix(g, anchors.as_array(), "sq_l2_log") / temp)
-            a = soft_assign(g, anchors, "sq_l2_log", temp)
-            got = np.zeros((8, 4))
-            got[a.gt_idx, a.anchor_idx] = a.weights
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            want = softmax_rows(-shape_dist_matrix(g, s, "sq_l2_log") / temp)
+            np.testing.assert_allclose(soft_assign(g, s, "sq_l2_log", temp), want, rtol=0, atol=1e-12)
 
     def test_temperature_must_be_positive(self):
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
         with pytest.raises(ValueError):
-            soft_assign([LogShape(0.0, 0.0)], anchors, "sq_l2_log", 0.0)
+            soft_assign([LogShape(0.0, 0.0)], np.zeros((1, 2)), "sq_l2_log", 0.0)
 
     def test_extreme_distances_stay_finite(self):
-        anchors = AnchorSet((LogShape(-50.0, -50.0), LogShape(50.0, 50.0)))
-        a = soft_assign([LogShape(50.0, 50.0)], anchors, "sq_l2_log", 0.01)
-        assert np.all(np.isfinite(a.weights))
-        assert math.isclose(float(a.weights.sum()), 1.0, abs_tol=1e-12)
+        s = np.array([[-50.0, -50.0], [50.0, 50.0]])
+        w = soft_assign([LogShape(50.0, 50.0)], s, "sq_l2_log", 0.01)
+        assert np.all(np.isfinite(w))
+        assert math.isclose(float(w.sum()), 1.0, abs_tol=1e-12)
 
 
 class TestWarmupSchedules:
@@ -218,20 +234,19 @@ class TestWarmupSchedules:
 
 class TestUtilization:
     def test_hard_counts_every_entry(self):
-        a = Assignment([0, 1, 1, 2], [0, 0, 2, 2], [1.0, 1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(utilization_counts(a, 4), [2, 0, 2, 0])
+        w = np.array([[1.0, 0, 0, 0], [1.0, 0, 1.0, 0], [0, 0, 1.0, 0]])
+        np.testing.assert_array_equal(utilization_counts(w), [2, 0, 2, 0])
 
     def test_yolo_counts_sum_to_n(self):
         rng = np.random.default_rng(27)
-        anchors = AnchorSet.from_array(rng.normal(3.0, 1.0, size=(3, 2)))
+        s = rng.normal(3.0, 1.0, size=(3, 2))
         gts = random_log_shapes(rng, 50)
-        a = hard_assign_yolo(gts, anchors)
-        assert utilization_counts(a, 3).sum() == 50
+        assert utilization_counts(hard_assign_yolo(gts, s)).sum() == 50
 
     def test_soft_counts_argmax_per_gt(self):
-        a = Assignment([0, 0, 1, 1], [0, 1, 0, 1], [0.3, 0.7, 0.6, 0.4])
-        np.testing.assert_array_equal(utilization_counts(a, 2, soft=True), [1, 1])
+        w = np.array([[0.3, 0.7], [0.6, 0.4]])
+        np.testing.assert_array_equal(utilization_counts(w, soft=True), [1, 1])
 
     def test_soft_tie_to_lowest_anchor(self):
-        a = Assignment([0, 0], [0, 1], [0.5, 0.5])
-        np.testing.assert_array_equal(utilization_counts(a, 2, soft=True), [1, 0])
+        w = np.array([[0.5, 0.5]])
+        np.testing.assert_array_equal(utilization_counts(w, soft=True), [1, 0])

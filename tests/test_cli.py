@@ -138,6 +138,26 @@ class TestOptimize:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_uniform_init_rejects_other_counts(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "opt"
+        rc = main([
+            "optimize", "--dataset", str(dataset_file), "--init", "uniform",
+            "--num-anchors", "3", "--iters", "20", "--no-head", "--out-dir", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "provides 5 anchors" in err and "num_anchors is 3" in err
+        assert not out.exists()
+
+    def test_scale_merging_breakpoints_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--scale", "0.004",
+                   "--no-head", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scale 0.004" in err and "breakpoints 0 and 100" in err
+        assert not out.exists()
+
     def test_init_file_round_trip(self, tmp_path, dataset_file):
         cluster_out = tmp_path / "c"
         main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2",
@@ -239,6 +259,16 @@ class TestConfigFile:
         cfg_file.write_text(f"[optimize]\ndataset = {dataset_file}\niters = soon\n")
         rc = main(["optimize", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--rule", "threshold", "--warmup-iters", "0"]])
+    def test_bad_metric_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, extra):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[optimize]\ndataset = {dataset_file}\nmetric = bogus\niters = 20\n")
+        out = tmp_path / "o"
+        rc = main(["optimize", "--config", str(cfg_file), "--no-head", *extra, "--out-dir", str(out)])
+        assert rc == 2
+        assert "unknown metric 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, dataset_file, monkeypatch):
         monkeypatch.setenv("ANCHORFORGE_SEED", "77")

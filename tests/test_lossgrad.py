@@ -5,45 +5,88 @@ import pytest
 
 from anchorforge import (
     BN_EPS,
-    AnchorSet,
-    Assignment,
     BNState,
-    DeltaWH,
     HeadParams,
     LogShape,
+    WarmupSchedule,
     bn_no_shift,
     cluster_term,
-    deltas_from_array,
-    grad_anchors,
     grad_head,
+    hard_assign_threshold,
     hard_assign_yolo,
-    head_forward,
     head_outputs,
     loss_wh,
-    loss_xy,
     make_features,
     soft_assign,
-    total_loss,
-    zero_deltas,
 )
-from oracles import fd_grad, rel_err
+from anchorforge.lossgrad import _loss_from_arrays
+from oracles import fd_grad, head_loss_longhand, rel_err
+
+RULES = ("yolo", "threshold", "soft")
 
 
-def random_case(rng, n_gt=12, n_anchor=3, soft=False):
-    """A random assigned batch: (assignment, anchors, gt array)."""
-    g = rng.normal(3.0, 0.8, size=(n_gt, 2))
-    anchors = AnchorSet.from_array(rng.normal(3.0, 0.8, size=(n_anchor, 2)))
-    if soft:
-        assign = soft_assign(g, anchors, "sq_l2_log", 1.0)
+def assign(rule, g, s, metric="sq_l2_log", temperature=1.0):
+    """(W, member) for one rule, as the trainer builds them."""
+    if rule == "soft":
+        w = soft_assign(g, s, metric, temperature)
+        return w, np.ones(w.shape, dtype=bool)
+    if rule == "threshold":
+        w = hard_assign_threshold(g, s, 0.5)
     else:
-        assign = hard_assign_yolo(g, anchors, "sq_l2_log")
-    return assign, anchors, g
+        w = hard_assign_yolo(g, s, metric)
+    return w, w > 0.0
+
+
+def random_case(rng, n_gt=12, n_anchor=3, rule="yolo"):
+    """A random assigned batch: (W, member, log anchors, log gts)."""
+    g = rng.normal(3.0, 0.8, size=(n_gt, 2))
+    s = rng.normal(3.0, 0.8, size=(n_anchor, 2))
+    w, member = assign(rule, g, s)
+    return w, member, s, g
+
+
+def random_head(rng, n_anchor):
+    u = rng.normal(0.0, 0.4, size=(n_anchor, 2, 2))
+    c = rng.normal(0.0, 0.2, size=(n_anchor, 2))
+    gamma = rng.uniform(0.5, 2.0, size=(n_anchor, 2))
+    return u, c, gamma
+
+
+def kernel_loss(w, member, s, g, lam, head=None, features=None, bn=True, per_anchor=True):
+    if head is None:
+        out = np.zeros(w.shape + (2,))
+    else:
+        out, _ = head_outputs(*head, features, member, bn=bn, bn_per_anchor=per_anchor)
+    return _loss_from_arrays(out, w, s, g, lam)[0]
+
+
+def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
+    """Worst relative error of the head gradients against finite differences."""
+    u, c, gamma = head
+    out, cache = head_outputs(u, c, gamma, features, member, bn=bn, bn_per_anchor=per_anchor)
+    _, _, dout = _loss_from_arrays(out, w, s, g, lam)
+    analytic = grad_head(dout, cache, features, member, gamma)
+
+    def f_u(x):
+        return kernel_loss(w, member, s, g, lam, (x, c, gamma), features, bn, per_anchor)
+
+    def f_c(x):
+        return kernel_loss(w, member, s, g, lam, (u, x, gamma), features, bn, per_anchor)
+
+    def f_gamma(x):
+        return kernel_loss(w, member, s, g, lam, (u, c, x), features, bn, per_anchor)
+
+    return max(
+        rel_err(analytic.u, fd_grad(f_u, u)),
+        rel_err(analytic.c, fd_grad(f_c, c)),
+        rel_err(analytic.gamma, fd_grad(f_gamma, gamma)),
+    )
 
 
 class TestLossValues:
     def test_loss_wh_pinned(self):
         """Zero offsets between log(2,2) and log(4,4) leave 2 (ln 2)^2."""
-        got = loss_wh(DeltaWH(0.0, 0.0), LogShape(math.log(2), math.log(2)),
+        got = loss_wh((0.0, 0.0), LogShape(math.log(2), math.log(2)),
                       LogShape(math.log(4), math.log(4)))
         assert math.isclose(got, 2.0 * math.log(2.0) ** 2, rel_tol=1e-14)
 
@@ -52,56 +95,45 @@ class TestLossValues:
         for _ in range(50):
             lw, lh = rng.normal(0.0, 2.0, size=2)
             g = LogShape(float(lw), float(lh))
-            assert loss_wh(DeltaWH(0.0, 0.0), g, g) == 0.0
+            assert loss_wh((0.0, 0.0), g, g) == 0.0
 
     def test_loss_wh_offsets_close_gap(self):
         a = LogShape(1.0, 2.0)
         g = LogShape(3.0, 1.0)
-        assert loss_wh(DeltaWH(2.0, -1.0), a, g) == 0.0
-
-    def test_loss_xy(self):
-        assert loss_xy((0.5, 0.0), (1.0, 2.0), (1.0, 3.0)) == 0.25 + 1.0
+        assert loss_wh((2.0, -1.0), a, g) == 0.0
 
     def test_cluster_term_is_zero_offset_loss(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
             a = LogShape(*(float(v) for v in rng.normal(0.0, 2.0, size=2)))
             g = LogShape(*(float(v) for v in rng.normal(0.0, 2.0, size=2)))
-            assert cluster_term(a, g) == loss_wh(DeltaWH(0.0, 0.0), a, g)
+            assert cluster_term(a, g) == loss_wh((0.0, 0.0), a, g)
 
     def test_single_pair_with_cluster_weight(self):
         """One pair, zero offset, unit gap: 1 + (1/2) * 1 = 1.5."""
-        assign = Assignment([0], [0], [1.0])
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
-        gts = [LogShape(1.0, 0.0)]
-        got = total_loss(assign, zero_deltas(assign), anchors, gts, cluster_weight=1.0)
-        assert got == 1.5
+        w = np.ones((1, 1))
+        loss, _, _ = _loss_from_arrays(np.zeros((1, 1, 2)), w, np.zeros((1, 2)),
+                                       np.array([[1.0, 0.0]]), 1.0)
+        assert loss == 1.5
 
     def test_empty_assignment_is_zero(self):
-        assign = Assignment([], [], [])
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
-        assert total_loss(assign, {}, anchors, [], cluster_weight=1.0) == 0.0
+        loss, grad, dout = _loss_from_arrays(np.zeros((0, 1, 2)), np.zeros((0, 1)),
+                                             np.zeros((1, 2)), np.zeros((0, 2)), 1.0)
+        assert loss == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
+        assert dout.shape == (0, 1, 2)
 
     def test_all_zero_weights_is_zero(self):
-        assign = Assignment([0, 1], [0, 0], [0.0, 0.0])
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
-        gts = [LogShape(1.0, 1.0), LogShape(2.0, 2.0)]
-        assert total_loss(assign, zero_deltas(assign), anchors, gts, 1.0) == 0.0
+        g = np.array([[1.0, 1.0], [2.0, 2.0]])
+        loss, _, _ = _loss_from_arrays(np.zeros((2, 1, 2)), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), g, 1.0)
+        assert loss == 0.0
 
     def test_cluster_weight_validation(self):
-        assign = Assignment([0], [0], [1.0])
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
         for lam in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                total_loss(assign, zero_deltas(assign), anchors, [LogShape(1.0, 0.0)], lam)
-
-    def test_missing_delta_names_pair(self):
-        assign = Assignment([0, 1], [0, 1], [1.0, 1.0])
-        anchors = AnchorSet((LogShape(0.0, 0.0), LogShape(0.0, 0.0)))
-        gts = [LogShape(1.0, 0.0), LogShape(0.0, 1.0)]
-        deltas = {(0, 0): DeltaWH(0.0, 0.0)}
-        with pytest.raises(ValueError, match=r"gt=1, anchor=1"):
-            total_loss(assign, deltas, anchors, gts)
+                _loss_from_arrays(np.zeros((1, 1, 2)), np.ones((1, 1)), np.zeros((1, 2)),
+                                  np.array([[1.0, 0.0]]), lam)
 
 
 class TestAnchorGradients:
@@ -110,31 +142,54 @@ class TestAnchorGradients:
     def test_matches_finite_differences(self, lam, soft):
         rng = np.random.default_rng(33)
         for _ in range(10):
-            assign, anchors, g = random_case(rng, soft=soft)
-            deltas = deltas_from_array(assign, rng.normal(0.0, 0.3, size=(len(assign), 2)))
+            for rule in ("soft",) if soft else ("yolo", "threshold"):
+                w, _, s, g = random_case(rng, rule=rule)
+                out = rng.normal(0.0, 0.3, size=w.shape + (2,))
 
-            def f(arr):
-                return total_loss(assign, deltas, AnchorSet.from_array(arr), g, lam)
+                def f(arr):
+                    return _loss_from_arrays(out, w, arr, g, lam)[0]
 
-            analytic = grad_anchors(assign, deltas, anchors, g, lam)
-            numeric = fd_grad(f, anchors.as_array())
-            assert rel_err(analytic, numeric) < 1e-6
+                _, analytic, _ = _loss_from_arrays(out, w, s, g, lam)
+                assert rel_err(analytic, fd_grad(f, s)) < 1e-6
 
     def test_unassigned_anchor_row_is_zero(self):
-        assign = Assignment([0, 1], [0, 0], [1.0, 1.0])
-        anchors = AnchorSet((LogShape(0.0, 0.0), LogShape(9.0, 9.0)))
-        gts = [LogShape(1.0, 0.0), LogShape(0.0, 1.0)]
-        grad = grad_anchors(assign, zero_deltas(assign), anchors, gts, 0.5)
+        w = np.array([[1.0, 0.0], [1.0, 0.0]])
+        s = np.array([[0.0, 0.0], [9.0, 9.0]])
+        g = np.array([[1.0, 0.0], [0.0, 1.0]])
+        _, grad, _ = _loss_from_arrays(np.zeros((2, 2, 2)), w, s, g, 0.5)
         np.testing.assert_array_equal(grad[1], 0.0)
         assert np.any(grad[0] != 0.0)
 
     def test_hand_worked_single_pair(self):
         # residual (s - g) = (-1, 0); grad = 2 r + lam/N * r with N = 1
-        assign = Assignment([0], [0], [1.0])
-        anchors = AnchorSet((LogShape(0.0, 0.0),))
-        gts = [LogShape(1.0, 0.0)]
-        grad = grad_anchors(assign, zero_deltas(assign), anchors, gts, 1.0)
+        _, grad, _ = _loss_from_arrays(np.zeros((1, 1, 2)), np.ones((1, 1)), np.zeros((1, 2)),
+                                       np.array([[1.0, 0.0]]), 1.0)
         np.testing.assert_allclose(grad, [[-3.0, 0.0]], rtol=0, atol=1e-15)
+
+    def test_identical_anchors(self):
+        """Identical anchors: yolo sends every box to anchor 0, threshold to
+        anchor 0 or to all of them, soft splits evenly, and the gradients
+        still match finite differences."""
+        rng = np.random.default_rng(46)
+        g = rng.normal(3.0, 0.8, size=(15, 2))
+        s = np.tile([[3.2, 2.9]], (4, 1))
+        for rule in RULES:
+            w, member = assign(rule, g, s, temperature=0.7)
+            if rule == "soft":
+                np.testing.assert_allclose(w, 0.25, rtol=0, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(w[:, 0], 1.0)
+                rest = w[:, 1:] if rule == "yolo" else w[:, 1:] != w[:, 1:2]
+                np.testing.assert_array_equal(rest, 0.0)
+            for lam in (0.0, 0.4):
+                _, grad, _ = _loss_from_arrays(np.zeros(w.shape + (2,)), w, s, g, lam)
+                numeric = fd_grad(lambda arr: _loss_from_arrays(
+                    np.zeros(w.shape + (2,)), w, arr, g, lam)[0], s)
+                assert rel_err(grad, numeric) < 1e-6
+                feats = make_features(g, 0.4, rng)
+                for bn, per_anchor in ((False, True), (True, True), (True, False)):
+                    head = random_head(rng, 4)
+                    assert head_fd_check(w, member, s, g, lam, head, feats, bn, per_anchor) < 1e-6
 
 
 class TestBatchNorm:
@@ -206,69 +261,139 @@ class TestHeadForward:
         assert abs(float(np.std(feats)) - 2.5) < 0.05
 
     def test_head_forward_affine(self):
+        """Without BN the offset of pair (j, k) is u[k] @ features[j] + c[k]."""
         rng = np.random.default_rng(38)
         p = HeadParams.initial(2, sigma=0.0, init_scale=0.3, rng=rng)
-        g = LogShape(1.5, -0.5)
-        d = head_forward(g, 1, p)
-        want = p.u[1] @ np.array([1.5, -0.5]) + p.c[1]
-        assert math.isclose(d.dw, want[0], rel_tol=1e-12)
-        assert math.isclose(d.dh, want[1], rel_tol=1e-12)
+        p.c = rng.normal(0.0, 0.5, size=(2, 2))
+        feats = np.array([[1.5, -0.5], [0.25, 2.0]])
+        out, cache = head_outputs(p.u, p.c, p.gamma, feats, np.ones((2, 2), dtype=bool), bn=False)
+        assert cache is None
+        for j in range(2):
+            for k in range(2):
+                want = p.u[k] @ feats[j] + p.c[k]
+                np.testing.assert_allclose(out[j, k], want, rtol=1e-12)
 
     def test_head_outputs_matches_single(self):
-        """Batched forward without BN equals pair-at-a-time forward."""
+        """The batched forward pass equals the pair-at-a-time longhand oracle."""
         rng = np.random.default_rng(39)
-        p = HeadParams.initial(3, sigma=0.0, init_scale=0.5, rng=rng)
         g = rng.normal(0.0, 1.0, size=(10, 2))
-        anchors = AnchorSet.from_array(rng.normal(0.0, 1.0, size=(3, 2)))
-        assign = hard_assign_yolo(g, anchors, "sq_l2_log")
+        s = rng.normal(0.0, 1.0, size=(3, 2))
+        head = random_head(rng, 3)
         feats = make_features(g, 0.0)
-        out, states = head_outputs(p, feats, assign.gt_idx, assign.anchor_idx, bn=False)
-        assert states == {}
-        for row, (j, k, _) in zip(out, assign.entries()):
-            d = head_forward(LogShape(*g[j]), k, p)
-            assert math.isclose(row[0], d.dw, rel_tol=1e-12)
-            assert math.isclose(row[1], d.dh, rel_tol=1e-12)
+        for rule in RULES:
+            w, member = assign(rule, g, s)
+            for bn, per_anchor in ((False, True), (True, True), (True, False)):
+                out, _ = head_outputs(*head, feats, member, bn=bn, bn_per_anchor=per_anchor)
+                _, offsets = head_loss_longhand(w, member, s, g, 0.0, head, feats, bn, per_anchor)
+                for (j, k), want in offsets.items():
+                    np.testing.assert_allclose(out[j, k], want, rtol=1e-9, atol=1e-12)
 
     def test_bn_groups_normalize_per_anchor(self):
         rng = np.random.default_rng(40)
         p = HeadParams.initial(2, sigma=0.0, init_scale=1.0, rng=rng)
         g = rng.normal(0.0, 1.0, size=(40, 2))
         feats = make_features(g, 0.0)
-        gt_idx = np.arange(40)
-        anchor_idx = np.array([0] * 25 + [1] * 15)
-        out, states = head_outputs(p, feats, gt_idx, anchor_idx, bn=True, bn_per_anchor=True)
+        member = np.zeros((40, 2), dtype=bool)
+        member[:25, 0] = True
+        member[25:, 1] = True
+        out, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=True, bn_per_anchor=True)
+        raw, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=False)
         for k, rows in ((0, slice(0, 25)), (1, slice(25, 40))):
             for ch in (0, 1):
-                assert abs(float(np.mean(out[rows, ch]))) < 1e-10
-                assert (k, ch) in states
+                assert abs(float(np.mean(out[rows, k, ch]))) < 1e-10
+                var = float(np.var(raw[rows, k, ch]))
+                assert math.isclose(float(np.var(out[rows, k, ch])), var / (var + BN_EPS), rel_tol=1e-9)
 
     def test_bn_sub2_group_passes_through(self):
-        """A lone pair for an anchor is left raw rather than normalized to 0."""
+        """A lone pair for an anchor is left raw rather than normalized to 0,
+        and its scale gets no gradient."""
         rng = np.random.default_rng(41)
         p = HeadParams.initial(2, sigma=0.0, init_scale=1.0, rng=rng)
         g = rng.normal(0.0, 1.0, size=(5, 2))
         feats = make_features(g, 0.0)
-        gt_idx = np.arange(5)
-        anchor_idx = np.array([0, 0, 0, 0, 1])
-        out, states = head_outputs(p, feats, gt_idx, anchor_idx, bn=True, bn_per_anchor=True)
-        raw_last = p.u[1] @ feats[4] + p.c[1]
-        np.testing.assert_allclose(out[4], raw_last, rtol=1e-12)
-        assert not any(k[0] == 1 for k in states)
+        w = np.zeros((5, 2))
+        w[:4, 0] = 1.0
+        w[4, 1] = 1.0
+        member = w > 0.0
+        s = rng.normal(0.0, 1.0, size=(2, 2))
+        for per_anchor in (True, False):
+            out, cache = head_outputs(p.u, p.c, p.gamma, feats, member, bn=True,
+                                      bn_per_anchor=per_anchor)
+            if per_anchor:
+                raw_last = p.u[1] @ feats[4] + p.c[1]
+                np.testing.assert_allclose(out[4, 1], raw_last, rtol=1e-12)
+            _, _, dout = _loss_from_arrays(out, w, s, g, 0.0)
+            grads = grad_head(dout, cache, feats, member, p.gamma)
+            if per_anchor:
+                np.testing.assert_array_equal(grads.gamma[1], 0.0)
+            assert np.all(grads.gamma[0] != 0.0)
+            assert head_fd_check(w, member, s, g, 0.0, (p.u, p.c, p.gamma), feats,
+                                 True, per_anchor) < 1e-6
 
     def test_bn_joint_mode_shares_statistics(self):
         rng = np.random.default_rng(42)
         p = HeadParams.initial(2, sigma=0.0, init_scale=1.0, rng=rng)
         g = rng.normal(0.0, 1.0, size=(30, 2))
         feats = make_features(g, 0.0)
-        gt_idx = np.arange(30)
-        anchor_idx = np.tile([0, 1], 15)
-        out, states = head_outputs(p, feats, gt_idx, anchor_idx, bn=True, bn_per_anchor=False)
-        assert set(states) == {(-1, 0), (-1, 1)}
+        member = np.zeros((30, 2), dtype=bool)
+        member[np.arange(30), np.tile([0, 1], 15)] = True
+        out, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=True, bn_per_anchor=False)
+        raw, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=False)
         for ch in (0, 1):
-            assert states[(-1, ch)].gamma == 1.0
-        # gamma is 1 everywhere initially, so the joint batch has zero mean
-        for ch in (0, 1):
-            assert abs(float(np.mean(out[:, ch]))) < 1e-10
+            x = raw[member][:, ch]
+            want = (x - x.mean()) / math.sqrt(x.var() + BN_EPS)
+            np.testing.assert_allclose(out[member][:, ch], want, rtol=1e-9, atol=1e-12)
+            # gamma is 1 everywhere initially, so the joint batch has zero mean
+            assert abs(float(np.mean(out[member][:, ch]))) < 1e-10
+
+
+class TestLonghandOracle:
+    """The kernel against a pair-by-pair, group-by-group reference. Finite
+    differences cannot see a membership mask that is consistently wrong;
+    this comparison can."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_matches_kernel(self, rule):
+        rng = np.random.default_rng(47)
+        for _ in range(8):
+            n = int(rng.integers(1, 25))
+            a = int(rng.integers(1, 6))
+            g = rng.uniform(np.log(8.0), np.log(300.0), size=(n, 2))
+            s = rng.uniform(np.log(8.0), np.log(300.0), size=(a, 2))
+            metric = ("one_minus_iou", "sq_l2_log")[int(rng.integers(2))]
+            w, member = assign(rule, g, s, metric, float(rng.uniform(0.05, 2.0)))
+            feats = make_features(g, 0.3, rng)
+            head = random_head(rng, a)
+            for lam in (0.0, 0.4):
+                want, _ = head_loss_longhand(w, member, s, g, lam)
+                assert math.isclose(kernel_loss(w, member, s, g, lam), want, rel_tol=1e-9)
+                for bn, per_anchor in ((False, True), (True, True), (True, False)):
+                    want, _ = head_loss_longhand(w, member, s, g, lam, head, feats, bn, per_anchor)
+                    got = kernel_loss(w, member, s, g, lam, head, feats, bn, per_anchor)
+                    assert math.isclose(got, want, rel_tol=1e-9)
+
+    def test_soft_floor_zero_weights_stay_in_groups(self):
+        """At the temperature floor with sq_l2_log some softmax weights are
+        exactly 0. Those pairs still belong to their anchor's BN group: the
+        normalization statistics are taken over every ground truth."""
+        rng = np.random.default_rng(48)
+        g = rng.uniform(np.log(8.0), np.log(300.0), size=(20, 2))
+        s = rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2))
+        floor = WarmupSchedule().temp_floor
+        w, member = assign("soft", g, s, "sq_l2_log", floor)
+        assert np.any(w == 0.0) and np.all(member)
+        feats = make_features(g, 0.3, rng)
+        head = random_head(rng, 5)
+        for per_anchor in (True, False):
+            want, offsets = head_loss_longhand(w, member, s, g, 0.3, head, feats, True, per_anchor)
+            out, _ = head_outputs(*head, feats, member, bn=True, bn_per_anchor=per_anchor)
+            assert math.isclose(_loss_from_arrays(out, w, s, g, 0.3)[0], want, rel_tol=1e-9)
+            for (j, k), value in offsets.items():
+                np.testing.assert_allclose(out[j, k], value, rtol=1e-9, atol=1e-12)
+            # membership read off w > 0 would change the groups and the loss
+            wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 0.3, head, feats, True, per_anchor)
+            assert not math.isclose(wrong, want, rel_tol=1e-9)
+            assert head_fd_check(w, member, s, g, 0.3, head, feats, True, per_anchor) < 1e-6
 
 
 class TestHeadGradients:
@@ -277,47 +402,33 @@ class TestHeadGradients:
     def test_matches_finite_differences(self, bn, per_anchor, soft):
         rng = np.random.default_rng(43)
         for _ in range(5):
-            assign, anchors, g = random_case(rng, n_gt=14, n_anchor=3, soft=soft)
-            p = HeadParams.initial(3, sigma=0.0, init_scale=0.4, rng=rng)
-            p.gamma = rng.uniform(0.5, 2.0, size=(3, 2))
-            feats = make_features(g, 0.6, rng)
-
-            def loss_of(params):
-                out, _ = head_outputs(params, feats, assign.gt_idx, assign.anchor_idx,
-                                      bn=bn, bn_per_anchor=per_anchor)
-                deltas = deltas_from_array(assign, out)
-                return total_loss(assign, deltas, anchors, g, 0.0)
-
-            analytic = grad_head(assign, anchors, g, p, feats, bn=bn, bn_per_anchor=per_anchor)
-
-            def f_u(u):
-                return loss_of(HeadParams(u, p.c, p.gamma, p.sigma))
-
-            def f_c(c):
-                return loss_of(HeadParams(p.u, c, p.gamma, p.sigma))
-
-            def f_gamma(gamma):
-                return loss_of(HeadParams(p.u, p.c, gamma, p.sigma))
-
-            assert rel_err(analytic.u, fd_grad(f_u, p.u)) < 1e-6
-            assert rel_err(analytic.c, fd_grad(f_c, p.c)) < 1e-6
-            assert rel_err(analytic.gamma, fd_grad(f_gamma, p.gamma)) < 1e-6
+            for rule in ("soft",) if soft else ("yolo", "threshold"):
+                w, member, s, g = random_case(rng, n_gt=14, n_anchor=3, rule=rule)
+                head = random_head(rng, 3)
+                feats = make_features(g, 0.6, rng)
+                for lam in (0.0, 0.5):
+                    assert head_fd_check(w, member, s, g, lam, head, feats, bn, per_anchor) < 1e-6
 
     def test_cluster_term_never_touches_head(self):
         rng = np.random.default_rng(44)
-        assign, anchors, g = random_case(rng)
-        p = HeadParams.initial(3, sigma=0.0, init_scale=0.4, rng=rng)
+        w, member, s, g = random_case(rng)
+        u, c, gamma = random_head(rng, 3)
         feats = make_features(g, 0.0)
-        a = grad_head(assign, anchors, g, p, feats)
-        # identical by construction: grad_head has no cluster-weight input
-        b = grad_head(assign, anchors, g, p, feats)
+        out, cache = head_outputs(u, c, gamma, feats, member)
+        _, _, d0 = _loss_from_arrays(out, w, s, g, 0.0)
+        _, _, d1 = _loss_from_arrays(out, w, s, g, 1.0)
+        np.testing.assert_array_equal(d0, d1)
+        a = grad_head(d0, cache, feats, member, gamma)
+        b = grad_head(d1, cache, feats, member, gamma)
         np.testing.assert_array_equal(a.u, b.u)
 
     def test_empty_assignment_zero_grads(self):
-        p = HeadParams.initial(2)
-        assign = Assignment([], [], [])
-        anchors = AnchorSet((LogShape(0.0, 0.0), LogShape(1.0, 1.0)))
-        grads = grad_head(assign, anchors, [], p, np.zeros((0, 2)))
+        u, c, gamma = random_head(np.random.default_rng(49), 2)
+        member = np.zeros((0, 2), dtype=bool)
+        feats = np.zeros((0, 2))
+        out, cache = head_outputs(u, c, gamma, feats, member)
+        _, _, dout = _loss_from_arrays(out, np.zeros((0, 2)), np.zeros((2, 2)), feats, 0.5)
+        grads = grad_head(dout, cache, feats, member, gamma)
         np.testing.assert_array_equal(grads.u, 0.0)
         np.testing.assert_array_equal(grads.c, 0.0)
         np.testing.assert_array_equal(grads.gamma, 0.0)
@@ -330,42 +441,58 @@ class TestHeadGradients:
         it exactly."""
         rng = np.random.default_rng(45)
         n = 20_000
-        anchors = AnchorSet((LogShape(3.0, 3.0),))
+        s = np.array([[3.0, 3.0]])
         g = np.tile([[3.4, 2.6]], (n, 1))
-        assign = Assignment(np.arange(n), np.zeros(n, dtype=int), np.ones(n))
-        p = HeadParams(np.zeros((1, 2, 2)), np.full((1, 2), 0.1), np.ones((1, 2)))
+        w = np.ones((n, 1))
+        member = w > 0.0
+        u, c, gamma = np.zeros((1, 2, 2)), np.full((1, 2), 0.1), np.ones((1, 2))
         sigma = 4.0
         noise = sigma * rng.standard_normal((n, 2))
 
+        def u_grad(feats):
+            out, cache = head_outputs(u, c, gamma, feats, member, bn=False)
+            _, _, dout = _loss_from_arrays(out, w, s, g, 0.0)
+            return grad_head(dout, cache, feats, member, gamma).u
+
         # residual per channel is the constant c + s - g
         r = np.array([0.1 + 3.0 - 3.4, 0.1 + 3.0 - 2.6])
-        grads = grad_head(assign, anchors, g, p, noise, bn=False)
         se = 2.0 * np.abs(r)[:, None] * sigma * math.sqrt(n)
-        assert np.all(np.abs(grads.u) < 4.0 * se)
+        assert np.all(np.abs(u_grad(noise)) < 4.0 * se)
 
         centered = noise - noise.mean(axis=0, keepdims=True)
-        exact = grad_head(assign, anchors, g, p, centered, bn=False)
-        assert np.all(np.abs(exact.u) < 1e-7)
+        assert np.all(np.abs(u_grad(centered)) < 1e-7)
 
 
 class TestDeltaPlumbing:
     def test_zero_deltas_cover_assignment(self):
-        assign = Assignment([0, 1, 2], [1, 0, 1], [1.0, 1.0, 1.0])
-        d = zero_deltas(assign)
-        assert set(d) == {(0, 1), (1, 0), (2, 1)}
-        assert all(v == DeltaWH(0.0, 0.0) for v in d.values())
+        """Zero offsets on every pair leave the weighted clustering distances."""
+        rng = np.random.default_rng(50)
+        for rule in RULES:
+            w, _, s, g = random_case(rng, rule=rule)
+            loss, _, _ = _loss_from_arrays(np.zeros(w.shape + (2,)), w, s, g, 0.0)
+            want = sum(
+                w[j, k] * cluster_term(LogShape(*s[k]), LogShape(*g[j]))
+                for j in range(w.shape[0]) for k in range(w.shape[1])
+            )
+            assert math.isclose(loss, want, rel_tol=1e-12)
 
     def test_deltas_from_array_alignment(self):
-        assign = Assignment([1, 0], [0, 1], [1.0, 1.0])
-        # canonical order is (0,1) then (1,0)
-        d = deltas_from_array(assign, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert d[(0, 1)] == DeltaWH(1.0, 2.0)
-        assert d[(1, 0)] == DeltaWH(3.0, 4.0)
+        """out[j, k] is the offset of ground truth j against anchor k."""
+        s = np.array([[0.0, 0.0], [1.0, 1.0]])
+        g = np.array([[1.0, 0.0], [0.0, 2.0]])
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        out = np.zeros((2, 2, 2))
+        out[0, 1] = [1.0, 2.0]
+        out[1, 0] = [3.0, 4.0]
+        loss, _, _ = _loss_from_arrays(out, w, s, g, 0.0)
+        want = (loss_wh((1.0, 2.0), LogShape(1.0, 1.0), LogShape(1.0, 0.0))
+                + loss_wh((3.0, 4.0), LogShape(0.0, 0.0), LogShape(0.0, 2.0)))
+        assert loss == want
 
     def test_deltas_from_array_shape_check(self):
-        assign = Assignment([0], [0], [1.0])
-        with pytest.raises(ValueError):
-            deltas_from_array(assign, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"\(1, 1, 2\)"):
+            _loss_from_arrays(np.zeros((2, 2)), np.ones((1, 1)), np.zeros((1, 2)),
+                              np.zeros((1, 2)), 0.0)
 
     def test_bnstate_is_frozen(self):
         st = BNState(0.0, 1.0, 1.0)

@@ -8,13 +8,17 @@ from anchorforge import (
     AnchorSet,
     BoxShape,
     HeadConfig,
+    HeadParams,
     NonFiniteLossError,
     TrainConfig,
     WarmupSchedule,
     lr_at,
+    make_features,
     run_training,
     sgd_step,
+    soft_assign,
 )
+from oracles import head_loss_longhand
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
 
@@ -105,6 +109,10 @@ class TestConfigValidation:
     def test_bad_rule(self):
         with pytest.raises(ValueError):
             TrainConfig(assignment_rule="nearest")
+
+    def test_bad_metric(self):
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            TrainConfig(metric="bogus")
 
     def test_bad_momentum(self):
         with pytest.raises(ValueError):
@@ -286,3 +294,31 @@ class TestRules:
         d_slow = np.abs(slow.anchors.as_array() - start_anchors().as_array()).sum()
         d_fast = np.abs(fast.anchors.as_array() - start_anchors().as_array()).sum()
         assert d_slow < d_fast
+
+    @pytest.mark.parametrize("per_anchor", [True, False])
+    def test_soft_membership_covers_zero_weight_pairs(self, per_anchor):
+        """At the temperature floor with sq_l2_log, far anchors get softmax
+        weights of exactly 0. The trainer's first loss must still use every
+        pair for the BN statistics, as the longhand oracle does; membership
+        read off W > 0 gives another loss."""
+        ds = tiny_ds()
+        anchors = AnchorSet.from_linear([BoxShape(4.0, 4.0), BoxShape(45.0, 45.0), BoxShape(400.0, 400.0)])
+        head_cfg = HeadConfig(enabled=True, sigma=0.3, bn=True, bn_per_anchor=per_anchor)
+        cfg = small_cfg(iters=1, warmup=WarmupSchedule(warmup_iters=1, temp_start=0.01, temp_floor=0.01),
+                        head=head_cfg)
+        res = run_training(ds, anchors, cfg)
+
+        # replay the run's random draws: head init, epoch shuffle, features
+        rng = np.random.default_rng(cfg.seed)
+        head = HeadParams.initial(3, head_cfg.sigma, head_cfg.init_scale, rng)
+        g = ds.log_shapes()[rng.permutation(len(ds))[:cfg.batch_size]]
+        feats = make_features(g, head_cfg.sigma, rng)
+        s = anchors.as_array()
+        w = soft_assign(g, s, cfg.metric, 0.01)
+        assert np.any(w == 0.0)
+        params = (head.u, head.c, head.gamma)
+        want, _ = head_loss_longhand(w, np.ones(w.shape, dtype=bool), s, g, 1.0, params, feats,
+                                     True, per_anchor)
+        wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 1.0, params, feats, True, per_anchor)
+        assert math.isclose(res.trajectory.rows[0].loss, want, rel_tol=1e-9)
+        assert not math.isclose(wrong, want, rel_tol=1e-9)
