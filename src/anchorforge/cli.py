@@ -21,13 +21,13 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .assign import WarmupSchedule
-from .cluster import init_identical, init_kmeans, init_uniform, kmeans_iou
-from .geometry import AnchorSet, BoxShape
+from .cluster import anchors_from_centroids, init_identical, init_kmeans, init_uniform, kmeans_iou
+from .geometry import METRICS, AnchorSet
 from .ingest import (
     CanonicalDataset,
     ParseError,
@@ -40,12 +40,11 @@ from .ingest import (
 )
 from .report import (
     anchors_line,
-    avg_best_iou,
     build_report,
+    coverage,
     match_anchor_sets,
     match_pairing,
     read_anchors_json,
-    recall_at,
     render_text,
     report_to_json,
     write_anchors_json,
@@ -84,62 +83,70 @@ def _parse_taus(text: str) -> tuple[float, ...]:
     return taus
 
 
-# key -> (parser from string, default); None default means required
-_SPECS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
+class _Opt(NamedTuple):
+    """Parser for a config value, default (None: required), allowed values (argparse's too)."""
+
+    parse: Callable[[str], object]
+    default: object
+    choices: tuple[str, ...] = ()
+
+
+_FORMATS = ("coco", "voc", "csv")
+_INITS = ("uniform", "identical", "kmeans", "file")
+_RULES = ("yolo", "threshold")
+_UNITS = ("pixels", "cells")
+
+_SPECS: dict[str, dict[str, _Opt]] = {
     "ingest": {
-        "format": (str, None),
-        "input": (str, None),
-        "canvas": (int, 416),
-        "min_size": (float, 1e-3),
-        "include_crowd": (_parse_bool, False),
-        "exclude_difficult": (_parse_bool, False),
-        "seed": (int, None),
+        "format": _Opt(str.lower, None, _FORMATS),
+        "input": _Opt(str, None),
+        "canvas": _Opt(int, 416),
+        "min_size": _Opt(float, 1e-3),
+        "include_crowd": _Opt(_parse_bool, False),
+        "exclude_difficult": _Opt(_parse_bool, False),
+        "seed": _Opt(int, None),
     },
     "cluster": {
-        "dataset": (str, None),
-        "num_anchors": (int, 5),
-        "stride": (int, 32),
-        "max_iter": (int, 300),
-        "units": (str, "pixels"),
-        "seed": (int, None),
+        "dataset": _Opt(str, None),
+        "num_anchors": _Opt(int, 5),
+        "stride": _Opt(int, 32),
+        "max_iter": _Opt(int, 300),
+        "units": _Opt(str, "pixels", _UNITS),
+        "seed": _Opt(int, None),
     },
     "optimize": {
-        "dataset": (str, None),
-        "init": (str, "kmeans"),
-        "init_file": (str, ""),
-        "num_anchors": (int, 5),
-        "stride": (int, 32),
-        "iters": (int, 30000),
-        "scale": (float, 1.0),
-        "batch_size": (int, 64),
-        "momentum": (float, 0.9),
-        "lr_schedule": (_parse_lr_schedule, ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))),
-        "warmup_iters": (int, 1500),
-        "metric": (str, "one_minus_iou"),
-        "rule": (str, "yolo"),
-        "tau": (float, 0.5),
-        "cluster_weight": (str, "anneal"),
-        "head": (_parse_bool, True),
-        "sigma": (float, 0.3),
-        "init_scale": (float, 0.1),
-        "bn": (_parse_bool, True),
-        "freeze_anchors": (_parse_bool, False),
-        "anchor_lr_mult": (float, 1.0),
-        "log_every": (int, 50),
-        "units": (str, "pixels"),
-        "seed": (int, None),
+        "dataset": _Opt(str, None),
+        "init": _Opt(str, "kmeans", _INITS),
+        "init_file": _Opt(str, ""),
+        "num_anchors": _Opt(int, 5),
+        "stride": _Opt(int, 32),
+        "iters": _Opt(int, 30000),
+        "scale": _Opt(float, 1.0),
+        "batch_size": _Opt(int, 64),
+        "momentum": _Opt(float, 0.9),
+        "lr_schedule": _Opt(_parse_lr_schedule, ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))),
+        "warmup_iters": _Opt(int, 1500),
+        "metric": _Opt(str, "one_minus_iou", METRICS),
+        "rule": _Opt(str, "yolo", _RULES),
+        "tau": _Opt(float, 0.5),
+        "cluster_weight": _Opt(str, "anneal"),
+        "head": _Opt(_parse_bool, True),
+        "sigma": _Opt(float, 0.3),
+        "init_scale": _Opt(float, 0.1),
+        "bn": _Opt(_parse_bool, True),
+        "freeze_anchors": _Opt(_parse_bool, False),
+        "anchor_lr_mult": _Opt(float, 1.0),
+        "log_every": _Opt(int, 50),
+        "units": _Opt(str, "pixels", _UNITS),
+        "seed": _Opt(int, None),
     },
     "eval": {
-        "dataset": (str, None),
-        "anchors": (str, None),
-        "taus": (_parse_taus, (0.5, 0.75)),
-        "rule": (str, "yolo"),
-        "tau": (float, 0.5),
-        "seed": (int, None),
-    },
-    "compare": {
-        "a": (str, None),
-        "b": (str, None),
+        "dataset": _Opt(str, None),
+        "anchors": _Opt(str, None),
+        "taus": _Opt(_parse_taus, (0.5, 0.75)),
+        "rule": _Opt(str, "yolo", _RULES),
+        "tau": _Opt(float, 0.5),
+        "seed": _Opt(int, None),
     },
 }
 
@@ -168,18 +175,21 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     file_section: dict[str, str] = {}
     if getattr(args, "config", None):
         file_section = _load_config_section(args.config, command)
-    for key, (parse, default) in specs.items():
+    for key, spec in specs.items():
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             effective[key] = cli_value
         elif key in file_section:
             try:
-                effective[key] = parse(file_section[key])
+                effective[key] = spec.parse(file_section[key])
             except ValueError as e:
                 raise ParseError(f"config [{command}] {key}: {e}") from None
+            if spec.choices and effective[key] not in spec.choices:
+                raise ParseError(f"config [{command}]: unknown {key} {effective[key]!r} "
+                                 f"(expected {', '.join(spec.choices)})")
         else:
-            effective[key] = default
-    missing = [k for k, v in effective.items() if v is None and specs[k][1] is None and k != "seed"]
+            effective[key] = spec.default
+    missing = [k for k, v in effective.items() if v is None and specs[k].default is None and k != "seed"]
     if missing:
         raise ParseError(f"{command}: missing required option(s): {', '.join(missing)}")
     if "seed" in specs and effective.get("seed") is None:
@@ -217,18 +227,16 @@ def _quantile_block(name: str, values: np.ndarray) -> str:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     opt = _merge_options("ingest", args)
-    out_dir = _make_run_dir(args, "ingest")
     counters: dict = {}
-    fmt = str(opt["format"]).lower()
+    fmt = opt["format"]
     if fmt == "coco":
         boxes = parse_coco(opt["input"], skip_crowd=not opt["include_crowd"], counters=counters)
     elif fmt == "voc":
         boxes = parse_voc(opt["input"], include_difficult=not opt["exclude_difficult"], counters=counters)
-    elif fmt == "csv":
-        boxes = parse_csv(opt["input"], counters=counters)
     else:
-        raise ParseError(f"unknown format {opt['format']!r} (expected coco, voc, or csv)")
+        boxes = parse_csv(opt["input"], counters=counters)
     ds = normalize_to_canvas(boxes, int(opt["canvas"]), min_size=float(opt["min_size"]), source=str(opt["input"]))
+    out_dir = _make_run_dir(args, "ingest")
     out_path = out_dir / "dataset.canonical"
     write_canonical(ds, out_path)
     _echo_config(out_dir, "ingest", opt)
@@ -257,10 +265,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if len(ds) < num_anchors:
         raise ParseError(f"dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
     out_dir = _make_run_dir(args, "cluster")
-    shapes = [BoxShape(float(w), float(h)) for w, h in ds.shapes()]
-    result = kmeans_iou(shapes, num_anchors, max_iter=int(opt["max_iter"]), seed=int(opt["seed"]))
-    ordered = sorted(result.centroids, key=lambda s: s.area)
-    anchors = AnchorSet.from_linear(ordered, int(opt["stride"]))
+    result = kmeans_iou(ds.shapes(), num_anchors, max_iter=int(opt["max_iter"]), seed=int(opt["seed"]))
+    anchors = anchors_from_centroids(result.centroids, int(opt["stride"]))
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
     (out_dir / "anchors.txt").write_text(anchors_line(anchors, str(opt["units"])) + "\n", encoding="utf-8")
     _echo_config(out_dir, "cluster", opt)
@@ -288,12 +294,13 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
         return init_identical(stride, num_anchors)
     if mode == "kmeans":
         return init_kmeans(ds, num_anchors, seed=int(opt["seed"]), stride=stride)
-    if mode == "file":
-        if not opt["init_file"]:
-            raise ParseError("init=file requires init_file")
-        anchors, _ = read_anchors_json(opt["init_file"])
-        return anchors
-    raise ParseError(f"unknown init {mode!r} (expected uniform, identical, kmeans, or file)")
+    # mode == "file": the option's choices admit nothing else
+    if not opt["init_file"]:
+        raise ParseError("init=file requires init_file")
+    anchors, _ = read_anchors_json(opt["init_file"])
+    if len(anchors) != num_anchors:
+        raise ParseError(f"init_file {opt['init_file']} holds {len(anchors)} anchors but num_anchors is {num_anchors}")
+    return anchors
 
 
 def _scaled(value: int, scale: float) -> int:
@@ -310,6 +317,11 @@ def _scaled_schedule(schedule: tuple[tuple[int, float], ...], scale: float) -> t
                 f"both to iteration {sb}; use a larger scale or fewer breakpoints"
             )
     return scaled
+
+
+def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, float]:
+    avg, recall = coverage(anchors, ds, (0.5, 0.75))
+    return {"avg_best_iou": avg, "recall_at_0.5": recall[0.5], "recall_at_0.75": recall[0.75]}
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -358,18 +370,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     out_dir = _make_run_dir(args, "optimize")
     _echo_config(out_dir, "optimize", {**opt, "iters": iters, "lr_schedule": schedule, "warmup_iters": warmup_iters})
 
-    before = {
-        "avg_best_iou": avg_best_iou(anchors0, ds),
-        "recall_at_0.5": recall_at(anchors0, ds, 0.5),
-        "recall_at_0.75": recall_at(anchors0, ds, 0.75),
-    }
+    before = _coverage_summary(anchors0, ds)
     result = run_training(ds, anchors0, cfg, trajectory_path=out_dir / "trajectory.csv")
     anchors = result.anchors
-    after = {
-        "avg_best_iou": avg_best_iou(anchors, ds),
-        "recall_at_0.5": recall_at(anchors, ds, 0.5),
-        "recall_at_0.75": recall_at(anchors, ds, 0.75),
-    }
+    after = _coverage_summary(anchors, ds)
 
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
     (out_dir / "anchors.txt").write_text(anchors_line(anchors, str(opt["units"])) + "\n", encoding="utf-8")
@@ -443,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse annotations and write a canonical dataset")
     add_common(p)
-    p.add_argument("--format", choices=["coco", "voc", "csv"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--input", help="annotation file (coco, csv) or directory (voc)")
     p.add_argument("--canvas", type=int, help="square canvas size in pixels (default 416)")
     p.add_argument("--min-size", dest="min_size", type=float, help="drop boxes smaller than this after scaling")
@@ -457,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-anchors", dest="num_anchors", type=int)
     p.add_argument("--stride", type=int)
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--units", choices=["pixels", "cells"])
+    p.add_argument("--units", choices=_UNITS)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("optimize", help="train anchor shapes by SGD")
     add_common(p)
     p.add_argument("--dataset")
-    p.add_argument("--init", choices=["uniform", "identical", "kmeans", "file"])
+    p.add_argument("--init", choices=_INITS)
     p.add_argument("--init-file", dest="init_file")
     p.add_argument("--num-anchors", dest="num_anchors", type=int)
     p.add_argument("--stride", type=int)
@@ -474,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-schedule", dest="lr_schedule", type=_parse_lr_schedule,
                    help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3")
     p.add_argument("--warmup-iters", dest="warmup_iters", type=int)
-    p.add_argument("--metric", choices=["one_minus_iou", "sq_l2_log"])
-    p.add_argument("--rule", choices=["yolo", "threshold"])
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--rule", choices=_RULES)
     p.add_argument("--tau", type=float, help="IoU threshold for the threshold rule")
     p.add_argument("--cluster-weight", dest="cluster_weight",
                    help="'anneal' or a fixed coefficient in [0, 1]")
@@ -487,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-anchors", dest="freeze_anchors", action="store_const", const=True)
     p.add_argument("--anchor-lr-mult", dest="anchor_lr_mult", type=float)
     p.add_argument("--log-every", dest="log_every", type=int)
-    p.add_argument("--units", choices=["pixels", "cells"])
+    p.add_argument("--units", choices=_UNITS)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("eval", help="score an anchors file against a dataset")
@@ -495,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--anchors")
     p.add_argument("--taus", type=_parse_taus, help="comma list of recall thresholds")
-    p.add_argument("--rule", choices=["yolo", "threshold"])
+    p.add_argument("--rule", choices=_RULES)
     p.add_argument("--tau", type=float)
     p.set_defaults(func=cmd_eval)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -16,27 +16,33 @@ IDENTICAL_MULTIPLIER = (5.0, 5.0)
 
 @dataclass(frozen=True, eq=False)
 class KMeansResult:
-    centroids: tuple[BoxShape, ...]
+    """Centroids as a (k, 2) array of linear (w, h), one cluster index per shape."""
+
+    centroids: np.ndarray
     assignments: np.ndarray
     mean_best_iou: float
     iterations_run: int
 
 
+ASSIGN_BLOCK = 4096  # rows per IoU block: its temporaries stay in cache
+
+
 def _assign_step(wh: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    # argmax returns the first maximum, so exact ties go to the lowest cluster
-    return np.argmax(iou_aligned_matrix(wh, cents), axis=1)
+    out = np.empty(wh.shape[0], dtype=np.intp)
+    for start in range(0, wh.shape[0], ASSIGN_BLOCK):
+        block = slice(start, start + ASSIGN_BLOCK)
+        # argmax returns the first maximum, so exact ties go to the lowest cluster
+        out[block] = np.argmax(iou_aligned_matrix(wh[block], cents), axis=1)
+    return out
 
 
 def _update_step(wh: np.ndarray, cents: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    new = cents.copy()
-    empty = []
-    for c in range(cents.shape[0]):
-        members = assignments == c
-        if np.any(members):
-            new[c] = wh[members].mean(axis=0)
-        else:
-            empty.append(c)
-    if empty:
+    k = cents.shape[0]
+    counts = np.bincount(assignments, minlength=k)
+    sums = np.stack([np.bincount(assignments, weights=wh[:, i], minlength=k) for i in (0, 1)], axis=1)
+    new = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], cents)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
         # re-seed each empty cluster at the currently worst-covered shape
         best = iou_aligned_matrix(wh, new).max(axis=1)
         order = np.argsort(best, kind="stable")
@@ -55,39 +61,39 @@ def _seed_plus_plus(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         weight[chosen] = 0.0
         total = weight.sum()
         if total <= 0.0:
-            remaining = [i for i in range(n) if i not in chosen]
-            chosen.append(remaining[0])
+            chosen.append(next(i for i in range(n) if i not in chosen))
         else:
             chosen.append(int(rng.choice(n, p=weight / total)))
     return wh[chosen].copy()
 
 
 def kmeans_iou(
-    shapes: Sequence[BoxShape],
+    shapes: np.ndarray,
     num_clusters: int,
-    init: Optional[Sequence[BoxShape]] = None,
+    init: Optional[np.ndarray] = None,
     max_iter: int = 300,
     seed: int = 0,
 ) -> KMeansResult:
     """Lloyd's alternation with aligned IoU as the similarity.
 
-    Assignment maximizes aligned IoU; the update is the arithmetic mean
-    of member widths and heights. Stops when assignments stop changing
-    or after max_iter rounds. Empty clusters are re-seeded at the shape
-    the current centroids cover worst. When init is omitted, seeds are
-    drawn by farthest-in-IoU sampling with the given seed, so the same
-    seed always produces the same result.
+    shapes is an (n, 2) array of linear (w, h) and init, when given, a
+    (num_clusters, 2) one. Assignment maximizes aligned IoU; the update
+    is the arithmetic mean of member widths and heights. Stops when
+    assignments stop changing or after max_iter rounds. Empty clusters
+    are re-seeded at the shape the current centroids cover worst. When
+    init is omitted, seeds are drawn by farthest-in-IoU sampling with the
+    given seed, so the same seed always produces the same result.
     """
-    wh = np.array([[s.w, s.h] for s in shapes], dtype=float)
+    wh = _shape_array(shapes, "shapes")
     n = wh.shape[0]
     if num_clusters < 1:
         raise ValueError("num_clusters must be >= 1")
     if n < num_clusters:
         raise ValueError(f"need at least {num_clusters} shapes, got {n}")
     if init is not None:
-        if len(init) != num_clusters:
+        cents = _shape_array(init, "init")
+        if len(cents) != num_clusters:
             raise ValueError("init must provide exactly num_clusters shapes")
-        cents = np.array([[s.w, s.h] for s in init], dtype=float)
     else:
         cents = _seed_plus_plus(wh, num_clusters, np.random.default_rng(seed))
 
@@ -103,8 +109,20 @@ def kmeans_iou(
             break
 
     mean_best = float(iou_aligned_matrix(wh, cents).max(axis=1).mean())
-    centroids = tuple(BoxShape(float(c[0]), float(c[1])) for c in cents)
-    return KMeansResult(centroids, assignments, mean_best, iterations_run)
+    return KMeansResult(cents, assignments, mean_best, iterations_run)
+
+
+def _shape_array(shapes: np.ndarray, name: str) -> np.ndarray:
+    wh = np.asarray(shapes, dtype=float)
+    if wh.ndim != 2 or wh.shape[1] != 2 or not (np.isfinite(wh).all() and (wh > 0.0).all()):
+        raise ValueError(f"{name} must be an (n, 2) array of finite, positive (w, h), got shape {wh.shape}")
+    return wh
+
+
+def anchors_from_centroids(centroids: np.ndarray, stride: int = 32) -> AnchorSet:
+    """Centroid (w, h) rows as an anchor set, sorted by ascending area."""
+    order = np.argsort(centroids[:, 0] * centroids[:, 1], kind="stable")
+    return AnchorSet.from_linear([BoxShape(w, h) for w, h in centroids[order].tolist()], stride)
 
 
 def init_uniform(stride: int = 32) -> AnchorSet:
@@ -131,7 +149,5 @@ def init_kmeans(
     """Cluster the dataset's shapes and use the centroids, sorted by area."""
     if len(ds) == 0:
         raise ValueError("cannot cluster an empty dataset")
-    shapes = [BoxShape(float(w), float(h)) for w, h in ds.shapes()]
-    result = kmeans_iou(shapes, num_anchors, init=None, max_iter=max_iter, seed=seed)
-    ordered = sorted(result.centroids, key=lambda s: s.area)
-    return AnchorSet.from_linear(ordered, stride)
+    result = kmeans_iou(ds.shapes(), num_anchors, init=None, max_iter=max_iter, seed=seed)
+    return anchors_from_centroids(result.centroids, stride)

@@ -1,4 +1,4 @@
-"""Bounding-box geometry: shapes, boxes, IoU, and log-space encodings.
+"""Box-shape geometry: shapes, aligned IoU, and log-space encodings.
 
 Widths and heights are pixel units on a square canvas. The log-space
 encoding makes multiplicative size differences additive, which is the
@@ -40,35 +40,6 @@ class BoxShape:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-@dataclass(frozen=True)
-class Box:
-    """An axis-aligned box given by its center point and shape."""
-
-    cx: float
-    cy: float
-    shape: BoxShape
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
-            raise ValueError(f"box center must be finite, got ({self.cx}, {self.cy})")
-
-    @property
-    def x_min(self) -> float:
-        return self.cx - self.shape.w / 2.0
-
-    @property
-    def x_max(self) -> float:
-        return self.cx + self.shape.w / 2.0
-
-    @property
-    def y_min(self) -> float:
-        return self.cy - self.shape.h / 2.0
-
-    @property
-    def y_max(self) -> float:
-        return self.cy + self.shape.h / 2.0
 
 
 @dataclass(frozen=True)
@@ -136,48 +107,14 @@ class AnchorSet:
         return cls(tuple(encode_log(s) for s in shapes), stride)
 
 
-def iou_aligned(s1: BoxShape, s2: BoxShape) -> float:
-    """IoU of two shapes placed at a shared center.
-
-    The intersection of co-centered rectangles is the product of the
-    smaller width and the smaller height, so the value depends only on
-    the shapes. Symmetric, in (0, 1], equal to 1 iff the shapes match,
-    and invariant to scaling both shapes by the same factor.
-
-    Examples
-    --------
-    >>> iou_aligned(BoxShape(1, 1), BoxShape(2, 2))
-    0.25
-    """
-    inter = min(s1.w, s2.w) * min(s1.h, s2.h)
-    return inter / (s1.area + s2.area - inter)
-
-
-def iou_boxes(b1: Box, b2: Box) -> float:
-    """Standard IoU of two positioned boxes; 0 for disjoint or touching boxes."""
-    iw = min(b1.x_max, b2.x_max) - max(b1.x_min, b2.x_min)
-    ih = min(b1.y_max, b2.y_max) - max(b1.y_min, b2.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (b1.shape.area + b2.shape.area - inter)
-
-
-def shape_dist(s1: LogShape, s2: LogShape, metric: Metric = "one_minus_iou") -> float:
-    """Distance between two shapes under the given metric.
-
-    ``one_minus_iou`` is 1 - iou_aligned of the decoded shapes;
-    ``sq_l2_log`` is the squared Euclidean distance in log space.
-    """
-    if metric == "one_minus_iou":
-        return 1.0 - iou_aligned(decode_log(s1), decode_log(s2))
-    if metric == "sq_l2_log":
-        return (s1.lw - s2.lw) ** 2 + (s1.lh - s2.lh) ** 2
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def iou_aligned_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
-    """Pairwise aligned IoU between (n, 2) and (m, 2) arrays of linear (w, h)."""
+    """Pairwise aligned IoU between (n, 2) and (m, 2) arrays of linear (w, h).
+
+    Aligned IoU is the IoU of two shapes placed at a shared center: the
+    intersection is the smaller width times the smaller height. It is
+    symmetric, in (0, 1], 1 iff the shapes match, and invariant to
+    scaling both shapes by the same factor.
+    """
     wh1 = np.asarray(wh1, dtype=float)
     wh2 = np.asarray(wh2, dtype=float)
     w1, h1 = wh1[:, None, 0], wh1[:, None, 1]
@@ -187,7 +124,11 @@ def iou_aligned_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
 
 
 def shape_dist_matrix(log1: np.ndarray, log2: np.ndarray, metric: Metric) -> np.ndarray:
-    """Pairwise :func:`shape_dist` between (n, 2) and (m, 2) log-shape arrays."""
+    """Pairwise distance between (n, 2) and (m, 2) log-shape arrays.
+
+    ``one_minus_iou`` is 1 - aligned IoU of the decoded shapes;
+    ``sq_l2_log`` is the squared Euclidean distance in log space.
+    """
     log1 = np.asarray(log1, dtype=float)
     log2 = np.asarray(log2, dtype=float)
     if metric == "sq_l2_log":

@@ -1,8 +1,11 @@
 """Annotation ingestion: COCO JSON, VOC XML, and plain CSV to one canonical form.
 
-Every parser emits AnnotatedBox values (center form, pixel units, with
-the source image size), which normalize_to_canvas rescales onto a square
-canvas per axis. The canonical dataset file is a small line format:
+Every parser returns ParsedBoxes, one row per box: the image id, the
+source image size and the box corners clamped to that image, in pixel
+units. normalize_to_canvas rescales the rows onto a square canvas per
+axis and returns a CanonicalDataset, which holds the boxes as columns:
+float64 arrays of centers and sizes. The canonical dataset file is a
+small line format:
 
     anchorforge-dataset v1 S=<canvas>
     <image_id>\t<cx>\t<cy>\t<w>\t<h>
@@ -18,118 +21,140 @@ line, or annotation at fault rather than producing partial data.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box, BoxShape
-
 _HEADER_RE = re.compile(r"anchorforge-dataset v(\d+) S=(\d+)")
 _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_max"]
+_ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 
 
 class ParseError(ValueError):
     """Raised for malformed annotation or dataset files."""
 
 
-@dataclass(frozen=True)
-class AnnotatedBox:
-    """One ground-truth box in pixel units, tied to its source image size."""
+@dataclass(frozen=True, eq=False)
+class ParsedBoxes:
+    """Boxes in pixel units, one row per box, as a parser returns them.
 
-    image_id: str
-    image_w: float
-    image_h: float
-    box: Box
-    difficult: bool = False
+    sizes is the (n, 2) source image (width, height) of each box and
+    corners the (n, 4) (x_min, y_min, x_max, y_max), clamped to the image.
+    """
 
-    def __post_init__(self) -> None:
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise ValueError(f"image size must be positive, got {self.image_w}x{self.image_h}")
+    image_ids: tuple[str, ...]
+    sizes: np.ndarray
+    corners: np.ndarray
 
-
-@dataclass(frozen=True)
-class CanonicalRecord:
-    """One normalized box on the canonical canvas."""
-
-    image_id: str
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if "\t" in self.image_id or "\n" in self.image_id:
-            raise ValueError("image_id must not contain tabs or newlines")
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalDataset:
-    """Normalized boxes on a square canvas of side canvas_size."""
+    """Normalized boxes on a square canvas of side canvas_size, as columns.
+
+    cx, cy, w and h are read-only float64 arrays with one entry per image
+    id. All of them are validated once, at construction.
+    """
 
     canvas_size: int
-    records: tuple[CanonicalRecord, ...]
+    image_ids: tuple[str, ...]
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
     metadata: dict = field(default_factory=dict)
+    _shapes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
         s = self.canvas_size
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"canvas_size must be a positive integer, got {s!r}")
-        for i, r in enumerate(self.records):
-            if not (0.0 < r.w <= s and 0.0 < r.h <= s):
-                raise ValueError(f"record {i}: size ({r.w}, {r.h}) outside (0, {s}]")
-            if not (0.0 <= r.cx <= s and 0.0 <= r.cy <= s):
-                raise ValueError(f"record {i}: center ({r.cx}, {r.cy}) outside [0, {s}]")
+        ids = tuple(self.image_ids)
+        object.__setattr__(self, "image_ids", ids)
+        for name in ("cx", "cy", "w", "h"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            if column.shape != (len(ids),):
+                raise ValueError(f"{name} must hold one value per image id ({len(ids)}), got shape {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        joined = "".join(ids)
+        if "\t" in joined or "\n" in joined or "\r" in joined:
+            i = next(i for i, x in enumerate(ids) if "\t" in x or "\n" in x or "\r" in x)
+            raise ValueError(f"record {i}: image_id must not contain tabs or line breaks")
+        cx, cy, w, h = self.cx, self.cy, self.w, self.h
+        size_ok = (w > 0.0) & (w <= s) & (h > 0.0) & (h <= s)
+        ok = size_ok & (cx >= 0.0) & (cx <= s) & (cy >= 0.0) & (cy <= s)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not size_ok[i]:
+                raise ValueError(f"record {i}: size ({float(w[i])}, {float(h[i])}) outside (0, {s}]")
+            raise ValueError(f"record {i}: center ({float(cx[i])}, {float(cy[i])}) outside [0, {s}]")
+        shapes = np.column_stack((w, h))
+        shapes.flags.writeable = False
+        object.__setattr__(self, "_shapes", shapes)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.image_ids)
 
     def shapes(self) -> np.ndarray:
-        """(n, 2) array of linear (w, h)."""
-        return np.array([[r.w, r.h] for r in self.records], dtype=float).reshape(-1, 2)
+        """Read-only (n, 2) array of linear (w, h), built once."""
+        return self._shapes
 
     def log_shapes(self) -> np.ndarray:
         """(n, 2) array of (log w, log h)."""
-        return np.log(self.shapes()) if len(self) else np.empty((0, 2))
+        return np.log(self.shapes())
 
 
-def _clamped_box(
-    image_id: str,
-    image_w: float,
-    image_h: float,
-    x_min: float,
-    y_min: float,
-    x_max: float,
-    y_max: float,
-    context: str,
-    difficult: bool = False,
-) -> AnnotatedBox:
-    x0 = min(max(x_min, 0.0), image_w)
-    x1 = min(max(x_max, 0.0), image_w)
-    y0 = min(max(y_min, 0.0), image_h)
-    y1 = min(max(y_max, 0.0), image_h)
-    if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
-        raise ParseError(f"{context}: box ({x_min}, {y_min}, {x_max}, {y_max}) is empty after clamping to the image")
-    shape = BoxShape(x1 - x0, y1 - y0)
-    return AnnotatedBox(
-        image_id=image_id,
-        image_w=image_w,
-        image_h=image_h,
-        box=Box((x0 + x1) / 2.0, (y0 + y1) / 2.0, shape),
-        difficult=difficult,
+def _clamped(
+    image_ids: Sequence[str],
+    sizes: Sequence,
+    corners: Sequence,
+    where: Callable[[int], str],
+) -> ParsedBoxes:
+    """Clamp every box to its image in one pass.
+
+    The first row with a non-finite or non-positive image size, a
+    non-finite corner, a max corner not above its min, or a box that is
+    empty after clamping raises ParseError; where(i) names row i (file,
+    line or annotation).
+    """
+    sizes = np.array(sizes, dtype=float).reshape(-1, 2)
+    corners = np.array(corners, dtype=float).reshape(-1, 4)
+    clamped = np.minimum(np.maximum(corners, 0.0), np.tile(sizes, 2))
+    ok = (
+        np.isfinite(sizes).all(axis=1) & np.isfinite(corners).all(axis=1)
+        & (sizes > 0.0).all(axis=1)
+        & (clamped[:, 2] - clamped[:, 0] > 0.0) & (clamped[:, 3] - clamped[:, 1] > 0.0)
     )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        (iw, ih), (x0, y0, x1, y1) = sizes[i].tolist(), corners[i].tolist()
+        if not all(map(math.isfinite, (iw, ih, x0, y0, x1, y1))):
+            fault = f"image size {iw}x{ih} and box ({x0}, {y0}, {x1}, {y1}) must be finite"
+        elif iw <= 0 or ih <= 0:
+            fault = f"image size must be positive, got {iw}x{ih}"
+        elif x1 <= x0 or y1 <= y0:
+            fault = f"degenerate box ({x0}, {y0}, {x1}, {y1}) (max must exceed min)"
+        else:
+            fault = f"box ({x0}, {y0}, {x1}, {y1}) is empty after clamping to the image"
+        raise ParseError(f"{where(i)}: {fault}")
+    return ParsedBoxes(tuple(image_ids), sizes, clamped)
 
 
 def parse_coco(
     path: "str | Path",
     skip_crowd: bool = True,
     counters: Optional[dict] = None,
-) -> list[AnnotatedBox]:
+) -> ParsedBoxes:
     """Read COCO instance annotations (bbox is [x, y, w, h], top-left origin).
 
     Crowd regions are skipped by default; pass skip_crowd=False to keep
@@ -140,27 +165,54 @@ def parse_coco(
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
-    images = {}
-    for img in doc.get("images", []):
-        images[img["id"]] = (float(img["width"]), float(img["height"]))
-    out = []
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object with images and annotations, got a {type(doc).__name__}")
+    images, annotations = doc.get("images", []), doc.get("annotations", [])
+    if not isinstance(images, list) or not isinstance(annotations, list):
+        raise ParseError(f"{path}: images and annotations must be JSON arrays")
+    index, names, image_sizes = {}, [], []  # image id -> row of names and image_sizes
+    for img in images:
+        try:
+            index[img["id"]] = len(names)
+            image_sizes.append((float(img["width"]), float(img["height"])))
+        except (KeyError, TypeError, ValueError):
+            image_id = img.get("id") if isinstance(img, dict) else img
+            raise ParseError(f"{path}: image {image_id!r} needs an id and a numeric width and height") from None
+        names.append(str(img["id"]))
+    rows, bboxes, ann_ids = [], [], []
     skipped_crowd = 0
-    annotations = doc.get("annotations", [])
     for ann in annotations:
+        if not isinstance(ann, dict):
+            raise ParseError(f"{path}: annotation {ann!r} is not a JSON object")
         if skip_crowd and ann.get("iscrowd", 0):
             skipped_crowd += 1
             continue
-        image_id = ann["image_id"]
-        if image_id not in images:
+        image_id, bbox = ann.get("image_id"), ann.get("bbox")
+        row = None if isinstance(image_id, (list, dict)) else index.get(image_id)
+        if row is None:
             raise ParseError(f"{path}: annotation {ann.get('id')} references unknown image {image_id}")
-        iw, ih = images[image_id]
-        x, y, w, h = (float(v) for v in ann["bbox"])
-        out.append(
-            _clamped_box(
-                str(image_id), iw, ih, x, y, x + w, y + h,
-                context=f"{path}: annotation {ann.get('id')}",
-            )
-        )
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise ParseError(f"{path}: annotation {ann.get('id')} needs a bbox of four numbers, got {bbox!r}")
+        rows.append(row)
+        bboxes.append(bbox)
+        ann_ids.append(ann.get("id"))
+    try:
+        xywh = np.array(bboxes, dtype=float).reshape(-1, 4)
+    except (TypeError, ValueError):
+        for ann_id, bbox in zip(ann_ids, bboxes):
+            try:
+                np.array(bbox, dtype=float)
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: annotation {ann_id} needs a bbox of four numbers, got {bbox!r}") from None
+        raise
+    x, y, w, h = xywh.T
+    rows = np.array(rows, dtype=np.intp)
+    out = _clamped(
+        [names[r] for r in rows.tolist()],
+        np.array(image_sizes, dtype=float).reshape(-1, 2)[rows],
+        np.stack([x, y, x + w, y + h], axis=1),
+        lambda i: f"{path}: annotation {ann_ids[i]}",
+    )
     if counters is not None:
         counters["records"] = len(annotations)
         counters["skipped_crowd"] = skipped_crowd
@@ -171,7 +223,7 @@ def parse_voc(
     directory: "str | Path",
     include_difficult: bool = True,
     counters: Optional[dict] = None,
-) -> list[AnnotatedBox]:
+) -> ParsedBoxes:
     """Read every .xml file in a directory of VOC-style annotations.
 
     Files are processed in sorted filename order so the output order is
@@ -180,7 +232,7 @@ def parse_voc(
     """
     directory = Path(directory)
     files = sorted(directory.glob("*.xml"))
-    out = []
+    ids, sizes, corners = [], [], []
     records = 0
     skipped_difficult = 0
     for f in files:
@@ -206,25 +258,22 @@ def parse_voc(
             if bb is None:
                 raise ParseError(f"{f}: <object> without <bndbox>")
             try:
-                x_min = float(bb.findtext("xmin"))
-                y_min = float(bb.findtext("ymin"))
-                x_max = float(bb.findtext("xmax"))
-                y_max = float(bb.findtext("ymax"))
+                corners.append([float(bb.findtext(tag)) for tag in ("xmin", "ymin", "xmax", "ymax")])
             except (TypeError, ValueError):
                 raise ParseError(f"{f}: <bndbox> must contain numeric corners") from None
-            out.append(
-                _clamped_box(f.stem, iw, ih, x_min, y_min, x_max, y_max, context=str(f), difficult=difficult)
-            )
+            ids.append(f.stem)
+            sizes.append((iw, ih))
+    out = _clamped(ids, sizes, corners, lambda i: str(directory / f"{ids[i]}.xml"))
     if counters is not None:
         counters["records"] = records
         counters["skipped_difficult"] = skipped_difficult
     return out
 
 
-def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> list[AnnotatedBox]:
+def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> ParsedBoxes:
     """Read corner-format CSV rows: image_id,image_w,image_h,x_min,y_min,x_max,y_max."""
     path = Path(path)
-    out = []
+    ids, values, linenos = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -238,26 +287,21 @@ def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> list[Annot
                 continue
             if len(row) != 7:
                 raise ParseError(f"{path}: line {lineno}: expected 7 fields, got {len(row)}")
-            fields = [c.strip() for c in row]
             try:
-                iw, ih = float(fields[1]), float(fields[2])
-                x_min, y_min, x_max, y_max = (float(v) for v in fields[3:7])
+                values.append([float(v) for v in row[1:]])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
-            if iw <= 0 or ih <= 0:
-                raise ParseError(f"{path}: line {lineno}: image size must be positive")
-            if x_max <= x_min or y_max <= y_min:
-                raise ParseError(f"{path}: line {lineno}: degenerate box (max must exceed min)")
-            out.append(
-                _clamped_box(fields[0], iw, ih, x_min, y_min, x_max, y_max, context=f"{path}: line {lineno}")
-            )
+            ids.append(row[0].strip())
+            linenos.append(lineno)
+    values = np.array(values, dtype=float).reshape(-1, 6)
+    out = _clamped(ids, values[:, :2], values[:, 2:], lambda i: f"{path}: line {linenos[i]}")
     if counters is not None:
         counters["records"] = len(out)
     return out
 
 
 def normalize_to_canvas(
-    boxes: Iterable[AnnotatedBox],
+    boxes: ParsedBoxes,
     canvas_size: int,
     min_size: float = 1e-3,
     source: str = "",
@@ -269,44 +313,32 @@ def normalize_to_canvas(
     Boxes whose scaled width or height falls below min_size are dropped
     and counted in the result metadata.
     """
-    records = []
-    dropped = 0
-    total = 0
-    for b in boxes:
-        total += 1
-        sx = canvas_size / b.image_w
-        sy = canvas_size / b.image_h
-        w = b.box.shape.w * sx
-        h = b.box.shape.h * sy
-        if w < min_size or h < min_size:
-            dropped += 1
-            continue
-        records.append(
-            CanonicalRecord(b.image_id, b.box.cx * sx, b.box.cy * sy, w, h)
-        )
-    metadata = {"source_boxes": total, "dropped": dropped}
+    sx, sy = (canvas_size / boxes.sizes).T
+    x0, y0, x1, y1 = boxes.corners.T
+    w = (x1 - x0) * sx
+    h = (y1 - y0) * sy
+    keep = (w >= min_size) & (h >= min_size)
+    ids = tuple(itertools.compress(boxes.image_ids, keep.tolist()))
+    metadata = {"source_boxes": len(boxes), "dropped": len(boxes) - len(ids)}
     if source:
         metadata["source"] = source
-    return CanonicalDataset(canvas_size, tuple(records), metadata)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".10g")
+    cx = (x0 + x1) / 2.0 * sx
+    cy = (y0 + y1) / 2.0 * sy
+    return CanonicalDataset(canvas_size, ids, cx[keep], cy[keep], w[keep], h[keep], metadata)
 
 
 def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
     """Write the canonical line format (see module docstring)."""
     lines = [f"anchorforge-dataset v1 S={ds.canvas_size}"]
-    for r in ds.records:
-        lines.append(f"{r.image_id}\t{_fmt(r.cx)}\t{_fmt(r.cy)}\t{_fmt(r.w)}\t{_fmt(r.h)}")
+    columns = (ds.cx.tolist(), ds.cy.tolist(), ds.w.tolist(), ds.h.tolist())
+    lines.extend(map(_ROW_FORMAT.__mod__, zip(ds.image_ids, *columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_canonical(path: "str | Path") -> CanonicalDataset:
     """Read a canonical dataset file, validating the version header."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = path.read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -318,17 +350,26 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
     if version != 1:
         raise ParseError(f"{path}: unsupported dataset version {version} (this reader handles v1)")
     canvas = int(m.group(2))
-    records = []
+    ids = []
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
+        tabs = line.count("\t")
+        if tabs != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {tabs + 1}")
+        ids.append(line[:line.index("\t")])
+    values = np.empty((0, 4))
+    if ids:
         try:
-            cx, cy, w, h = (float(v) for v in parts[1:])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
-        records.append(CanonicalRecord(parts[0], cx, cy, w, h))
+            values = np.loadtxt(path, delimiter="\t", skiprows=1, usecols=(1, 2, 3, 4), comments=None,
+                                ndmin=2, encoding="utf-8")
+        except ValueError as e:
+            # loadtxt's row numbers count from 0 in some messages and 1 in others
+            for lineno, line in enumerate(lines[1:], start=2):
+                try:
+                    [float(v) for v in line.split("\t")[1:]]
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+            raise ParseError(f"{path}: {e}") from None
     try:
-        return CanonicalDataset(canvas, tuple(records), {"path": str(path)})
+        return CanonicalDataset(canvas, ids, *values.T, {"path": str(path)})
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None

@@ -23,23 +23,25 @@ PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accu
 _MAX_EXACT_MATCH = 10
 
 
-def _best_ious(anchors: AnchorSet, ds: CanonicalDataset) -> np.ndarray:
+def coverage(anchors: AnchorSet, ds: CanonicalDataset, taus: Sequence[float]) -> tuple[float, dict[float, float]]:
+    """avg_best_iou and recall_at each tau, from one best-IoU pass over the boxes."""
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    anchor_wh = np.exp(anchors.as_array())
-    return iou_aligned_matrix(ds.shapes(), anchor_wh).max(axis=1)
+    best = iou_aligned_matrix(ds.shapes(), np.exp(anchors.as_array())).max(axis=1)
+    return float(best.mean()), {float(t): float(np.mean(best >= t)) for t in taus}
 
 
 def avg_best_iou(anchors: AnchorSet, ds: CanonicalDataset) -> float:
     """Mean over boxes of the best aligned IoU against any anchor."""
-    return float(_best_ious(anchors, ds).mean())
+    return coverage(anchors, ds, ())[0]
 
 
 def recall_at(anchors: AnchorSet, ds: CanonicalDataset, tau: float) -> float:
     """Fraction of boxes whose best aligned IoU reaches tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return float(np.mean(_best_ious(anchors, ds) >= tau))
+    return coverage(anchors, ds, (tau,))[1][float(tau)]
 
 
 def _pairing_distances(a: AnchorSet, b: AnchorSet) -> tuple[list[int], np.ndarray]:
@@ -130,12 +132,13 @@ def build_report(
         util = utilization_counts(hard_assign_threshold(ds.log_shapes(), log_s, threshold_tau))
     else:
         raise ValueError(f"unknown assignment rule {assignment_rule!r}")
+    avg, recall = coverage(ordered, ds, taus)
     return AnchorReport(
         canvas=ds.canvas_size,
         stride=ordered.stride,
         assignment_rule=assignment_rule,
-        avg_best_iou=avg_best_iou(ordered, ds),
-        recall_at={float(t): recall_at(ordered, ds, t) for t in taus},
+        avg_best_iou=avg,
+        recall_at=recall,
         utilization=tuple(int(u) for u in util),
         anchors_wh=tuple((s.w, s.h) for s in ordered.linear_shapes()),
     )

@@ -6,6 +6,8 @@ package, so a library bug cannot hide inside its own oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -55,6 +57,34 @@ def iou_of_wh(a, b) -> float:
     """Aligned IoU of two (w, h) pairs, written out longhand."""
     inter = min(a[0], b[0]) * min(a[1], b[1])
     return inter / (a[0] * a[1] + b[0] * b[1] - inter)
+
+
+def shape_dist(a, b, metric: str = "one_minus_iou") -> float:
+    """Distance between two (log w, log h) pairs: 1 - aligned IoU of the
+    decoded shapes, or the squared Euclidean distance in log space."""
+    if metric == "one_minus_iou":
+        return 1.0 - iou_of_wh((math.exp(a[0]), math.exp(a[1])), (math.exp(b[0]), math.exp(b[1])))
+    if metric == "sq_l2_log":
+        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def iou_of_boxes(a, b) -> float:
+    """IoU of two positioned (cx, cy, w, h) boxes; 0 when they do not overlap."""
+    iw = min(a[0] + a[2] / 2, b[0] + b[2] / 2) - max(a[0] - a[2] / 2, b[0] - b[2] / 2)
+    ih = min(a[1] + a[3] / 2, b[1] + b[3] / 2) - max(a[1] - a[3] / 2, b[1] - b[3] / 2)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a[2] * a[3] + b[2] * b[3] - inter)
+
+
+def canonical_text(canvas: int, rows) -> str:
+    """The v1 canonical file for (image_id, cx, cy, w, h) rows, one line at a time."""
+    lines = [f"anchorforge-dataset v1 S={canvas}"]
+    for image_id, *numbers in rows:
+        lines.append("\t".join([image_id] + [format(float(x), ".10g") for x in numbers]))
+    return "\n".join(lines) + "\n"
 
 
 def iou_table(wh: np.ndarray, cents: np.ndarray) -> np.ndarray:

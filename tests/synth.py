@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anchorforge import CanonicalDataset, CanonicalRecord
+from anchorforge import CanonicalDataset
 
 
 def lognormal_mixture(
@@ -27,8 +27,8 @@ def lognormal_mixture(
     """
     rng = np.random.default_rng(seed)
     lo, hi = np.log(2.0), np.log(0.9 * canvas)
-    recs = []
-    i = 0
+    rows = []
+    # one box at a time, so the draws come in the same order for any counts
     for (mw, mh), count in zip(means_px, counts):
         for _ in range(count):
             lw = float(np.clip(rng.normal(np.log(mw), sigma_log), lo, hi))
@@ -36,9 +36,10 @@ def lognormal_mixture(
             w, h = float(np.exp(lw)), float(np.exp(lh))
             cx = float(rng.uniform(w / 2.0, canvas - w / 2.0))
             cy = float(rng.uniform(h / 2.0, canvas - h / 2.0))
-            recs.append(CanonicalRecord(f"synth{i:05d}", cx, cy, w, h))
-            i += 1
-    return CanonicalDataset(canvas, tuple(recs))
+            rows.append((cx, cy, w, h))
+    cx, cy, w, h = np.array(rows, dtype=float).reshape(-1, 4).T
+    ids = [f"synth{i:05d}" for i in range(len(rows))]
+    return CanonicalDataset(canvas, ids, cx, cy, w, h)
 
 
 def mixture3(seed: int = 7) -> CanonicalDataset:

@@ -15,7 +15,6 @@ from anchorforge import (
     BoxShape,
     HeadConfig,
     HeadParams,
-    LogShape,
     TrainConfig,
     WarmupSchedule,
     avg_best_iou,
@@ -31,14 +30,13 @@ from anchorforge import (
     make_features,
     match_anchor_sets,
     run_training,
-    shape_dist,
     soft_assign,
     temperature_at,
     write_anchors_json,
 )
 from anchorforge.cli import main
 from anchorforge.lossgrad import _loss_from_arrays
-from oracles import fd_grad, lloyd_log_l2, rel_err
+from oracles import fd_grad, lloyd_log_l2, rel_err, shape_dist
 
 
 def report(passed, number, description):
@@ -260,7 +258,7 @@ class TestCriterion5:
 
         s = res.anchors.as_array()
         min_pair = min(
-            shape_dist(LogShape(*s[i]), LogShape(*s[j]), "sq_l2_log")
+            shape_dist(s[i], s[j], "sq_l2_log")
             for i in range(5) for j in range(i + 1, 5)
         )
         epochs = [

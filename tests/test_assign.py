@@ -10,15 +10,13 @@ from anchorforge import (
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
-    iou_aligned,
     decode_log,
-    shape_dist,
     soft_assign,
     temperature_at,
     utilization_counts,
 )
 from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs
-from oracles import softmax_rows
+from oracles import iou_of_wh, shape_dist, softmax_rows
 
 
 def random_log_shapes(rng, n):
@@ -109,7 +107,7 @@ class TestHardYolo:
             gts = random_log_shapes(rng, 25)
             w = hard_assign_yolo(gts, anchors.as_array(), metric)
             for j, k in zip(*np.nonzero(w)):
-                dists = [shape_dist(gts[j], s, metric) for s in anchors.shapes]
+                dists = [shape_dist((gts[j].lw, gts[j].lh), (s.lw, s.lh), metric) for s in anchors.shapes]
                 assert dists[k] == min(dists)
 
     def test_tie_goes_to_lowest_index(self):
@@ -132,7 +130,8 @@ class TestHardThreshold:
             tau = float(rng.uniform(0.3, 0.7))
             w = hard_assign_threshold(gts, anchors.as_array(), tau)
             for j, g in enumerate(gts):
-                ious = [iou_aligned(decode_log(g), s) for s in shapes]
+                d = decode_log(g)
+                ious = [iou_of_wh((d.w, d.h), (s.w, s.h)) for s in shapes]
                 want = {k for k, v in enumerate(ious) if v >= tau}
                 want.add(int(np.argmax(ious)))
                 assert set(np.flatnonzero(w[j])) == want

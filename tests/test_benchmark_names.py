@@ -1,17 +1,18 @@
-"""The benchmark traces the training stages by the names the trainer calls.
+"""The benchmark traces each stage by the name its caller looks it up by.
 
 perfbench/tracer.py wraps module-level bindings (``anchorforge.trainer.
-head_outputs`` and so on) and perfbench/selfcheck.py requires each stage
-in ``EXPECT_CALLED["train"]`` to be traced. A refactor that renames or
-drops one of those bindings fails here, in the unit tests, and not only
-in the benchmark's own self-check. The two files are imported, never
-changed.
+head_outputs``, ``anchorforge.cli.parse_coco`` and so on) and
+perfbench/selfcheck.py requires each stage in ``EXPECT_CALLED`` of every
+workload to be traced. A refactor that renames or drops one of those
+bindings fails here, in the unit tests, and not only in the benchmark's
+own self-check. The two files are imported, never changed.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,12 +33,34 @@ def bench_modules():
             sys.modules.pop(name, None)
 
 
-def test_train_stages_resolve_to_callables(bench_modules):
-    tracer, selfcheck = bench_modules
+def _unresolved(tracer, names):
     missing = []
-    for name in selfcheck.EXPECT_CALLED["train"]:
+    for name in names:
         bindings = tracer.TRACED.get(name, ())
         hits = [tracer._resolve(module, attr) for module, attr in bindings]
         if not any(hit is not None and callable(hit[2]) for hit in hits):
             missing.append(f"{name} -> {bindings}")
+    return missing
+
+
+def test_train_stages_resolve_to_callables(bench_modules):
+    tracer, selfcheck = bench_modules
+    missing = _unresolved(tracer, selfcheck.EXPECT_CALLED["train"])
     assert not missing, "traced stages with no callable binding: " + "; ".join(missing)
+
+
+def test_dataset_stages_resolve_to_callables(bench_modules):
+    tracer, selfcheck = bench_modules
+    missing = _unresolved(tracer, selfcheck.EXPECT_CALLED["dataset-300k"])
+    assert not missing, "traced stages with no callable binding: " + "; ".join(missing)
+
+
+def test_lloyd_counter_reads_iterations_run(bench_modules):
+    """The tracer counts Lloyd rounds from KMeansResult.iterations_run."""
+    tracer, _ = bench_modules
+    from anchorforge import kmeans_iou
+
+    result = kmeans_iou(np.array([[2.0, 2.0], [4.0, 4.0], [40.0, 30.0]]), 2, max_iter=1)
+    counters = {"cluster.lloyd_iters": 0}
+    tracer.OBSERVERS["cluster.kmeans_iou"](counters, (), result)
+    assert counters["cluster.lloyd_iters"] == result.iterations_run == 1

@@ -62,6 +62,29 @@ class TestIngest:
                    "--out-dir", str(tmp_path / "run")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, match", [
+        ('[{"id": 1}]', "got a list"),
+        ('{"images": [{"id": 1, "width": 10, "height": 10}], "annotations": [{"id": 4, "image_id": 1}]}',
+         "annotation 4 needs a bbox"),
+    ])
+    def test_malformed_coco_exits_2(self, tmp_path, capsys, text, match):
+        p = tmp_path / "ann.json"
+        p.write_text(text)
+        rc = main(["ingest", "--format", "coco", "--input", str(p), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and match in err
+        assert not (tmp_path / "run").exists()
+
+    def test_infinite_image_size_exits_2(self, tmp_path, capsys):
+        """An infinite image size used to drop its box as too small and exit 0."""
+        p = tmp_path / "boxes.csv"
+        p.write_text("image_id,image_w,image_h,x_min,y_min,x_max,y_max\nimg1,inf,480,10,20,110,70\n")
+        rc = main(["ingest", "--format", "csv", "--input", str(p), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "line 2: image size inf" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_input_flag(self, tmp_path, capsys):
         rc = main(["ingest", "--format", "csv", "--out-dir", str(tmp_path / "run")])
         err = capsys.readouterr().err
@@ -89,6 +112,42 @@ class TestCluster:
                    "--num-anchors", "5", "--out-dir", str(tmp_path / "c")])
         assert rc == 2
         assert "3 boxes but 5 clusters" in capsys.readouterr().err
+
+
+class TestOptionChoices:
+    """A config value outside an option's choices stops the command before
+    its run directory exists: the choices argparse checks for the flag."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("cluster", []),
+        ("optimize", ["--iters", "5", "--no-head"]),
+    ])
+    def test_bad_units_in_config_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, command, extra):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[{command}]\ndataset = {dataset_file}\nnum_anchors = 2\nunits = furlongs\n")
+        out = tmp_path / "run"
+        rc = main([command, "--config", str(cfg_file), *extra, "--out-dir", str(out)])
+        assert rc == 2
+        assert "unknown units 'furlongs' (expected pixels, cells)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("ingest", "format"), ("optimize", "init"), ("optimize", "rule"), ("eval", "rule"),
+    ])
+    def test_config_and_flag_share_choices(self, tmp_path, capsys, command, key):
+        from anchorforge.cli import _SPECS
+
+        choices = _SPECS[command][key].choices
+        with pytest.raises(SystemExit) as info:
+            main([command, f"--{key}", "bogus"])
+        assert info.value.code == 2
+        assert "choose from " + ", ".join(f"'{c}'" for c in choices) in capsys.readouterr().err
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[{command}]\n{key} = bogus\n")
+        rc = main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"unknown {key} 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestOptimize:
@@ -169,6 +228,21 @@ class TestOptimize:
             "--iters", "10", "--no-head", "--out-dir", str(opt_out),
         ])
         assert rc == 0
+
+    def test_init_file_rejects_other_counts(self, tmp_path, dataset_file, capsys):
+        cluster_out = tmp_path / "c"
+        main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2",
+              "--out-dir", str(cluster_out)])
+        opt_out = tmp_path / "o"
+        rc = main([
+            "optimize", "--dataset", str(dataset_file), "--init", "file",
+            "--init-file", str(cluster_out / "anchors.json"), "--num-anchors", "3",
+            "--iters", "10", "--no-head", "--out-dir", str(opt_out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "holds 2 anchors" in err and "num_anchors is 3" in err
+        assert not opt_out.exists()
 
 
 class TestEvalAndCompare:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from anchorforge import (
-    BoxShape,
     init_identical,
     init_kmeans,
     init_uniform,
@@ -14,7 +13,7 @@ from oracles import iou_table, lloyd_iou_round
 
 
 def shapes_from(wh):
-    return [BoxShape(float(w), float(h)) for w, h in wh]
+    return np.array(wh, dtype=float).reshape(-1, 2)
 
 
 def clustered_data(rng, modes, per_mode, spread=0.08):
@@ -29,7 +28,7 @@ def clustered_data(rng, modes, per_mode, spread=0.08):
 class TestKMeans:
     def test_single_cluster_mean(self):
         res = kmeans_iou(shapes_from([(2.0, 2.0), (4.0, 4.0)]), 1)
-        assert res.centroids[0] == BoxShape(3.0, 3.0)
+        np.testing.assert_array_equal(res.centroids, [[3.0, 3.0]])
 
     def test_validation(self):
         shapes = shapes_from([(2.0, 2.0), (4.0, 4.0)])
@@ -38,7 +37,12 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans_iou(shapes, 3)
         with pytest.raises(ValueError):
-            kmeans_iou(shapes, 2, init=[BoxShape(1.0, 1.0)])
+            kmeans_iou(shapes, 2, init=shapes_from([(1.0, 1.0)]))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            kmeans_iou(np.ones((4, 3)), 2)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite, positive"):
+                kmeans_iou(shapes_from([(2.0, 2.0), (4.0, bad)]), 1)
 
     def test_fixed_point_of_reference_lloyd(self):
         """One more assign/update round of an independent implementation
@@ -47,7 +51,7 @@ class TestKMeans:
         for trial in range(10):
             wh = clustered_data(rng, [(20, 25), (70, 60), (180, 200)], 80)
             res = kmeans_iou(shapes_from(wh), 3, seed=trial)
-            cents = np.array([[c.w, c.h] for c in res.centroids])
+            cents = res.centroids
             labels, new = lloyd_iou_round(wh, cents)
             np.testing.assert_allclose(new, cents, rtol=1e-9)
             np.testing.assert_array_equal(labels, res.assignments)
@@ -57,20 +61,20 @@ class TestKMeans:
         wh = clustered_data(rng, [(15, 18), (90, 70)], 120)
         init = shapes_from([(10.0, 10.0), (100.0, 100.0)])
         res = kmeans_iou(shapes_from(wh), 2, init=init)
-        cents = np.array([[s.w, s.h] for s in init], dtype=float)
+        cents = init.copy()
         for _ in range(300):
             _, new = lloyd_iou_round(wh, cents)
             if np.array_equal(new, cents):
                 break
             cents = new
-        got = np.array([[c.w, c.h] for c in res.centroids])
+        got = res.centroids
         np.testing.assert_allclose(got, cents, rtol=1e-12)
 
     def test_mean_best_iou_recomputed(self):
         rng = np.random.default_rng(53)
         wh = clustered_data(rng, [(30, 30), (120, 100)], 60)
         res = kmeans_iou(shapes_from(wh), 2, seed=1)
-        cents = np.array([[c.w, c.h] for c in res.centroids])
+        cents = res.centroids
         want = float(iou_table(wh, cents).max(axis=1).mean())
         assert math.isclose(res.mean_best_iou, want, rel_tol=1e-12)
 
@@ -79,7 +83,7 @@ class TestKMeans:
         wh = clustered_data(rng, [(25, 25), (60, 80), (150, 140)], 50)
         a = kmeans_iou(shapes_from(wh), 3, seed=9)
         b = kmeans_iou(shapes_from(wh), 3, seed=9)
-        assert a.centroids == b.centroids
+        np.testing.assert_array_equal(a.centroids, b.centroids)
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
     def test_empty_cluster_reseeded(self):
@@ -98,6 +102,19 @@ class TestKMeans:
         shapes = shapes_from(wh)
         scores = [kmeans_iou(shapes, k, seed=0).mean_best_iou for k in (1, 2, 4)]
         assert scores[0] < scores[1] < scores[2]
+
+    def test_update_matches_loop_reference_exactly(self):
+        """The vectorized centroid update sums members in the same order as
+        a per-cluster masked mean, so one round lands on the same bits."""
+        rng = np.random.default_rng(58)
+        for trial in range(5):
+            wh = clustered_data(rng, [(20, 25), (70, 60), (180, 200)], 200)
+            cents = wh[rng.choice(len(wh), 3, replace=False)]
+            res = kmeans_iou(wh, 3, init=cents, max_iter=1)
+            labels, want = lloyd_iou_round(wh, cents)
+            assert len(set(labels.tolist())) == 3
+            np.testing.assert_array_equal(res.centroids, want)
+            assert res.centroids.shape == (3, 2)
 
     def test_iterations_run_bounded(self):
         rng = np.random.default_rng(57)

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorforge import (
-    AnnotatedBox,
-    Box,
-    BoxShape,
     CanonicalDataset,
-    CanonicalRecord,
+    ParsedBoxes,
     ParseError,
     normalize_to_canvas,
     parse_coco,
@@ -18,6 +17,7 @@ from anchorforge import (
     read_canonical,
     write_canonical,
 )
+from oracles import canonical_text
 
 
 def coco_doc():
@@ -49,6 +49,21 @@ VOC_OBJ = """<object>
 """
 
 
+def dataset_of(rows, canvas=416):
+    """CanonicalDataset from (image_id, cx, cy, w, h) rows."""
+    ids = [r[0] for r in rows]
+    cx, cy, w, h = np.array([r[1:] for r in rows], dtype=float).reshape(-1, 4).T
+    return CanonicalDataset(canvas, ids, cx, cy, w, h)
+
+
+def parsed_of(rows):
+    """ParsedBoxes from (image_id, image_w, image_h, cx, cy, w, h) rows."""
+    ids = [r[0] for r in rows]
+    sizes = [r[1:3] for r in rows]
+    corners = [(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0) for _, _, _, cx, cy, w, h in rows]
+    return ParsedBoxes(tuple(ids), np.array(sizes, dtype=float), np.array(corners, dtype=float))
+
+
 def write_voc_file(path, name, w, h, objects):
     body = "".join(
         VOC_OBJ.format(cls=cls, diff=int(diff), x0=x0, y0=y0, x1=x1, y1=y1)
@@ -65,10 +80,11 @@ class TestParseCoco:
         boxes = parse_coco(p, counters=counters)
         assert len(boxes) == 2
         assert counters == {"records": 3, "skipped_crowd": 1}
-        b = boxes[0]
-        assert b.image_id == "1"
-        assert (b.box.cx, b.box.cy) == (60.0, 45.0)
-        assert (b.box.shape.w, b.box.shape.h) == (100.0, 50.0)
+        x0, y0, x1, y1 = boxes.corners[0]
+        assert boxes.image_ids[0] == "1"
+        assert ((x0 + x1) / 2.0, (y0 + y1) / 2.0) == (60.0, 45.0)
+        assert (x1 - x0, y1 - y0) == (100.0, 50.0)
+        assert tuple(boxes.sizes[1]) == (500.0, 375.0)
 
     def test_keep_crowd(self, tmp_path):
         p = tmp_path / "ann.json"
@@ -97,9 +113,11 @@ class TestParseCoco:
         }
         p = tmp_path / "ann.json"
         p.write_text(json.dumps(doc))
-        (b,) = parse_coco(p)
-        assert b.box.x_max == 100.0
-        assert b.box.shape.w == 10.0
+        boxes = parse_coco(p)
+        assert len(boxes) == 1
+        x0, _, x1, _ = boxes.corners[0]
+        assert x1 == 100.0
+        assert x1 - x0 == 10.0
 
     def test_box_outside_image_rejected(self, tmp_path):
         doc = {
@@ -111,6 +129,46 @@ class TestParseCoco:
         with pytest.raises(ParseError, match="empty after clamping"):
             parse_coco(p)
 
+    @pytest.mark.parametrize("doc, match", [
+        ([{"id": 1}], r"expected a JSON object .* got a list"),
+        ({"images": {"id": 1}, "annotations": []}, "must be JSON arrays"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1}]}, "annotation 7 needs a bbox of four numbers, got None"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [1.0, 2.0, 3.0]}]}, "annotation 7 needs a bbox of four"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 1, "image_id": 1, "bbox": [1, 2, 3, 4]},
+                          {"id": 7, "image_id": 1, "bbox": [1.0, "x", 3.0, 4.0]}]}, "annotation 7 needs a bbox of four"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [1.0, [2.0], 3.0, 4.0]}]}, "annotation 7 needs a bbox of four"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [1.0, None, 3.0, 4.0]}]}, "annotation 7: .* must be finite"),
+        ({"images": [{"id": 3, "height": 100}], "annotations": []}, "image 3 needs an id and a numeric width"),
+        ({"images": [{"id": 3, "width": "wide", "height": 100}], "annotations": []}, "image 3 needs"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": [1], "bbox": [1, 2, 3, 4]}]}, r"annotation 7 references unknown image \[1\]"),
+    ])
+    def test_malformed_document_named(self, tmp_path, doc, match):
+        """Each malformed document raises ParseError naming the file and the
+        annotation or image at fault, never a KeyError or AttributeError."""
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=match) as info:
+            parse_coco(p)
+        assert str(p) in str(info.value)
+
+    @pytest.mark.parametrize("image, bbox", [
+        ({"id": 1, "width": "Infinity", "height": 100}, [1.0, 2.0, 3.0, 4.0]),
+        ({"id": 1, "width": 100, "height": 100}, [1.0, 2.0, "Infinity", 4.0]),
+        ({"id": 1, "width": 100, "height": 100}, ["NaN", 2.0, 3.0, 4.0]),
+    ])
+    def test_non_finite_rejected(self, tmp_path, image, bbox):
+        doc = {"images": [image], "annotations": [{"id": 9, "image_id": 1, "bbox": bbox}]}
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(doc).replace('"Infinity"', "Infinity").replace('"NaN"', "NaN"))
+        with pytest.raises(ParseError, match="annotation 9: .* must be finite"):
+            parse_coco(p)
+
 
 class TestParseVoc:
     def test_basic_and_sorted(self, tmp_path):
@@ -119,9 +177,12 @@ class TestParseVoc:
                        [("dog", False, 0, 0, 64, 48), ("cat", True, 100, 100, 200, 150)])
         counters = {}
         boxes = parse_voc(tmp_path, counters=counters)
-        assert [b.image_id for b in boxes] == ["a", "a", "b"]
+        assert list(boxes.image_ids) == ["a", "a", "b"]
         assert counters == {"records": 3, "skipped_difficult": 0}
-        assert boxes[1].difficult
+        # the difficult flag was read on a's second box: excluding it keeps the first
+        kept = parse_voc(tmp_path, include_difficult=False)
+        assert list(kept.image_ids) == ["a", "b"]
+        assert tuple(kept.corners[0]) == (0.0, 0.0, 64.0, 48.0)
 
     def test_exclude_difficult(self, tmp_path):
         write_voc_file(tmp_path, "a", 640, 480,
@@ -147,7 +208,16 @@ class TestParseVoc:
             parse_voc(tmp_path)
 
     def test_empty_directory(self, tmp_path):
-        assert parse_voc(tmp_path) == []
+        boxes = parse_voc(tmp_path)
+        assert len(boxes) == 0
+        assert boxes.corners.shape == (0, 4)
+
+    @pytest.mark.parametrize("w, corner", [("inf", 0), ("640", "nan"), ("nan", 0)])
+    def test_non_finite_rejected(self, tmp_path, w, corner):
+        write_voc_file(tmp_path, "a", 640, 480, [("dog", False, 0, 0, 64, 48)])
+        write_voc_file(tmp_path, "b", w, 480, [("dog", False, corner, 0, 64, 48)])
+        with pytest.raises(ParseError, match=r"b\.xml: .* must be finite"):
+            parse_voc(tmp_path)
 
 
 class TestParseCsv:
@@ -160,7 +230,7 @@ class TestParseCsv:
         boxes = parse_csv(p, counters=counters)
         assert len(boxes) == 2
         assert counters == {"records": 2}
-        assert boxes[0].box.shape.w == 100.0
+        assert boxes.corners[0, 2] - boxes.corners[0, 0] == 100.0
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "boxes.csv"
@@ -198,22 +268,29 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="image size must be positive"):
             parse_csv(p)
 
+    @pytest.mark.parametrize("row", ["img2,inf,480,10,20,110,70", "img2,640,nan,10,20,110,70",
+                                     "img2,640,480,-inf,20,110,70", "img2,640,480,10,20,110,inf"])
+    def test_non_finite_rejected(self, tmp_path, row):
+        """An infinite image size used to scale the box to 0 and drop it silently."""
+        p = tmp_path / "boxes.csv"
+        p.write_text(self.HEADER + "img1,640,480,10,20,110,70\n\n" + row + "\nimg3,0,480,10,20,110,70\n")
+        with pytest.raises(ParseError, match="line 4: .* must be finite"):
+            parse_csv(p)
+
 
 class TestNormalize:
     def test_per_axis_scaling(self):
-        b = AnnotatedBox("i", 640.0, 480.0, Box(320.0, 240.0, BoxShape(64.0, 48.0)))
-        ds = normalize_to_canvas([b], 416)
-        r = ds.records[0]
-        assert math.isclose(r.cx, 320.0 * 416 / 640)
-        assert math.isclose(r.cy, 240.0 * 416 / 480)
-        assert math.isclose(r.w, 64.0 * 416 / 640)
-        assert math.isclose(r.h, 48.0 * 416 / 480)
+        ds = normalize_to_canvas(parsed_of([("i", 640.0, 480.0, 320.0, 240.0, 64.0, 48.0)]), 416)
+        assert math.isclose(ds.cx[0], 320.0 * 416 / 640)
+        assert math.isclose(ds.cy[0], 240.0 * 416 / 480)
+        assert math.isclose(ds.w[0], 64.0 * 416 / 640)
+        assert math.isclose(ds.h[0], 48.0 * 416 / 480)
 
     def test_drops_tiny_and_counts(self):
-        boxes = [
-            AnnotatedBox("i", 1000.0, 1000.0, Box(500.0, 500.0, BoxShape(100.0, 100.0))),
-            AnnotatedBox("i", 1000.0, 1000.0, Box(500.0, 500.0, BoxShape(1e-6, 100.0))),
-        ]
+        boxes = parsed_of([
+            ("i", 1000.0, 1000.0, 500.0, 500.0, 100.0, 100.0),
+            ("i", 1000.0, 1000.0, 500.0, 500.0, 1e-6, 100.0),
+        ])
         ds = normalize_to_canvas(boxes, 416, min_size=1e-3, source="unit")
         assert len(ds) == 1
         assert ds.metadata["source_boxes"] == 2
@@ -222,14 +299,14 @@ class TestNormalize:
 
     def test_result_respects_canvas_bounds(self):
         rng = np.random.default_rng(61)
-        boxes = []
+        rows = []
         for _ in range(200):
             iw, ih = rng.uniform(100, 1000, size=2)
             w, h = rng.uniform(1, iw), rng.uniform(1, ih)
             cx = rng.uniform(w / 2, iw - w / 2)
             cy = rng.uniform(h / 2, ih - h / 2)
-            boxes.append(AnnotatedBox("r", float(iw), float(ih), Box(float(cx), float(cy), BoxShape(float(w), float(h)))))
-        ds = normalize_to_canvas(boxes, 416)
+            rows.append(("r", float(iw), float(ih), float(cx), float(cy), float(w), float(h)))
+        ds = normalize_to_canvas(parsed_of(rows), 416)
         shapes = ds.shapes()
         assert np.all(shapes > 0.0)
         assert np.all(shapes <= 416.0)
@@ -238,29 +315,50 @@ class TestNormalize:
 class TestCanonicalDataset:
     def test_validation(self):
         with pytest.raises(ValueError, match="size"):
-            CanonicalDataset(416, (CanonicalRecord("i", 0.0, 0.0, 500.0, 10.0),))
+            dataset_of([("i", 0.0, 0.0, 500.0, 10.0)])
         with pytest.raises(ValueError, match="center"):
-            CanonicalDataset(416, (CanonicalRecord("i", 500.0, 0.0, 10.0, 10.0),))
+            dataset_of([("i", 500.0, 0.0, 10.0, 10.0)])
         with pytest.raises(ValueError):
-            CanonicalDataset(0, ())
+            CanonicalDataset(0, (), [], [], [], [])
+
+    def test_first_bad_record_named(self):
+        rows = [("a", 5.0, 5.0, 1.0, 1.0), ("b", 5.0, -1.0, 1.0, 1.0), ("c", 5.0, 5.0, np.nan, 1.0)]
+        with pytest.raises(ValueError, match=r"^record 1: center \(5.0, -1.0\) outside \[0, 416\]$"):
+            dataset_of(rows)
+        with pytest.raises(ValueError, match=r"^record 1: size \(nan, 1.0\) outside \(0, 416\]$"):
+            dataset_of([rows[0], rows[2], rows[1]])
 
     def test_record_rejects_tabs(self):
-        with pytest.raises(ValueError):
-            CanonicalRecord("a\tb", 0.0, 0.0, 1.0, 1.0)
+        for bad in ("a\tb", "a\nb", "a\rb"):
+            with pytest.raises(ValueError, match="record 1: image_id must not contain tabs or line breaks"):
+                dataset_of([("ok", 1.0, 1.0, 1.0, 1.0), (bad, 0.0, 0.0, 1.0, 1.0)])
+
+    def test_columns_checked_and_read_only(self):
+        with pytest.raises(ValueError, match="one value per image id"):
+            CanonicalDataset(416, ("a", "b"), [1.0, 2.0], [1.0, 2.0], [1.0], [1.0, 2.0])
+        w = np.array([4.0, 5.0])
+        ds = CanonicalDataset(416, ("a", "b"), [1.0, 2.0], [1.0, 2.0], w, [8.0, 9.0])
+        w[0] = 99.0  # the dataset holds its own copy
+        assert ds.shapes() is ds.shapes()
+        np.testing.assert_array_equal(ds.shapes(), [[4.0, 8.0], [5.0, 9.0]])
+        for column in (ds.cx, ds.cy, ds.w, ds.h, ds.shapes()):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     def test_log_shapes(self):
-        ds = CanonicalDataset(416, (CanonicalRecord("i", 10.0, 10.0, 4.0, 8.0),))
+        ds = dataset_of([("i", 10.0, 10.0, 4.0, 8.0)])
         np.testing.assert_allclose(ds.log_shapes(), [[math.log(4.0), math.log(8.0)]])
 
     def test_empty_shapes(self):
-        ds = CanonicalDataset(416, ())
+        ds = CanonicalDataset(416, (), [], [], [], [])
         assert ds.shapes().shape == (0, 2)
         assert ds.log_shapes().shape == (0, 2)
 
 
 class TestCanonicalFile:
     def test_header_and_format(self, tmp_path):
-        ds = CanonicalDataset(416, (CanonicalRecord("im a", 10.5, 20.25, 30.0, 40.0),))
+        ds = dataset_of([("im a", 10.5, 20.25, 30.0, 40.0)])
         p = tmp_path / "data.canonical"
         write_canonical(ds, p)
         text = p.read_text()
@@ -273,23 +371,58 @@ class TestCanonicalFile:
     def test_round_trip_within_tolerance(self, tmp_path):
         """Every numeric field survives a write/read cycle to 1e-9 relative."""
         rng = np.random.default_rng(62)
-        recs = []
+        rows = []
         for i in range(500):
             w = float(rng.uniform(1e-3, 416.0))
             h = float(rng.uniform(1e-3, 416.0))
             cx = float(rng.uniform(0.0, 416.0))
             cy = float(rng.uniform(0.0, 416.0))
-            recs.append(CanonicalRecord(f"r{i}", cx, cy, w, h))
-        ds = CanonicalDataset(416, tuple(recs))
+            rows.append((f"r{i}", cx, cy, w, h))
+        ds = dataset_of(rows)
         p = tmp_path / "data.canonical"
         write_canonical(ds, p)
         back = read_canonical(p)
         assert back.canvas_size == 416
         assert len(back) == 500
-        for a, b in zip(ds.records, back.records):
-            assert a.image_id == b.image_id
-            for x, y in ((a.cx, b.cx), (a.cy, b.cy), (a.w, b.w), (a.h, b.h)):
+        assert back.image_ids == ds.image_ids
+        for name in ("cx", "cy", "w", "h"):
+            for x, y in zip(getattr(ds, name).tolist(), getattr(back, name).tolist()):
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=8),
+            st.floats(0.0, 416.0), st.floats(0.0, 416.0),
+            st.floats(1e-9, 416.0, exclude_min=False), st.floats(1e-9, 416.0),
+        ),
+        max_size=20,
+    ))
+    def test_round_trip_property(self, tmp_path_factory, rows):
+        """Ids come back exactly and every number within 1e-9 relative."""
+        ds = dataset_of(rows)
+        p = tmp_path_factory.mktemp("rt") / "data.canonical"
+        write_canonical(ds, p)
+        back = read_canonical(p)
+        assert back.image_ids == ds.image_ids
+        for name in ("cx", "cy", "w", "h"):
+            np.testing.assert_allclose(getattr(back, name), getattr(ds, name), rtol=1e-9, atol=0.0)
+
+    def test_matches_longhand_writer(self, tmp_path):
+        """One printf-style format per row writes the bytes a field-by-field
+        format(x, ".10g") writer does."""
+        rng = np.random.default_rng(63)
+        n = 2000
+        w = np.exp(rng.uniform(np.log(1e-3), np.log(416.0), n))
+        h = np.exp(rng.uniform(np.log(1e-3), np.log(416.0), n))
+        cx = rng.uniform(0.0, 416.0, n)
+        cy = rng.choice([0.0, 416.0, 1e-7, 123456.0 / 1024.0], n)
+        ids = [f"img {i} \u00e9" for i in range(n)]
+        ds = CanonicalDataset(416, ids, cx, cy, w, h)
+        p = tmp_path / "data.canonical"
+        write_canonical(ds, p)
+        want = canonical_text(416, zip(ids, cx.tolist(), cy.tolist(), w.tolist(), h.tolist()))
+        assert p.read_bytes() == want.encode("utf-8")
 
     def test_unsupported_version(self, tmp_path):
         p = tmp_path / "data.canonical"
@@ -309,6 +442,26 @@ class TestCanonicalFile:
         with pytest.raises(ParseError, match="line 2: expected 5"):
             read_canonical(p)
 
+    @pytest.mark.parametrize("body, lineno, match", [
+        ("a\t1\t2\t3\t4\nb\t1\t2\t3\t4\t5\n", 3, "expected 5 tab-separated fields, got 6"),
+        ("a\t1\t2\t3\t4\n\nb\t1\t2\t3\t4\n", 3, "expected 5 tab-separated fields, got 1"),
+        ("a\t1\t2\t3\t4\nb\t1\t2\t3\t4\nc\t1\tx\t3\t4\n", 4, "non-numeric field"),
+    ])
+    def test_malformed_records_line_numbered(self, tmp_path, body, lineno, match):
+        """Rows np.loadtxt would accept (an extra field, a blank line) or number
+        differently (a bad number) are each reported at their own line."""
+        p = tmp_path / "data.canonical"
+        p.write_bytes(("anchorforge-dataset v1 S=416\n" + body).encode())
+        with pytest.raises(ParseError, match=f": line {lineno}: {match}"):
+            read_canonical(p)
+
+    def test_crlf_line_endings_read(self, tmp_path):
+        p = tmp_path / "data.canonical"
+        p.write_bytes(b"anchorforge-dataset v1 S=416\r\na\t1\t2\t3\t4\r\nb\t5\t6\t7\t8\r\n")
+        ds = read_canonical(p)
+        assert ds.image_ids == ("a", "b")
+        np.testing.assert_array_equal(ds.shapes(), [[3.0, 4.0], [7.0, 8.0]])
+
     def test_bad_record_wrapped(self, tmp_path):
         p = tmp_path / "data.canonical"
         p.write_text("anchorforge-dataset v1 S=416\na\t1\t2\t3\t9999\n")
@@ -317,7 +470,7 @@ class TestCanonicalFile:
 
     def test_empty_dataset_round_trips(self, tmp_path):
         p = tmp_path / "data.canonical"
-        write_canonical(CanonicalDataset(256, ()), p)
+        write_canonical(CanonicalDataset(256, (), [], [], [], []), p)
         back = read_canonical(p)
         assert back.canvas_size == 256
         assert len(back) == 0
@@ -332,6 +485,6 @@ class TestSyntheticCorpus:
     def test_voc_corpus_parse_is_deterministic(self, voc_dir):
         a = parse_voc(voc_dir)
         b = parse_voc(voc_dir)
-        assert [(x.image_id, x.box.cx, x.box.shape.w) for x in a] == [
-            (x.image_id, x.box.cx, x.box.shape.w) for x in b
-        ]
+        assert a.image_ids == b.image_ids
+        np.testing.assert_array_equal(a.corners, b.corners)
+        np.testing.assert_array_equal(a.sizes, b.sizes)

@@ -8,12 +8,11 @@ from anchorforge import (
     AnchorSet,
     BoxShape,
     CanonicalDataset,
-    CanonicalRecord,
     ParseError,
     anchors_line,
     avg_best_iou,
     build_report,
-    iou_aligned,
+    coverage,
     match_anchor_sets,
     match_pairing,
     read_anchors_json,
@@ -24,14 +23,13 @@ from anchorforge import (
     write_anchors_json,
 )
 from anchorforge.report import PROXY_BANNER
+from oracles import iou_of_wh
 
 
 def ds_of(wh_pairs, canvas=416):
-    recs = tuple(
-        CanonicalRecord(f"r{i}", canvas / 2.0, canvas / 2.0, float(w), float(h))
-        for i, (w, h) in enumerate(wh_pairs)
-    )
-    return CanonicalDataset(canvas, recs)
+    w, h = np.array(wh_pairs, dtype=float).reshape(-1, 2).T
+    center = np.full(len(w), canvas / 2.0)
+    return CanonicalDataset(canvas, [f"r{i}" for i in range(len(w))], center, center, w, h)
 
 
 def anchors_of(wh_pairs, stride=32):
@@ -42,8 +40,8 @@ class TestCoverageMetrics:
     def test_avg_best_iou_manual(self):
         ds = ds_of([(10.0, 10.0), (20.0, 20.0)])
         anchors = anchors_of([(10.0, 10.0)])
-        a = iou_aligned(BoxShape(10.0, 10.0), BoxShape(10.0, 10.0))
-        b = iou_aligned(BoxShape(20.0, 20.0), BoxShape(10.0, 10.0))
+        a = iou_of_wh((10.0, 10.0), (10.0, 10.0))
+        b = iou_of_wh((20.0, 20.0), (10.0, 10.0))
         assert math.isclose(avg_best_iou(anchors, ds), (a + b) / 2.0, rel_tol=1e-9)
 
     def test_best_of_several_anchors(self):
@@ -66,7 +64,18 @@ class TestCoverageMetrics:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            avg_best_iou(anchors_of([(10.0, 10.0)]), CanonicalDataset(416, ()))
+            avg_best_iou(anchors_of([(10.0, 10.0)]), ds_of([]))
+
+    def test_coverage_matches_separate_metrics(self):
+        """One best-IoU pass gives the same numbers as avg_best_iou and recall_at."""
+        rng = np.random.default_rng(82)
+        ds = ds_of(np.exp(rng.normal(3.5, 0.8, size=(300, 2))).clip(1.0, 400.0))
+        anchors = anchors_of(np.exp(rng.normal(3.5, 0.8, size=(5, 2))))
+        avg, recall = coverage(anchors, ds, (0.5, 0.75, 0.3))
+        assert avg == avg_best_iou(anchors, ds)
+        assert recall == {t: recall_at(anchors, ds, t) for t in (0.5, 0.75, 0.3)}
+        with pytest.raises(ValueError):
+            coverage(anchors, ds, (1.0,))
 
 
 class TestMatchAnchorSets:

@@ -139,7 +139,7 @@ class TestRunTraining:
         from anchorforge import CanonicalDataset
 
         with pytest.raises(ValueError, match="empty"):
-            run_training(CanonicalDataset(416, ()), start_anchors(), small_cfg())
+            run_training(CanonicalDataset(416, (), [], [], [], []), start_anchors(), small_cfg())
 
     def test_zero_iters_returns_init(self):
         ds = tiny_ds()
