@@ -28,10 +28,6 @@ from .cluster import (
 from .geometry import (
     METRICS,
     AnchorSet,
-    BoxShape,
-    LogShape,
-    decode_log,
-    encode_log,
     iou_aligned_matrix,
     shape_dist_matrix,
 )
@@ -48,14 +44,10 @@ from .ingest import (
 )
 from .lossgrad import (
     BN_EPS,
-    BNState,
     HeadGrads,
     HeadParams,
-    bn_no_shift,
-    cluster_term,
     grad_head,
     head_outputs,
-    loss_wh,
     make_features,
 )
 from .report import (
@@ -91,16 +83,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorReport",
     "AnchorSet",
-    "BNState",
     "BN_EPS",
-    "BoxShape",
     "CanonicalDataset",
     "EpochUtilization",
     "HeadConfig",
     "HeadGrads",
     "HeadParams",
     "KMeansResult",
-    "LogShape",
     "METRICS",
     "NonFiniteLossError",
     "ParseError",
@@ -113,13 +102,9 @@ __all__ = [
     "anchors_from_centroids",
     "anchors_line",
     "avg_best_iou",
-    "bn_no_shift",
     "build_report",
-    "cluster_term",
     "cluster_weight_at",
     "coverage",
-    "decode_log",
-    "encode_log",
     "grad_head",
     "hard_assign_threshold",
     "hard_assign_yolo",
@@ -129,7 +114,6 @@ __all__ = [
     "init_uniform",
     "iou_aligned_matrix",
     "kmeans_iou",
-    "loss_wh",
     "lr_at",
     "make_features",
     "match_anchor_sets",

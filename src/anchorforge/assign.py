@@ -13,11 +13,11 @@ training falls back to the hard rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import LogShape, Metric, log_shapes_array, shape_dist_matrix
+from .geometry import Metric, log_shapes_array, shape_dist_matrix
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,9 @@ def cluster_weight_at(t: int, sched: WarmupSchedule) -> float:
     return sched.lambda_start * max(0.0, 1.0 - t / sched.warmup_iters)
 
 
-
-
 def hard_assign_yolo(
-    gts: "Sequence[LogShape] | np.ndarray",
-    anchors: "Sequence[LogShape] | np.ndarray",
+    gts: np.ndarray,
+    anchors: np.ndarray,
     metric: Metric = "one_minus_iou",
 ) -> np.ndarray:
     """One-hot (n, A) weights: each ground truth goes to its nearest anchor.
@@ -87,8 +85,8 @@ def hard_assign_yolo(
 
 
 def hard_assign_threshold(
-    gts: "Sequence[LogShape] | np.ndarray",
-    anchors: "Sequence[LogShape] | np.ndarray",
+    gts: np.ndarray,
+    anchors: np.ndarray,
     tau: float,
 ) -> np.ndarray:
     """Multi-hot (n, A) weights: 1 for every anchor whose aligned IoU reaches ``tau``.
@@ -107,8 +105,8 @@ def hard_assign_threshold(
 
 
 def soft_assign(
-    gts: "Sequence[LogShape] | np.ndarray",
-    anchors: "Sequence[LogShape] | np.ndarray",
+    gts: np.ndarray,
+    anchors: np.ndarray,
     metric: Metric,
     temperature: float,
 ) -> np.ndarray:

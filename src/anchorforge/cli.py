@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -194,7 +195,10 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
         raise ParseError(f"{command}: missing required option(s): {', '.join(missing)}")
     if "seed" in specs and effective.get("seed") is None:
         env = os.environ.get(SEED_ENV_VAR)
-        effective["seed"] = int(env) if env else 0
+        try:
+            effective["seed"] = int(env) if env else 0
+        except ValueError:
+            raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     return effective
 
 
@@ -326,11 +330,16 @@ def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, flo
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     opt = _merge_options("optimize", args)
+    for key in ("iters", "warmup_iters"):
+        if int(opt[key]) < 0:
+            raise ParseError(f"{key} must be >= 0, got {opt[key]}")
+    scale = float(opt["scale"])
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ParseError(f"scale must be a positive number, got {opt['scale']}")
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
 
-    scale = float(opt["scale"])
     iters = max(1, _scaled(int(opt["iters"]), scale))
     schedule = _scaled_schedule(opt["lr_schedule"], scale)
     warmup_iters = _scaled(int(opt["warmup_iters"]), scale)
@@ -398,13 +407,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opt = _merge_options("eval", args)
     ds = read_canonical(opt["dataset"])
     anchors, _ = read_anchors_json(opt["anchors"])
-    out_dir = _make_run_dir(args, "eval")
+    # build_report checks taus and tau: a rejected run leaves no directory
     report = build_report(
         anchors, ds,
         assignment_rule=str(opt["rule"]),
         taus=tuple(opt["taus"]),
         threshold_tau=float(opt["tau"]),
     )
+    out_dir = _make_run_dir(args, "eval")
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
@@ -423,11 +433,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     b = b.sorted_by_area()
     mean_dist = match_anchor_sets(a, b)
     la, lb = a.as_array(), b.as_array()
-    sa, sb = a.linear_shapes(), b.linear_shapes()
+    sa, sb = a.wh().tolist(), b.wh().tolist()
     print(f"comparing {args.a} against {args.b}")
     for i, j in match_pairing(a, b):
         d = float(np.sqrt(np.sum((la[i] - lb[j]) ** 2)))
-        print(f"  ({sa[i].w:8.2f}, {sa[i].h:8.2f})  ->  ({sb[j].w:8.2f}, {sb[j].h:8.2f})  "
+        print(f"  ({sa[i][0]:8.2f}, {sa[i][1]:8.2f})  ->  ({sb[j][0]:8.2f}, {sb[j][1]:8.2f})  "
               f"log-dist {d:.4f}")
     print(f"mean matched log-space distance: {mean_dist:.6f}")
     return 0

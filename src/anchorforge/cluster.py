@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import AnchorSet, BoxShape, iou_aligned_matrix
+from .geometry import AnchorSet, iou_aligned_matrix
 from .ingest import CanonicalDataset
 
 UNIFORM_MULTIPLIERS = ((3.0, 3.0), (3.0, 9.0), (9.0, 9.0), (9.0, 3.0), (6.0, 6.0))
@@ -55,8 +55,10 @@ def _seed_plus_plus(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     """Farthest-in-IoU seeding: sample new seeds with probability (1 - best IoU)^2."""
     n = wh.shape[0]
     chosen = [int(rng.integers(n))]
+    best = np.zeros(n)  # every aligned IoU is > 0, so the first update sets it
     for _ in range(k - 1):
-        best = iou_aligned_matrix(wh, wh[chosen]).max(axis=1)
+        # each IoU column depends only on its own seed: a running max is exact
+        np.maximum(best, iou_aligned_matrix(wh, wh[chosen[-1:]])[:, 0], out=best)
         weight = (1.0 - best) ** 2
         weight[chosen] = 0.0
         total = weight.sum()
@@ -122,21 +124,19 @@ def _shape_array(shapes: np.ndarray, name: str) -> np.ndarray:
 def anchors_from_centroids(centroids: np.ndarray, stride: int = 32) -> AnchorSet:
     """Centroid (w, h) rows as an anchor set, sorted by ascending area."""
     order = np.argsort(centroids[:, 0] * centroids[:, 1], kind="stable")
-    return AnchorSet.from_linear([BoxShape(w, h) for w, h in centroids[order].tolist()], stride)
+    return AnchorSet.from_linear(centroids[order], stride)
 
 
 def init_uniform(stride: int = 32) -> AnchorSet:
     """Five hand-picked shapes spanning sizes and aspect ratios, in stride units."""
-    shapes = [BoxShape(mw * stride, mh * stride) for mw, mh in UNIFORM_MULTIPLIERS]
-    return AnchorSet.from_linear(shapes, stride)
+    return AnchorSet.from_linear(np.array(UNIFORM_MULTIPLIERS) * stride, stride)
 
 
 def init_identical(stride: int = 32, num_anchors: int = 5) -> AnchorSet:
     """num_anchors copies of one square shape; training must break the tie."""
     if num_anchors < 1:
         raise ValueError("num_anchors must be >= 1")
-    shape = BoxShape(IDENTICAL_MULTIPLIER[0] * stride, IDENTICAL_MULTIPLIER[1] * stride)
-    return AnchorSet.from_linear([shape] * num_anchors, stride)
+    return AnchorSet.from_linear(np.tile(np.array(IDENTICAL_MULTIPLIER) * stride, (num_anchors, 1)), stride)
 
 
 def init_kmeans(

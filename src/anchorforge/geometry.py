@@ -1,4 +1,4 @@
-"""Box-shape geometry: shapes, aligned IoU, and log-space encodings.
+"""Box-shape geometry: the anchor set, aligned IoU, and shape distances.
 
 Widths and heights are pixel units on a square canvas. The log-space
 encoding makes multiplicative size differences additive, which is the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -21,90 +21,72 @@ Metric = Literal["one_minus_iou", "sq_l2_log"]
 METRICS: tuple[str, ...] = ("one_minus_iou", "sq_l2_log")
 
 
-@dataclass(frozen=True)
-class BoxShape:
-    """Width/height of a box in pixels, independent of position.
-
-    Both dimensions must be finite and strictly positive.
-    """
-
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.w) and math.isfinite(self.h)):
-            raise ValueError(f"shape must be finite, got ({self.w}, {self.h})")
-        if self.w <= 0.0 or self.h <= 0.0:
-            raise ValueError(f"shape must be positive, got ({self.w}, {self.h})")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-@dataclass(frozen=True)
-class LogShape:
-    """Natural-log encoding of a box shape's width and height."""
-
-    lw: float
-    lh: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lw) and math.isfinite(self.lh)):
-            raise ValueError(f"log shape must be finite, got ({self.lw}, {self.lh})")
-
-
-def encode_log(shape: BoxShape) -> LogShape:
-    """Map a linear shape to log space componentwise."""
-    return LogShape(math.log(shape.w), math.log(shape.h))
-
-
-def decode_log(log_shape: LogShape) -> BoxShape:
-    """Inverse of :func:`encode_log`."""
-    return BoxShape(math.exp(log_shape.lw), math.exp(log_shape.lh))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """An ordered set of anchor shapes (log space) tied to a feature-map stride.
+    """An ordered set of anchor shapes tied to a feature-map stride.
 
-    The order is meaningful: assignment ties break toward the lowest
-    index, and trajectories log anchors positionally.
+    log_wh is an (A, 2) array of (log w, log h) rows, kept as a read-only
+    copy. The order is meaningful: assignment ties break toward the
+    lowest index, and trajectories log anchors positionally.
+
+    Conversions to and from linear (w, h) go through ``math.log`` and
+    ``math.exp`` one element at a time. numpy's vectorized versions can
+    differ from them in the last bit, which would change the bytes of the
+    anchors files and reports written from an anchor set.
     """
 
-    shapes: tuple[LogShape, ...]
+    log_wh: np.ndarray
     stride: int = 32
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-        if len(self.shapes) < 1:
+        arr = np.array(self.log_wh, dtype=float)
+        if arr.size == 0:
             raise ValueError("anchor set needs at least one shape")
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"expected an (A, 2) array of log shapes, got shape {arr.shape}")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            lw, lh = arr[bad[0]].tolist()
+            raise ValueError(f"log shape must be finite, got ({lw}, {lh})")
         if not isinstance(self.stride, int) or self.stride < 1:
             raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "log_wh", arr)
 
     def __len__(self) -> int:
-        return len(self.shapes)
+        return self.log_wh.shape[0]
 
     def as_array(self) -> np.ndarray:
-        """Anchor shapes as an (A, 2) float array of (lw, lh) rows."""
-        return np.array([[s.lw, s.lh] for s in self.shapes], dtype=float)
+        """Anchor shapes as a fresh (A, 2) float array of (lw, lh) rows."""
+        return self.log_wh.copy()
 
-    def linear_shapes(self) -> list[BoxShape]:
-        return [decode_log(s) for s in self.shapes]
+    def wh(self) -> np.ndarray:
+        """Anchor shapes as an (A, 2) float array of linear (w, h) rows."""
+        return np.array([[math.exp(lw), math.exp(lh)] for lw, lh in self.log_wh.tolist()])
 
     def sorted_by_area(self) -> "AnchorSet":
-        """Same shapes reordered by ascending linear area."""
-        order = sorted(range(len(self.shapes)), key=lambda i: self.shapes[i].lw + self.shapes[i].lh)
-        return AnchorSet(tuple(self.shapes[i] for i in order), self.stride)
+        """Same shapes reordered by ascending linear area (stable on ties)."""
+        order = np.argsort(self.log_wh[:, 0] + self.log_wh[:, 1], kind="stable")
+        return AnchorSet(self.log_wh[order], self.stride)
 
     @classmethod
     def from_array(cls, arr: np.ndarray, stride: int = 32) -> "AnchorSet":
-        arr = np.asarray(arr, dtype=float)
-        return cls(tuple(LogShape(float(r[0]), float(r[1])) for r in arr), stride)
+        """Anchor set from an (A, 2) array of (log w, log h) rows; same as the constructor."""
+        return cls(arr, stride)
 
     @classmethod
-    def from_linear(cls, shapes: Sequence[BoxShape], stride: int = 32) -> "AnchorSet":
-        return cls(tuple(encode_log(s) for s in shapes), stride)
+    def from_linear(cls, wh: np.ndarray, stride: int = 32) -> "AnchorSet":
+        """Anchor set from an (A, 2) array of finite, positive linear (w, h)."""
+        arr = np.asarray(wh, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"expected an (A, 2) array of (w, h), got shape {arr.shape}")
+        rows = arr.tolist()
+        for w, h in rows:
+            if not (math.isfinite(w) and math.isfinite(h)):
+                raise ValueError(f"shape must be finite, got ({w}, {h})")
+            if w <= 0.0 or h <= 0.0:
+                raise ValueError(f"shape must be positive, got ({w}, {h})")
+        return cls([[math.log(w), math.log(h)] for w, h in rows], stride)
 
 
 def iou_aligned_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
@@ -139,11 +121,9 @@ def shape_dist_matrix(log1: np.ndarray, log2: np.ndarray, metric: Metric) -> np.
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def log_shapes_array(gts: "Sequence[LogShape] | np.ndarray") -> np.ndarray:
-    """Coerce a sequence of LogShape (or an (n, 2) array) to an (n, 2) float array."""
-    if isinstance(gts, np.ndarray):
-        arr = np.asarray(gts, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected an (n, 2) array, got shape {arr.shape}")
-        return arr
-    return np.array([[g.lw, g.lh] for g in gts], dtype=float).reshape(-1, 2)
+def log_shapes_array(gts: np.ndarray) -> np.ndarray:
+    """Check that gts is an (n, 2) array of log shapes; returns it as floats."""
+    arr = np.asarray(gts, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) array, got shape {arr.shape}")
+    return arr

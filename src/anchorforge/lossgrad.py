@@ -5,10 +5,11 @@ residuals over (ground truth, anchor) pairs, weighted by the dense
 (n, A) assignment matrix W, optionally augmented with a clustering term
 that pulls anchors directly toward the shapes assigned to them:
 
-    total = sum_jk W_jk * loss_wh(delta_jk, anchor_k, gt_j)
-          + lam / (2 N) * sum_jk W_jk * cluster_term(anchor_k, gt_j)
+    total = sum_jk W_jk * |delta_jk + s_k - g_j|^2
+          + lam / (2 N) * sum_jk W_jk * |s_k - g_j|^2
 
-with N = sum_jk W_jk. Gradients are analytic. A small per-anchor affine
+with log anchors s, log ground truths g, head offsets delta and
+N = sum_jk W_jk. Gradients are analytic. A small per-anchor affine
 map stands in for a detector's offset-regression head; Gaussian feature
 noise is its capacity knob, and an optional batch normalization (scale
 only, no shift) can be applied to its outputs per batch.
@@ -25,24 +26,14 @@ for the same inputs are bitwise reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import LogShape, log_shapes_array
+from .geometry import log_shapes_array
 
 BN_EPS = 1e-5
-
-
-@dataclass(frozen=True)
-class BNState:
-    """Batch statistics used by one normalization: mean, std (eps included), scale."""
-
-    mean: float
-    std: float
-    gamma: float
 
 
 @dataclass
@@ -73,13 +64,6 @@ class HeadParams:
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
 
-    @property
-    def num_anchors(self) -> int:
-        return int(self.u.shape[0])
-
-    def copy(self) -> "HeadParams":
-        return HeadParams(self.u.copy(), self.c.copy(), self.gamma.copy(), self.sigma)
-
     @classmethod
     def initial(
         cls,
@@ -103,43 +87,8 @@ class HeadGrads:
     gamma: np.ndarray
 
 
-def loss_wh(delta: Sequence[float], anchor: LogShape, gt: LogShape) -> float:
-    """Squared log-space size residual for one pair with (dw, dh) offsets."""
-    rw = delta[0] + anchor.lw - gt.lw
-    rh = delta[1] + anchor.lh - gt.lh
-    return rw * rw + rh * rh
-
-
-def cluster_term(anchor: LogShape, gt: LogShape) -> float:
-    """Squared log-space distance between an anchor and a ground-truth shape.
-
-    Equals :func:`loss_wh` with zero offsets; pulls anchors toward the
-    shapes assigned to them independently of the head.
-    """
-    cw = anchor.lw - gt.lw
-    ch = anchor.lh - gt.lh
-    return cw * cw + ch * ch
-
-
-def bn_no_shift(values: np.ndarray, gamma: float) -> tuple[np.ndarray, BNState]:
-    """Normalize a batch to zero mean and unit variance, then scale by gamma.
-
-    There is deliberately no learnable shift: downstream consumers rely
-    on the output having zero batch mean. Variance is the biased batch
-    variance; eps keeps the division finite for constant batches.
-    """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size < 2:
-        raise ValueError(f"batch normalization needs at least 2 values, got {x.size}")
-    mean = float(np.mean(x))
-    var = float(np.mean((x - mean) ** 2))
-    std = math.sqrt(var + BN_EPS)
-    out = gamma * ((x - mean) / std)
-    return out, BNState(mean=mean, std=std, gamma=gamma)
-
-
 def make_features(
-    gts: "Sequence[LogShape] | np.ndarray",
+    gts: np.ndarray,
     sigma: float,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .assign import hard_assign_threshold, hard_assign_yolo, utilization_counts
-from .geometry import AnchorSet, BoxShape, iou_aligned_matrix
+from .geometry import AnchorSet, iou_aligned_matrix
 from .ingest import CanonicalDataset, ParseError
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
@@ -140,7 +140,7 @@ def build_report(
         avg_best_iou=avg,
         recall_at=recall,
         utilization=tuple(int(u) for u in util),
-        anchors_wh=tuple((s.w, s.h) for s in ordered.linear_shapes()),
+        anchors_wh=tuple((w, h) for w, h in ordered.wh().tolist()),
     )
 
 
@@ -193,7 +193,7 @@ def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> N
     payload = {
         "canvas": int(canvas),
         "stride": ordered.stride,
-        "anchors": [[s.w, s.h] for s in ordered.linear_shapes()],
+        "anchors": ordered.wh().tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -214,7 +214,7 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
     if not pairs:
         raise ParseError(f"{path}: anchors list is empty")
     try:
-        anchor_set = AnchorSet.from_linear([BoxShape(w, h) for w, h in pairs], stride)
+        anchor_set = AnchorSet.from_linear(pairs, stride)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
     return anchor_set, canvas
@@ -230,5 +230,5 @@ def anchors_line(anchors: AnchorSet, units: str = "pixels") -> str:
     div = float(ordered.stride) if units == "cells" else 1.0
     if units not in ("pixels", "cells"):
         raise ValueError(f"unknown units {units!r}")
-    pairs = [f"{s.w / div:g},{s.h / div:g}" for s in ordered.linear_shapes()]
+    pairs = [f"{w / div:g},{h / div:g}" for w, h in ordered.wh().tolist()]
     return ", ".join(pairs)

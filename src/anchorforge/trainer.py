@@ -110,6 +110,8 @@ class TrainConfig:
             raise ValueError("anchor_lr_multiplier must be positive")
         if self.assignment_rule not in ("yolo", "threshold"):
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
+        if not 0.0 < self.threshold_tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {self.threshold_tau}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
         if self.cluster_weight_mode not in ("anneal", "fixed"):

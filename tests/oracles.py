@@ -69,6 +69,20 @@ def shape_dist(a, b, metric: str = "one_minus_iou") -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def pair_loss(delta, anchor, gt) -> float:
+    """Squared log-space size residual of one (ground truth, anchor) pair:
+    |delta + anchor - gt|^2 for (dw, dh) offsets and (log w, log h) shapes."""
+    rw = delta[0] + anchor[0] - gt[0]
+    rh = delta[1] + anchor[1] - gt[1]
+    return rw * rw + rh * rh
+
+
+def cluster_term(anchor, gt) -> float:
+    """Squared log-space distance between an anchor and a ground truth:
+    the pair loss with zero offsets."""
+    return pair_loss((0.0, 0.0), anchor, gt)
+
+
 def iou_of_boxes(a, b) -> float:
     """IoU of two positioned (cx, cy, w, h) boxes; 0 when they do not overlap."""
     iw = min(a[0] + a[2] / 2, b[0] + b[2] / 2) - max(a[0] - a[2] / 2, b[0] - b[2] / 2)
@@ -104,6 +118,32 @@ def lloyd_iou_round(wh: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.n
         if members.any():
             new[c] = wh[members].mean(axis=0)
     return labels, new
+
+
+def iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
+    """Aligned IoU of every row of wh1 against every row of wh2, with the
+    same floating-point operations in the same order as the package."""
+    w1, h1 = wh1[:, None, 0], wh1[:, None, 1]
+    w2, h2 = wh2[None, :, 0], wh2[None, :, 1]
+    inter = np.minimum(w1, w2) * np.minimum(h1, h2)
+    return inter / (w1 * h1 + w2 * h2 - inter)
+
+
+def seed_plus_plus_full(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Farthest-in-IoU seeding that rebuilds the full (n, j) IoU matrix
+    against all j seeds chosen so far before drawing each new seed."""
+    n = wh.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(k - 1):
+        best = iou_matrix(wh, wh[chosen]).max(axis=1)
+        weight = (1.0 - best) ** 2
+        weight[chosen] = 0.0
+        total = weight.sum()
+        if total <= 0.0:
+            chosen.append(next(i for i in range(n) if i not in chosen))
+        else:
+            chosen.append(int(rng.choice(n, p=weight / total)))
+    return wh[chosen].copy()
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -12,13 +12,11 @@ import pytest
 import synth
 from anchorforge import (
     AnchorSet,
-    BoxShape,
     HeadConfig,
     HeadParams,
     TrainConfig,
     WarmupSchedule,
     avg_best_iou,
-    bn_no_shift,
     cluster_weight_at,
     grad_head,
     hard_assign_threshold,
@@ -224,10 +222,8 @@ class TestCriterion4:
         )
 
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        write_anchors_json(a_path, AnchorSet.from_linear(
-            [BoxShape(w, h) for w, h in self.REFERENCE_TRAINED]), 416)
-        write_anchors_json(b_path, AnchorSet.from_linear(
-            [BoxShape(w, h) for w, h in self.REFERENCE_KMEANS]), 416)
+        write_anchors_json(a_path, AnchorSet.from_linear(self.REFERENCE_TRAINED), 416)
+        write_anchors_json(b_path, AnchorSet.from_linear(self.REFERENCE_KMEANS), 416)
         rc = main(["compare", str(a_path), str(b_path)])
         out = capsys.readouterr().out
         mean_line = [ln for ln in out.splitlines() if ln.startswith("mean matched")]
@@ -311,8 +307,12 @@ class TestCriterion7:
             size = int(rng.integers(16, 500))
             x = rng.normal(rng.uniform(-100.0, 100.0), rng.uniform(50.0, 400.0), size)
             gamma = float(rng.uniform(0.2, 3.0))
-            out, _ = bn_no_shift(x, gamma)
-            pre = out / gamma
+            # the trainer's normalization: one anchor whose group is the
+            # whole batch, identity map and zero bias, so raw offsets are x
+            out, _ = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
+                                  np.column_stack([x, x]), np.ones((size, 1), dtype=bool),
+                                  bn=True, bn_per_anchor=True)
+            pre = out[:, 0, :] / gamma
             worst_mean = max(worst_mean, abs(float(np.mean(pre))))
             worst_var = max(worst_var, abs(float(np.var(pre)) - 1.0))
         report(worst_mean < 1e-7 and worst_var < 1e-6, 7,

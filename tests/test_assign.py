@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorforge import (
     AnchorSet,
-    LogShape,
     WarmupSchedule,
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
-    decode_log,
     soft_assign,
     temperature_at,
     utilization_counts,
@@ -20,7 +20,7 @@ from oracles import iou_of_wh, shape_dist, softmax_rows
 
 
 def random_log_shapes(rng, n):
-    return [LogShape(float(a), float(b)) for a, b in rng.normal(3.0, 1.0, size=(n, 2))]
+    return rng.normal(3.0, 1.0, size=(n, 2))
 
 
 class TestAssignment:
@@ -107,31 +107,31 @@ class TestHardYolo:
             gts = random_log_shapes(rng, 25)
             w = hard_assign_yolo(gts, anchors.as_array(), metric)
             for j, k in zip(*np.nonzero(w)):
-                dists = [shape_dist((gts[j].lw, gts[j].lh), (s.lw, s.lh), metric) for s in anchors.shapes]
+                dists = [shape_dist(gts[j], s, metric) for s in anchors.as_array()]
                 assert dists[k] == min(dists)
 
     def test_tie_goes_to_lowest_index(self):
         # two identical anchors: index 0 must win every time
         s = np.array([[1.0, 1.0], [1.0, 1.0]])
-        w = hard_assign_yolo([LogShape(0.0, 0.0), LogShape(2.0, 2.0)], s)
+        w = hard_assign_yolo(np.array([[0.0, 0.0], [2.0, 2.0]]), s)
         np.testing.assert_array_equal(w, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_empty_gts(self):
-        assert hard_assign_yolo([], np.zeros((1, 2))).shape == (0, 1)
+        assert hard_assign_yolo(np.zeros((0, 2)), np.zeros((1, 2))).shape == (0, 1)
 
 
 class TestHardThreshold:
     def test_includes_all_above_tau_and_best(self):
         rng = np.random.default_rng(24)
         anchors = AnchorSet.from_array(rng.normal(3.0, 0.7, size=(5, 2)))
-        shapes = [decode_log(s) for s in anchors.shapes]
+        shapes = anchors.wh()
         for _ in range(20):
             gts = random_log_shapes(rng, 30)
             tau = float(rng.uniform(0.3, 0.7))
             w = hard_assign_threshold(gts, anchors.as_array(), tau)
             for j, g in enumerate(gts):
-                d = decode_log(g)
-                ious = [iou_of_wh((d.w, d.h), (s.w, s.h)) for s in shapes]
+                d = (math.exp(g[0]), math.exp(g[1]))
+                ious = [iou_of_wh(d, s) for s in shapes]
                 want = {k for k, v in enumerate(ious) if v >= tau}
                 want.add(int(np.argmax(ious)))
                 assert set(np.flatnonzero(w[j])) == want
@@ -139,13 +139,13 @@ class TestHardThreshold:
 
     def test_no_gt_unassigned(self):
         """Even a gt below tau for every anchor gets its best anchor."""
-        w = hard_assign_threshold([LogShape(5.0, 5.0)], np.zeros((1, 2)), 0.9)
+        w = hard_assign_threshold(np.array([[5.0, 5.0]]), np.zeros((1, 2)), 0.9)
         np.testing.assert_array_equal(w, [[1.0]])
 
     def test_tau_validation(self):
         for tau in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                hard_assign_threshold([LogShape(0.0, 0.0)], np.zeros((1, 2)), tau)
+                hard_assign_threshold(np.zeros((1, 2)), np.zeros((1, 2)), tau)
 
 
 class TestSoftAssign:
@@ -159,10 +159,21 @@ class TestSoftAssign:
             assert w.shape == (len(gts), 6)
             np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9),
+           st.floats(min_value=1e-3, max_value=1e3), st.sampled_from(["one_minus_iou", "sq_l2_log"]))
+    def test_rows_sum_to_one_any_temperature(self, seed, n, a, temp, metric):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(3.0, 1.5, size=(n, 2))
+        s = rng.normal(3.0, 1.5, size=(a, 2))
+        w = soft_assign(g, s, metric, temp)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_known_two_anchor_weights(self):
         """Distances (0, ln 3) at temperature 1 give weights (3/4, 1/4)."""
         s = np.array([[0.0, 0.0], [math.sqrt(math.log(3.0)), 0.0]])
-        w = soft_assign([LogShape(0.0, 0.0)], s, "sq_l2_log", 1.0)
+        w = soft_assign(np.zeros((1, 2)), s, "sq_l2_log", 1.0)
         assert math.isclose(w[0, 0], 0.75, rel_tol=1e-12)
         assert math.isclose(w[0, 1], 0.25, rel_tol=1e-12)
 
@@ -179,11 +190,11 @@ class TestSoftAssign:
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            soft_assign([LogShape(0.0, 0.0)], np.zeros((1, 2)), "sq_l2_log", 0.0)
+            soft_assign(np.zeros((1, 2)), np.zeros((1, 2)), "sq_l2_log", 0.0)
 
     def test_extreme_distances_stay_finite(self):
         s = np.array([[-50.0, -50.0], [50.0, 50.0]])
-        w = soft_assign([LogShape(50.0, 50.0)], s, "sq_l2_log", 0.01)
+        w = soft_assign(np.array([[50.0, 50.0]]), s, "sq_l2_log", 0.01)
         assert np.all(np.isfinite(w))
         assert math.isclose(float(w.sum()), 1.0, abs_tol=1e-12)
 

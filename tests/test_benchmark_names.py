@@ -64,3 +64,14 @@ def test_lloyd_counter_reads_iterations_run(bench_modules):
     counters = {"cluster.lloyd_iters": 0}
     tracer.OBSERVERS["cluster.kmeans_iou"](counters, (), result)
     assert counters["cluster.lloyd_iters"] == result.iterations_run == 1
+
+
+def test_counted_bindings_resolve_to_classmethods(bench_modules):
+    """The tracer counts calls only through a classmethod binding
+    (``AnchorSet.from_array``) and reports anything else as absent."""
+    tracer, _ = bench_modules
+    assert tracer.COUNTED, "the tracer counts no bindings"
+    for name, (module, attr) in tracer.COUNTED.items():
+        hit = tracer._resolve(module, attr)
+        assert hit is not None, f"{name}: {module}.{attr} does not exist"
+        assert isinstance(hit[2], classmethod), f"{name}: {module}.{attr} is not a classmethod"

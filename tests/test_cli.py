@@ -217,6 +217,29 @@ class TestOptimize:
         assert "scale 0.004" in err and "breakpoints 0 and 100" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,match", [
+        ("--iters", "-5", "iters must be >= 0, got -5"),
+        ("--warmup-iters", "-20", "warmup_iters must be >= 0, got -20"),
+        ("--scale", "0", "scale must be a positive number, got 0.0"),
+        ("--scale", "-0.5", "scale must be a positive number, got -0.5"),
+        ("--scale", "inf", "scale must be a positive number, got inf"),
+    ])
+    def test_negative_budget_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, flag, value, match):
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), flag, value, "--no-head", "--out-dir", str(out)])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threshold_tau_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        """A bad tau fails at startup, not after the warm-up has been trained."""
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--rule", "threshold", "--tau", "1.5",
+                   "--warmup-iters", "100", "--iters", "200", "--no-head", "--out-dir", str(out)])
+        assert rc == 2
+        assert "tau must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_init_file_round_trip(self, tmp_path, dataset_file):
         cluster_out = tmp_path / "c"
         main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2",
@@ -268,6 +291,17 @@ class TestEvalAndCompare:
         assert rc == 0
         doc = json.loads((e / "report.json").read_text())
         assert set(doc["recall_at"]) == {"0.3", "0.6"}
+
+    @pytest.mark.parametrize("flag,value", [("--taus", "0.5,1.5"), ("--tau", "1.5"), ("--tau", "0")])
+    def test_bad_tau_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, flag, value):
+        c = tmp_path / "c"
+        main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(c)])
+        e = tmp_path / "e"
+        rc = main(["eval", "--dataset", str(dataset_file), "--anchors", str(c / "anchors.json"),
+                   "--rule", "threshold", flag, value, "--out-dir", str(e)])
+        assert rc == 2
+        assert "tau must lie in (0, 1)" in capsys.readouterr().err
+        assert not e.exists()
 
     def test_compare_prints_mean_distance(self, tmp_path, dataset_file, capsys):
         c1, c2 = tmp_path / "c1", tmp_path / "c2"
@@ -353,6 +387,14 @@ class TestConfigFile:
         cfg = configparser.ConfigParser()
         cfg.read(out / "effective.cfg")
         assert cfg["cluster"]["seed"] == "77"
+
+    def test_bad_seed_env_exits_2(self, tmp_path, dataset_file, monkeypatch, capsys):
+        monkeypatch.setenv("ANCHORFORGE_SEED", "abc")
+        out = tmp_path / "c"
+        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
+        assert rc == 2
+        assert "ANCHORFORGE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_beats_env(self, tmp_path, dataset_file, monkeypatch):
         monkeypatch.setenv("ANCHORFORGE_SEED", "77")

@@ -9,7 +9,8 @@ from anchorforge import (
     init_uniform,
     kmeans_iou,
 )
-from oracles import iou_table, lloyd_iou_round
+from anchorforge.cluster import _seed_plus_plus
+from oracles import iou_table, lloyd_iou_round, seed_plus_plus_full
 
 
 def shapes_from(wh):
@@ -123,24 +124,41 @@ class TestKMeans:
         assert res.iterations_run == 1
 
 
+class TestSeeding:
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_matches_full_matrix_seeding(self, k):
+        """The running best IoU draws the same seeds, bit for bit, as
+        rebuilding the IoU matrix against every seed chosen so far."""
+        for seed in range(6):
+            wh = np.exp(np.random.default_rng(100 + seed).normal(3.0, 1.0, size=(500, 2)))
+            got = _seed_plus_plus(wh, k, np.random.default_rng(seed))
+            want = seed_plus_plus_full(wh, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+
+    def test_duplicates_fall_back_to_unchosen(self):
+        """When every shape equals a chosen seed, the next seed is the first unchosen index."""
+        wh = np.tile([[10.0, 20.0]], (6, 1))
+        got = _seed_plus_plus(wh, 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(got, seed_plus_plus_full(wh, 3, np.random.default_rng(0)))
+
+
 class TestInits:
     def test_uniform_shapes(self):
         anchors = init_uniform(stride=32)
-        got = np.array([(s.w, s.h) for s in anchors.linear_shapes()])
+        got = anchors.wh()
         want = [(96.0, 96.0), (96.0, 288.0), (288.0, 288.0), (288.0, 96.0), (192.0, 192.0)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert anchors.stride == 32
 
     def test_uniform_scales_with_stride(self):
-        got = [(s.w, s.h) for s in init_uniform(stride=16).linear_shapes()]
+        got = init_uniform(stride=16).wh().tolist()
         assert got[0] == pytest.approx((48.0, 48.0), rel=1e-12)
 
     def test_identical_all_same(self):
         anchors = init_identical(stride=32, num_anchors=5)
-        first = anchors.shapes[0]
-        assert all(s == first for s in anchors.shapes)
-        ref = anchors.linear_shapes()[0]
-        assert (ref.w, ref.h) == pytest.approx((160.0, 160.0), rel=1e-12)
+        log_wh = anchors.as_array()
+        assert (log_wh == log_wh[0]).all()
+        assert tuple(anchors.wh()[0]) == pytest.approx((160.0, 160.0), rel=1e-12)
         assert len(anchors) == 5
 
     def test_identical_validation(self):
@@ -149,14 +167,14 @@ class TestInits:
 
     def test_kmeans_init_sorted_by_area(self, mixture3_ds):
         anchors = init_kmeans(mixture3_ds, num_anchors=3, seed=0)
-        areas = [s.area for s in anchors.linear_shapes()]
+        areas = np.prod(anchors.wh(), axis=1).tolist()
         assert areas == sorted(areas)
         assert len(anchors) == 3
 
     def test_kmeans_init_finds_modes(self, mixture3_ds):
         """On three tight clusters the centroids land near the means."""
         anchors = init_kmeans(mixture3_ds, num_anchors=3, seed=0)
-        got = sorted((s.w, s.h) for s in anchors.linear_shapes())
+        got = sorted(map(tuple, anchors.wh().tolist()))
         for (w, h), (mw, mh) in zip(got, [(20, 24), (72, 58), (190, 210)]):
             assert abs(math.log(w / mw)) < 0.05
             assert abs(math.log(h / mh)) < 0.05

@@ -3,69 +3,83 @@ import math
 import numpy as np
 import pytest
 
-from anchorforge import (
-    AnchorSet,
-    BoxShape,
-    LogShape,
-    decode_log,
-    encode_log,
-    iou_aligned_matrix,
-    shape_dist_matrix,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anchorforge import AnchorSet, iou_aligned_matrix, shape_dist_matrix
 from oracles import iou_of_boxes, shape_dist
 
 
 def iou_aligned(a, b):
-    """Aligned IoU of two BoxShapes through the package's matrix form."""
-    return float(iou_aligned_matrix([[a.w, a.h]], [[b.w, b.h]])[0, 0])
+    """Aligned IoU of two (w, h) pairs through the package's matrix form."""
+    return float(iou_aligned_matrix([a], [b])[0, 0])
 
 
 def random_shape(rng, low=0.5, high=300.0):
-    return BoxShape(float(rng.uniform(low, high)), float(rng.uniform(low, high)))
+    return float(rng.uniform(low, high)), float(rng.uniform(low, high))
 
 
 class TestBoxShape:
+    """Linear (w, h) shapes enter through AnchorSet.from_linear, which checks them."""
+
     def test_area(self):
-        assert BoxShape(3.0, 4.0).area == 12.0
+        assert math.isclose(float(np.prod(AnchorSet.from_linear([[3.0, 4.0]]).wh())), 12.0, rel_tol=1e-12)
 
     def test_rejects_nonpositive(self):
         for w, h in [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)]:
-            with pytest.raises(ValueError):
-                BoxShape(w, h)
+            with pytest.raises(ValueError, match="must be positive"):
+                AnchorSet.from_linear([[w, h]])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            BoxShape(math.nan, 1.0)
-        with pytest.raises(ValueError):
-            BoxShape(1.0, math.inf)
+        with pytest.raises(ValueError, match="must be finite"):
+            AnchorSet.from_linear([[math.nan, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            AnchorSet.from_linear([[1.0, math.inf]])
+
+    def test_names_first_bad_row(self):
+        with pytest.raises(ValueError, match=r"positive, got \(-2\.0, 3\.0\)"):
+            AnchorSet.from_linear([[1.0, 1.0], [-2.0, 3.0], [0.0, 1.0]])
+
+    def test_rejects_wrong_shape(self):
+        for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match=r"\(A, 2\)"):
+                AnchorSet.from_linear(bad)
 
 
 class TestLogEncoding:
     def test_round_trip(self):
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            s = random_shape(rng)
-            back = decode_log(encode_log(s))
-            assert math.isclose(back.w, s.w, rel_tol=1e-12)
-            assert math.isclose(back.h, s.h, rel_tol=1e-12)
+        shapes = np.array([random_shape(rng) for _ in range(100)])
+        np.testing.assert_allclose(AnchorSet.from_linear(shapes).wh(), shapes, rtol=1e-12, atol=0)
 
     def test_known_values(self):
-        ls = encode_log(BoxShape(math.e, 1.0))
-        assert math.isclose(ls.lw, 1.0, abs_tol=1e-15)
-        assert ls.lh == 0.0
+        lw, lh = AnchorSet.from_linear([[math.e, 1.0]]).as_array()[0]
+        assert math.isclose(lw, 1.0, abs_tol=1e-15)
+        assert lh == 0.0
+
+    def test_scalar_log_and_exp(self):
+        """Both directions convert element by element with math.log and
+        math.exp, so the anchors files do not depend on numpy's vector math."""
+        rng = np.random.default_rng(43)
+        # numpy's log differs from math.log on about 1 value in 10^4
+        shapes = rng.uniform(0.5, 300.0, size=(20_000, 2)).tolist()
+        anchors = AnchorSet.from_linear(shapes)
+        want_log = [[math.log(w), math.log(h)] for w, h in shapes]
+        assert anchors.as_array().tolist() == want_log
+        assert anchors.wh().tolist() == [[math.exp(lw), math.exp(lh)] for lw, lh in want_log]
 
     def test_log_shape_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            LogShape(math.inf, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            AnchorSet([[math.inf, 0.0]])
 
 
 class TestIouAligned:
     def test_quarter(self):
         # unit square centered inside a 2x2 square: overlap 1, union 4
-        assert iou_aligned(BoxShape(1.0, 1.0), BoxShape(2.0, 2.0)) == 0.25
+        assert iou_aligned((1.0, 1.0), (2.0, 2.0)) == 0.25
 
     def test_transposed_rectangles(self):
-        assert iou_aligned(BoxShape(3.0, 9.0), BoxShape(9.0, 3.0)) == 0.2
+        assert iou_aligned((3.0, 9.0), (9.0, 3.0)) == 0.2
 
     def test_identity_and_bounds(self):
         rng = np.random.default_rng(7)
@@ -87,7 +101,7 @@ class TestIouAligned:
         for _ in range(200):
             a, b = random_shape(rng), random_shape(rng)
             f = float(rng.uniform(0.1, 10.0))
-            scaled = iou_aligned(BoxShape(f * a.w, f * a.h), BoxShape(f * b.w, f * b.h))
+            scaled = iou_aligned((f * a[0], f * a[1]), (f * b[0], f * b[1]))
             assert math.isclose(scaled, iou_aligned(a, b), rel_tol=1e-12)
 
 
@@ -97,7 +111,7 @@ class TestIouBoxes:
         rng = np.random.default_rng(10)
         for _ in range(100):
             a, b = random_shape(rng), random_shape(rng)
-            got = iou_of_boxes((5.0, -3.0, a.w, a.h), (5.0, -3.0, b.w, b.h))
+            got = iou_of_boxes((5.0, -3.0, *a), (5.0, -3.0, *b))
             assert math.isclose(got, iou_aligned(a, b), rel_tol=1e-12)
 
 
@@ -109,8 +123,7 @@ class TestShapeDist:
         rng = np.random.default_rng(11)
         for _ in range(100):
             a, b = random_shape(rng), random_shape(rng)
-            la, lb = encode_log(a), encode_log(b)
-            d = shape_dist_matrix([[la.lw, la.lh]], [[lb.lw, lb.lh]], "one_minus_iou")[0, 0]
+            d = shape_dist_matrix(np.log([a]), np.log([b]), "one_minus_iou")[0, 0]
             assert math.isclose(d, 1.0 - iou_aligned(a, b), rel_tol=1e-12)
 
     def test_unknown_metric(self):
@@ -127,7 +140,7 @@ class TestMatrices:
         assert mat.shape == (7, 4)
         for i in range(7):
             for j in range(4):
-                want = iou_aligned(BoxShape(*wh1[i]), BoxShape(*wh2[j]))
+                want = iou_aligned(wh1[i], wh2[j])
                 assert math.isclose(mat[i, j], want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("metric", ["one_minus_iou", "sq_l2_log"])
@@ -152,17 +165,55 @@ class TestAnchorSet:
         np.testing.assert_array_equal(anchors.as_array(), arr)
 
     def test_sorted_by_area(self):
-        shapes = [BoxShape(100.0, 100.0), BoxShape(2.0, 3.0), BoxShape(20.0, 10.0)]
-        ordered = AnchorSet.from_linear(shapes).sorted_by_area()
-        areas = [s.area for s in ordered.linear_shapes()]
+        ordered = AnchorSet.from_linear([[100.0, 100.0], [2.0, 3.0], [20.0, 10.0]]).sorted_by_area()
+        areas = np.prod(ordered.wh(), axis=1).tolist()
         assert areas == sorted(areas)
 
+    def test_sorted_by_area_stable_on_ties(self):
+        """Equal areas keep their order, as Python's stable sort does."""
+        rng = np.random.default_rng(15)
+        arr = rng.integers(0, 3, size=(12, 2)).astype(float)
+        want = sorted(range(12), key=lambda i: arr[i, 0] + arr[i, 1])
+        np.testing.assert_array_equal(AnchorSet(arr).sorted_by_area().as_array(), arr[want])
+
+    def test_holds_read_only_copy(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        anchors = AnchorSet(arr)
+        arr[0, 0] = 99.0
+        assert anchors.as_array()[0, 0] == 1.0
+        assert not anchors.log_wh.flags.writeable
+        out = anchors.as_array()
+        out[0, 0] = 7.0
+        assert anchors.as_array()[0, 0] == 1.0
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one"):
             AnchorSet(())
+        with pytest.raises(ValueError, match="at least one"):
+            AnchorSet(np.zeros((0, 2)))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(A, 2\)"):
+            AnchorSet(np.zeros((2, 3)))
 
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError):
-            AnchorSet((LogShape(0.0, 0.0),), stride=0)
+            AnchorSet([[0.0, 0.0]], stride=0)
         with pytest.raises(ValueError):
-            AnchorSet((LogShape(0.0, 0.0),), stride=2.5)
+            AnchorSet([[0.0, 0.0]], stride=2.5)
+
+
+shape_sides = st.floats(min_value=1e-2, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+class TestIouProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(shape_sides, shape_sides), st.tuples(shape_sides, shape_sides),
+           st.floats(min_value=1e-2, max_value=1e2))
+    def test_symmetric_bounded_scale_invariant(self, a, b, f):
+        v = iou_aligned(a, b)
+        assert v == iou_aligned(b, a)
+        assert 0.0 < v <= 1.0
+        assert iou_aligned(a, a) == 1.0
+        scaled = iou_aligned((f * a[0], f * a[1]), (f * b[0], f * b[1]))
+        assert math.isclose(scaled, v, rel_tol=1e-9)

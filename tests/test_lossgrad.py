@@ -3,24 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from anchorforge import (
     BN_EPS,
-    BNState,
     HeadParams,
-    LogShape,
     WarmupSchedule,
-    bn_no_shift,
-    cluster_term,
     grad_head,
     hard_assign_threshold,
     hard_assign_yolo,
     head_outputs,
-    loss_wh,
     make_features,
     soft_assign,
 )
 from anchorforge.lossgrad import _loss_from_arrays
-from oracles import fd_grad, head_loss_longhand, rel_err
+from oracles import cluster_term, fd_grad, head_loss_longhand, pair_loss, rel_err
 
 RULES = ("yolo", "threshold", "soft")
 
@@ -83,31 +81,38 @@ def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
     )
 
 
+def one_pair_loss(delta, anchor, gt, lam=0.0):
+    """The kernel's loss for a single (ground truth, anchor) pair of weight 1."""
+    out = np.array([[delta]], dtype=float)
+    return _loss_from_arrays(out, np.ones((1, 1)), np.array([anchor], dtype=float),
+                             np.array([gt], dtype=float), lam)[0]
+
+
 class TestLossValues:
     def test_loss_wh_pinned(self):
         """Zero offsets between log(2,2) and log(4,4) leave 2 (ln 2)^2."""
-        got = loss_wh((0.0, 0.0), LogShape(math.log(2), math.log(2)),
-                      LogShape(math.log(4), math.log(4)))
+        got = one_pair_loss((0.0, 0.0), (math.log(2), math.log(2)), (math.log(4), math.log(4)))
         assert math.isclose(got, 2.0 * math.log(2.0) ** 2, rel_tol=1e-14)
 
     def test_loss_wh_zero_at_match(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            lw, lh = rng.normal(0.0, 2.0, size=2)
-            g = LogShape(float(lw), float(lh))
-            assert loss_wh((0.0, 0.0), g, g) == 0.0
+            g = tuple(float(v) for v in rng.normal(0.0, 2.0, size=2))
+            assert one_pair_loss((0.0, 0.0), g, g) == 0.0
 
     def test_loss_wh_offsets_close_gap(self):
-        a = LogShape(1.0, 2.0)
-        g = LogShape(3.0, 1.0)
-        assert loss_wh((2.0, -1.0), a, g) == 0.0
+        assert one_pair_loss((2.0, -1.0), (1.0, 2.0), (3.0, 1.0)) == 0.0
 
     def test_cluster_term_is_zero_offset_loss(self):
+        """For one pair (N = 1) the clustering term adds lam / 2 times the
+        zero-offset size loss."""
         rng = np.random.default_rng(32)
         for _ in range(50):
-            a = LogShape(*(float(v) for v in rng.normal(0.0, 2.0, size=2)))
-            g = LogShape(*(float(v) for v in rng.normal(0.0, 2.0, size=2)))
-            assert cluster_term(a, g) == loss_wh((0.0, 0.0), a, g)
+            a = tuple(float(v) for v in rng.normal(0.0, 2.0, size=2))
+            g = tuple(float(v) for v in rng.normal(0.0, 2.0, size=2))
+            want = cluster_term(a, g)
+            assert math.isclose(one_pair_loss((0.0, 0.0), a, g), want, rel_tol=1e-12)
+            assert math.isclose(one_pair_loss((0.0, 0.0), a, g, 1.0), 1.5 * want, rel_tol=1e-12)
 
     def test_single_pair_with_cluster_weight(self):
         """One pair, zero offset, unit gap: 1 + (1/2) * 1 = 1.5."""
@@ -134,6 +139,21 @@ class TestLossValues:
             with pytest.raises(ValueError):
                 _loss_from_arrays(np.zeros((1, 1, 2)), np.ones((1, 1)), np.zeros((1, 2)),
                                   np.array([[1.0, 0.0]]), lam)
+
+
+class TestLossProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 6), st.sampled_from(RULES),
+           st.floats(min_value=0.0, max_value=1.0), st.booleans())
+    def test_never_negative(self, seed, n, a, rule, lam, with_head):
+        """A sum of weighted squares stays >= 0 under every rule and every lam."""
+        rng = np.random.default_rng(seed)
+        g = rng.normal(3.0, 1.5, size=(n, 2))
+        s = rng.normal(3.0, 1.5, size=(a, 2))
+        w, member = assign(rule, g, s, temperature=float(rng.uniform(0.01, 2.0)))
+        head = random_head(rng, a) if with_head else None
+        loss = kernel_loss(w, member, s, g, lam, head, make_features(g, 0.3, rng))
+        assert loss >= 0.0
 
 
 class TestAnchorGradients:
@@ -192,34 +212,43 @@ class TestAnchorGradients:
                     assert head_fd_check(w, member, s, g, lam, head, feats, bn, per_anchor) < 1e-6
 
 
+def batch_norm(x, gamma):
+    """A 1-D batch through the head's normalization: one anchor, identity
+    map, zero bias, every value a member. Returns the output and istd."""
+    features = np.column_stack([x, x])
+    member = np.ones((len(x), 1), dtype=bool)
+    out, cache = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
+                              features, member, bn=True, bn_per_anchor=True)
+    return out[:, 0, 0], float(cache[1][0, 0, 0])
+
+
 class TestBatchNorm:
     def test_output_statistics(self):
         rng = np.random.default_rng(34)
         for _ in range(30):
             x = rng.normal(rng.uniform(-5, 5), rng.uniform(0.5, 10.0), size=int(rng.integers(2, 200)))
             gamma = float(rng.uniform(0.2, 3.0))
-            out, state = bn_no_shift(x, gamma)
+            out, istd = batch_norm(x, gamma)
             assert abs(float(np.mean(out))) < 1e-12 * max(1.0, gamma)
             var = float(np.var(x))
             want_var = gamma * gamma * var / (var + BN_EPS)
             assert math.isclose(float(np.var(out)), want_var, rel_tol=1e-9)
-            assert state.mean == float(np.mean(x))
-            assert math.isclose(state.std, math.sqrt(var + BN_EPS), rel_tol=1e-12)
-            assert state.gamma == gamma
+            assert math.isclose(1.0 / istd, math.sqrt(var + BN_EPS), rel_tol=1e-12)
 
     def test_reconstruction(self):
         """out / gamma * std + mean recovers the input."""
         rng = np.random.default_rng(35)
         x = rng.normal(2.0, 3.0, size=64)
-        out, st = bn_no_shift(x, 1.7)
-        np.testing.assert_allclose(out / st.gamma * st.std + st.mean, x, rtol=1e-12)
+        out, istd = batch_norm(x, 1.7)
+        np.testing.assert_allclose(out / 1.7 / istd + float(np.mean(x)), x, rtol=1e-12)
 
-    def test_batch_of_one_rejected(self):
-        with pytest.raises(ValueError):
-            bn_no_shift(np.array([1.0]), 1.0)
+    def test_batch_of_one_passes_through(self):
+        """A group of one has no batch statistics: its value stays raw and unscaled."""
+        out, _ = batch_norm(np.array([1.5]), 2.0)
+        np.testing.assert_array_equal(out, [1.5])
 
     def test_constant_batch_finite(self):
-        out, _ = bn_no_shift(np.full(8, 3.0), 1.0)
+        out, _ = batch_norm(np.full(8, 3.0), 1.0)
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, 0.0)
 
@@ -232,7 +261,6 @@ class TestHeadForward:
         np.testing.assert_array_equal(p.c, 0.0)
         np.testing.assert_array_equal(p.gamma, 1.0)
         assert p.sigma == 0.5
-        assert p.num_anchors == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -471,7 +499,7 @@ class TestDeltaPlumbing:
             w, _, s, g = random_case(rng, rule=rule)
             loss, _, _ = _loss_from_arrays(np.zeros(w.shape + (2,)), w, s, g, 0.0)
             want = sum(
-                w[j, k] * cluster_term(LogShape(*s[k]), LogShape(*g[j]))
+                w[j, k] * cluster_term(s[k], g[j])
                 for j in range(w.shape[0]) for k in range(w.shape[1])
             )
             assert math.isclose(loss, want, rel_tol=1e-12)
@@ -485,16 +513,11 @@ class TestDeltaPlumbing:
         out[0, 1] = [1.0, 2.0]
         out[1, 0] = [3.0, 4.0]
         loss, _, _ = _loss_from_arrays(out, w, s, g, 0.0)
-        want = (loss_wh((1.0, 2.0), LogShape(1.0, 1.0), LogShape(1.0, 0.0))
-                + loss_wh((3.0, 4.0), LogShape(0.0, 0.0), LogShape(0.0, 2.0)))
+        want = (pair_loss((1.0, 2.0), (1.0, 1.0), (1.0, 0.0))
+                + pair_loss((3.0, 4.0), (0.0, 0.0), (0.0, 2.0)))
         assert loss == want
 
     def test_deltas_from_array_shape_check(self):
         with pytest.raises(ValueError, match=r"\(1, 1, 2\)"):
             _loss_from_arrays(np.zeros((2, 2)), np.ones((1, 1)), np.zeros((1, 2)),
                               np.zeros((1, 2)), 0.0)
-
-    def test_bnstate_is_frozen(self):
-        st = BNState(0.0, 1.0, 1.0)
-        with pytest.raises(AttributeError):
-            st.mean = 5.0

@@ -6,7 +6,6 @@ import pytest
 
 from anchorforge import (
     AnchorSet,
-    BoxShape,
     CanonicalDataset,
     ParseError,
     anchors_line,
@@ -33,7 +32,7 @@ def ds_of(wh_pairs, canvas=416):
 
 
 def anchors_of(wh_pairs, stride=32):
-    return AnchorSet.from_linear([BoxShape(float(w), float(h)) for w, h in wh_pairs], stride)
+    return AnchorSet.from_linear(wh_pairs, stride)
 
 
 class TestCoverageMetrics:
@@ -182,7 +181,7 @@ class TestAnchorsFile:
         back, canvas = read_anchors_json(p)
         assert canvas == 416
         assert back.stride == 16
-        got = [(s.w, s.h) for s in back.linear_shapes()]
+        got = back.wh()
         np.testing.assert_allclose(got, [(10.0, 12.0), (50.0, 60.0)], rtol=1e-9)
 
     def test_malformed_json(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 import synth
 from anchorforge import (
     AnchorSet,
-    BoxShape,
     HeadConfig,
     HeadParams,
     NonFiniteLossError,
@@ -43,7 +42,7 @@ def small_cfg(**kw):
 
 
 def start_anchors():
-    return AnchorSet.from_linear([BoxShape(30.0, 30.0), BoxShape(150.0, 150.0)])
+    return AnchorSet.from_linear([[30.0, 30.0], [150.0, 150.0]])
 
 
 class TestLrSchedule:
@@ -122,6 +121,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(anchor_lr_multiplier=0.0)
 
+    def test_bad_threshold_tau(self):
+        for tau in (0.0, 1.0, 1.5, -0.2, float("nan")):
+            with pytest.raises(ValueError, match="tau must lie in"):
+                TrainConfig(assignment_rule="threshold", threshold_tau=tau)
+
     def test_bad_cluster_weight(self):
         with pytest.raises(ValueError):
             TrainConfig(cluster_weight_mode="fixed", cluster_weight_fixed=1.5)
@@ -131,7 +135,7 @@ class TestRunTraining:
     def test_moves_anchors_toward_modes(self):
         ds = tiny_ds()
         res = run_training(ds, start_anchors(), small_cfg())
-        got = sorted((s.w, s.h) for s in res.anchors.linear_shapes())
+        got = sorted(res.anchors.wh().tolist())
         assert abs(math.log(got[0][0] / 40.0)) < 0.25
         assert abs(math.log(got[1][0] / 120.0)) < 0.25
 
@@ -302,7 +306,7 @@ class TestRules:
         pair for the BN statistics, as the longhand oracle does; membership
         read off W > 0 gives another loss."""
         ds = tiny_ds()
-        anchors = AnchorSet.from_linear([BoxShape(4.0, 4.0), BoxShape(45.0, 45.0), BoxShape(400.0, 400.0)])
+        anchors = AnchorSet.from_linear([[4.0, 4.0], [45.0, 45.0], [400.0, 400.0]])
         head_cfg = HeadConfig(enabled=True, sigma=0.3, bn=True, bn_per_anchor=per_anchor)
         cfg = small_cfg(iters=1, warmup=WarmupSchedule(warmup_iters=1, temp_start=0.01, temp_floor=0.01),
                         head=head_cfg)
