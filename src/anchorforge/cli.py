@@ -3,13 +3,21 @@
 Subcommands: ingest, cluster, optimize, eval, compare. Options resolve
 in order: command-line flag, then the matching key in the [command]
 section of --config (a flat key=value INI), then the built-in default.
-The merged configuration is echoed into the run directory so a run can
-be reproduced from its outputs alone. The seed falls back to the
-ANCHORFORGE_SEED environment variable when neither flag nor config sets
-it.
+The seed of cluster and optimize falls back to the ANCHORFORGE_SEED
+environment variable when neither flag nor config sets it.
+
+Every option is declared once, in the ``_SPECS`` table: its config
+parser, default, choices, flag help and flag kind, and range check.
+``build_parser`` makes each subcommand's flags from the table, and
+``_merge_options`` holds the resolved value to the same choices and
+check whether it came from a flag, the config file or the default, so a
+bad value stops the command before its run directory exists. The merged
+configuration is echoed into the run directory as ``effective.cfg``,
+which reproduces the run when passed back as --config.
 
 Exit codes: 0 success, 2 bad input (unreadable or malformed files,
-unknown flags or config keys), 3 numerical failure during optimization.
+unknown flags or config keys, values outside an option's range), 3
+numerical failure during optimization.
 """
 
 from __future__ import annotations
@@ -85,11 +93,22 @@ def _parse_taus(text: str) -> tuple[float, ...]:
 
 
 class _Opt(NamedTuple):
-    """Parser for a config value, default (None: required), allowed values (argparse's too)."""
+    """One option of a subcommand, for its flag and its config key alike.
+
+    parse reads the config text (and the flag's, unless there are
+    choices: a flag is matched against them as typed); default None
+    marks a required option. kind is "value" (the flag takes a value),
+    "switch" (a bare flag that sets True) or "toggle" (--name and
+    --no-name). check is a (requirement, test) pair the resolved value
+    must pass.
+    """
 
     parse: Callable[[str], object]
     default: object
     choices: tuple[str, ...] = ()
+    help: Optional[str] = None
+    kind: str = "value"
+    check: Optional[tuple[str, Callable[[object], bool]]] = None
 
 
 _FORMATS = ("coco", "voc", "csv")
@@ -97,57 +116,65 @@ _INITS = ("uniform", "identical", "kmeans", "file")
 _RULES = ("yolo", "threshold")
 _UNITS = ("pixels", "cells")
 
+# NaN fails every comparison, so each float check also rejects NaN
+_AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
+_POSITIVE = ("must be a positive number", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
+_OPEN_UNIT = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+_SEED = _Opt(int, None, help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)", check=_AT_LEAST_0)
+
 _SPECS: dict[str, dict[str, _Opt]] = {
     "ingest": {
         "format": _Opt(str.lower, None, _FORMATS),
-        "input": _Opt(str, None),
-        "canvas": _Opt(int, 416),
-        "min_size": _Opt(float, 1e-3),
-        "include_crowd": _Opt(_parse_bool, False),
-        "exclude_difficult": _Opt(_parse_bool, False),
-        "seed": _Opt(int, None),
+        "input": _Opt(str, None, help="annotation file (coco, csv) or directory (voc)"),
+        "canvas": _Opt(int, 416, help="square canvas size in pixels (default 416)", check=_AT_LEAST_1),
+        "min_size": _Opt(float, 1e-3, help="drop boxes smaller than this after scaling", check=_NONNEGATIVE),
+        "include_crowd": _Opt(_parse_bool, False, kind="switch"),
+        "exclude_difficult": _Opt(_parse_bool, False, kind="switch"),
     },
     "cluster": {
+        "seed": _SEED,
         "dataset": _Opt(str, None),
-        "num_anchors": _Opt(int, 5),
-        "stride": _Opt(int, 32),
-        "max_iter": _Opt(int, 300),
+        "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
+        "stride": _Opt(int, 32, check=_AT_LEAST_1),
+        "max_iter": _Opt(int, 300, check=_AT_LEAST_0),
         "units": _Opt(str, "pixels", _UNITS),
-        "seed": _Opt(int, None),
     },
     "optimize": {
+        "seed": _SEED,
         "dataset": _Opt(str, None),
         "init": _Opt(str, "kmeans", _INITS),
         "init_file": _Opt(str, ""),
-        "num_anchors": _Opt(int, 5),
-        "stride": _Opt(int, 32),
-        "iters": _Opt(int, 30000),
-        "scale": _Opt(float, 1.0),
-        "batch_size": _Opt(int, 64),
-        "momentum": _Opt(float, 0.9),
-        "lr_schedule": _Opt(_parse_lr_schedule, ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))),
-        "warmup_iters": _Opt(int, 1500),
+        "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
+        "stride": _Opt(int, 32, check=_AT_LEAST_1),
+        "iters": _Opt(int, 30000, check=_AT_LEAST_0),
+        "scale": _Opt(float, 1.0, help="scale iteration counts (schedule, warm-up) by this factor", check=_POSITIVE),
+        "batch_size": _Opt(int, 64, check=_AT_LEAST_1),
+        "momentum": _Opt(float, 0.9, check=("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+        "lr_schedule": _Opt(_parse_lr_schedule, ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5)),
+                            help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3"),
+        "warmup_iters": _Opt(int, 1500, check=_AT_LEAST_0),
         "metric": _Opt(str, "one_minus_iou", METRICS),
         "rule": _Opt(str, "yolo", _RULES),
-        "tau": _Opt(float, 0.5),
-        "cluster_weight": _Opt(str, "anneal"),
-        "head": _Opt(_parse_bool, True),
-        "sigma": _Opt(float, 0.3),
-        "init_scale": _Opt(float, 0.1),
-        "bn": _Opt(_parse_bool, True),
-        "freeze_anchors": _Opt(_parse_bool, False),
-        "anchor_lr_mult": _Opt(float, 1.0),
-        "log_every": _Opt(int, 50),
+        "tau": _Opt(float, 0.5, help="IoU threshold for the threshold rule", check=_OPEN_UNIT),
+        "cluster_weight": _Opt(str, "anneal", help="'anneal' or a fixed coefficient in [0, 1]"),
+        "head": _Opt(_parse_bool, True, kind="toggle"),
+        "sigma": _Opt(float, 0.3, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
+        "init_scale": _Opt(float, 0.1, check=_NONNEGATIVE),
+        "bn": _Opt(_parse_bool, True, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
+        "freeze_anchors": _Opt(_parse_bool, False, kind="switch"),
+        "anchor_lr_mult": _Opt(float, 1.0, check=_POSITIVE),
+        "log_every": _Opt(int, 50, check=_AT_LEAST_1),
         "units": _Opt(str, "pixels", _UNITS),
-        "seed": _Opt(int, None),
     },
     "eval": {
         "dataset": _Opt(str, None),
         "anchors": _Opt(str, None),
-        "taus": _Opt(_parse_taus, (0.5, 0.75)),
+        "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds"),
         "rule": _Opt(str, "yolo", _RULES),
-        "tau": _Opt(float, 0.5),
-        "seed": _Opt(int, None),
+        "tau": _Opt(float, 0.5, check=_OPEN_UNIT),
     },
 }
 
@@ -155,7 +182,8 @@ _SPECS: dict[str, dict[str, _Opt]] = {
 def _load_config_section(path: str, command: str) -> dict[str, str]:
     if not Path(path).is_file():
         raise ParseError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    # values are literal: "%" has no interpolation meaning
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read(path, encoding="utf-8")
     except configparser.Error as e:
@@ -170,14 +198,13 @@ def _load_config_section(path: str, command: str) -> dict[str, str]:
 
 
 def _merge_options(command: str, args: argparse.Namespace) -> dict:
-    """Resolve every option: CLI flag, then config file, then default."""
+    """Resolve every option (CLI flag, then config file, then default) and
+    hold each resolved value to its option's check."""
     specs = _SPECS[command]
     effective: dict[str, object] = {}
-    file_section: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_section = _load_config_section(args.config, command)
+    file_section = _load_config_section(args.config, command) if args.config else {}
     for key, spec in specs.items():
-        cli_value = getattr(args, key, None)
+        cli_value = getattr(args, key)
         if cli_value is not None:
             effective[key] = cli_value
         elif key in file_section:
@@ -199,6 +226,9 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
             effective["seed"] = int(env) if env else 0
         except ValueError:
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    for key, spec in specs.items():
+        if spec.check and not spec.check[1](effective[key]):
+            raise ParseError(f"{key} {spec.check[0]}, got {effective[key]}")
     return effective
 
 
@@ -215,10 +245,11 @@ def _echo_config(out_dir: Path, command: str, effective: dict) -> None:
     lines = [f"[{command}]"]
     for key in sorted(effective):
         value = effective[key]
-        if key == "lr_schedule" and not isinstance(value, str):
-            value = ",".join(f"{s}:{lr:g}" for s, lr in value)
-        elif key == "taus" and not isinstance(value, str):
-            value = ",".join(f"{t:g}" for t in value)
+        # repr keeps every digit of a float, so the file reproduces the run
+        if key == "lr_schedule":
+            value = ",".join(f"{s}:{lr!r}" for s, lr in value)
+        elif key == "taus":
+            value = ",".join(map(repr, value))
         lines.append(f"{key} = {value}")
     (out_dir / "effective.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -330,19 +361,16 @@ def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, flo
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     opt = _merge_options("optimize", args)
-    for key in ("iters", "warmup_iters"):
-        if int(opt[key]) < 0:
-            raise ParseError(f"{key} must be >= 0, got {opt[key]}")
-    scale = float(opt["scale"])
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ParseError(f"scale must be a positive number, got {opt['scale']}")
+    scale = opt["scale"]
+    iters = _scaled(opt["iters"], scale)
+    if iters == 0 < opt["iters"]:
+        raise ParseError(f"scale {scale:g} turns iters {opt['iters']} into 0 iterations; "
+                         f"use a larger scale, or iters 0 to score the initial anchors")
+    schedule = _scaled_schedule(opt["lr_schedule"], scale)
+    warmup_iters = _scaled(opt["warmup_iters"], scale)
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
-
-    iters = max(1, _scaled(int(opt["iters"]), scale))
-    schedule = _scaled_schedule(opt["lr_schedule"], scale)
-    warmup_iters = _scaled(int(opt["warmup_iters"]), scale)
 
     cw_text = str(opt["cluster_weight"]).strip().lower()
     if cw_text == "anneal":
@@ -377,7 +405,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     )
     anchors0 = _initial_anchors(opt, ds)
     out_dir = _make_run_dir(args, "optimize")
-    _echo_config(out_dir, "optimize", {**opt, "iters": iters, "lr_schedule": schedule, "warmup_iters": warmup_iters})
+    # the counts are recorded scaled, so the recorded scale is 1
+    _echo_config(out_dir, "optimize",
+                 {**opt, "iters": iters, "lr_schedule": schedule, "warmup_iters": warmup_iters, "scale": 1})
 
     before = _coverage_summary(anchors0, ds)
     result = run_training(ds, anchors0, cfg, trajectory_path=out_dir / "trajectory.csv")
@@ -396,7 +426,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
     print(f"trained {len(anchors)} anchors for {iters} iterations on {len(ds)} boxes")
-    print(f"final smoothed loss: {result.trajectory.final_smoothed_loss:.6g}")
+    smoothed = result.trajectory.final_smoothed_loss
+    print(f"final smoothed loss: {'none (no iterations)' if smoothed is None else format(smoothed, '.6g')}")
     print(f"avg_best_iou: {before['avg_best_iou']:.4f} -> {after['avg_best_iou']:.4f}")
     print(f"anchors: {anchors_line(anchors, str(opt['units']))}")
     print(f"wrote {out_dir / 'anchors.json'}, trajectory.csv, summary.json")
@@ -443,75 +474,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# argparse settings of the flag kinds that take no value
+_FLAG_ACTIONS = {
+    "switch": {"action": "store_const", "const": True},
+    "toggle": {"action": argparse.BooleanOptionalAction},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorforge",
         description="Learn and evaluate object-detection anchor shapes from box statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, func, summary in (
+        ("ingest", cmd_ingest, "parse annotations and write a canonical dataset"),
+        ("cluster", cmd_cluster, "IoU k-means anchors from a canonical dataset"),
+        ("optimize", cmd_optimize, "train anchor shapes by SGD"),
+        ("eval", cmd_eval, "score an anchors file against a dataset"),
+    ):
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="INI file with a [command] section of key=value options")
         p.add_argument("--out-dir", help="run directory for outputs (default: runs/<command>-<timestamp>)")
-        p.add_argument("--seed", type=int, help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)")
-
-    p = sub.add_parser("ingest", help="parse annotations and write a canonical dataset")
-    add_common(p)
-    p.add_argument("--format", choices=_FORMATS)
-    p.add_argument("--input", help="annotation file (coco, csv) or directory (voc)")
-    p.add_argument("--canvas", type=int, help="square canvas size in pixels (default 416)")
-    p.add_argument("--min-size", dest="min_size", type=float, help="drop boxes smaller than this after scaling")
-    p.add_argument("--include-crowd", dest="include_crowd", action="store_const", const=True)
-    p.add_argument("--exclude-difficult", dest="exclude_difficult", action="store_const", const=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("cluster", help="IoU k-means anchors from a canonical dataset")
-    add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--num-anchors", dest="num_anchors", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--units", choices=_UNITS)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("optimize", help="train anchor shapes by SGD")
-    add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--init", choices=_INITS)
-    p.add_argument("--init-file", dest="init_file")
-    p.add_argument("--num-anchors", dest="num_anchors", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--scale", type=float, help="scale iteration counts (schedule, warm-up) by this factor")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--lr-schedule", dest="lr_schedule", type=_parse_lr_schedule,
-                   help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3")
-    p.add_argument("--warmup-iters", dest="warmup_iters", type=int)
-    p.add_argument("--metric", choices=METRICS)
-    p.add_argument("--rule", choices=_RULES)
-    p.add_argument("--tau", type=float, help="IoU threshold for the threshold rule")
-    p.add_argument("--cluster-weight", dest="cluster_weight",
-                   help="'anneal' or a fixed coefficient in [0, 1]")
-    p.add_argument("--head", dest="head", action=argparse.BooleanOptionalAction)
-    p.add_argument("--sigma", type=float, help="feature noise level for the surrogate head")
-    p.add_argument("--init-scale", dest="init_scale", type=float)
-    p.add_argument("--bn", dest="bn", action=argparse.BooleanOptionalAction,
-                   help="batch-normalize head outputs (scale only, no shift)")
-    p.add_argument("--freeze-anchors", dest="freeze_anchors", action="store_const", const=True)
-    p.add_argument("--anchor-lr-mult", dest="anchor_lr_mult", type=float)
-    p.add_argument("--log-every", dest="log_every", type=int)
-    p.add_argument("--units", choices=_UNITS)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("eval", help="score an anchors file against a dataset")
-    add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--anchors")
-    p.add_argument("--taus", type=_parse_taus, help="comma list of recall thresholds")
-    p.add_argument("--rule", choices=_RULES)
-    p.add_argument("--tau", type=float)
-    p.set_defaults(func=cmd_eval)
+        for key, spec in _SPECS[command].items():
+            # a flag with choices is matched as typed ("--format CSV" is refused)
+            # while the config value goes through spec.parse ("format = CSV" is not)
+            kind = _FLAG_ACTIONS.get(spec.kind) or {"type": str if spec.choices else spec.parse,
+                                                   "choices": spec.choices or None}
+            p.add_argument("--" + key.replace("_", "-"), help=spec.help, **kind)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="matched log-space distance between two anchors files")
     p.add_argument("a", help="first anchors.json")

@@ -16,6 +16,7 @@ run is bitwise reproducible for a given config and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Optional, Sequence
@@ -68,8 +69,8 @@ class HeadConfig:
     bn_per_anchor: bool = True
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,10 @@ class TrainConfig:
         starts = [s for s, _ in self.lr_schedule]
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError("lr_schedule iterations must be strictly increasing")
-        if any(lr <= 0 for _, lr in self.lr_schedule):
-            raise ValueError("learning rates must be positive")
-        if self.anchor_lr_multiplier <= 0.0:
-            raise ValueError("anchor_lr_multiplier must be positive")
+        if not all(0.0 < lr < math.inf for _, lr in self.lr_schedule):
+            raise ValueError(f"learning rates must be positive numbers, got {self.lr_schedule}")
+        if not 0.0 < self.anchor_lr_multiplier < math.inf:
+            raise ValueError(f"anchor_lr_multiplier must be a positive number, got {self.anchor_lr_multiplier}")
         if self.assignment_rule not in ("yolo", "threshold"):
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
         if not 0.0 < self.threshold_tau < 1.0:
@@ -314,14 +315,16 @@ def run_training(
             window_counts += counts
 
             if t % cfg.log_every == 0 or t == cfg.iters - 1:
-                if not np.all(np.isfinite(s)):
+                anchors_wh = np.exp(s)
+                # a finite log shape can still overflow (or underflow) its linear one
+                if not np.all((anchors_wh > 0.0) & (anchors_wh < np.inf)):
                     raise NonFiniteLossError(t, loss, s.copy())
                 row = TrajectoryRow(
                     iteration=t,
                     loss=loss,
                     cluster_weight=lam,
                     temperature=temp if temp is not None else 0.0,
-                    anchors_wh=np.exp(s),
+                    anchors_wh=anchors_wh,
                     utilization=window_counts.copy(),
                 )
                 trajectory.rows.append(row)

@@ -1,17 +1,22 @@
 import configparser
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorforge
-from anchorforge.cli import main
+from anchorforge.cli import _SPECS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("ingest", "cluster", "optimize", "eval", "compare")
@@ -197,6 +202,14 @@ class TestOptimize:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_anchor_overflow_exit_code(self, tmp_path, dataset_file, capsys):
+        """Anchors past exp's range with a finite loss used to end in an OverflowError traceback."""
+        rc = main(["optimize", "--dataset", str(dataset_file), "--num-anchors", "2", "--iters", "20",
+                   "--lr-schedule", "0:0.1", "--no-head", "--out-dir", str(tmp_path / "opt")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_uniform_init_rejects_other_counts(self, tmp_path, dataset_file, capsys):
         out = tmp_path / "opt"
         rc = main([
@@ -230,6 +243,40 @@ class TestOptimize:
         assert rc == 2
         assert match in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_iters_scores_initial_anchors(self, tmp_path, dataset_file, capsys):
+        """--iters 0 used to train one iteration."""
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--num-anchors", "2", "--iters", "0",
+                   "--no-head", "--out-dir", str(out)])
+        assert rc == 0
+        assert "final smoothed loss: none" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iterations"] == 0
+        assert summary["final_loss"] is None and summary["final_smoothed_loss"] is None
+        assert summary["metrics_after"] == summary["metrics_before"]
+        assert (out / "trajectory.csv").read_text().splitlines() == ["iter,loss,lambda,T,w1,h1,w2,h2,util1,util2"]
+
+    def test_scale_rounding_iters_to_zero_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--iters", "5", "--scale", "0.01",
+                   "--no-head", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scale 0.01" in err and "iters 5" in err
+        assert not out.exists()
+
+    def test_effective_cfg_reproduces_run(self, tmp_path, dataset_file):
+        """The recorded counts are already scaled and the rates keep every digit."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--num-anchors", "2", "--iters", "1000",
+                   "--scale", "0.05", "--lr-schedule", "0:0.0123456789,500:0.00123456789",
+                   "--warmup-iters", "200", "--batch-size", "16", "--out-dir", str(first)])
+        assert rc == 0
+        rc = main(["optimize", "--config", str(first / "effective.cfg"), "--out-dir", str(second)])
+        assert rc == 0
+        for name in ("anchors.json", "trajectory.csv", "effective.cfg"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_threshold_tau_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
         """A bad tau fails at startup, not after the warm-up has been trained."""
@@ -323,6 +370,62 @@ class TestEvalAndCompare:
         assert rc == 2
 
 
+class TestOptionChecks:
+    """Each option's range check comes from the option table. It holds a
+    flag and a config value alike, before any run directory exists."""
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value, match", [
+        ("cluster", "num_anchors", "0", "num_anchors must be >= 1, got 0"),
+        ("cluster", "stride", "0", "stride must be >= 1, got 0"),
+        ("cluster", "max_iter", "-1", "max_iter must be >= 0, got -1"),
+        ("cluster", "seed", "-1", "seed must be >= 0, got -1"),
+        ("ingest", "min_size", "nan", "min_size must be a nonnegative number, got nan"),
+        ("optimize", "anchor_lr_mult", "nan", "anchor_lr_mult must be a positive number, got nan"),
+        ("optimize", "sigma", "nan", "sigma must be a nonnegative number, got nan"),
+        ("optimize", "init_scale", "inf", "init_scale must be a nonnegative number, got inf"),
+        ("optimize", "lr_schedule", "0:nan", "learning rates must be positive numbers"),
+        ("optimize", "lr_schedule", "0:1e-4,10:inf", "learning rates must be positive numbers"),
+    ])
+    def test_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, command, key, value, match, via):
+        section = {
+            "ingest": {"format": "csv", "input": tmp_path / "boxes.csv"},
+            "cluster": {"dataset": dataset_file, "num_anchors": 2},
+            "optimize": {"dataset": dataset_file, "num_anchors": 2, "iters": 20},
+        }[command]
+        argv = []
+        if via == "flag":
+            argv = [f"--{key.replace('_', '-')}={value}"]
+        else:
+            section[key] = value
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in section.items()))
+        out = tmp_path / "run"
+        rc = main([command, "--config", str(cfg_file), *argv, "--out-dir", str(out)])
+        assert rc == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_env_held_to_the_check(self, tmp_path, dataset_file, monkeypatch, capsys):
+        monkeypatch.setenv("ANCHORFORGE_SEED", "-3")
+        out = tmp_path / "c"
+        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
+        assert rc == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "eval"])
+    def test_no_seed_where_nothing_is_random(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--seed", "1"])
+        assert info.value.code == 2
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[{command}]\nseed = 1\n")
+        rc = main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"unknown keys in [{command}]: seed" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_options(self, tmp_path, dataset_file):
         cfg_file = tmp_path / "run.cfg"
@@ -367,6 +470,16 @@ class TestConfigFile:
         cfg_file.write_text(f"[optimize]\ndataset = {dataset_file}\niters = soon\n")
         rc = main(["optimize", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_percent_sign_is_literal(self, tmp_path, dataset_file, capsys):
+        """A '%' used to escape as a configparser interpolation traceback."""
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[optimize]\ndataset = {dataset_file}\niters = 5%\n")
+        out = tmp_path / "o"
+        rc = main(["optimize", "--config", str(cfg_file), "--out-dir", str(out)])
+        assert rc == 2
+        assert "config [optimize] iters" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--rule", "threshold", "--warmup-iters", "0"]])
     def test_bad_metric_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, extra):
@@ -456,3 +569,98 @@ def assert_cli_help(proc):
     choices = re.search(r"\{([\w,]+)\}", proc.stdout)
     assert choices is not None, proc.stdout
     assert set(SUBCOMMANDS) <= set(choices.group(1).split(","))
+
+
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "0", "1e-9", "0.3", "0.75", "1", "2"])
+_RATES = st.sampled_from(["nan", "inf", "-1e-3", "0", "1e-4", "1e-3"])
+
+
+def _value_texts(key, spec):
+    """Values for one option: mostly outside its type, check or choices.
+
+    Budgets stay small (ints below 7, no float above 2, no rate above
+    1e-3) so a value that passes runs in milliseconds and cannot diverge;
+    a divergent run's exit 3 has tests of its own."""
+    if spec.kind != "value":
+        return st.one_of(st.sampled_from(["true", "False", "1", "off"]), _TEXT)
+    if spec.choices:
+        return st.one_of(st.sampled_from(spec.choices), st.sampled_from([c.upper() for c in spec.choices]), _TEXT)
+    if spec.parse is int:
+        return st.one_of(st.integers(-3, 6).map(str), _FLOATS, _TEXT)
+    if spec.parse is float:
+        return st.one_of(_FLOATS, _TEXT)
+    if key == "lr_schedule":
+        pairs = st.tuples(st.integers(-1, 4), _RATES).map(lambda p: f"{p[0]}:{p[1]}")
+        return st.one_of(st.lists(pairs, max_size=3).map(",".join), _TEXT)
+    if key == "taus":
+        return st.one_of(st.lists(_FLOATS, max_size=3).map(",".join), _TEXT)
+    if key == "cluster_weight":
+        return st.one_of(st.sampled_from(["anneal", "ANNEAL"]), _FLOATS, _TEXT)
+    return _TEXT  # a path
+
+
+@st.composite
+def _option_cases(draw):
+    command = draw(st.sampled_from(sorted(_SPECS)))
+    key = draw(st.sampled_from(sorted(_SPECS[command])))
+    return command, key, draw(st.sampled_from(["flag", "config"])), draw(_value_texts(key, _SPECS[command][key]))
+
+
+def _refused(spec, via, text):
+    """Whether the option table itself must refuse this value."""
+    if spec.kind != "value":
+        if via == "flag":
+            return text != ""  # only the bare flag takes no value
+        return text.strip().lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off")
+    try:
+        value = (str if via == "flag" and spec.choices else spec.parse)(text if via == "flag" else text.strip())
+    except ValueError:
+        return True
+    return bool(spec.choices) and value not in spec.choices or spec.check is not None and not spec.check[1](value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_csv(root / "boxes.csv")
+    assert main(["ingest", "--format", "csv", "--input", str(root / "boxes.csv"), "--out-dir", str(root / "i")]) == 0
+    dataset = root / "i" / "dataset.canonical"
+    assert main(["cluster", "--dataset", str(dataset), "--num-anchors", "2", "--out-dir", str(root / "c")]) == 0
+    return root, {
+        "ingest": {"format": "csv", "input": root / "boxes.csv"},
+        "cluster": {"dataset": dataset, "num_anchors": 2, "max_iter": 5},
+        "optimize": {"dataset": dataset, "num_anchors": 2, "iters": 3, "batch_size": 8, "warmup_iters": 1},
+        "eval": {"dataset": dataset, "anchors": root / "c" / "anchors.json"},
+    }
+
+
+class TestOptionFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_option_cases())
+    def test_exit_code_and_run_dir(self, fuzz_inputs, case):
+        """Any value of any option, as a flag or in --config, ends in exit 0
+        or 2 with no traceback, and an exit 2 leaves no run directory."""
+        command, key, via, text = case
+        root, sections = fuzz_inputs
+        work = Path(tempfile.mkdtemp(dir=root))
+        section = dict(sections[command])
+        argv = []
+        if via == "flag":
+            flag = "--" + key.replace("_", "-")
+            argv = [flag if text == "" and _SPECS[command][key].kind != "value" else f"{flag}={text}"]
+        else:
+            section[key] = text
+        (work / "run.cfg").write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in section.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main([command, "--config", str(work / "run.cfg"), *argv, "--out-dir", str(work / "run")])
+            except SystemExit as e:
+                rc = e.code
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert not (work / "run").exists()
+        if _refused(_SPECS[command][key], via, text):
+            assert rc == 2, (case, out.getvalue())

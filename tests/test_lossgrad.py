@@ -491,6 +491,31 @@ class TestHeadGradients:
         assert np.all(np.abs(u_grad(centered)) < 1e-7)
 
 
+class TestGradientsAtRandomPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6), st.sampled_from(RULES),
+           st.sampled_from(("no head", "bn off", "bn per anchor", "bn joint")),
+           st.floats(min_value=0.0, max_value=1.0), st.sampled_from(("one_minus_iou", "sq_l2_log")))
+    def test_match_finite_differences(self, seed, n, a, rule, mode, lam, metric):
+        """Criterion 1's bound at drawn points: the anchor gradient of
+        _loss_from_arrays and the head gradients of grad_head against
+        central differences, under every rule, with and without the head."""
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(np.log(8.0), np.log(300.0), size=(n, 2))
+        s = rng.uniform(np.log(8.0), np.log(300.0), size=(a, 2))
+        w, member = assign(rule, g, s, metric, temperature=float(rng.uniform(0.05, 2.0)))
+        out = np.zeros(w.shape + (2,))
+        if mode != "no head":
+            head = random_head(rng, a)
+            features = make_features(g, 0.3, rng)
+            bn, per_anchor = mode != "bn off", mode != "bn joint"
+            out, _ = head_outputs(*head, features, member, bn=bn, bn_per_anchor=per_anchor)
+            assert head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor) < 1e-5
+        _, analytic, _ = _loss_from_arrays(out, w, s, g, lam)
+        numeric = fd_grad(lambda x: _loss_from_arrays(out, w, x, g, lam)[0], s)
+        assert rel_err(analytic, numeric) < 1e-5
+
+
 class TestDeltaPlumbing:
     def test_zero_deltas_cover_assignment(self):
         """Zero offsets on every pair leave the weighted clustering distances."""

@@ -121,6 +121,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(anchor_lr_multiplier=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, value):
+        """NaN passed the old `<= 0` checks and failed only as a non-finite loss."""
+        with pytest.raises(ValueError, match="learning rates must be positive numbers"):
+            TrainConfig(lr_schedule=((0, 1e-3), (10, value)))
+        with pytest.raises(ValueError, match="anchor_lr_multiplier must be a positive number"):
+            TrainConfig(anchor_lr_multiplier=value)
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
+            HeadConfig(sigma=sigma)
+
     def test_bad_threshold_tau(self):
         for tau in (0.0, 1.0, 1.5, -0.2, float("nan")):
             with pytest.raises(ValueError, match="tau must lie in"):
@@ -264,6 +277,14 @@ class TestTrajectory:
         run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=p1)
         run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_anchor_shape_overflow_raises(self):
+        """Log shapes past exp's range used to end the run as an OverflowError
+        in AnchorSet.wh(), after a finite loss at every step."""
+        cfg = small_cfg(lr_schedule=((0, 0.1),), warmup=WarmupSchedule(warmup_iters=0), iters=20, log_every=50)
+        with pytest.raises(NonFiniteLossError, match="at iteration 19"):
+            run_training(tiny_ds(), start_anchors(), cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
