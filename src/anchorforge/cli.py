@@ -154,7 +154,8 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "batch_size": _Opt(int, 64, check=_AT_LEAST_1),
         "momentum": _Opt(float, 0.9, check=("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
         "lr_schedule": _Opt(_parse_lr_schedule, ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5)),
-                            help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3"),
+                            help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3",
+                            check=("breakpoints must be >= 0", lambda v: all(start >= 0 for start, _ in v))),
         "warmup_iters": _Opt(int, 1500, check=_AT_LEAST_0),
         "metric": _Opt(str, "one_minus_iou", METRICS),
         "rule": _Opt(str, "yolo", _RULES),
@@ -172,7 +173,8 @@ _SPECS: dict[str, dict[str, _Opt]] = {
     "eval": {
         "dataset": _Opt(str, None),
         "anchors": _Opt(str, None),
-        "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds"),
+        "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds",
+                     check=("list: each tau must lie in (0, 1)", lambda v: all(0.0 < t < 1.0 for t in v))),
         "rule": _Opt(str, "yolo", _RULES),
         "tau": _Opt(float, 0.5, check=_OPEN_UNIT),
     },
@@ -339,7 +341,7 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
 
 
 def _scaled(value: int, scale: float) -> int:
-    return max(0, int(round(value * scale)))
+    return int(round(value * scale))
 
 
 def _scaled_schedule(schedule: tuple[tuple[int, float], ...], scale: float) -> tuple[tuple[int, float], ...]:
@@ -438,7 +440,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opt = _merge_options("eval", args)
     ds = read_canonical(opt["dataset"])
     anchors, _ = read_anchors_json(opt["anchors"])
-    # build_report checks taus and tau: a rejected run leaves no directory
     report = build_report(
         anchors, ds,
         assignment_rule=str(opt["rule"]),

@@ -26,6 +26,7 @@ for the same inputs are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,8 +62,8 @@ class HeadParams:
             raise ValueError("inconsistent head parameter shapes")
         if np.any(self.gamma <= 0.0):
             raise ValueError("gamma scales must be positive")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
 
     @classmethod
     def initial(
@@ -94,8 +95,8 @@ def make_features(
 ) -> np.ndarray:
     """Per-ground-truth features: the log shape plus Gaussian noise of scale sigma."""
     g = log_shapes_array(gts)
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a nonnegative number, got {sigma}")
     if sigma == 0.0:
         return g.copy()
     if rng is None:

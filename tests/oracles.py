@@ -211,3 +211,30 @@ def head_loss_longhand(w, member, s, g, lam, head=None, features=None,
     if lam > 0.0 and total_weight > 0.0:
         loss += lam / (2.0 * total_weight) * cluster
     return loss, offsets
+
+
+def lloyd_assign_step(wh: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Lloyd's assignment: the IoU argmax of every shape. argmax returns
+    the first maximum, so exact ties go to the lowest cluster."""
+    return np.argmax(iou_matrix(wh, cents), axis=1)
+
+
+def lloyd_kmeans_iou(wh: np.ndarray, init: np.ndarray, max_iter: int, update_step) -> tuple:
+    """IoU k-means by plain Lloyd's rounds: a full argmax over every shape
+    in every round, around the given centroid update step.
+
+    Returns (centroids, assignments, mean_best_iou, iterations_run).
+    """
+    cents = np.asarray(init, dtype=float)
+    assignments = lloyd_assign_step(wh, cents)
+    iterations_run = 0
+    for _ in range(max_iter):
+        iterations_run += 1
+        cents = update_step(wh, cents, assignments)
+        new_assignments = lloyd_assign_step(wh, cents)
+        converged = bool(np.array_equal(new_assignments, assignments))
+        assignments = new_assignments
+        if converged:
+            break
+    mean_best = float(iou_matrix(wh, cents).max(axis=1).mean())
+    return cents, assignments, mean_best, iterations_run

@@ -386,12 +386,16 @@ class TestOptionChecks:
         ("optimize", "init_scale", "inf", "init_scale must be a nonnegative number, got inf"),
         ("optimize", "lr_schedule", "0:nan", "learning rates must be positive numbers"),
         ("optimize", "lr_schedule", "0:1e-4,10:inf", "learning rates must be positive numbers"),
+        ("optimize", "lr_schedule", "-5:0.1,10:0.01", "lr_schedule breakpoints must be >= 0, got ((-5, 0.1), (10, 0.01))"),
+        ("eval", "taus", "0.5,1.5", "taus list: each tau must lie in (0, 1), got (0.5, 1.5)"),
     ])
     def test_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, command, key, value, match, via):
         section = {
             "ingest": {"format": "csv", "input": tmp_path / "boxes.csv"},
             "cluster": {"dataset": dataset_file, "num_anchors": 2},
             "optimize": {"dataset": dataset_file, "num_anchors": 2, "iters": 20},
+            # both files are missing: the error names the bad value only if the check runs first
+            "eval": {"dataset": tmp_path / "missing.canonical", "anchors": tmp_path / "missing.json"},
         }[command]
         argv = []
         if via == "flag":

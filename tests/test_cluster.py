@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorforge import (
     init_identical,
@@ -9,8 +11,8 @@ from anchorforge import (
     init_uniform,
     kmeans_iou,
 )
-from anchorforge.cluster import _seed_plus_plus
-from oracles import iou_table, lloyd_iou_round, seed_plus_plus_full
+from anchorforge.cluster import _seed_plus_plus, _update_step
+from oracles import iou_table, lloyd_assign_step, lloyd_iou_round, lloyd_kmeans_iou, seed_plus_plus_full
 
 
 def shapes_from(wh):
@@ -122,6 +124,42 @@ class TestKMeans:
         wh = clustered_data(rng, [(20, 20), (100, 100)], 30)
         res = kmeans_iou(shapes_from(wh), 2, max_iter=1, seed=0)
         assert res.iterations_run == 1
+
+
+class TestMatchesLloyd:
+    """The bounded assignment re-scores only shapes whose cluster can
+    change, so every result must equal plain Lloyd's rounds bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        extra=st.integers(0, 150),
+        distinct=st.integers(1, 40),
+        max_iter=st.integers(0, 60),
+        init_mode=st.sampled_from(["seeded", "drawn", "two_equal", "captures_nothing"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, k, extra, distinct, max_iter, init_mode, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct shapes with sizes rounded to halves: many exact ties
+        palette = np.maximum(np.round(2.0 * np.exp(rng.normal(3.0, 1.0, size=(distinct, 2)))) / 2.0, 0.5)
+        wh = palette[rng.integers(distinct, size=k + extra)]
+        init = None
+        if init_mode != "seeded":
+            init = wh[rng.integers(len(wh), size=k)]
+            if k >= 2 and init_mode == "two_equal":
+                init[1] = init[0]
+            elif k >= 2 and init_mode == "captures_nothing":
+                # IoU with any shape is below 1e-9, under any IoU between two shapes
+                init[-1] = (wh[:, 0].min() * 1e-9, wh[:, 1].max() * 1e9)
+                assert (lloyd_assign_step(wh, init) != k - 1).all()
+        got = kmeans_iou(wh, k, init=init, max_iter=max_iter, seed=seed)
+        start = init if init is not None else _seed_plus_plus(wh, k, np.random.default_rng(seed))
+        cents, assignments, mean_best, iterations_run = lloyd_kmeans_iou(wh, start, max_iter, _update_step)
+        np.testing.assert_array_equal(got.centroids, cents)
+        np.testing.assert_array_equal(got.assignments, assignments)
+        assert got.mean_best_iou == mean_best
+        assert got.iterations_run == iterations_run
 
 
 class TestSeeding:

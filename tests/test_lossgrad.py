@@ -270,6 +270,13 @@ class TestHeadForward:
         with pytest.raises(ValueError):
             HeadParams(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.ones((2, 2)), sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
+            HeadParams(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.ones((2, 2)), sigma=sigma)
+        with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
+            make_features(np.zeros((2, 2)), sigma, np.random.default_rng(0))
+
     def test_make_features_sigma_zero_copies(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
         feats = make_features(g, 0.0)
