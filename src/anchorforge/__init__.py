@@ -53,15 +53,11 @@ from .lossgrad import (
 from .report import (
     AnchorReport,
     anchors_line,
-    avg_best_iou,
     build_report,
     coverage,
     match_anchor_sets,
-    match_pairing,
     read_anchors_json,
-    recall_at,
     render_text,
-    report_from_json,
     report_to_json,
     write_anchors_json,
 )
@@ -101,7 +97,6 @@ __all__ = [
     "WarmupSchedule",
     "anchors_from_centroids",
     "anchors_line",
-    "avg_best_iou",
     "build_report",
     "cluster_weight_at",
     "coverage",
@@ -117,16 +112,13 @@ __all__ = [
     "lr_at",
     "make_features",
     "match_anchor_sets",
-    "match_pairing",
     "normalize_to_canvas",
     "parse_coco",
     "parse_csv",
     "parse_voc",
     "read_anchors_json",
     "read_canonical",
-    "recall_at",
     "render_text",
-    "report_from_json",
     "report_to_json",
     "run_training",
     "sgd_step",

@@ -52,7 +52,6 @@ from .report import (
     build_report,
     coverage,
     match_anchor_sets,
-    match_pairing,
     read_anchors_json,
     render_text,
     report_to_json,
@@ -315,6 +314,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _anchors_for_canvas(path: str, canvas: int, source: str) -> AnchorSet:
+    """Read an anchors file, refusing one written for another canvas than source's."""
+    anchors, file_canvas = read_anchors_json(path)
+    if file_canvas != canvas:
+        raise ParseError(f"{path} holds anchors for canvas {file_canvas} but {source} is on canvas {canvas}")
+    return anchors
+
+
 def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
     mode = str(opt["init"])
     stride = int(opt["stride"])
@@ -334,7 +341,7 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
     # mode == "file": the option's choices admit nothing else
     if not opt["init_file"]:
         raise ParseError("init=file requires init_file")
-    anchors, _ = read_anchors_json(opt["init_file"])
+    anchors = _anchors_for_canvas(opt["init_file"], ds.canvas_size, f"dataset {opt['dataset']}")
     if len(anchors) != num_anchors:
         raise ParseError(f"init_file {opt['init_file']} holds {len(anchors)} anchors but num_anchors is {num_anchors}")
     return anchors
@@ -439,7 +446,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     opt = _merge_options("eval", args)
     ds = read_canonical(opt["dataset"])
-    anchors, _ = read_anchors_json(opt["anchors"])
+    anchors = _anchors_for_canvas(opt["anchors"], ds.canvas_size, f"dataset {opt['dataset']}")
     report = build_report(
         anchors, ds,
         assignment_rule=str(opt["rule"]),
@@ -457,21 +464,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a, _ = read_anchors_json(args.a)
-    b, _ = read_anchors_json(args.b)
+    a, canvas = read_anchors_json(args.a)
+    b = _anchors_for_canvas(args.b, canvas, args.a)
     if len(a) != len(b):
         raise ParseError(f"anchor sets differ in size: {len(a)} vs {len(b)}")
     a = a.sorted_by_area()
     b = b.sorted_by_area()
-    mean_dist = match_anchor_sets(a, b)
-    la, lb = a.as_array(), b.as_array()
+    pairing, dists = match_anchor_sets(a, b)
     sa, sb = a.wh().tolist(), b.wh().tolist()
     print(f"comparing {args.a} against {args.b}")
-    for i, j in match_pairing(a, b):
-        d = float(np.sqrt(np.sum((la[i] - lb[j]) ** 2)))
+    for (i, j), d in zip(pairing, dists):
         print(f"  ({sa[i][0]:8.2f}, {sa[i][1]:8.2f})  ->  ({sb[j][0]:8.2f}, {sb[j][1]:8.2f})  "
               f"log-dist {d:.4f}")
-    print(f"mean matched log-space distance: {mean_dist:.6f}")
+    print(f"mean matched log-space distance: {dists.mean():.6f}")
     return 0
 
 

@@ -62,8 +62,7 @@ def _update_step(wh: np.ndarray, cents: np.ndarray, assignments: np.ndarray) -> 
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         # re-seed each empty cluster at the currently worst-covered shape
-        best = iou_aligned_matrix(wh, new).max(axis=1)
-        order = np.argsort(best, kind="stable")
+        order = np.argsort(_best_two(wh, new)[0], kind="stable")
         for c, idx in zip(empty, order):
             new[c] = wh[idx]
     return new

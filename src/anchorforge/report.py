@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .assign import hard_assign_threshold, hard_assign_yolo, utilization_counts
+from .cluster import ASSIGN_BLOCK
 from .geometry import AnchorSet, iou_aligned_matrix
 from .ingest import CanonicalDataset, ParseError
 
@@ -23,28 +23,54 @@ PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accu
 _MAX_EXACT_MATCH = 10
 
 
-def coverage(anchors: AnchorSet, ds: CanonicalDataset, taus: Sequence[float]) -> tuple[float, dict[float, float]]:
-    """avg_best_iou and recall_at each tau, from one best-IoU pass over the boxes."""
-    for tau in taus:
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {tau}")
+def _score(
+    anchors_wh: np.ndarray, ds: CanonicalDataset, taus: Sequence[float], tau: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over ASSIGN_BLOCK rows of boxes against (A, 2) linear anchor shapes.
+
+    Returns each box's best aligned IoU, its winning anchor (ties to the
+    lowest index) and, per anchor, the count of boxes whose IoU reaches
+    tau (zeros when tau is None). The recall thresholds taus and the
+    dataset are checked first.
+    """
+    for t in taus:
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {t}")
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    best = iou_aligned_matrix(ds.shapes(), np.exp(anchors.as_array())).max(axis=1)
+    shapes = ds.shapes()
+    best = np.empty(len(ds))
+    winner = np.empty(len(ds), dtype=np.intp)
+    at_tau = np.zeros(anchors_wh.shape[0], dtype=np.intp)
+    for start in range(0, len(ds), ASSIGN_BLOCK):
+        rows = slice(start, start + ASSIGN_BLOCK)
+        iou = iou_aligned_matrix(shapes[rows], anchors_wh)
+        winner[rows] = iou.argmax(axis=1)
+        best[rows] = iou.max(axis=1)
+        if tau is not None:
+            at_tau += np.count_nonzero(iou >= tau, axis=0)
+    return best, winner, at_tau
+
+
+def _coverage_of(best: np.ndarray, taus: Sequence[float]) -> tuple[float, dict[float, float]]:
     return float(best.mean()), {float(t): float(np.mean(best >= t)) for t in taus}
 
 
-def avg_best_iou(anchors: AnchorSet, ds: CanonicalDataset) -> float:
-    """Mean over boxes of the best aligned IoU against any anchor."""
-    return coverage(anchors, ds, ())[0]
+def coverage(anchors: AnchorSet, ds: CanonicalDataset, taus: Sequence[float]) -> tuple[float, dict[float, float]]:
+    """Mean over boxes of the best aligned IoU against any anchor, and the
+    fraction of boxes whose best IoU reaches each tau, from one blocked pass."""
+    return _coverage_of(_score(np.exp(anchors.as_array()), ds, taus)[0], taus)
 
 
-def recall_at(anchors: AnchorSet, ds: CanonicalDataset, tau: float) -> float:
-    """Fraction of boxes whose best aligned IoU reaches tau."""
-    return coverage(anchors, ds, (tau,))[1][float(tau)]
+def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The best one-to-one pairing of two equal-size anchor sets, and the
+    log-space distance of each matched pair (their mean is the sets' distance).
 
-
-def _pairing_distances(a: AnchorSet, b: AnchorSet) -> tuple[list[int], np.ndarray]:
+    The pairing, as (index in a, index in b) pairs in a's order, minimizes
+    the summed Euclidean distance between matched log shapes, found
+    exactly by dynamic programming over subsets (the sets are small; up to
+    10 anchors are supported).
+    """
     if len(a) != len(b):
         raise ValueError(f"anchor sets differ in size: {len(a)} vs {len(b)}")
     n = len(a)
@@ -76,26 +102,7 @@ def _pairing_distances(a: AnchorSet, b: AnchorSet) -> tuple[list[int], np.ndarra
         j = int(choice[mask])
         cols[i] = j
         mask ^= 1 << j
-    return cols, dist
-
-
-def match_pairing(a: AnchorSet, b: AnchorSet) -> tuple[tuple[int, int], ...]:
-    """The one-to-one pairing (index in a, index in b) that minimizes the
-    summed log-space distance between matched shapes."""
-    cols, _ = _pairing_distances(a, b)
-    return tuple((i, j) for i, j in enumerate(cols))
-
-
-def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> float:
-    """Mean log-space distance between two equal-size anchor sets under
-    the best one-to-one pairing.
-
-    The pairing minimizes the summed Euclidean distance between matched
-    log shapes, found exactly by dynamic programming over subsets (the
-    sets are small; up to 10 anchors are supported).
-    """
-    cols, dist = _pairing_distances(a, b)
-    return float(np.mean([dist[i, j] for i, j in enumerate(cols)]))
+    return tuple(enumerate(cols)), dist[np.arange(n), cols]
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,18 @@ def build_report(
     under the chosen rule. With the yolo rule the counts sum to the
     dataset size; the threshold rule may count a box more than once.
     """
-    ordered = anchors.sorted_by_area()
-    log_s = ordered.as_array()
-    if assignment_rule == "yolo":
-        util = utilization_counts(hard_assign_yolo(ds.log_shapes(), log_s))
-    elif assignment_rule == "threshold":
-        util = utilization_counts(hard_assign_threshold(ds.log_shapes(), log_s, threshold_tau))
-    else:
+    if assignment_rule not in ("yolo", "threshold"):
         raise ValueError(f"unknown assignment rule {assignment_rule!r}")
-    avg, recall = coverage(ordered, ds, taus)
+    threshold = assignment_rule == "threshold"
+    if threshold and not 0.0 < threshold_tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {threshold_tau}")
+    ordered = anchors.sorted_by_area()
+    best, winner, at_tau = _score(np.exp(ordered.as_array()), ds, taus, threshold_tau if threshold else None)
+    if threshold:
+        # a box that reaches tau with no anchor still goes to its best one
+        winner = winner[best < threshold_tau]
+    util = at_tau + np.bincount(winner, minlength=len(ordered))
+    avg, recall = _coverage_of(best, taus)
     return AnchorReport(
         canvas=ds.canvas_size,
         stride=ordered.stride,
@@ -170,21 +180,6 @@ def report_to_json(report: AnchorReport) -> str:
         "anchors": [[w, h] for w, h in report.anchors_wh],
     }
     return json.dumps(payload, indent=2)
-
-
-def report_from_json(text: str) -> AnchorReport:
-    doc = json.loads(text)
-    if doc.get("kind") != "anchorforge-report" or doc.get("version") != 1:
-        raise ValueError("not a v1 anchorforge report")
-    return AnchorReport(
-        canvas=int(doc["canvas"]),
-        stride=int(doc["stride"]),
-        assignment_rule=str(doc["assignment_rule"]),
-        avg_best_iou=float(doc["avg_best_iou"]),
-        recall_at={float(t): float(v) for t, v in doc["recall_at"].items()},
-        utilization=tuple(int(u) for u in doc["utilization"]),
-        anchors_wh=tuple((float(w), float(h)) for w, h in doc["anchors"]),
-    )
 
 
 def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> None:

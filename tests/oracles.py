@@ -238,3 +238,16 @@ def lloyd_kmeans_iou(wh: np.ndarray, init: np.ndarray, max_iter: int, update_ste
             break
     mean_best = float(iou_matrix(wh, cents).max(axis=1).mean())
     return cents, assignments, mean_best, iterations_run
+
+
+def full_matrix_report(wh: np.ndarray, anchors_wh: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each box's best aligned IoU, and the per-anchor utilization under the
+    yolo and the threshold rule, from the full (n, A) IoU matrix.
+
+    The winner is the IoU argmax (ties to the lowest anchor); the yolo rule
+    counts winners, the threshold rule every pair with IoU >= tau plus each
+    box's winner.
+    """
+    iou = iou_matrix(wh, anchors_wh)
+    won = np.arange(iou.shape[1]) == np.argmax(iou, axis=1)[:, None]
+    return iou.max(axis=1), won.sum(axis=0), ((iou >= tau) | won).sum(axis=0)

@@ -16,8 +16,8 @@ from anchorforge import (
     HeadParams,
     TrainConfig,
     WarmupSchedule,
-    avg_best_iou,
     cluster_weight_at,
+    coverage,
     grad_head,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -156,7 +156,7 @@ class TestCriterion2:
     def test_sgd_matches_log_space_kmeans_fixed_point(self, mixture3_ds, cluster_equiv_run):
         result, _ = cluster_equiv_run
         target = lloyd_log_l2(mixture3_ds.log_shapes(), MODES_INIT.copy())
-        dist = match_anchor_sets(result.anchors, AnchorSet.from_array(target))
+        dist = match_anchor_sets(result.anchors, AnchorSet.from_array(target))[1].mean()
         report(dist < 1e-3, 2,
                f"SGD with the clustering term pinned lands on the log-space k-means "
                f"fixed point (mean matched distance {dist:.2e})")
@@ -217,7 +217,7 @@ class TestCriterion4:
         for _, init in three_inits(voc_ds):
             finals.append(run_training(voc_ds, init, self._cfg()).anchors)
         spread = max(
-            match_anchor_sets(finals[a], finals[b])
+            match_anchor_sets(finals[a], finals[b])[1].mean()
             for a in range(3) for b in range(a + 1, 3)
         )
 
@@ -325,8 +325,8 @@ class TestCriterion8:
     def test_kmeans_anchors_beat_uniform_coverage(self, mixture3_ds):
         km = init_kmeans(mixture3_ds, num_anchors=5, seed=2)
         uni = init_uniform(stride=32)
-        km_iou = avg_best_iou(km, mixture3_ds)
-        uni_iou = avg_best_iou(uni, mixture3_ds)
+        km_iou = coverage(km, mixture3_ds, ())[0]
+        uni_iou = coverage(uni, mixture3_ds, ())[0]
         report(km_iou > uni_iou, 8,
                f"k-means initialization covers the data better than the uniform "
                f"fallback ({km_iou:.4f} vs {uni_iou:.4f} average best IoU)")
@@ -354,8 +354,8 @@ class TestCriterion9:
                                self._cfg(sigma=0.0))
         useless = run_training(mixture3_ds, AnchorSet.from_array(MODES_INIT.copy()),
                                self._cfg(sigma=10.0))
-        d_perfect = match_anchor_sets(perfect.anchors, target)
-        d_useless = match_anchor_sets(useless.anchors, target)
+        d_perfect = match_anchor_sets(perfect.anchors, target)[1].mean()
+        d_useless = match_anchor_sets(useless.anchors, target)[1].mean()
         loss_ordered = (perfect.trajectory.final_smoothed_loss
                         < useless.trajectory.final_smoothed_loss)
         report(loss_ordered and d_useless < d_perfect, 9,

@@ -314,6 +314,19 @@ class TestOptimize:
         assert "holds 2 anchors" in err and "num_anchors is 3" in err
         assert not opt_out.exists()
 
+    def test_init_file_for_other_canvas_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        init = tmp_path / "anchors608.json"
+        anchorforge.write_anchors_json(init, anchorforge.init_uniform(), canvas=608)
+        opt_out = tmp_path / "o"
+        rc = main([
+            "optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+            "--iters", "10", "--no-head", "--out-dir", str(opt_out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "canvas 608" in err and "canvas 416" in err
+        assert not opt_out.exists()
+
 
 class TestEvalAndCompare:
     def test_eval_writes_reports(self, tmp_path, dataset_file, capsys):
@@ -349,6 +362,26 @@ class TestEvalAndCompare:
         assert rc == 2
         assert "tau must lie in (0, 1)" in capsys.readouterr().err
         assert not e.exists()
+
+    def test_eval_anchors_for_other_canvas_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        anchors = tmp_path / "anchors608.json"
+        anchorforge.write_anchors_json(anchors, anchorforge.init_uniform(), canvas=608)
+        e = tmp_path / "e"
+        rc = main(["eval", "--dataset", str(dataset_file), "--anchors", str(anchors), "--out-dir", str(e)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "canvas 608" in err and "canvas 416" in err
+        assert not e.exists()
+
+    def test_compare_files_for_other_canvases_rejected(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        anchorforge.write_anchors_json(a, anchorforge.init_uniform(), canvas=416)
+        anchorforge.write_anchors_json(b, anchorforge.init_uniform(), canvas=608)
+        rc = main(["compare", str(a), str(b)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "canvas 608" in captured.err and "canvas 416" in captured.err
+        assert captured.out == ""
 
     def test_compare_prints_mean_distance(self, tmp_path, dataset_file, capsys):
         c1, c2 = tmp_path / "c1", tmp_path / "c2"

@@ -1,28 +1,29 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorforge import (
     AnchorSet,
     CanonicalDataset,
     ParseError,
     anchors_line,
-    avg_best_iou,
     build_report,
     coverage,
     match_anchor_sets,
-    match_pairing,
     read_anchors_json,
-    recall_at,
     render_text,
-    report_from_json,
     report_to_json,
     write_anchors_json,
 )
+from anchorforge.cluster import ASSIGN_BLOCK
 from anchorforge.report import PROXY_BANNER
-from oracles import iou_of_wh
+from oracles import full_matrix_report, iou_of_wh
 
 
 def ds_of(wh_pairs, canvas=416):
@@ -41,46 +42,44 @@ class TestCoverageMetrics:
         anchors = anchors_of([(10.0, 10.0)])
         a = iou_of_wh((10.0, 10.0), (10.0, 10.0))
         b = iou_of_wh((20.0, 20.0), (10.0, 10.0))
-        assert math.isclose(avg_best_iou(anchors, ds), (a + b) / 2.0, rel_tol=1e-9)
+        assert math.isclose(coverage(anchors, ds, ())[0], (a + b) / 2.0, rel_tol=1e-9)
 
     def test_best_of_several_anchors(self):
         ds = ds_of([(10.0, 10.0)])
         anchors = anchors_of([(100.0, 100.0), (10.0, 10.0)])
-        assert math.isclose(avg_best_iou(anchors, ds), 1.0, rel_tol=1e-9)
+        assert math.isclose(coverage(anchors, ds, ())[0], 1.0, rel_tol=1e-9)
 
     def test_recall_counts_threshold(self):
         ds = ds_of([(10.0, 10.0), (40.0, 40.0)])
         anchors = anchors_of([(10.0, 10.0)])
-        assert recall_at(anchors, ds, 0.5) == 0.5
-        assert recall_at(anchors, ds, 0.05) == 1.0
+        assert coverage(anchors, ds, (0.5, 0.05))[1] == {0.5: 0.5, 0.05: 1.0}
 
     def test_recall_tau_validated(self):
         ds = ds_of([(10.0, 10.0)])
         anchors = anchors_of([(10.0, 10.0)])
         for tau in (0.0, 1.0):
             with pytest.raises(ValueError):
-                recall_at(anchors, ds, tau)
+                coverage(anchors, ds, (tau,))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            avg_best_iou(anchors_of([(10.0, 10.0)]), ds_of([]))
+            coverage(anchors_of([(10.0, 10.0)]), ds_of([]), ())
 
-    def test_coverage_matches_separate_metrics(self):
-        """One best-IoU pass gives the same numbers as avg_best_iou and recall_at."""
+    def test_blocked_pass_matches_full_matrix(self):
+        """Scoring ASSIGN_BLOCK rows at a time gives the numbers of one full IoU matrix."""
         rng = np.random.default_rng(82)
-        ds = ds_of(np.exp(rng.normal(3.5, 0.8, size=(300, 2))).clip(1.0, 400.0))
+        ds = ds_of(np.exp(rng.normal(3.5, 0.8, size=(2 * ASSIGN_BLOCK + 300, 2))).clip(1.0, 400.0))
         anchors = anchors_of(np.exp(rng.normal(3.5, 0.8, size=(5, 2))))
+        best = full_matrix_report(ds.shapes(), np.exp(anchors.as_array()), 0.5)[0]
         avg, recall = coverage(anchors, ds, (0.5, 0.75, 0.3))
-        assert avg == avg_best_iou(anchors, ds)
-        assert recall == {t: recall_at(anchors, ds, t) for t in (0.5, 0.75, 0.3)}
-        with pytest.raises(ValueError):
-            coverage(anchors, ds, (1.0,))
+        assert avg == float(best.mean())
+        assert recall == {t: float(np.mean(best >= t)) for t in (0.5, 0.75, 0.3)}
 
 
 class TestMatchAnchorSets:
     def test_identical_sets_zero(self):
         a = anchors_of([(10.0, 12.0), (50.0, 40.0), (200.0, 180.0)])
-        assert match_anchor_sets(a, a) == 0.0
+        assert match_anchor_sets(a, a)[1].mean() == 0.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(81)
@@ -89,7 +88,7 @@ class TestMatchAnchorSets:
             arr = rng.normal(3.0, 1.0, size=(n, 2))
             a = AnchorSet.from_array(arr)
             b = AnchorSet.from_array(arr[rng.permutation(n)])
-            assert match_anchor_sets(a, b) < 1e-12
+            assert match_anchor_sets(a, b)[1].mean() < 1e-12
 
     def test_matches_brute_force(self):
         """The subset DP finds the same optimum as trying every pairing."""
@@ -104,19 +103,18 @@ class TestMatchAnchorSets:
                 sum(dist[i, p[i]] for i in range(n)) / n
                 for p in itertools.permutations(range(n))
             )
-            assert math.isclose(match_anchor_sets(a, b), best, rel_tol=1e-12)
+            assert math.isclose(match_anchor_sets(a, b)[1].mean(), best, rel_tol=1e-12)
 
     def test_pairing_consistent_with_distance(self):
         rng = np.random.default_rng(83)
         la = rng.normal(3.0, 1.0, size=(5, 2))
         lb = rng.normal(3.0, 1.0, size=(5, 2))
         a, b = AnchorSet.from_array(la), AnchorSet.from_array(lb)
-        pairs = match_pairing(a, b)
-        assert sorted(i for i, _ in pairs) == list(range(5))
+        pairs, dists = match_anchor_sets(a, b)
+        assert [i for i, _ in pairs] == list(range(5))
         assert sorted(j for _, j in pairs) == list(range(5))
         dist = np.sqrt(((la[:, None, :] - lb[None, :, :]) ** 2).sum(axis=2))
-        mean = sum(dist[i, j] for i, j in pairs) / 5
-        assert math.isclose(mean, match_anchor_sets(a, b), rel_tol=1e-12)
+        np.testing.assert_array_equal(dists, [dist[i, j] for i, j in pairs])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -162,15 +160,85 @@ class TestBuildReport:
         assert "recall@0.5" in text
         assert text.count("\n") >= 7
 
-    def test_json_round_trip(self):
+    @pytest.mark.parametrize("rule,threshold_tau,taus", [
+        ("threshold", 1.0, (0.5,)), ("threshold", 0.0, (0.5,)), ("yolo", 0.5, (0.5, 1.5)),
+    ])
+    def test_bad_tau(self, rule, threshold_tau, taus):
+        ds = ds_of([(10.0, 10.0)])
+        with pytest.raises(ValueError, match="tau must lie in"):
+            build_report(anchors_of([(10.0, 10.0)]), ds, assignment_rule=rule, taus=taus, threshold_tau=threshold_tau)
+
+    @pytest.mark.parametrize("rule", ["yolo", "threshold"])
+    def test_empty_dataset(self, rule):
+        with pytest.raises(ValueError, match="empty"):
+            build_report(anchors_of([(10.0, 10.0)]), ds_of([]), assignment_rule=rule)
+
+    def test_json_holds_every_field(self):
         ds = ds_of([(10.0, 10.0), (50.0, 60.0), (200.0, 150.0)])
         report = build_report(anchors_of([(12.0, 11.0), (55.0, 70.0)]), ds, taus=(0.5, 0.75))
-        back = report_from_json(report_to_json(report))
-        assert back == report
+        doc = json.loads(report_to_json(report))
+        assert (doc["kind"], doc["version"]) == ("anchorforge-report", 1)
+        assert (doc["canvas"], doc["stride"], doc["assignment_rule"]) == (416, 32, "yolo")
+        assert doc["avg_best_iou"] == report.avg_best_iou
+        assert doc["recall_at"] == {"0.5": report.recall_at[0.5], "0.75": report.recall_at[0.75]}
+        assert doc["utilization"] == list(report.utilization)
+        assert [tuple(wh) for wh in doc["anchors"]] == list(report.anchors_wh)
 
-    def test_from_json_rejects_other_kinds(self):
-        with pytest.raises(ValueError):
-            report_from_json('{"kind": "something-else", "version": 1}')
+
+class TestReportMatchesFullMatrix:
+    """build_report scores boxes in blocks; on data full of exact IoU ties it
+    must give the numbers of the full (n, A) matrix bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        distinct=st.integers(1, 30),
+        n=st.integers(1, 200),
+        num_anchors=st.integers(1, 10),
+        from_boxes=st.integers(0, 10),
+        tau=st.sampled_from([0.25, 0.5, 0.75]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, distinct, n, num_anchors, from_boxes, tau, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct shapes with sizes rounded to halves: duplicate boxes and many exact ties
+        palette = np.clip(np.round(2.0 * np.exp(rng.normal(3.0, 1.0, size=(distinct, 2)))) / 2.0, 0.5, 416.0)
+        wh = palette[rng.integers(distinct, size=n)]
+        # anchors drawn from the palette too (duplicates); some are a box, or a box twice
+        # or four times as wide, with an IoU of exactly 1, 0.5 or 0.25 against it
+        anchor_wh = palette[rng.integers(distinct, size=num_anchors)]
+        m = min(from_boxes, num_anchors)
+        anchor_wh[:m] = wh[rng.integers(n, size=m)] * np.stack([rng.choice([1.0, 2.0, 4.0], size=m), np.ones(m)], axis=1)
+        ds = ds_of(wh)
+        anchors = anchors_of(anchor_wh)
+        best, yolo_util, threshold_util = full_matrix_report(
+            wh, np.exp(anchors.sorted_by_area().as_array()), tau)
+        taus = (tau, 0.5)
+        want_cov = (float(best.mean()), {float(t): float(np.mean(best >= t)) for t in taus})
+        assert coverage(anchors.sorted_by_area(), ds, taus) == want_cov
+        for rule, util in (("yolo", yolo_util), ("threshold", threshold_util)):
+            report = build_report(anchors, ds, assignment_rule=rule, taus=taus, threshold_tau=tau)
+            assert (report.avg_best_iou, report.recall_at) == want_cov
+            assert report.utilization == tuple(util.tolist())
+
+
+class TestReportMemory:
+    @pytest.mark.parametrize("k", [9, 15])
+    def test_peak_under_20_mb_at_300k_boxes(self, k):
+        """build_report holds no (n, A) matrix: 300k boxes cost blocks, not n x k arrays."""
+        rng = np.random.default_rng(k)
+        n = 300_000
+        w, h = np.exp(rng.normal(3.5, 0.8, size=(2, n))).clip(1.0, 400.0)
+        center = np.full(n, 208.0)
+        ds = CanonicalDataset(416, ("img",) * n, center, center, w, h)
+        anchors = anchors_of(np.exp(rng.normal(3.5, 0.8, size=(k, 2))))
+        for rule in ("yolo", "threshold"):
+            tracemalloc.start()
+            try:
+                build_report(anchors, ds, assignment_rule=rule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 20 * 2**20, f"{rule}: build_report peaked at {peak / 2**20:.1f} MB"
 
 
 class TestAnchorsFile:
