@@ -9,7 +9,6 @@ clusterer is included both as an initializer and as a baseline.
 from __future__ import annotations
 
 from .assign import (
-    WarmupSchedule,
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -44,10 +43,9 @@ from .ingest import (
 )
 from .lossgrad import (
     BN_EPS,
-    HeadGrads,
-    HeadParams,
     grad_head,
     head_outputs,
+    initial_head,
     make_features,
 )
 from .report import (
@@ -83,8 +81,6 @@ __all__ = [
     "CanonicalDataset",
     "EpochUtilization",
     "HeadConfig",
-    "HeadGrads",
-    "HeadParams",
     "KMeansResult",
     "METRICS",
     "NonFiniteLossError",
@@ -94,7 +90,6 @@ __all__ = [
     "TrainResult",
     "Trajectory",
     "TrajectoryRow",
-    "WarmupSchedule",
     "anchors_from_centroids",
     "anchors_line",
     "build_report",
@@ -107,6 +102,7 @@ __all__ = [
     "init_identical",
     "init_kmeans",
     "init_uniform",
+    "initial_head",
     "iou_aligned_matrix",
     "kmeans_iou",
     "lr_at",

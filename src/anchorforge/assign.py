@@ -12,58 +12,40 @@ training falls back to the hard rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geometry import Metric, log_shapes_array, shape_dist_matrix
 
-
-@dataclass(frozen=True)
-class WarmupSchedule:
-    """Linear decay schedules for the soft-assignment temperature and the
-    clustering-term coefficient.
-
-    With ``warmup_iters == 0`` both warm-ups are disabled: training is
-    hard from the first iteration and the clustering coefficient is 0.
-    """
-
-    warmup_iters: int = 1500
-    temp_start: float = 2.0
-    temp_floor: float = 1e-2
-    lambda_start: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.warmup_iters < 0:
-            raise ValueError("warmup_iters must be >= 0")
-        if self.temp_floor <= 0.0 or self.temp_start <= 0.0:
-            raise ValueError("temperatures must be positive")
-        if not 0.0 <= self.lambda_start <= 1.0:
-            raise ValueError("lambda_start must lie in [0, 1]")
+# the warm-up's starting temperature, its floor and the starting clustering coefficient
+TEMP_START = 2.0
+TEMP_FLOOR = 1e-2
+LAMBDA_START = 1.0
 
 
-def temperature_at(t: int, sched: WarmupSchedule) -> Optional[float]:
+def temperature_at(t: int, warmup_iters: int) -> Optional[float]:
     """Soft-assignment temperature at iteration ``t``.
 
-    Returns ``None`` once the warm-up window has passed, which is the
-    hard-mode sentinel: callers switch to their hard assignment rule.
+    Returns ``None`` once the warm-up window has passed (always, when
+    ``warmup_iters`` is 0), which is the hard-mode sentinel: callers
+    switch to their hard assignment rule.
     """
-    if t < 0:
-        raise ValueError("iteration index must be >= 0")
-    if sched.warmup_iters == 0 or t >= sched.warmup_iters:
+    if t < 0 or warmup_iters < 0:
+        raise ValueError(f"iteration index and warmup_iters must be >= 0, got {t} and {warmup_iters}")
+    if warmup_iters == 0 or t >= warmup_iters:
         return None
-    value = sched.temp_start * (1.0 - t / sched.warmup_iters)
-    return max(sched.temp_floor, value)
+    return max(TEMP_FLOOR, TEMP_START * (1.0 - t / warmup_iters))
 
 
-def cluster_weight_at(t: int, sched: WarmupSchedule) -> float:
-    """Clustering-term coefficient at iteration ``t`` (linear decay to 0)."""
-    if t < 0:
-        raise ValueError("iteration index must be >= 0")
-    if sched.warmup_iters == 0:
+def cluster_weight_at(t: int, warmup_iters: int) -> float:
+    """Clustering-term coefficient at iteration ``t`` (linear decay to 0;
+    0 throughout when ``warmup_iters`` is 0)."""
+    if t < 0 or warmup_iters < 0:
+        raise ValueError(f"iteration index and warmup_iters must be >= 0, got {t} and {warmup_iters}")
+    if warmup_iters == 0:
         return 0.0
-    return sched.lambda_start * max(0.0, 1.0 - t / sched.warmup_iters)
+    return LAMBDA_START * max(0.0, 1.0 - t / warmup_iters)
 
 
 def hard_assign_yolo(

@@ -34,7 +34,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .assign import WarmupSchedule
 from .cluster import anchors_from_centroids, init_identical, init_kmeans, init_uniform, kmeans_iou
 from .geometry import METRICS, AnchorSet
 from .ingest import (
@@ -82,6 +81,11 @@ def _parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
     if not segments:
         raise ValueError("empty learning-rate schedule")
     return tuple(segments)
+
+
+def _parse_cluster_weight(text: str) -> "str | float":
+    value = text.strip().lower()
+    return value if value == "anneal" else float(value)
 
 
 def _parse_taus(text: str) -> tuple[float, ...]:
@@ -159,7 +163,9 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "metric": _Opt(str, "one_minus_iou", METRICS),
         "rule": _Opt(str, "yolo", _RULES),
         "tau": _Opt(float, 0.5, help="IoU threshold for the threshold rule", check=_OPEN_UNIT),
-        "cluster_weight": _Opt(str, "anneal", help="'anneal' or a fixed coefficient in [0, 1]"),
+        "cluster_weight": _Opt(_parse_cluster_weight, "anneal", help="'anneal' or a fixed coefficient in [0, 1]",
+                               check=("must be 'anneal' or a number in [0, 1]",
+                                      lambda v: v == "anneal" or 0.0 <= v <= 1.0)),
         "head": _Opt(_parse_bool, True, kind="toggle"),
         "sigma": _Opt(float, 0.3, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
         "init_scale": _Opt(float, 0.1, check=_NONNEGATIVE),
@@ -271,7 +277,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         boxes = parse_voc(opt["input"], include_difficult=not opt["exclude_difficult"], counters=counters)
     else:
         boxes = parse_csv(opt["input"], counters=counters)
-    ds = normalize_to_canvas(boxes, int(opt["canvas"]), min_size=float(opt["min_size"]), source=str(opt["input"]))
+    ds = normalize_to_canvas(boxes, int(opt["canvas"]), min_size=float(opt["min_size"]))
     out_dir = _make_run_dir(args, "ingest")
     out_path = out_dir / "dataset.canonical"
     write_canonical(ds, out_path)
@@ -282,7 +288,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if key in counters:
             print(f"  {key}: {counters[key]}")
     print(f"kept {len(ds)} after normalization to canvas {ds.canvas_size} "
-          f"({ds.metadata.get('dropped', 0)} dropped below min size)")
+          f"({len(boxes) - len(ds)} dropped below min size)")
     if len(ds):
         shapes = ds.shapes()
         print("shape quantiles (5/25/50/75/95):")
@@ -381,28 +387,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
 
-    cw_text = str(opt["cluster_weight"]).strip().lower()
-    if cw_text == "anneal":
-        cw_mode, cw_fixed = "anneal", 0.0
-    else:
-        try:
-            cw_mode, cw_fixed = "fixed", float(cw_text)
-        except ValueError:
-            raise ParseError(f"cluster_weight must be 'anneal' or a number, got {opt['cluster_weight']!r}") from None
-
     cfg = TrainConfig(
         iters=iters,
         batch_size=int(opt["batch_size"]),
         momentum=float(opt["momentum"]),
         lr_schedule=schedule,
-        warmup=WarmupSchedule(warmup_iters=warmup_iters),
+        warmup_iters=warmup_iters,
         anchor_lr_multiplier=float(opt["anchor_lr_mult"]),
         train_anchors=not bool(opt["freeze_anchors"]),
         assignment_rule=str(opt["rule"]),
         threshold_tau=float(opt["tau"]),
         metric=str(opt["metric"]),
-        cluster_weight_mode=cw_mode,
-        cluster_weight_fixed=cw_fixed,
+        cluster_weight=None if opt["cluster_weight"] == "anneal" else opt["cluster_weight"],
         head=HeadConfig(
             enabled=bool(opt["head"]),
             sigma=float(opt["sigma"]),
@@ -526,10 +522,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonFiniteLossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

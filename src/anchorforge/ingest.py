@@ -71,7 +71,6 @@ class CanonicalDataset:
     cy: np.ndarray
     w: np.ndarray
     h: np.ndarray
-    metadata: dict = field(default_factory=dict)
     _shapes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -304,14 +303,12 @@ def normalize_to_canvas(
     boxes: ParsedBoxes,
     canvas_size: int,
     min_size: float = 1e-3,
-    source: str = "",
 ) -> CanonicalDataset:
     """Rescale boxes from their image frames onto a square canvas.
 
     Each axis scales independently by canvas/image dimension, so aspect
     ratios change exactly as they would under letterbox-free resizing.
-    Boxes whose scaled width or height falls below min_size are dropped
-    and counted in the result metadata.
+    Boxes whose scaled width or height falls below min_size are dropped.
     """
     sx, sy = (canvas_size / boxes.sizes).T
     x0, y0, x1, y1 = boxes.corners.T
@@ -319,12 +316,9 @@ def normalize_to_canvas(
     h = (y1 - y0) * sy
     keep = (w >= min_size) & (h >= min_size)
     ids = tuple(itertools.compress(boxes.image_ids, keep.tolist()))
-    metadata = {"source_boxes": len(boxes), "dropped": len(boxes) - len(ids)}
-    if source:
-        metadata["source"] = source
     cx = (x0 + x1) / 2.0 * sx
     cy = (y0 + y1) / 2.0 * sy
-    return CanonicalDataset(canvas_size, ids, cx[keep], cy[keep], w[keep], h[keep], metadata)
+    return CanonicalDataset(canvas_size, ids, cx[keep], cy[keep], w[keep], h[keep])
 
 
 def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
@@ -370,6 +364,6 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
                     raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
             raise ParseError(f"{path}: {e}") from None
     try:
-        return CanonicalDataset(canvas, ids, *values.T, {"path": str(path)})
+        return CanonicalDataset(canvas, ids, *values.T)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None

@@ -27,7 +27,6 @@ for the same inputs are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,55 +36,13 @@ from .geometry import log_shapes_array
 BN_EPS = 1e-5
 
 
-@dataclass
-class HeadParams:
-    """Per-anchor affine regressor standing in for a detector head.
-
-    u: (A, 2, 2) linear maps, c: (A, 2) biases, gamma: (A, 2) positive
-    normalization scales (one per output channel), sigma: standard
-    deviation of the Gaussian feature noise. sigma is the capacity knob:
-    at 0 the features expose the regression target exactly, large values
-    leave almost no usable signal.
-    """
-
-    u: np.ndarray
-    c: np.ndarray
-    gamma: np.ndarray
-    sigma: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.u = np.asarray(self.u, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        a = self.u.shape[0]
-        if self.u.shape != (a, 2, 2) or self.c.shape != (a, 2) or self.gamma.shape != (a, 2):
-            raise ValueError("inconsistent head parameter shapes")
-        if np.any(self.gamma <= 0.0):
-            raise ValueError("gamma scales must be positive")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
-
-    @classmethod
-    def initial(
-        cls,
-        num_anchors: int,
-        sigma: float = 0.0,
-        init_scale: float = 0.1,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "HeadParams":
-        """Random linear maps, zero biases, unit scales."""
-        rng = rng if rng is not None else np.random.default_rng(0)
-        u = init_scale * rng.standard_normal((num_anchors, 2, 2))
-        return cls(u, np.zeros((num_anchors, 2)), np.ones((num_anchors, 2)), sigma)
-
-
-@dataclass(frozen=True)
-class HeadGrads:
-    """Gradients of the total loss with respect to HeadParams fields."""
-
-    u: np.ndarray
-    c: np.ndarray
-    gamma: np.ndarray
+def initial_head(
+    num_anchors: int, init_scale: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starting head parameters (u, c, gamma): random (A, 2, 2) linear maps
+    of scale init_scale, zero (A, 2) biases and unit (A, 2) scales."""
+    u = init_scale * rng.standard_normal((num_anchors, 2, 2))
+    return u, np.zeros((num_anchors, 2)), np.ones((num_anchors, 2))
 
 
 def make_features(
@@ -115,7 +72,9 @@ def head_outputs(
 ) -> tuple[np.ndarray, Optional[tuple]]:
     """Head forward pass for every (ground truth, anchor) pair.
 
-    u, c and gamma are the :class:`HeadParams` arrays; features is the
+    u, c and gamma are the head parameters of :func:`initial_head`: per
+    anchor a (2, 2) linear map, a bias and a positive scale per output
+    channel. features is the
     (n, 2) array from :func:`make_features`; member is the (n, A)
     boolean mask of the pairs the assignment covers, which define the
     batch-normalization groups: one group per anchor column, or one
@@ -189,8 +148,9 @@ def grad_head(
     features: np.ndarray,
     member: np.ndarray,
     gamma: np.ndarray,
-) -> HeadGrads:
-    """Gradients of the loss with respect to the head parameters.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (gu, gc, ggamma) of the loss with respect to the head
+    parameters u, c and gamma.
 
     Chain rule from the offset gradient ``dout`` of
     :func:`_loss_from_arrays` through the batch normalization (including
@@ -214,4 +174,4 @@ def grad_head(
         m2 = (dxhat * xhat).sum(axis=axes, keepdims=True) / denom
         draw = np.where(active, istd * (dxhat - m1 - xhat * m2), dout)
     gu = (draw.reshape(n, 2 * a).T @ features).reshape(a, 2, 2)
-    return HeadGrads(gu, draw.sum(axis=0), gg)
+    return gu, draw.sum(axis=0), gg

@@ -86,8 +86,6 @@ def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int]
     for mask in range(full):
         i = bin(mask).count("1")
         base = best[mask]
-        if not np.isfinite(base):
-            continue
         for j in range(n):
             bit = 1 << j
             if mask & bit:
@@ -201,11 +199,14 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
     try:
-        canvas = int(doc["canvas"])
-        stride = int(doc["stride"])
+        canvas, stride = doc["canvas"], doc["stride"]
         pairs = [(float(w), float(h)) for w, h in doc["anchors"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: not a valid anchors file: {e}") from None
+    for key, value in (("canvas", canvas), ("stride", stride)):
+        # bool is an int subclass: "canvas": true must not read as canvas 1
+        if type(value) is not int or value < 1:
+            raise ParseError(f"{path}: {key} must be an integer >= 1, got {json.dumps(value)}")
     if not pairs:
         raise ParseError(f"{path}: anchors list is empty")
     try:

@@ -8,8 +8,8 @@ Classic momentum SGD over the summed batch loss:
 The learning rate follows a step schedule. During the warm-up window,
 responsibilities come from the temperature-annealed soft rule and the
 clustering term is active; afterwards training falls back to the
-configured hard rule with the clustering coefficient at its scheduled
-value (0 once annealed). Batches are drawn from a seeded shuffle that
+configured hard rule with the clustering coefficient at 0, unless the
+config pins it. Batches are drawn from a seeded shuffle that
 reshuffles every epoch, and every reduction runs in a fixed order, so a
 run is bitwise reproducible for a given config and seed.
 """
@@ -24,7 +24,6 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .assign import (
-    WarmupSchedule,
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -34,13 +33,7 @@ from .assign import (
 )
 from .geometry import METRICS, AnchorSet, Metric
 from .ingest import CanonicalDataset
-from .lossgrad import (
-    HeadParams,
-    _loss_from_arrays,
-    grad_head,
-    head_outputs,
-    make_features,
-)
+from .lossgrad import _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
 
 SMOOTHING_WINDOW = 100
 
@@ -81,14 +74,13 @@ class TrainConfig:
     batch_size: int = 64
     momentum: float = 0.9
     lr_schedule: tuple[tuple[int, float], ...] = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
-    warmup: WarmupSchedule = WarmupSchedule()
+    warmup_iters: int = 1500
     anchor_lr_multiplier: float = 1.0
     train_anchors: bool = True
     assignment_rule: str = "yolo"
     threshold_tau: float = 0.5
     metric: Metric = "one_minus_iou"
-    cluster_weight_mode: str = "anneal"
-    cluster_weight_fixed: float = 0.0
+    cluster_weight: Optional[float] = None  # pinned for the whole run; None anneals it
     head: HeadConfig = field(default_factory=HeadConfig)
     seed: int = 0
     log_every: int = 50
@@ -96,6 +88,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
+        if self.warmup_iters < 0:
+            raise ValueError("warmup_iters must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
@@ -115,10 +109,8 @@ class TrainConfig:
             raise ValueError(f"tau must lie in (0, 1), got {self.threshold_tau}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
-        if self.cluster_weight_mode not in ("anneal", "fixed"):
-            raise ValueError(f"unknown cluster weight mode {self.cluster_weight_mode!r}")
-        if not 0.0 <= self.cluster_weight_fixed <= 1.0:
-            raise ValueError("cluster_weight_fixed must lie in [0, 1]")
+        if self.cluster_weight is not None and not 0.0 <= self.cluster_weight <= 1.0:
+            raise ValueError(f"cluster_weight must lie in [0, 1], got {self.cluster_weight}")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -175,13 +167,11 @@ class Trajectory:
     rows: list[TrajectoryRow] = field(default_factory=list)
     epoch_utilization: list[EpochUtilization] = field(default_factory=list)
     final_smoothed_loss: Optional[float] = None
-    smoothed_loss_at_warmup_end: Optional[float] = None
 
 
 @dataclass
 class TrainResult:
     anchors: AnchorSet
-    head: Optional[HeadParams]
     trajectory: Trajectory
 
 
@@ -222,8 +212,7 @@ def run_training(
 
     u = c = gamma = None
     if cfg.head.enabled:
-        head0 = HeadParams.initial(num_anchors, cfg.head.sigma, cfg.head.init_scale, rng)
-        u, c, gamma = head0.u, head0.c, head0.gamma
+        u, c, gamma = initial_head(num_anchors, cfg.head.init_scale, rng)
         vel_u, vel_c, vel_gamma = np.zeros_like(u), np.zeros_like(c), np.zeros_like(gamma)
 
     log_g = ds.log_shapes()
@@ -262,7 +251,7 @@ def run_training(
             cursor += cfg.batch_size
             batch_g = log_g[batch_idx]
 
-            temp = temperature_at(t, cfg.warmup)
+            temp = temperature_at(t, cfg.warmup_iters)
             soft = temp is not None
             if soft:
                 w = soft_assign(batch_g, s, cfg.metric, temp)
@@ -271,10 +260,9 @@ def run_training(
             else:
                 w = hard_assign_yolo(batch_g, s, cfg.metric)
 
-            if cfg.cluster_weight_mode == "fixed":
-                lam = cfg.cluster_weight_fixed
-            else:
-                lam = cluster_weight_at(t, cfg.warmup)
+            lam = cfg.cluster_weight
+            if lam is None:
+                lam = cluster_weight_at(t, cfg.warmup_iters)
 
             if u is not None:
                 # every pair belongs to a soft assignment, even where its
@@ -293,19 +281,15 @@ def run_training(
                 raise NonFiniteLossError(t, loss, s.copy())
 
             ema = loss if ema is None else (1.0 - alpha) * ema + alpha * loss
-            if cfg.warmup.warmup_iters > 0 and t == cfg.warmup.warmup_iters - 1:
-                trajectory.smoothed_loss_at_warmup_end = ema
-            elif cfg.warmup.warmup_iters == 0 and t == 0:
-                trajectory.smoothed_loss_at_warmup_end = ema
 
             lr = lr_at(t, cfg.lr_schedule)
             if cfg.train_anchors:
                 s, vel_s = sgd_step(s, gs, vel_s, lr * cfg.anchor_lr_multiplier, cfg.momentum)
             if u is not None:
-                hg = grad_head(dout, cache, features, member, gamma)
-                u, vel_u = sgd_step(u, hg.u, vel_u, lr, cfg.momentum)
-                c, vel_c = sgd_step(c, hg.c, vel_c, lr, cfg.momentum)
-                gamma, vel_gamma = sgd_step(gamma, hg.gamma, vel_gamma, lr, cfg.momentum)
+                gu, gc, ggamma = grad_head(dout, cache, features, member, gamma)
+                u, vel_u = sgd_step(u, gu, vel_u, lr, cfg.momentum)
+                c, vel_c = sgd_step(c, gc, vel_c, lr, cfg.momentum)
+                gamma, vel_gamma = sgd_step(gamma, ggamma, vel_gamma, lr, cfg.momentum)
                 # keep scales strictly positive; BN output is odd in gamma so
                 # the loss landscape does not need the sign
                 gamma = np.maximum(gamma, 1e-6)
@@ -341,6 +325,4 @@ def run_training(
             EpochUtilization(epoch, epoch_start_iter, cfg.iters - 1, epoch_counts.copy())
         )
     trajectory.final_smoothed_loss = ema
-    final_anchors = AnchorSet.from_array(s, anchors0.stride)
-    head = HeadParams(u, c, gamma, cfg.head.sigma) if u is not None else None
-    return TrainResult(final_anchors, head, trajectory)
+    return TrainResult(AnchorSet.from_array(s, anchors0.stride), trajectory)

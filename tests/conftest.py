@@ -26,4 +26,4 @@ def voc_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def voc_ds(voc_dir):
     boxes = parse_voc(voc_dir)
-    return normalize_to_canvas(boxes, 416, source="synthetic-corpus")
+    return normalize_to_canvas(boxes, 416)

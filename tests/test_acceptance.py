@@ -13,9 +13,7 @@ import synth
 from anchorforge import (
     AnchorSet,
     HeadConfig,
-    HeadParams,
     TrainConfig,
-    WarmupSchedule,
     cluster_weight_at,
     coverage,
     grad_head,
@@ -25,6 +23,7 @@ from anchorforge import (
     init_identical,
     init_kmeans,
     init_uniform,
+    initial_head,
     make_features,
     match_anchor_sets,
     run_training,
@@ -32,6 +31,7 @@ from anchorforge import (
     temperature_at,
     write_anchors_json,
 )
+from anchorforge.assign import TEMP_FLOOR
 from anchorforge.cli import main
 from anchorforge.lossgrad import _loss_from_arrays
 from oracles import fd_grad, lloyd_log_l2, rel_err, shape_dist
@@ -60,11 +60,10 @@ CLUSTER_EQUIV_CFG = TrainConfig(
     batch_size=64,
     momentum=0.9,
     lr_schedule=((0, 1e-2), (1000, 1e-3), (2000, 1e-4), (3500, 1e-5), (5500, 1e-6)),
-    warmup=WarmupSchedule(warmup_iters=0),
+    warmup_iters=0,
     assignment_rule="yolo",
     metric="sq_l2_log",
-    cluster_weight_mode="fixed",
-    cluster_weight_fixed=1.0,
+    cluster_weight=1.0,
     head=HeadConfig(enabled=False),
     seed=0,
 )
@@ -113,9 +112,9 @@ class TestCriterion1:
                         if mode == "no head":
                             out = np.zeros(w.shape + (2,))
                         else:
-                            head = HeadParams.initial(5, sigma=0.3, init_scale=0.1, rng=rng)
+                            head = initial_head(5, init_scale=0.1, rng=rng)
                             features = make_features(gts, 0.3, rng)
-                            out, cache = head_outputs(head.u, head.c, head.gamma, features,
+                            out, cache = head_outputs(*head, features,
                                                       member, bn=bn, bn_per_anchor=per_anchor)
 
                         _, analytic, dout = _loss_from_arrays(out, w, s, gts, lam)
@@ -127,24 +126,22 @@ class TestCriterion1:
                         worst = max(worst, rel_err(analytic, numeric))
 
                         if mode != "no head":
-                            hg = grad_head(dout, cache, features, member, head.gamma)
-                            nu, nc = head.u.size, head.c.size
-                            packed = np.concatenate(
-                                [head.u.ravel(), head.c.ravel(), head.gamma.ravel()])
+                            hg = grad_head(dout, cache, features, member, head[2])
+                            nu, nc = head[0].size, head[1].size
+                            packed = np.concatenate([p.ravel() for p in head])
 
                             def loss_of_head(vec, w=w, member=member, s=s, gts=gts, lam=lam,
                                              head=head, features=features, bn=bn,
                                              per_anchor=per_anchor, nu=nu, nc=nc):
                                 o, _ = head_outputs(
-                                    vec[:nu].reshape(head.u.shape),
-                                    vec[nu:nu + nc].reshape(head.c.shape),
-                                    vec[nu + nc:].reshape(head.gamma.shape),
+                                    vec[:nu].reshape(head[0].shape),
+                                    vec[nu:nu + nc].reshape(head[1].shape),
+                                    vec[nu + nc:].reshape(head[2].shape),
                                     features, member, bn=bn, bn_per_anchor=per_anchor,
                                 )
                                 return _loss_from_arrays(o, w, s, gts, lam)[0]
 
-                            analytic_h = np.concatenate(
-                                [hg.u.ravel(), hg.c.ravel(), hg.gamma.ravel()])
+                            analytic_h = np.concatenate([g.ravel() for g in hg])
                             worst = max(worst, rel_err(analytic_h, fd_grad(loss_of_head, packed)))
                         instances += 1
         report(instances >= 100 and worst < 1e-5, 1,
@@ -169,10 +166,9 @@ class TestCriterion3:
             batch_size=64,
             momentum=0.9,
             lr_schedule=((0, 1e-4), (100, 1e-3), (2500, 1e-4), (4200, 1e-5)),
-            warmup=WarmupSchedule(warmup_iters=1000),
+            warmup_iters=1000,
             assignment_rule="yolo",
             metric="one_minus_iou",
-            cluster_weight_mode="anneal",
             train_anchors=train_anchors,
             head=HeadConfig(enabled=True, sigma=0.3, init_scale=0.1, bn=True),
             seed=seed,
@@ -204,10 +200,9 @@ class TestCriterion4:
             batch_size=64,
             momentum=0.9,
             lr_schedule=((0, 1e-4), (100, 1e-3), (4500, 1e-4), (8100, 1e-5)),
-            warmup=WarmupSchedule(warmup_iters=1500),
+            warmup_iters=1500,
             assignment_rule="yolo",
             metric="one_minus_iou",
-            cluster_weight_mode="anneal",
             head=HeadConfig(enabled=True, sigma=0.3, init_scale=0.1, bn=True),
             seed=40,
         )
@@ -242,10 +237,9 @@ class TestCriterion5:
             batch_size=64,
             momentum=0.9,
             lr_schedule=((0, 1e-4), (100, 1e-3), (1500, 1e-4), (2700, 1e-5)),
-            warmup=WarmupSchedule(warmup_iters=1500),
+            warmup_iters=1500,
             assignment_rule="yolo",
             metric="one_minus_iou",
-            cluster_weight_mode="anneal",
             head=HeadConfig(enabled=True, sigma=0.3, init_scale=0.1, bn=True),
             seed=17,
         )
@@ -259,7 +253,7 @@ class TestCriterion5:
         )
         epochs = [
             e for e in res.trajectory.epoch_utilization
-            if e.start_iter >= cfg.warmup.warmup_iters and int(e.counts.sum()) == n
+            if e.start_iter >= cfg.warmup_iters and int(e.counts.sum()) == n
         ]
         all_used = bool(epochs) and all(int(e.counts.min()) >= 1 for e in epochs)
         report(min_pair > 1e-6 and all_used, 5,
@@ -271,7 +265,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_soft_assignment_suite(self):
         rng = np.random.default_rng(33)
-        sched = WarmupSchedule()
+        warmup_iters = 1500
         rows_ok = True
         floor_agrees = True
         for _ in range(50):
@@ -282,16 +276,16 @@ class TestCriterion6:
             w = soft_assign(gts, s, metric, temperature=float(rng.uniform(0.05, 3.0)))
             rows_ok &= bool(np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-9))
 
-            at_floor = soft_assign(gts, s, metric, temperature=sched.temp_floor)
+            at_floor = soft_assign(gts, s, metric, temperature=TEMP_FLOOR)
             hard = hard_assign_yolo(gts, s, metric)
             floor_agrees &= bool(np.array_equal(np.argmax(at_floor, axis=1),
                                                 np.argmax(hard, axis=1)))
 
         schedules_ok = (
-            temperature_at(0, sched) == 2.0
-            and cluster_weight_at(0, sched) == 1.0
-            and temperature_at(sched.warmup_iters, sched) is None
-            and cluster_weight_at(sched.warmup_iters, sched) == 0.0
+            temperature_at(0, warmup_iters) == 2.0
+            and cluster_weight_at(0, warmup_iters) == 1.0
+            and temperature_at(warmup_iters, warmup_iters) is None
+            and cluster_weight_at(warmup_iters, warmup_iters) == 0.0
         )
         report(rows_ok and floor_agrees and schedules_ok, 6,
                "soft assignment rows sum to 1, the temperature floor matches hard "
@@ -339,11 +333,10 @@ class TestCriterion9:
             batch_size=64,
             momentum=0.9,
             lr_schedule=((0, 3e-5),),
-            warmup=WarmupSchedule(warmup_iters=0),
+            warmup_iters=0,
             assignment_rule="yolo",
             metric="sq_l2_log",
-            cluster_weight_mode="fixed",
-            cluster_weight_fixed=0.0,
+            cluster_weight=0.0,
             head=HeadConfig(enabled=True, sigma=sigma, init_scale=0.1, bn=False),
             seed=23,
         )

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anchorforge import (
     AnchorSet,
-    WarmupSchedule,
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -15,6 +14,7 @@ from anchorforge import (
     temperature_at,
     utilization_counts,
 )
+from anchorforge.assign import LAMBDA_START, TEMP_FLOOR, TEMP_START
 from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs
 from oracles import iou_of_wh, shape_dist, softmax_rows
 
@@ -201,45 +201,35 @@ class TestSoftAssign:
 
 class TestWarmupSchedules:
     def test_temperature_endpoints(self):
-        sched = WarmupSchedule(warmup_iters=1500, temp_start=2.0, temp_floor=1e-2)
-        assert temperature_at(0, sched) == 2.0
-        assert temperature_at(750, sched) == 1.0
-        assert temperature_at(1500, sched) is None
-        assert temperature_at(10_000, sched) is None
+        assert temperature_at(0, 1500) == TEMP_START == 2.0
+        assert temperature_at(750, 1500) == 1.0
+        assert temperature_at(1500, 1500) is None
+        assert temperature_at(10_000, 1500) is None
 
     def test_temperature_floor(self):
-        sched = WarmupSchedule(warmup_iters=1000, temp_start=2.0, temp_floor=0.5)
-        assert temperature_at(999, sched) == 0.5
+        assert temperature_at(999, 1000) == TEMP_FLOOR
 
     def test_temperature_monotone_nonincreasing(self):
-        sched = WarmupSchedule(warmup_iters=200)
-        values = [temperature_at(t, sched) for t in range(200)]
+        values = [temperature_at(t, 200) for t in range(200)]
         assert all(v is not None for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_zero_warmup_disables_both(self):
-        sched = WarmupSchedule(warmup_iters=0)
-        assert temperature_at(0, sched) is None
-        assert cluster_weight_at(0, sched) == 0.0
+        assert temperature_at(0, 0) is None
+        assert cluster_weight_at(0, 0) == 0.0
 
     def test_cluster_weight_decay(self):
-        sched = WarmupSchedule(warmup_iters=1500, lambda_start=1.0)
-        assert cluster_weight_at(0, sched) == 1.0
-        assert math.isclose(cluster_weight_at(750, sched), 0.5)
-        assert cluster_weight_at(1500, sched) == 0.0
-        assert cluster_weight_at(99_999, sched) == 0.0
+        assert cluster_weight_at(0, 1500) == LAMBDA_START == 1.0
+        assert math.isclose(cluster_weight_at(750, 1500), 0.5)
+        assert cluster_weight_at(1500, 1500) == 0.0
+        assert cluster_weight_at(99_999, 1500) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmupSchedule(warmup_iters=-1)
-        with pytest.raises(ValueError):
-            WarmupSchedule(temp_start=0.0)
-        with pytest.raises(ValueError):
-            WarmupSchedule(temp_floor=-1.0)
-        with pytest.raises(ValueError):
-            WarmupSchedule(lambda_start=1.5)
-        with pytest.raises(ValueError):
-            temperature_at(-1, WarmupSchedule())
+        for schedule in (temperature_at, cluster_weight_at):
+            with pytest.raises(ValueError):
+                schedule(-1, 1500)
+            with pytest.raises(ValueError):
+                schedule(0, -1)
 
 
 class TestUtilization:

@@ -62,6 +62,17 @@ class TestIngest:
         assert "parsed 50 boxes" in out
         assert "quantiles" in out
 
+    def test_prints_dropped_count(self, tmp_path, capsys):
+        csv_path = tmp_path / "boxes.csv"
+        write_csv(csv_path, n=50)
+        out = tmp_path / "run"
+        rc = main(["ingest", "--format", "csv", "--input", str(csv_path), "--min-size", "60", "--out-dir", str(out)])
+        assert rc == 0
+        kept = len((out / "dataset.canonical").read_text().splitlines()) - 1
+        assert 0 < kept < 50
+        assert f"kept {kept} after normalization to canvas 416 ({50 - kept} dropped below min size)" in (
+            capsys.readouterr().out)
+
     def test_unknown_format(self, tmp_path, capsys):
         rc = main(["ingest", "--format", "csv", "--input", str(tmp_path / "x.csv"),
                    "--out-dir", str(tmp_path / "run")])
@@ -278,6 +289,44 @@ class TestOptimize:
         for name in ("anchors.json", "trajectory.csv", "effective.cfg"):
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_effective_cfg_reproduces_fixed_cluster_weight_run(self, tmp_path, dataset_file):
+        first, second = tmp_path / "first", tmp_path / "second"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--num-anchors", "2", "--iters", "60",
+                   "--warmup-iters", "20", "--batch-size", "16", "--metric", "sq_l2_log",
+                   "--cluster-weight", "0.5", "--out-dir", str(first)])
+        assert rc == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(first / "effective.cfg")
+        assert cfg["optimize"]["cluster_weight"] == "0.5"
+        lambdas = [line.split(",")[2] for line in (first / "trajectory.csv").read_text().splitlines()[1:]]
+        assert lambdas and set(lambdas) == {"0.5"}
+        rc = main(["optimize", "--config", str(first / "effective.cfg"), "--out-dir", str(second)])
+        assert rc == 0
+        for name in ("anchors.json", "anchors.txt", "trajectory.csv", "summary.json", "effective.cfg"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan", "bogus"])
+    def test_bad_cluster_weight_rejected_before_dataset_is_read(self, tmp_path, capsys, via, value):
+        """The dataset is missing: the error names cluster_weight only if the check runs first."""
+        section = {"dataset": tmp_path / "missing.canonical", "iters": 20}
+        argv = []
+        if via == "flag":
+            argv = [f"--cluster-weight={value}"]
+        else:
+            section["cluster_weight"] = value
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[optimize]\n" + "".join(f"{k} = {v}\n" for k, v in section.items()))
+        out = tmp_path / "run"
+        try:
+            rc = main(["optimize", "--config", str(cfg_file), *argv, "--out-dir", str(out)])
+        except SystemExit as e:  # argparse refuses a flag value that does not parse
+            rc = e.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cluster_weight" in err and "missing.canonical" not in err
+        assert not out.exists()
+
     def test_threshold_tau_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
         """A bad tau fails at startup, not after the warm-up has been trained."""
         out = tmp_path / "opt"
@@ -382,6 +431,34 @@ class TestEvalAndCompare:
         captured = capsys.readouterr()
         assert "canvas 608" in captured.err and "canvas 416" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("canvas", 416.9), ("stride", 32.7), ("canvas", True), ("canvas", "416"), ("canvas", 0), ("stride", -32),
+    ])
+    def test_eval_anchors_file_needs_integer_canvas_and_stride(self, tmp_path, dataset_file, capsys, key, value):
+        """416.9 used to read as canvas 416 and pass the canvas check; true read as canvas 1."""
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps({"canvas": 416, "stride": 32, "anchors": [[30.0, 40.0]], key: value}))
+        e = tmp_path / "e"
+        rc = main(["eval", "--dataset", str(dataset_file), "--anchors", str(anchors), "--out-dir", str(e)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(anchors) in err and f"{key} must be an integer >= 1, got {json.dumps(value)}" in err
+        assert not e.exists()
+
+    @pytest.mark.parametrize("key, value", [("canvas", True), ("stride", 32.7)])
+    def test_compare_anchors_file_needs_integer_canvas_and_stride(self, tmp_path, capsys, key, value):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        anchorforge.write_anchors_json(a, anchorforge.init_uniform(), canvas=416)
+        doc = json.loads(a.read_text())
+        doc[key] = value
+        b.write_text(json.dumps(doc))
+        for argv in ([a, b], [b, a]):
+            rc = main(["compare", *map(str, argv)])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert f"{b}: {key} must be an integer >= 1" in captured.err
+            assert captured.out == ""
 
     def test_compare_prints_mean_distance(self, tmp_path, dataset_file, capsys):
         c1, c2 = tmp_path / "c1", tmp_path / "c2"

@@ -286,16 +286,14 @@ class TestNormalize:
         assert math.isclose(ds.w[0], 64.0 * 416 / 640)
         assert math.isclose(ds.h[0], 48.0 * 416 / 480)
 
-    def test_drops_tiny_and_counts(self):
+    def test_drops_tiny(self):
         boxes = parsed_of([
             ("i", 1000.0, 1000.0, 500.0, 500.0, 100.0, 100.0),
             ("i", 1000.0, 1000.0, 500.0, 500.0, 1e-6, 100.0),
         ])
-        ds = normalize_to_canvas(boxes, 416, min_size=1e-3, source="unit")
+        ds = normalize_to_canvas(boxes, 416, min_size=1e-3)
         assert len(ds) == 1
-        assert ds.metadata["source_boxes"] == 2
-        assert ds.metadata["dropped"] == 1
-        assert ds.metadata["source"] == "unit"
+        assert math.isclose(ds.w[0], 100.0 * 416 / 1000)
 
     def test_result_respects_canvas_bounds(self):
         rng = np.random.default_rng(61)

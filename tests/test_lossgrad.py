@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from anchorforge import (
     BN_EPS,
-    HeadParams,
-    WarmupSchedule,
     grad_head,
     hard_assign_threshold,
     hard_assign_yolo,
     head_outputs,
+    initial_head,
     make_features,
     soft_assign,
 )
+from anchorforge.assign import TEMP_FLOOR
 from anchorforge.lossgrad import _loss_from_arrays
 from oracles import cluster_term, fd_grad, head_loss_longhand, pair_loss, rel_err
 
@@ -63,7 +63,7 @@ def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
     u, c, gamma = head
     out, cache = head_outputs(u, c, gamma, features, member, bn=bn, bn_per_anchor=per_anchor)
     _, _, dout = _loss_from_arrays(out, w, s, g, lam)
-    analytic = grad_head(dout, cache, features, member, gamma)
+    gu, gc, ggamma = grad_head(dout, cache, features, member, gamma)
 
     def f_u(x):
         return kernel_loss(w, member, s, g, lam, (x, c, gamma), features, bn, per_anchor)
@@ -75,9 +75,9 @@ def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
         return kernel_loss(w, member, s, g, lam, (u, c, x), features, bn, per_anchor)
 
     return max(
-        rel_err(analytic.u, fd_grad(f_u, u)),
-        rel_err(analytic.c, fd_grad(f_c, c)),
-        rel_err(analytic.gamma, fd_grad(f_gamma, gamma)),
+        rel_err(gu, fd_grad(f_u, u)),
+        rel_err(gc, fd_grad(f_c, c)),
+        rel_err(ggamma, fd_grad(f_gamma, gamma)),
     )
 
 
@@ -255,25 +255,13 @@ class TestBatchNorm:
 
 class TestHeadForward:
     def test_initial_params(self):
-        rng = np.random.default_rng(36)
-        p = HeadParams.initial(4, sigma=0.5, init_scale=0.2, rng=rng)
-        assert p.u.shape == (4, 2, 2)
-        np.testing.assert_array_equal(p.c, 0.0)
-        np.testing.assert_array_equal(p.gamma, 1.0)
-        assert p.sigma == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HeadParams(np.zeros((2, 2, 2)), np.zeros((3, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            HeadParams(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            HeadParams(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.ones((2, 2)), sigma=-1.0)
+        u, c, gamma = initial_head(4, 0.2, np.random.default_rng(36))
+        np.testing.assert_array_equal(u, 0.2 * np.random.default_rng(36).standard_normal((4, 2, 2)))
+        np.testing.assert_array_equal(c, np.zeros((4, 2)))
+        np.testing.assert_array_equal(gamma, np.ones((4, 2)))
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_bad_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
-            HeadParams(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.ones((2, 2)), sigma=sigma)
         with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
             make_features(np.zeros((2, 2)), sigma, np.random.default_rng(0))
 
@@ -298,14 +286,14 @@ class TestHeadForward:
     def test_head_forward_affine(self):
         """Without BN the offset of pair (j, k) is u[k] @ features[j] + c[k]."""
         rng = np.random.default_rng(38)
-        p = HeadParams.initial(2, sigma=0.0, init_scale=0.3, rng=rng)
-        p.c = rng.normal(0.0, 0.5, size=(2, 2))
+        u, _, gamma = initial_head(2, 0.3, rng)
+        c = rng.normal(0.0, 0.5, size=(2, 2))
         feats = np.array([[1.5, -0.5], [0.25, 2.0]])
-        out, cache = head_outputs(p.u, p.c, p.gamma, feats, np.ones((2, 2), dtype=bool), bn=False)
+        out, cache = head_outputs(u, c, gamma, feats, np.ones((2, 2), dtype=bool), bn=False)
         assert cache is None
         for j in range(2):
             for k in range(2):
-                want = p.u[k] @ feats[j] + p.c[k]
+                want = u[k] @ feats[j] + c[k]
                 np.testing.assert_allclose(out[j, k], want, rtol=1e-12)
 
     def test_head_outputs_matches_single(self):
@@ -325,14 +313,14 @@ class TestHeadForward:
 
     def test_bn_groups_normalize_per_anchor(self):
         rng = np.random.default_rng(40)
-        p = HeadParams.initial(2, sigma=0.0, init_scale=1.0, rng=rng)
+        head = initial_head(2, 1.0, rng)
         g = rng.normal(0.0, 1.0, size=(40, 2))
         feats = make_features(g, 0.0)
         member = np.zeros((40, 2), dtype=bool)
         member[:25, 0] = True
         member[25:, 1] = True
-        out, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=True, bn_per_anchor=True)
-        raw, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=False)
+        out, _ = head_outputs(*head, feats, member, bn=True, bn_per_anchor=True)
+        raw, _ = head_outputs(*head, feats, member, bn=False)
         for k, rows in ((0, slice(0, 25)), (1, slice(25, 40))):
             for ch in (0, 1):
                 assert abs(float(np.mean(out[rows, k, ch]))) < 1e-10
@@ -343,7 +331,7 @@ class TestHeadForward:
         """A lone pair for an anchor is left raw rather than normalized to 0,
         and its scale gets no gradient."""
         rng = np.random.default_rng(41)
-        p = HeadParams.initial(2, sigma=0.0, init_scale=1.0, rng=rng)
+        u, c, gamma = initial_head(2, 1.0, rng)
         g = rng.normal(0.0, 1.0, size=(5, 2))
         feats = make_features(g, 0.0)
         w = np.zeros((5, 2))
@@ -352,28 +340,28 @@ class TestHeadForward:
         member = w > 0.0
         s = rng.normal(0.0, 1.0, size=(2, 2))
         for per_anchor in (True, False):
-            out, cache = head_outputs(p.u, p.c, p.gamma, feats, member, bn=True,
+            out, cache = head_outputs(u, c, gamma, feats, member, bn=True,
                                       bn_per_anchor=per_anchor)
             if per_anchor:
-                raw_last = p.u[1] @ feats[4] + p.c[1]
+                raw_last = u[1] @ feats[4] + c[1]
                 np.testing.assert_allclose(out[4, 1], raw_last, rtol=1e-12)
             _, _, dout = _loss_from_arrays(out, w, s, g, 0.0)
-            grads = grad_head(dout, cache, feats, member, p.gamma)
+            ggamma = grad_head(dout, cache, feats, member, gamma)[2]
             if per_anchor:
-                np.testing.assert_array_equal(grads.gamma[1], 0.0)
-            assert np.all(grads.gamma[0] != 0.0)
-            assert head_fd_check(w, member, s, g, 0.0, (p.u, p.c, p.gamma), feats,
+                np.testing.assert_array_equal(ggamma[1], 0.0)
+            assert np.all(ggamma[0] != 0.0)
+            assert head_fd_check(w, member, s, g, 0.0, (u, c, gamma), feats,
                                  True, per_anchor) < 1e-6
 
     def test_bn_joint_mode_shares_statistics(self):
         rng = np.random.default_rng(42)
-        p = HeadParams.initial(2, sigma=0.0, init_scale=1.0, rng=rng)
+        head = initial_head(2, 1.0, rng)
         g = rng.normal(0.0, 1.0, size=(30, 2))
         feats = make_features(g, 0.0)
         member = np.zeros((30, 2), dtype=bool)
         member[np.arange(30), np.tile([0, 1], 15)] = True
-        out, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=True, bn_per_anchor=False)
-        raw, _ = head_outputs(p.u, p.c, p.gamma, feats, member, bn=False)
+        out, _ = head_outputs(*head, feats, member, bn=True, bn_per_anchor=False)
+        raw, _ = head_outputs(*head, feats, member, bn=False)
         for ch in (0, 1):
             x = raw[member][:, ch]
             want = (x - x.mean()) / math.sqrt(x.var() + BN_EPS)
@@ -414,8 +402,7 @@ class TestLonghandOracle:
         rng = np.random.default_rng(48)
         g = rng.uniform(np.log(8.0), np.log(300.0), size=(20, 2))
         s = rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2))
-        floor = WarmupSchedule().temp_floor
-        w, member = assign("soft", g, s, "sq_l2_log", floor)
+        w, member = assign("soft", g, s, "sq_l2_log", TEMP_FLOOR)
         assert np.any(w == 0.0) and np.all(member)
         feats = make_features(g, 0.3, rng)
         head = random_head(rng, 5)
@@ -455,7 +442,7 @@ class TestHeadGradients:
         np.testing.assert_array_equal(d0, d1)
         a = grad_head(d0, cache, feats, member, gamma)
         b = grad_head(d1, cache, feats, member, gamma)
-        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a[0], b[0])
 
     def test_empty_assignment_zero_grads(self):
         u, c, gamma = random_head(np.random.default_rng(49), 2)
@@ -463,10 +450,10 @@ class TestHeadGradients:
         feats = np.zeros((0, 2))
         out, cache = head_outputs(u, c, gamma, feats, member)
         _, _, dout = _loss_from_arrays(out, np.zeros((0, 2)), np.zeros((2, 2)), feats, 0.5)
-        grads = grad_head(dout, cache, feats, member, gamma)
-        np.testing.assert_array_equal(grads.u, 0.0)
-        np.testing.assert_array_equal(grads.c, 0.0)
-        np.testing.assert_array_equal(grads.gamma, 0.0)
+        gu, gc, ggamma = grad_head(dout, cache, feats, member, gamma)
+        np.testing.assert_array_equal(gu, 0.0)
+        np.testing.assert_array_equal(gc, 0.0)
+        np.testing.assert_array_equal(ggamma, 0.0)
 
     def test_pure_noise_features_give_no_descent_direction(self):
         """Features that are pure noise, independent of the residuals,
@@ -487,7 +474,7 @@ class TestHeadGradients:
         def u_grad(feats):
             out, cache = head_outputs(u, c, gamma, feats, member, bn=False)
             _, _, dout = _loss_from_arrays(out, w, s, g, 0.0)
-            return grad_head(dout, cache, feats, member, gamma).u
+            return grad_head(dout, cache, feats, member, gamma)[0]
 
         # residual per channel is the constant c + s - g
         r = np.array([0.1 + 3.0 - 3.4, 0.1 + 3.0 - 2.6])

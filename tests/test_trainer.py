@@ -6,17 +6,18 @@ import pytest
 import synth
 from anchorforge import (
     AnchorSet,
+    CanonicalDataset,
     HeadConfig,
-    HeadParams,
     NonFiniteLossError,
     TrainConfig,
-    WarmupSchedule,
+    initial_head,
     lr_at,
     make_features,
     run_training,
     sgd_step,
     soft_assign,
 )
+from anchorforge.assign import TEMP_START
 from oracles import head_loss_longhand
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
@@ -31,7 +32,7 @@ def small_cfg(**kw):
         iters=300,
         batch_size=32,
         lr_schedule=((0, 1e-2), (150, 1e-3)),
-        warmup=WarmupSchedule(warmup_iters=60),
+        warmup_iters=60,
         metric="sq_l2_log",
         head=HeadConfig(enabled=False),
         seed=0,
@@ -139,9 +140,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="tau must lie in"):
                 TrainConfig(assignment_rule="threshold", threshold_tau=tau)
 
-    def test_bad_cluster_weight(self):
-        with pytest.raises(ValueError):
-            TrainConfig(cluster_weight_mode="fixed", cluster_weight_fixed=1.5)
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_bad_cluster_weight(self, value):
+        with pytest.raises(ValueError, match="cluster_weight must lie in"):
+            TrainConfig(cluster_weight=value)
+
+    def test_bad_warmup_iters(self):
+        with pytest.raises(ValueError, match="warmup_iters must be >= 0"):
+            TrainConfig(warmup_iters=-1)
 
 
 class TestRunTraining:
@@ -153,8 +159,6 @@ class TestRunTraining:
         assert abs(math.log(got[1][0] / 120.0)) < 0.25
 
     def test_empty_dataset_rejected(self):
-        from anchorforge import CanonicalDataset
-
         with pytest.raises(ValueError, match="empty"):
             run_training(CanonicalDataset(416, (), [], [], [], []), start_anchors(), small_cfg())
 
@@ -171,7 +175,6 @@ class TestRunTraining:
         a = run_training(ds, start_anchors(), cfg)
         b = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(a.anchors.as_array(), b.anchors.as_array())
-        np.testing.assert_array_equal(a.head.u, b.head.u)
         assert a.trajectory.final_smoothed_loss == b.trajectory.final_smoothed_loss
         for ra, rb in zip(a.trajectory.rows, b.trajectory.rows):
             assert ra.loss == rb.loss
@@ -188,16 +191,11 @@ class TestRunTraining:
         cfg = small_cfg(train_anchors=False, head=HeadConfig(enabled=True, sigma=0.1))
         res = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
-        assert res.head is not None
-
-    def test_head_disabled_result_has_no_head(self):
-        res = run_training(tiny_ds(), start_anchors(), small_cfg())
-        assert res.head is None
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_raises_with_iteration(self):
-        cfg = small_cfg(lr_schedule=((0, 1e6),), warmup=WarmupSchedule(warmup_iters=0))
+        cfg = small_cfg(lr_schedule=((0, 1e6),), warmup_iters=0)
         with pytest.raises(NonFiniteLossError) as exc:
             run_training(tiny_ds(), start_anchors(), cfg)
         assert exc.value.iteration >= 0
@@ -215,17 +213,6 @@ class TestTrajectory:
         res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=103, log_every=25))
         its = [r.iteration for r in res.trajectory.rows]
         assert its == [0, 25, 50, 75, 100, 102]
-
-    def test_warmup_end_smoothed_loss_recorded(self):
-        res = run_training(tiny_ds(), start_anchors(), small_cfg())
-        traj = res.trajectory
-        assert traj.smoothed_loss_at_warmup_end is not None
-        assert traj.final_smoothed_loss < traj.smoothed_loss_at_warmup_end
-
-    def test_warmup_zero_records_first_iteration(self):
-        cfg = small_cfg(warmup=WarmupSchedule(warmup_iters=0))
-        res = run_training(tiny_ds(), start_anchors(), cfg)
-        assert res.trajectory.smoothed_loss_at_warmup_end == res.trajectory.rows[0].loss
 
     def test_temperature_and_lambda_columns(self):
         res = run_training(tiny_ds(), start_anchors(), small_cfg())
@@ -282,7 +269,7 @@ class TestTrajectory:
     def test_anchor_shape_overflow_raises(self):
         """Log shapes past exp's range used to end the run as an OverflowError
         in AnchorSet.wh(), after a finite loss at every step."""
-        cfg = small_cfg(lr_schedule=((0, 0.1),), warmup=WarmupSchedule(warmup_iters=0), iters=20, log_every=50)
+        cfg = small_cfg(lr_schedule=((0, 0.1),), warmup_iters=0, iters=20, log_every=50)
         with pytest.raises(NonFiniteLossError, match="at iteration 19"):
             run_training(tiny_ds(), start_anchors(), cfg)
 
@@ -290,7 +277,7 @@ class TestTrajectory:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_partial_file_kept_on_divergence(self, tmp_path):
         path = tmp_path / "trajectory.csv"
-        cfg = small_cfg(lr_schedule=((0, 1e6),), warmup=WarmupSchedule(warmup_iters=0), iters=500)
+        cfg = small_cfg(lr_schedule=((0, 1e6),), warmup_iters=0, iters=500)
         with pytest.raises(NonFiniteLossError):
             run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=path)
         assert path.exists()
@@ -304,9 +291,8 @@ class TestRules:
         res = run_training(tiny_ds(), start_anchors(), cfg)
         assert np.all(np.isfinite(res.anchors.as_array()))
 
-    def test_fixed_cluster_weight_mode(self):
-        cfg = small_cfg(cluster_weight_mode="fixed", cluster_weight_fixed=0.5,
-                        warmup=WarmupSchedule(warmup_iters=0))
+    def test_fixed_cluster_weight(self):
+        cfg = small_cfg(cluster_weight=0.5, warmup_iters=0)
         res = run_training(tiny_ds(), start_anchors(), cfg)
         assert all(r.cluster_weight == 0.5 for r in res.trajectory.rows)
 
@@ -322,26 +308,31 @@ class TestRules:
 
     @pytest.mark.parametrize("per_anchor", [True, False])
     def test_soft_membership_covers_zero_weight_pairs(self, per_anchor):
-        """At the temperature floor with sq_l2_log, far anchors get softmax
-        weights of exactly 0. The trainer's first loss must still use every
-        pair for the BN statistics, as the longhand oracle does; membership
-        read off W > 0 gives another loss."""
-        ds = tiny_ds()
-        anchors = AnchorSet.from_linear([[4.0, 4.0], [45.0, 45.0], [400.0, 400.0]])
+        """At the starting temperature with sq_l2_log, a softmax weight is
+        exactly 0 only across a squared log-distance gap of about 1500. A
+        far anchor at log shape (-30, -30) with a cluster of boxes around it
+        gives every anchor column both nonzero weights and exact zeros. The
+        trainer's first loss must still use every pair for the BN
+        statistics, as the longhand oracle does; membership read off W > 0
+        gives another loss."""
+        base = tiny_ds()
+        far = np.exp(np.random.default_rng(9).normal(-30.0, 0.15, size=(50, 2)))
+        ds = CanonicalDataset(base.canvas_size, base.image_ids + tuple(f"far{i}" for i in range(50)),
+                              np.r_[base.cx, np.full(50, 200.0)], np.r_[base.cy, np.full(50, 200.0)],
+                              np.r_[base.w, far[:, 0]], np.r_[base.h, far[:, 1]])
+        anchors = AnchorSet.from_array(np.log([[4.0, 4.0], [45.0, 45.0], [400.0, 400.0], [np.exp(-30.0)] * 2]))
         head_cfg = HeadConfig(enabled=True, sigma=0.3, bn=True, bn_per_anchor=per_anchor)
-        cfg = small_cfg(iters=1, warmup=WarmupSchedule(warmup_iters=1, temp_start=0.01, temp_floor=0.01),
-                        head=head_cfg)
+        cfg = small_cfg(iters=1, warmup_iters=1, head=head_cfg)
         res = run_training(ds, anchors, cfg)
 
         # replay the run's random draws: head init, epoch shuffle, features
         rng = np.random.default_rng(cfg.seed)
-        head = HeadParams.initial(3, head_cfg.sigma, head_cfg.init_scale, rng)
+        params = initial_head(4, head_cfg.init_scale, rng)
         g = ds.log_shapes()[rng.permutation(len(ds))[:cfg.batch_size]]
         feats = make_features(g, head_cfg.sigma, rng)
         s = anchors.as_array()
-        w = soft_assign(g, s, cfg.metric, 0.01)
-        assert np.any(w == 0.0)
-        params = (head.u, head.c, head.gamma)
+        w = soft_assign(g, s, cfg.metric, TEMP_START)
+        assert np.all(np.any(w == 0.0, axis=0) & np.any(w > 0.0, axis=0))
         want, _ = head_loss_longhand(w, np.ones(w.shape, dtype=bool), s, g, 1.0, params, feats,
                                      True, per_anchor)
         wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 1.0, params, feats, True, per_anchor)
