@@ -52,7 +52,6 @@ from .report import (
     AnchorReport,
     anchors_line,
     build_report,
-    coverage,
     match_anchor_sets,
     read_anchors_json,
     render_text,
@@ -94,7 +93,6 @@ __all__ = [
     "anchors_line",
     "build_report",
     "cluster_weight_at",
-    "coverage",
     "grad_head",
     "hard_assign_threshold",
     "hard_assign_yolo",

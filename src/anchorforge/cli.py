@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import os
@@ -49,7 +50,6 @@ from .ingest import (
 from .report import (
     anchors_line,
     build_report,
-    coverage,
     match_anchor_sets,
     read_anchors_json,
     render_text,
@@ -98,8 +98,8 @@ def _parse_taus(text: str) -> tuple[float, ...]:
 class _Opt(NamedTuple):
     """One option of a subcommand, for its flag and its config key alike.
 
-    parse reads the config text (and the flag's, unless there are
-    choices: a flag is matched against them as typed); default None
+    parse reads the text of a value flag and of the config key (argparse
+    first matches a flag with choices against them as typed); default None
     marks a required option. kind is "value" (the flag takes a value),
     "switch" (a bare flag that sets True) or "toggle" (--name and
     --no-name). check is a (requirement, test) pair the resolved value
@@ -212,13 +212,15 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     file_section = _load_config_section(args.config, command) if args.config else {}
     for key, spec in specs.items():
         cli_value = getattr(args, key)
-        if cli_value is not None:
+        if cli_value is not None and spec.kind != "value":
             effective[key] = cli_value
-        elif key in file_section:
+        elif cli_value is not None or key in file_section:
+            from_flag = cli_value is not None
             try:
-                effective[key] = spec.parse(file_section[key])
+                effective[key] = spec.parse(cli_value if from_flag else file_section[key])
             except ValueError as e:
-                raise ParseError(f"config [{command}] {key}: {e}") from None
+                where = f"option {key} (--{key.replace('_', '-')})" if from_flag else f"config [{command}] {key}"
+                raise ParseError(f"{where}: {e}") from None
             if spec.choices and effective[key] not in spec.choices:
                 raise ParseError(f"config [{command}]: unknown {key} {effective[key]!r} "
                                  f"(expected {', '.join(spec.choices)})")
@@ -240,12 +242,22 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
 
 
 def _make_run_dir(args: argparse.Namespace, command: str) -> Path:
+    """The --out-dir directory, made if missing; by default a new
+    runs/<command>-<timestamp> directory, suffixed -2, -3, ... when a run
+    started in the same second already holds the name."""
     out = getattr(args, "out_dir", None)
-    if not out:
-        out = f"runs/{command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir
+    base = f"runs/{command}-{time.strftime('%Y%m%d-%H%M%S')}"
+    for n in itertools.count(1):
+        out_dir = Path(base if n == 1 else f"{base}-{n}")
+        try:
+            out_dir.mkdir(parents=True)  # refuses a name taken, even by a concurrent run
+        except FileExistsError:
+            continue
+        return out_dir
 
 
 def _echo_config(out_dir: Path, command: str, effective: dict) -> None:
@@ -370,8 +382,9 @@ def _scaled_schedule(schedule: tuple[tuple[int, float], ...], scale: float) -> t
 
 
 def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, float]:
-    avg, recall = coverage(anchors, ds, (0.5, 0.75))
-    return {"avg_best_iou": avg, "recall_at_0.5": recall[0.5], "recall_at_0.75": recall[0.75]}
+    report = build_report(anchors, ds, taus=(0.5, 0.75))
+    recall = report.recall_at
+    return {"avg_best_iou": report.avg_best_iou, "recall_at_0.5": recall[0.5], "recall_at_0.75": recall[0.75]}
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -499,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI file with a [command] section of key=value options")
         p.add_argument("--out-dir", help="run directory for outputs (default: runs/<command>-<timestamp>)")
         for key, spec in _SPECS[command].items():
-            # a flag with choices is matched as typed ("--format CSV" is refused)
-            # while the config value goes through spec.parse ("format = CSV" is not)
-            kind = _FLAG_ACTIONS.get(spec.kind) or {"type": str if spec.choices else spec.parse,
-                                                   "choices": spec.choices or None}
+            # a value flag reaches _merge_options as text, for spec.parse; argparse
+            # matches a flag with choices as typed ("--format CSV" is refused)
+            # while a config value is parsed first ("format = CSV" is not)
+            kind = _FLAG_ACTIONS.get(spec.kind) or {"choices": spec.choices or None}
             p.add_argument("--" + key.replace("_", "-"), help=spec.help, **kind)
         p.set_defaults(func=func)
 

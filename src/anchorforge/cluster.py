@@ -31,12 +31,15 @@ ASSIGN_BLOCK = 16384  # rows per scoring block: its column temporaries stay in c
 BOUND_MARGIN = 1e-9
 
 
-def _best_two(wh: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best IoU, its cluster and the second-best IoU of each shape, one centroid column at a time.
+def best_iou(wh: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best aligned IoU, its winner and the second-best IoU of each (n, 2)
+    linear shape against (k, 2) linear shapes, one column at a time.
 
-    A centroid takes the lead only with a strictly larger IoU, so exact
-    ties go to the lowest cluster, as with np.argmax over the full matrix.
-    With one centroid the second-best IoU is -inf.
+    This is the package's one blocked scoring pass: k-means, eval and the
+    optimize summary all score boxes with it, and no (n, k) matrix is
+    built. A column takes the lead only with a strictly larger IoU, so
+    exact ties go to the lowest index, as with np.argmax over the full
+    matrix. With one column the second-best IoU is -inf.
     """
     n = wh.shape[0]
     best = np.empty(n)
@@ -62,7 +65,7 @@ def _update_step(wh: np.ndarray, cents: np.ndarray, assignments: np.ndarray) -> 
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         # re-seed each empty cluster at the currently worst-covered shape
-        order = np.argsort(_best_two(wh, new)[0], kind="stable")
+        order = np.argsort(best_iou(wh, new)[0], kind="stable")
         for c, idx in zip(empty, order):
             new[c] = wh[idx]
     return new
@@ -132,7 +135,7 @@ def kmeans_iou(
         cents = _seed_plus_plus(wh, num_clusters, np.random.default_rng(seed))
 
     own = np.eye(num_clusters, dtype=bool)  # each centroid's own entry, left out of "the others"
-    iou, assignments, second = _best_two(wh, cents)
+    iou, assignments, second = best_iou(wh, cents)
     upper = 1.0 - iou  # >= distance to the own centroid
     lower = 1.0 - second  # <= distance to every other centroid
     iterations_run = 0
@@ -145,7 +148,7 @@ def kmeans_iou(
         half_gap = np.where(own, np.inf, 1.0 - iou_aligned_matrix(cents, cents)).min(axis=1) / 2.0
         stale = np.flatnonzero(upper >= np.maximum(half_gap[assignments], lower) - BOUND_MARGIN)
         # np.take gathers rows several times faster than fancy indexing
-        iou, nearest, second = _best_two(np.take(wh, stale, axis=0), cents)
+        iou, nearest, second = best_iou(np.take(wh, stale, axis=0), cents)
         converged = bool(np.array_equal(nearest, assignments[stale]))
         assignments[stale] = nearest
         upper[stale] = 1.0 - iou
@@ -153,7 +156,7 @@ def kmeans_iou(
         if converged:
             break
 
-    mean_best = float(_best_two(wh, cents)[0].mean())
+    mean_best = float(best_iou(wh, cents)[0].mean())
     return KMeansResult(cents, assignments, mean_best, iterations_run)
 
 

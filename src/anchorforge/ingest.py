@@ -230,6 +230,8 @@ def parse_voc(
     are kept by default and can be excluded.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ParseError(f"{directory}: not a directory of VOC annotations")
     files = sorted(directory.glob("*.xml"))
     ids, sizes, corners = [], [], []
     records = 0
@@ -312,12 +314,15 @@ def normalize_to_canvas(
     """
     sx, sy = (canvas_size / boxes.sizes).T
     x0, y0, x1, y1 = boxes.corners.T
-    w = (x1 - x0) * sx
-    h = (y1 - y0) * sy
+    # the corners lie in the image, so only rounding can carry a scaled
+    # value past the canvas (a box spanning an image 85 wide scales to
+    # 416.00000000000006); clamping leaves every value in range unchanged
+    w = np.minimum((x1 - x0) * sx, canvas_size)
+    h = np.minimum((y1 - y0) * sy, canvas_size)
     keep = (w >= min_size) & (h >= min_size)
     ids = tuple(itertools.compress(boxes.image_ids, keep.tolist()))
-    cx = (x0 + x1) / 2.0 * sx
-    cy = (y0 + y1) / 2.0 * sy
+    cx = np.minimum((x0 + x1) / 2.0 * sx, canvas_size)
+    cy = np.minimum((y0 + y1) / 2.0 * sy, canvas_size)
     return CanonicalDataset(canvas_size, ids, cx[keep], cy[keep], w[keep], h[keep])
 
 

@@ -10,56 +10,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cluster import ASSIGN_BLOCK
-from .geometry import AnchorSet, iou_aligned_matrix
+from .cluster import best_iou
+from .geometry import AnchorSet
 from .ingest import CanonicalDataset, ParseError
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
 
 _MAX_EXACT_MATCH = 10
-
-
-def _score(
-    anchors_wh: np.ndarray, ds: CanonicalDataset, taus: Sequence[float], tau: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over ASSIGN_BLOCK rows of boxes against (A, 2) linear anchor shapes.
-
-    Returns each box's best aligned IoU, its winning anchor (ties to the
-    lowest index) and, per anchor, the count of boxes whose IoU reaches
-    tau (zeros when tau is None). The recall thresholds taus and the
-    dataset are checked first.
-    """
-    for t in taus:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {t}")
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
-    shapes = ds.shapes()
-    best = np.empty(len(ds))
-    winner = np.empty(len(ds), dtype=np.intp)
-    at_tau = np.zeros(anchors_wh.shape[0], dtype=np.intp)
-    for start in range(0, len(ds), ASSIGN_BLOCK):
-        rows = slice(start, start + ASSIGN_BLOCK)
-        iou = iou_aligned_matrix(shapes[rows], anchors_wh)
-        winner[rows] = iou.argmax(axis=1)
-        best[rows] = iou.max(axis=1)
-        if tau is not None:
-            at_tau += np.count_nonzero(iou >= tau, axis=0)
-    return best, winner, at_tau
-
-
-def _coverage_of(best: np.ndarray, taus: Sequence[float]) -> tuple[float, dict[float, float]]:
-    return float(best.mean()), {float(t): float(np.mean(best >= t)) for t in taus}
-
-
-def coverage(anchors: AnchorSet, ds: CanonicalDataset, taus: Sequence[float]) -> tuple[float, dict[float, float]]:
-    """Mean over boxes of the best aligned IoU against any anchor, and the
-    fraction of boxes whose best IoU reaches each tau, from one blocked pass."""
-    return _coverage_of(_score(np.exp(anchors.as_array()), ds, taus)[0], taus)
 
 
 def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
@@ -125,28 +86,38 @@ def build_report(
 ) -> AnchorReport:
     """Score an anchor set; anchors are reported sorted by area.
 
-    Utilization counts how many boxes each anchor is responsible for
-    under the chosen rule. With the yolo rule the counts sum to the
-    dataset size; the threshold rule may count a box more than once.
+    avg_best_iou is the mean over boxes of the best aligned IoU against
+    any anchor, and recall_at the fraction of boxes whose best IoU
+    reaches each tau. Utilization counts how many boxes each anchor is
+    responsible for under the chosen rule. With the yolo rule the counts
+    sum to the dataset size; the threshold rule may count a box more
+    than once.
     """
     if assignment_rule not in ("yolo", "threshold"):
         raise ValueError(f"unknown assignment rule {assignment_rule!r}")
     threshold = assignment_rule == "threshold"
-    if threshold and not 0.0 < threshold_tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {threshold_tau}")
+    for t in (threshold_tau, *taus) if threshold else taus:
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {t}")
+    if len(ds) == 0:
+        raise ValueError("dataset is empty")
     ordered = anchors.sorted_by_area()
-    best, winner, at_tau = _score(np.exp(ordered.as_array()), ds, taus, threshold_tau if threshold else None)
+    shapes, anchors_wh = ds.shapes(), np.exp(ordered.as_array())
+    best, winner = best_iou(shapes, anchors_wh)[:2]
+    util = np.zeros(len(ordered), dtype=np.intp)
     if threshold:
-        # a box that reaches tau with no anchor still goes to its best one
+        # each anchor takes every box that reaches tau with it, one column
+        # per pass; a box that reaches tau with no anchor goes to its best one
+        for j in range(len(ordered)):
+            util[j] = np.count_nonzero(best_iou(shapes, anchors_wh[j : j + 1])[0] >= threshold_tau)
         winner = winner[best < threshold_tau]
-    util = at_tau + np.bincount(winner, minlength=len(ordered))
-    avg, recall = _coverage_of(best, taus)
+    util += np.bincount(winner, minlength=len(ordered))
     return AnchorReport(
         canvas=ds.canvas_size,
         stride=ordered.stride,
         assignment_rule=assignment_rule,
-        avg_best_iou=avg,
-        recall_at=recall,
+        avg_best_iou=float(best.mean()),
+        recall_at={float(t): float(np.mean(best >= t)) for t in taus},
         utilization=tuple(int(u) for u in util),
         anchors_wh=tuple((w, h) for w, h in ordered.wh().tolist()),
     )

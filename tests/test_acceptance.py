@@ -14,8 +14,8 @@ from anchorforge import (
     AnchorSet,
     HeadConfig,
     TrainConfig,
+    build_report,
     cluster_weight_at,
-    coverage,
     grad_head,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -319,8 +319,8 @@ class TestCriterion8:
     def test_kmeans_anchors_beat_uniform_coverage(self, mixture3_ds):
         km = init_kmeans(mixture3_ds, num_anchors=5, seed=2)
         uni = init_uniform(stride=32)
-        km_iou = coverage(km, mixture3_ds, ())[0]
-        uni_iou = coverage(uni, mixture3_ds, ())[0]
+        km_iou = build_report(km, mixture3_ds, taus=()).avg_best_iou
+        uni_iou = build_report(uni, mixture3_ds, taus=()).avg_best_iou
         report(km_iou > uni_iou, 8,
                f"k-means initialization covers the data better than the uniform "
                f"fallback ({km_iou:.4f} vs {uni_iou:.4f} average best IoU)")

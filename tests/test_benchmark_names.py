@@ -75,3 +75,24 @@ def test_counted_bindings_resolve_to_classmethods(bench_modules):
         hit = tracer._resolve(module, attr)
         assert hit is not None, f"{name}: {module}.{attr} does not exist"
         assert isinstance(hit[2], classmethod), f"{name}: {module}.{attr} is not a classmethod"
+
+
+@pytest.mark.parametrize("rule", ["yolo", "threshold"])
+def test_eval_scores_through_the_traced_iou_binding(monkeypatch, rule):
+    """The tracer times eval's scoring as ``anchorforge.cluster.iou_aligned_matrix``,
+    so build_report must reach the IoU through that binding."""
+    import anchorforge.cluster
+    from anchorforge import AnchorSet, CanonicalDataset, build_report
+
+    calls = []
+    iou = anchorforge.cluster.iou_aligned_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return iou(*args)
+
+    monkeypatch.setattr(anchorforge.cluster, "iou_aligned_matrix", counted)
+    center = np.full(3, 50.0)
+    ds = CanonicalDataset(100, ("a", "b", "c"), center, center, np.array([5.0, 10.0, 40.0]), np.array([5.0, 20.0, 30.0]))
+    build_report(AnchorSet.from_linear([[8.0, 8.0], [30.0, 30.0]]), ds, assignment_rule=rule)
+    assert len(calls) >= 1

@@ -101,6 +101,26 @@ class TestIngest:
         assert "line 2: image size inf" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_box_spanning_its_image_ingests(self, tmp_path):
+        """(85 - 0) * (416 / 85) rounds to 416.00000000000006, just past the canvas."""
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps({
+            "images": [{"id": 1, "width": 85, "height": 64}],
+            "annotations": [{"id": 0, "image_id": 1, "bbox": [0, 0, 85, 30]}],
+        }))
+        out = tmp_path / "run"
+        rc = main(["ingest", "--format", "coco", "--input", str(p), "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "dataset.canonical").read_text().splitlines()[1] == "1\t208\t97.5\t416\t195"
+
+    def test_missing_voc_directory_exits_2(self, tmp_path, capsys):
+        """A missing VOC directory used to parse to zero boxes and exit 0."""
+        missing = tmp_path / "no" / "such" / "dir"
+        rc = main(["ingest", "--format", "voc", "--input", str(missing), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_input_flag(self, tmp_path, capsys):
         rc = main(["ingest", "--format", "csv", "--out-dir", str(tmp_path / "run")])
         err = capsys.readouterr().err
@@ -538,6 +558,48 @@ class TestOptionChecks:
         rc = main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")])
         assert rc == 2
         assert f"unknown keys in [{command}]: seed" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("optimize", "--iters", "x", "iters"),
+        ("optimize", "--lr-schedule", "0:x", "lr_schedule"),
+        ("optimize", "--cluster-weight", "bogus", "cluster_weight"),
+        ("eval", "--taus", "", "taus"),
+    ])
+    def test_bad_flag_value_names_the_key(self, tmp_path, capsys, command, flag, value, key):
+        """A flag value that does not parse takes the config value's error path,
+        which names the option, not the function that parses it."""
+        out = tmp_path / "run"
+        rc = main([command, flag, value, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "_parse_" not in err, err
+        assert not out.exists()
+
+
+class TestRunDir:
+    def test_default_run_dirs_do_not_collide(self, tmp_path, dataset_file, monkeypatch):
+        """Commands started in the same second get runs/<command>-<timestamp>, -2, -3."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("anchorforge.cli.time.strftime", lambda fmt: "20260101-120000")
+        for seed in (1, 2, 3):
+            assert main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--seed", str(seed)]) == 0
+        for name, seed in (("cluster-20260101-120000", 1), ("cluster-20260101-120000-2", 2),
+                           ("cluster-20260101-120000-3", 3)):
+            cfg = configparser.ConfigParser()
+            cfg.read(tmp_path / "runs" / name / "effective.cfg")
+            assert cfg["cluster"]["seed"] == str(seed)
+        assert len(list((tmp_path / "runs").iterdir())) == 3
+
+    def test_explicit_out_dir_is_reused(self, tmp_path, dataset_file):
+        out = tmp_path / "run"
+        for seed in (1, 2):
+            assert main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--seed", str(seed),
+                         "--out-dir", str(out)]) == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "effective.cfg")
+        assert cfg["cluster"]["seed"] == "2"
+        assert not (tmp_path / "run-2").exists()
 
 
 class TestConfigFile:

@@ -212,6 +212,13 @@ class TestParseVoc:
         assert len(boxes) == 0
         assert boxes.corners.shape == (0, 4)
 
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="not a directory"):
+            parse_voc(tmp_path / "missing")
+        (tmp_path / "file.xml").write_text("<annotation/>")
+        with pytest.raises(ParseError, match="file.xml"):
+            parse_voc(tmp_path / "file.xml")
+
     @pytest.mark.parametrize("w, corner", [("inf", 0), ("640", "nan"), ("nan", 0)])
     def test_non_finite_rejected(self, tmp_path, w, corner):
         write_voc_file(tmp_path, "a", 640, 480, [("dog", False, 0, 0, 64, 48)])
@@ -308,6 +315,15 @@ class TestNormalize:
         shapes = ds.shapes()
         assert np.all(shapes > 0.0)
         assert np.all(shapes <= 416.0)
+
+    def test_box_spanning_its_image_fits_the_canvas(self):
+        """A box as wide and high as its image stays on the canvas, though
+        (x1 - x0) * (canvas / iw) rounds above it for some widths (85, 87, 99)."""
+        for size in range(1, 2001):
+            boxes = ParsedBoxes(("i",), np.array([[size, size]], dtype=float),
+                                np.array([[0.0, 0.0, size, size]], dtype=float))
+            ds = normalize_to_canvas(boxes, 416)
+            assert 416.0 - 1e-9 <= ds.w[0] <= 416.0 and 208.0 - 1e-9 <= ds.cx[0] <= 416.0, size
 
 
 class TestCanonicalDataset:

@@ -14,7 +14,6 @@ from anchorforge import (
     ParseError,
     anchors_line,
     build_report,
-    coverage,
     match_anchor_sets,
     read_anchors_json,
     render_text,
@@ -42,28 +41,28 @@ class TestCoverageMetrics:
         anchors = anchors_of([(10.0, 10.0)])
         a = iou_of_wh((10.0, 10.0), (10.0, 10.0))
         b = iou_of_wh((20.0, 20.0), (10.0, 10.0))
-        assert math.isclose(coverage(anchors, ds, ())[0], (a + b) / 2.0, rel_tol=1e-9)
+        assert math.isclose(build_report(anchors, ds, taus=()).avg_best_iou, (a + b) / 2.0, rel_tol=1e-9)
 
     def test_best_of_several_anchors(self):
         ds = ds_of([(10.0, 10.0)])
         anchors = anchors_of([(100.0, 100.0), (10.0, 10.0)])
-        assert math.isclose(coverage(anchors, ds, ())[0], 1.0, rel_tol=1e-9)
+        assert math.isclose(build_report(anchors, ds, taus=()).avg_best_iou, 1.0, rel_tol=1e-9)
 
     def test_recall_counts_threshold(self):
         ds = ds_of([(10.0, 10.0), (40.0, 40.0)])
         anchors = anchors_of([(10.0, 10.0)])
-        assert coverage(anchors, ds, (0.5, 0.05))[1] == {0.5: 0.5, 0.05: 1.0}
+        assert build_report(anchors, ds, taus=(0.5, 0.05)).recall_at == {0.5: 0.5, 0.05: 1.0}
 
     def test_recall_tau_validated(self):
         ds = ds_of([(10.0, 10.0)])
         anchors = anchors_of([(10.0, 10.0)])
         for tau in (0.0, 1.0):
             with pytest.raises(ValueError):
-                coverage(anchors, ds, (tau,))
+                build_report(anchors, ds, taus=(tau,))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            coverage(anchors_of([(10.0, 10.0)]), ds_of([]), ())
+            build_report(anchors_of([(10.0, 10.0)]), ds_of([]), taus=())
 
     def test_blocked_pass_matches_full_matrix(self):
         """Scoring ASSIGN_BLOCK rows at a time gives the numbers of one full IoU matrix."""
@@ -71,9 +70,9 @@ class TestCoverageMetrics:
         ds = ds_of(np.exp(rng.normal(3.5, 0.8, size=(2 * ASSIGN_BLOCK + 300, 2))).clip(1.0, 400.0))
         anchors = anchors_of(np.exp(rng.normal(3.5, 0.8, size=(5, 2))))
         best = full_matrix_report(ds.shapes(), np.exp(anchors.as_array()), 0.5)[0]
-        avg, recall = coverage(anchors, ds, (0.5, 0.75, 0.3))
-        assert avg == float(best.mean())
-        assert recall == {t: float(np.mean(best >= t)) for t in (0.5, 0.75, 0.3)}
+        report = build_report(anchors, ds, taus=(0.5, 0.75, 0.3))
+        assert report.avg_best_iou == float(best.mean())
+        assert report.recall_at == {t: float(np.mean(best >= t)) for t in (0.5, 0.75, 0.3)}
 
 
 class TestMatchAnchorSets:
@@ -214,7 +213,8 @@ class TestReportMatchesFullMatrix:
             wh, np.exp(anchors.sorted_by_area().as_array()), tau)
         taus = (tau, 0.5)
         want_cov = (float(best.mean()), {float(t): float(np.mean(best >= t)) for t in taus})
-        assert coverage(anchors.sorted_by_area(), ds, taus) == want_cov
+        presorted = build_report(anchors.sorted_by_area(), ds, taus=taus)
+        assert (presorted.avg_best_iou, presorted.recall_at) == want_cov
         for rule, util in (("yolo", yolo_util), ("threshold", threshold_util)):
             report = build_report(anchors, ds, assignment_rule=rule, taus=taus, threshold_tau=tau)
             assert (report.avg_best_iou, report.recall_at) == want_cov
