@@ -66,9 +66,7 @@ from .trainer import (
     TrainResult,
     Trajectory,
     TrajectoryRow,
-    lr_at,
     run_training,
-    sgd_step,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +101,6 @@ __all__ = [
     "initial_head",
     "iou_aligned_matrix",
     "kmeans_iou",
-    "lr_at",
     "make_features",
     "match_anchor_sets",
     "normalize_to_canvas",
@@ -115,7 +112,6 @@ __all__ = [
     "render_text",
     "report_to_json",
     "run_training",
-    "sgd_step",
     "shape_dist_matrix",
     "soft_assign",
     "temperature_at",

@@ -40,6 +40,7 @@ from .geometry import METRICS, AnchorSet
 from .ingest import (
     CanonicalDataset,
     ParseError,
+    _read_utf8,
     normalize_to_canvas,
     parse_coco,
     parse_csv,
@@ -192,7 +193,7 @@ def _load_config_section(path: str, command: str) -> dict[str, str]:
     # values are literal: "%" has no interpolation meaning
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path, encoding="utf-8")
+        cp.read_string(_read_utf8(path), source=path)
     except configparser.Error as e:
         raise ParseError(f"{path}: {e}") from e
     if command not in cp:
@@ -399,6 +400,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
+    if len(ds) < opt["num_anchors"]:
+        raise ParseError(f"dataset has {len(ds)} boxes but {opt['num_anchors']} anchors were requested")
 
     cfg = TrainConfig(
         iters=iters,

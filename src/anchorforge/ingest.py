@@ -21,6 +21,7 @@ line, or annotation at fault rather than producing partial data.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -39,6 +40,16 @@ _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 
 class ParseError(ValueError):
     """Raised for malformed annotation or dataset files."""
+
+
+def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
+    """The text of a UTF-8 file, read with the given newline mode; a file
+    that is not UTF-8 raises ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +172,7 @@ def parse_coco(
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_utf8(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
     if not isinstance(doc, dict):
@@ -172,11 +183,13 @@ def parse_coco(
     index, names, image_sizes = {}, [], []  # image id -> row of names and image_sizes
     for img in images:
         try:
-            index[img["id"]] = len(names)
+            row = index.setdefault(img["id"], len(names))
             image_sizes.append((float(img["width"]), float(img["height"])))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             image_id = img.get("id") if isinstance(img, dict) else img
             raise ParseError(f"{path}: image {image_id!r} needs an id and a numeric width and height") from None
+        if row < len(names):
+            raise ParseError(f"{path}: image id {img['id']!r} appears more than once")
         names.append(str(img["id"]))
     rows, bboxes, ann_ids = [], [], []
     skipped_crowd = 0
@@ -197,11 +210,11 @@ def parse_coco(
         ann_ids.append(ann.get("id"))
     try:
         xywh = np.array(bboxes, dtype=float).reshape(-1, 4)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         for ann_id, bbox in zip(ann_ids, bboxes):
             try:
                 np.array(bbox, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"{path}: annotation {ann_id} needs a bbox of four numbers, got {bbox!r}") from None
         raise
     x, y, w, h = xywh.T
@@ -275,25 +288,24 @@ def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> ParsedBoxe
     """Read corner-format CSV rows: image_id,image_w,image_h,x_min,y_min,x_max,y_max."""
     path = Path(path)
     ids, values, linenos = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_utf8(path, newline=""), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if [c.strip() for c in header] != _CSV_HEADER:
+        raise ParseError(f"{path}: line 1: expected header {','.join(_CSV_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 7:
+            raise ParseError(f"{path}: line {lineno}: expected 7 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [c.strip() for c in header] != _CSV_HEADER:
-            raise ParseError(f"{path}: line 1: expected header {','.join(_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 7:
-                raise ParseError(f"{path}: line {lineno}: expected 7 fields, got {len(row)}")
-            try:
-                values.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
-            ids.append(row[0].strip())
-            linenos.append(lineno)
+            values.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+        ids.append(row[0].strip())
+        linenos.append(lineno)
     values = np.array(values, dtype=float).reshape(-1, 6)
     out = _clamped(ids, values[:, :2], values[:, 2:], lambda i: f"{path}: line {linenos[i]}")
     if counters is not None:
@@ -337,7 +349,7 @@ def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
 def read_canonical(path: "str | Path") -> CanonicalDataset:
     """Read a canonical dataset file, validating the version header."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = _read_utf8(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import best_iou
 from .geometry import AnchorSet
-from .ingest import CanonicalDataset, ParseError
+from .ingest import CanonicalDataset, ParseError, _read_utf8
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
 
@@ -166,7 +166,7 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
     """Read an anchors file; returns (anchors, canvas). Raises ParseError when malformed."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_utf8(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
     try:

@@ -1,17 +1,20 @@
 """SGD training loop for anchor shapes (and the surrogate head).
 
-Classic momentum SGD over the summed batch loss:
+Classic momentum SGD over the summed batch loss, on one flat vector p
+of the anchors and (when enabled) the head, which the loop reads as views:
 
     v <- momentum * v + grad
-    p <- p - lr * v
+    p <- p - lr * rate * v
 
-The learning rate follows a step schedule. During the warm-up window,
-responsibilities come from the temperature-annealed soft rule and the
-clustering term is active; afterwards training falls back to the
-configured hard rule with the clustering coefficient at 0, unless the
-config pins it. Batches are drawn from a seeded shuffle that
-reshuffles every epoch, and every reduction runs in a fixed order, so a
-run is bitwise reproducible for a given config and seed.
+The learning rate lr follows a step schedule; rate is the anchor
+learning-rate multiplier on the anchors (0 when frozen) and 1 on the
+head. During the warm-up window, responsibilities come from the
+temperature-annealed soft rule and the clustering term is active;
+afterwards training falls back to the configured hard rule with the
+clustering coefficient at 0, unless the config pins it. Batches are
+drawn from a seeded shuffle that reshuffles every epoch, and every
+reduction runs in a fixed order, so a run is bitwise reproducible for a
+given config and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
@@ -39,16 +42,17 @@ SMOOTHING_WINDOW = 100
 
 
 class NonFiniteLossError(RuntimeError):
-    """Raised when training produces a non-finite loss; carries the iteration."""
+    """Raised when training stops being finite: the loss, or (with
+    shape_overflow) a linear anchor shape exp(s) that over- or underflows
+    from a finite log shape. Carries the iteration."""
 
-    def __init__(self, iteration: int, loss: float, anchors: np.ndarray):
+    def __init__(self, iteration: int, loss: float, anchors: np.ndarray, shape_overflow: bool = False):
         self.iteration = iteration
         self.loss = loss
         self.anchors = anchors
-        super().__init__(
-            f"non-finite loss {loss!r} at iteration {iteration}; "
-            f"anchor log-shapes: {anchors.tolist()!r}"
-        )
+        fault = (f"anchor shape overflowed to a non-finite or zero size (loss {loss!r})" if shape_overflow
+                 else f"non-finite loss {loss!r}")
+        super().__init__(f"{fault} at iteration {iteration}; anchor log-shapes: {anchors.tolist()!r}")
 
 
 @dataclass(frozen=True)
@@ -113,33 +117,6 @@ class TrainConfig:
             raise ValueError(f"cluster_weight must lie in [0, 1], got {self.cluster_weight}")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-
-
-def lr_at(t: int, schedule: Sequence[tuple[int, float]]) -> float:
-    """Learning rate of the last schedule segment whose start is <= t."""
-    if t < 0:
-        raise ValueError("iteration index must be >= 0")
-    lr = None
-    for start, value in schedule:
-        if start <= t:
-            lr = value
-        else:
-            break
-    if lr is None:
-        raise ValueError("schedule does not cover iteration 0")
-    return lr
-
-
-def sgd_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    velocity: np.ndarray,
-    lr: float,
-    momentum: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One heavy-ball update; returns (new_params, new_velocity)."""
-    new_velocity = momentum * velocity + grads
-    return params - lr * new_velocity, new_velocity
 
 
 @dataclass(frozen=True)
@@ -210,15 +187,23 @@ def run_training(
     num_anchors = len(anchors0)
     rng = np.random.default_rng(cfg.seed)
 
-    u = c = gamma = None
+    blocks = [anchors0.as_array()]
     if cfg.head.enabled:
-        u, c, gamma = initial_head(num_anchors, cfg.head.init_scale, rng)
-        vel_u, vel_c, vel_gamma = np.zeros_like(u), np.zeros_like(c), np.zeros_like(gamma)
+        blocks += initial_head(num_anchors, cfg.head.init_scale, rng)
+    params = np.concatenate([b.ravel() for b in blocks])
+    velocity = np.zeros_like(params)
+    ends = np.cumsum([b.size for b in blocks])[:-1]
+    # head is [u, c, gamma], or empty without one
+    s, *head = [p.reshape(b.shape) for p, b in zip(np.split(params, ends), blocks)]
+    vel_s, *vel_head = [v.reshape(b.shape) for v, b in zip(np.split(velocity, ends), blocks)]
+    rate = np.ones_like(params)
+    # frozen anchors get no gradient and rate 0: lr * multiplier can overflow, and inf * 0 is NaN
+    rate[: s.size] = cfg.anchor_lr_multiplier if cfg.train_anchors else 0.0
+    breakpoints = dict(cfg.lr_schedule)
+    lr = breakpoints[0]
 
     log_g = ds.log_shapes()
     n = log_g.shape[0]
-    s = anchors0.as_array()
-    vel_s = np.zeros_like(s)
 
     trajectory = Trajectory()
     fh: Optional[IO[str]] = None
@@ -264,13 +249,13 @@ def run_training(
             if lam is None:
                 lam = cluster_weight_at(t, cfg.warmup_iters)
 
-            if u is not None:
+            if head:
                 # every pair belongs to a soft assignment, even where its
                 # weight underflowed to 0; a hard one covers its nonzeros
                 member = np.ones(w.shape, dtype=bool) if soft else w > 0.0
                 features = make_features(batch_g, cfg.head.sigma, rng)
                 out, cache = head_outputs(
-                    u, c, gamma, features, member,
+                    *head, features, member,
                     bn=cfg.head.bn, bn_per_anchor=cfg.head.bn_per_anchor,
                 )
             else:
@@ -282,17 +267,18 @@ def run_training(
 
             ema = loss if ema is None else (1.0 - alpha) * ema + alpha * loss
 
-            lr = lr_at(t, cfg.lr_schedule)
+            lr = breakpoints.get(t, lr)
+            velocity *= cfg.momentum
             if cfg.train_anchors:
-                s, vel_s = sgd_step(s, gs, vel_s, lr * cfg.anchor_lr_multiplier, cfg.momentum)
-            if u is not None:
-                gu, gc, ggamma = grad_head(dout, cache, features, member, gamma)
-                u, vel_u = sgd_step(u, gu, vel_u, lr, cfg.momentum)
-                c, vel_c = sgd_step(c, gc, vel_c, lr, cfg.momentum)
-                gamma, vel_gamma = sgd_step(gamma, ggamma, vel_gamma, lr, cfg.momentum)
+                vel_s += gs
+            if head:
+                for vel, grad in zip(vel_head, grad_head(dout, cache, features, member, head[2])):
+                    vel += grad
+            params -= (lr * rate) * velocity
+            if head:
                 # keep scales strictly positive; BN output is odd in gamma so
                 # the loss landscape does not need the sign
-                gamma = np.maximum(gamma, 1e-6)
+                np.maximum(head[2], 1e-6, out=head[2])
 
             counts = utilization_counts(w, soft)
             epoch_counts += counts
@@ -302,7 +288,7 @@ def run_training(
                 anchors_wh = np.exp(s)
                 # a finite log shape can still overflow (or underflow) its linear one
                 if not np.all((anchors_wh > 0.0) & (anchors_wh < np.inf)):
-                    raise NonFiniteLossError(t, loss, s.copy())
+                    raise NonFiniteLossError(t, loss, s.copy(), shape_overflow=True)
                 row = TrajectoryRow(
                     iteration=t,
                     loss=loss,

@@ -53,6 +53,23 @@ def lloyd_log_l2(points: np.ndarray, init: np.ndarray, max_iter: int = 1000) -> 
     return cents
 
 
+def lr_at(t: int, schedule) -> float:
+    """Learning rate at iteration t of a step schedule of (start, lr)
+    pairs: the rate of the last segment that starts at or before t."""
+    lr = None
+    for start, value in schedule:
+        if start <= t:
+            lr = value
+    return lr
+
+
+def sgd_step(p: float, g: float, v: float, lr: float, momentum: float) -> tuple[float, float]:
+    """One heavy-ball update of a scalar parameter p with gradient g and
+    velocity v: v <- momentum * v + g, p <- p - lr * v. Returns (p, v)."""
+    v = momentum * v + g
+    return p - lr * v, v
+
+
 def iou_of_wh(a, b) -> float:
     """Aligned IoU of two (w, h) pairs, written out longhand."""
     inter = min(a[0], b[0]) * min(a[1], b[1])

@@ -241,6 +241,16 @@ class TestOptimize:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("init", ["identical", "kmeans"])
+    def test_more_anchors_than_boxes_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, init):
+        """A huge --num-anchors used to end in a numpy allocation traceback."""
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", init,
+                   "--num-anchors", "1000000000000", "--out-dir", str(out)])
+        assert rc == 2
+        assert "dataset has 120 boxes but 1000000000000 anchors were requested" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_uniform_init_rejects_other_counts(self, tmp_path, dataset_file, capsys):
         out = tmp_path / "opt"
         rc = main([
@@ -600,6 +610,24 @@ class TestRunDir:
         cfg.read(out / "effective.cfg")
         assert cfg["cluster"]["seed"] == "2"
         assert not (tmp_path / "run-2").exists()
+
+
+@pytest.mark.parametrize("kind", ["csv", "coco", "canonical", "anchors", "config"])
+def test_non_utf8_file_named(tmp_path, dataset_file, capsys, kind):
+    """A file that is not UTF-8 used to fail with only the codec's message."""
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    argv = {
+        "csv": ["ingest", "--format", "csv", "--input", str(bad)],
+        "coco": ["ingest", "--format", "coco", "--input", str(bad)],
+        "canonical": ["eval", "--dataset", str(bad), "--anchors", str(bad)],
+        "anchors": ["eval", "--dataset", str(dataset_file), "--anchors", str(bad)],
+        "config": ["cluster", "--config", str(bad)],
+    }[kind]
+    rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -147,6 +147,13 @@ class TestParseCoco:
         ({"images": [{"id": 3, "width": "wide", "height": 100}], "annotations": []}, "image 3 needs"),
         ({"images": [{"id": 1, "width": 100, "height": 100}],
           "annotations": [{"id": 7, "image_id": [1], "bbox": [1, 2, 3, 4]}]}, r"annotation 7 references unknown image \[1\]"),
+        # JSON integers beyond float range used to end in an OverflowError traceback
+        ({"images": [{"id": 3, "width": 10**400, "height": 100}], "annotations": []}, "image 3 needs"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [1, 2, 10**400, 4]}]}, "annotation 7 needs a bbox of four"),
+        # a repeated id used to replace the earlier image's size silently
+        ({"images": [{"id": 1, "width": 100, "height": 100}, {"id": 1, "width": 50, "height": 50}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [0, 0, 60, 60]}]}, "image id 1 appears more than once"),
     ])
     def test_malformed_document_named(self, tmp_path, doc, match):
         """Each malformed document raises ParseError naming the file and the

@@ -11,14 +11,12 @@ from anchorforge import (
     NonFiniteLossError,
     TrainConfig,
     initial_head,
-    lr_at,
     make_features,
     run_training,
-    sgd_step,
     soft_assign,
 )
 from anchorforge.assign import TEMP_START
-from oracles import head_loss_longhand
+from oracles import head_loss_longhand, lr_at, sgd_step
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
 
@@ -46,48 +44,41 @@ def start_anchors():
     return AnchorSet.from_linear([[30.0, 30.0], [150.0, 150.0]])
 
 
-class TestLrSchedule:
-    def test_step_boundaries(self):
-        assert lr_at(0, VOC_SCHEDULE) == 1e-4
-        assert lr_at(99, VOC_SCHEDULE) == 1e-4
-        assert lr_at(100, VOC_SCHEDULE) == 1e-3
-        assert lr_at(14999, VOC_SCHEDULE) == 1e-3
-        assert lr_at(15000, VOC_SCHEDULE) == 1e-4
-        assert lr_at(27000, VOC_SCHEDULE) == 1e-5
-        assert lr_at(10**6, VOC_SCHEDULE) == 1e-5
+class TestMomentumUpdate:
+    @pytest.mark.parametrize("momentum, mult, frozen", [
+        (0.0, 1.0, False), (0.9, 1.0, False), (0.0, 0.37, False), (0.9, 0.37, False), (0.9, 0.37, True),
+    ])
+    def test_anchor_follows_heavy_ball_recurrence(self, momentum, mult, frozen):
+        """One anchor, no head and no clustering term, on boxes of one shape
+        g: every box in a batch of B has weight 1, so the anchor gradient is
+        2 B (s - log g), and the logged anchor must follow v <- m v + grad,
+        s <- s - lr_t mult v with lr_t from the schedule. Frozen anchors
+        never get a gradient and stay put."""
+        n, batch, box = 8, 4, (30.0, 60.0)
+        centers = np.full(n, 200.0)
+        ds = CanonicalDataset(416, [f"b{i}" for i in range(n)], centers, centers,
+                              np.full(n, box[0]), np.full(n, box[1]))
+        cfg = TrainConfig(
+            iters=12, batch_size=batch, momentum=momentum,
+            lr_schedule=((0, 0.01), (3, 0.05), (7, 0.002)), warmup_iters=0,
+            anchor_lr_multiplier=mult, train_anchors=not frozen, cluster_weight=0.0,
+            head=HeadConfig(enabled=False), log_every=1,
+        )
+        s = [math.log(50.0), math.log(20.0)]
+        res = run_training(ds, AnchorSet.from_array(np.array([s])), cfg)
 
-    def test_negative_iteration(self):
-        with pytest.raises(ValueError):
-            lr_at(-1, VOC_SCHEDULE)
-
-
-class TestSgdStep:
-    def test_two_steps_accumulate_momentum(self):
-        """With momentum 0.9 the second velocity is g + 0.9 g = 1.9 g."""
-        p = np.zeros(3)
-        v = np.zeros(3)
-        g = np.array([1.0, -2.0, 0.5])
-        lr = 0.1
-        p, v = sgd_step(p, g, v, lr, 0.9)
-        np.testing.assert_allclose(v, g)
-        np.testing.assert_allclose(p, -lr * g)
-        p, v = sgd_step(p, g, v, lr, 0.9)
-        np.testing.assert_allclose(v, 1.9 * g)
-        np.testing.assert_allclose(p, -lr * g - lr * 1.9 * g)
-
-    def test_zero_momentum_is_plain_sgd(self):
-        rng = np.random.default_rng(71)
-        p = rng.normal(size=4)
-        g = rng.normal(size=4)
-        new_p, _ = sgd_step(p, g, np.zeros(4), 0.01, 0.0)
-        np.testing.assert_allclose(new_p, p - 0.01 * g)
-
-    def test_inputs_not_mutated(self):
-        p = np.ones(2)
-        v = np.zeros(2)
-        sgd_step(p, np.ones(2), v, 0.1, 0.9)
-        np.testing.assert_array_equal(p, 1.0)
-        np.testing.assert_array_equal(v, 0.0)
+        v = [0.0, 0.0]
+        want = []
+        for t in range(cfg.iters):
+            for i in (0, 1):
+                grad = 0.0 if frozen else 2.0 * batch * (s[i] - math.log(box[i]))
+                s[i], v[i] = sgd_step(s[i], grad, v[i], lr_at(t, cfg.lr_schedule) * mult, momentum)
+            want.append(list(s))
+        assert [r.iteration for r in res.trajectory.rows] == list(range(cfg.iters))
+        got = np.log([r.anchors_wh[0] for r in res.trajectory.rows])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        if frozen:
+            np.testing.assert_array_equal(res.anchors.as_array(), [[math.log(50.0), math.log(20.0)]])
 
 
 class TestConfigValidation:
@@ -192,6 +183,12 @@ class TestRunTraining:
         res = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
 
+    def test_frozen_anchors_stay_put_when_their_rate_overflows(self):
+        """lr * anchor_lr_multiplier can overflow to inf, and inf * 0 is NaN."""
+        cfg = small_cfg(iters=5, train_anchors=False, lr_schedule=((0, 1e200),), anchor_lr_multiplier=1e200)
+        res = run_training(tiny_ds(), start_anchors(), cfg)
+        np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_raises_with_iteration(self):
@@ -270,8 +267,10 @@ class TestTrajectory:
         """Log shapes past exp's range used to end the run as an OverflowError
         in AnchorSet.wh(), after a finite loss at every step."""
         cfg = small_cfg(lr_schedule=((0, 0.1),), warmup_iters=0, iters=20, log_every=50)
-        with pytest.raises(NonFiniteLossError, match="at iteration 19"):
+        with pytest.raises(NonFiniteLossError, match="at iteration 19") as exc:
             run_training(tiny_ds(), start_anchors(), cfg)
+        # the loss itself is finite: the message must not call it non-finite
+        assert str(exc.value).startswith("anchor shape overflowed to a non-finite or zero size (loss ")
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
