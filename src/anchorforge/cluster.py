@@ -31,9 +31,10 @@ ASSIGN_BLOCK = 16384  # rows per scoring block: its column temporaries stay in c
 BOUND_MARGIN = 1e-9
 
 
-def best_iou(wh: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def best_iou(wh: np.ndarray, cents: np.ndarray, tau: Optional[float] = None) -> tuple[np.ndarray, ...]:
     """Best aligned IoU, its winner and the second-best IoU of each (n, 2)
-    linear shape against (k, 2) linear shapes, one column at a time.
+    linear shape against (k, 2) linear shapes, one column at a time, and
+    the count of each column's IoUs >= tau (all 0 when tau is None).
 
     This is the package's one blocked scoring pass: k-means, eval and the
     optimize summary all score boxes with it, and no (n, k) matrix is
@@ -42,19 +43,22 @@ def best_iou(wh: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     matrix. With one column the second-best IoU is -inf.
     """
     n = wh.shape[0]
-    best = np.empty(n)
+    best = np.full(n, -np.inf)
     arg = np.zeros(n, dtype=np.intp)
     second = np.full(n, -np.inf)
+    hits = np.zeros(cents.shape[0], dtype=np.intp)
     for start in range(0, n, ASSIGN_BLOCK):
         rows = slice(start, start + ASSIGN_BLOCK)
         x, b, a, s = wh[rows], best[rows], arg[rows], second[rows]  # the views write through
-        b[:] = iou_aligned_matrix(x, cents[:1])[:, 0]
-        for j in range(1, cents.shape[0]):
+        for j in range(cents.shape[0]):
             iou = iou_aligned_matrix(x, cents[j : j + 1])[:, 0]
-            np.maximum(s, np.minimum(b, iou), out=s)
-            a[iou > b] = j
+            if tau is not None:
+                hits[j] += np.count_nonzero(iou >= tau)
+            if j:  # the first column only sets the best IoU
+                np.maximum(s, np.minimum(b, iou), out=s)
+                a[iou > b] = j
             np.maximum(b, iou, out=b)
-    return best, arg, second
+    return best, arg, second, hits
 
 
 def _update_step(wh: np.ndarray, cents: np.ndarray, assignments: np.ndarray) -> np.ndarray:
@@ -135,7 +139,7 @@ def kmeans_iou(
         cents = _seed_plus_plus(wh, num_clusters, np.random.default_rng(seed))
 
     own = np.eye(num_clusters, dtype=bool)  # each centroid's own entry, left out of "the others"
-    iou, assignments, second = best_iou(wh, cents)
+    iou, assignments, second, _ = best_iou(wh, cents)
     upper = 1.0 - iou  # >= distance to the own centroid
     lower = 1.0 - second  # <= distance to every other centroid
     iterations_run = 0
@@ -148,7 +152,7 @@ def kmeans_iou(
         half_gap = np.where(own, np.inf, 1.0 - iou_aligned_matrix(cents, cents)).min(axis=1) / 2.0
         stale = np.flatnonzero(upper >= np.maximum(half_gap[assignments], lower) - BOUND_MARGIN)
         # np.take gathers rows several times faster than fancy indexing
-        iou, nearest, second = best_iou(np.take(wh, stale, axis=0), cents)
+        iou, nearest, second, _ = best_iou(np.take(wh, stale, axis=0), cents)
         converged = bool(np.array_equal(nearest, assignments[stale]))
         assignments[stale] = nearest
         upper[stale] = 1.0 - iou

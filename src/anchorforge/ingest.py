@@ -160,6 +160,18 @@ def _clamped(
     return ParsedBoxes(tuple(image_ids), sizes, clamped)
 
 
+# float() reads true as 1 and "100" as 100, but neither is a JSON number; null
+# is let through, to read as NaN in a bbox and fail the finite check there
+_JSON_NUMBER = {int, float, type(None)}
+
+
+def _json_floats(values: list) -> np.ndarray:
+    """values as a float array; TypeError unless each is a JSON number or null."""
+    if not set(map(type, values)) <= _JSON_NUMBER:
+        raise TypeError("not a JSON number")
+    return np.array(values, dtype=float)
+
+
 def parse_coco(
     path: "str | Path",
     skip_crowd: bool = True,
@@ -184,7 +196,10 @@ def parse_coco(
     for img in images:
         try:
             row = index.setdefault(img["id"], len(names))
-            image_sizes.append((float(img["width"]), float(img["height"])))
+            width, height = img["width"], img["height"]
+            if not {type(width), type(height)} <= _JSON_NUMBER:
+                raise TypeError("not a JSON number")
+            image_sizes.append((float(width), float(height)))
         except (KeyError, TypeError, ValueError, OverflowError):
             image_id = img.get("id") if isinstance(img, dict) else img
             raise ParseError(f"{path}: image {image_id!r} needs an id and a numeric width and height") from None
@@ -196,7 +211,10 @@ def parse_coco(
     for ann in annotations:
         if not isinstance(ann, dict):
             raise ParseError(f"{path}: annotation {ann!r} is not a JSON object")
-        if skip_crowd and ann.get("iscrowd", 0):
+        crowd = ann.get("iscrowd", 0)
+        if type(crowd) is not int or crowd not in (0, 1):
+            raise ParseError(f"{path}: annotation {ann.get('id')} needs an iscrowd of 0 or 1, got {crowd!r}")
+        if skip_crowd and crowd:
             skipped_crowd += 1
             continue
         image_id, bbox = ann.get("image_id"), ann.get("bbox")
@@ -209,11 +227,11 @@ def parse_coco(
         bboxes.append(bbox)
         ann_ids.append(ann.get("id"))
     try:
-        xywh = np.array(bboxes, dtype=float).reshape(-1, 4)
+        xywh = _json_floats(list(itertools.chain.from_iterable(bboxes))).reshape(-1, 4)
     except (TypeError, ValueError, OverflowError):
         for ann_id, bbox in zip(ann_ids, bboxes):
             try:
-                np.array(bbox, dtype=float)
+                _json_floats(bbox)
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"{path}: annotation {ann_id} needs a bbox of four numbers, got {bbox!r}") from None
         raise

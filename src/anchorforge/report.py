@@ -8,6 +8,7 @@ the precision of a trained detector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +21,7 @@ from .ingest import CanonicalDataset, ParseError, _read_utf8
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
 
-_MAX_EXACT_MATCH = 10
+_MAX_EXACT_MATCH = 20  # the subset table doubles with each anchor
 
 
 def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
@@ -29,8 +30,8 @@ def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int]
 
     The pairing, as (index in a, index in b) pairs in a's order, minimizes
     the summed Euclidean distance between matched log shapes, found
-    exactly by dynamic programming over subsets (the sets are small; up to
-    10 anchors are supported).
+    exactly by dynamic programming over subsets of b (up to 20 anchors).
+    Of equal costs, a subset keeps the one placing its last row highest in b.
     """
     if len(a) != len(b):
         raise ValueError(f"anchor sets differ in size: {len(a)} vs {len(b)}")
@@ -39,28 +40,23 @@ def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int]
         raise ValueError(f"exact matching supports up to {_MAX_EXACT_MATCH} anchors, got {n}")
     la, lb = a.as_array(), b.as_array()
     dist = np.sqrt(np.sum((la[:, None, :] - lb[None, :, :]) ** 2, axis=2))
-    # DP over subsets of b's indices; popcount(mask) rows of a are placed.
-    full = (1 << n) - 1
+    # best[mask]: rows 0 .. popcount(mask) - 1 of a placed on b's indices in mask. Layer i fills
+    # the masks of i + 1 bits; a j outside the mask reads an unfilled inf, which never wins
+    masks, bits = np.arange(1 << n), 1 << np.arange(n)
+    popcount = sum((masks >> j) & 1 for j in range(n))
     best = np.full(1 << n, np.inf)
     best[0] = 0.0
-    choice = np.full(1 << n, -1, dtype=int)
-    for mask in range(full):
-        i = bin(mask).count("1")
-        base = best[mask]
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            cand = base + dist[i, j]
-            if cand < best[mask | bit]:
-                best[mask | bit] = cand
-                choice[mask | bit] = j
-    cols = [0] * n
-    mask = full
+    choice = np.zeros(1 << n, dtype=np.intp)
+    for i in range(n):
+        layer = masks[popcount == i + 1]
+        cand = best[layer[:, None] ^ bits] + dist[i]
+        # the first minimum of the reversed columns: a tie goes to the highest j
+        j = n - 1 - np.argmin(cand[:, ::-1], axis=1)
+        choice[layer], best[layer] = j, cand[np.arange(len(layer)), j]
+    cols, mask = [0] * n, (1 << n) - 1
     for i in range(n - 1, -1, -1):
-        j = int(choice[mask])
-        cols[i] = j
-        mask ^= 1 << j
+        cols[i] = int(choice[mask])
+        mask ^= 1 << cols[i]
     return tuple(enumerate(cols)), dist[np.arange(n), cols]
 
 
@@ -103,13 +99,10 @@ def build_report(
         raise ValueError("dataset is empty")
     ordered = anchors.sorted_by_area()
     shapes, anchors_wh = ds.shapes(), np.exp(ordered.as_array())
-    best, winner = best_iou(shapes, anchors_wh)[:2]
-    util = np.zeros(len(ordered), dtype=np.intp)
+    best, winner, _, util = best_iou(shapes, anchors_wh, threshold_tau if threshold else None)
     if threshold:
-        # each anchor takes every box that reaches tau with it, one column
-        # per pass; a box that reaches tau with no anchor goes to its best one
-        for j in range(len(ordered)):
-            util[j] = np.count_nonzero(best_iou(shapes, anchors_wh[j : j + 1])[0] >= threshold_tau)
+        # each anchor takes every box that reaches tau with it; a box that
+        # reaches tau with no anchor goes to its best one
         winner = winner[best < threshold_tau]
     util += np.bincount(winner, minlength=len(ordered))
     return AnchorReport(
@@ -184,6 +177,9 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
         anchor_set = AnchorSet.from_linear(pairs, stride)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
+    for w, h in pairs:  # finite sides can still overflow the area that IoU needs
+        if not math.isfinite(w * h):
+            raise ParseError(f"{path}: anchor ({w}, {h}) has an area beyond float range")
     return anchor_set, canvas
 
 

@@ -168,6 +168,9 @@ def _csv_row(row: TrajectoryRow) -> str:
     return ",".join(parts)
 
 
+# a diverging run overflows before the finite checks in the loop stop it with
+# NonFiniteLossError; they report it, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(
     ds: CanonicalDataset,
     anchors0: AnchorSet,

@@ -268,3 +268,39 @@ def full_matrix_report(wh: np.ndarray, anchors_wh: np.ndarray, tau: float) -> tu
     iou = iou_matrix(wh, anchors_wh)
     won = np.arange(iou.shape[1]) == np.argmax(iou, axis=1)[:, None]
     return iou.max(axis=1), won.sum(axis=0), ((iou >= tau) | won).sum(axis=0)
+
+
+def subset_dp_match(la: np.ndarray, lb: np.ndarray) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The least-summed-distance one-to-one pairing of two equal-size (n, 2)
+    log-shape arrays, by a DP over the subsets of lb's indices visited one
+    mask at a time, and the Euclidean distance of each matched pair.
+
+    Masks are visited in increasing order and a stored cost is replaced
+    only by a strictly smaller one, so each subset keeps the candidate
+    that adds the highest index of lb.
+    """
+    n = len(la)
+    dist = np.sqrt(np.sum((la[:, None, :] - lb[None, :, :]) ** 2, axis=2))
+    # DP over subsets of b's indices; popcount(mask) rows of a are placed.
+    full = (1 << n) - 1
+    best = np.full(1 << n, np.inf)
+    best[0] = 0.0
+    choice = np.full(1 << n, -1, dtype=int)
+    for mask in range(full):
+        i = bin(mask).count("1")
+        base = best[mask]
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            cand = base + dist[i, j]
+            if cand < best[mask | bit]:
+                best[mask | bit] = cand
+                choice[mask | bit] = j
+    cols = [0] * n
+    mask = full
+    for i in range(n - 1, -1, -1):
+        j = int(choice[mask])
+        cols[i] = j
+        mask ^= 1 << j
+    return tuple(enumerate(cols)), dist[np.arange(n), cols]

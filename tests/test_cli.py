@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorforge
+import synth
 from anchorforge.cli import _SPECS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +84,9 @@ class TestIngest:
         ('[{"id": 1}]', "got a list"),
         ('{"images": [{"id": 1, "width": 10, "height": 10}], "annotations": [{"id": 4, "image_id": 1}]}',
          "annotation 4 needs a bbox"),
+        ('{"images": [{"id": 1, "width": 10, "height": 10}], '
+         '"annotations": [{"id": 4, "image_id": 1, "bbox": [1, 1, 5, 5], "iscrowd": "0"}]}',
+         "annotation 4 needs an iscrowd of 0 or 1"),
     ])
     def test_malformed_coco_exits_2(self, tmp_path, capsys, text, match):
         p = tmp_path / "ann.json"
@@ -240,6 +245,22 @@ class TestOptimize:
                    "--lr-schedule", "0:0.1", "--no-head", "--out-dir", str(tmp_path / "opt")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_diverging_run_prints_no_numpy_warning(self, tmp_path, capsys):
+        """The finite checks report a diverging run; numpy's overflow and
+        invalid-value warnings used to reach stderr ahead of them."""
+        dataset = tmp_path / "mixture2.canonical"
+        anchorforge.write_canonical(synth.mixture2(1), dataset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["optimize", "--dataset", str(dataset), "--scale", "0.1", "--no-bn", "--rule", "threshold",
+                       "--out-dir", str(tmp_path / "opt")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: anchor shape overflowed to a non-finite or zero size (loss ")
+        assert " at iteration 200; anchor log-shapes: " in err
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("init", ["identical", "kmeans"])
     def test_more_anchors_than_boxes_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, init):
@@ -502,6 +523,47 @@ class TestEvalAndCompare:
         out = capsys.readouterr().out
         assert "mean matched log-space distance" in out
 
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_compare_detector_sized_sets(self, tmp_path, capsys, n):
+        rng = np.random.default_rng(n)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for p in paths:
+            wh = np.exp(rng.normal(4.0, 0.6, size=(n, 2)))
+            anchorforge.write_anchors_json(p, anchorforge.AnchorSet.from_linear(wh), canvas=416)
+        rc = main(["compare", *map(str, paths)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == n + 2
+        assert sum("log-dist" in line for line in lines) == n
+        assert lines[-1].startswith("mean matched log-space distance: ")
+
+    def test_compare_above_the_exact_cap_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "a.json"
+        wh = [(10.0 + i, 12.0 + i) for i in range(21)]
+        anchorforge.write_anchors_json(p, anchorforge.AnchorSet.from_linear(wh), canvas=416)
+        rc = main(["compare", str(p), str(p)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "exact matching supports up to 20 anchors, got 21" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "optimize"])
+    def test_anchor_area_beyond_float_range_exits_2(self, tmp_path, dataset_file, capsys, command):
+        """An anchor of 1e308 x 10 used to score with a numpy overflow warning on stderr."""
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps({"canvas": 416, "stride": 32, "anchors": [[30.0, 40.0], [1e308, 10.0]]}))
+        argv = {
+            "eval": ["eval", "--dataset", str(dataset_file), "--anchors", str(anchors)],
+            "compare": ["compare", str(anchors), str(anchors)],
+            "optimize": ["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(anchors),
+                         "--num-anchors", "2"],
+        }[command]
+        out = tmp_path / "run"
+        rc = main(argv + (["--out-dir", str(out)] if command != "compare" else []))
+        assert rc == 2
+        assert f"{anchors}: anchor (1e+308, 10.0) has an area beyond float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_size_mismatch(self, tmp_path, dataset_file, capsys):
         c1, c2 = tmp_path / "c1", tmp_path / "c2"
         main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(c1)])
@@ -755,6 +817,14 @@ class TestArgparseBehavior:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", launcher, "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert_cli_help(proc)
+
+    def test_python_dash_m_runs(self, tmp_path):
+        src_dir = str(Path(anchorforge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "anchorforge", "--help"], cwd=tmp_path,
                               env=env, capture_output=True, text=True)
         assert_cli_help(proc)
 

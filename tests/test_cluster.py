@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from anchorforge import (
     init_uniform,
     kmeans_iou,
 )
+from anchorforge import cluster
 from anchorforge.cluster import _seed_plus_plus, _update_step
-from oracles import iou_table, lloyd_assign_step, lloyd_iou_round, lloyd_kmeans_iou, seed_plus_plus_full
+from oracles import iou_matrix, iou_table, lloyd_assign_step, lloyd_iou_round, lloyd_kmeans_iou, seed_plus_plus_full
 
 
 def shapes_from(wh):
@@ -26,6 +28,34 @@ def clustered_data(rng, modes, per_mode, spread=0.08):
         lh = rng.normal(math.log(mh), spread, size=per_mode)
         wh.append(np.exp(np.stack([lw, lh], axis=1)))
     return np.concatenate(wh)
+
+
+class TestBestIou:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        k=st.integers(1, 8),
+        tau=st.sampled_from([0.25, 0.5, 0.75]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_matrix(self, n, k, tau, seed):
+        """Blocked column by column, with exact ties, the pass gives the full
+        matrix's best, argmax, second best and per-column counts at tau."""
+        rng = np.random.default_rng(seed)
+        palette = np.clip(np.round(2.0 * np.exp(rng.normal(3.0, 1.0, size=(5, 2)))) / 2.0, 0.5, 416.0)
+        wh, cents = palette[rng.integers(5, size=n)], palette[rng.integers(5, size=k)]
+        # a box, or a box 2 or 4 times as wide: an IoU of exactly 1, 0.5 or 0.25 against it
+        cents[0] = wh[rng.integers(n)] * (rng.choice([1.0, 2.0, 4.0]), 1.0)
+        iou = iou_matrix(wh, cents)
+        with mock.patch.object(cluster, "ASSIGN_BLOCK", 7):
+            best, arg, second, hits = cluster.best_iou(wh, cents, tau)
+            without_tau = cluster.best_iou(wh, cents)
+        assert best.tobytes() == iou.max(axis=1).tobytes()
+        np.testing.assert_array_equal(arg, iou.argmax(axis=1))
+        np.testing.assert_array_equal(second, np.sort(iou, axis=1)[:, -2] if k > 1 else np.full(n, -np.inf))
+        np.testing.assert_array_equal(hits, (iou >= tau).sum(axis=0))
+        for got, want in zip(without_tau, (best, arg, second, np.zeros(k))):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestKMeans:

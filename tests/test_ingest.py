@@ -151,6 +151,19 @@ class TestParseCoco:
         ({"images": [{"id": 3, "width": 10**400, "height": 100}], "annotations": []}, "image 3 needs"),
         ({"images": [{"id": 1, "width": 100, "height": 100}],
           "annotations": [{"id": 7, "image_id": 1, "bbox": [1, 2, 10**400, 4]}]}, "annotation 7 needs a bbox of four"),
+        # a JSON value of another type used to be read as a number by float()
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [True, 0, 10, 10]}]}, "annotation 7 needs a bbox of four"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": ["1", "2", "3", "4"]}]}, "annotation 7 needs a bbox of four"),
+        ({"images": [{"id": 3, "width": "100", "height": 100}], "annotations": []}, "image 3 needs an id and a numeric"),
+        ({"images": [{"id": 3, "width": True, "height": 100}], "annotations": []}, "image 3 needs an id and a numeric"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [1, 2, 3, 4], "iscrowd": "0"}]},
+         "annotation 7 needs an iscrowd of 0 or 1, got '0'"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [1, 2, 3, 4], "iscrowd": 2}]},
+         "annotation 7 needs an iscrowd of 0 or 1, got 2"),
         # a repeated id used to replace the earlier image's size silently
         ({"images": [{"id": 1, "width": 100, "height": 100}, {"id": 1, "width": 50, "height": 50}],
           "annotations": [{"id": 7, "image_id": 1, "bbox": [0, 0, 60, 60]}]}, "image id 1 appears more than once"),

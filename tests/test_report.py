@@ -20,9 +20,9 @@ from anchorforge import (
     report_to_json,
     write_anchors_json,
 )
-from anchorforge.cluster import ASSIGN_BLOCK
+from anchorforge.cluster import ASSIGN_BLOCK, best_iou
 from anchorforge.report import PROXY_BANNER
-from oracles import full_matrix_report, iou_of_wh
+from oracles import full_matrix_report, iou_of_wh, subset_dp_match
 
 
 def ds_of(wh_pairs, canvas=416):
@@ -120,9 +120,27 @@ class TestMatchAnchorSets:
             match_anchor_sets(anchors_of([(10.0, 10.0)]), anchors_of([(10.0, 10.0), (20.0, 20.0)]))
 
     def test_too_many_anchors(self):
-        pairs = [(float(10 + i), float(10 + i)) for i in range(11)]
-        with pytest.raises(ValueError, match="up to 10"):
+        pairs = [(float(10 + i), float(10 + i)) for i in range(21)]
+        with pytest.raises(ValueError, match="up to 20"):
             match_anchor_sets(anchors_of(pairs), anchors_of(pairs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        shapes=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_dp_on_ties(self, n, shapes, seed):
+        """The layered DP pairs exactly as the mask-by-mask loop does, ties
+        included, and returns the same distances bit for bit."""
+        rng = np.random.default_rng(seed)
+        # both sets drawn from one small pool of log shapes: repeated anchors and equal sums
+        pool = np.round(rng.normal(3.0, 1.0, size=(shapes, 2)), 1)
+        la, lb = (pool[rng.integers(shapes, size=n)] for _ in range(2))
+        pairs, dists = match_anchor_sets(AnchorSet.from_array(la), AnchorSet.from_array(lb))
+        want_pairs, want_dists = subset_dp_match(la, lb)
+        assert pairs == want_pairs
+        assert dists.tobytes() == want_dists.tobytes()
 
 
 class TestBuildReport:
@@ -171,6 +189,23 @@ class TestBuildReport:
     def test_empty_dataset(self, rule):
         with pytest.raises(ValueError, match="empty"):
             build_report(anchors_of([(10.0, 10.0)]), ds_of([]), assignment_rule=rule)
+
+    @pytest.mark.parametrize("rule", ["yolo", "threshold"])
+    def test_one_scoring_pass(self, monkeypatch, rule):
+        """Both rules score the dataset once: the threshold counts come from the same pass."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return best_iou(*args)
+
+        monkeypatch.setattr("anchorforge.report.best_iou", counted)
+        wh = [(10.0, 10.0), (30.0, 30.0), (31.0, 29.0), (80.0, 40.0)]
+        anchors_wh = [(30.0, 30.0), (31.0, 31.0), (70.0, 50.0)]
+        report = build_report(anchors_of(anchors_wh), ds_of(wh), assignment_rule=rule)
+        assert len(calls) == 1
+        util = full_matrix_report(np.array(wh), np.array(anchors_wh), 0.5)[1 if rule == "yolo" else 2]
+        assert report.utilization == tuple(util.tolist())
 
     def test_json_holds_every_field(self):
         ds = ds_of([(10.0, 10.0), (50.0, 60.0), (200.0, 150.0)])
@@ -269,6 +304,15 @@ class TestAnchorsFile:
         p.write_text('{"canvas": 416, "stride": 32, "anchors": []}')
         with pytest.raises(ParseError, match="empty"):
             read_anchors_json(p)
+
+    def test_area_beyond_float_range_rejected(self, tmp_path):
+        """1e308 x 10 is finite on each side, but its area used to overflow in
+        every IoU and reach stderr as a numpy warning."""
+        p = tmp_path / "anchors.json"
+        p.write_text('{"canvas": 416, "stride": 32, "anchors": [[30.0, 40.0], [1e308, 10.0]]}')
+        with pytest.raises(ParseError, match=r"anchor \(1e\+308, 10.0\) has an area beyond float range") as info:
+            read_anchors_json(p)
+        assert str(p) in str(info.value)
 
     def test_nonpositive_anchor_rejected(self, tmp_path):
         p = tmp_path / "anchors.json"
