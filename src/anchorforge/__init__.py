@@ -43,6 +43,7 @@ from .ingest import (
 )
 from .lossgrad import (
     BN_EPS,
+    batch_moments,
     grad_head,
     head_outputs,
     initial_head,
@@ -89,6 +90,7 @@ __all__ = [
     "TrajectoryRow",
     "anchors_from_centroids",
     "anchors_line",
+    "batch_moments",
     "build_report",
     "cluster_weight_at",
     "grad_head",

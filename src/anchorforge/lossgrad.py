@@ -14,10 +14,23 @@ map stands in for a detector's offset-regression head; Gaussian feature
 noise is its capacity knob, and an optional batch normalization (scale
 only, no shift) can be applied to its outputs per batch.
 
-A training step runs three stages on one forward pass:
-:func:`head_outputs` (offsets and a cache), :func:`_loss_from_arrays`
-(loss, anchor gradient and offset gradient) and :func:`grad_head` (head
-gradients from the offset gradient and the cache).
+Moment form. The head is affine and its batch normalization only shifts
+and scales, so every residual is linear in the row x_j = (1, f_j, g_j)
+of a ground truth's features and log shape: residual channel i of pair
+(j, k) is a_ki . x_j for a coefficient vector a_ki of anchor k. The loss
+is then sum_ki a_ki^T G_k a_ki with the per-anchor Gram
+G_k = sum_j W_jk x_j x_j^T, and the batch-normalization statistics come
+from the membership Gram in the same way. No stage touches an
+(n, A, 2) array: :func:`batch_moments` reduces a batch to (A, 5, 5)
+Grams, and everything after it is (A, 2, 5)-sized algebra. Rows are
+centred by the batch mean before the Grams are built, so the variances
+read off them keep their digits.
+
+A training step runs four stages: :func:`batch_moments` (Grams),
+:func:`head_outputs` (each anchor's coefficient map and a cache),
+:func:`_loss_from_arrays` (loss, anchor gradient and coefficient
+gradient) and :func:`grad_head` (head gradients from the coefficient
+gradient and the cache).
 
 All functions are pure: they never mutate their inputs, and every
 reduction runs over arrays of fixed shape in a fixed order, so results
@@ -34,6 +47,10 @@ import numpy as np
 from .geometry import log_shapes_array
 
 BN_EPS = 1e-5
+
+# the residual's ground-truth part: channel i subtracts column 3 + i (log w, log h) of x
+_MINUS_G = np.zeros((2, 5))
+_MINUS_G[0, 3] = _MINUS_G[1, 4] = -1.0
 
 
 def initial_head(
@@ -61,117 +78,173 @@ def make_features(
     return g + sigma * rng.standard_normal(g.shape)
 
 
+def batch_moments(
+    rows: np.ndarray, w: np.ndarray, soft: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centred Grams of one batch.
+
+    rows is the (5, m) array whose column j is x_j = (1, f_j, g_j): a
+    one, the features of :func:`make_features` and the log shape of
+    ground truth j; w is the (m, A) assignment. Columns are centred as
+    x_j - mean with mean = (0, f-bar, g-bar), the batch means of the
+    features and log shapes. Returns
+
+    - gram, the (A, 5, 5) stack G_k = sum_j w_jk x_j x_j^T of centred columns;
+    - member_gram, the same sum over each anchor's batch-normalization
+      group: gram itself under a hard rule, whose weights are 0 or 1,
+      and the batch's own Gram for every anchor under the soft rule,
+      which covers every pair;
+    - mean, the (5,) vector the columns were centred by.
+    """
+    m = rows.shape[1]
+    mean = rows.sum(axis=1) / max(m, 1)
+    mean[0] = 0.0
+    x = rows - mean[:, None]
+    # (A, m) @ (m, 25): one product over the batch's outer products
+    gram = (w.T @ (x[:, None, :] * x[None, :, :]).reshape(25, m).T).reshape(-1, 5, 5)
+    member_gram = (x @ x.T)[None].repeat(len(gram), axis=0) if soft else gram
+    return gram, member_gram, mean
+
+
 def head_outputs(
     u: np.ndarray,
     c: np.ndarray,
     gamma: np.ndarray,
-    features: np.ndarray,
-    member: np.ndarray,
+    member_gram: np.ndarray,
+    mean: np.ndarray,
     bn: bool = True,
     bn_per_anchor: bool = True,
-) -> tuple[np.ndarray, Optional[tuple]]:
-    """Head forward pass for every (ground truth, anchor) pair.
+) -> tuple[np.ndarray, tuple]:
+    """Head forward pass, as each anchor's coefficient map on centred rows.
 
     u, c and gamma are the head parameters of :func:`initial_head`: per
     anchor a (2, 2) linear map, a bias and a positive scale per output
-    channel. features is the
-    (n, 2) array from :func:`make_features`; member is the (n, A)
-    boolean mask of the pairs the assignment covers, which define the
-    batch-normalization groups: one group per anchor column, or one
-    joint group over all member pairs when ``bn_per_anchor`` is false.
-    Raw offsets are ``u[k] @ features[j] + c[k]``; members of a group of
-    at least 2 pairs are normalized with the group's statistics and
-    scaled by ``gamma[k]``, everything else passes through raw.
+    channel. member_gram and mean come from :func:`batch_moments`.
+    Raw offsets are ``u[k] @ f_j + c[k]``. With ``bn``, the member
+    pairs of each anchor (or, when ``bn_per_anchor`` is false, all member
+    pairs together) form a normalization group; a group of at least 2
+    pairs is normalized per channel with its own mean and biased
+    variance and scaled by ``gamma[k]``, and smaller groups pass through
+    raw.
 
-    Returns the (n, A, 2) offsets and the cache :func:`grad_head` reuses
+    Returns the (A, 2, 5) coefficient map, whose row [k, i] applied to
+    the centred column x_j - mean gives the offset of pair (j, k) in
+    channel i for every member pair, and the cache :func:`grad_head` reuses
     (None without BN).
     """
-    n, a = member.shape
-    raw = (features @ u.reshape(2 * a, 2).T).reshape(n, a, 2) + c
+    coef = np.zeros(u.shape[:2] + (5,))
+    # the raw map on (1, f - f-bar): the bias absorbs u f-bar
+    coef[..., 0] = c + u @ mean[1:3]
+    coef[..., 1:3] = u
     if not bn:
-        return raw, None
-    axes = 0 if bn_per_anchor else (0, 1)
-    mask = member[:, :, None]
-    count = mask.sum(axis=axes, keepdims=True)
-    denom = np.maximum(count, 1)
-    xc = raw - np.where(mask, raw, 0.0).sum(axis=axes, keepdims=True) / denom
-    var = np.where(mask, xc * xc, 0.0).sum(axis=axes, keepdims=True) / denom
-    istd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = xc * istd
-    active = mask & (count >= 2)
-    return np.where(active, gamma * xhat, raw), (xhat, istd, count, denom, axes)
+        return coef, None
+    theta = coef[..., :3]
+    m3 = member_gram[:, :3, :3]
+    first = m3[:, None, 0]  # (A, 1, 3): each group's count and centred feature sums
+    count = first[..., 0]
+    mc = theta @ m3
+    # mc[..., 0] is each channel's raw sum over the anchor's group; groups
+    # too small to normalize keep a zero mean and a unit scale
+    total = mc[..., 0]
+    if not bn_per_anchor:
+        count = count.sum(axis=0, keepdims=True)
+        total = total.sum(axis=0, keepdims=True)
+    active = count >= 2.0
+    # 1 / count over the groups that are normalized, 0 over the rest
+    inv = active / np.maximum(count, 1.0)
+    shift = total * inv
+    centred = theta.copy()
+    centred[..., 0] -= shift
+    mc -= shift[..., None] * first
+    var = (mc * centred).sum(axis=2)
+    if not bn_per_anchor:
+        var = var.sum(axis=0, keepdims=True)
+    istd = (var * inv + BN_EPS) ** -0.5
+    scale = np.where(active, gamma * istd, 1.0)
+    np.multiply(centred, scale[..., None], out=theta)
+    istd *= active
+    return coef, (centred, mc, first, istd, scale, inv, bn_per_anchor)
 
 
 def _loss_from_arrays(
-    out: np.ndarray,
-    w: np.ndarray,
+    coef: np.ndarray,
+    gram: np.ndarray,
     s: np.ndarray,
-    g: np.ndarray,
+    mean: np.ndarray,
     cluster_weight: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted size loss plus the normalized clustering term, with gradients.
 
-    out is the (n, A, 2) array of predicted offsets (zeros without a
-    head), w the (n, A) assignment weights, s the (A, 2) log anchors and
-    g the (n, 2) log ground truths:
+    coef is the (A, 2, 5) coefficient map of the offsets from
+    :func:`head_outputs` (zeros without a head), gram and mean come from
+    :func:`batch_moments` and s is the (A, 2) array of log anchors. The
+    residual of anchor k in channel i has the coefficients
+    a_ki = coef_ki + b_ki, with b_ki = (s_ki - g-bar_i, 0, 0, -e_i) those
+    of the zero-offset gap s_k - g_j, so
 
-        loss = sum_jk w_jk |out_jk + s_k - g_j|^2
-             + lam / (2 N) * sum_jk w_jk |s_k - g_j|^2,   N = sum_jk w_jk
+        loss = sum_ki a_ki^T G_k a_ki
+             + lam / (2 N) * sum_ki b_ki^T G_k b_ki,   N = sum_k G_k[0, 0]
 
     The clustering term is dropped when N is 0. Returns the loss, its
     (A, 2) gradient with respect to the anchors (offsets held constant:
-    the head does not read the anchor shapes) and its (n, A, 2) gradient
-    with respect to out, which :func:`grad_head` consumes.
+    the head does not read the anchor shapes) and its (A, 2, 5) gradient
+    2 G a with respect to coef, which :func:`grad_head` consumes.
     """
     if not 0.0 <= cluster_weight <= 1.0:
         raise ValueError(f"cluster weight must lie in [0, 1], got {cluster_weight}")
-    if out.shape != w.shape + (2,):
-        raise ValueError(f"expected offsets of shape {w.shape + (2,)}, got {out.shape}")
-    gap = s - g[:, None, :]
-    r = out + gap
-    w3 = w[:, :, None]
-    dout = (2.0 * w3) * r
-    loss = 0.5 * float(np.sum(dout * r))
-    grad = dout.sum(axis=0)
+    if coef.shape != gram.shape[:1] + (2, 5):
+        raise ValueError(f"expected a coefficient map of shape {gram.shape[:1] + (2, 5)}, got {coef.shape}")
+    offset = s - mean[3:]
+    resid = coef + _MINUS_G
+    resid[..., 0] += offset
+    dcoef = resid @ gram
+    loss = float(np.vdot(dcoef, resid))
+    dcoef *= 2.0
+    grad = dcoef[..., 0].copy()
     if cluster_weight > 0.0:
-        n_eff = float(np.sum(w))
+        n_eff = float(gram[:, 0, 0].sum())
         if n_eff > 0.0:
-            wgap = w3 * gap
-            loss += cluster_weight / (2.0 * n_eff) * float(np.sum(wgap * gap))
-            grad += cluster_weight / n_eff * wgap.sum(axis=0)
-    return loss, grad, dout
+            gap = np.empty_like(coef)
+            gap[:] = _MINUS_G
+            gap[..., 0] = offset
+            pull = gap @ gram
+            loss += cluster_weight / (2.0 * n_eff) * float(np.vdot(pull, gap))
+            grad += cluster_weight / n_eff * pull[..., 0]
+    return loss, grad, dcoef
 
 
 def grad_head(
-    dout: np.ndarray,
-    cache,
-    features: np.ndarray,
-    member: np.ndarray,
+    dcoef: np.ndarray,
+    cache: Optional[tuple],
+    mean: np.ndarray,
     gamma: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (gu, gc, ggamma) of the loss with respect to the head
     parameters u, c and gamma.
 
-    Chain rule from the offset gradient ``dout`` of
-    :func:`_loss_from_arrays` through the batch normalization (including
-    its batch statistics) recorded in ``cache`` by :func:`head_outputs`
-    and through the affine map. Pairs outside ``member`` must carry zero
-    weight, hence zero ``dout``. The clustering term does not involve the
-    head, so the result holds for any cluster weight. Anchors with no
-    assigned pairs, and the scales of groups left raw, get zero gradients.
+    Chain rule from the coefficient gradient ``dcoef`` of
+    :func:`_loss_from_arrays` through the scale, the group mean and the
+    group variance recorded in ``cache`` by :func:`head_outputs`, and
+    through the affine map on the rows centred by ``mean``. The
+    clustering term does not involve the head, so the result holds for
+    any cluster weight. Anchors with no assigned pairs, and the scales of
+    groups left raw, get zero gradients.
     """
-    n, a = member.shape
-    draw = dout
     if cache is None:
+        dtheta = dcoef[..., :3].copy()
         gg = np.zeros_like(gamma)
     else:
-        xhat, istd, count, denom, axes = cache
-        active = member[:, :, None] & (count >= 2)
-        dxhat = np.where(active, dout, 0.0)
-        gg = (dxhat * xhat).sum(axis=0)
-        dxhat *= gamma
-        m1 = dxhat.sum(axis=axes, keepdims=True) / denom
-        m2 = (dxhat * xhat).sum(axis=axes, keepdims=True) / denom
-        draw = np.where(active, istd * (dxhat - m1 - xhat * m2), dout)
-    gu = (draw.reshape(n, 2 * a).T @ features).reshape(a, 2, 2)
-    return gu, draw.sum(axis=0), gg
+        centred, mc, first, istd, scale, inv, per_anchor = cache
+        t = (centred * dcoef[..., :3]).sum(axis=2)
+        gg = istd * t
+        dtheta = scale[..., None] * dcoef[..., :3]
+        # back through the group mean, then through the group variance
+        dmu = dtheta[..., 0]
+        dvar = gamma * t
+        if not per_anchor:
+            dmu = dmu.sum(axis=0, keepdims=True)
+            dvar = dvar.sum(axis=0, keepdims=True)
+        dvar *= istd**3 * inv
+        dtheta -= (dmu * inv)[..., None] * first + dvar[..., None] * mc
+    gc = dtheta[..., 0]
+    return dtheta[..., 1:] + gc[..., None] * mean[1:3], gc, gg

@@ -163,10 +163,20 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
     try:
-        canvas, stride = doc["canvas"], doc["stride"]
-        pairs = [(float(w), float(h)) for w, h in doc["anchors"]]
-    except (KeyError, TypeError, ValueError) as e:
+        canvas, stride, anchors = doc["canvas"], doc["stride"], doc["anchors"]
+    except (KeyError, TypeError) as e:
         raise ParseError(f"{path}: not a valid anchors file: {e}") from None
+    if not isinstance(anchors, list):
+        raise ParseError(f"{path}: anchors must be a list of [w, h] pairs, got {json.dumps(anchors)}")
+    pairs = []
+    for pair in anchors:
+        # JSON numbers only: float() would also read "30" and true (bool is an int subclass)
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
+            raise ParseError(f"{path}: each anchor must be a pair of numbers [w, h], got {json.dumps(pair)}")
+        try:
+            pairs.append((float(pair[0]), float(pair[1])))
+        except OverflowError:
+            raise ParseError(f"{path}: anchor {json.dumps(pair)} has a side beyond float range") from None
     for key, value in (("canvas", canvas), ("stride", stride)):
         # bool is an int subclass: "canvas": true must not read as canvas 1
         if type(value) is not int or value < 1:

@@ -36,7 +36,7 @@ from .assign import (
 )
 from .geometry import METRICS, AnchorSet, Metric
 from .ingest import CanonicalDataset
-from .lossgrad import _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
+from .lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs, initial_head, make_features
 
 SMOOTHING_WINDOW = 100
 
@@ -203,10 +203,19 @@ def run_training(
     # frozen anchors get no gradient and rate 0: lr * multiplier can overflow, and inf * 0 is NaN
     rate[: s.size] = cfg.anchor_lr_multiplier if cfg.train_anchors else 0.0
     breakpoints = dict(cfg.lr_schedule)
-    lr = breakpoints[0]
 
     log_g = ds.log_shapes()
     n = log_g.shape[0]
+    # the epoch's columns x_j = (1, f_j, g_j) in shuffled order; without a
+    # head the feature rows repeat the log shapes and no coefficient reads them
+    rows = np.ones((5, n))
+    no_head = np.zeros((num_anchors, 2, 5))
+
+    def shuffle() -> None:
+        shuffled = log_g[rng.permutation(n)]
+        rows[3:] = shuffled.T
+        # one draw per epoch gives the noise stream of one draw per batch
+        rows[1:3] = make_features(shuffled, cfg.head.sigma, rng).T if head else rows[3:]
 
     trajectory = Trajectory()
     fh: Optional[IO[str]] = None
@@ -217,7 +226,7 @@ def run_training(
 
     alpha = 1.0 / SMOOTHING_WINDOW
     ema: Optional[float] = None
-    order = rng.permutation(n)
+    shuffle()
     cursor = 0
     epoch = 0
     epoch_start_iter = 0
@@ -233,11 +242,11 @@ def run_training(
                 epoch += 1
                 epoch_start_iter = t
                 epoch_counts[:] = 0
-                order = rng.permutation(n)
+                shuffle()
                 cursor = 0
-            batch_idx = order[cursor : cursor + cfg.batch_size]
+            batch = rows[:, cursor : cursor + cfg.batch_size]
             cursor += cfg.batch_size
-            batch_g = log_g[batch_idx]
+            batch_g = batch[3:].T
 
             temp = temperature_at(t, cfg.warmup_iters)
             soft = temp is not None
@@ -252,32 +261,30 @@ def run_training(
             if lam is None:
                 lam = cluster_weight_at(t, cfg.warmup_iters)
 
+            # every pair belongs to a soft assignment, even where its weight
+            # underflowed to 0; a hard one covers its nonzeros
+            gram, member_gram, mean = batch_moments(batch, w, soft)
+            coef = no_head
             if head:
-                # every pair belongs to a soft assignment, even where its
-                # weight underflowed to 0; a hard one covers its nonzeros
-                member = np.ones(w.shape, dtype=bool) if soft else w > 0.0
-                features = make_features(batch_g, cfg.head.sigma, rng)
-                out, cache = head_outputs(
-                    *head, features, member,
-                    bn=cfg.head.bn, bn_per_anchor=cfg.head.bn_per_anchor,
+                coef, cache = head_outputs(
+                    *head, member_gram, mean, bn=cfg.head.bn, bn_per_anchor=cfg.head.bn_per_anchor,
                 )
-            else:
-                out = np.zeros(w.shape + (2,))
 
-            loss, gs, dout = _loss_from_arrays(out, w, s, batch_g, lam)
-            if not np.isfinite(loss):
+            loss, gs, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
+            if not math.isfinite(loss):
                 raise NonFiniteLossError(t, loss, s.copy())
 
             ema = loss if ema is None else (1.0 - alpha) * ema + alpha * loss
 
-            lr = breakpoints.get(t, lr)
+            if t in breakpoints:
+                step = breakpoints[t] * rate
             velocity *= cfg.momentum
             if cfg.train_anchors:
                 vel_s += gs
             if head:
-                for vel, grad in zip(vel_head, grad_head(dout, cache, features, member, head[2])):
+                for vel, grad in zip(vel_head, grad_head(dcoef, cache, mean, head[2])):
                     vel += grad
-            params -= (lr * rate) * velocity
+            params -= step * velocity
             if head:
                 # keep scales strictly positive; BN output is odd in gamma so
                 # the loss landscape does not need the sign

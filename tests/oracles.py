@@ -230,6 +230,88 @@ def head_loss_longhand(w, member, s, g, lam, head=None, features=None,
     return loss, offsets
 
 
+def moment_rows(features, g) -> np.ndarray:
+    """The (5, n) rows x_j = (1, f_j, g_j) of a batch's features and log
+    shapes, the column layout the moment-form training stages read."""
+    features = np.asarray(features, dtype=float).reshape(-1, 2)
+    g = np.asarray(g, dtype=float).reshape(-1, 2)
+    return np.vstack([np.ones(len(g)), features.T, g.T])
+
+
+def dense_head_outputs(u, c, gamma, features, member, bn=True, bn_per_anchor=True, eps=1e-5):
+    """Head forward pass for every (ground truth, anchor) pair, on (n, A, 2) arrays.
+
+    features is the (n, 2) feature array and member the (n, A) boolean
+    mask of the pairs the assignment covers, which define the
+    batch-normalization groups: one group per anchor column, or one joint
+    group over all member pairs when ``bn_per_anchor`` is false. Raw
+    offsets are ``u[k] @ features[j] + c[k]``; members of a group of at
+    least 2 pairs are normalized with the group's statistics and scaled by
+    ``gamma[k]``, everything else passes through raw.
+
+    Returns the (n, A, 2) offsets and the cache dense_grad_head reuses
+    (None without BN).
+    """
+    n, a = member.shape
+    raw = (features @ u.reshape(2 * a, 2).T).reshape(n, a, 2) + c
+    if not bn:
+        return raw, None
+    axes = 0 if bn_per_anchor else (0, 1)
+    mask = member[:, :, None]
+    count = mask.sum(axis=axes, keepdims=True)
+    denom = np.maximum(count, 1)
+    xc = raw - np.where(mask, raw, 0.0).sum(axis=axes, keepdims=True) / denom
+    var = np.where(mask, xc * xc, 0.0).sum(axis=axes, keepdims=True) / denom
+    istd = 1.0 / np.sqrt(var + eps)
+    xhat = xc * istd
+    active = mask & (count >= 2)
+    return np.where(active, gamma * xhat, raw), (xhat, istd, count, denom, axes)
+
+
+def dense_loss(out, w, s, g, cluster_weight):
+    """Weighted size loss plus the normalized clustering term, on (n, A, 2) offsets:
+
+        loss = sum_jk w_jk |out_jk + s_k - g_j|^2
+             + lam / (2 N) * sum_jk w_jk |s_k - g_j|^2,   N = sum_jk w_jk
+
+    Returns the loss, its (A, 2) anchor gradient and its (n, A, 2)
+    gradient with respect to out.
+    """
+    gap = s - g[:, None, :]
+    r = out + gap
+    w3 = w[:, :, None]
+    dout = (2.0 * w3) * r
+    loss = 0.5 * float(np.sum(dout * r))
+    grad = dout.sum(axis=0)
+    if cluster_weight > 0.0:
+        n_eff = float(np.sum(w))
+        if n_eff > 0.0:
+            wgap = w3 * gap
+            loss += cluster_weight / (2.0 * n_eff) * float(np.sum(wgap * gap))
+            grad += cluster_weight / n_eff * wgap.sum(axis=0)
+    return loss, grad, dout
+
+
+def dense_grad_head(dout, cache, features, member, gamma):
+    """Head gradients (gu, gc, ggamma) from the offset gradient of
+    dense_loss, through the normalization recorded by dense_head_outputs."""
+    n, a = member.shape
+    draw = dout
+    if cache is None:
+        gg = np.zeros_like(gamma)
+    else:
+        xhat, istd, count, denom, axes = cache
+        active = member[:, :, None] & (count >= 2)
+        dxhat = np.where(active, dout, 0.0)
+        gg = (dxhat * xhat).sum(axis=0)
+        dxhat *= gamma
+        m1 = dxhat.sum(axis=axes, keepdims=True) / denom
+        m2 = (dxhat * xhat).sum(axis=axes, keepdims=True) / denom
+        draw = np.where(active, istd * (dxhat - m1 - xhat * m2), dout)
+    gu = (draw.reshape(n, 2 * a).T @ features).reshape(a, 2, 2)
+    return gu, draw.sum(axis=0), gg
+
+
 def lloyd_assign_step(wh: np.ndarray, cents: np.ndarray) -> np.ndarray:
     """Lloyd's assignment: the IoU argmax of every shape. argmax returns
     the first maximum, so exact ties go to the lowest cluster."""

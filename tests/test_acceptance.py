@@ -14,6 +14,7 @@ from anchorforge import (
     AnchorSet,
     HeadConfig,
     TrainConfig,
+    batch_moments,
     build_report,
     cluster_weight_at,
     grad_head,
@@ -34,7 +35,7 @@ from anchorforge import (
 from anchorforge.assign import TEMP_FLOOR
 from anchorforge.cli import main
 from anchorforge.lossgrad import _loss_from_arrays
-from oracles import fd_grad, lloyd_log_l2, rel_err, shape_dist
+from oracles import fd_grad, lloyd_log_l2, moment_rows, rel_err, shape_dist
 
 
 def report(passed, number, description):
@@ -105,41 +106,44 @@ class TestCriterion1:
                             w = hard_assign_threshold(gts, s, 0.5)
                         else:
                             w = soft_assign(gts, s, metric, temperature=1.0)
-                        member = np.ones(w.shape, dtype=bool) if rule == "soft" else w > 0.0
+                        # the soft rule's groups cover every pair; a hard rule's, its nonzeros
+                        soft = rule == "soft"
 
                         bn = mode != "bn off"
                         per_anchor = mode != "bn joint"
                         if mode == "no head":
-                            out = np.zeros(w.shape + (2,))
+                            gram, _, mean = batch_moments(moment_rows(gts, gts), w, soft)
+                            coef = np.zeros((5, 2, 5))
                         else:
                             head = initial_head(5, init_scale=0.1, rng=rng)
                             features = make_features(gts, 0.3, rng)
-                            out, cache = head_outputs(*head, features,
-                                                      member, bn=bn, bn_per_anchor=per_anchor)
+                            gram, member_gram, mean = batch_moments(moment_rows(features, gts), w, soft)
+                            coef, cache = head_outputs(*head, member_gram, mean,
+                                                       bn=bn, bn_per_anchor=per_anchor)
 
-                        _, analytic, dout = _loss_from_arrays(out, w, s, gts, lam)
+                        _, analytic, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
 
-                        def loss_of_anchors(arr, out=out, w=w, gts=gts, lam=lam):
-                            return _loss_from_arrays(out, w, arr, gts, lam)[0]
+                        def loss_of_anchors(arr, coef=coef, gram=gram, mean=mean, lam=lam):
+                            return _loss_from_arrays(coef, gram, arr, mean, lam)[0]
 
                         numeric = fd_grad(loss_of_anchors, s.copy())
                         worst = max(worst, rel_err(analytic, numeric))
 
                         if mode != "no head":
-                            hg = grad_head(dout, cache, features, member, head[2])
+                            hg = grad_head(dcoef, cache, mean, head[2])
                             nu, nc = head[0].size, head[1].size
                             packed = np.concatenate([p.ravel() for p in head])
 
-                            def loss_of_head(vec, w=w, member=member, s=s, gts=gts, lam=lam,
-                                             head=head, features=features, bn=bn,
+                            def loss_of_head(vec, gram=gram, member_gram=member_gram, mean=mean,
+                                             s=s, lam=lam, head=head, bn=bn,
                                              per_anchor=per_anchor, nu=nu, nc=nc):
                                 o, _ = head_outputs(
                                     vec[:nu].reshape(head[0].shape),
                                     vec[nu:nu + nc].reshape(head[1].shape),
                                     vec[nu + nc:].reshape(head[2].shape),
-                                    features, member, bn=bn, bn_per_anchor=per_anchor,
+                                    member_gram, mean, bn=bn, bn_per_anchor=per_anchor,
                                 )
-                                return _loss_from_arrays(o, w, s, gts, lam)[0]
+                                return _loss_from_arrays(o, gram, s, mean, lam)[0]
 
                             analytic_h = np.concatenate([g.ravel() for g in hg])
                             worst = max(worst, rel_err(analytic_h, fd_grad(loss_of_head, packed)))
@@ -303,10 +307,13 @@ class TestCriterion7:
             gamma = float(rng.uniform(0.2, 3.0))
             # the trainer's normalization: one anchor whose group is the
             # whole batch, identity map and zero bias, so raw offsets are x
-            out, _ = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
-                                  np.column_stack([x, x]), np.ones((size, 1), dtype=bool),
-                                  bn=True, bn_per_anchor=True)
-            pre = out[:, 0, :] / gamma
+            rows = moment_rows(np.column_stack([x, x]), np.zeros((size, 2)))
+            _, member_gram, mean = batch_moments(rows, np.ones((size, 1)), True)
+            coef, _ = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
+                                   member_gram, mean, bn=True, bn_per_anchor=True)
+            # the offsets: the exposed coefficient map applied to the centred batch
+            out = coef[0] @ (rows - mean[:, None])
+            pre = out.T / gamma
             worst_mean = max(worst_mean, abs(float(np.mean(pre))))
             worst_var = max(worst_var, abs(float(np.var(pre)) - 1.0))
         report(worst_mean < 1e-7 and worst_var < 1e-6, 7,

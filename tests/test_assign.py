@@ -15,8 +15,8 @@ from anchorforge import (
     utilization_counts,
 )
 from anchorforge.assign import LAMBDA_START, TEMP_FLOOR, TEMP_START
-from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs
-from oracles import iou_of_wh, shape_dist, softmax_rows
+from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs
+from oracles import iou_of_wh, moment_rows, shape_dist, softmax_rows
 
 
 def random_log_shapes(rng, n):
@@ -61,17 +61,22 @@ class TestAssignment:
         u = rng.normal(0.0, 0.3, size=(3, 2, 2))
         c = np.zeros((3, 2))
         gamma = np.ones((3, 2))
-        for a in (g, s, u, c, gamma):
+        rows = moment_rows(g, g)
+        for a in (g, s, u, c, gamma, rows):
             a.setflags(write=False)
         for soft, rule in zip((False, False, True), self.RULES):
             w = rule(g, s)
-            member = np.ones(w.shape, dtype=bool) if soft else w > 0.0
             w.setflags(write=False)
-            member.setflags(write=False)
+            moments = batch_moments(rows, w, soft)
+            for a in moments:
+                a.setflags(write=False)
+            gram, member_gram, mean = moments
             for per_anchor in (True, False):
-                out, cache = head_outputs(u, c, gamma, g, member, bn=True, bn_per_anchor=per_anchor)
-                _, _, dout = _loss_from_arrays(out, w, s, g, 0.5)
-                grad_head(dout, cache, g, member, gamma)
+                coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=True, bn_per_anchor=per_anchor)
+                coef.setflags(write=False)
+                _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.5)
+                dcoef.setflags(write=False)
+                grad_head(dcoef, cache, mean, gamma)
             utilization_counts(w, soft)
 
     def test_validation(self):

@@ -828,11 +828,52 @@ class TestArgparseBehavior:
                               env=env, capture_output=True, text=True)
         assert_cli_help(proc)
 
+    def test_python_dash_m_cli_module_runs(self, tmp_path):
+        """``python -m anchorforge.cli`` runs the command line too: it used
+        to exit 0 without running anything."""
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        anchorforge.write_anchors_json(good, anchorforge.init_uniform(), canvas=416)
+        bad.write_text("{nope")
+        proc = subprocess.run([sys.executable, "-m", "anchorforge.cli", "compare", str(good), str(bad)],
+                              cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{bad}: malformed JSON" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.skipif(shutil.which("anchorforge") is None,
                         reason="no anchorforge executable on PATH; install the package to run this")
     def test_installed_console_script_runs(self):
         proc = subprocess.run(["anchorforge", "--help"], capture_output=True, text=True)
         assert_cli_help(proc)
+
+
+def child_env(**extra):
+    """The environment of a child process that imports the anchorforge this suite imported."""
+    src_dir = str(Path(anchorforge.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestBlasThreads:
+    def test_optimize_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Each training step builds its Grams with BLAS products (here on
+        batches of 1024 boxes); anchors.json and trajectory.csv must come out
+        byte for byte the same with one BLAS thread and with two."""
+        data = tmp_path / "mixture2.canonical"
+        anchorforge.write_canonical(synth.mixture2(3), data)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "anchorforge", "optimize", "--dataset", str(data), "--iters", "300",
+                 "--warmup-iters", "100", "--batch-size", "1024", "--out-dir", str(out)],
+                cwd=tmp_path, env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("anchors.json", "trajectory.csv")])
+        assert outputs[0] == outputs[1]
 
 
 def assert_cli_help(proc):

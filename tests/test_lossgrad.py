@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anchorforge import (
     BN_EPS,
+    batch_moments,
     grad_head,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -18,7 +19,17 @@ from anchorforge import (
 )
 from anchorforge.assign import TEMP_FLOOR
 from anchorforge.lossgrad import _loss_from_arrays
-from oracles import cluster_term, fd_grad, head_loss_longhand, pair_loss, rel_err
+from oracles import (
+    cluster_term,
+    dense_grad_head,
+    dense_head_outputs,
+    dense_loss,
+    fd_grad,
+    head_loss_longhand,
+    moment_rows,
+    pair_loss,
+    rel_err,
+)
 
 RULES = ("yolo", "threshold", "soft")
 
@@ -50,20 +61,53 @@ def random_head(rng, n_anchor):
     return u, c, gamma
 
 
+def moments(w, member, g, features=None):
+    """The trainer's Grams of a batch (features default to the log shapes).
+
+    A mask that covers every pair is the soft rule's; under a hard rule
+    it means every weight is 1, and the two Grams agree."""
+    rows = moment_rows(g if features is None else features, g)
+    return batch_moments(rows, w, bool(member.all()))
+
+
+def apply_map(coef, mean, g, features=None):
+    """(n, A, 2) offsets: the coefficient map applied to the rows centred by mean."""
+    rows = moment_rows(g if features is None else features, g)
+    return np.einsum("kic,cj->jki", coef, rows - mean[:, None])
+
+
+def offsets(head, member, g, features, bn=True, per_anchor=True):
+    """The head's (n, A, 2) offsets under the moment-form forward pass."""
+    # the membership Gram of the mask's 0/1 weights, which is what the forward pass reads
+    _, member_gram, mean = moments(member.astype(float), member, g, features)
+    coef, _ = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+    return apply_map(coef, mean, g, features)
+
+
+def const_map(out):
+    """A coefficient map giving every pair of anchor k the constant
+    offset out[k]: (A, 2) -> (A, 2, 5)."""
+    coef = np.zeros(np.shape(out) + (5,))
+    coef[..., 0] = out
+    return coef
+
+
 def kernel_loss(w, member, s, g, lam, head=None, features=None, bn=True, per_anchor=True):
+    gram, member_gram, mean = moments(w, member, g, features)
     if head is None:
-        out = np.zeros(w.shape + (2,))
+        coef = np.zeros((len(s), 2, 5))
     else:
-        out, _ = head_outputs(*head, features, member, bn=bn, bn_per_anchor=per_anchor)
-    return _loss_from_arrays(out, w, s, g, lam)[0]
+        coef, _ = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+    return _loss_from_arrays(coef, gram, s, mean, lam)[0]
 
 
 def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
     """Worst relative error of the head gradients against finite differences."""
     u, c, gamma = head
-    out, cache = head_outputs(u, c, gamma, features, member, bn=bn, bn_per_anchor=per_anchor)
-    _, _, dout = _loss_from_arrays(out, w, s, g, lam)
-    gu, gc, ggamma = grad_head(dout, cache, features, member, gamma)
+    gram, member_gram, mean = moments(w, member, g, features)
+    coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+    _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
+    gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
 
     def f_u(x):
         return kernel_loss(w, member, s, g, lam, (x, c, gamma), features, bn, per_anchor)
@@ -83,9 +127,16 @@ def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
 
 def one_pair_loss(delta, anchor, gt, lam=0.0):
     """The kernel's loss for a single (ground truth, anchor) pair of weight 1."""
-    out = np.array([[delta]], dtype=float)
-    return _loss_from_arrays(out, np.ones((1, 1)), np.array([anchor], dtype=float),
-                             np.array([gt], dtype=float), lam)[0]
+    g = np.array([gt], dtype=float)
+    w = np.ones((1, 1))
+    gram, _, mean = moments(w, w > 0.0, g)
+    return _loss_from_arrays(const_map([delta]), gram, np.array([anchor], dtype=float), mean, lam)[0]
+
+
+def zero_offset_loss(w, s, g, lam):
+    """The kernel's (loss, anchor gradient, coefficient gradient) with no head."""
+    gram, _, mean = moments(w, w > 0.0, g)
+    return _loss_from_arrays(np.zeros((len(s), 2, 5)), gram, s, mean, lam)
 
 
 class TestLossValues:
@@ -117,28 +168,25 @@ class TestLossValues:
     def test_single_pair_with_cluster_weight(self):
         """One pair, zero offset, unit gap: 1 + (1/2) * 1 = 1.5."""
         w = np.ones((1, 1))
-        loss, _, _ = _loss_from_arrays(np.zeros((1, 1, 2)), w, np.zeros((1, 2)),
-                                       np.array([[1.0, 0.0]]), 1.0)
+        loss, _, _ = zero_offset_loss(w, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0)
         assert loss == 1.5
 
     def test_empty_assignment_is_zero(self):
-        loss, grad, dout = _loss_from_arrays(np.zeros((0, 1, 2)), np.zeros((0, 1)),
-                                             np.zeros((1, 2)), np.zeros((0, 2)), 1.0)
+        loss, grad, dcoef = zero_offset_loss(np.zeros((0, 1)), np.zeros((1, 2)), np.zeros((0, 2)), 1.0)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
-        assert dout.shape == (0, 1, 2)
+        assert dcoef.shape == (1, 2, 5)
+        np.testing.assert_array_equal(dcoef, 0.0)
 
     def test_all_zero_weights_is_zero(self):
         g = np.array([[1.0, 1.0], [2.0, 2.0]])
-        loss, _, _ = _loss_from_arrays(np.zeros((2, 1, 2)), np.zeros((2, 1)),
-                                       np.zeros((1, 2)), g, 1.0)
+        loss, _, _ = zero_offset_loss(np.zeros((2, 1)), np.zeros((1, 2)), g, 1.0)
         assert loss == 0.0
 
     def test_cluster_weight_validation(self):
         for lam in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                _loss_from_arrays(np.zeros((1, 1, 2)), np.ones((1, 1)), np.zeros((1, 2)),
-                                  np.array([[1.0, 0.0]]), lam)
+                zero_offset_loss(np.ones((1, 1)), np.zeros((1, 2)), np.array([[1.0, 0.0]]), lam)
 
 
 class TestLossProperties:
@@ -163,27 +211,28 @@ class TestAnchorGradients:
         rng = np.random.default_rng(33)
         for _ in range(10):
             for rule in ("soft",) if soft else ("yolo", "threshold"):
-                w, _, s, g = random_case(rng, rule=rule)
-                out = rng.normal(0.0, 0.3, size=w.shape + (2,))
+                w, member, s, g = random_case(rng, rule=rule)
+                gram, _, mean = moments(w, member, g)
+                # an arbitrary affine map of each pair's (1, f, g) row as its offset
+                coef = rng.normal(0.0, 0.3, size=(len(s), 2, 5))
 
                 def f(arr):
-                    return _loss_from_arrays(out, w, arr, g, lam)[0]
+                    return _loss_from_arrays(coef, gram, arr, mean, lam)[0]
 
-                _, analytic, _ = _loss_from_arrays(out, w, s, g, lam)
+                _, analytic, _ = _loss_from_arrays(coef, gram, s, mean, lam)
                 assert rel_err(analytic, fd_grad(f, s)) < 1e-6
 
     def test_unassigned_anchor_row_is_zero(self):
         w = np.array([[1.0, 0.0], [1.0, 0.0]])
         s = np.array([[0.0, 0.0], [9.0, 9.0]])
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, grad, _ = _loss_from_arrays(np.zeros((2, 2, 2)), w, s, g, 0.5)
+        _, grad, _ = zero_offset_loss(w, s, g, 0.5)
         np.testing.assert_array_equal(grad[1], 0.0)
         assert np.any(grad[0] != 0.0)
 
     def test_hand_worked_single_pair(self):
         # residual (s - g) = (-1, 0); grad = 2 r + lam/N * r with N = 1
-        _, grad, _ = _loss_from_arrays(np.zeros((1, 1, 2)), np.ones((1, 1)), np.zeros((1, 2)),
-                                       np.array([[1.0, 0.0]]), 1.0)
+        _, grad, _ = zero_offset_loss(np.ones((1, 1)), np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0)
         np.testing.assert_allclose(grad, [[-3.0, 0.0]], rtol=0, atol=1e-15)
 
     def test_identical_anchors(self):
@@ -202,9 +251,8 @@ class TestAnchorGradients:
                 rest = w[:, 1:] if rule == "yolo" else w[:, 1:] != w[:, 1:2]
                 np.testing.assert_array_equal(rest, 0.0)
             for lam in (0.0, 0.4):
-                _, grad, _ = _loss_from_arrays(np.zeros(w.shape + (2,)), w, s, g, lam)
-                numeric = fd_grad(lambda arr: _loss_from_arrays(
-                    np.zeros(w.shape + (2,)), w, arr, g, lam)[0], s)
+                _, grad, _ = zero_offset_loss(w, s, g, lam)
+                numeric = fd_grad(lambda arr: zero_offset_loss(w, arr, g, lam)[0], s)
                 assert rel_err(grad, numeric) < 1e-6
                 feats = make_features(g, 0.4, rng)
                 for bn, per_anchor in ((False, True), (True, True), (True, False)):
@@ -217,9 +265,11 @@ def batch_norm(x, gamma):
     map, zero bias, every value a member. Returns the output and istd."""
     features = np.column_stack([x, x])
     member = np.ones((len(x), 1), dtype=bool)
-    out, cache = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
-                              features, member, bn=True, bn_per_anchor=True)
-    return out[:, 0, 0], float(cache[1][0, 0, 0])
+    _, member_gram, mean = moments(member.astype(float), member, features, features)
+    coef, cache = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
+                               member_gram, mean, bn=True, bn_per_anchor=True)
+    out = apply_map(coef, mean, features, features)
+    return out[:, 0, 0], float(cache[3][0, 0])
 
 
 class TestBatchNorm:
@@ -289,8 +339,11 @@ class TestHeadForward:
         u, _, gamma = initial_head(2, 0.3, rng)
         c = rng.normal(0.0, 0.5, size=(2, 2))
         feats = np.array([[1.5, -0.5], [0.25, 2.0]])
-        out, cache = head_outputs(u, c, gamma, feats, np.ones((2, 2), dtype=bool), bn=False)
+        member = np.ones((2, 2), dtype=bool)
+        _, member_gram, mean = moments(member.astype(float), member, feats, feats)
+        coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=False)
         assert cache is None
+        out = apply_map(coef, mean, feats, feats)
         for j in range(2):
             for k in range(2):
                 want = u[k] @ feats[j] + c[k]
@@ -306,9 +359,9 @@ class TestHeadForward:
         for rule in RULES:
             w, member = assign(rule, g, s)
             for bn, per_anchor in ((False, True), (True, True), (True, False)):
-                out, _ = head_outputs(*head, feats, member, bn=bn, bn_per_anchor=per_anchor)
-                _, offsets = head_loss_longhand(w, member, s, g, 0.0, head, feats, bn, per_anchor)
-                for (j, k), want in offsets.items():
+                out = offsets(head, member, g, feats, bn, per_anchor)
+                _, longhand = head_loss_longhand(w, member, s, g, 0.0, head, feats, bn, per_anchor)
+                for (j, k), want in longhand.items():
                     np.testing.assert_allclose(out[j, k], want, rtol=1e-9, atol=1e-12)
 
     def test_bn_groups_normalize_per_anchor(self):
@@ -319,8 +372,8 @@ class TestHeadForward:
         member = np.zeros((40, 2), dtype=bool)
         member[:25, 0] = True
         member[25:, 1] = True
-        out, _ = head_outputs(*head, feats, member, bn=True, bn_per_anchor=True)
-        raw, _ = head_outputs(*head, feats, member, bn=False)
+        out = offsets(head, member, g, feats, bn=True, per_anchor=True)
+        raw = offsets(head, member, g, feats, bn=False)
         for k, rows in ((0, slice(0, 25)), (1, slice(25, 40))):
             for ch in (0, 1):
                 assert abs(float(np.mean(out[rows, k, ch]))) < 1e-10
@@ -340,13 +393,14 @@ class TestHeadForward:
         member = w > 0.0
         s = rng.normal(0.0, 1.0, size=(2, 2))
         for per_anchor in (True, False):
-            out, cache = head_outputs(u, c, gamma, feats, member, bn=True,
-                                      bn_per_anchor=per_anchor)
+            gram, member_gram, mean = moments(w, member, g, feats)
+            coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=True,
+                                       bn_per_anchor=per_anchor)
             if per_anchor:
                 raw_last = u[1] @ feats[4] + c[1]
-                np.testing.assert_allclose(out[4, 1], raw_last, rtol=1e-12)
-            _, _, dout = _loss_from_arrays(out, w, s, g, 0.0)
-            ggamma = grad_head(dout, cache, feats, member, gamma)[2]
+                np.testing.assert_allclose(apply_map(coef, mean, g, feats)[4, 1], raw_last, rtol=1e-12)
+            _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.0)
+            ggamma = grad_head(dcoef, cache, mean, gamma)[2]
             if per_anchor:
                 np.testing.assert_array_equal(ggamma[1], 0.0)
             assert np.all(ggamma[0] != 0.0)
@@ -360,8 +414,8 @@ class TestHeadForward:
         feats = make_features(g, 0.0)
         member = np.zeros((30, 2), dtype=bool)
         member[np.arange(30), np.tile([0, 1], 15)] = True
-        out, _ = head_outputs(*head, feats, member, bn=True, bn_per_anchor=False)
-        raw, _ = head_outputs(*head, feats, member, bn=False)
+        out = offsets(head, member, g, feats, bn=True, per_anchor=False)
+        raw = offsets(head, member, g, feats, bn=False)
         for ch in (0, 1):
             x = raw[member][:, ch]
             want = (x - x.mean()) / math.sqrt(x.var() + BN_EPS)
@@ -407,15 +461,72 @@ class TestLonghandOracle:
         feats = make_features(g, 0.3, rng)
         head = random_head(rng, 5)
         for per_anchor in (True, False):
-            want, offsets = head_loss_longhand(w, member, s, g, 0.3, head, feats, True, per_anchor)
-            out, _ = head_outputs(*head, feats, member, bn=True, bn_per_anchor=per_anchor)
-            assert math.isclose(_loss_from_arrays(out, w, s, g, 0.3)[0], want, rel_tol=1e-9)
-            for (j, k), value in offsets.items():
+            want, longhand = head_loss_longhand(w, member, s, g, 0.3, head, feats, True, per_anchor)
+            out = offsets(head, member, g, feats, bn=True, per_anchor=per_anchor)
+            assert math.isclose(kernel_loss(w, member, s, g, 0.3, head, feats, True, per_anchor),
+                                want, rel_tol=1e-9)
+            for (j, k), value in longhand.items():
                 np.testing.assert_allclose(out[j, k], value, rtol=1e-9, atol=1e-12)
             # membership read off w > 0 would change the groups and the loss
             wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 0.3, head, feats, True, per_anchor)
             assert not math.isclose(wrong, want, rel_tol=1e-9)
             assert head_fd_check(w, member, s, g, 0.3, head, feats, True, per_anchor) < 1e-6
+
+
+def largest(*arrays):
+    """The largest magnitude in the arrays, or 1 if that is smaller."""
+    return max([1.0] + [float(np.max(np.abs(x), initial=0.0)) for x in arrays])
+
+
+def close(got, want, scale=None):
+    """Agreement to 1e-8 of scale (by default, of want's largest magnitude)."""
+    diff = np.abs(np.asarray(got, dtype=float) - want)
+    return float(np.max(diff, initial=0.0)) <= 1e-8 * (largest(want) if scale is None else scale)
+
+
+class TestDenseOracle:
+    """The moment-form stages against the dense (n, A, 2) stages they
+    replaced, kept in oracles.py. The Grams sum in another order than the
+    dense arrays, and the batch-normalization variances are read off them,
+    so agreement is to 1e-8 of each quantity's largest magnitude rather
+    than bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from((0, 1, 2, 3, 6)), min_size=1, max_size=15),
+           st.sampled_from(RULES), st.sampled_from(("bn off", "bn per anchor", "bn joint")),
+           st.sampled_from((0.0, 0.5, 1.0)))
+    def test_matches_dense_stages(self, seed, sizes, rule, mode, lam):
+        """Anchors spaced 0.8 apart in log w and log h (aligned IoU about
+        0.2 between neighbours), with sizes[k] boxes drawn close to anchor
+        k: the hard rules then give anchor k a group of exactly sizes[k]
+        members, so groups of 0, 1 and several members all occur."""
+        rng = np.random.default_rng(seed)
+        a = len(sizes)
+        s = np.log(8.0) + 0.8 * np.arange(a)[:, None] + rng.uniform(-0.05, 0.05, size=(a, 2))
+        g = np.repeat(s, sizes, axis=0) + rng.normal(0.0, 0.05, size=(sum(sizes), 2))
+        w, member = assign(rule, g, s, temperature=float(rng.uniform(0.05, 2.0)))
+        if rule != "soft":
+            assert member.sum(axis=0).tolist() == sizes
+        head = random_head(rng, a)
+        features = make_features(g, 0.3, rng)
+        bn, per_anchor = mode != "bn off", mode != "bn joint"
+
+        out, cache = dense_head_outputs(*head, features, member, bn, per_anchor)
+        loss, grad, dout = dense_loss(out, w, s, g, lam)
+        head_grads = dense_grad_head(dout, cache, features, member, head[2])
+
+        gram, member_gram, mean = moments(w, member, g, features)
+        coef, mcache = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+        mloss, mgrad, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
+        mhead_grads = grad_head(dcoef, mcache, mean, head[2])
+
+        assert close(apply_map(coef, mean, g, features)[member], out[member])
+        assert math.isclose(mloss, loss, rel_tol=1e-8, abs_tol=1e-8)
+        assert close(mgrad, grad)
+        # the bias gradient of a normalized group is rounding noise around 0
+        # in both forms, so all three are held to the head gradients' scale
+        for got, want in zip(mhead_grads, head_grads):
+            assert close(got, want, largest(*head_grads))
 
 
 class TestHeadGradients:
@@ -436,21 +547,24 @@ class TestHeadGradients:
         w, member, s, g = random_case(rng)
         u, c, gamma = random_head(rng, 3)
         feats = make_features(g, 0.0)
-        out, cache = head_outputs(u, c, gamma, feats, member)
-        _, _, d0 = _loss_from_arrays(out, w, s, g, 0.0)
-        _, _, d1 = _loss_from_arrays(out, w, s, g, 1.0)
+        gram, member_gram, mean = moments(w, member, g, feats)
+        coef, cache = head_outputs(u, c, gamma, member_gram, mean)
+        _, _, d0 = _loss_from_arrays(coef, gram, s, mean, 0.0)
+        _, _, d1 = _loss_from_arrays(coef, gram, s, mean, 1.0)
         np.testing.assert_array_equal(d0, d1)
-        a = grad_head(d0, cache, feats, member, gamma)
-        b = grad_head(d1, cache, feats, member, gamma)
+        a = grad_head(d0, cache, mean, gamma)
+        b = grad_head(d1, cache, mean, gamma)
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_empty_assignment_zero_grads(self):
         u, c, gamma = random_head(np.random.default_rng(49), 2)
         member = np.zeros((0, 2), dtype=bool)
         feats = np.zeros((0, 2))
-        out, cache = head_outputs(u, c, gamma, feats, member)
-        _, _, dout = _loss_from_arrays(out, np.zeros((0, 2)), np.zeros((2, 2)), feats, 0.5)
-        gu, gc, ggamma = grad_head(dout, cache, feats, member, gamma)
+        w = np.zeros((0, 2))
+        gram, member_gram, mean = moments(w, member, feats, feats)
+        coef, cache = head_outputs(u, c, gamma, member_gram, mean)
+        _, _, dcoef = _loss_from_arrays(coef, gram, np.zeros((2, 2)), mean, 0.5)
+        gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
         np.testing.assert_array_equal(gu, 0.0)
         np.testing.assert_array_equal(gc, 0.0)
         np.testing.assert_array_equal(ggamma, 0.0)
@@ -472,9 +586,10 @@ class TestHeadGradients:
         noise = sigma * rng.standard_normal((n, 2))
 
         def u_grad(feats):
-            out, cache = head_outputs(u, c, gamma, feats, member, bn=False)
-            _, _, dout = _loss_from_arrays(out, w, s, g, 0.0)
-            return grad_head(dout, cache, feats, member, gamma)[0]
+            gram, member_gram, mean = moments(w, member, g, feats)
+            coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=False)
+            _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.0)
+            return grad_head(dcoef, cache, mean, gamma)[0]
 
         # residual per channel is the constant c + s - g
         r = np.array([0.1 + 3.0 - 3.4, 0.1 + 3.0 - 2.6])
@@ -498,15 +613,17 @@ class TestGradientsAtRandomPoints:
         g = rng.uniform(np.log(8.0), np.log(300.0), size=(n, 2))
         s = rng.uniform(np.log(8.0), np.log(300.0), size=(a, 2))
         w, member = assign(rule, g, s, metric, temperature=float(rng.uniform(0.05, 2.0)))
-        out = np.zeros(w.shape + (2,))
+        gram, _, mean = moments(w, member, g)
+        coef = np.zeros((a, 2, 5))
         if mode != "no head":
             head = random_head(rng, a)
             features = make_features(g, 0.3, rng)
             bn, per_anchor = mode != "bn off", mode != "bn joint"
-            out, _ = head_outputs(*head, features, member, bn=bn, bn_per_anchor=per_anchor)
+            gram, member_gram, mean = moments(w, member, g, features)
+            coef, _ = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
             assert head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor) < 1e-5
-        _, analytic, _ = _loss_from_arrays(out, w, s, g, lam)
-        numeric = fd_grad(lambda x: _loss_from_arrays(out, w, x, g, lam)[0], s)
+        _, analytic, _ = _loss_from_arrays(coef, gram, s, mean, lam)
+        numeric = fd_grad(lambda x: _loss_from_arrays(coef, gram, x, mean, lam)[0], s)
         assert rel_err(analytic, numeric) < 1e-5
 
 
@@ -516,7 +633,7 @@ class TestDeltaPlumbing:
         rng = np.random.default_rng(50)
         for rule in RULES:
             w, _, s, g = random_case(rng, rule=rule)
-            loss, _, _ = _loss_from_arrays(np.zeros(w.shape + (2,)), w, s, g, 0.0)
+            loss, _, _ = zero_offset_loss(w, s, g, 0.0)
             want = sum(
                 w[j, k] * cluster_term(s[k], g[j])
                 for j in range(w.shape[0]) for k in range(w.shape[1])
@@ -528,15 +645,15 @@ class TestDeltaPlumbing:
         s = np.array([[0.0, 0.0], [1.0, 1.0]])
         g = np.array([[1.0, 0.0], [0.0, 2.0]])
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = np.zeros((2, 2, 2))
-        out[0, 1] = [1.0, 2.0]
-        out[1, 0] = [3.0, 4.0]
-        loss, _, _ = _loss_from_arrays(out, w, s, g, 0.0)
+        # each anchor has one pair, so a constant map per anchor sets its offset
+        out = np.array([[3.0, 4.0], [1.0, 2.0]])
+        gram, _, mean = moments(w, w > 0.0, g)
+        loss, _, _ = _loss_from_arrays(const_map(out), gram, s, mean, 0.0)
         want = (pair_loss((1.0, 2.0), (1.0, 1.0), (1.0, 0.0))
                 + pair_loss((3.0, 4.0), (0.0, 0.0), (0.0, 2.0)))
         assert loss == want
 
     def test_deltas_from_array_shape_check(self):
-        with pytest.raises(ValueError, match=r"\(1, 1, 2\)"):
-            _loss_from_arrays(np.zeros((2, 2)), np.ones((1, 1)), np.zeros((1, 2)),
-                              np.zeros((1, 2)), 0.0)
+        with pytest.raises(ValueError, match=r"\(1, 2, 5\)"):
+            _loss_from_arrays(np.zeros((2, 2)), np.zeros((1, 5, 5)), np.zeros((1, 2)),
+                              np.zeros(5), 0.0)

@@ -314,6 +314,20 @@ class TestAnchorsFile:
             read_anchors_json(p)
         assert str(p) in str(info.value)
 
+    @pytest.mark.parametrize("anchors", [
+        '[["30", true], [50, 60]]', '[[true, 10]]', '[[30, null]]', '[[30]]', '[[30, 40, 50]]', '[30, 40]',
+        '{"w": 30}', '[[1' + '0' * 400 + ', 5]]',
+    ], ids=["string and bool", "bool", "null", "one side", "three sides", "flat list", "object",
+            "int beyond float range"])
+    def test_sides_must_be_json_numbers(self, tmp_path, anchors):
+        """float() used to read "30" as 30 and true as 1, so the first file
+        evaluated as a 30 x 1 anchor."""
+        p = tmp_path / "anchors.json"
+        p.write_text('{"canvas": 416, "stride": 32, "anchors": ' + anchors + "}")
+        with pytest.raises(ParseError) as info:
+            read_anchors_json(p)
+        assert str(info.value).startswith(f"{p}: ")
+
     def test_nonpositive_anchor_rejected(self, tmp_path):
         p = tmp_path / "anchors.json"
         p.write_text('{"canvas": 416, "stride": 32, "anchors": [[-5.0, 10.0]]}')
