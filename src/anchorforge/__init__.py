@@ -61,11 +61,9 @@ from .report import (
 )
 from .trainer import (
     EpochUtilization,
-    HeadConfig,
     NonFiniteLossError,
     TrainConfig,
     TrainResult,
-    Trajectory,
     TrajectoryRow,
     run_training,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "BN_EPS",
     "CanonicalDataset",
     "EpochUtilization",
-    "HeadConfig",
     "KMeansResult",
     "METRICS",
     "NonFiniteLossError",
@@ -86,7 +83,6 @@ __all__ = [
     "ParsedBoxes",
     "TrainConfig",
     "TrainResult",
-    "Trajectory",
     "TrajectoryRow",
     "anchors_from_centroids",
     "anchors_line",

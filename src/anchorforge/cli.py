@@ -8,6 +8,8 @@ environment variable when neither flag nor config sets it.
 
 Every option is declared once, in the ``_SPECS`` table: its config
 parser, default, choices, flag help and flag kind, and range check.
+optimize's defaults for the settings it passes to training are read
+from ``TrainConfig()``, so the default recipe is declared once.
 ``build_parser`` makes each subcommand's flags from the table, and
 ``_merge_options`` holds the resolved value to the same choices and
 check whether it came from a flag, the config file or the default, so a
@@ -57,7 +59,7 @@ from .report import (
     report_to_json,
     write_anchors_json,
 )
-from .trainer import HeadConfig, NonFiniteLossError, TrainConfig, run_training
+from .trainer import NonFiniteLossError, TrainConfig, run_training
 
 SEED_ENV_VAR = "ANCHORFORGE_SEED"
 
@@ -129,6 +131,8 @@ _OPEN_UNIT = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 _SEED = _Opt(int, None, help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)", check=_AT_LEAST_0)
 
+_RECIPE = TrainConfig()
+
 _SPECS: dict[str, dict[str, _Opt]] = {
     "ingest": {
         "format": _Opt(str.lower, None, _FORMATS),
@@ -150,30 +154,32 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "seed": _SEED,
         "dataset": _Opt(str, None),
         "init": _Opt(str, "kmeans", _INITS),
-        "init_file": _Opt(str, ""),
+        "init_file": _Opt(str, "", help="anchors.json to start from; requires --init file"),
         "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
         "stride": _Opt(int, 32, check=_AT_LEAST_1),
-        "iters": _Opt(int, 30000, check=_AT_LEAST_0),
+        "iters": _Opt(int, _RECIPE.iters, check=_AT_LEAST_0),
         "scale": _Opt(float, 1.0, help="scale iteration counts (schedule, warm-up) by this factor", check=_POSITIVE),
-        "batch_size": _Opt(int, 64, check=_AT_LEAST_1),
-        "momentum": _Opt(float, 0.9, check=("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
-        "lr_schedule": _Opt(_parse_lr_schedule, ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5)),
+        "batch_size": _Opt(int, _RECIPE.batch_size, check=_AT_LEAST_1),
+        "momentum": _Opt(float, _RECIPE.momentum, check=("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+        "lr_schedule": _Opt(_parse_lr_schedule, _RECIPE.lr_schedule,
                             help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3",
                             check=("breakpoints must be >= 0", lambda v: all(start >= 0 for start, _ in v))),
-        "warmup_iters": _Opt(int, 1500, check=_AT_LEAST_0),
-        "metric": _Opt(str, "one_minus_iou", METRICS),
-        "rule": _Opt(str, "yolo", _RULES),
-        "tau": _Opt(float, 0.5, help="IoU threshold for the threshold rule", check=_OPEN_UNIT),
-        "cluster_weight": _Opt(_parse_cluster_weight, "anneal", help="'anneal' or a fixed coefficient in [0, 1]",
+        "warmup_iters": _Opt(int, _RECIPE.warmup_iters, check=_AT_LEAST_0),
+        "metric": _Opt(str, _RECIPE.metric, METRICS),
+        "rule": _Opt(str, _RECIPE.assignment_rule, _RULES),
+        "tau": _Opt(float, _RECIPE.threshold_tau, help="IoU threshold for the threshold rule", check=_OPEN_UNIT),
+        "cluster_weight": _Opt(_parse_cluster_weight,
+                               "anneal" if _RECIPE.cluster_weight is None else _RECIPE.cluster_weight,
+                               help="'anneal' or a fixed coefficient in [0, 1]",
                                check=("must be 'anneal' or a number in [0, 1]",
                                       lambda v: v == "anneal" or 0.0 <= v <= 1.0)),
-        "head": _Opt(_parse_bool, True, kind="toggle"),
-        "sigma": _Opt(float, 0.3, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
-        "init_scale": _Opt(float, 0.1, check=_NONNEGATIVE),
-        "bn": _Opt(_parse_bool, True, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
-        "freeze_anchors": _Opt(_parse_bool, False, kind="switch"),
-        "anchor_lr_mult": _Opt(float, 1.0, check=_POSITIVE),
-        "log_every": _Opt(int, 50, check=_AT_LEAST_1),
+        "head": _Opt(_parse_bool, _RECIPE.head, kind="toggle"),
+        "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
+        "init_scale": _Opt(float, _RECIPE.init_scale, check=_NONNEGATIVE),
+        "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
+        "freeze_anchors": _Opt(_parse_bool, not _RECIPE.train_anchors, kind="switch"),
+        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_multiplier, check=_POSITIVE),
+        "log_every": _Opt(int, _RECIPE.log_every, check=_AT_LEAST_1),
         "units": _Opt(str, "pixels", _UNITS),
     },
     "eval": {
@@ -290,7 +296,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         boxes = parse_voc(opt["input"], include_difficult=not opt["exclude_difficult"], counters=counters)
     else:
         boxes = parse_csv(opt["input"], counters=counters)
-    ds = normalize_to_canvas(boxes, int(opt["canvas"]), min_size=float(opt["min_size"]))
+    ds = normalize_to_canvas(boxes, opt["canvas"], min_size=opt["min_size"])
     out_dir = _make_run_dir(args, "ingest")
     out_path = out_dir / "dataset.canonical"
     write_canonical(ds, out_path)
@@ -316,19 +322,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     opt = _merge_options("cluster", args)
     ds = read_canonical(opt["dataset"])
-    num_anchors = int(opt["num_anchors"])
+    num_anchors = opt["num_anchors"]
     if len(ds) < num_anchors:
         raise ParseError(f"dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
     out_dir = _make_run_dir(args, "cluster")
-    result = kmeans_iou(ds.shapes(), num_anchors, max_iter=int(opt["max_iter"]), seed=int(opt["seed"]))
-    anchors = anchors_from_centroids(result.centroids, int(opt["stride"]))
+    result = kmeans_iou(ds.shapes(), num_anchors, max_iter=opt["max_iter"], seed=opt["seed"])
+    anchors = anchors_from_centroids(result.centroids, opt["stride"])
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
-    (out_dir / "anchors.txt").write_text(anchors_line(anchors, str(opt["units"])) + "\n", encoding="utf-8")
+    (out_dir / "anchors.txt").write_text(anchors_line(anchors, opt["units"]) + "\n", encoding="utf-8")
     _echo_config(out_dir, "cluster", opt)
     print(f"clustered {len(ds)} boxes into {num_anchors} anchors "
           f"in {result.iterations_run} iterations")
     print(f"mean best IoU: {result.mean_best_iou:.4f}")
-    print(f"anchors: {anchors_line(anchors, str(opt['units']))}")
+    print(f"anchors: {anchors_line(anchors, opt['units'])}")
     print(f"wrote {out_dir / 'anchors.json'}")
     return 0
 
@@ -342,9 +348,9 @@ def _anchors_for_canvas(path: str, canvas: int, source: str) -> AnchorSet:
 
 
 def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
-    mode = str(opt["init"])
-    stride = int(opt["stride"])
-    num_anchors = int(opt["num_anchors"])
+    mode = opt["init"]
+    stride = opt["stride"]
+    num_anchors = opt["num_anchors"]
     if mode == "uniform":
         anchors = init_uniform(stride)
         if len(anchors) != num_anchors:
@@ -356,10 +362,8 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
     if mode == "identical":
         return init_identical(stride, num_anchors)
     if mode == "kmeans":
-        return init_kmeans(ds, num_anchors, seed=int(opt["seed"]), stride=stride)
+        return init_kmeans(ds, num_anchors, seed=opt["seed"], stride=stride)
     # mode == "file": the option's choices admit nothing else
-    if not opt["init_file"]:
-        raise ParseError("init=file requires init_file")
     anchors = _anchors_for_canvas(opt["init_file"], ds.canvas_size, f"dataset {opt['dataset']}")
     if len(anchors) != num_anchors:
         raise ParseError(f"init_file {opt['init_file']} holds {len(anchors)} anchors but num_anchors is {num_anchors}")
@@ -390,6 +394,10 @@ def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, flo
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     opt = _merge_options("optimize", args)
+    if opt["init"] == "file" and not opt["init_file"]:
+        raise ParseError("init=file requires init_file")
+    if opt["init"] != "file" and opt["init_file"]:
+        raise ParseError(f"init_file {opt['init_file']} is read only with init=file, but init is {opt['init']}")
     scale = opt["scale"]
     iters = _scaled(opt["iters"], scale)
     if iters == 0 < opt["iters"]:
@@ -405,24 +413,22 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     cfg = TrainConfig(
         iters=iters,
-        batch_size=int(opt["batch_size"]),
-        momentum=float(opt["momentum"]),
+        batch_size=opt["batch_size"],
+        momentum=opt["momentum"],
         lr_schedule=schedule,
         warmup_iters=warmup_iters,
-        anchor_lr_multiplier=float(opt["anchor_lr_mult"]),
-        train_anchors=not bool(opt["freeze_anchors"]),
-        assignment_rule=str(opt["rule"]),
-        threshold_tau=float(opt["tau"]),
-        metric=str(opt["metric"]),
+        anchor_lr_multiplier=opt["anchor_lr_mult"],
+        train_anchors=not opt["freeze_anchors"],
+        assignment_rule=opt["rule"],
+        threshold_tau=opt["tau"],
+        metric=opt["metric"],
         cluster_weight=None if opt["cluster_weight"] == "anneal" else opt["cluster_weight"],
-        head=HeadConfig(
-            enabled=bool(opt["head"]),
-            sigma=float(opt["sigma"]),
-            init_scale=float(opt["init_scale"]),
-            bn=bool(opt["bn"]),
-        ),
-        seed=int(opt["seed"]),
-        log_every=int(opt["log_every"]),
+        head=opt["head"],
+        sigma=opt["sigma"],
+        init_scale=opt["init_scale"],
+        bn=opt["bn"],
+        seed=opt["seed"],
+        log_every=opt["log_every"],
     )
     anchors0 = _initial_anchors(opt, ds)
     out_dir = _make_run_dir(args, "optimize")
@@ -436,21 +442,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     after = _coverage_summary(anchors, ds)
 
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
-    (out_dir / "anchors.txt").write_text(anchors_line(anchors, str(opt["units"])) + "\n", encoding="utf-8")
+    (out_dir / "anchors.txt").write_text(anchors_line(anchors, opt["units"]) + "\n", encoding="utf-8")
     summary = {
         "iterations": iters,
-        "final_loss": result.trajectory.rows[-1].loss if result.trajectory.rows else None,
-        "final_smoothed_loss": result.trajectory.final_smoothed_loss,
+        "final_loss": result.rows[-1].loss if result.rows else None,
+        "final_smoothed_loss": result.final_smoothed_loss,
         "metrics_before": before,
         "metrics_after": after,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
     print(f"trained {len(anchors)} anchors for {iters} iterations on {len(ds)} boxes")
-    smoothed = result.trajectory.final_smoothed_loss
+    smoothed = result.final_smoothed_loss
     print(f"final smoothed loss: {'none (no iterations)' if smoothed is None else format(smoothed, '.6g')}")
     print(f"avg_best_iou: {before['avg_best_iou']:.4f} -> {after['avg_best_iou']:.4f}")
-    print(f"anchors: {anchors_line(anchors, str(opt['units']))}")
+    print(f"anchors: {anchors_line(anchors, opt['units'])}")
     print(f"wrote {out_dir / 'anchors.json'}, trajectory.csv, summary.json")
     return 0
 
@@ -461,9 +467,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     anchors = _anchors_for_canvas(opt["anchors"], ds.canvas_size, f"dataset {opt['dataset']}")
     report = build_report(
         anchors, ds,
-        assignment_rule=str(opt["rule"]),
-        taus=tuple(opt["taus"]),
-        threshold_tau=float(opt["tau"]),
+        assignment_rule=opt["rule"],
+        taus=opt["taus"],
+        threshold_tau=opt["tau"],
     )
     out_dir = _make_run_dir(args, "eval")
     text = render_text(report)

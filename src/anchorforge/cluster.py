@@ -173,8 +173,7 @@ def _shape_array(shapes: np.ndarray, name: str) -> np.ndarray:
 
 def anchors_from_centroids(centroids: np.ndarray, stride: int = 32) -> AnchorSet:
     """Centroid (w, h) rows as an anchor set, sorted by ascending area."""
-    order = np.argsort(centroids[:, 0] * centroids[:, 1], kind="stable")
-    return AnchorSet.from_linear(centroids[order], stride)
+    return AnchorSet.from_linear(centroids, stride).sorted_by_area()
 
 
 def init_uniform(stride: int = 32) -> AnchorSet:

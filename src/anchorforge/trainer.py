@@ -20,9 +20,10 @@ given config and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -56,23 +57,11 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HeadConfig:
-    """Surrogate-head settings for a training run."""
-
-    enabled: bool = False
-    sigma: float = 0.0
-    init_scale: float = 0.1
-    bn: bool = True
-    bn_per_anchor: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run besides data and init."""
+    """Everything that determines a training run besides data and init.
+
+    The defaults are the recipe of a flag-free ``anchorforge optimize``.
+    """
 
     iters: int = 30000
     batch_size: int = 64
@@ -85,7 +74,10 @@ class TrainConfig:
     threshold_tau: float = 0.5
     metric: Metric = "one_minus_iou"
     cluster_weight: Optional[float] = None  # pinned for the whole run; None anneals it
-    head: HeadConfig = field(default_factory=HeadConfig)
+    head: bool = True  # train the surrogate head alongside the anchors
+    sigma: float = 0.3  # noise level of the head's features
+    init_scale: float = 0.1
+    bn: bool = True  # batch-normalize the head's outputs
     seed: int = 0
     log_every: int = 50
 
@@ -115,6 +107,8 @@ class TrainConfig:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
         if self.cluster_weight is not None and not 0.0 <= self.cluster_weight <= 1.0:
             raise ValueError(f"cluster_weight must lie in [0, 1], got {self.cluster_weight}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -138,18 +132,15 @@ class EpochUtilization:
 
 
 @dataclass
-class Trajectory:
-    """Logged training history plus run-level summaries."""
-
-    rows: list[TrajectoryRow] = field(default_factory=list)
-    epoch_utilization: list[EpochUtilization] = field(default_factory=list)
-    final_smoothed_loss: Optional[float] = None
-
-
-@dataclass
 class TrainResult:
+    """Trained anchors and the run's history: a row every log_every
+    iterations and at the last, each epoch's utilization, and the loss
+    smoothed over SMOOTHING_WINDOW iterations (None without iterations)."""
+
     anchors: AnchorSet
-    trajectory: Trajectory
+    rows: list[TrajectoryRow]
+    epoch_utilization: list[EpochUtilization]
+    final_smoothed_loss: Optional[float]
 
 
 def _csv_header(num_anchors: int) -> str:
@@ -191,8 +182,8 @@ def run_training(
     rng = np.random.default_rng(cfg.seed)
 
     blocks = [anchors0.as_array()]
-    if cfg.head.enabled:
-        blocks += initial_head(num_anchors, cfg.head.init_scale, rng)
+    if cfg.head:
+        blocks += initial_head(num_anchors, cfg.init_scale, rng)
     params = np.concatenate([b.ravel() for b in blocks])
     velocity = np.zeros_like(params)
     ends = np.cumsum([b.size for b in blocks])[:-1]
@@ -206,46 +197,38 @@ def run_training(
 
     log_g = ds.log_shapes()
     n = log_g.shape[0]
+    per_epoch = -(-n // cfg.batch_size)  # batches per epoch; the last one may be short
     # the epoch's columns x_j = (1, f_j, g_j) in shuffled order; without a
     # head the feature rows repeat the log shapes and no coefficient reads them
     rows = np.ones((5, n))
     no_head = np.zeros((num_anchors, 2, 5))
 
-    def shuffle() -> None:
-        shuffled = log_g[rng.permutation(n)]
-        rows[3:] = shuffled.T
-        # one draw per epoch gives the noise stream of one draw per batch
-        rows[1:3] = make_features(shuffled, cfg.head.sigma, rng).T if head else rows[3:]
+    def batches() -> Iterator[np.ndarray]:
+        while True:
+            shuffled = log_g[rng.permutation(n)]
+            rows[3:] = shuffled.T
+            # one draw per epoch gives the noise stream of one draw per batch
+            rows[1:3] = make_features(shuffled, cfg.sigma, rng).T if head else rows[3:]
+            for start in range(0, n, cfg.batch_size):
+                yield rows[:, start : start + cfg.batch_size]
 
-    trajectory = Trajectory()
-    fh: Optional[IO[str]] = None
-    if trajectory_path is not None:
-        fh = open(trajectory_path, "w", encoding="utf-8", newline="\n")
-        fh.write(_csv_header(num_anchors) + "\n")
-        fh.flush()
-
+    logged: list[TrajectoryRow] = []
+    epochs: list[EpochUtilization] = []
+    window_counts = np.zeros(num_anchors, dtype=np.int64)
     alpha = 1.0 / SMOOTHING_WINDOW
     ema: Optional[float] = None
-    shuffle()
-    cursor = 0
-    epoch = 0
-    epoch_start_iter = 0
-    epoch_counts = np.zeros(num_anchors, dtype=np.int64)
-    window_counts = np.zeros(num_anchors, dtype=np.int64)
 
-    try:
-        for t in range(cfg.iters):
-            if cursor >= n:
-                trajectory.epoch_utilization.append(
-                    EpochUtilization(epoch, epoch_start_iter, t - 1, epoch_counts.copy())
-                )
-                epoch += 1
-                epoch_start_iter = t
-                epoch_counts[:] = 0
-                shuffle()
-                cursor = 0
-            batch = rows[:, cursor : cursor + cfg.batch_size]
-            cursor += cfg.batch_size
+    csv_file = (open(trajectory_path, "w", encoding="utf-8", newline="\n")
+                if trajectory_path is not None else nullcontext())
+    with csv_file as fh:
+        if fh is not None:
+            fh.write(_csv_header(num_anchors) + "\n")
+            fh.flush()
+        # range ends the run first, so no shuffle is drawn past the last batch
+        for t, batch in zip(range(cfg.iters), batches()):
+            if t % per_epoch == 0:
+                epoch_counts = np.zeros(num_anchors, dtype=np.int64)
+                epochs.append(EpochUtilization(t // per_epoch, t, min(t + per_epoch, cfg.iters) - 1, epoch_counts))
             batch_g = batch[3:].T
 
             temp = temperature_at(t, cfg.warmup_iters)
@@ -266,9 +249,7 @@ def run_training(
             gram, member_gram, mean = batch_moments(batch, w, soft)
             coef = no_head
             if head:
-                coef, cache = head_outputs(
-                    *head, member_gram, mean, bn=cfg.head.bn, bn_per_anchor=cfg.head.bn_per_anchor,
-                )
+                coef, cache = head_outputs(*head, member_gram, mean, bn=cfg.bn)
 
             loss, gs, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
             if not math.isfinite(loss):
@@ -307,18 +288,10 @@ def run_training(
                     anchors_wh=anchors_wh,
                     utilization=window_counts.copy(),
                 )
-                trajectory.rows.append(row)
+                logged.append(row)
                 window_counts[:] = 0
                 if fh is not None:
                     fh.write(_csv_row(row) + "\n")
                     fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
 
-    if cfg.iters > 0:
-        trajectory.epoch_utilization.append(
-            EpochUtilization(epoch, epoch_start_iter, cfg.iters - 1, epoch_counts.copy())
-        )
-    trajectory.final_smoothed_loss = ema
-    return TrainResult(AnchorSet.from_array(s, anchors0.stride), trajectory)
+    return TrainResult(AnchorSet.from_array(s, anchors0.stride), logged, epochs, ema)

@@ -12,7 +12,6 @@ import pytest
 import synth
 from anchorforge import (
     AnchorSet,
-    HeadConfig,
     TrainConfig,
     batch_moments,
     build_report,
@@ -65,7 +64,7 @@ CLUSTER_EQUIV_CFG = TrainConfig(
     assignment_rule="yolo",
     metric="sq_l2_log",
     cluster_weight=1.0,
-    head=HeadConfig(enabled=False),
+    head=False,
     seed=0,
 )
 
@@ -174,7 +173,7 @@ class TestCriterion3:
             assignment_rule="yolo",
             metric="one_minus_iou",
             train_anchors=train_anchors,
-            head=HeadConfig(enabled=True, sigma=0.3, init_scale=0.1, bn=True),
+            head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=seed,
         )
 
@@ -184,8 +183,7 @@ class TestCriterion3:
             for _, init in three_inits(ds):
                 joint = run_training(ds, init, self._cfg(True, seed=7))
                 frozen = run_training(ds, init, self._cfg(False, seed=7))
-                margins.append(frozen.trajectory.final_smoothed_loss
-                               - joint.trajectory.final_smoothed_loss)
+                margins.append(frozen.final_smoothed_loss - joint.final_smoothed_loss)
         wins = sum(m >= 0.0 for m in margins)
         report(wins == len(margins), 3,
                f"joint anchor+head training ends at or below the fixed-anchor "
@@ -207,7 +205,7 @@ class TestCriterion4:
             warmup_iters=1500,
             assignment_rule="yolo",
             metric="one_minus_iou",
-            head=HeadConfig(enabled=True, sigma=0.3, init_scale=0.1, bn=True),
+            head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=40,
         )
 
@@ -244,7 +242,7 @@ class TestCriterion5:
             warmup_iters=1500,
             assignment_rule="yolo",
             metric="one_minus_iou",
-            head=HeadConfig(enabled=True, sigma=0.3, init_scale=0.1, bn=True),
+            head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=17,
         )
         res = run_training(mixture2_ds, init_identical(stride=32, num_anchors=5), cfg)
@@ -256,7 +254,7 @@ class TestCriterion5:
             for i in range(5) for j in range(i + 1, 5)
         )
         epochs = [
-            e for e in res.trajectory.epoch_utilization
+            e for e in res.epoch_utilization
             if e.start_iter >= cfg.warmup_iters and int(e.counts.sum()) == n
         ]
         all_used = bool(epochs) and all(int(e.counts.min()) >= 1 for e in epochs)
@@ -344,7 +342,7 @@ class TestCriterion9:
             assignment_rule="yolo",
             metric="sq_l2_log",
             cluster_weight=0.0,
-            head=HeadConfig(enabled=True, sigma=sigma, init_scale=0.1, bn=False),
+            head=True, sigma=sigma, init_scale=0.1, bn=False,
             seed=23,
         )
 
@@ -356,8 +354,7 @@ class TestCriterion9:
                                self._cfg(sigma=10.0))
         d_perfect = match_anchor_sets(perfect.anchors, target)[1].mean()
         d_useless = match_anchor_sets(useless.anchors, target)[1].mean()
-        loss_ordered = (perfect.trajectory.final_smoothed_loss
-                        < useless.trajectory.final_smoothed_loss)
+        loss_ordered = perfect.final_smoothed_loss < useless.final_smoothed_loss
         report(loss_ordered and d_useless < d_perfect, 9,
                f"with noise-only features the anchors drift toward the clustering "
                f"solution (distance {d_useless:.4f}) while an informative head keeps "

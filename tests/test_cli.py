@@ -414,6 +414,39 @@ class TestOptimize:
         assert "holds 2 anchors" in err and "num_anchors is 3" in err
         assert not opt_out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_init_file_without_init_file_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, via):
+        """An init_file used to be ignored unless init was file: the run
+        trained from k-means and effective.cfg recorded both values."""
+        missing = tmp_path / "nonexistent.json"
+        out = tmp_path / "o"
+        argv = ["optimize", "--dataset", str(dataset_file), "--iters", "10", "--out-dir", str(out)]
+        if via == "flag":
+            argv += ["--init-file", str(missing)]
+        else:
+            (tmp_path / "run.cfg").write_text(f"[optimize]\ninit_file = {missing}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"init_file {missing} is read only with init=file, but init is kmeans" in err
+        assert not out.exists()
+
+    def test_flag_free_run_trains_the_default_config(self, tmp_path, dataset_file, monkeypatch):
+        """The default recipe is declared once: optimize without training
+        flags hands run_training exactly TrainConfig()."""
+        monkeypatch.delenv("ANCHORFORGE_SEED", raising=False)
+
+        class Captured(Exception):
+            pass
+
+        def capture(ds, anchors0, cfg, trajectory_path=None):
+            raise Captured(cfg)
+
+        monkeypatch.setattr("anchorforge.cli.run_training", capture)
+        with pytest.raises(Captured) as info:
+            main(["optimize", "--dataset", str(dataset_file), "--out-dir", str(tmp_path / "o")])
+        assert info.value.args[0] == anchorforge.TrainConfig()
+
     def test_init_file_for_other_canvas_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
         init = tmp_path / "anchors608.json"
         anchorforge.write_anchors_json(init, anchorforge.init_uniform(), canvas=608)

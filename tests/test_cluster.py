@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorforge import (
+    AnchorSet,
+    anchors_from_centroids,
     init_identical,
     init_kmeans,
     init_uniform,
@@ -232,6 +234,14 @@ class TestInits:
     def test_identical_validation(self):
         with pytest.raises(ValueError):
             init_identical(num_anchors=0)
+
+    def test_centroids_sorted_as_anchor_sets_sort(self):
+        """A pair whose products w * h are equal in floating point while
+        their sums log w + log h order it the other way: ascending area
+        has one definition, AnchorSet.sorted_by_area's."""
+        centroids = np.array([[183.95755385131807, 220.20148549027954], [165.36937248229975, 244.95301649375287]])
+        want = AnchorSet.from_linear(centroids).sorted_by_area().as_array()
+        np.testing.assert_array_equal(anchors_from_centroids(centroids).as_array(), want)
 
     def test_kmeans_init_sorted_by_area(self, mixture3_ds):
         anchors = init_kmeans(mixture3_ds, num_anchors=3, seed=0)

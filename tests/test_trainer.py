@@ -7,7 +7,6 @@ import synth
 from anchorforge import (
     AnchorSet,
     CanonicalDataset,
-    HeadConfig,
     NonFiniteLossError,
     TrainConfig,
     initial_head,
@@ -32,7 +31,7 @@ def small_cfg(**kw):
         lr_schedule=((0, 1e-2), (150, 1e-3)),
         warmup_iters=60,
         metric="sq_l2_log",
-        head=HeadConfig(enabled=False),
+        head=False,
         seed=0,
         log_every=25,
     )
@@ -62,7 +61,7 @@ class TestMomentumUpdate:
             iters=12, batch_size=batch, momentum=momentum,
             lr_schedule=((0, 0.01), (3, 0.05), (7, 0.002)), warmup_iters=0,
             anchor_lr_multiplier=mult, train_anchors=not frozen, cluster_weight=0.0,
-            head=HeadConfig(enabled=False), log_every=1,
+            head=False, log_every=1,
         )
         s = [math.log(50.0), math.log(20.0)]
         res = run_training(ds, AnchorSet.from_array(np.array([s])), cfg)
@@ -74,8 +73,8 @@ class TestMomentumUpdate:
                 grad = 0.0 if frozen else 2.0 * batch * (s[i] - math.log(box[i]))
                 s[i], v[i] = sgd_step(s[i], grad, v[i], lr_at(t, cfg.lr_schedule) * mult, momentum)
             want.append(list(s))
-        assert [r.iteration for r in res.trajectory.rows] == list(range(cfg.iters))
-        got = np.log([r.anchors_wh[0] for r in res.trajectory.rows])
+        assert [r.iteration for r in res.rows] == list(range(cfg.iters))
+        got = np.log([r.anchors_wh[0] for r in res.rows])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         if frozen:
             np.testing.assert_array_equal(res.anchors.as_array(), [[math.log(50.0), math.log(20.0)]])
@@ -124,7 +123,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
     def test_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
-            HeadConfig(sigma=sigma)
+            TrainConfig(sigma=sigma)
 
     def test_bad_threshold_tau(self):
         for tau in (0.0, 1.0, 1.5, -0.2, float("nan")):
@@ -157,17 +156,17 @@ class TestRunTraining:
         ds = tiny_ds()
         res = run_training(ds, start_anchors(), small_cfg(iters=0))
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
-        assert res.trajectory.rows == []
-        assert res.trajectory.final_smoothed_loss is None
+        assert res.rows == []
+        assert res.final_smoothed_loss is None
 
     def test_deterministic_rerun(self):
         ds = tiny_ds()
-        cfg = small_cfg(head=HeadConfig(enabled=True, sigma=0.3))
+        cfg = small_cfg(head=True, sigma=0.3)
         a = run_training(ds, start_anchors(), cfg)
         b = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(a.anchors.as_array(), b.anchors.as_array())
-        assert a.trajectory.final_smoothed_loss == b.trajectory.final_smoothed_loss
-        for ra, rb in zip(a.trajectory.rows, b.trajectory.rows):
+        assert a.final_smoothed_loss == b.final_smoothed_loss
+        for ra, rb in zip(a.rows, b.rows):
             assert ra.loss == rb.loss
             np.testing.assert_array_equal(ra.anchors_wh, rb.anchors_wh)
 
@@ -179,7 +178,7 @@ class TestRunTraining:
 
     def test_frozen_anchors_do_not_move(self):
         ds = tiny_ds()
-        cfg = small_cfg(train_anchors=False, head=HeadConfig(enabled=True, sigma=0.1))
+        cfg = small_cfg(train_anchors=False, head=True, sigma=0.1)
         res = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
 
@@ -201,19 +200,19 @@ class TestRunTraining:
     def test_smoothed_loss_decreases(self):
         ds = tiny_ds()
         res = run_training(ds, start_anchors(), small_cfg())
-        first = res.trajectory.rows[0].loss
-        assert res.trajectory.final_smoothed_loss < first
+        first = res.rows[0].loss
+        assert res.final_smoothed_loss < first
 
 
 class TestTrajectory:
     def test_rows_at_log_every_and_final(self):
         res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=103, log_every=25))
-        its = [r.iteration for r in res.trajectory.rows]
+        its = [r.iteration for r in res.rows]
         assert its == [0, 25, 50, 75, 100, 102]
 
     def test_temperature_and_lambda_columns(self):
         res = run_training(tiny_ds(), start_anchors(), small_cfg())
-        rows = res.trajectory.rows
+        rows = res.rows
         assert rows[0].temperature == 2.0
         assert rows[0].cluster_weight == 1.0
         late = [r for r in rows if r.iteration >= 60]
@@ -223,7 +222,7 @@ class TestTrajectory:
     def test_epoch_utilization_complete_epochs(self):
         ds = tiny_ds()  # 300 boxes; batch 32 -> epoch boundary every 10 iters
         res = run_training(ds, start_anchors(), small_cfg(iters=95))
-        complete = [e for e in res.trajectory.epoch_utilization if int(e.counts.sum()) == len(ds)]
+        complete = [e for e in res.epoch_utilization if int(e.counts.sum()) == len(ds)]
         assert len(complete) >= 8
         for e in complete:
             assert e.counts.shape == (2,)
@@ -231,7 +230,7 @@ class TestTrajectory:
 
     def test_epoch_boundaries_cover_run(self):
         res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=95))
-        epochs = res.trajectory.epoch_utilization
+        epochs = res.epoch_utilization
         assert epochs[0].start_iter == 0
         assert epochs[-1].end_iter == 94
         for a, b in zip(epochs, epochs[1:]):
@@ -243,8 +242,8 @@ class TestTrajectory:
         res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=60), trajectory_path=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,loss,lambda,T,w1,h1,w2,h2,util1,util2"
-        assert len(lines) == 1 + len(res.trajectory.rows)
-        for line, row in zip(lines[1:], res.trajectory.rows):
+        assert len(lines) == 1 + len(res.rows)
+        for line, row in zip(lines[1:], res.rows):
             parts = line.split(",")
             assert int(parts[0]) == row.iteration
             assert float(parts[1]) == row.loss
@@ -256,7 +255,7 @@ class TestTrajectory:
             np.testing.assert_array_equal([int(v) for v in parts[8:10]], row.utilization)
 
     def test_csv_bytes_identical_across_reruns(self, tmp_path):
-        cfg = small_cfg(head=HeadConfig(enabled=True, sigma=0.2), iters=80)
+        cfg = small_cfg(head=True, sigma=0.2, iters=80)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=p1)
         run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=p2)
@@ -293,7 +292,7 @@ class TestRules:
     def test_fixed_cluster_weight(self):
         cfg = small_cfg(cluster_weight=0.5, warmup_iters=0)
         res = run_training(tiny_ds(), start_anchors(), cfg)
-        assert all(r.cluster_weight == 0.5 for r in res.trajectory.rows)
+        assert all(r.cluster_weight == 0.5 for r in res.rows)
 
     def test_anchor_lr_multiplier_scales_motion(self):
         ds = tiny_ds()
@@ -305,8 +304,7 @@ class TestRules:
         d_fast = np.abs(fast.anchors.as_array() - start_anchors().as_array()).sum()
         assert d_slow < d_fast
 
-    @pytest.mark.parametrize("per_anchor", [True, False])
-    def test_soft_membership_covers_zero_weight_pairs(self, per_anchor):
+    def test_soft_membership_covers_zero_weight_pairs(self):
         """At the starting temperature with sq_l2_log, a softmax weight is
         exactly 0 only across a squared log-distance gap of about 1500. A
         far anchor at log shape (-30, -30) with a cluster of boxes around it
@@ -320,20 +318,18 @@ class TestRules:
                               np.r_[base.cx, np.full(50, 200.0)], np.r_[base.cy, np.full(50, 200.0)],
                               np.r_[base.w, far[:, 0]], np.r_[base.h, far[:, 1]])
         anchors = AnchorSet.from_array(np.log([[4.0, 4.0], [45.0, 45.0], [400.0, 400.0], [np.exp(-30.0)] * 2]))
-        head_cfg = HeadConfig(enabled=True, sigma=0.3, bn=True, bn_per_anchor=per_anchor)
-        cfg = small_cfg(iters=1, warmup_iters=1, head=head_cfg)
+        cfg = small_cfg(iters=1, warmup_iters=1, head=True, sigma=0.3, bn=True)
         res = run_training(ds, anchors, cfg)
 
         # replay the run's random draws: head init, epoch shuffle, features
         rng = np.random.default_rng(cfg.seed)
-        params = initial_head(4, head_cfg.init_scale, rng)
+        params = initial_head(4, cfg.init_scale, rng)
         g = ds.log_shapes()[rng.permutation(len(ds))[:cfg.batch_size]]
-        feats = make_features(g, head_cfg.sigma, rng)
+        feats = make_features(g, cfg.sigma, rng)
         s = anchors.as_array()
         w = soft_assign(g, s, cfg.metric, TEMP_START)
         assert np.all(np.any(w == 0.0, axis=0) & np.any(w > 0.0, axis=0))
-        want, _ = head_loss_longhand(w, np.ones(w.shape, dtype=bool), s, g, 1.0, params, feats,
-                                     True, per_anchor)
-        wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 1.0, params, feats, True, per_anchor)
-        assert math.isclose(res.trajectory.rows[0].loss, want, rel_tol=1e-9)
+        want, _ = head_loss_longhand(w, np.ones(w.shape, dtype=bool), s, g, 1.0, params, feats)
+        wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 1.0, params, feats)
+        assert math.isclose(res.rows[0].loss, want, rel_tol=1e-9)
         assert not math.isclose(wrong, want, rel_tol=1e-9)
