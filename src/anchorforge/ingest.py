@@ -16,17 +16,29 @@ field to within 1e-9 relative.
 
 Parsers are strict: malformed input raises ParseError naming the file,
 line, or annotation at fault rather than producing partial data.
+
+parse_coco and parse_csv pause CPython's cyclic garbage collector while
+they run. Each builds one large graph of containers that holds no
+reference cycles (the decoded JSON document, the rows read), so the
+collections that the allocations would trigger find nothing to free, and
+each full one walks the whole growing graph: about 0.6 s of ingesting a
+300k-box COCO file. The collector is switched back on when the call
+returns or raises, unless it was already off before the call. The pause
+is process-wide: other threads allocate without cyclic collection for
+the duration of the call.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -40,6 +52,19 @@ _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 
 class ParseError(ValueError):
     """Raised for malformed annotation or dataset files."""
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block (or, as a decorator, each call) with the cyclic garbage
+    collector off; it is switched back on afterwards only if it was on."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
@@ -163,6 +188,8 @@ def _clamped(
 # float() reads true as 1 and "100" as 100, but neither is a JSON number; null
 # is let through, to read as NaN in a bbox and fail the finite check there
 _JSON_NUMBER = {int, float, type(None)}
+# COCO image ids; bool is left out, as true == 1 would pass for image 1
+_JSON_ID = {int, str}
 
 
 def _json_floats(values: list) -> np.ndarray:
@@ -172,6 +199,7 @@ def _json_floats(values: list) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
+@_collector_paused()
 def parse_coco(
     path: "str | Path",
     skip_crowd: bool = True,
@@ -195,17 +223,16 @@ def parse_coco(
     index, names, image_sizes = {}, [], []  # image id -> row of names and image_sizes
     for img in images:
         try:
-            row = index.setdefault(img["id"], len(names))
-            width, height = img["width"], img["height"]
-            if not {type(width), type(height)} <= _JSON_NUMBER:
-                raise TypeError("not a JSON number")
+            image_id, width, height = img["id"], img["width"], img["height"]
+            if type(image_id) not in _JSON_ID or not {type(width), type(height)} <= _JSON_NUMBER:
+                raise TypeError("not a JSON id or number")
             image_sizes.append((float(width), float(height)))
         except (KeyError, TypeError, ValueError, OverflowError):
             image_id = img.get("id") if isinstance(img, dict) else img
             raise ParseError(f"{path}: image {image_id!r} needs an id and a numeric width and height") from None
-        if row < len(names):
-            raise ParseError(f"{path}: image id {img['id']!r} appears more than once")
-        names.append(str(img["id"]))
+        if index.setdefault(image_id, len(names)) < len(names):
+            raise ParseError(f"{path}: image id {image_id!r} appears more than once")
+        names.append(str(image_id))
     rows, bboxes, ann_ids = [], [], []
     skipped_crowd = 0
     for ann in annotations:
@@ -218,7 +245,7 @@ def parse_coco(
             skipped_crowd += 1
             continue
         image_id, bbox = ann.get("image_id"), ann.get("bbox")
-        row = None if isinstance(image_id, (list, dict)) else index.get(image_id)
+        row = index.get(image_id) if type(image_id) in _JSON_ID else None
         if row is None:
             raise ParseError(f"{path}: annotation {ann.get('id')} references unknown image {image_id}")
         if not isinstance(bbox, list) or len(bbox) != 4:
@@ -302,6 +329,7 @@ def parse_voc(
     return out
 
 
+@_collector_paused()
 def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> ParsedBoxes:
     """Read corner-format CSV rows: image_id,image_w,image_h,x_min,y_min,x_max,y_max."""
     path = Path(path)

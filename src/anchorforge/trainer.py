@@ -109,6 +109,8 @@ class TrainConfig:
             raise ValueError(f"cluster_weight must lie in [0, 1], got {self.cluster_weight}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
+        if not 0.0 <= self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be a nonnegative number, got {self.init_scale}")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 

@@ -1,3 +1,5 @@
+import csv
+import gc
 import json
 import math
 
@@ -17,6 +19,7 @@ from anchorforge import (
     read_canonical,
     write_canonical,
 )
+from anchorforge import ingest
 from oracles import canonical_text
 
 
@@ -167,6 +170,19 @@ class TestParseCoco:
         # a repeated id used to replace the earlier image's size silently
         ({"images": [{"id": 1, "width": 100, "height": 100}, {"id": 1, "width": 50, "height": 50}],
           "annotations": [{"id": 7, "image_id": 1, "bbox": [0, 0, 60, 60]}]}, "image id 1 appears more than once"),
+        # true == 1 in Python: a boolean id used to pass for image 1, or to
+        # file an image under True that annotations of image 1 then found
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": True, "bbox": [0, 0, 60, 60]}]},
+         "annotation 7 references unknown image True"),
+        ({"images": [{"id": True, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [0, 0, 60, 60]}]}, "image True needs an id"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}, {"id": True, "width": 50, "height": 50}],
+          "annotations": []}, "image True needs an id"),
+        ({"images": [{"id": 1.0, "width": 100, "height": 100}], "annotations": []}, r"image 1\.0 needs an id"),
+        ({"images": [{"id": 1, "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1.0, "bbox": [0, 0, 60, 60]}]},
+         r"annotation 7 references unknown image 1\.0"),
     ])
     def test_malformed_document_named(self, tmp_path, doc, match):
         """Each malformed document raises ParseError naming the file and the
@@ -522,3 +538,69 @@ class TestSyntheticCorpus:
         assert a.image_ids == b.image_ids
         np.testing.assert_array_equal(a.corners, b.corners)
         np.testing.assert_array_equal(a.sizes, b.sizes)
+
+
+class TestCollectorPaused:
+    """parse_coco and parse_csv run with the cyclic collector off and leave
+    it as they found it, whether they return or raise."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def coco_file(self, tmp_path, text=None):
+        p = tmp_path / "ann.json"
+        p.write_text(json.dumps(coco_doc()) if text is None else text)
+        return p
+
+    def csv_file(self, tmp_path, body="img1,640,480,10,20,110,70\n"):
+        p = tmp_path / "boxes.csv"
+        p.write_text(TestParseCsv.HEADER + body)
+        return p
+
+    def test_off_while_json_loads_runs(self, tmp_path, monkeypatch):
+        seen, loads = [], json.loads
+        def spy(text):
+            seen.append(gc.isenabled())
+            return loads(text)
+        monkeypatch.setattr(ingest.json, "loads", spy)
+        gc.enable()
+        parse_coco(self.coco_file(tmp_path))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_off_while_csv_rows_are_read(self, tmp_path, monkeypatch):
+        seen, reader = [], csv.reader
+        def spy(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                seen.append(gc.isenabled())
+                yield row
+        monkeypatch.setattr(ingest.csv, "reader", spy)
+        gc.enable()
+        parse_csv(self.csv_file(tmp_path, "img1,640,480,10,20,110,70\nimg2,500,375,0,0,50,50\n"))
+        assert seen == [False, False, False]  # the header and two rows
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_success(self, tmp_path, enabled):
+        for parse, p in ((parse_coco, self.coco_file(tmp_path)), (parse_csv, self.csv_file(tmp_path))):
+            gc.enable() if enabled else gc.disable()
+            parse(p)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_parse_error(self, tmp_path, enabled):
+        bad = (
+            (parse_coco, self.coco_file(tmp_path, '{"images": ['), "malformed JSON"),
+            (parse_csv, self.csv_file(tmp_path, "img1,640,480,x,20,110,70\n"), "line 2: non-numeric"),
+        )
+        for parse, p, match in bad:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(ParseError, match=match):
+                parse(p)
+            assert gc.isenabled() is enabled

@@ -125,6 +125,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sigma must be a nonnegative number"):
             TrainConfig(sigma=sigma)
 
+    @pytest.mark.parametrize("init_scale", [-1.0, float("nan"), float("inf")])
+    def test_bad_init_scale(self, init_scale):
+        """NaN and inf used to fail only as a non-finite loss at iteration 0,
+        and -1.0 trained; the CLI refuses all three."""
+        with pytest.raises(ValueError, match="init_scale must be a nonnegative number"):
+            TrainConfig(init_scale=init_scale)
+
     def test_bad_threshold_tau(self):
         for tau in (0.0, 1.0, 1.5, -0.2, float("nan")):
             with pytest.raises(ValueError, match="tau must lie in"):
