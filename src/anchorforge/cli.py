@@ -177,7 +177,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
         "init_scale": _Opt(float, _RECIPE.init_scale, check=_NONNEGATIVE),
         "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
-        "freeze_anchors": _Opt(_parse_bool, not _RECIPE.train_anchors, kind="switch"),
+        "freeze_anchors": _Opt(_parse_bool, False, kind="switch"),
         "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_multiplier, check=_POSITIVE),
         "log_every": _Opt(int, _RECIPE.log_every, check=_AT_LEAST_1),
         "units": _Opt(str, "pixels", _UNITS),
@@ -417,8 +417,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         momentum=opt["momentum"],
         lr_schedule=schedule,
         warmup_iters=warmup_iters,
-        anchor_lr_multiplier=opt["anchor_lr_mult"],
-        train_anchors=not opt["freeze_anchors"],
+        anchor_lr_multiplier=0.0 if opt["freeze_anchors"] else opt["anchor_lr_mult"],
         assignment_rule=opt["rule"],
         threshold_tau=opt["tau"],
         metric=opt["metric"],

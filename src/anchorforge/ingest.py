@@ -15,11 +15,13 @@ enough significant digits that a write/read round trip reproduces every
 field to within 1e-9 relative.
 
 Parsers are strict: malformed input raises ParseError naming the file,
-line, or annotation at fault rather than producing partial data.
+line (where a CSV record starts), or annotation at fault rather than
+producing partial data; an image id with a tab or a line break, which
+the canonical format cannot hold, is malformed.
 
-parse_coco and parse_csv pause CPython's cyclic garbage collector while
-they run. Each builds one large graph of containers that holds no
-reference cycles (the decoded JSON document, the rows read), so the
+Every parser pauses CPython's cyclic garbage collector while it runs.
+Each builds one large graph of containers that holds no reference cycles
+(the decoded JSON document, the rows read, the XML trees), so the
 collections that the allocations would trigger find nothing to free, and
 each full one walks the whole growing graph: about 0.6 s of ingesting a
 300k-box COCO file. The collector is switched back on when the call
@@ -48,6 +50,7 @@ import numpy as np
 _HEADER_RE = re.compile(r"anchorforge-dataset v(\d+) S=(\d+)")
 _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_max"]
 _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
+_ID_BREAK = re.compile("[\t\n\r]")  # what an image id in the canonical format must not hold
 
 
 class ParseError(ValueError):
@@ -65,6 +68,13 @@ def _collector_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _first_bad_id(ids: Sequence[str]) -> Optional[int]:
+    """Index of the first id holding a tab or a line break, or None."""
+    if _ID_BREAK.search("".join(ids)):  # one pass over all the ids finds whether any does
+        return next(i for i, x in enumerate(ids) if _ID_BREAK.search(x))
+    return None
 
 
 def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
@@ -121,9 +131,8 @@ class CanonicalDataset:
                 raise ValueError(f"{name} must hold one value per image id ({len(ids)}), got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        joined = "".join(ids)
-        if "\t" in joined or "\n" in joined or "\r" in joined:
-            i = next(i for i, x in enumerate(ids) if "\t" in x or "\n" in x or "\r" in x)
+        i = _first_bad_id(ids)
+        if i is not None:
             raise ValueError(f"record {i}: image_id must not contain tabs or line breaks")
         cx, cy, w, h = self.cx, self.cy, self.w, self.h
         size_ok = (w > 0.0) & (w <= s) & (h > 0.0) & (h <= s)
@@ -157,11 +166,14 @@ def _clamped(
 ) -> ParsedBoxes:
     """Clamp every box to its image in one pass.
 
-    The first row with a non-finite or non-positive image size, a
+    The first image id holding a tab or a line break raises ParseError,
+    then the first row with a non-finite or non-positive image size, a
     non-finite corner, a max corner not above its min, or a box that is
-    empty after clamping raises ParseError; where(i) names row i (file,
-    line or annotation).
+    empty after clamping; where(i) names row i (file, line or annotation).
     """
+    i = _first_bad_id(image_ids)
+    if i is not None:
+        raise ParseError(f"{where(i)}: image id {image_ids[i]!r} must not contain tabs or line breaks")
     sizes = np.array(sizes, dtype=float).reshape(-1, 2)
     corners = np.array(corners, dtype=float).reshape(-1, 4)
     clamped = np.minimum(np.maximum(corners, 0.0), np.tile(sizes, 2))
@@ -276,6 +288,7 @@ def parse_coco(
     return out
 
 
+@_collector_paused()
 def parse_voc(
     directory: "str | Path",
     include_difficult: bool = True,
@@ -341,7 +354,9 @@ def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> ParsedBoxe
         raise ParseError(f"{path}: empty file") from None
     if [c.strip() for c in header] != _CSV_HEADER:
         raise ParseError(f"{path}: line 1: expected header {','.join(_CSV_HEADER)}")
-    for lineno, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 7:

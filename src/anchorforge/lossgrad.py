@@ -12,7 +12,8 @@ with log anchors s, log ground truths g, head offsets delta and
 N = sum_jk W_jk. Gradients are analytic. A small per-anchor affine
 map stands in for a detector's offset-regression head; Gaussian feature
 noise is its capacity knob, and an optional batch normalization (scale
-only, no shift) can be applied to its outputs per batch.
+only, no shift) can be applied to its outputs, each anchor's over the
+pairs assigned to it in a batch.
 
 Moment form. The head is affine and its batch normalization only shifts
 and scales, so every residual is linear in the row x_j = (1, f_j, g_j)
@@ -113,7 +114,6 @@ def head_outputs(
     member_gram: np.ndarray,
     mean: np.ndarray,
     bn: bool = True,
-    bn_per_anchor: bool = True,
 ) -> tuple[np.ndarray, tuple]:
     """Head forward pass, as each anchor's coefficient map on centred rows.
 
@@ -121,9 +121,8 @@ def head_outputs(
     anchor a (2, 2) linear map, a bias and a positive scale per output
     channel. member_gram and mean come from :func:`batch_moments`.
     Raw offsets are ``u[k] @ f_j + c[k]``. With ``bn``, the member
-    pairs of each anchor (or, when ``bn_per_anchor`` is false, all member
-    pairs together) form a normalization group; a group of at least 2
-    pairs is normalized per channel with its own mean and biased
+    pairs of each anchor form its normalization group; a group of at
+    least 2 pairs is normalized per channel with its own mean and biased
     variance and scaled by ``gamma[k]``, and smaller groups pass through
     raw.
 
@@ -145,25 +144,19 @@ def head_outputs(
     mc = theta @ m3
     # mc[..., 0] is each channel's raw sum over the anchor's group; groups
     # too small to normalize keep a zero mean and a unit scale
-    total = mc[..., 0]
-    if not bn_per_anchor:
-        count = count.sum(axis=0, keepdims=True)
-        total = total.sum(axis=0, keepdims=True)
     active = count >= 2.0
     # 1 / count over the groups that are normalized, 0 over the rest
     inv = active / np.maximum(count, 1.0)
-    shift = total * inv
+    shift = mc[..., 0] * inv
     centred = theta.copy()
     centred[..., 0] -= shift
     mc -= shift[..., None] * first
     var = (mc * centred).sum(axis=2)
-    if not bn_per_anchor:
-        var = var.sum(axis=0, keepdims=True)
     istd = (var * inv + BN_EPS) ** -0.5
     scale = np.where(active, gamma * istd, 1.0)
     np.multiply(centred, scale[..., None], out=theta)
     istd *= active
-    return coef, (centred, mc, first, istd, scale, inv, bn_per_anchor)
+    return coef, (centred, mc, first, istd, scale, inv)
 
 
 def _loss_from_arrays(
@@ -234,17 +227,14 @@ def grad_head(
         dtheta = dcoef[..., :3].copy()
         gg = np.zeros_like(gamma)
     else:
-        centred, mc, first, istd, scale, inv, per_anchor = cache
+        centred, mc, first, istd, scale, inv = cache
         t = (centred * dcoef[..., :3]).sum(axis=2)
         gg = istd * t
         dtheta = scale[..., None] * dcoef[..., :3]
-        # back through the group mean, then through the group variance
-        dmu = dtheta[..., 0]
+        # back through the group mean, then through the group variance, as
+        # (gamma t)(istd^3 inv): another grouping changes the trained anchors' last bits
         dvar = gamma * t
-        if not per_anchor:
-            dmu = dmu.sum(axis=0, keepdims=True)
-            dvar = dvar.sum(axis=0, keepdims=True)
         dvar *= istd**3 * inv
-        dtheta -= (dmu * inv)[..., None] * first + dvar[..., None] * mc
+        dtheta -= (dtheta[..., 0] * inv)[..., None] * first + dvar[..., None] * mc
     gc = dtheta[..., 0]
     return dtheta[..., 1:] + gc[..., None] * mean[1:3], gc, gg

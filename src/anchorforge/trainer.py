@@ -7,7 +7,7 @@ of the anchors and (when enabled) the head, which the loop reads as views:
     p <- p - lr * rate * v
 
 The learning rate lr follows a step schedule; rate is the anchor
-learning-rate multiplier on the anchors (0 when frozen) and 1 on the
+learning-rate multiplier on the anchors (0 freezes them) and 1 on the
 head. During the warm-up window, responsibilities come from the
 temperature-annealed soft rule and the clustering term is active;
 afterwards training falls back to the configured hard rule with the
@@ -60,7 +60,8 @@ class NonFiniteLossError(RuntimeError):
 class TrainConfig:
     """Everything that determines a training run besides data and init.
 
-    The defaults are the recipe of a flag-free ``anchorforge optimize``.
+    The defaults are the recipe of a flag-free ``anchorforge optimize``,
+    which sets every field; an anchor_lr_multiplier of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -69,7 +70,6 @@ class TrainConfig:
     lr_schedule: tuple[tuple[int, float], ...] = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
     warmup_iters: int = 1500
     anchor_lr_multiplier: float = 1.0
-    train_anchors: bool = True
     assignment_rule: str = "yolo"
     threshold_tau: float = 0.5
     metric: Metric = "one_minus_iou"
@@ -97,8 +97,8 @@ class TrainConfig:
             raise ValueError("lr_schedule iterations must be strictly increasing")
         if not all(0.0 < lr < math.inf for _, lr in self.lr_schedule):
             raise ValueError(f"learning rates must be positive numbers, got {self.lr_schedule}")
-        if not 0.0 < self.anchor_lr_multiplier < math.inf:
-            raise ValueError(f"anchor_lr_multiplier must be a positive number, got {self.anchor_lr_multiplier}")
+        if not 0.0 <= self.anchor_lr_multiplier < math.inf:
+            raise ValueError(f"anchor_lr_multiplier must be a nonnegative number, got {self.anchor_lr_multiplier}")
         if self.assignment_rule not in ("yolo", "threshold"):
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
         if not 0.0 < self.threshold_tau < 1.0:
@@ -193,8 +193,8 @@ def run_training(
     s, *head = [p.reshape(b.shape) for p, b in zip(np.split(params, ends), blocks)]
     vel_s, *vel_head = [v.reshape(b.shape) for v, b in zip(np.split(velocity, ends), blocks)]
     rate = np.ones_like(params)
-    # frozen anchors get no gradient and rate 0: lr * multiplier can overflow, and inf * 0 is NaN
-    rate[: s.size] = cfg.anchor_lr_multiplier if cfg.train_anchors else 0.0
+    # frozen anchors (multiplier 0) gather no velocity either, so 0 * inf cannot make them NaN
+    rate[: s.size] = cfg.anchor_lr_multiplier
     breakpoints = dict(cfg.lr_schedule)
 
     log_g = ds.log_shapes()
@@ -262,7 +262,7 @@ def run_training(
             if t in breakpoints:
                 step = breakpoints[t] * rate
             velocity *= cfg.momentum
-            if cfg.train_anchors:
+            if cfg.anchor_lr_multiplier:
                 vel_s += gs
             if head:
                 for vel, grad in zip(vel_head, grad_head(dcoef, cache, mean, head[2])):

@@ -169,18 +169,17 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def head_loss_longhand(w, member, s, g, lam, head=None, features=None,
-                       bn=True, bn_per_anchor=True, eps=1e-5):
+def head_loss_longhand(w, member, s, g, lam, head=None, features=None, bn=True, eps=1e-5):
     """The training objective written out pair by pair and group by group.
 
     w is the (n, A) assignment weight matrix and member the (n, A)
     boolean mask of the pairs the assignment covers; pairs outside it
     must have zero weight. head is None (all offsets zero) or a tuple
     (u, c, gamma) of per-anchor linear maps, biases and scales applied
-    to the (n, 2) features. With bn, member pairs are grouped per anchor
-    (or into one joint group), each group of at least 2 pairs is
-    normalized per channel with its own biased mean and variance and
-    scaled by the pair's anchor scale; smaller groups stay raw.
+    to the (n, 2) features. With bn, member pairs are grouped per anchor,
+    each group of at least 2 pairs is normalized per channel with its own
+    biased mean and variance and scaled by the anchor's scale; smaller
+    groups stay raw.
 
     Returns (loss, offsets), offsets mapping each member pair (j, k) to
     its [dw, dh].
@@ -205,7 +204,7 @@ def head_loss_longhand(w, member, s, g, lam, head=None, features=None,
         gamma = head[2]
         groups = {}
         for j, k in pairs:
-            groups.setdefault(k if bn_per_anchor else -1, []).append((j, k))
+            groups.setdefault(k, []).append((j, k))
         for members in groups.values():
             if len(members) < 2:
                 continue
@@ -238,13 +237,12 @@ def moment_rows(features, g) -> np.ndarray:
     return np.vstack([np.ones(len(g)), features.T, g.T])
 
 
-def dense_head_outputs(u, c, gamma, features, member, bn=True, bn_per_anchor=True, eps=1e-5):
+def dense_head_outputs(u, c, gamma, features, member, bn=True, eps=1e-5):
     """Head forward pass for every (ground truth, anchor) pair, on (n, A, 2) arrays.
 
     features is the (n, 2) feature array and member the (n, A) boolean
     mask of the pairs the assignment covers, which define the
-    batch-normalization groups: one group per anchor column, or one joint
-    group over all member pairs when ``bn_per_anchor`` is false. Raw
+    batch-normalization groups: one group per anchor column. Raw
     offsets are ``u[k] @ features[j] + c[k]``; members of a group of at
     least 2 pairs are normalized with the group's statistics and scaled by
     ``gamma[k]``, everything else passes through raw.
@@ -256,16 +254,15 @@ def dense_head_outputs(u, c, gamma, features, member, bn=True, bn_per_anchor=Tru
     raw = (features @ u.reshape(2 * a, 2).T).reshape(n, a, 2) + c
     if not bn:
         return raw, None
-    axes = 0 if bn_per_anchor else (0, 1)
     mask = member[:, :, None]
-    count = mask.sum(axis=axes, keepdims=True)
+    count = mask.sum(axis=0)
     denom = np.maximum(count, 1)
-    xc = raw - np.where(mask, raw, 0.0).sum(axis=axes, keepdims=True) / denom
-    var = np.where(mask, xc * xc, 0.0).sum(axis=axes, keepdims=True) / denom
+    xc = raw - np.where(mask, raw, 0.0).sum(axis=0) / denom
+    var = np.where(mask, xc * xc, 0.0).sum(axis=0) / denom
     istd = 1.0 / np.sqrt(var + eps)
     xhat = xc * istd
     active = mask & (count >= 2)
-    return np.where(active, gamma * xhat, raw), (xhat, istd, count, denom, axes)
+    return np.where(active, gamma * xhat, raw), (xhat, istd, count, denom)
 
 
 def dense_loss(out, w, s, g, cluster_weight):
@@ -300,13 +297,13 @@ def dense_grad_head(dout, cache, features, member, gamma):
     if cache is None:
         gg = np.zeros_like(gamma)
     else:
-        xhat, istd, count, denom, axes = cache
+        xhat, istd, count, denom = cache
         active = member[:, :, None] & (count >= 2)
         dxhat = np.where(active, dout, 0.0)
         gg = (dxhat * xhat).sum(axis=0)
         dxhat *= gamma
-        m1 = dxhat.sum(axis=axes, keepdims=True) / denom
-        m2 = (dxhat * xhat).sum(axis=axes, keepdims=True) / denom
+        m1 = dxhat.sum(axis=0) / denom
+        m2 = (dxhat * xhat).sum(axis=0) / denom
         draw = np.where(active, istd * (dxhat - m1 - xhat * m2), dout)
     gu = (draw.reshape(n, 2 * a).T @ features).reshape(a, 2, 2)
     return gu, draw.sum(axis=0), gg

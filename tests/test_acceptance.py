@@ -86,15 +86,15 @@ def cluster_equiv_run(mixture3_ds, tmp_path_factory):
 class TestCriterion1:
     def test_gradients_match_finite_differences(self):
         """The stages the trainer runs (head_outputs, _loss_from_arrays,
-        grad_head) against finite differences: every rule, every BN mode
-        and three clustering weights."""
+        grad_head) against finite differences: every rule, the head off,
+        on without BN and on with BN, and three clustering weights."""
         rng = np.random.default_rng(101)
         worst = 0.0
         instances = 0
-        for _ in range(3):
+        for _ in range(4):
             for lam in (0.0, 0.5, 1.0):
                 for rule in ("yolo", "threshold", "soft"):
-                    for mode in ("no head", "bn off", "bn per anchor", "bn joint"):
+                    for mode in ("no head", "bn off", "bn on"):
                         n = int(rng.integers(5, 51))
                         gts = rng.uniform(np.log(8.0), np.log(300.0), size=(n, 2))
                         s = rng.uniform(np.log(8.0), np.log(300.0), size=(5, 2))
@@ -109,7 +109,6 @@ class TestCriterion1:
                         soft = rule == "soft"
 
                         bn = mode != "bn off"
-                        per_anchor = mode != "bn joint"
                         if mode == "no head":
                             gram, _, mean = batch_moments(moment_rows(gts, gts), w, soft)
                             coef = np.zeros((5, 2, 5))
@@ -117,8 +116,7 @@ class TestCriterion1:
                             head = initial_head(5, init_scale=0.1, rng=rng)
                             features = make_features(gts, 0.3, rng)
                             gram, member_gram, mean = batch_moments(moment_rows(features, gts), w, soft)
-                            coef, cache = head_outputs(*head, member_gram, mean,
-                                                       bn=bn, bn_per_anchor=per_anchor)
+                            coef, cache = head_outputs(*head, member_gram, mean, bn=bn)
 
                         _, analytic, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
 
@@ -134,13 +132,12 @@ class TestCriterion1:
                             packed = np.concatenate([p.ravel() for p in head])
 
                             def loss_of_head(vec, gram=gram, member_gram=member_gram, mean=mean,
-                                             s=s, lam=lam, head=head, bn=bn,
-                                             per_anchor=per_anchor, nu=nu, nc=nc):
+                                             s=s, lam=lam, head=head, bn=bn, nu=nu, nc=nc):
                                 o, _ = head_outputs(
                                     vec[:nu].reshape(head[0].shape),
                                     vec[nu:nu + nc].reshape(head[1].shape),
                                     vec[nu + nc:].reshape(head[2].shape),
-                                    member_gram, mean, bn=bn, bn_per_anchor=per_anchor,
+                                    member_gram, mean, bn=bn,
                                 )
                                 return _loss_from_arrays(o, gram, s, mean, lam)[0]
 
@@ -163,7 +160,7 @@ class TestCriterion2:
 
 
 class TestCriterion3:
-    def _cfg(self, train_anchors, seed):
+    def _cfg(self, anchor_lr_multiplier, seed):
         return TrainConfig(
             iters=5000,
             batch_size=64,
@@ -172,7 +169,7 @@ class TestCriterion3:
             warmup_iters=1000,
             assignment_rule="yolo",
             metric="one_minus_iou",
-            train_anchors=train_anchors,
+            anchor_lr_multiplier=anchor_lr_multiplier,
             head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=seed,
         )
@@ -181,8 +178,8 @@ class TestCriterion3:
         margins = []
         for ds in (mixture2_ds, voc_ds):
             for _, init in three_inits(ds):
-                joint = run_training(ds, init, self._cfg(True, seed=7))
-                frozen = run_training(ds, init, self._cfg(False, seed=7))
+                joint = run_training(ds, init, self._cfg(1.0, seed=7))
+                frozen = run_training(ds, init, self._cfg(0.0, seed=7))
                 margins.append(frozen.final_smoothed_loss - joint.final_smoothed_loss)
         wins = sum(m >= 0.0 for m in margins)
         report(wins == len(margins), 3,
@@ -308,7 +305,7 @@ class TestCriterion7:
             rows = moment_rows(np.column_stack([x, x]), np.zeros((size, 2)))
             _, member_gram, mean = batch_moments(rows, np.ones((size, 1)), True)
             coef, _ = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
-                                   member_gram, mean, bn=True, bn_per_anchor=True)
+                                   member_gram, mean, bn=True)
             # the offsets: the exposed coefficient map applied to the centred batch
             out = coef[0] @ (rows - mean[:, None])
             pre = out.T / gamma

@@ -71,12 +71,11 @@ class TestAssignment:
             for a in moments:
                 a.setflags(write=False)
             gram, member_gram, mean = moments
-            for per_anchor in (True, False):
-                coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=True, bn_per_anchor=per_anchor)
-                coef.setflags(write=False)
-                _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.5)
-                dcoef.setflags(write=False)
-                grad_head(dcoef, cache, mean, gamma)
+            coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=True)
+            coef.setflags(write=False)
+            _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.5)
+            dcoef.setflags(write=False)
+            grad_head(dcoef, cache, mean, gamma)
             utilization_counts(w, soft)
 
     def test_validation(self):

@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -87,6 +88,9 @@ class TestIngest:
         ('{"images": [{"id": 1, "width": 10, "height": 10}], '
          '"annotations": [{"id": 4, "image_id": 1, "bbox": [1, 1, 5, 5], "iscrowd": "0"}]}',
          "annotation 4 needs an iscrowd of 0 or 1"),
+        ('{"images": [{"id": "a\\tb", "width": 10, "height": 10}], '
+         '"annotations": [{"id": 8, "image_id": "a\\tb", "bbox": [1, 1, 5, 5]}]}',
+         "annotation 8: image id 'a\\tb' must not contain tabs or line breaks"),
     ])
     def test_malformed_coco_exits_2(self, tmp_path, capsys, text, match):
         p = tmp_path / "ann.json"
@@ -446,6 +450,36 @@ class TestOptimize:
         with pytest.raises(Captured) as info:
             main(["optimize", "--dataset", str(dataset_file), "--out-dir", str(tmp_path / "o")])
         assert info.value.args[0] == anchorforge.TrainConfig()
+
+    def test_optimize_reaches_every_train_config_field(self, tmp_path, dataset_file, monkeypatch):
+        """TrainConfig holds only what optimize sets: across a run with every
+        training option off its default and a --freeze-anchors run, each
+        field takes a value other than its default."""
+        configs = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(ds, anchors0, cfg, trajectory_path=None):
+            configs.append(cfg)
+            raise Captured
+
+        monkeypatch.setattr("anchorforge.cli.run_training", capture)
+        base = ["optimize", "--dataset", str(dataset_file)]
+        off_default = [
+            "--iters", "123", "--batch-size", "7", "--momentum", "0.5", "--lr-schedule", "0:0.01,50:0.002",
+            "--warmup-iters", "17", "--anchor-lr-mult", "0.5", "--rule", "threshold", "--tau", "0.6",
+            "--metric", "sq_l2_log", "--cluster-weight", "0.25", "--no-head", "--sigma", "0.1",
+            "--init-scale", "0.2", "--no-bn", "--seed", "9", "--log-every", "5",
+        ]
+        for n, flags in enumerate((off_default, ["--freeze-anchors"])):
+            with pytest.raises(Captured):
+                main(base + flags + ["--out-dir", str(tmp_path / f"o{n}")])
+        default = anchorforge.TrainConfig()
+        assert configs[1].anchor_lr_multiplier == 0.0
+        unreached = [f.name for f in dataclasses.fields(default)
+                     if all(getattr(cfg, f.name) == getattr(default, f.name) for cfg in configs)]
+        assert unreached == []
 
     def test_init_file_for_other_canvas_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
         init = tmp_path / "anchors608.json"

@@ -183,6 +183,15 @@ class TestParseCoco:
         ({"images": [{"id": 1, "width": 100, "height": 100}],
           "annotations": [{"id": 7, "image_id": 1.0, "bbox": [0, 0, 60, 60]}]},
          r"annotation 7 references unknown image 1\.0"),
+        # the canonical format cannot hold such an id; the dataset used to
+        # refuse it later, as "record 1", with neither file nor annotation
+        ({"images": [{"id": 1, "width": 100, "height": 100}, {"id": "a\tb", "width": 100, "height": 100}],
+          "annotations": [{"id": 7, "image_id": 1, "bbox": [0, 0, 60, 60]},
+                          {"id": 8, "image_id": "a\tb", "bbox": [0, 0, 60, 60]}]},
+         r"annotation 8: image id 'a\\tb' must not contain tabs or line breaks"),
+        ({"images": [{"id": "a\r\nb", "width": 100, "height": 100}],
+          "annotations": [{"id": 8, "image_id": "a\r\nb", "bbox": [0, 0, 60, 60]}]},
+         r"annotation 8: image id 'a\\r\\nb' must not contain tabs or line breaks"),
     ])
     def test_malformed_document_named(self, tmp_path, doc, match):
         """Each malformed document raises ParseError naming the file and the
@@ -262,6 +271,13 @@ class TestParseVoc:
         with pytest.raises(ParseError, match=r"b\.xml: .* must be finite"):
             parse_voc(tmp_path)
 
+    def test_image_id_with_tab_named(self, tmp_path):
+        """A file name, and so an image id, can hold a tab on Linux."""
+        write_voc_file(tmp_path, "a", 640, 480, [("dog", False, 0, 0, 64, 48)])
+        write_voc_file(tmp_path, "b\tc", 640, 480, [("dog", False, 0, 0, 64, 48)])
+        with pytest.raises(ParseError, match=r"b\tc\.xml: image id 'b\\tc' must not contain tabs or line breaks"):
+            parse_voc(tmp_path)
+
 
 class TestParseCsv:
     HEADER = "image_id,image_w,image_h,x_min,y_min,x_max,y_max\n"
@@ -319,6 +335,23 @@ class TestParseCsv:
         p.write_text(self.HEADER + "img1,640,480,10,20,110,70\n\n" + row + "\nimg3,0,480,10,20,110,70\n")
         with pytest.raises(ParseError, match="line 4: .* must be finite"):
             parse_csv(p)
+
+    @pytest.mark.parametrize("body, match", [
+        ('img1,640,480,10,20,110,70\n"a\nb",640,480,10,20,110,70\n',
+         r"line 3: image id 'a\\nb' must not contain tabs or line breaks"),
+        ("img1,640,480,10,20,110,70\na\tb,640,480,10,20,110,70\n",
+         r"line 3: image id 'a\\tb' must not contain tabs or line breaks"),
+        # a quoted line break puts every later record a line past its count
+        ('ok,100,100,1,1,10,10\nq,"100\n",100,1,1,10,10\nbad,100,100,5,5,5,5\n', r"line 5: degenerate box"),
+        ('ok,100,100,1,1,10,10\nq,"100\n",100,1,1,10,10\nbad,100,100\n', "line 5: expected 7 fields"),
+        ('ok,100,100,1,1,10,10\nq,"100\n",x,1,1,10,10\n', "line 3: non-numeric field"),
+    ])
+    def test_record_named_by_its_first_line(self, tmp_path, body, match):
+        p = tmp_path / "boxes.csv"
+        p.write_text(self.HEADER + body)
+        with pytest.raises(ParseError, match=match) as info:
+            parse_csv(p)
+        assert str(info.value).startswith(f"{p}: line ")
 
 
 class TestNormalize:
@@ -541,8 +574,8 @@ class TestSyntheticCorpus:
 
 
 class TestCollectorPaused:
-    """parse_coco and parse_csv run with the cyclic collector off and leave
-    it as they found it, whether they return or raise."""
+    """Every parser runs with the cyclic collector off and leaves it as it
+    found it, whether it returns or raises."""
 
     @pytest.fixture(autouse=True)
     def restore_collector(self):
@@ -563,6 +596,13 @@ class TestCollectorPaused:
         p.write_text(TestParseCsv.HEADER + body)
         return p
 
+    def voc_dir(self, tmp_path, corner=0):
+        d = tmp_path / f"voc{corner}"
+        d.mkdir()
+        write_voc_file(d, "a", 640, 480, [("dog", False, corner, 0, 64, 48)])
+        write_voc_file(d, "b", 500, 375, [("car", False, 10, 10, 110, 60)])
+        return d
+
     def test_off_while_json_loads_runs(self, tmp_path, monkeypatch):
         seen, loads = [], json.loads
         def spy(text):
@@ -576,19 +616,42 @@ class TestCollectorPaused:
 
     def test_off_while_csv_rows_are_read(self, tmp_path, monkeypatch):
         seen, reader = [], csv.reader
-        def spy(*args, **kwargs):
-            for row in reader(*args, **kwargs):
+
+        class Spy:
+            """csv.reader, noting the collector's state at each row read."""
+            def __init__(self, *args, **kwargs):
+                self.rows = reader(*args, **kwargs)
+            def __iter__(self):
+                return self
+            def __next__(self):
+                row = next(self.rows)
                 seen.append(gc.isenabled())
-                yield row
-        monkeypatch.setattr(ingest.csv, "reader", spy)
+                return row
+            @property
+            def line_num(self):
+                return self.rows.line_num
+        monkeypatch.setattr(ingest.csv, "reader", Spy)
         gc.enable()
         parse_csv(self.csv_file(tmp_path, "img1,640,480,10,20,110,70\nimg2,500,375,0,0,50,50\n"))
         assert seen == [False, False, False]  # the header and two rows
         assert gc.isenabled()
 
+    def test_off_while_voc_files_are_parsed(self, tmp_path, monkeypatch):
+        seen, et_parse = [], ingest.ET.parse
+        def spy(source):
+            seen.append(gc.isenabled())
+            return et_parse(source)
+        monkeypatch.setattr(ingest.ET, "parse", spy)
+        gc.enable()
+        parse_voc(self.voc_dir(tmp_path))
+        assert seen == [False, False]  # a.xml and b.xml
+        assert gc.isenabled()
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_state_restored_after_success(self, tmp_path, enabled):
-        for parse, p in ((parse_coco, self.coco_file(tmp_path)), (parse_csv, self.csv_file(tmp_path))):
+        good = ((parse_coco, self.coco_file(tmp_path)), (parse_csv, self.csv_file(tmp_path)),
+                (parse_voc, self.voc_dir(tmp_path)))
+        for parse, p in good:
             gc.enable() if enabled else gc.disable()
             parse(p)
             assert gc.isenabled() is enabled
@@ -598,6 +661,7 @@ class TestCollectorPaused:
         bad = (
             (parse_coco, self.coco_file(tmp_path, '{"images": ['), "malformed JSON"),
             (parse_csv, self.csv_file(tmp_path, "img1,640,480,x,20,110,70\n"), "line 2: non-numeric"),
+            (parse_voc, self.voc_dir(tmp_path, corner="x"), "numeric corners"),
         )
         for parse, p, match in bad:
             gc.enable() if enabled else gc.disable()

@@ -76,11 +76,11 @@ def apply_map(coef, mean, g, features=None):
     return np.einsum("kic,cj->jki", coef, rows - mean[:, None])
 
 
-def offsets(head, member, g, features, bn=True, per_anchor=True):
+def offsets(head, member, g, features, bn=True):
     """The head's (n, A, 2) offsets under the moment-form forward pass."""
     # the membership Gram of the mask's 0/1 weights, which is what the forward pass reads
     _, member_gram, mean = moments(member.astype(float), member, g, features)
-    coef, _ = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+    coef, _ = head_outputs(*head, member_gram, mean, bn=bn)
     return apply_map(coef, mean, g, features)
 
 
@@ -92,31 +92,31 @@ def const_map(out):
     return coef
 
 
-def kernel_loss(w, member, s, g, lam, head=None, features=None, bn=True, per_anchor=True):
+def kernel_loss(w, member, s, g, lam, head=None, features=None, bn=True):
     gram, member_gram, mean = moments(w, member, g, features)
     if head is None:
         coef = np.zeros((len(s), 2, 5))
     else:
-        coef, _ = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+        coef, _ = head_outputs(*head, member_gram, mean, bn=bn)
     return _loss_from_arrays(coef, gram, s, mean, lam)[0]
 
 
-def head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor):
+def head_fd_check(w, member, s, g, lam, head, features, bn):
     """Worst relative error of the head gradients against finite differences."""
     u, c, gamma = head
     gram, member_gram, mean = moments(w, member, g, features)
-    coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+    coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=bn)
     _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
     gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
 
     def f_u(x):
-        return kernel_loss(w, member, s, g, lam, (x, c, gamma), features, bn, per_anchor)
+        return kernel_loss(w, member, s, g, lam, (x, c, gamma), features, bn)
 
     def f_c(x):
-        return kernel_loss(w, member, s, g, lam, (u, x, gamma), features, bn, per_anchor)
+        return kernel_loss(w, member, s, g, lam, (u, x, gamma), features, bn)
 
     def f_gamma(x):
-        return kernel_loss(w, member, s, g, lam, (u, c, x), features, bn, per_anchor)
+        return kernel_loss(w, member, s, g, lam, (u, c, x), features, bn)
 
     return max(
         rel_err(gu, fd_grad(f_u, u)),
@@ -255,9 +255,9 @@ class TestAnchorGradients:
                 numeric = fd_grad(lambda arr: zero_offset_loss(w, arr, g, lam)[0], s)
                 assert rel_err(grad, numeric) < 1e-6
                 feats = make_features(g, 0.4, rng)
-                for bn, per_anchor in ((False, True), (True, True), (True, False)):
+                for bn in (False, True):
                     head = random_head(rng, 4)
-                    assert head_fd_check(w, member, s, g, lam, head, feats, bn, per_anchor) < 1e-6
+                    assert head_fd_check(w, member, s, g, lam, head, feats, bn) < 1e-6
 
 
 def batch_norm(x, gamma):
@@ -267,7 +267,7 @@ def batch_norm(x, gamma):
     member = np.ones((len(x), 1), dtype=bool)
     _, member_gram, mean = moments(member.astype(float), member, features, features)
     coef, cache = head_outputs(np.eye(2)[None], np.zeros((1, 2)), np.full((1, 2), gamma),
-                               member_gram, mean, bn=True, bn_per_anchor=True)
+                               member_gram, mean, bn=True)
     out = apply_map(coef, mean, features, features)
     return out[:, 0, 0], float(cache[3][0, 0])
 
@@ -358,13 +358,13 @@ class TestHeadForward:
         feats = make_features(g, 0.0)
         for rule in RULES:
             w, member = assign(rule, g, s)
-            for bn, per_anchor in ((False, True), (True, True), (True, False)):
-                out = offsets(head, member, g, feats, bn, per_anchor)
-                _, longhand = head_loss_longhand(w, member, s, g, 0.0, head, feats, bn, per_anchor)
+            for bn in (False, True):
+                out = offsets(head, member, g, feats, bn)
+                _, longhand = head_loss_longhand(w, member, s, g, 0.0, head, feats, bn)
                 for (j, k), want in longhand.items():
                     np.testing.assert_allclose(out[j, k], want, rtol=1e-9, atol=1e-12)
 
-    def test_bn_groups_normalize_per_anchor(self):
+    def test_bn_groups_normalize_each_anchor(self):
         rng = np.random.default_rng(40)
         head = initial_head(2, 1.0, rng)
         g = rng.normal(0.0, 1.0, size=(40, 2))
@@ -372,7 +372,7 @@ class TestHeadForward:
         member = np.zeros((40, 2), dtype=bool)
         member[:25, 0] = True
         member[25:, 1] = True
-        out = offsets(head, member, g, feats, bn=True, per_anchor=True)
+        out = offsets(head, member, g, feats, bn=True)
         raw = offsets(head, member, g, feats, bn=False)
         for k, rows in ((0, slice(0, 25)), (1, slice(25, 40))):
             for ch in (0, 1):
@@ -392,36 +392,15 @@ class TestHeadForward:
         w[4, 1] = 1.0
         member = w > 0.0
         s = rng.normal(0.0, 1.0, size=(2, 2))
-        for per_anchor in (True, False):
-            gram, member_gram, mean = moments(w, member, g, feats)
-            coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=True,
-                                       bn_per_anchor=per_anchor)
-            if per_anchor:
-                raw_last = u[1] @ feats[4] + c[1]
-                np.testing.assert_allclose(apply_map(coef, mean, g, feats)[4, 1], raw_last, rtol=1e-12)
-            _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.0)
-            ggamma = grad_head(dcoef, cache, mean, gamma)[2]
-            if per_anchor:
-                np.testing.assert_array_equal(ggamma[1], 0.0)
-            assert np.all(ggamma[0] != 0.0)
-            assert head_fd_check(w, member, s, g, 0.0, (u, c, gamma), feats,
-                                 True, per_anchor) < 1e-6
-
-    def test_bn_joint_mode_shares_statistics(self):
-        rng = np.random.default_rng(42)
-        head = initial_head(2, 1.0, rng)
-        g = rng.normal(0.0, 1.0, size=(30, 2))
-        feats = make_features(g, 0.0)
-        member = np.zeros((30, 2), dtype=bool)
-        member[np.arange(30), np.tile([0, 1], 15)] = True
-        out = offsets(head, member, g, feats, bn=True, per_anchor=False)
-        raw = offsets(head, member, g, feats, bn=False)
-        for ch in (0, 1):
-            x = raw[member][:, ch]
-            want = (x - x.mean()) / math.sqrt(x.var() + BN_EPS)
-            np.testing.assert_allclose(out[member][:, ch], want, rtol=1e-9, atol=1e-12)
-            # gamma is 1 everywhere initially, so the joint batch has zero mean
-            assert abs(float(np.mean(out[member][:, ch]))) < 1e-10
+        gram, member_gram, mean = moments(w, member, g, feats)
+        coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=True)
+        raw_last = u[1] @ feats[4] + c[1]
+        np.testing.assert_allclose(apply_map(coef, mean, g, feats)[4, 1], raw_last, rtol=1e-12)
+        _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.0)
+        ggamma = grad_head(dcoef, cache, mean, gamma)[2]
+        np.testing.assert_array_equal(ggamma[1], 0.0)
+        assert np.all(ggamma[0] != 0.0)
+        assert head_fd_check(w, member, s, g, 0.0, (u, c, gamma), feats, True) < 1e-6
 
 
 class TestLonghandOracle:
@@ -444,9 +423,9 @@ class TestLonghandOracle:
             for lam in (0.0, 0.4):
                 want, _ = head_loss_longhand(w, member, s, g, lam)
                 assert math.isclose(kernel_loss(w, member, s, g, lam), want, rel_tol=1e-9)
-                for bn, per_anchor in ((False, True), (True, True), (True, False)):
-                    want, _ = head_loss_longhand(w, member, s, g, lam, head, feats, bn, per_anchor)
-                    got = kernel_loss(w, member, s, g, lam, head, feats, bn, per_anchor)
+                for bn in (False, True):
+                    want, _ = head_loss_longhand(w, member, s, g, lam, head, feats, bn)
+                    got = kernel_loss(w, member, s, g, lam, head, feats, bn)
                     assert math.isclose(got, want, rel_tol=1e-9)
 
     def test_soft_floor_zero_weights_stay_in_groups(self):
@@ -460,17 +439,15 @@ class TestLonghandOracle:
         assert np.any(w == 0.0) and np.all(member)
         feats = make_features(g, 0.3, rng)
         head = random_head(rng, 5)
-        for per_anchor in (True, False):
-            want, longhand = head_loss_longhand(w, member, s, g, 0.3, head, feats, True, per_anchor)
-            out = offsets(head, member, g, feats, bn=True, per_anchor=per_anchor)
-            assert math.isclose(kernel_loss(w, member, s, g, 0.3, head, feats, True, per_anchor),
-                                want, rel_tol=1e-9)
-            for (j, k), value in longhand.items():
-                np.testing.assert_allclose(out[j, k], value, rtol=1e-9, atol=1e-12)
-            # membership read off w > 0 would change the groups and the loss
-            wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 0.3, head, feats, True, per_anchor)
-            assert not math.isclose(wrong, want, rel_tol=1e-9)
-            assert head_fd_check(w, member, s, g, 0.3, head, feats, True, per_anchor) < 1e-6
+        want, longhand = head_loss_longhand(w, member, s, g, 0.3, head, feats, True)
+        out = offsets(head, member, g, feats, bn=True)
+        assert math.isclose(kernel_loss(w, member, s, g, 0.3, head, feats, True), want, rel_tol=1e-9)
+        for (j, k), value in longhand.items():
+            np.testing.assert_allclose(out[j, k], value, rtol=1e-9, atol=1e-12)
+        # membership read off w > 0 would change the groups and the loss
+        wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 0.3, head, feats, True)
+        assert not math.isclose(wrong, want, rel_tol=1e-9)
+        assert head_fd_check(w, member, s, g, 0.3, head, feats, True) < 1e-6
 
 
 def largest(*arrays):
@@ -493,9 +470,9 @@ class TestDenseOracle:
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from((0, 1, 2, 3, 6)), min_size=1, max_size=15),
-           st.sampled_from(RULES), st.sampled_from(("bn off", "bn per anchor", "bn joint")),
+           st.sampled_from(RULES), st.booleans(),
            st.sampled_from((0.0, 0.5, 1.0)))
-    def test_matches_dense_stages(self, seed, sizes, rule, mode, lam):
+    def test_matches_dense_stages(self, seed, sizes, rule, bn, lam):
         """Anchors spaced 0.8 apart in log w and log h (aligned IoU about
         0.2 between neighbours), with sizes[k] boxes drawn close to anchor
         k: the hard rules then give anchor k a group of exactly sizes[k]
@@ -509,14 +486,13 @@ class TestDenseOracle:
             assert member.sum(axis=0).tolist() == sizes
         head = random_head(rng, a)
         features = make_features(g, 0.3, rng)
-        bn, per_anchor = mode != "bn off", mode != "bn joint"
 
-        out, cache = dense_head_outputs(*head, features, member, bn, per_anchor)
+        out, cache = dense_head_outputs(*head, features, member, bn)
         loss, grad, dout = dense_loss(out, w, s, g, lam)
         head_grads = dense_grad_head(dout, cache, features, member, head[2])
 
         gram, member_gram, mean = moments(w, member, g, features)
-        coef, mcache = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
+        coef, mcache = head_outputs(*head, member_gram, mean, bn=bn)
         mloss, mgrad, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
         mhead_grads = grad_head(dcoef, mcache, mean, head[2])
 
@@ -530,9 +506,9 @@ class TestDenseOracle:
 
 
 class TestHeadGradients:
-    @pytest.mark.parametrize("bn,per_anchor", [(False, True), (True, True), (True, False)])
+    @pytest.mark.parametrize("bn", [False, True])
     @pytest.mark.parametrize("soft", [False, True])
-    def test_matches_finite_differences(self, bn, per_anchor, soft):
+    def test_matches_finite_differences(self, bn, soft):
         rng = np.random.default_rng(43)
         for _ in range(5):
             for rule in ("soft",) if soft else ("yolo", "threshold"):
@@ -540,7 +516,7 @@ class TestHeadGradients:
                 head = random_head(rng, 3)
                 feats = make_features(g, 0.6, rng)
                 for lam in (0.0, 0.5):
-                    assert head_fd_check(w, member, s, g, lam, head, feats, bn, per_anchor) < 1e-6
+                    assert head_fd_check(w, member, s, g, lam, head, feats, bn) < 1e-6
 
     def test_cluster_term_never_touches_head(self):
         rng = np.random.default_rng(44)
@@ -603,7 +579,7 @@ class TestHeadGradients:
 class TestGradientsAtRandomPoints:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6), st.sampled_from(RULES),
-           st.sampled_from(("no head", "bn off", "bn per anchor", "bn joint")),
+           st.sampled_from(("no head", "bn off", "bn per anchor")),
            st.floats(min_value=0.0, max_value=1.0), st.sampled_from(("one_minus_iou", "sq_l2_log")))
     def test_match_finite_differences(self, seed, n, a, rule, mode, lam, metric):
         """Criterion 1's bound at drawn points: the anchor gradient of
@@ -618,10 +594,10 @@ class TestGradientsAtRandomPoints:
         if mode != "no head":
             head = random_head(rng, a)
             features = make_features(g, 0.3, rng)
-            bn, per_anchor = mode != "bn off", mode != "bn joint"
+            bn = mode != "bn off"
             gram, member_gram, mean = moments(w, member, g, features)
-            coef, _ = head_outputs(*head, member_gram, mean, bn=bn, bn_per_anchor=per_anchor)
-            assert head_fd_check(w, member, s, g, lam, head, features, bn, per_anchor) < 1e-5
+            coef, _ = head_outputs(*head, member_gram, mean, bn=bn)
+            assert head_fd_check(w, member, s, g, lam, head, features, bn) < 1e-5
         _, analytic, _ = _loss_from_arrays(coef, gram, s, mean, lam)
         numeric = fd_grad(lambda x: _loss_from_arrays(coef, gram, x, mean, lam)[0], s)
         assert rel_err(analytic, numeric) < 1e-5

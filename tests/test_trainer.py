@@ -44,15 +44,14 @@ def start_anchors():
 
 
 class TestMomentumUpdate:
-    @pytest.mark.parametrize("momentum, mult, frozen", [
-        (0.0, 1.0, False), (0.9, 1.0, False), (0.0, 0.37, False), (0.9, 0.37, False), (0.9, 0.37, True),
-    ])
-    def test_anchor_follows_heavy_ball_recurrence(self, momentum, mult, frozen):
+    @pytest.mark.parametrize("momentum, mult", [(0.0, 1.0), (0.9, 1.0), (0.0, 0.37), (0.9, 0.37), (0.9, 0.0)])
+    def test_anchor_follows_heavy_ball_recurrence(self, momentum, mult):
         """One anchor, no head and no clustering term, on boxes of one shape
         g: every box in a batch of B has weight 1, so the anchor gradient is
         2 B (s - log g), and the logged anchor must follow v <- m v + grad,
         s <- s - lr_t mult v with lr_t from the schedule. Frozen anchors
-        never get a gradient and stay put."""
+        (mult 0) never get a gradient and stay put."""
+        frozen = mult == 0.0
         n, batch, box = 8, 4, (30.0, 60.0)
         centers = np.full(n, 200.0)
         ds = CanonicalDataset(416, [f"b{i}" for i in range(n)], centers, centers,
@@ -60,7 +59,7 @@ class TestMomentumUpdate:
         cfg = TrainConfig(
             iters=12, batch_size=batch, momentum=momentum,
             lr_schedule=((0, 0.01), (3, 0.05), (7, 0.002)), warmup_iters=0,
-            anchor_lr_multiplier=mult, train_anchors=not frozen, cluster_weight=0.0,
+            anchor_lr_multiplier=mult, cluster_weight=0.0,
             head=False, log_every=1,
         )
         s = [math.log(50.0), math.log(20.0)]
@@ -109,15 +108,18 @@ class TestConfigValidation:
             TrainConfig(momentum=1.0)
 
     def test_bad_anchor_lr_multiplier(self):
-        with pytest.raises(ValueError):
-            TrainConfig(anchor_lr_multiplier=0.0)
+        for value in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="anchor_lr_multiplier must be a nonnegative number"):
+                TrainConfig(anchor_lr_multiplier=value)
+        # 0 is the frozen-anchor setting (test_frozen_anchors_do_not_move runs it)
+        assert TrainConfig(anchor_lr_multiplier=0.0).anchor_lr_multiplier == 0.0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rates_rejected(self, value):
         """NaN passed the old `<= 0` checks and failed only as a non-finite loss."""
         with pytest.raises(ValueError, match="learning rates must be positive numbers"):
             TrainConfig(lr_schedule=((0, 1e-3), (10, value)))
-        with pytest.raises(ValueError, match="anchor_lr_multiplier must be a positive number"):
+        with pytest.raises(ValueError, match="anchor_lr_multiplier must be a nonnegative number"):
             TrainConfig(anchor_lr_multiplier=value)
 
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
@@ -185,13 +187,13 @@ class TestRunTraining:
 
     def test_frozen_anchors_do_not_move(self):
         ds = tiny_ds()
-        cfg = small_cfg(train_anchors=False, head=True, sigma=0.1)
+        cfg = small_cfg(anchor_lr_multiplier=0.0, head=True, sigma=0.1)
         res = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
 
     def test_frozen_anchors_stay_put_when_their_rate_overflows(self):
-        """lr * anchor_lr_multiplier can overflow to inf, and inf * 0 is NaN."""
-        cfg = small_cfg(iters=5, train_anchors=False, lr_schedule=((0, 1e200),), anchor_lr_multiplier=1e200)
+        """A huge rate must not turn the frozen anchors' zero step into 0 * inf = NaN."""
+        cfg = small_cfg(iters=5, lr_schedule=((0, 1e200),), anchor_lr_multiplier=0.0)
         res = run_training(tiny_ds(), start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
 
