@@ -60,7 +60,6 @@ from .report import (
     write_anchors_json,
 )
 from .trainer import (
-    EpochUtilization,
     NonFiniteLossError,
     TrainConfig,
     TrainResult,
@@ -75,7 +74,6 @@ __all__ = [
     "AnchorSet",
     "BN_EPS",
     "CanonicalDataset",
-    "EpochUtilization",
     "KMeansResult",
     "METRICS",
     "NonFiniteLossError",

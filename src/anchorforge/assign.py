@@ -18,6 +18,9 @@ import numpy as np
 
 from .geometry import Metric, log_shapes_array, shape_dist_matrix
 
+# the hard assignment rules, by the name that configs and reports use
+RULES: tuple[str, ...] = ("yolo", "threshold")
+
 # the warm-up's starting temperature, its floor and the starting clustering coefficient
 TEMP_START = 2.0
 TEMP_FLOOR = 1e-2

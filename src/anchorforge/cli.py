@@ -37,11 +37,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .assign import RULES
 from .cluster import anchors_from_centroids, init_identical, init_kmeans, init_uniform, kmeans_iou
 from .geometry import METRICS, AnchorSet
 from .ingest import (
     CanonicalDataset,
     ParseError,
+    _check_float_range,
     _read_utf8,
     normalize_to_canvas,
     parse_coco,
@@ -80,7 +82,9 @@ def _parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
         if not part:
             continue
         start_str, _, lr_str = part.partition(":")
-        segments.append((int(start_str), float(lr_str)))
+        start = int(start_str)
+        _check_float_range("breakpoint", start)
+        segments.append((start, float(lr_str)))
     if not segments:
         raise ValueError("empty learning-rate schedule")
     return tuple(segments)
@@ -119,7 +123,6 @@ class _Opt(NamedTuple):
 
 _FORMATS = ("coco", "voc", "csv")
 _INITS = ("uniform", "identical", "kmeans", "file")
-_RULES = ("yolo", "threshold")
 _UNITS = ("pixels", "cells")
 
 # NaN fails every comparison, so each float check also rejects NaN
@@ -166,7 +169,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
                             check=("breakpoints must be >= 0", lambda v: all(start >= 0 for start, _ in v))),
         "warmup_iters": _Opt(int, _RECIPE.warmup_iters, check=_AT_LEAST_0),
         "metric": _Opt(str, _RECIPE.metric, METRICS),
-        "rule": _Opt(str, _RECIPE.assignment_rule, _RULES),
+        "rule": _Opt(str, _RECIPE.assignment_rule, RULES),
         "tau": _Opt(float, _RECIPE.threshold_tau, help="IoU threshold for the threshold rule", check=_OPEN_UNIT),
         "cluster_weight": _Opt(_parse_cluster_weight,
                                "anneal" if _RECIPE.cluster_weight is None else _RECIPE.cluster_weight,
@@ -177,8 +180,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
         "init_scale": _Opt(float, _RECIPE.init_scale, check=_NONNEGATIVE),
         "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
-        "freeze_anchors": _Opt(_parse_bool, False, kind="switch"),
-        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_multiplier, check=_POSITIVE),
+        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_multiplier, check=_NONNEGATIVE),
         "log_every": _Opt(int, _RECIPE.log_every, check=_AT_LEAST_1),
         "units": _Opt(str, "pixels", _UNITS),
     },
@@ -187,7 +189,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "anchors": _Opt(str, None),
         "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds",
                      check=("list: each tau must lie in (0, 1)", lambda v: all(0.0 < t < 1.0 for t in v))),
-        "rule": _Opt(str, "yolo", _RULES),
+        "rule": _Opt(str, "yolo", RULES),
         "tau": _Opt(float, 0.5, check=_OPEN_UNIT),
     },
 }
@@ -245,6 +247,8 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     for key, spec in specs.items():
         if spec.check and not spec.check[1](effective[key]):
             raise ParseError(f"{key} {spec.check[0]}, got {effective[key]}")
+        if type(effective[key]) is int:
+            _check_float_range(key, effective[key])
     return effective
 
 
@@ -288,14 +292,13 @@ def _quantile_block(name: str, values: np.ndarray) -> str:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     opt = _merge_options("ingest", args)
-    counters: dict = {}
     fmt = opt["format"]
     if fmt == "coco":
-        boxes = parse_coco(opt["input"], skip_crowd=not opt["include_crowd"], counters=counters)
+        boxes = parse_coco(opt["input"], skip_crowd=not opt["include_crowd"])
     elif fmt == "voc":
-        boxes = parse_voc(opt["input"], include_difficult=not opt["exclude_difficult"], counters=counters)
+        boxes = parse_voc(opt["input"], include_difficult=not opt["exclude_difficult"])
     else:
-        boxes = parse_csv(opt["input"], counters=counters)
+        boxes = parse_csv(opt["input"])
     ds = normalize_to_canvas(boxes, opt["canvas"], min_size=opt["min_size"])
     out_dir = _make_run_dir(args, "ingest")
     out_path = out_dir / "dataset.canonical"
@@ -303,9 +306,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     _echo_config(out_dir, "ingest", opt)
 
     print(f"parsed {len(boxes)} boxes from {opt['input']} ({fmt})")
-    for key in ("records", "skipped_crowd", "skipped_difficult"):
-        if key in counters:
-            print(f"  {key}: {counters[key]}")
+    for key, count in boxes.counts.items():
+        print(f"  {key}: {count}")
     print(f"kept {len(ds)} after normalization to canvas {ds.canvas_size} "
           f"({len(boxes) - len(ds)} dropped below min size)")
     if len(ds):
@@ -417,7 +419,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         momentum=opt["momentum"],
         lr_schedule=schedule,
         warmup_iters=warmup_iters,
-        anchor_lr_multiplier=0.0 if opt["freeze_anchors"] else opt["anchor_lr_mult"],
+        anchor_lr_multiplier=opt["anchor_lr_mult"],
         assignment_rule=opt["rule"],
         threshold_tau=opt["tau"],
         metric=opt["metric"],
@@ -483,10 +485,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     a, canvas = read_anchors_json(args.a)
     b = _anchors_for_canvas(args.b, canvas, args.a)
-    if len(a) != len(b):
-        raise ParseError(f"anchor sets differ in size: {len(a)} vs {len(b)}")
-    a = a.sorted_by_area()
-    b = b.sorted_by_area()
+    a, b = a.sorted_by_area(), b.sorted_by_area()
     pairing, dists = match_anchor_sets(a, b)
     sa, sb = a.wh().tolist(), b.wh().tolist()
     print(f"comparing {args.a} against {args.b}")

@@ -2,10 +2,11 @@
 
 Every parser returns ParsedBoxes, one row per box: the image id, the
 source image size and the box corners clamped to that image, in pixel
-units. normalize_to_canvas rescales the rows onto a square canvas per
-axis and returns a CanonicalDataset, which holds the boxes as columns:
-float64 arrays of centers and sizes. The canonical dataset file is a
-small line format:
+units, and the parser's record and skip totals as its counts.
+normalize_to_canvas rescales the rows onto a square canvas per axis and
+returns a CanonicalDataset, which holds the boxes as columns: float64
+arrays of centers and sizes. The canonical dataset file is a small line
+format:
 
     anchorforge-dataset v1 S=<canvas>
     <image_id>\t<cx>\t<cy>\t<w>\t<h>
@@ -39,6 +40,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -77,6 +79,13 @@ def _first_bad_id(ids: Sequence[str]) -> Optional[int]:
     return None
 
 
+def _check_float_range(name: str, value: int) -> None:
+    """Raise ValueError for an integer beyond float range, which float and
+    numpy arithmetic cannot take (they raise OverflowError)."""
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must lie within float range, got a {len(str(abs(value)))}-digit integer")
+
+
 def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
     """The text of a UTF-8 file, read with the given newline mode; a file
     that is not UTF-8 raises ParseError naming it."""
@@ -93,11 +102,14 @@ class ParsedBoxes:
 
     sizes is the (n, 2) source image (width, height) of each box and
     corners the (n, 4) (x_min, y_min, x_max, y_max), clamped to the image.
+    counts holds the parser's totals: records and skipped_crowd (COCO),
+    records and skipped_difficult (VOC), or records (CSV).
     """
 
     image_ids: tuple[str, ...]
     sizes: np.ndarray
     corners: np.ndarray
+    counts: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.image_ids)
@@ -123,6 +135,7 @@ class CanonicalDataset:
         s = self.canvas_size
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"canvas_size must be a positive integer, got {s!r}")
+        _check_float_range("canvas_size", s)
         ids = tuple(self.image_ids)
         object.__setattr__(self, "image_ids", ids)
         for name in ("cx", "cy", "w", "h"):
@@ -163,8 +176,9 @@ def _clamped(
     sizes: Sequence,
     corners: Sequence,
     where: Callable[[int], str],
+    **counts: int,
 ) -> ParsedBoxes:
-    """Clamp every box to its image in one pass.
+    """Clamp every box to its image in one pass; counts pass through to the result.
 
     The first image id holding a tab or a line break raises ParseError,
     then the first row with a non-finite or non-positive image size, a
@@ -194,7 +208,7 @@ def _clamped(
         else:
             fault = f"box ({x0}, {y0}, {x1}, {y1}) is empty after clamping to the image"
         raise ParseError(f"{where(i)}: {fault}")
-    return ParsedBoxes(tuple(image_ids), sizes, clamped)
+    return ParsedBoxes(tuple(image_ids), sizes, clamped, counts)
 
 
 # float() reads true as 1 and "100" as 100, but neither is a JSON number; null
@@ -212,15 +226,10 @@ def _json_floats(values: list) -> np.ndarray:
 
 
 @_collector_paused()
-def parse_coco(
-    path: "str | Path",
-    skip_crowd: bool = True,
-    counters: Optional[dict] = None,
-) -> ParsedBoxes:
+def parse_coco(path: "str | Path", skip_crowd: bool = True) -> ParsedBoxes:
     """Read COCO instance annotations (bbox is [x, y, w, h], top-left origin).
 
-    Crowd regions are skipped by default; pass skip_crowd=False to keep
-    them. The optional counters dict receives the record and skip totals.
+    Crowd regions are skipped by default; pass skip_crowd=False to keep them.
     """
     path = Path(path)
     try:
@@ -276,24 +285,17 @@ def parse_coco(
         raise
     x, y, w, h = xywh.T
     rows = np.array(rows, dtype=np.intp)
-    out = _clamped(
+    return _clamped(
         [names[r] for r in rows.tolist()],
         np.array(image_sizes, dtype=float).reshape(-1, 2)[rows],
         np.stack([x, y, x + w, y + h], axis=1),
         lambda i: f"{path}: annotation {ann_ids[i]}",
+        records=len(annotations), skipped_crowd=skipped_crowd,
     )
-    if counters is not None:
-        counters["records"] = len(annotations)
-        counters["skipped_crowd"] = skipped_crowd
-    return out
 
 
 @_collector_paused()
-def parse_voc(
-    directory: "str | Path",
-    include_difficult: bool = True,
-    counters: Optional[dict] = None,
-) -> ParsedBoxes:
+def parse_voc(directory: "str | Path", include_difficult: bool = True) -> ParsedBoxes:
     """Read every .xml file in a directory of VOC-style annotations.
 
     Files are processed in sorted filename order so the output order is
@@ -335,15 +337,12 @@ def parse_voc(
                 raise ParseError(f"{f}: <bndbox> must contain numeric corners") from None
             ids.append(f.stem)
             sizes.append((iw, ih))
-    out = _clamped(ids, sizes, corners, lambda i: str(directory / f"{ids[i]}.xml"))
-    if counters is not None:
-        counters["records"] = records
-        counters["skipped_difficult"] = skipped_difficult
-    return out
+    return _clamped(ids, sizes, corners, lambda i: str(directory / f"{ids[i]}.xml"),
+                    records=records, skipped_difficult=skipped_difficult)
 
 
 @_collector_paused()
-def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> ParsedBoxes:
+def parse_csv(path: "str | Path") -> ParsedBoxes:
     """Read corner-format CSV rows: image_id,image_w,image_h,x_min,y_min,x_max,y_max."""
     path = Path(path)
     ids, values, linenos = [], [], []
@@ -368,10 +367,7 @@ def parse_csv(path: "str | Path", counters: Optional[dict] = None) -> ParsedBoxe
         ids.append(row[0].strip())
         linenos.append(lineno)
     values = np.array(values, dtype=float).reshape(-1, 6)
-    out = _clamped(ids, values[:, :2], values[:, 2:], lambda i: f"{path}: line {linenos[i]}")
-    if counters is not None:
-        counters["records"] = len(out)
-    return out
+    return _clamped(ids, values[:, :2], values[:, 2:], lambda i: f"{path}: line {linenos[i]}", records=len(ids))
 
 
 def normalize_to_canvas(

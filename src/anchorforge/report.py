@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .assign import RULES
 from .cluster import best_iou
 from .geometry import AnchorSet
 from .ingest import CanonicalDataset, ParseError, _read_utf8
@@ -89,7 +90,7 @@ def build_report(
     sum to the dataset size; the threshold rule may count a box more
     than once.
     """
-    if assignment_rule not in ("yolo", "threshold"):
+    if assignment_rule not in RULES:
         raise ValueError(f"unknown assignment rule {assignment_rule!r}")
     threshold = assignment_rule == "threshold"
     for t in (threshold_tau, *taus) if threshold else taus:

@@ -28,6 +28,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .assign import (
+    RULES,
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -99,7 +100,7 @@ class TrainConfig:
             raise ValueError(f"learning rates must be positive numbers, got {self.lr_schedule}")
         if not 0.0 <= self.anchor_lr_multiplier < math.inf:
             raise ValueError(f"anchor_lr_multiplier must be a nonnegative number, got {self.anchor_lr_multiplier}")
-        if self.assignment_rule not in ("yolo", "threshold"):
+        if self.assignment_rule not in RULES:
             raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
         if not 0.0 < self.threshold_tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.threshold_tau}")
@@ -125,23 +126,20 @@ class TrajectoryRow:
     utilization: np.ndarray
 
 
-@dataclass(frozen=True)
-class EpochUtilization:
-    epoch: int
-    start_iter: int
-    end_iter: int
-    counts: np.ndarray
-
-
 @dataclass
 class TrainResult:
     """Trained anchors and the run's history: a row every log_every
     iterations and at the last, each epoch's utilization, and the loss
-    smoothed over SMOOTHING_WINDOW iterations (None without iterations)."""
+    smoothed over SMOOTHING_WINDOW iterations (None without iterations).
+
+    epoch_utilization is an (epochs, A) int64 array: row e counts each
+    anchor's boxes from iteration e * ceil(n / batch_size) on, for n
+    boxes; the last row may be cut short, and iters=0 gives no rows.
+    """
 
     anchors: AnchorSet
     rows: list[TrajectoryRow]
-    epoch_utilization: list[EpochUtilization]
+    epoch_utilization: np.ndarray
     final_smoothed_loss: Optional[float]
 
 
@@ -215,7 +213,7 @@ def run_training(
                 yield rows[:, start : start + cfg.batch_size]
 
     logged: list[TrajectoryRow] = []
-    epochs: list[EpochUtilization] = []
+    epochs: list[np.ndarray] = []  # one row of counts per epoch begun
     window_counts = np.zeros(num_anchors, dtype=np.int64)
     alpha = 1.0 / SMOOTHING_WINDOW
     ema: Optional[float] = None
@@ -230,7 +228,7 @@ def run_training(
         for t, batch in zip(range(cfg.iters), batches()):
             if t % per_epoch == 0:
                 epoch_counts = np.zeros(num_anchors, dtype=np.int64)
-                epochs.append(EpochUtilization(t // per_epoch, t, min(t + per_epoch, cfg.iters) - 1, epoch_counts))
+                epochs.append(epoch_counts)
             batch_g = batch[3:].T
 
             temp = temperature_at(t, cfg.warmup_iters)
@@ -296,4 +294,5 @@ def run_training(
                     fh.write(_csv_row(row) + "\n")
                     fh.flush()
 
-    return TrainResult(AnchorSet.from_array(s, anchors0.stride), logged, epochs, ema)
+    epoch_utilization = np.array(epochs, dtype=np.int64).reshape(-1, num_anchors)
+    return TrainResult(AnchorSet.from_array(s, anchors0.stride), logged, epoch_utilization, ema)

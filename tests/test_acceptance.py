@@ -250,11 +250,12 @@ class TestCriterion5:
             shape_dist(s[i], s[j], "sq_l2_log")
             for i in range(5) for j in range(i + 1, 5)
         )
+        per_epoch = -(-n // cfg.batch_size)
         epochs = [
-            e for e in res.epoch_utilization
-            if e.start_iter >= cfg.warmup_iters and int(e.counts.sum()) == n
+            counts for e, counts in enumerate(res.epoch_utilization)
+            if e * per_epoch >= cfg.warmup_iters and int(counts.sum()) == n
         ]
-        all_used = bool(epochs) and all(int(e.counts.min()) >= 1 for e in epochs)
+        all_used = bool(epochs) and all(int(counts.min()) >= 1 for counts in epochs)
         report(min_pair > 1e-6 and all_used, 5,
                f"all 5 anchors from an identical init separate (closest pair "
                f"{min_pair:.2e}) and win assignments in each of the "

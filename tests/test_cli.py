@@ -453,7 +453,7 @@ class TestOptimize:
 
     def test_optimize_reaches_every_train_config_field(self, tmp_path, dataset_file, monkeypatch):
         """TrainConfig holds only what optimize sets: across a run with every
-        training option off its default and a --freeze-anchors run, each
+        training option off its default and an --anchor-lr-mult 0 run, each
         field takes a value other than its default."""
         configs = []
 
@@ -472,7 +472,7 @@ class TestOptimize:
             "--metric", "sq_l2_log", "--cluster-weight", "0.25", "--no-head", "--sigma", "0.1",
             "--init-scale", "0.2", "--no-bn", "--seed", "9", "--log-every", "5",
         ]
-        for n, flags in enumerate((off_default, ["--freeze-anchors"])):
+        for n, flags in enumerate((off_default, ["--anchor-lr-mult", "0"])):
             with pytest.raises(Captured):
                 main(base + flags + ["--out-dir", str(tmp_path / f"o{n}")])
         default = anchorforge.TrainConfig()
@@ -493,6 +493,32 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "canvas 608" in err and "canvas 416" in err
         assert not opt_out.exists()
+
+    def test_zero_anchor_rate_writes_init_anchors_back(self, tmp_path, dataset_file):
+        """--anchor-lr-mult 0 freezes the anchors: the head trains, the anchors do not move."""
+        init = tmp_path / "init.json"
+        wh = [(30.0, 40.0), (61.5, 33.25), (120.0, 150.0)]
+        anchorforge.write_anchors_json(init, anchorforge.AnchorSet.from_linear(wh, stride=16), canvas=416)
+        out = tmp_path / "o"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+                   "--num-anchors", "3", "--iters", "60", "--anchor-lr-mult", "0", "--out-dir", str(out)])
+        assert rc == 0
+        frozen, canvas = anchorforge.read_anchors_json(init)
+        doc = json.loads((out / "anchors.json").read_text())
+        assert (doc["canvas"], doc["stride"]) == (canvas, 16)
+        assert doc["anchors"] == frozen.sorted_by_area().wh().tolist()
+        np.testing.assert_allclose(doc["anchors"], wh, rtol=1e-12)
+        assert (out / "anchors.txt").read_text() == anchorforge.anchors_line(frozen) + "\n"
+
+    def test_freeze_anchors_key_is_unknown(self, tmp_path, dataset_file, capsys):
+        """An anchor learning-rate multiplier of 0 is the one way to freeze the anchors."""
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[optimize]\ndataset = {dataset_file}\nfreeze_anchors = true\n")
+        out = tmp_path / "o"
+        rc = main(["optimize", "--config", str(cfg_file), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"{cfg_file}: unknown keys in [optimize]: freeze_anchors" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalAndCompare:
@@ -631,12 +657,15 @@ class TestEvalAndCompare:
         assert f"{anchors}: anchor (1e+308, 10.0) has an area beyond float range" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_compare_size_mismatch(self, tmp_path, dataset_file, capsys):
-        c1, c2 = tmp_path / "c1", tmp_path / "c2"
-        main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(c1)])
-        main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "3", "--out-dir", str(c2)])
-        rc = main(["compare", str(c1 / "anchors.json"), str(c2 / "anchors.json")])
+    def test_compare_size_mismatch(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        anchorforge.write_anchors_json(a, anchorforge.init_uniform(), canvas=416)
+        anchorforge.write_anchors_json(b, anchorforge.init_identical(32, num_anchors=9), canvas=416)
+        rc = main(["compare", str(a), str(b)])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert "anchor sets differ in size: 5 vs 9" in captured.err
+        assert captured.out == ""
 
 
 class TestOptionChecks:
@@ -650,7 +679,7 @@ class TestOptionChecks:
         ("cluster", "max_iter", "-1", "max_iter must be >= 0, got -1"),
         ("cluster", "seed", "-1", "seed must be >= 0, got -1"),
         ("ingest", "min_size", "nan", "min_size must be a nonnegative number, got nan"),
-        ("optimize", "anchor_lr_mult", "nan", "anchor_lr_mult must be a positive number, got nan"),
+        ("optimize", "anchor_lr_mult", "nan", "anchor_lr_mult must be a nonnegative number, got nan"),
         ("optimize", "sigma", "nan", "sigma must be a nonnegative number, got nan"),
         ("optimize", "init_scale", "inf", "init_scale must be a nonnegative number, got inf"),
         ("optimize", "lr_schedule", "0:nan", "learning rates must be positive numbers"),
@@ -659,6 +688,28 @@ class TestOptionChecks:
         ("eval", "taus", "0.5,1.5", "taus list: each tau must lie in (0, 1), got (0.5, 1.5)"),
     ])
     def test_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, command, key, value, match, via):
+        out = self.run_with(tmp_path, dataset_file, command, key, value, via)
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command, key", [
+        *((command, key) for command, specs in _SPECS.items() for key, spec in specs.items() if spec.parse is int),
+        ("optimize", "lr_schedule"),
+    ])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, dataset_file, capsys, command, key, via):
+        """An integer that no float holds used to end in an OverflowError
+        traceback (exit 1), for some options after the run directory was made."""
+        value = f"0:1e-3,{10**400}:1e-4" if key == "lr_schedule" else str(10**400)
+        out = self.run_with(tmp_path, dataset_file, command, key, value, via)
+        name = "breakpoint" if key == "lr_schedule" else key
+        assert f"{name} must lie within float range, got a 401-digit integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def run_with(tmp_path, dataset_file, command, key, value, via):
+        """Run command with key set to value by flag or config, the rest from a
+        config file; assert exit 2 and return the run directory asked for."""
         section = {
             "ingest": {"format": "csv", "input": tmp_path / "boxes.csv"},
             "cluster": {"dataset": dataset_file, "num_anchors": 2},
@@ -676,7 +727,19 @@ class TestOptionChecks:
         out = tmp_path / "run"
         rc = main([command, "--config", str(cfg_file), *argv, "--out-dir", str(out)])
         assert rc == 2
-        assert match in capsys.readouterr().err
+        return out
+
+    @pytest.mark.parametrize("command", ["cluster", "optimize", "eval"])
+    def test_dataset_canvas_beyond_float_range_rejected(self, tmp_path, capsys, command):
+        dataset = tmp_path / "big.canonical"
+        dataset.write_text(f"anchorforge-dataset v1 S={10**400}\na\t1\t2\t3\t4\n")
+        anchors = tmp_path / "anchors.json"
+        anchorforge.write_anchors_json(anchors, anchorforge.init_uniform(), canvas=416)
+        out = tmp_path / "run"
+        extra = ["--anchors", str(anchors)] if command == "eval" else ["--num-anchors", "1"]
+        rc = main([command, "--dataset", str(dataset), *extra, "--out-dir", str(out)])
+        assert rc == 2
+        assert f"{dataset}: canvas_size must lie within float range, got a 401-digit integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_env_held_to_the_check(self, tmp_path, dataset_file, monkeypatch, capsys):

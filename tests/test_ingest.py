@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,10 +80,9 @@ class TestParseCoco:
     def test_basic(self, tmp_path):
         p = tmp_path / "ann.json"
         p.write_text(json.dumps(coco_doc()))
-        counters = {}
-        boxes = parse_coco(p, counters=counters)
+        boxes = parse_coco(p)
         assert len(boxes) == 2
-        assert counters == {"records": 3, "skipped_crowd": 1}
+        assert boxes.counts == {"records": 3, "skipped_crowd": 1}
         x0, y0, x1, y1 = boxes.corners[0]
         assert boxes.image_ids[0] == "1"
         assert ((x0 + x1) / 2.0, (y0 + y1) / 2.0) == (60.0, 45.0)
@@ -220,10 +220,9 @@ class TestParseVoc:
         write_voc_file(tmp_path, "b", 500, 375, [("car", False, 10, 10, 110, 60)])
         write_voc_file(tmp_path, "a", 640, 480,
                        [("dog", False, 0, 0, 64, 48), ("cat", True, 100, 100, 200, 150)])
-        counters = {}
-        boxes = parse_voc(tmp_path, counters=counters)
+        boxes = parse_voc(tmp_path)
         assert list(boxes.image_ids) == ["a", "a", "b"]
-        assert counters == {"records": 3, "skipped_difficult": 0}
+        assert boxes.counts == {"records": 3, "skipped_difficult": 0}
         # the difficult flag was read on a's second box: excluding it keeps the first
         kept = parse_voc(tmp_path, include_difficult=False)
         assert list(kept.image_ids) == ["a", "b"]
@@ -232,10 +231,9 @@ class TestParseVoc:
     def test_exclude_difficult(self, tmp_path):
         write_voc_file(tmp_path, "a", 640, 480,
                        [("dog", False, 0, 0, 64, 48), ("cat", True, 100, 100, 200, 150)])
-        counters = {}
-        boxes = parse_voc(tmp_path, include_difficult=False, counters=counters)
+        boxes = parse_voc(tmp_path, include_difficult=False)
         assert len(boxes) == 1
-        assert counters["skipped_difficult"] == 1
+        assert boxes.counts == {"records": 2, "skipped_difficult": 1}
 
     def test_missing_size_names_file(self, tmp_path):
         (tmp_path / "broken.xml").write_text("<annotation><object/></annotation>")
@@ -285,10 +283,9 @@ class TestParseCsv:
     def test_basic(self, tmp_path):
         p = tmp_path / "boxes.csv"
         p.write_text(self.HEADER + "img1,640,480,10,20,110,70\n\nimg2,500,375,0,0,50,50\n")
-        counters = {}
-        boxes = parse_csv(p, counters=counters)
+        boxes = parse_csv(p)
         assert len(boxes) == 2
-        assert counters == {"records": 2}
+        assert boxes.counts == {"records": 2}
         assert boxes.corners[0, 2] - boxes.corners[0, 0] == 100.0
 
     def test_header_required(self, tmp_path):
@@ -384,6 +381,11 @@ class TestNormalize:
         shapes = ds.shapes()
         assert np.all(shapes > 0.0)
         assert np.all(shapes <= 416.0)
+
+    def test_counts_default_to_empty(self):
+        a, b = parsed_of([("i", 640.0, 480.0, 320.0, 240.0, 64.0, 48.0)]), parsed_of([])
+        assert a.counts == {} and b.counts == {}
+        assert a.counts is not b.counts
 
     def test_box_spanning_its_image_fits_the_canvas(self):
         """A box as wide and high as its image stays on the canvas, though
@@ -511,6 +513,13 @@ class TestCanonicalFile:
         p = tmp_path / "data.canonical"
         p.write_text("anchorforge-dataset v2 S=416\n")
         with pytest.raises(ParseError, match="unsupported dataset version 2"):
+            read_canonical(p)
+
+    def test_canvas_beyond_float_range_named(self, tmp_path):
+        """A canvas no float holds used to end in an OverflowError at the size checks."""
+        p = tmp_path / "data.canonical"
+        p.write_text(f"anchorforge-dataset v1 S={10**400}\na\t1\t2\t3\t4\n")
+        with pytest.raises(ParseError, match=f"{re.escape(str(p))}: canvas_size must lie within float range"):
             read_canonical(p)
 
     def test_bad_header(self, tmp_path):

@@ -1,15 +1,20 @@
-"""The python blocks under README's "Library use" run as written.
+"""README stays true to the program.
 
-They run in order and share one namespace, as a reader would paste
-them, from a directory that holds a synthetic runs/voc/dataset.canonical.
-An API change that breaks a documented call fails here.
+The python blocks under README's "Library use" run as written. They run
+in order and share one namespace, as a reader would paste them, from a
+directory that holds a synthetic runs/voc/dataset.canonical. An API
+change that breaks a documented call fails here, and so does a flag
+README names that no subcommand takes.
 """
 
+import argparse
 import re
 from pathlib import Path
 
+import anchorforge
 import synth
 from anchorforge import write_canonical
+from anchorforge.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +35,25 @@ def test_library_use_blocks_run(tmp_path, monkeypatch):
     namespace: dict = {}
     for number, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md, Library use block {number}", "exec"), namespace)
+
+
+# flags of other programs that README quotes
+NOT_OURS = {"--no-build-isolation"}
+
+
+def option_strings():
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag for sub in subparsers.choices.values() for a in sub._actions for flag in a.option_strings}
+
+
+def test_readme_flags_exist():
+    text = README.read_text(encoding="utf-8")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert "--anchor-lr-mult" in flags
+    assert flags - option_strings() - NOT_OURS == set()
+
+
+def test_all_names_resolve():
+    missing = [name for name in anchorforge.__all__ if not hasattr(anchorforge, name)]
+    assert missing == []

@@ -231,20 +231,30 @@ class TestTrajectory:
     def test_epoch_utilization_complete_epochs(self):
         ds = tiny_ds()  # 300 boxes; batch 32 -> epoch boundary every 10 iters
         res = run_training(ds, start_anchors(), small_cfg(iters=95))
-        complete = [e for e in res.epoch_utilization if int(e.counts.sum()) == len(ds)]
+        util = res.epoch_utilization
+        assert util.dtype == np.int64 and np.all(util >= 0)
+        complete = [counts for counts in util if int(counts.sum()) == len(ds)]
         assert len(complete) >= 8
-        for e in complete:
-            assert e.counts.shape == (2,)
-            assert np.all(e.counts >= 0)
 
-    def test_epoch_boundaries_cover_run(self):
-        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=95))
-        epochs = res.epoch_utilization
-        assert epochs[0].start_iter == 0
-        assert epochs[-1].end_iter == 94
-        for a, b in zip(epochs, epochs[1:]):
-            assert b.start_iter == a.end_iter + 1
-            assert b.epoch == a.epoch + 1
+    @pytest.mark.parametrize("iters, batch_size", [(95, 32), (100, 32), (1, 32), (7, 400), (30, 1)])
+    def test_epoch_utilization_shape(self, iters, batch_size):
+        """One row per epoch begun: ceil(iters / ceil(n / batch_size)) rows."""
+        ds = tiny_ds()
+        res = run_training(ds, start_anchors(), small_cfg(iters=iters, batch_size=batch_size))
+        per_epoch = -(-len(ds) // batch_size)
+        assert res.epoch_utilization.shape == (-(-iters // per_epoch), 2)
+
+    def test_epoch_utilization_without_iterations(self):
+        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=0))
+        assert res.epoch_utilization.shape == (0, 2)
+        assert res.epoch_utilization.dtype == np.int64
+
+    @pytest.mark.parametrize("rule, iters", [("yolo", 95), ("threshold", 103)])
+    def test_epoch_utilization_totals_match_trajectory(self, rule, iters):
+        """Both tables count every iteration once, so their per-anchor totals agree."""
+        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=iters, log_every=7, assignment_rule=rule))
+        logged = np.sum([row.utilization for row in res.rows], axis=0)
+        np.testing.assert_array_equal(res.epoch_utilization.sum(axis=0), logged)
 
     def test_csv_written_and_parses_back(self, tmp_path):
         path = tmp_path / "trajectory.csv"
