@@ -8,8 +8,8 @@ environment variable when neither flag nor config sets it.
 
 Every option is declared once, in the ``_SPECS`` table: its config
 parser, default, choices, flag help and flag kind, and range check.
-optimize's defaults for the settings it passes to training are read
-from ``TrainConfig()``, so the default recipe is declared once.
+optimize's training settings read their defaults from ``TrainConfig()``
+and ranges from ``trainer._RANGES``, so the recipe is declared once.
 ``build_parser`` makes each subcommand's flags from the table, and
 ``_merge_options`` holds the resolved value to the same choices and
 check whether it came from a flag, the config file or the default, so a
@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -61,7 +62,7 @@ from .report import (
     report_to_json,
     write_anchors_json,
 )
-from .trainer import NonFiniteLossError, TrainConfig, run_training
+from .trainer import _AT_LEAST_0, _AT_LEAST_1, _NONNEGATIVE, _RANGES, NonFiniteLossError, TrainConfig, run_training
 
 SEED_ENV_VAR = "ANCHORFORGE_SEED"
 
@@ -125,14 +126,9 @@ _FORMATS = ("coco", "voc", "csv")
 _INITS = ("uniform", "identical", "kmeans", "file")
 _UNITS = ("pixels", "cells")
 
-# NaN fails every comparison, so each float check also rejects NaN
-_AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
-_AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
 _POSITIVE = ("must be a positive number", lambda v: 0.0 < v < math.inf)
-_NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
-_OPEN_UNIT = ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 
-_SEED = _Opt(int, None, help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)", check=_AT_LEAST_0)
+_SEED = _Opt(int, None, help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)", check=_RANGES["seed"])
 
 _RECIPE = TrainConfig()
 
@@ -160,28 +156,28 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "init_file": _Opt(str, "", help="anchors.json to start from; requires --init file"),
         "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
         "stride": _Opt(int, 32, check=_AT_LEAST_1),
-        "iters": _Opt(int, _RECIPE.iters, check=_AT_LEAST_0),
+        "iters": _Opt(int, _RECIPE.iters, check=_RANGES["iters"]),
         "scale": _Opt(float, 1.0, help="scale iteration counts (schedule, warm-up) by this factor", check=_POSITIVE),
-        "batch_size": _Opt(int, _RECIPE.batch_size, check=_AT_LEAST_1),
-        "momentum": _Opt(float, _RECIPE.momentum, check=("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+        "batch_size": _Opt(int, _RECIPE.batch_size, check=_RANGES["batch_size"]),
+        "momentum": _Opt(float, _RECIPE.momentum, check=_RANGES["momentum"]),
         "lr_schedule": _Opt(_parse_lr_schedule, _RECIPE.lr_schedule,
                             help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3",
                             check=("breakpoints must be >= 0", lambda v: all(start >= 0 for start, _ in v))),
-        "warmup_iters": _Opt(int, _RECIPE.warmup_iters, check=_AT_LEAST_0),
+        "warmup_iters": _Opt(int, _RECIPE.warmup_iters, check=_RANGES["warmup_iters"]),
         "metric": _Opt(str, _RECIPE.metric, METRICS),
-        "rule": _Opt(str, _RECIPE.assignment_rule, RULES),
-        "tau": _Opt(float, _RECIPE.threshold_tau, help="IoU threshold for the threshold rule", check=_OPEN_UNIT),
+        "rule": _Opt(str, _RECIPE.rule, RULES),
+        "tau": _Opt(float, _RECIPE.tau, help="IoU threshold for the threshold rule", check=_RANGES["tau"]),
         "cluster_weight": _Opt(_parse_cluster_weight,
                                "anneal" if _RECIPE.cluster_weight is None else _RECIPE.cluster_weight,
                                help="'anneal' or a fixed coefficient in [0, 1]",
                                check=("must be 'anneal' or a number in [0, 1]",
                                       lambda v: v == "anneal" or 0.0 <= v <= 1.0)),
         "head": _Opt(_parse_bool, _RECIPE.head, kind="toggle"),
-        "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_NONNEGATIVE),
-        "init_scale": _Opt(float, _RECIPE.init_scale, check=_NONNEGATIVE),
+        "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_RANGES["sigma"]),
+        "init_scale": _Opt(float, _RECIPE.init_scale, check=_RANGES["init_scale"]),
         "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
-        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_multiplier, check=_NONNEGATIVE),
-        "log_every": _Opt(int, _RECIPE.log_every, check=_AT_LEAST_1),
+        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_mult, check=_RANGES["anchor_lr_mult"]),
+        "log_every": _Opt(int, _RECIPE.log_every, check=_RANGES["log_every"]),
         "units": _Opt(str, "pixels", _UNITS),
     },
     "eval": {
@@ -190,7 +186,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds",
                      check=("list: each tau must lie in (0, 1)", lambda v: all(0.0 < t < 1.0 for t in v))),
         "rule": _Opt(str, "yolo", RULES),
-        "tau": _Opt(float, 0.5, check=_OPEN_UNIT),
+        "tau": _Opt(float, 0.5, check=_RANGES["tau"]),
     },
 }
 
@@ -372,13 +368,16 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
     return anchors
 
 
-def _scaled(value: int, scale: float) -> int:
+def _scaled(name: str, value: int, scale: float) -> int:
+    """value * scale rounded; a product beyond float range, which int() refuses, exits 2."""
+    if value * scale == math.inf:
+        raise ParseError(f"scale {scale:g} takes {name} {value:g} beyond float range")
     return int(round(value * scale))
 
 
 def _scaled_schedule(schedule: tuple[tuple[int, float], ...], scale: float) -> tuple[tuple[int, float], ...]:
     """Scale the schedule's breakpoints; reject a scale that merges two of them."""
-    scaled = tuple((_scaled(start, scale), lr) for start, lr in schedule)
+    scaled = tuple((_scaled("lr_schedule breakpoint", start, scale), lr) for start, lr in schedule)
     for (a, _), (b, _), (sa, _), (sb, _) in zip(schedule, schedule[1:], scaled, scaled[1:]):
         if a < b and sa >= sb:
             raise ParseError(
@@ -401,41 +400,27 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if opt["init"] != "file" and opt["init_file"]:
         raise ParseError(f"init_file {opt['init_file']} is read only with init=file, but init is {opt['init']}")
     scale = opt["scale"]
-    iters = _scaled(opt["iters"], scale)
+    iters = _scaled("iters", opt["iters"], scale)
     if iters == 0 < opt["iters"]:
         raise ParseError(f"scale {scale:g} turns iters {opt['iters']} into 0 iterations; "
                          f"use a larger scale, or iters 0 to score the initial anchors")
-    schedule = _scaled_schedule(opt["lr_schedule"], scale)
-    warmup_iters = _scaled(opt["warmup_iters"], scale)
+    cfg = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)} | {
+        "iters": iters,
+        "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale),
+        "warmup_iters": _scaled("warmup_iters", opt["warmup_iters"], scale),
+        "cluster_weight": None if opt["cluster_weight"] == "anneal" else opt["cluster_weight"],
+    })
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
     if len(ds) < opt["num_anchors"]:
         raise ParseError(f"dataset has {len(ds)} boxes but {opt['num_anchors']} anchors were requested")
 
-    cfg = TrainConfig(
-        iters=iters,
-        batch_size=opt["batch_size"],
-        momentum=opt["momentum"],
-        lr_schedule=schedule,
-        warmup_iters=warmup_iters,
-        anchor_lr_multiplier=opt["anchor_lr_mult"],
-        assignment_rule=opt["rule"],
-        threshold_tau=opt["tau"],
-        metric=opt["metric"],
-        cluster_weight=None if opt["cluster_weight"] == "anneal" else opt["cluster_weight"],
-        head=opt["head"],
-        sigma=opt["sigma"],
-        init_scale=opt["init_scale"],
-        bn=opt["bn"],
-        seed=opt["seed"],
-        log_every=opt["log_every"],
-    )
     anchors0 = _initial_anchors(opt, ds)
     out_dir = _make_run_dir(args, "optimize")
     # the counts are recorded scaled, so the recorded scale is 1
-    _echo_config(out_dir, "optimize",
-                 {**opt, "iters": iters, "lr_schedule": schedule, "warmup_iters": warmup_iters, "scale": 1})
+    _echo_config(out_dir, "optimize", {**opt, "iters": iters, "lr_schedule": cfg.lr_schedule,
+                                       "warmup_iters": cfg.warmup_iters, "scale": 1})
 
     before = _coverage_summary(anchors0, ds)
     result = run_training(ds, anchors0, cfg, trajectory_path=out_dir / "trajectory.csv")

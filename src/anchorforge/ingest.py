@@ -96,6 +96,18 @@ def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from None
 
 
+def _read_json(path: Path) -> object:
+    """The document of a UTF-8 JSON file; malformed JSON, or an integer of
+    more digits than int() reads, raises ParseError naming the file."""
+    text = _read_utf8(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
+    except ValueError as e:  # the digit limit of int()
+        raise ParseError(f"{path}: {e}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ParsedBoxes:
     """Boxes in pixel units, one row per box, as a parser returns them.
@@ -232,10 +244,7 @@ def parse_coco(path: "str | Path", skip_crowd: bool = True) -> ParsedBoxes:
     Crowd regions are skipped by default; pass skip_crowd=False to keep them.
     """
     path = Path(path)
-    try:
-        doc = json.loads(_read_utf8(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object with images and annotations, got a {type(doc).__name__}")
     images, annotations = doc.get("images", []), doc.get("annotations", [])
@@ -414,10 +423,12 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
     m = _HEADER_RE.fullmatch(lines[0].strip())
     if m is None:
         raise ParseError(f"{path}: line 1: not a canonical dataset header")
-    version = int(m.group(1))
+    try:
+        version, canvas = int(m.group(1)), int(m.group(2))
+    except ValueError as e:  # the digit limit of int()
+        raise ParseError(f"{path}: line 1: {e}") from None
     if version != 1:
         raise ParseError(f"{path}: unsupported dataset version {version} (this reader handles v1)")
-    canvas = int(m.group(2))
     ids = []
     for lineno, line in enumerate(lines[1:], start=2):
         tabs = line.count("\t")

@@ -181,12 +181,10 @@ def _loss_from_arrays(
     The clustering term is dropped when N is 0. Returns the loss, its
     (A, 2) gradient with respect to the anchors (offsets held constant:
     the head does not read the anchor shapes) and its (A, 2, 5) gradient
-    2 G a with respect to coef, which :func:`grad_head` consumes.
+    2 G a with respect to coef, which :func:`grad_head` consumes. It runs
+    every step and checks nothing: a checked ``TrainConfig`` or the annealing
+    gave the cluster weight, and the stages before it built the arrays.
     """
-    if not 0.0 <= cluster_weight <= 1.0:
-        raise ValueError(f"cluster weight must lie in [0, 1], got {cluster_weight}")
-    if coef.shape != gram.shape[:1] + (2, 5):
-        raise ValueError(f"expected a coefficient map of shape {gram.shape[:1] + (2, 5)}, got {coef.shape}")
     offset = s - mean[3:]
     resid = coef + _MINUS_G
     resid[..., 0] += offset

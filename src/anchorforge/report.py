@@ -18,7 +18,7 @@ import numpy as np
 from .assign import RULES
 from .cluster import best_iou
 from .geometry import AnchorSet
-from .ingest import CanonicalDataset, ParseError, _read_utf8
+from .ingest import CanonicalDataset, ParseError, _check_float_range, _read_json
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
 
@@ -159,10 +159,7 @@ def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> N
 def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
     """Read an anchors file; returns (anchors, canvas). Raises ParseError when malformed."""
     path = Path(path)
-    try:
-        doc = json.loads(_read_utf8(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: malformed JSON at byte {e.pos}: {e.msg}") from e
+    doc = _read_json(path)
     try:
         canvas, stride, anchors = doc["canvas"], doc["stride"], doc["anchors"]
     except (KeyError, TypeError) as e:
@@ -185,6 +182,8 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
     if not pairs:
         raise ParseError(f"{path}: anchors list is empty")
     try:
+        _check_float_range("canvas", canvas)
+        _check_float_range("stride", stride)
         anchor_set = AnchorSet.from_linear(pairs, stride)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None

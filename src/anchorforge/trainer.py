@@ -23,7 +23,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -57,12 +57,34 @@ class NonFiniteLossError(RuntimeError):
         super().__init__(f"{fault} at iteration {iteration}; anchor log-shapes: {anchors.tolist()!r}")
 
 
+# (requirement, test) pairs; NaN fails every comparison, so each float test also rejects NaN
+_AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
+_NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
+
+# the range of each numeric TrainConfig field; optimize holds its options to the same pairs
+_RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "iters": _AT_LEAST_0,
+    "batch_size": _AT_LEAST_1,
+    "momentum": ("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "warmup_iters": _AT_LEAST_0,
+    "anchor_lr_mult": _NONNEGATIVE,
+    "tau": ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "cluster_weight": ("must lie in [0, 1]", lambda v: v is None or 0.0 <= v <= 1.0),
+    "sigma": _NONNEGATIVE,
+    "init_scale": _NONNEGATIVE,
+    "seed": _AT_LEAST_0,
+    "log_every": _AT_LEAST_1,
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that determines a training run besides data and init.
 
     The defaults are the recipe of a flag-free ``anchorforge optimize``,
-    which sets every field; an anchor_lr_multiplier of 0 freezes the anchors.
+    which sets every field, each named as its option and held to its
+    range in ``_RANGES``; an anchor_lr_mult of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -70,9 +92,9 @@ class TrainConfig:
     momentum: float = 0.9
     lr_schedule: tuple[tuple[int, float], ...] = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
     warmup_iters: int = 1500
-    anchor_lr_multiplier: float = 1.0
-    assignment_rule: str = "yolo"
-    threshold_tau: float = 0.5
+    anchor_lr_mult: float = 1.0
+    rule: str = "yolo"
+    tau: float = 0.5  # IoU threshold of the threshold rule
     metric: Metric = "one_minus_iou"
     cluster_weight: Optional[float] = None  # pinned for the whole run; None anneals it
     head: bool = True  # train the surrogate head alongside the anchors
@@ -83,14 +105,10 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self) -> None:
-        if self.iters < 0:
-            raise ValueError("iters must be >= 0")
-        if self.warmup_iters < 0:
-            raise ValueError("warmup_iters must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+        for name, (requirement, test) in _RANGES.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"{name} {requirement}, got {value}")
         if not self.lr_schedule or self.lr_schedule[0][0] != 0:
             raise ValueError("lr_schedule must be nonempty and start at iteration 0")
         starts = [s for s, _ in self.lr_schedule]
@@ -98,22 +116,10 @@ class TrainConfig:
             raise ValueError("lr_schedule iterations must be strictly increasing")
         if not all(0.0 < lr < math.inf for _, lr in self.lr_schedule):
             raise ValueError(f"learning rates must be positive numbers, got {self.lr_schedule}")
-        if not 0.0 <= self.anchor_lr_multiplier < math.inf:
-            raise ValueError(f"anchor_lr_multiplier must be a nonnegative number, got {self.anchor_lr_multiplier}")
-        if self.assignment_rule not in RULES:
-            raise ValueError(f"unknown assignment rule {self.assignment_rule!r}")
-        if not 0.0 < self.threshold_tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.threshold_tau}")
+        if self.rule not in RULES:
+            raise ValueError(f"unknown assignment rule {self.rule!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
-        if self.cluster_weight is not None and not 0.0 <= self.cluster_weight <= 1.0:
-            raise ValueError(f"cluster_weight must lie in [0, 1], got {self.cluster_weight}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be a nonnegative number, got {self.sigma}")
-        if not 0.0 <= self.init_scale < math.inf:
-            raise ValueError(f"init_scale must be a nonnegative number, got {self.init_scale}")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ def run_training(
     vel_s, *vel_head = [v.reshape(b.shape) for v, b in zip(np.split(velocity, ends), blocks)]
     rate = np.ones_like(params)
     # frozen anchors (multiplier 0) gather no velocity either, so 0 * inf cannot make them NaN
-    rate[: s.size] = cfg.anchor_lr_multiplier
+    rate[: s.size] = cfg.anchor_lr_mult
     breakpoints = dict(cfg.lr_schedule)
 
     log_g = ds.log_shapes()
@@ -235,8 +241,8 @@ def run_training(
             soft = temp is not None
             if soft:
                 w = soft_assign(batch_g, s, cfg.metric, temp)
-            elif cfg.assignment_rule == "threshold":
-                w = hard_assign_threshold(batch_g, s, cfg.threshold_tau)
+            elif cfg.rule == "threshold":
+                w = hard_assign_threshold(batch_g, s, cfg.tau)
             else:
                 w = hard_assign_yolo(batch_g, s, cfg.metric)
 
@@ -260,7 +266,7 @@ def run_training(
             if t in breakpoints:
                 step = breakpoints[t] * rate
             velocity *= cfg.momentum
-            if cfg.anchor_lr_multiplier:
+            if cfg.anchor_lr_mult:
                 vel_s += gs
             if head:
                 for vel, grad in zip(vel_head, grad_head(dcoef, cache, mean, head[2])):

@@ -61,7 +61,7 @@ CLUSTER_EQUIV_CFG = TrainConfig(
     momentum=0.9,
     lr_schedule=((0, 1e-2), (1000, 1e-3), (2000, 1e-4), (3500, 1e-5), (5500, 1e-6)),
     warmup_iters=0,
-    assignment_rule="yolo",
+    rule="yolo",
     metric="sq_l2_log",
     cluster_weight=1.0,
     head=False,
@@ -160,16 +160,16 @@ class TestCriterion2:
 
 
 class TestCriterion3:
-    def _cfg(self, anchor_lr_multiplier, seed):
+    def _cfg(self, anchor_lr_mult, seed):
         return TrainConfig(
             iters=5000,
             batch_size=64,
             momentum=0.9,
             lr_schedule=((0, 1e-4), (100, 1e-3), (2500, 1e-4), (4200, 1e-5)),
             warmup_iters=1000,
-            assignment_rule="yolo",
+            rule="yolo",
             metric="one_minus_iou",
-            anchor_lr_multiplier=anchor_lr_multiplier,
+            anchor_lr_mult=anchor_lr_mult,
             head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=seed,
         )
@@ -200,7 +200,7 @@ class TestCriterion4:
             momentum=0.9,
             lr_schedule=((0, 1e-4), (100, 1e-3), (4500, 1e-4), (8100, 1e-5)),
             warmup_iters=1500,
-            assignment_rule="yolo",
+            rule="yolo",
             metric="one_minus_iou",
             head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=40,
@@ -237,7 +237,7 @@ class TestCriterion5:
             momentum=0.9,
             lr_schedule=((0, 1e-4), (100, 1e-3), (1500, 1e-4), (2700, 1e-5)),
             warmup_iters=1500,
-            assignment_rule="yolo",
+            rule="yolo",
             metric="one_minus_iou",
             head=True, sigma=0.3, init_scale=0.1, bn=True,
             seed=17,
@@ -337,7 +337,7 @@ class TestCriterion9:
             momentum=0.9,
             lr_schedule=((0, 3e-5),),
             warmup_iters=0,
-            assignment_rule="yolo",
+            rule="yolo",
             metric="sq_l2_log",
             cluster_weight=0.0,
             head=True, sigma=sigma, init_scale=0.1, bn=False,

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import anchorforge
 import synth
 from anchorforge.cli import _SPECS, main
+from anchorforge.trainer import _RANGES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("ingest", "cluster", "optimize", "eval", "compare")
@@ -91,6 +92,9 @@ class TestIngest:
         ('{"images": [{"id": "a\\tb", "width": 10, "height": 10}], '
          '"annotations": [{"id": 8, "image_id": "a\\tb", "bbox": [1, 1, 5, 5]}]}',
          "annotation 8: image id 'a\\tb' must not contain tabs or line breaks"),
+        # json.loads refuses an integer of more digits than int() reads with a bare ValueError
+        pytest.param('{"images": [{"id": 1, "width": 1' + "0" * 5000 + ', "height": 10}], "annotations": []}',
+                     "Exceeds the limit (4300 digits) for integer string conversion", id="5001-digit width"),
     ])
     def test_malformed_coco_exits_2(self, tmp_path, capsys, text, match):
         p = tmp_path / "ann.json"
@@ -296,16 +300,21 @@ class TestOptimize:
         assert "scale 0.004" in err and "breakpoints 0 and 100" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value,match", [
-        ("--iters", "-5", "iters must be >= 0, got -5"),
-        ("--warmup-iters", "-20", "warmup_iters must be >= 0, got -20"),
-        ("--scale", "0", "scale must be a positive number, got 0.0"),
-        ("--scale", "-0.5", "scale must be a positive number, got -0.5"),
-        ("--scale", "inf", "scale must be a positive number, got inf"),
+    @pytest.mark.parametrize("flags,match", [
+        (["--iters", "-5"], "iters must be >= 0, got -5"),
+        (["--warmup-iters", "-20"], "warmup_iters must be >= 0, got -20"),
+        (["--scale", "0"], "scale must be a positive number, got 0.0"),
+        (["--scale", "-0.5"], "scale must be a positive number, got -0.5"),
+        (["--scale", "inf"], "scale must be a positive number, got inf"),
+        # a count in float range that the scale takes beyond it used to end in an OverflowError traceback
+        (["--iters", str(10**300), "--scale", "1e10"], "scale 1e+10 takes iters 1e+300 beyond float range"),
+        (["--warmup-iters", str(10**300), "--scale", "1e10"], "scale 1e+10 takes warmup_iters 1e+300 beyond float range"),
+        (["--lr-schedule", f"0:1e-3,{10**300}:1e-4", "--scale", "1e10"],
+         "scale 1e+10 takes lr_schedule breakpoint 1e+300 beyond float range"),
     ])
-    def test_negative_budget_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, flag, value, match):
+    def test_negative_budget_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, flags, match):
         out = tmp_path / "opt"
-        rc = main(["optimize", "--dataset", str(dataset_file), flag, value, "--no-head", "--out-dir", str(out)])
+        rc = main(["optimize", "--dataset", str(dataset_file), *flags, "--no-head", "--out-dir", str(out)])
         assert rc == 2
         assert match in capsys.readouterr().err
         assert not out.exists()
@@ -380,6 +389,27 @@ class TestOptimize:
         assert rc == 2
         err = capsys.readouterr().err
         assert "cluster_weight" in err and "missing.canonical" not in err
+        assert not out.exists()
+
+    def test_bad_learning_rate_rejected_before_dataset_is_read(self, tmp_path, capsys):
+        """TrainConfig is built before the dataset is read, so its check of the rates comes first."""
+        out = tmp_path / "run"
+        rc = main(["optimize", "--dataset", str(tmp_path / "missing.canonical"), "--lr-schedule", "0:nan",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "learning rates must be positive numbers, got ((0, nan),)" in err and "missing.canonical" not in err
+        assert not out.exists()
+
+    def test_init_file_stride_beyond_float_range_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        """Such a stride used to train and then crash in anchors_line, leaving no anchors.txt or summary.json."""
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"canvas": 416, "stride": 10**400, "anchors": [[30.0, 40.0], [60.0, 50.0]]}))
+        out = tmp_path / "o"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+                   "--num-anchors", "2", "--units", "cells", "--iters", "20", "--no-head", "--out-dir", str(out)])
+        assert rc == 2
+        assert f"{init}: stride must lie within float range, got a 401-digit integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threshold_tau_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
@@ -476,7 +506,7 @@ class TestOptimize:
             with pytest.raises(Captured):
                 main(base + flags + ["--out-dir", str(tmp_path / f"o{n}")])
         default = anchorforge.TrainConfig()
-        assert configs[1].anchor_lr_multiplier == 0.0
+        assert configs[1].anchor_lr_mult == 0.0
         unreached = [f.name for f in dataclasses.fields(default)
                      if all(getattr(cfg, f.name) == getattr(default, f.name) for cfg in configs)]
         assert unreached == []
@@ -578,6 +608,8 @@ class TestEvalAndCompare:
 
     @pytest.mark.parametrize("key, value", [
         ("canvas", 416.9), ("stride", 32.7), ("canvas", True), ("canvas", "416"), ("canvas", 0), ("stride", -32),
+        # beyond float range: such a stride used to crash anchors_line at the end of a run
+        pytest.param("canvas", 10**400, id="canvas-401 digits"), pytest.param("stride", 10**400, id="stride-401 digits"),
     ])
     def test_eval_anchors_file_needs_integer_canvas_and_stride(self, tmp_path, dataset_file, capsys, key, value):
         """416.9 used to read as canvas 416 and pass the canvas check; true read as canvas 1."""
@@ -587,7 +619,9 @@ class TestEvalAndCompare:
         rc = main(["eval", "--dataset", str(dataset_file), "--anchors", str(anchors), "--out-dir", str(e)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(anchors) in err and f"{key} must be an integer >= 1, got {json.dumps(value)}" in err
+        match = (f"{key} must lie within float range, got a 401-digit integer" if value == 10**400
+                 else f"{key} must be an integer >= 1, got {json.dumps(value)}")
+        assert str(anchors) in err and match in err
         assert not e.exists()
 
     @pytest.mark.parametrize("key, value", [("canvas", True), ("stride", 32.7)])
@@ -740,6 +774,44 @@ class TestOptionChecks:
         rc = main([command, "--dataset", str(dataset), *extra, "--out-dir", str(out)])
         assert rc == 2
         assert f"{dataset}: canvas_size must lie within float range, got a 401-digit integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_ranges_come_from_train_config(self):
+        """An option that a TrainConfig field mirrors is held to the field's own
+        range pair; cluster_weight keeps a pair of its own, as it also reads 'anneal'."""
+        shared = [(command, key) for command, specs in _SPECS.items() for key in specs
+                  if key in _RANGES and (command, key) != ("optimize", "cluster_weight")]
+        assert ("cluster", "seed") in shared and ("eval", "tau") in shared
+        assert {key for command, key in shared if command == "optimize"} == set(_RANGES) - {"cluster_weight"}
+        for command, key in shared:
+            assert _SPECS[command][key].check is _RANGES[key], (command, key)
+
+    @pytest.mark.parametrize("case", ["coco width", "eval canvas", "compare canvas", "header v", "header S"])
+    def test_integer_beyond_digit_limit_names_the_file(self, tmp_path, dataset_file, capsys, case):
+        """An integer of more digits than int() reads used to exit 2 with only int()'s message."""
+        digits = "1" + "0" * 4999
+        bad = tmp_path / "bad"
+        anchors = tmp_path / "anchors.json"
+        anchorforge.write_anchors_json(anchors, anchorforge.init_uniform(), canvas=416)
+        bad.write_text({
+            "coco width": f'{{"images": [{{"id": 1, "width": {digits}, "height": 10}}], "annotations": []}}',
+            "eval canvas": anchors.read_text().replace("416", digits),
+            "compare canvas": anchors.read_text().replace("416", digits),
+            "header v": f"anchorforge-dataset v{digits} S=416\na\t1\t2\t3\t4\n",
+            "header S": f"anchorforge-dataset v1 S={digits}\na\t1\t2\t3\t4\n",
+        }[case])
+        argv = {
+            "coco width": ["ingest", "--format", "coco", "--input", str(bad)],
+            "eval canvas": ["eval", "--dataset", str(dataset_file), "--anchors", str(bad)],
+            "compare canvas": ["compare", str(anchors), str(bad)],
+            "header v": ["eval", "--dataset", str(bad), "--anchors", str(anchors)],
+            "header S": ["eval", "--dataset", str(bad), "--anchors", str(anchors)],
+        }[case]
+        out = tmp_path / "run"
+        rc = main(argv + (["--out-dir", str(out)] if case != "compare canvas" else []))
+        assert rc == 2
+        prefix = f"{bad}: line 1: " if case.startswith("header") else f"{bad}: "
+        assert f"error: {prefix}Exceeds the limit (4300 digits) for integer string conversion" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_env_held_to_the_check(self, tmp_path, dataset_file, monkeypatch, capsys):

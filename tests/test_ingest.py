@@ -522,6 +522,14 @@ class TestCanonicalFile:
         with pytest.raises(ParseError, match=f"{re.escape(str(p))}: canvas_size must lie within float range"):
             read_canonical(p)
 
+    @pytest.mark.parametrize("header", [f"v1{'0' * 5000} S=416", f"v1 S=416{'0' * 5000}"], ids=["version", "canvas"])
+    def test_header_integer_beyond_digit_limit_named(self, tmp_path, header):
+        """int() refuses more than 4300 digits with a message that named no file."""
+        p = tmp_path / "data.canonical"
+        p.write_text(f"anchorforge-dataset {header}\na\t1\t2\t3\t4\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line 1: Exceeds the limit"):
+            read_canonical(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "data.canonical"
         p.write_text("hello\n")

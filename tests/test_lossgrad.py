@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorforge import (
@@ -182,11 +182,6 @@ class TestLossValues:
         g = np.array([[1.0, 1.0], [2.0, 2.0]])
         loss, _, _ = zero_offset_loss(np.zeros((2, 1)), np.zeros((1, 2)), g, 1.0)
         assert loss == 0.0
-
-    def test_cluster_weight_validation(self):
-        for lam in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                zero_offset_loss(np.ones((1, 1)), np.zeros((1, 2)), np.array([[1.0, 0.0]]), lam)
 
 
 class TestLossProperties:
@@ -581,6 +576,11 @@ class TestGradientsAtRandomPoints:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6), st.sampled_from(RULES),
            st.sampled_from(("no head", "bn off", "bn per anchor")),
            st.floats(min_value=0.0, max_value=1.0), st.sampled_from(("one_minus_iou", "sq_l2_log")))
+    # two-box BN groups, whose exact bias gradient is 0: the second-order
+    # difference at eps 1e-6 read 1.2e-5 to 3.8e-5 there
+    @example(625945107, 15, 4, "yolo", "bn per anchor", 0.0, "one_minus_iou")
+    @example(2825252959, 24, 4, "yolo", "bn per anchor", 0.92633254300947, "one_minus_iou")
+    @example(3654366265, 15, 4, "threshold", "bn per anchor", 0.15510643481692188, "one_minus_iou")
     def test_match_finite_differences(self, seed, n, a, rule, mode, lam, metric):
         """Criterion 1's bound at drawn points: the anchor gradient of
         _loss_from_arrays and the head gradients of grad_head against
@@ -628,8 +628,3 @@ class TestDeltaPlumbing:
         want = (pair_loss((1.0, 2.0), (1.0, 1.0), (1.0, 0.0))
                 + pair_loss((3.0, 4.0), (0.0, 0.0), (0.0, 2.0)))
         assert loss == want
-
-    def test_deltas_from_array_shape_check(self):
-        with pytest.raises(ValueError, match=r"\(1, 2, 5\)"):
-            _loss_from_arrays(np.zeros((2, 2)), np.zeros((1, 5, 5)), np.zeros((1, 2)),
-                              np.zeros(5), 0.0)

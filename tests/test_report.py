@@ -316,9 +316,9 @@ class TestAnchorsFile:
 
     @pytest.mark.parametrize("anchors", [
         '[["30", true], [50, 60]]', '[[true, 10]]', '[[30, null]]', '[[30]]', '[[30, 40, 50]]', '[30, 40]',
-        '{"w": 30}', '[[1' + '0' * 400 + ', 5]]',
+        '{"w": 30}', '[[1' + '0' * 400 + ', 5]]', '[[1' + '0' * 5000 + ', 5]]',
     ], ids=["string and bool", "bool", "null", "one side", "three sides", "flat list", "object",
-            "int beyond float range"])
+            "int beyond float range", "int beyond the digit limit"])
     def test_sides_must_be_json_numbers(self, tmp_path, anchors):
         """float() used to read "30" as 30 and true as 1, so the first file
         evaluated as a 30 x 1 anchor."""

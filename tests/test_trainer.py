@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from anchorforge import (
     soft_assign,
 )
 from anchorforge.assign import TEMP_START
+from anchorforge.trainer import _RANGES
 from oracles import head_loss_longhand, lr_at, sgd_step
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
@@ -59,7 +61,7 @@ class TestMomentumUpdate:
         cfg = TrainConfig(
             iters=12, batch_size=batch, momentum=momentum,
             lr_schedule=((0, 0.01), (3, 0.05), (7, 0.002)), warmup_iters=0,
-            anchor_lr_multiplier=mult, cluster_weight=0.0,
+            anchor_lr_mult=mult, cluster_weight=0.0,
             head=False, log_every=1,
         )
         s = [math.log(50.0), math.log(20.0)]
@@ -77,6 +79,23 @@ class TestMomentumUpdate:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         if frozen:
             np.testing.assert_array_equal(res.anchors.as_array(), [[math.log(50.0), math.log(20.0)]])
+
+
+# out-of-range values of each field in TrainConfig's range table, NaN among them for each
+# float field; a seed of -1 used to pass construction and fail only in run_training
+OUT_OF_RANGE = {
+    "iters": [-1],
+    "batch_size": [0],
+    "momentum": [1.0, -0.1, float("nan")],
+    "warmup_iters": [-1],
+    "anchor_lr_mult": [-0.5, float("inf"), float("nan")],
+    "tau": [0.0, 1.0, float("nan")],
+    "cluster_weight": [1.5, -0.1, float("nan")],
+    "sigma": [-0.1, float("inf"), float("nan")],
+    "init_scale": [-1.0, float("inf"), float("nan")],
+    "seed": [-1],
+    "log_every": [0],
+}
 
 
 class TestConfigValidation:
@@ -97,7 +116,7 @@ class TestConfigValidation:
 
     def test_bad_rule(self):
         with pytest.raises(ValueError):
-            TrainConfig(assignment_rule="nearest")
+            TrainConfig(rule="nearest")
 
     def test_bad_metric(self):
         with pytest.raises(ValueError, match="unknown metric 'bogus'"):
@@ -107,20 +126,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
 
-    def test_bad_anchor_lr_multiplier(self):
+    def test_bad_anchor_lr_mult(self):
         for value in (-0.5, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="anchor_lr_multiplier must be a nonnegative number"):
-                TrainConfig(anchor_lr_multiplier=value)
+            with pytest.raises(ValueError, match="anchor_lr_mult must be a nonnegative number"):
+                TrainConfig(anchor_lr_mult=value)
         # 0 is the frozen-anchor setting (test_frozen_anchors_do_not_move runs it)
-        assert TrainConfig(anchor_lr_multiplier=0.0).anchor_lr_multiplier == 0.0
+        assert TrainConfig(anchor_lr_mult=0.0).anchor_lr_mult == 0.0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rates_rejected(self, value):
         """NaN passed the old `<= 0` checks and failed only as a non-finite loss."""
         with pytest.raises(ValueError, match="learning rates must be positive numbers"):
             TrainConfig(lr_schedule=((0, 1e-3), (10, value)))
-        with pytest.raises(ValueError, match="anchor_lr_multiplier must be a nonnegative number"):
-            TrainConfig(anchor_lr_multiplier=value)
+        with pytest.raises(ValueError, match="anchor_lr_mult must be a nonnegative number"):
+            TrainConfig(anchor_lr_mult=value)
 
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
     def test_bad_sigma(self, sigma):
@@ -137,7 +156,7 @@ class TestConfigValidation:
     def test_bad_threshold_tau(self):
         for tau in (0.0, 1.0, 1.5, -0.2, float("nan")):
             with pytest.raises(ValueError, match="tau must lie in"):
-                TrainConfig(assignment_rule="threshold", threshold_tau=tau)
+                TrainConfig(rule="threshold", tau=tau)
 
     @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
     def test_bad_cluster_weight(self, value):
@@ -147,6 +166,22 @@ class TestConfigValidation:
     def test_bad_warmup_iters(self):
         with pytest.raises(ValueError, match="warmup_iters must be >= 0"):
             TrainConfig(warmup_iters=-1)
+
+    def test_range_table_names_fields(self):
+        fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+        assert set(_RANGES) <= set(fields)
+        assert set(OUT_OF_RANGE) == set(_RANGES)
+        for name, values in OUT_OF_RANGE.items():
+            if "float" in fields[name].type:
+                assert any(math.isnan(v) for v in values), name
+
+    @pytest.mark.parametrize("name, value", [(name, value) for name in _RANGES for value in OUT_OF_RANGE[name]])
+    def test_range_table_checks_each_field(self, name, value):
+        requirement, test = _RANGES[name]
+        assert test(getattr(TrainConfig(), name))
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: value})
+        assert str(info.value) == f"{name} {requirement}, got {value}"
 
 
 class TestRunTraining:
@@ -187,13 +222,13 @@ class TestRunTraining:
 
     def test_frozen_anchors_do_not_move(self):
         ds = tiny_ds()
-        cfg = small_cfg(anchor_lr_multiplier=0.0, head=True, sigma=0.1)
+        cfg = small_cfg(anchor_lr_mult=0.0, head=True, sigma=0.1)
         res = run_training(ds, start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
 
     def test_frozen_anchors_stay_put_when_their_rate_overflows(self):
         """A huge rate must not turn the frozen anchors' zero step into 0 * inf = NaN."""
-        cfg = small_cfg(iters=5, lr_schedule=((0, 1e200),), anchor_lr_multiplier=0.0)
+        cfg = small_cfg(iters=5, lr_schedule=((0, 1e200),), anchor_lr_mult=0.0)
         res = run_training(tiny_ds(), start_anchors(), cfg)
         np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
 
@@ -252,7 +287,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("rule, iters", [("yolo", 95), ("threshold", 103)])
     def test_epoch_utilization_totals_match_trajectory(self, rule, iters):
         """Both tables count every iteration once, so their per-anchor totals agree."""
-        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=iters, log_every=7, assignment_rule=rule))
+        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=iters, log_every=7, rule=rule))
         logged = np.sum([row.utilization for row in res.rows], axis=0)
         np.testing.assert_array_equal(res.epoch_utilization.sum(axis=0), logged)
 
@@ -303,7 +338,7 @@ class TestTrajectory:
 
 class TestRules:
     def test_threshold_rule_runs(self):
-        cfg = small_cfg(assignment_rule="threshold", threshold_tau=0.4,
+        cfg = small_cfg(rule="threshold", tau=0.4,
                         metric="one_minus_iou")
         res = run_training(tiny_ds(), start_anchors(), cfg)
         assert np.all(np.isfinite(res.anchors.as_array()))
@@ -313,10 +348,10 @@ class TestRules:
         res = run_training(tiny_ds(), start_anchors(), cfg)
         assert all(r.cluster_weight == 0.5 for r in res.rows)
 
-    def test_anchor_lr_multiplier_scales_motion(self):
+    def test_anchor_lr_mult_scales_motion(self):
         ds = tiny_ds()
-        cfg_slow = small_cfg(iters=20, anchor_lr_multiplier=1e-3)
-        cfg_fast = small_cfg(iters=20, anchor_lr_multiplier=1.0)
+        cfg_slow = small_cfg(iters=20, anchor_lr_mult=1e-3)
+        cfg_fast = small_cfg(iters=20, anchor_lr_mult=1.0)
         slow = run_training(ds, start_anchors(), cfg_slow)
         fast = run_training(ds, start_anchors(), cfg_fast)
         d_slow = np.abs(slow.anchors.as_array() - start_anchors().as_array()).sum()
