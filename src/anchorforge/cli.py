@@ -363,6 +363,8 @@ def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
         return init_kmeans(ds, num_anchors, seed=opt["seed"], stride=stride)
     # mode == "file": the option's choices admit nothing else
     anchors = _anchors_for_canvas(opt["init_file"], ds.canvas_size, f"dataset {opt['dataset']}")
+    if anchors.stride != stride:
+        raise ParseError(f"init_file {opt['init_file']} holds anchors for stride {anchors.stride} but stride is {stride}")
     if len(anchors) != num_anchors:
         raise ParseError(f"init_file {opt['init_file']} holds {len(anchors)} anchors but num_anchors is {num_anchors}")
     return anchors

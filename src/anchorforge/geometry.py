@@ -2,7 +2,8 @@
 
 Widths and heights are pixel units on a square canvas. The log-space
 encoding makes multiplicative size differences additive, which is the
-representation the anchor optimizer trains in.
+representation the anchor optimizer trains in. Every conversion between
+the two goes through numpy's ``exp`` and ``log``.
 
 Values are validated once at construction; every operation below is a
 pure function over immutable inputs and is safe to call concurrently.
@@ -10,7 +11,6 @@ pure function over immutable inputs and is safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -28,11 +28,6 @@ class AnchorSet:
     log_wh is an (A, 2) array of (log w, log h) rows, kept as a read-only
     copy. The order is meaningful: assignment ties break toward the
     lowest index, and trajectories log anchors positionally.
-
-    Conversions to and from linear (w, h) go through ``math.log`` and
-    ``math.exp`` one element at a time. numpy's vectorized versions can
-    differ from them in the last bit, which would change the bytes of the
-    anchors files and reports written from an anchor set.
     """
 
     log_wh: np.ndarray
@@ -56,13 +51,9 @@ class AnchorSet:
     def __len__(self) -> int:
         return self.log_wh.shape[0]
 
-    def as_array(self) -> np.ndarray:
-        """Anchor shapes as a fresh (A, 2) float array of (lw, lh) rows."""
-        return self.log_wh.copy()
-
     def wh(self) -> np.ndarray:
-        """Anchor shapes as an (A, 2) float array of linear (w, h) rows."""
-        return np.array([[math.exp(lw), math.exp(lh)] for lw, lh in self.log_wh.tolist()])
+        """Anchor shapes as a fresh (A, 2) float array of linear (w, h) rows."""
+        return np.exp(self.log_wh)
 
     def sorted_by_area(self) -> "AnchorSet":
         """Same shapes reordered by ascending linear area (stable on ties)."""
@@ -80,13 +71,12 @@ class AnchorSet:
         arr = np.asarray(wh, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected an (A, 2) array of (w, h), got shape {arr.shape}")
-        rows = arr.tolist()
-        for w, h in rows:
-            if not (math.isfinite(w) and math.isfinite(h)):
-                raise ValueError(f"shape must be finite, got ({w}, {h})")
-            if w <= 0.0 or h <= 0.0:
-                raise ValueError(f"shape must be positive, got ({w}, {h})")
-        return cls([[math.log(w), math.log(h)] for w, h in rows], stride)
+        for what, bad in (("finite", ~np.isfinite(arr)), ("positive", arr <= 0.0)):
+            rows = np.flatnonzero(bad.any(axis=1))
+            if rows.size:
+                w, h = arr[rows[0]].tolist()
+                raise ValueError(f"shape must be {what}, got ({w}, {h})")
+        return cls(np.log(arr), stride)
 
 
 def iou_aligned_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:

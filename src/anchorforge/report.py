@@ -39,7 +39,7 @@ def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int]
     n = len(a)
     if n > _MAX_EXACT_MATCH:
         raise ValueError(f"exact matching supports up to {_MAX_EXACT_MATCH} anchors, got {n}")
-    la, lb = a.as_array(), b.as_array()
+    la, lb = a.log_wh, b.log_wh
     dist = np.sqrt(np.sum((la[:, None, :] - lb[None, :, :]) ** 2, axis=2))
     # best[mask]: rows 0 .. popcount(mask) - 1 of a placed on b's indices in mask. Layer i fills
     # the masks of i + 1 bits; a j outside the mask reads an unfilled inf, which never wins
@@ -99,8 +99,8 @@ def build_report(
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     ordered = anchors.sorted_by_area()
-    shapes, anchors_wh = ds.shapes(), np.exp(ordered.as_array())
-    best, winner, _, util = best_iou(shapes, anchors_wh, threshold_tau if threshold else None)
+    anchors_wh = ordered.wh()
+    best, winner, _, util = best_iou(ds.shapes(), anchors_wh, threshold_tau if threshold else None)
     if threshold:
         # each anchor takes every box that reaches tau with it; a box that
         # reaches tau with no anchor goes to its best one
@@ -113,7 +113,7 @@ def build_report(
         avg_best_iou=float(best.mean()),
         recall_at={float(t): float(np.mean(best >= t)) for t in taus},
         utilization=tuple(int(u) for u in util),
-        anchors_wh=tuple((w, h) for w, h in ordered.wh().tolist()),
+        anchors_wh=tuple((w, h) for w, h in anchors_wh.tolist()),
     )
 
 

@@ -187,7 +187,7 @@ def run_training(
     num_anchors = len(anchors0)
     rng = np.random.default_rng(cfg.seed)
 
-    blocks = [anchors0.as_array()]
+    blocks = [anchors0.log_wh]
     if cfg.head:
         blocks += initial_head(num_anchors, cfg.init_scale, rng)
     params = np.concatenate([b.ravel() for b in blocks])

@@ -245,7 +245,7 @@ class TestCriterion5:
         res = run_training(mixture2_ds, init_identical(stride=32, num_anchors=5), cfg)
         n = len(mixture2_ds)
 
-        s = res.anchors.as_array()
+        s = res.anchors.log_wh
         min_pair = min(
             shape_dist(s[i], s[j], "sq_l2_log")
             for i in range(5) for j in range(i + 1, 5)
@@ -368,8 +368,8 @@ class TestCriterion10:
             trajectory_path=repeat_path,
         )
         same_bytes = first_path.read_bytes() == repeat_path.read_bytes()
-        same_anchors = bool(np.array_equal(first.anchors.as_array(),
-                                           repeat.anchors.as_array()))
+        same_anchors = bool(np.array_equal(first.anchors.log_wh,
+                                           repeat.anchors.log_wh))
         report(same_bytes and same_anchors, 10,
                "rerunning the clustering-equivalence configuration reproduces the "
                "trajectory file byte for byte")

@@ -109,9 +109,9 @@ class TestHardYolo:
         anchors = AnchorSet.from_array(rng.normal(3.0, 1.0, size=(5, 2)))
         for metric in ("one_minus_iou", "sq_l2_log"):
             gts = random_log_shapes(rng, 25)
-            w = hard_assign_yolo(gts, anchors.as_array(), metric)
+            w = hard_assign_yolo(gts, anchors.log_wh, metric)
             for j, k in zip(*np.nonzero(w)):
-                dists = [shape_dist(gts[j], s, metric) for s in anchors.as_array()]
+                dists = [shape_dist(gts[j], s, metric) for s in anchors.log_wh]
                 assert dists[k] == min(dists)
 
     def test_tie_goes_to_lowest_index(self):
@@ -132,7 +132,7 @@ class TestHardThreshold:
         for _ in range(20):
             gts = random_log_shapes(rng, 30)
             tau = float(rng.uniform(0.3, 0.7))
-            w = hard_assign_threshold(gts, anchors.as_array(), tau)
+            w = hard_assign_threshold(gts, anchors.log_wh, tau)
             for j, g in enumerate(gts):
                 d = (math.exp(g[0]), math.exp(g[1]))
                 ious = [iou_of_wh(d, s) for s in shapes]

@@ -531,7 +531,8 @@ class TestOptimize:
         anchorforge.write_anchors_json(init, anchorforge.AnchorSet.from_linear(wh, stride=16), canvas=416)
         out = tmp_path / "o"
         rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
-                   "--num-anchors", "3", "--iters", "60", "--anchor-lr-mult", "0", "--out-dir", str(out)])
+                   "--num-anchors", "3", "--stride", "16", "--iters", "60", "--anchor-lr-mult", "0",
+                   "--out-dir", str(out)])
         assert rc == 0
         frozen, canvas = anchorforge.read_anchors_json(init)
         doc = json.loads((out / "anchors.json").read_text())
@@ -539,6 +540,18 @@ class TestOptimize:
         assert doc["anchors"] == frozen.sorted_by_area().wh().tolist()
         np.testing.assert_allclose(doc["anchors"], wh, rtol=1e-12)
         assert (out / "anchors.txt").read_text() == anchorforge.anchors_line(frozen) + "\n"
+
+    def test_init_file_for_other_stride_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        """The file's stride used to replace --stride silently: anchors.json
+        read stride 16 while effective.cfg read 32."""
+        init = tmp_path / "init.json"
+        anchorforge.write_anchors_json(init, anchorforge.init_uniform(16), canvas=416)
+        out = tmp_path / "o"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+                   "--iters", "20", "--no-head", "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: init_file {init} holds anchors for stride 16 but stride is 32\n" == capsys.readouterr().err
+        assert not out.exists()
 
     def test_freeze_anchors_key_is_unknown(self, tmp_path, dataset_file, capsys):
         """An anchor learning-rate multiplier of 0 is the one way to freeze the anchors."""
@@ -1181,3 +1194,105 @@ class TestOptionFuzz:
             assert not (work / "run").exists()
         if _refused(_SPECS[command][key], via, text):
             assert rc == 2, (case, out.getvalue())
+
+
+_JSON_VALUES = st.sampled_from([
+    10**400, -(10**400), float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324, 1.7976931348623157e308,
+    1e-300, 0, -0.0, -1, 1, 16, 32, 416, 30.5, "30", "", True, False, None, [], [30, 40], [[30, 40]], {},
+])
+_FIELD_TOKENS = st.sampled_from([
+    "\t", "\r", "\n", "\r\n", " ", "", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "\x85", "\u2028", "\xa0",
+    "5e-324", "1.7976931348623157e308", "0", "-0", "-1", "1_0", "0x10", "+5", "1e5", "#", "S=416", "é",
+])
+
+
+@st.composite
+def _anchors_file_cases(draw):
+    """A valid two-anchor file's text with one mutation, and where to read it."""
+    doc = {"canvas": 416, "stride": 32, "anchors": [[30.0, 40.0], [120.0, 150.0]]}
+    kind = draw(st.sampled_from(["canvas", "stride", "pair", "side", "anchors", "byte"]))
+    if kind in ("canvas", "stride", "anchors"):
+        doc[kind] = draw(_JSON_VALUES)
+    elif kind == "pair":
+        doc["anchors"][draw(st.integers(0, 1))] = draw(_JSON_VALUES)
+    elif kind == "side":
+        doc["anchors"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(_JSON_VALUES)
+    data = json.dumps(doc).encode()
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data, draw(st.sampled_from(["eval", "compare-a", "compare-b", "optimize"]))
+
+
+@st.composite
+def _canonical_cases(draw, text):
+    """A valid canonical file's text with one mutation, and the command to read it."""
+    lines = text.split("\n")[:-1]
+    line = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["set", "insert", "append", "drop", "duplicate", "crlf"]))
+    if kind in ("set", "insert", "append"):
+        fields = lines[line].split("\t")
+        i = draw(st.integers(0, len(fields) - 1))
+        token = draw(_FIELD_TOKENS)
+        at = draw(st.integers(0, len(fields[i])))
+        fields[i] = {"set": token, "insert": fields[i][:at] + token + fields[i][at:], "append": fields[i] + token}[kind]
+        lines[line] = "\t".join(fields)
+    elif kind == "drop":
+        del lines[line]
+    elif kind == "duplicate":
+        lines.insert(line, lines[line])
+    ending = "\r\n" if kind == "crlf" else "\n"
+    return "".join(line + ending for line in lines).encode(), draw(st.sampled_from(["eval", "cluster", "optimize"]))
+
+
+def _run_quietly(argv, run_dir):
+    """main(argv) with its output and warnings caught: it must exit 0 or 2
+    with no traceback or warning, and an exit 2 leaves no run directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main([str(a) for a in argv])
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if rc == 2:
+        assert run_dir is None or not run_dir.exists()
+
+
+class TestReaderFuzz:
+    """Mutated anchors and canonical files, read by every command that takes one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_anchors_file_cases())
+    def test_anchors_file(self, fuzz_inputs, case):
+        data, reader = case
+        root, sections = fuzz_inputs
+        work = Path(tempfile.mkdtemp(dir=root))
+        anchors, run = work / "anchors.json", work / "run"
+        anchors.write_bytes(data)
+        good, dataset = root / "c" / "anchors.json", sections["eval"]["dataset"]
+        if reader == "eval":
+            _run_quietly(["eval", "--dataset", dataset, "--anchors", anchors, "--out-dir", run], run)
+        elif reader == "optimize":
+            _run_quietly(["optimize", "--dataset", dataset, "--init", "file", "--init-file", anchors,
+                          "--num-anchors", 2, "--iters", 3, "--batch-size", 8, "--warmup-iters", 1,
+                          "--out-dir", run], run)
+        else:
+            _run_quietly(["compare", *((anchors, good) if reader == "compare-a" else (good, anchors))], None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_canonical_file(self, fuzz_inputs, data):
+        root, sections = fuzz_inputs
+        text = Path(sections["eval"]["dataset"]).read_text(encoding="utf-8")
+        content, reader = data.draw(_canonical_cases(text))
+        work = Path(tempfile.mkdtemp(dir=root))
+        dataset, run = work / "dataset.canonical", work / "run"
+        dataset.write_bytes(content)
+        argv = {
+            "eval": ["--anchors", root / "c" / "anchors.json"],
+            "cluster": ["--num-anchors", 2, "--max-iter", 5],
+            "optimize": ["--num-anchors", 2, "--iters", 3, "--batch-size", 8, "--warmup-iters", 1],
+        }[reader]
+        _run_quietly([reader, "--dataset", dataset, *argv, "--out-dir", run], run)

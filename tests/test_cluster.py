@@ -226,7 +226,7 @@ class TestInits:
 
     def test_identical_all_same(self):
         anchors = init_identical(stride=32, num_anchors=5)
-        log_wh = anchors.as_array()
+        log_wh = anchors.log_wh
         assert (log_wh == log_wh[0]).all()
         assert tuple(anchors.wh()[0]) == pytest.approx((160.0, 160.0), rel=1e-12)
         assert len(anchors) == 5
@@ -240,8 +240,8 @@ class TestInits:
         their sums log w + log h order it the other way: ascending area
         has one definition, AnchorSet.sorted_by_area's."""
         centroids = np.array([[183.95755385131807, 220.20148549027954], [165.36937248229975, 244.95301649375287]])
-        want = AnchorSet.from_linear(centroids).sorted_by_area().as_array()
-        np.testing.assert_array_equal(anchors_from_centroids(centroids).as_array(), want)
+        want = AnchorSet.from_linear(centroids).sorted_by_area().log_wh
+        np.testing.assert_array_equal(anchors_from_centroids(centroids).log_wh, want)
 
     def test_kmeans_init_sorted_by_area(self, mixture3_ds):
         anchors = init_kmeans(mixture3_ds, num_anchors=3, seed=0)

@@ -69,7 +69,7 @@ class TestCoverageMetrics:
         rng = np.random.default_rng(82)
         ds = ds_of(np.exp(rng.normal(3.5, 0.8, size=(2 * ASSIGN_BLOCK + 300, 2))).clip(1.0, 400.0))
         anchors = anchors_of(np.exp(rng.normal(3.5, 0.8, size=(5, 2))))
-        best = full_matrix_report(ds.shapes(), np.exp(anchors.as_array()), 0.5)[0]
+        best = full_matrix_report(ds.shapes(), np.exp(anchors.log_wh), 0.5)[0]
         report = build_report(anchors, ds, taus=(0.5, 0.75, 0.3))
         assert report.avg_best_iou == float(best.mean())
         assert report.recall_at == {t: float(np.mean(best >= t)) for t in (0.5, 0.75, 0.3)}
@@ -207,6 +207,18 @@ class TestBuildReport:
         util = full_matrix_report(np.array(wh), np.array(anchors_wh), 0.5)[1 if rule == "yolo" else 2]
         assert report.utilization == tuple(util.tolist())
 
+    @pytest.mark.parametrize("rule", ["yolo", "threshold"])
+    def test_reports_the_anchors_it_scored(self, rule):
+        """Rescoring the reported anchors reproduces avg_best_iou exactly. The
+        report used to score np.exp of the log shapes and list math.exp's,
+        which differ for the side exp(5.58874159260628) on some hosts."""
+        rng = np.random.default_rng(84)
+        ds = ds_of(np.exp(rng.normal(4.5, 0.8, size=(500, 2))).clip(1.0, 400.0))
+        anchors = AnchorSet.from_array([[5.58874159260628, 5.2], [3.1, 3.6], [4.4, 4.0], [5.58874159260628, 4.7]])
+        report = build_report(anchors, ds, assignment_rule=rule)
+        best = best_iou(ds.shapes(), np.array(report.anchors_wh))[0]
+        assert report.avg_best_iou == float(best.mean())
+
     def test_json_holds_every_field(self):
         ds = ds_of([(10.0, 10.0), (50.0, 60.0), (200.0, 150.0)])
         report = build_report(anchors_of([(12.0, 11.0), (55.0, 70.0)]), ds, taus=(0.5, 0.75))
@@ -245,7 +257,7 @@ class TestReportMatchesFullMatrix:
         ds = ds_of(wh)
         anchors = anchors_of(anchor_wh)
         best, yolo_util, threshold_util = full_matrix_report(
-            wh, np.exp(anchors.sorted_by_area().as_array()), tau)
+            wh, np.exp(anchors.sorted_by_area().log_wh), tau)
         taus = (tau, 0.5)
         want_cov = (float(best.mean()), {float(t): float(np.mean(best >= t)) for t in taus})
         presorted = build_report(anchors.sorted_by_area(), ds, taus=taus)

@@ -78,7 +78,7 @@ class TestMomentumUpdate:
         got = np.log([r.anchors_wh[0] for r in res.rows])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         if frozen:
-            np.testing.assert_array_equal(res.anchors.as_array(), [[math.log(50.0), math.log(20.0)]])
+            np.testing.assert_array_equal(res.anchors.log_wh, [[math.log(50.0), math.log(20.0)]])
 
 
 # out-of-range values of each field in TrainConfig's range table, NaN among them for each
@@ -199,7 +199,7 @@ class TestRunTraining:
     def test_zero_iters_returns_init(self):
         ds = tiny_ds()
         res = run_training(ds, start_anchors(), small_cfg(iters=0))
-        np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
+        np.testing.assert_array_equal(res.anchors.log_wh, start_anchors().log_wh)
         assert res.rows == []
         assert res.final_smoothed_loss is None
 
@@ -208,7 +208,7 @@ class TestRunTraining:
         cfg = small_cfg(head=True, sigma=0.3)
         a = run_training(ds, start_anchors(), cfg)
         b = run_training(ds, start_anchors(), cfg)
-        np.testing.assert_array_equal(a.anchors.as_array(), b.anchors.as_array())
+        np.testing.assert_array_equal(a.anchors.log_wh, b.anchors.log_wh)
         assert a.final_smoothed_loss == b.final_smoothed_loss
         for ra, rb in zip(a.rows, b.rows):
             assert ra.loss == rb.loss
@@ -218,19 +218,19 @@ class TestRunTraining:
         ds = tiny_ds()
         a = run_training(ds, start_anchors(), small_cfg(seed=0))
         b = run_training(ds, start_anchors(), small_cfg(seed=1))
-        assert not np.array_equal(a.anchors.as_array(), b.anchors.as_array())
+        assert not np.array_equal(a.anchors.log_wh, b.anchors.log_wh)
 
     def test_frozen_anchors_do_not_move(self):
         ds = tiny_ds()
         cfg = small_cfg(anchor_lr_mult=0.0, head=True, sigma=0.1)
         res = run_training(ds, start_anchors(), cfg)
-        np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
+        np.testing.assert_array_equal(res.anchors.log_wh, start_anchors().log_wh)
 
     def test_frozen_anchors_stay_put_when_their_rate_overflows(self):
         """A huge rate must not turn the frozen anchors' zero step into 0 * inf = NaN."""
         cfg = small_cfg(iters=5, lr_schedule=((0, 1e200),), anchor_lr_mult=0.0)
         res = run_training(tiny_ds(), start_anchors(), cfg)
-        np.testing.assert_array_equal(res.anchors.as_array(), start_anchors().as_array())
+        np.testing.assert_array_equal(res.anchors.log_wh, start_anchors().log_wh)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -341,7 +341,7 @@ class TestRules:
         cfg = small_cfg(rule="threshold", tau=0.4,
                         metric="one_minus_iou")
         res = run_training(tiny_ds(), start_anchors(), cfg)
-        assert np.all(np.isfinite(res.anchors.as_array()))
+        assert np.all(np.isfinite(res.anchors.log_wh))
 
     def test_fixed_cluster_weight(self):
         cfg = small_cfg(cluster_weight=0.5, warmup_iters=0)
@@ -354,8 +354,8 @@ class TestRules:
         cfg_fast = small_cfg(iters=20, anchor_lr_mult=1.0)
         slow = run_training(ds, start_anchors(), cfg_slow)
         fast = run_training(ds, start_anchors(), cfg_fast)
-        d_slow = np.abs(slow.anchors.as_array() - start_anchors().as_array()).sum()
-        d_fast = np.abs(fast.anchors.as_array() - start_anchors().as_array()).sum()
+        d_slow = np.abs(slow.anchors.log_wh - start_anchors().log_wh).sum()
+        d_fast = np.abs(fast.anchors.log_wh - start_anchors().log_wh).sum()
         assert d_slow < d_fast
 
     def test_soft_membership_covers_zero_weight_pairs(self):
@@ -380,7 +380,7 @@ class TestRules:
         params = initial_head(4, cfg.init_scale, rng)
         g = ds.log_shapes()[rng.permutation(len(ds))[:cfg.batch_size]]
         feats = make_features(g, cfg.sigma, rng)
-        s = anchors.as_array()
+        s = anchors.log_wh
         w = soft_assign(g, s, cfg.metric, TEMP_START)
         assert np.all(np.any(w == 0.0, axis=0) & np.any(w > 0.0, axis=0))
         want, _ = head_loss_longhand(w, np.ones(w.shape, dtype=bool), s, g, 1.0, params, feats)
