@@ -107,8 +107,6 @@ def soft_assign(
         raise ValueError(f"temperature must be positive, got {temperature}")
     z = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), metric)
     z /= -temperature
-    if z.shape[0] == 0:
-        return z
     z -= z.max(axis=1, keepdims=True)
     w = np.exp(z, out=z)
     w /= w.sum(axis=1, keepdims=True)

@@ -68,12 +68,10 @@ SEED_ENV_VAR = "ANCHORFORGE_SEED"
 
 
 def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:

@@ -190,7 +190,5 @@ def init_identical(stride: int = 32, num_anchors: int = 5) -> AnchorSet:
 
 def init_kmeans(ds: CanonicalDataset, num_anchors: int = 5, seed: int = 0, stride: int = 32) -> AnchorSet:
     """Cluster the dataset's shapes and use the centroids, sorted by area."""
-    if len(ds) == 0:
-        raise ValueError("cannot cluster an empty dataset")
     result = kmeans_iou(ds.shapes(), num_anchors, seed=seed)
     return anchors_from_centroids(result.centroids, stride)

@@ -12,13 +12,13 @@ pure function over immutable inputs and is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 Metric = Literal["one_minus_iou", "sq_l2_log"]
 
-METRICS: tuple[str, ...] = ("one_minus_iou", "sq_l2_log")
+METRICS: tuple[str, ...] = get_args(Metric)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,6 +34,7 @@ the duration of the call.
 from __future__ import annotations
 
 import csv
+import functools
 import gc
 import io
 import itertools
@@ -435,20 +436,20 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
         if tabs != 4:
             raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {tabs + 1}")
         ids.append(line[:line.index("\t")])
+    fields = functools.partial(np.loadtxt, delimiter="\t", usecols=(1, 2, 3, 4), comments=None, ndmin=2)
     values = np.empty((0, 4))
     if ids:
         try:
-            values = np.loadtxt(path, delimiter="\t", skiprows=1, usecols=(1, 2, 3, 4), comments=None,
-                                ndmin=2, encoding="utf-8")
+            values = fields(lines[1:])
         except ValueError as e:
-            # loadtxt's row numbers count from 0 in some messages and 1 in others
+            # loadtxt's row numbers count from 0 in some messages and 1 in others, so ask it line by line
             for lineno, line in enumerate(lines[1:], start=2):
                 try:
-                    [float(v) for v in line.split("\t")[1:]]
+                    fields([line])
                 except ValueError:
                     raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
             raise ParseError(f"{path}: {e}") from None
     try:
         return CanonicalDataset(canvas, ids, *values.T)
-    except ValueError as e:
-        raise ParseError(f"{path}: {e}") from None
+    except ValueError as e:  # its record i is the file's line i + 2
+        raise ParseError(f"{path}: " + re.sub(r"^record (\d+)", lambda m: f"line {int(m[1]) + 2}", str(e))) from None

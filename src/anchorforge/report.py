@@ -17,7 +17,7 @@ import numpy as np
 
 from .assign import RULES
 from .cluster import best_iou
-from .geometry import AnchorSet
+from .geometry import AnchorSet, shape_dist_matrix
 from .ingest import CanonicalDataset, ParseError, _check_float_range, _read_json
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
@@ -39,8 +39,7 @@ def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int]
     n = len(a)
     if n > _MAX_EXACT_MATCH:
         raise ValueError(f"exact matching supports up to {_MAX_EXACT_MATCH} anchors, got {n}")
-    la, lb = a.log_wh, b.log_wh
-    dist = np.sqrt(np.sum((la[:, None, :] - lb[None, :, :]) ** 2, axis=2))
+    dist = np.sqrt(shape_dist_matrix(a.log_wh, b.log_wh, "sq_l2_log"))
     # best[mask]: rows 0 .. popcount(mask) - 1 of a placed on b's indices in mask. Layer i fills
     # the masks of i + 1 bits; a j outside the mask reads an unfilled inf, which never wins
     masks, bits = np.arange(1 << n), 1 << np.arange(n)

@@ -23,7 +23,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -209,15 +209,6 @@ def run_training(
     rows = np.ones((5, n))
     no_head = np.zeros((num_anchors, 2, 5))
 
-    def batches() -> Iterator[np.ndarray]:
-        while True:
-            shuffled = log_g[rng.permutation(n)]
-            rows[3:] = shuffled.T
-            # one draw per epoch gives the noise stream of one draw per batch
-            rows[1:3] = make_features(shuffled, cfg.sigma, rng).T if head else rows[3:]
-            for start in range(0, n, cfg.batch_size):
-                yield rows[:, start : start + cfg.batch_size]
-
     logged: list[TrajectoryRow] = []
     epochs: list[np.ndarray] = []  # one row of counts per epoch begun
     window_counts = np.zeros(num_anchors, dtype=np.int64)
@@ -230,11 +221,16 @@ def run_training(
         if fh is not None:
             fh.write(_csv_header(num_anchors) + "\n")
             fh.flush()
-        # range ends the run first, so no shuffle is drawn past the last batch
-        for t, batch in zip(range(cfg.iters), batches()):
-            if t % per_epoch == 0:
+        for t in range(cfg.iters):
+            b = t % per_epoch  # the batch's index in its epoch
+            if b == 0:
+                shuffled = log_g[rng.permutation(n)]
+                rows[3:] = shuffled.T
+                # one draw per epoch gives the noise stream of one draw per batch
+                rows[1:3] = make_features(shuffled, cfg.sigma, rng).T if head else rows[3:]
                 epoch_counts = np.zeros(num_anchors, dtype=np.int64)
                 epochs.append(epoch_counts)
+            batch = rows[:, b * cfg.batch_size : (b + 1) * cfg.batch_size]
             batch_g = batch[3:].T
 
             temp = temperature_at(t, cfg.warmup_iters)

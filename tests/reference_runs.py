@@ -10,12 +10,15 @@ this process and with OUT as the working directory:
   and ``--anchor-lr-mult 0`` and ``0.5`` on ``synth.mixture2(1)``, each at
   ``--scale``;
 - ingest of a COCO file of ``--coco-boxes`` boxes (seed 31), cluster with
-  9 anchors, and eval of those anchors under the yolo and threshold rules.
+  9 anchors, and eval of those anchors under the yolo and threshold rules;
+- compare of the frozen run's anchors (the k-means start) with the default
+  run's learned ones.
 
 Every path given to a command is relative, so two checkouts write the same
 bytes; compare two output directories with ``diff -r``. Each command's
-stdout goes to OUT/<name>.stdout and its errors to stderr. The exit code
-is 1 if any command fails.
+stdout goes to OUT/<name>.stdout and its errors to stderr; every command
+but compare, which writes nothing else, also fills the run directory
+OUT/<name>. The exit code is 1 if any command fails.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ def commands(scale: float) -> list[tuple[str, list[str]]]:
         ("cluster", ["cluster", "--dataset", dataset, "--num-anchors", "9", "--max-iter", "40"]),
         *((f"eval-{rule}", ["eval", "--dataset", dataset, "--anchors", anchors, "--rule", rule])
           for rule in ("yolo", "threshold")),
+        ("compare", ["compare", "optimize-frozen/anchors.json", "optimize-default/anchors.json"]),
     ]
 
 
@@ -66,7 +70,7 @@ def run(out: Path, scale: float, coco_boxes: int) -> int:
     failed = []
     for name, argv in commands(scale):
         with open(f"{name}.stdout", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
-            rc = main([*argv, "--out-dir", name])
+            rc = main(argv if argv[0] == "compare" else [*argv, "--out-dir", name])
         if rc != 0:
             failed.append(f"{name} (exit {rc})")
     if failed:

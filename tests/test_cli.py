@@ -84,6 +84,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("text, match", [
         ('[{"id": 1}]', "got a list"),
+        ('{"images": [], "annotations": [5]}', "annotation 5 is not a JSON object"),
         ('{"images": [{"id": 1, "width": 10, "height": 10}], "annotations": [{"id": 4, "image_id": 1}]}',
          "annotation 4 needs a bbox"),
         ('{"images": [{"id": 1, "width": 10, "height": 10}], '
@@ -132,6 +133,19 @@ class TestIngest:
         rc = main(["ingest", "--format", "voc", "--input", str(missing), "--out-dir", str(tmp_path / "run")])
         assert rc == 2
         assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("size, obj, match", [
+        ("<width>abc</width><height>10</height>", "", "<size> must contain numeric <width> and <height>"),
+        ("<width>10</width><height>10</height>", "<object><name>dog</name></object>", "<object> without <bndbox>"),
+    ])
+    def test_malformed_voc_exits_2(self, tmp_path, capsys, size, obj, match):
+        voc = tmp_path / "voc"
+        voc.mkdir()
+        (voc / "a.xml").write_text(f"<annotation><size>{size}</size>{obj}</annotation>")
+        rc = main(["ingest", "--format", "voc", "--input", str(voc), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{voc / 'a.xml'}: {match}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_missing_input_flag(self, tmp_path, capsys):
@@ -246,6 +260,27 @@ class TestOptimize:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_finite_loss_exit_code(self, tmp_path, capsys):
+        """A loss that overflows to inf while the anchors stay in range stops
+        the run at the loss check, after the rows already logged."""
+        dataset = tmp_path / "mixture2.canonical"
+        anchorforge.write_canonical(synth.mixture2(1), dataset)
+        out = tmp_path / "opt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["optimize", "--dataset", str(dataset), "--num-anchors", "2", "--iters", "500",
+                       "--lr-schedule", "0:1", "--warmup-iters", "0", "--metric", "sq_l2_log", "--no-head",
+                       "--no-bn", "--log-every", "1000", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        # the iteration depends on the host's SIMD level, so it is not pinned
+        assert err.startswith("error: non-finite loss inf at iteration "), err
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        assert header == "iter,loss,lambda,T,w1,h1,w2,h2,util1,util2"
+        assert len(rows) == 1 and rows[0].startswith("0,")
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_anchor_overflow_exit_code(self, tmp_path, dataset_file, capsys):
         """Anchors past exp's range with a finite loss used to end in an OverflowError traceback."""
@@ -269,6 +304,15 @@ class TestOptimize:
         assert " at iteration 200; anchor log-shapes: " in err
         assert [str(w.message) for w in caught] == []
         assert "Warning" not in err
+
+    def test_empty_dataset_rejected_before_run_dir(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.canonical"
+        dataset.write_text("anchorforge-dataset v1 S=416\n")
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: {dataset}: dataset is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("init", ["identical", "kmeans"])
     def test_more_anchors_than_boxes_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, init):

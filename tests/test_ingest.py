@@ -546,6 +546,10 @@ class TestCanonicalFile:
         ("a\t1\t2\t3\t4\nb\t1\t2\t3\t4\t5\n", 3, "expected 5 tab-separated fields, got 6"),
         ("a\t1\t2\t3\t4\n\nb\t1\t2\t3\t4\n", 3, "expected 5 tab-separated fields, got 1"),
         ("a\t1\t2\t3\t4\nb\t1\t2\t3\t4\nc\t1\tx\t3\t4\n", 4, "non-numeric field"),
+        # float() reads both, so its search for the bad field used to find none
+        # and pass on np.loadtxt's message, which named no line
+        ("a\t1\t2\t3\t4\nb\t1\t2\t3\t1_0\n", 3, "non-numeric field"),
+        ("a\t1\t2\t3\t4\nb\t1\t2\t3\t\u0661\n", 3, "non-numeric field"),
     ])
     def test_malformed_records_line_numbered(self, tmp_path, body, lineno, match):
         """Rows np.loadtxt would accept (an extra field, a blank line) or number
@@ -565,7 +569,8 @@ class TestCanonicalFile:
     def test_bad_record_wrapped(self, tmp_path):
         p = tmp_path / "data.canonical"
         p.write_text("anchorforge-dataset v1 S=416\na\t1\t2\t3\t9999\n")
-        with pytest.raises(ParseError):
+        # the dataset's record 0 is the file's line 2
+        with pytest.raises(ParseError, match=r": line 2: size \(3.0, 9999.0\) outside \(0, 416\]$"):
             read_canonical(p)
 
     def test_empty_dataset_round_trips(self, tmp_path):

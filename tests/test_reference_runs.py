@@ -22,6 +22,7 @@ def test_two_runs_are_byte_identical_and_anchors_match_trajectory(tmp_path):
         assert proc.stderr == ""
     first, second = _files(outs[0]), _files(outs[1])
     assert "eval-threshold/report.json" in first and "optimize-half/trajectory.csv" in first
+    assert b"mean matched log-space distance: " in first["compare.stdout"]
     assert first == second
     for run in ("optimize-default", "optimize-soft", "optimize-frozen", "optimize-half"):
         with open(outs[0] / run / "trajectory.csv", encoding="utf-8") as fh:
