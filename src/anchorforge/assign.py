@@ -8,6 +8,10 @@ with a temperature-controlled softmax so that every anchor receives
 gradient early in training; the temperature and the clustering-term
 coefficient both decay linearly over a warm-up window, after which
 training falls back to the hard rule.
+
+These functions run on every training step and check nothing: each
+docstring states what its caller guarantees, as a checked
+``TrainConfig``, ``AnchorSet`` and dataset provide it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Metric, log_shapes_array, shape_dist_matrix
+from .geometry import Metric, shape_dist_matrix
 
 # the hard assignment rules, by the name that configs and reports use
 RULES: tuple[str, ...] = ("yolo", "threshold")
@@ -32,10 +36,9 @@ def temperature_at(t: int, warmup_iters: int) -> Optional[float]:
 
     Returns ``None`` once the warm-up window has passed (always, when
     ``warmup_iters`` is 0), which is the hard-mode sentinel: callers
-    switch to their hard assignment rule.
+    switch to their hard assignment rule. A temperature it returns is
+    never below ``TEMP_FLOOR``. Needs ``t`` and ``warmup_iters`` >= 0.
     """
-    if t < 0 or warmup_iters < 0:
-        raise ValueError(f"iteration index and warmup_iters must be >= 0, got {t} and {warmup_iters}")
     if warmup_iters == 0 or t >= warmup_iters:
         return None
     return max(TEMP_FLOOR, TEMP_START * (1.0 - t / warmup_iters))
@@ -43,9 +46,8 @@ def temperature_at(t: int, warmup_iters: int) -> Optional[float]:
 
 def cluster_weight_at(t: int, warmup_iters: int) -> float:
     """Clustering-term coefficient at iteration ``t`` (linear decay to 0;
-    0 throughout when ``warmup_iters`` is 0)."""
-    if t < 0 or warmup_iters < 0:
-        raise ValueError(f"iteration index and warmup_iters must be >= 0, got {t} and {warmup_iters}")
+    0 throughout when ``warmup_iters`` is 0). Needs ``t`` and
+    ``warmup_iters`` >= 0."""
     if warmup_iters == 0:
         return 0.0
     return LAMBDA_START * max(0.0, 1.0 - t / warmup_iters)
@@ -58,9 +60,10 @@ def hard_assign_yolo(
 ) -> np.ndarray:
     """One-hot (n, A) weights: each ground truth goes to its nearest anchor.
 
-    Exact distance ties break toward the lowest anchor index.
+    gts and anchors are (n, 2) and (A, 2) log-shape arrays. Exact
+    distance ties break toward the lowest anchor index.
     """
-    dist = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), metric)
+    dist = shape_dist_matrix(gts, anchors, metric)
     winners = np.argmin(dist, axis=1)
     # the distance matrix is not needed again: reuse its memory for W
     w = dist
@@ -76,12 +79,12 @@ def hard_assign_threshold(
 ) -> np.ndarray:
     """Multi-hot (n, A) weights: 1 for every anchor whose aligned IoU reaches ``tau``.
 
-    Each ground truth additionally activates its best-IoU anchor, so no
-    ground truth is left unassigned even when no anchor clears ``tau``.
+    gts and anchors are (n, 2) and (A, 2) log-shape arrays and ``tau``
+    lies in (0, 1). Each ground truth additionally activates its best-IoU
+    anchor, so no ground truth is left unassigned even when no anchor
+    clears ``tau``.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    iou = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), "one_minus_iou")
+    iou = shape_dist_matrix(gts, anchors, "one_minus_iou")
     np.subtract(1.0, iou, out=iou)
     best = np.argmax(iou, axis=1)
     w = np.greater_equal(iou, tau, out=iou)
@@ -97,15 +100,14 @@ def soft_assign(
 ) -> np.ndarray:
     """Softmax responsibilities (n, A) over all anchors per ground truth.
 
-    Row weights are softmax(-distance / temperature) computed with the
-    usual max subtraction, so they are finite for any positive
-    temperature and sum to 1 per ground truth. At low temperatures some
+    gts and anchors are (n, 2) and (A, 2) log-shape arrays and the
+    temperature is positive. Row weights are softmax(-distance /
+    temperature) computed with the usual max subtraction, so they are
+    finite and sum to 1 per ground truth. At low temperatures some
     weights underflow to exactly 0; every pair still belongs to the soft
     assignment, so callers must not read membership off ``W > 0``.
     """
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = shape_dist_matrix(log_shapes_array(gts), log_shapes_array(anchors), metric)
+    z = shape_dist_matrix(gts, anchors, metric)
     z /= -temperature
     z -= z.max(axis=1, keepdims=True)
     w = np.exp(z, out=z)

@@ -418,6 +418,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     anchors0 = _initial_anchors(opt, ds)
     out_dir = _make_run_dir(args, "optimize")
+    # a reused run directory must not keep an earlier run's results should this run fail
+    for name in ("anchors.json", "anchors.txt", "summary.json"):
+        (out_dir / name).unlink(missing_ok=True)
     # the counts are recorded scaled, so the recorded scale is 1
     _echo_config(out_dir, "optimize", {**opt, "iters": iters, "lr_schedule": cfg.lr_schedule,
                                        "warmup_iters": cfg.warmup_iters, "scale": 1})
@@ -470,6 +473,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     a, canvas = read_anchors_json(args.a)
     b = _anchors_for_canvas(args.b, canvas, args.a)
+    if len(a) != len(b):
+        raise ParseError(f"{args.a} and {args.b}: anchor sets differ in size: {len(a)} vs {len(b)}")
     a, b = a.sorted_by_area(), b.sorted_by_area()
     pairing, dists = match_anchor_sets(a, b)
     sa, sb = a.wh().tolist(), b.wh().tolist()

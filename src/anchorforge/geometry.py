@@ -109,11 +109,3 @@ def shape_dist_matrix(log1: np.ndarray, log2: np.ndarray, metric: Metric) -> np.
     if metric == "one_minus_iou":
         return 1.0 - iou_aligned_matrix(np.exp(log1), np.exp(log2))
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def log_shapes_array(gts: np.ndarray) -> np.ndarray:
-    """Check that gts is an (n, 2) array of log shapes; returns it as floats."""
-    arr = np.asarray(gts, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) array, got shape {arr.shape}")
-    return arr

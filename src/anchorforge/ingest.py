@@ -207,7 +207,7 @@ def _clamped(
     ok = (
         np.isfinite(sizes).all(axis=1) & np.isfinite(corners).all(axis=1)
         & (sizes > 0.0).all(axis=1)
-        & (clamped[:, 2] - clamped[:, 0] > 0.0) & (clamped[:, 3] - clamped[:, 1] > 0.0)
+        & (clamped[:, 2] > clamped[:, 0]) & (clamped[:, 3] > clamped[:, 1])
     )
     if not ok.all():
         i = int(np.argmin(ok))

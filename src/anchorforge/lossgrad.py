@@ -31,7 +31,8 @@ A training step runs four stages: :func:`batch_moments` (Grams),
 :func:`head_outputs` (each anchor's coefficient map and a cache),
 :func:`_loss_from_arrays` (loss, anchor gradient and coefficient
 gradient) and :func:`grad_head` (head gradients from the coefficient
-gradient and the cache).
+gradient and the cache). Like :func:`make_features`, they check nothing:
+each docstring states what its caller guarantees.
 
 All functions are pure: they never mutate their inputs, and every
 reduction runs over arrays of fixed shape in a fixed order, so results
@@ -40,12 +41,9 @@ for the same inputs are bitwise reproducible.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
-
-from .geometry import log_shapes_array
 
 BN_EPS = 1e-5
 
@@ -63,20 +61,16 @@ def initial_head(
     return u, np.zeros((num_anchors, 2)), np.ones((num_anchors, 2))
 
 
-def make_features(
-    gts: np.ndarray,
-    sigma: float,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Per-ground-truth features: the log shape plus Gaussian noise of scale sigma."""
-    g = log_shapes_array(gts)
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be a nonnegative number, got {sigma}")
+def make_features(gts: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-ground-truth features: the log shape plus Gaussian noise of scale sigma.
+
+    gts is an (n, 2) log-shape array and sigma a finite nonnegative
+    number, as a checked ``TrainConfig`` gives it. With sigma 0 the result
+    is a copy of gts and rng draws nothing.
+    """
     if sigma == 0.0:
-        return g.copy()
-    if rng is None:
-        raise ValueError("a random generator is required when sigma > 0")
-    return g + sigma * rng.standard_normal(g.shape)
+        return gts.copy()
+    return gts + sigma * rng.standard_normal(gts.shape)
 
 
 def batch_moments(

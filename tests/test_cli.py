@@ -115,6 +115,18 @@ class TestIngest:
         assert "line 2: image size inf" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_negative_infinite_image_size_warns_nothing(self, tmp_path, capsys):
+        """Clamping to a -inf image size used to subtract -inf from -inf and
+        print numpy's invalid-value warning ahead of the error."""
+        p = tmp_path / "boxes.csv"
+        p.write_text("image_id,image_w,image_h,x_min,y_min,x_max,y_max\nimg1,-inf,480,10,20,110,70\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["ingest", "--format", "csv", "--input", str(p), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert "line 2: image size -infx480.0" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
     def test_box_spanning_its_image_ingests(self, tmp_path):
         """(85 - 0) * (416 / 85) rounds to 416.00000000000006, just past the canvas."""
         p = tmp_path / "ann.json"
@@ -758,6 +770,13 @@ class TestEvalAndCompare:
         assert "anchor sets differ in size: 5 vs 9" in captured.err
         assert captured.out == ""
 
+    def test_compare_size_mismatch_names_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        anchorforge.write_anchors_json(a, anchorforge.init_uniform(), canvas=416)
+        anchorforge.write_anchors_json(b, anchorforge.init_identical(32, num_anchors=3), canvas=416)
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == f"error: {a} and {b}: anchor sets differ in size: 5 vs 3\n"
+
 
 class TestOptionChecks:
     """Each option's range check comes from the option table. It holds a
@@ -931,6 +950,21 @@ class TestRunDir:
         cfg.read(out / "effective.cfg")
         assert cfg["cluster"]["seed"] == "2"
         assert not (tmp_path / "run-2").exists()
+
+    def test_failed_optimize_leaves_no_earlier_results(self, tmp_path, capsys):
+        """An optimize run that fails in a reused run directory removes the
+        anchors and summary an earlier run left there."""
+        dataset, out = tmp_path / "m2.canonical", tmp_path / "run"
+        anchorforge.write_canonical(synth.mixture2(1), dataset)
+        assert main(["optimize", "--dataset", str(dataset), "--scale", "0.01", "--out-dir", str(out)]) == 0
+        assert main(["optimize", "--dataset", str(dataset), "--iters", "40", "--no-head", "--lr-schedule", "0:1e4",
+                     "--warmup-iters", "0", "--out-dir", str(out)]) == 3
+        assert "at iteration 0;" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["effective.cfg", "trajectory.csv"]
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "effective.cfg")
+        assert cfg["optimize"]["iters"] == "40"
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["csv", "coco", "canonical", "anchors", "config"])
@@ -1289,6 +1323,39 @@ def _canonical_cases(draw, text):
     return "".join(line + ending for line in lines).encode(), draw(st.sampled_from(["eval", "cluster", "optimize"]))
 
 
+_CSV_TOKENS = _FIELD_TOKENS | st.sampled_from([",", '"', '""', "'", "\x00", "1,2"])
+
+
+@st.composite
+def _csv_cases(draw, text):
+    """A valid corner-format CSV's text with one mutation: of a field, the
+    field count, the quoting, one byte or the line endings."""
+    lines = text.split("\n")[:-1]
+    line = draw(st.integers(0, len(lines) - 1))
+    fields = lines[line].split(",")
+    i = draw(st.integers(0, len(fields) - 1))
+    kind = draw(st.sampled_from(["set", "insert", "quote", "drop", "add", "drop-line", "byte", "crlf"]))
+    if kind == "set":
+        fields[i] = draw(_CSV_TOKENS)
+    elif kind == "insert":
+        at = draw(st.integers(0, len(fields[i])))
+        fields[i] = fields[i][:at] + draw(_CSV_TOKENS) + fields[i][at:]
+    elif kind == "quote":
+        fields[i] = '"' + fields[i] + '"'
+    elif kind == "drop":
+        del fields[i]
+    elif kind == "add":
+        fields.insert(i, draw(_CSV_TOKENS))
+    lines[line] = ",".join(fields)
+    if kind == "drop-line":
+        del lines[line]
+    data = "".join(line + ("\r\n" if kind == "crlf" else "\n") for line in lines).encode()
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data
+
+
 def _run_quietly(argv, run_dir):
     """main(argv) with its output and warnings caught: it must exit 0 or 2
     with no traceback or warning, and an exit 2 leaves no run directory."""
@@ -1340,3 +1407,13 @@ class TestReaderFuzz:
             "optimize": ["--num-anchors", 2, "--iters", 3, "--batch-size", 8, "--warmup-iters", 1],
         }[reader]
         _run_quietly([reader, "--dataset", dataset, *argv, "--out-dir", run], run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_csv_file(self, fuzz_inputs, data):
+        root, sections = fuzz_inputs
+        content = data.draw(_csv_cases(sections["ingest"]["input"].read_text(encoding="utf-8")))
+        work = Path(tempfile.mkdtemp(dir=root))
+        boxes, run = work / "boxes.csv", work / "run"
+        boxes.write_bytes(content)
+        _run_quietly(["ingest", "--format", "csv", "--input", boxes, "--out-dir", run], run)
