@@ -137,6 +137,14 @@ class TestHardThreshold:
         w = hard_assign_threshold(np.array([[5.0, 5.0]]), np.zeros((1, 2)), 0.9)
         np.testing.assert_array_equal(w, [[1.0]])
 
+    def test_tau_near_bounds(self):
+        """Near 0 every anchor clears tau; near 1 only the best one does,
+        which is the yolo rule under the IoU metric."""
+        rng = np.random.default_rng(27)
+        g, s = random_log_shapes(rng, 40), random_log_shapes(rng, 5)
+        np.testing.assert_array_equal(hard_assign_threshold(g, s, 1e-9), np.ones((40, 5)))
+        np.testing.assert_array_equal(hard_assign_threshold(g, s, 1.0 - 1e-9), hard_assign_yolo(g, s, "one_minus_iou"))
+
 
 class TestSoftAssign:
     def test_rows_sum_to_one(self):
@@ -209,6 +217,18 @@ class TestWarmupSchedules:
         assert math.isclose(cluster_weight_at(750, 1500), 0.5)
         assert cluster_weight_at(1500, 1500) == 0.0
         assert cluster_weight_at(99_999, 1500) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+    def test_temperature_between_floor_and_start(self, case):
+        """Inside the warm-up the temperature is positive, as soft_assign needs."""
+        t, warmup_iters = case
+        assert TEMP_FLOOR <= temperature_at(t, warmup_iters) <= TEMP_START
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**7), st.integers(0, 10**6))
+    def test_cluster_weight_between_zero_and_start(self, t, warmup_iters):
+        assert 0.0 <= cluster_weight_at(t, warmup_iters) <= LAMBDA_START
 
 
 class TestUtilization:

@@ -313,6 +313,20 @@ class TestHeadForward:
         feats[0, 0] = 99.0
         assert g[0, 0] == 1.0
 
+    def test_make_features_sigma_zero_draws_nothing(self):
+        """Sigma 0 leaves the generator where it was; noise draws one normal per coordinate."""
+        rng = np.random.default_rng(5)
+        g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        state = rng.bit_generator.state
+        make_features(g, 0.0, rng)
+        assert rng.bit_generator.state == state
+        feats = make_features(g, 0.5, rng)
+        np.testing.assert_array_equal(feats, g + 0.5 * np.random.default_rng(5).standard_normal((3, 2)))
+
+    def test_make_features_needs_rng(self):
+        with pytest.raises(TypeError):
+            make_features(np.zeros((2, 2)), 0.0)
+
     def test_make_features_noise_scale(self):
         rng = np.random.default_rng(37)
         g = np.zeros((20_000, 2))
