@@ -7,14 +7,14 @@ The seed of cluster and optimize falls back to the ANCHORFORGE_SEED
 environment variable when neither flag nor config sets it.
 
 Every option is declared once, in the ``_SPECS`` table: its config
-parser, default, choices, flag help and flag kind, and range check.
+parser, default, choices, flag help and range check.
 optimize's training settings read their defaults from ``TrainConfig()``
 and ranges from ``trainer._RANGES``, so the recipe is declared once.
 ``build_parser`` makes each subcommand's flags from the table, and
 ``_merge_options`` holds the resolved value to the same choices and
 check whether it came from a flag, the config file or the default, so a
-bad value stops the command before its run directory exists. The merged
-configuration is echoed into the run directory as ``effective.cfg``,
+bad value stops the command before its run directory exists. Each run
+directory is made holding the merged configuration as ``effective.cfg``,
 which reproduces the run when passed back as --config.
 
 Exit codes: 0 success, 2 bad input (unreadable or malformed files,
@@ -89,9 +89,9 @@ def _parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
     return tuple(segments)
 
 
-def _parse_cluster_weight(text: str) -> "str | float":
+def _parse_cluster_weight(text: str) -> Optional[float]:
     value = text.strip().lower()
-    return value if value == "anneal" else float(value)
+    return None if value == "anneal" else float(value)
 
 
 def _parse_taus(text: str) -> tuple[float, ...]:
@@ -101,22 +101,23 @@ def _parse_taus(text: str) -> tuple[float, ...]:
     return taus
 
 
+_REQUIRED = object()  # the default of an option that has none
+
+
 class _Opt(NamedTuple):
     """One option of a subcommand, for its flag and its config key alike.
 
-    parse reads the text of a value flag and of the config key (argparse
-    first matches a flag with choices against them as typed); default None
-    marks a required option. kind is "value" (the flag takes a value),
-    "switch" (a bare flag that sets True) or "toggle" (--name and
-    --no-name). check is a (requirement, test) pair the resolved value
-    must pass.
+    parse reads the text of the config key and of the flag (argparse first
+    matches a flag with choices against them as typed); an option parsed
+    by _parse_bool is a --name/--no-name flag pair instead. An option
+    without a default is required. check is a (requirement, test) pair the
+    resolved value must pass.
     """
 
     parse: Callable[[str], object]
-    default: object
+    default: object = _REQUIRED
     choices: tuple[str, ...] = ()
     help: Optional[str] = None
-    kind: str = "value"
     check: Optional[tuple[str, Callable[[object], bool]]] = None
 
 
@@ -132,16 +133,16 @@ _RECIPE = TrainConfig()
 
 _SPECS: dict[str, dict[str, _Opt]] = {
     "ingest": {
-        "format": _Opt(str.lower, None, _FORMATS),
-        "input": _Opt(str, None, help="annotation file (coco, csv) or directory (voc)"),
+        "format": _Opt(str.lower, choices=_FORMATS),
+        "input": _Opt(str, help="annotation file (coco, csv) or directory (voc)"),
         "canvas": _Opt(int, 416, help="square canvas size in pixels (default 416)", check=_AT_LEAST_1),
         "min_size": _Opt(float, 1e-3, help="drop boxes smaller than this after scaling", check=_NONNEGATIVE),
-        "include_crowd": _Opt(_parse_bool, False, kind="switch"),
-        "exclude_difficult": _Opt(_parse_bool, False, kind="switch"),
+        "include_crowd": _Opt(_parse_bool, False),
+        "exclude_difficult": _Opt(_parse_bool, False),
     },
     "cluster": {
         "seed": _SEED,
-        "dataset": _Opt(str, None),
+        "dataset": _Opt(str),
         "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
         "stride": _Opt(int, 32, check=_AT_LEAST_1),
         "max_iter": _Opt(int, 300, check=_AT_LEAST_0),
@@ -149,7 +150,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
     },
     "optimize": {
         "seed": _SEED,
-        "dataset": _Opt(str, None),
+        "dataset": _Opt(str),
         "init": _Opt(str, "kmeans", _INITS),
         "init_file": _Opt(str, "", help="anchors.json to start from; requires --init file"),
         "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
@@ -165,22 +166,19 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "metric": _Opt(str, _RECIPE.metric, METRICS),
         "rule": _Opt(str, _RECIPE.rule, RULES),
         "tau": _Opt(float, _RECIPE.tau, help="IoU threshold for the threshold rule", check=_RANGES["tau"]),
-        "cluster_weight": _Opt(_parse_cluster_weight,
-                               "anneal" if _RECIPE.cluster_weight is None else _RECIPE.cluster_weight,
-                               help="'anneal' or a fixed coefficient in [0, 1]",
-                               check=("must be 'anneal' or a number in [0, 1]",
-                                      lambda v: v == "anneal" or 0.0 <= v <= 1.0)),
-        "head": _Opt(_parse_bool, _RECIPE.head, kind="toggle"),
+        "cluster_weight": _Opt(_parse_cluster_weight, _RECIPE.cluster_weight,
+                               help="'anneal' or a fixed coefficient in [0, 1]", check=_RANGES["cluster_weight"]),
+        "head": _Opt(_parse_bool, _RECIPE.head),
         "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_RANGES["sigma"]),
         "init_scale": _Opt(float, _RECIPE.init_scale, check=_RANGES["init_scale"]),
-        "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)", kind="toggle"),
+        "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)"),
         "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_mult, check=_RANGES["anchor_lr_mult"]),
         "log_every": _Opt(int, _RECIPE.log_every, check=_RANGES["log_every"]),
         "units": _Opt(str, "pixels", _UNITS),
     },
     "eval": {
-        "dataset": _Opt(str, None),
-        "anchors": _Opt(str, None),
+        "dataset": _Opt(str),
+        "anchors": _Opt(str),
         "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds",
                      check=("list: each tau must lie in (0, 1)", lambda v: all(0.0 < t < 1.0 for t in v))),
         "rule": _Opt(str, "yolo", RULES),
@@ -215,8 +213,8 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     file_section = _load_config_section(args.config, command) if args.config else {}
     for key, spec in specs.items():
         cli_value = getattr(args, key)
-        if cli_value is not None and spec.kind != "value":
-            effective[key] = cli_value
+        if cli_value is not None and spec.parse is _parse_bool:
+            effective[key] = cli_value  # --name or --no-name
         elif cli_value is not None or key in file_section:
             from_flag = cli_value is not None
             try:
@@ -229,14 +227,17 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
                                  f"(expected {', '.join(spec.choices)})")
         else:
             effective[key] = spec.default
-    missing = [k for k, v in effective.items() if v is None and specs[k].default is None and k != "seed"]
+    missing = [k for k, v in effective.items() if v is _REQUIRED]
     if missing:
         raise ParseError(f"{command}: missing required option(s): {', '.join(missing)}")
-    if "seed" in specs and effective.get("seed") is None:
+    if "seed" in specs and effective["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
         try:
             effective["seed"] = int(env) if env else 0
-        except ValueError:
+        except ValueError as e:
+            # an integer of more digits than int() reads gets int()'s own message, as a flag's does
+            if str(e).startswith("Exceeds the limit"):
+                raise ParseError(f"{SEED_ENV_VAR}: {e}") from None
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     for key, spec in specs.items():
         if spec.check and not spec.check[1](effective[key]):
@@ -246,26 +247,23 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     return effective
 
 
-def _make_run_dir(args: argparse.Namespace, command: str) -> Path:
-    """The --out-dir directory, made if missing; by default a new
-    runs/<command>-<timestamp> directory, suffixed -2, -3, ... when a run
-    started in the same second already holds the name."""
-    out = getattr(args, "out_dir", None)
-    if out:
-        out_dir = Path(out)
+def _start_run_dir(args: argparse.Namespace, command: str, effective: dict) -> Path:
+    """Make the run directory and write the merged options into it as
+    effective.cfg. It is the --out-dir directory, made if missing; by
+    default a new runs/<command>-<timestamp> directory, suffixed -2, -3,
+    ... when a run started in the same second already holds the name."""
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return out_dir
-    base = f"runs/{command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    for n in itertools.count(1):
-        out_dir = Path(base if n == 1 else f"{base}-{n}")
-        try:
-            out_dir.mkdir(parents=True)  # refuses a name taken, even by a concurrent run
-        except FileExistsError:
-            continue
-        return out_dir
-
-
-def _echo_config(out_dir: Path, command: str, effective: dict) -> None:
+    else:
+        base = f"runs/{command}-{time.strftime('%Y%m%d-%H%M%S')}"
+        for n in itertools.count(1):
+            out_dir = Path(base if n == 1 else f"{base}-{n}")
+            try:
+                out_dir.mkdir(parents=True)  # refuses a name taken, even by a concurrent run
+            except FileExistsError:
+                continue
+            break
     lines = [f"[{command}]"]
     for key in sorted(effective):
         value = effective[key]
@@ -274,8 +272,11 @@ def _echo_config(out_dir: Path, command: str, effective: dict) -> None:
             value = ",".join(f"{s}:{lr!r}" for s, lr in value)
         elif key == "taus":
             value = ",".join(map(repr, value))
+        elif key == "cluster_weight" and value is None:
+            value = "anneal"
         lines.append(f"{key} = {value}")
     (out_dir / "effective.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out_dir
 
 
 def _quantile_block(name: str, values: np.ndarray) -> str:
@@ -288,16 +289,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     opt = _merge_options("ingest", args)
     fmt = opt["format"]
     if fmt == "coco":
-        boxes = parse_coco(opt["input"], skip_crowd=not opt["include_crowd"])
+        boxes = parse_coco(opt["input"], include_crowd=opt["include_crowd"])
     elif fmt == "voc":
-        boxes = parse_voc(opt["input"], include_difficult=not opt["exclude_difficult"])
+        boxes = parse_voc(opt["input"], exclude_difficult=opt["exclude_difficult"])
     else:
         boxes = parse_csv(opt["input"])
     ds = normalize_to_canvas(boxes, opt["canvas"], min_size=opt["min_size"])
-    out_dir = _make_run_dir(args, "ingest")
-    out_path = out_dir / "dataset.canonical"
+    out_path = _start_run_dir(args, "ingest", opt) / "dataset.canonical"
     write_canonical(ds, out_path)
-    _echo_config(out_dir, "ingest", opt)
 
     print(f"parsed {len(boxes)} boxes from {opt['input']} ({fmt})")
     for key, count in boxes.counts.items():
@@ -321,12 +320,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     num_anchors = opt["num_anchors"]
     if len(ds) < num_anchors:
         raise ParseError(f"dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
-    out_dir = _make_run_dir(args, "cluster")
+    out_dir = _start_run_dir(args, "cluster", opt)
     result = kmeans_iou(ds.shapes(), num_anchors, max_iter=opt["max_iter"], seed=opt["seed"])
     anchors = anchors_from_centroids(result.centroids, opt["stride"])
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
     (out_dir / "anchors.txt").write_text(anchors_line(anchors, opt["units"]) + "\n", encoding="utf-8")
-    _echo_config(out_dir, "cluster", opt)
     print(f"clustered {len(ds)} boxes into {num_anchors} anchors "
           f"in {result.iterations_run} iterations")
     print(f"mean best IoU: {result.mean_best_iou:.4f}")
@@ -404,12 +402,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if iters == 0 < opt["iters"]:
         raise ParseError(f"scale {scale:g} turns iters {opt['iters']} into 0 iterations; "
                          f"use a larger scale, or iters 0 to score the initial anchors")
-    cfg = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)} | {
+    # the counts are recorded scaled, so the recorded scale is 1
+    opt |= {
         "iters": iters,
         "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale),
         "warmup_iters": _scaled("warmup_iters", opt["warmup_iters"], scale),
-        "cluster_weight": None if opt["cluster_weight"] == "anneal" else opt["cluster_weight"],
-    })
+        "scale": 1,
+    }
+    cfg = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
@@ -417,13 +417,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise ParseError(f"dataset has {len(ds)} boxes but {opt['num_anchors']} anchors were requested")
 
     anchors0 = _initial_anchors(opt, ds)
-    out_dir = _make_run_dir(args, "optimize")
+    out_dir = _start_run_dir(args, "optimize", opt)
     # a reused run directory must not keep an earlier run's results should this run fail
     for name in ("anchors.json", "anchors.txt", "summary.json"):
         (out_dir / name).unlink(missing_ok=True)
-    # the counts are recorded scaled, so the recorded scale is 1
-    _echo_config(out_dir, "optimize", {**opt, "iters": iters, "lr_schedule": cfg.lr_schedule,
-                                       "warmup_iters": cfg.warmup_iters, "scale": 1})
 
     before = _coverage_summary(anchors0, ds)
     result = run_training(ds, anchors0, cfg, trajectory_path=out_dir / "trajectory.csv")
@@ -460,11 +457,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         taus=opt["taus"],
         threshold_tau=opt["tau"],
     )
-    out_dir = _make_run_dir(args, "eval")
+    out_dir = _start_run_dir(args, "eval", opt)
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
-    _echo_config(out_dir, "eval", opt)
     print(text, end="")
     print(f"wrote {out_dir / 'report.json'}")
     return 0
@@ -486,13 +482,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# argparse settings of the flag kinds that take no value
-_FLAG_ACTIONS = {
-    "switch": {"action": "store_const", "const": True},
-    "toggle": {"action": argparse.BooleanOptionalAction},
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorforge",
@@ -512,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
             # a value flag reaches _merge_options as text, for spec.parse; argparse
             # matches a flag with choices as typed ("--format CSV" is refused)
             # while a config value is parsed first ("format = CSV" is not)
-            kind = _FLAG_ACTIONS.get(spec.kind) or {"choices": spec.choices or None}
-            p.add_argument("--" + key.replace("_", "-"), help=spec.help, **kind)
+            how = ({"action": argparse.BooleanOptionalAction} if spec.parse is _parse_bool
+                   else {"choices": spec.choices or None})
+            p.add_argument("--" + key.replace("_", "-"), help=spec.help, **how)
         p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="matched log-space distance between two anchors files")

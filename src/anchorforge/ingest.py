@@ -239,10 +239,10 @@ def _json_floats(values: list) -> np.ndarray:
 
 
 @_collector_paused()
-def parse_coco(path: "str | Path", skip_crowd: bool = True) -> ParsedBoxes:
+def parse_coco(path: "str | Path", include_crowd: bool = False) -> ParsedBoxes:
     """Read COCO instance annotations (bbox is [x, y, w, h], top-left origin).
 
-    Crowd regions are skipped by default; pass skip_crowd=False to keep them.
+    Crowd regions are skipped by default; pass include_crowd=True to keep them.
     """
     path = Path(path)
     doc = _read_json(path)
@@ -272,7 +272,7 @@ def parse_coco(path: "str | Path", skip_crowd: bool = True) -> ParsedBoxes:
         crowd = ann.get("iscrowd", 0)
         if type(crowd) is not int or crowd not in (0, 1):
             raise ParseError(f"{path}: annotation {ann.get('id')} needs an iscrowd of 0 or 1, got {crowd!r}")
-        if skip_crowd and crowd:
+        if crowd and not include_crowd:
             skipped_crowd += 1
             continue
         image_id, bbox = ann.get("image_id"), ann.get("bbox")
@@ -305,12 +305,12 @@ def parse_coco(path: "str | Path", skip_crowd: bool = True) -> ParsedBoxes:
 
 
 @_collector_paused()
-def parse_voc(directory: "str | Path", include_difficult: bool = True) -> ParsedBoxes:
+def parse_voc(directory: "str | Path", exclude_difficult: bool = False) -> ParsedBoxes:
     """Read every .xml file in a directory of VOC-style annotations.
 
     Files are processed in sorted filename order so the output order is
     stable regardless of filesystem enumeration. Boxes marked difficult
-    are kept by default and can be excluded.
+    are kept by default; pass exclude_difficult=True to drop them.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -335,7 +335,7 @@ def parse_voc(directory: "str | Path", include_difficult: bool = True) -> Parsed
         for obj in root.findall("object"):
             records += 1
             difficult = (obj.findtext("difficult") or "0").strip() == "1"
-            if difficult and not include_difficult:
+            if difficult and exclude_difficult:
                 skipped_difficult += 1
                 continue
             bb = obj.find("bndbox")

@@ -19,8 +19,10 @@ def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     rounding error, which grows as 1/eps: the second-order difference at
     1e-6 read 1.2e-5 where a two-box batch-norm group's exact bias
     gradient is 0. A step of 1e-4 is too coarse for criterion 1's bound.
+    An x of a float type wider than float64 keeps its type.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, float))
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import anchorforge
 import synth
-from anchorforge.cli import _SPECS, main
+from anchorforge.cli import _SPECS, _parse_bool, main
 from anchorforge.trainer import _RANGES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +165,39 @@ class TestIngest:
         err = capsys.readouterr().err
         assert rc == 2
         assert "missing required option" in err
+
+    @pytest.mark.parametrize("fmt, key, kept_if_set", [("coco", "include_crowd", 2), ("voc", "exclude_difficult", 1)])
+    @pytest.mark.parametrize("cfg_value, flag, expect_set", [
+        (None, [], False), ("true", [], True), ("true", ["--no-{}"], False), ("false", ["--{}"], True),
+    ], ids=["default", "config", "no-flag-over-config", "flag-over-config"])
+    def test_boolean_flag_pair_overrides_config(self, tmp_path, fmt, key, kept_if_set, cfg_value, flag, expect_set):
+        """Each boolean option is a --name/--no-name pair, so a flag sets it either way over the config file."""
+        if fmt == "coco":
+            src = tmp_path / "ann.json"
+            src.write_text(json.dumps({
+                "images": [{"id": 1, "width": 100, "height": 100}],
+                "annotations": [{"id": 1, "image_id": 1, "bbox": [10, 10, 20, 20]},
+                                {"id": 2, "image_id": 1, "bbox": [30, 30, 20, 20], "iscrowd": 1}],
+            }))
+        else:
+            src = tmp_path / "voc"
+            src.mkdir()
+            (src / "a.xml").write_text(
+                "<annotation><size><width>100</width><height>100</height></size>"
+                + "".join(f"<object><difficult>{d}</difficult><bndbox><xmin>10</xmin><ymin>10</ymin>"
+                          f"<xmax>{30 + d}</xmax><ymax>30</ymax></bndbox></object>" for d in (0, 1))
+                + "</annotation>")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[ingest]\nformat = {fmt}\ninput = {src}\n"
+                            + (f"{key} = {cfg_value}\n" if cfg_value else ""))
+        out = tmp_path / "run"
+        flags = [f.format(key.replace("_", "-")) for f in flag]
+        assert main(["ingest", "--config", str(cfg_file), *flags, "--out-dir", str(out)]) == 0
+        kept = len((out / "dataset.canonical").read_text().splitlines()) - 1
+        assert kept == (kept_if_set if expect_set else 3 - kept_if_set)
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "effective.cfg")
+        assert cfg["ingest"][key] == str(expect_set)
 
 
 class TestCluster:
@@ -325,6 +358,31 @@ class TestOptimize:
         assert rc == 2
         assert f"error: {dataset}: dataset is empty" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_dataset_file_rejected_before_run_dir(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.canonical"
+        dataset.write_text("")
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: {dataset}: empty file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_file_without_a_file_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--out-dir", str(out)])
+        assert rc == 2
+        assert "error: init=file requires init_file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trailing_comma_in_lr_schedule_runs(self, tmp_path, dataset_file):
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--num-anchors", "2", "--iters", "10",
+                   "--lr-schedule", "0:1e-3,", "--no-head", "--out-dir", str(out)])
+        assert rc == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "effective.cfg")
+        assert cfg["optimize"]["lr_schedule"] == "0:0.001"
 
     @pytest.mark.parametrize("init", ["identical", "kmeans"])
     def test_more_anchors_than_boxes_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, init):
@@ -796,6 +854,8 @@ class TestOptionChecks:
         ("optimize", "lr_schedule", "0:1e-4,10:inf", "learning rates must be positive numbers"),
         ("optimize", "lr_schedule", "-5:0.1,10:0.01", "lr_schedule breakpoints must be >= 0, got ((-5, 0.1), (10, 0.01))"),
         ("eval", "taus", "0.5,1.5", "taus list: each tau must lie in (0, 1), got (0.5, 1.5)"),
+        ("optimize", "cluster_weight", "2", "cluster_weight must lie in [0, 1], got 2.0"),
+        ("optimize", "lr_schedule", ",", "empty learning-rate schedule"),
     ])
     def test_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, command, key, value, match, via):
         out = self.run_with(tmp_path, dataset_file, command, key, value, via)
@@ -853,12 +913,10 @@ class TestOptionChecks:
         assert not out.exists()
 
     def test_training_ranges_come_from_train_config(self):
-        """An option that a TrainConfig field mirrors is held to the field's own
-        range pair; cluster_weight keeps a pair of its own, as it also reads 'anneal'."""
-        shared = [(command, key) for command, specs in _SPECS.items() for key in specs
-                  if key in _RANGES and (command, key) != ("optimize", "cluster_weight")]
+        """An option that a TrainConfig field mirrors is held to the field's own range pair."""
+        shared = [(command, key) for command, specs in _SPECS.items() for key in specs if key in _RANGES]
         assert ("cluster", "seed") in shared and ("eval", "tau") in shared
-        assert {key for command, key in shared if command == "optimize"} == set(_RANGES) - {"cluster_weight"}
+        assert {key for command, key in shared if command == "optimize"} == set(_RANGES)
         for command, key in shared:
             assert _SPECS[command][key].check is _RANGES[key], (command, key)
 
@@ -1050,6 +1108,30 @@ class TestConfigFile:
         assert "unknown metric 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, match", [
+        ("[cluster]\nnum_anchors = 2\nnum_anchors = 3\n", "option 'num_anchors' in section 'cluster' already exists"),
+        ("num_anchors = 2\n", "File contains no section headers"),
+    ])
+    def test_malformed_config_names_the_file(self, tmp_path, dataset_file, capsys, text, match):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "c"
+        rc = main(["cluster", "--config", str(cfg_file), "--dataset", str(dataset_file), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}: ") and match in err, err
+        assert not out.exists()
+
+    def test_config_without_the_commands_section_runs_on_defaults(self, tmp_path, dataset_file):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[optimize]\nnum_anchors = 2\n")
+        out = tmp_path / "c"
+        rc = main(["cluster", "--config", str(cfg_file), "--dataset", str(dataset_file), "--out-dir", str(out)])
+        assert rc == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "effective.cfg")
+        assert cfg["cluster"]["num_anchors"] == "5" and cfg["cluster"]["max_iter"] == "300"
+
     def test_seed_env_fallback(self, tmp_path, dataset_file, monkeypatch):
         monkeypatch.setenv("ANCHORFORGE_SEED", "77")
         out = tmp_path / "c"
@@ -1066,6 +1148,17 @@ class TestConfigFile:
         rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
         assert rc == 2
         assert "ANCHORFORGE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_env_beyond_digit_limit_exits_2(self, tmp_path, dataset_file, monkeypatch, capsys):
+        """An integer of more digits than int() reads used to be called no integer, in a 5000-character message."""
+        monkeypatch.setenv("ANCHORFORGE_SEED", "9" * 5000)
+        out = tmp_path / "c"
+        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ANCHORFORGE_SEED: Exceeds the limit (4300 digits) for integer string conversion")
+        assert "999" not in err
         assert not out.exists()
 
     def test_seed_flag_beats_env(self, tmp_path, dataset_file, monkeypatch):
@@ -1190,7 +1283,7 @@ def _value_texts(key, spec):
     Budgets stay small (ints below 7, no float above 2, no rate above
     1e-3) so a value that passes runs in milliseconds and cannot diverge;
     a divergent run's exit 3 has tests of its own."""
-    if spec.kind != "value":
+    if spec.parse is _parse_bool:
         return st.one_of(st.sampled_from(["true", "False", "1", "off"]), _TEXT)
     if spec.choices:
         return st.one_of(st.sampled_from(spec.choices), st.sampled_from([c.upper() for c in spec.choices]), _TEXT)
@@ -1217,7 +1310,7 @@ def _option_cases(draw):
 
 def _refused(spec, via, text):
     """Whether the option table itself must refuse this value."""
-    if spec.kind != "value":
+    if spec.parse is _parse_bool:
         if via == "flag":
             return text != ""  # only the bare flag takes no value
         return text.strip().lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off")
@@ -1256,7 +1349,7 @@ class TestOptionFuzz:
         argv = []
         if via == "flag":
             flag = "--" + key.replace("_", "-")
-            argv = [flag if text == "" and _SPECS[command][key].kind != "value" else f"{flag}={text}"]
+            argv = [flag if text == "" and _SPECS[command][key].parse is _parse_bool else f"{flag}={text}"]
         else:
             section[key] = text
         (work / "run.cfg").write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in section.items()))

@@ -92,7 +92,7 @@ class TestParseCoco:
     def test_keep_crowd(self, tmp_path):
         p = tmp_path / "ann.json"
         p.write_text(json.dumps(coco_doc()))
-        boxes = parse_coco(p, skip_crowd=False)
+        boxes = parse_coco(p, include_crowd=True)
         assert len(boxes) == 3
 
     def test_malformed_json_reports_byte(self, tmp_path):
@@ -224,14 +224,14 @@ class TestParseVoc:
         assert list(boxes.image_ids) == ["a", "a", "b"]
         assert boxes.counts == {"records": 3, "skipped_difficult": 0}
         # the difficult flag was read on a's second box: excluding it keeps the first
-        kept = parse_voc(tmp_path, include_difficult=False)
+        kept = parse_voc(tmp_path, exclude_difficult=True)
         assert list(kept.image_ids) == ["a", "b"]
         assert tuple(kept.corners[0]) == (0.0, 0.0, 64.0, 48.0)
 
     def test_exclude_difficult(self, tmp_path):
         write_voc_file(tmp_path, "a", 640, 480,
                        [("dog", False, 0, 0, 64, 48), ("cat", True, 100, 100, 200, 150)])
-        boxes = parse_voc(tmp_path, include_difficult=False)
+        boxes = parse_voc(tmp_path, exclude_difficult=True)
         assert len(boxes) == 1
         assert boxes.counts == {"records": 2, "skipped_difficult": 1}
 

@@ -101,6 +101,13 @@ def kernel_loss(w, member, s, g, lam, head=None, features=None, bn=True):
     return _loss_from_arrays(coef, gram, s, mean, lam)[0]
 
 
+# Where numpy has a float wider than float64, the differences are taken of the
+# longhand objective in it: float64 rounding in the moment-form kernel read
+# 1.8e-5 on the flat bias direction of a two-box BN group, whose exact
+# gradient is 0, against 1e-13 from the wide longhand.
+WIDE = np.longdouble if np.finfo(np.longdouble).eps < np.finfo(float).eps else None
+
+
 def head_fd_check(w, member, s, g, lam, head, features, bn):
     """Worst relative error of the head gradients against finite differences."""
     u, c, gamma = head
@@ -108,15 +115,23 @@ def head_fd_check(w, member, s, g, lam, head, features, bn):
     coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=bn)
     _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
     gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
+    if WIDE is None:
+        def loss(head):
+            return kernel_loss(w, member, s, g, lam, head, features, bn)
+    else:
+        s, g, features, u, c, gamma = (np.asarray(x, dtype=WIDE) for x in (s, g, features, u, c, gamma))
+
+        def loss(head):
+            return head_loss_longhand(w, member, s, g, lam, head, features, bn, eps=BN_EPS)[0]
 
     def f_u(x):
-        return kernel_loss(w, member, s, g, lam, (x, c, gamma), features, bn)
+        return loss((x, c, gamma))
 
     def f_c(x):
-        return kernel_loss(w, member, s, g, lam, (u, x, gamma), features, bn)
+        return loss((u, x, gamma))
 
     def f_gamma(x):
-        return kernel_loss(w, member, s, g, lam, (u, c, x), features, bn)
+        return loss((u, c, x))
 
     return max(
         rel_err(gu, fd_grad(f_u, u)),
@@ -586,6 +601,8 @@ class TestGradientsAtRandomPoints:
     @example(625945107, 15, 4, "yolo", "bn per anchor", 0.0, "one_minus_iou")
     @example(2825252959, 24, 4, "yolo", "bn per anchor", 0.92633254300947, "one_minus_iou")
     @example(3654366265, 15, 4, "threshold", "bn per anchor", 0.15510643481692188, "one_minus_iou")
+    # a two-box group whose float64 kernel read a c-gradient error of 1.8e-5
+    @example(30000, 8, 5, "yolo", "bn per anchor", 0.0, "one_minus_iou")
     def test_match_finite_differences(self, seed, n, a, rule, mode, lam, metric):
         """Criterion 1's bound at drawn points: the anchor gradient of
         _loss_from_arrays and the head gradients of grad_head against
