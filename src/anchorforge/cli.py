@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import fields
@@ -236,7 +237,7 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
             effective["seed"] = int(env) if env else 0
         except ValueError as e:
             # an integer of more digits than int() reads gets int()'s own message, as a flag's does
-            if str(e).startswith("Exceeds the limit"):
+            if re.fullmatch(r"\s*[+-]?\d+\s*", env):
                 raise ParseError(f"{SEED_ENV_VAR}: {e}") from None
             raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     for key, spec in specs.items():
@@ -247,11 +248,14 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     return effective
 
 
-def _start_run_dir(args: argparse.Namespace, command: str, effective: dict) -> Path:
+def _start_run_dir(args: argparse.Namespace, command: str, effective: dict, results: tuple[str, ...]) -> Path:
     """Make the run directory and write the merged options into it as
     effective.cfg. It is the --out-dir directory, made if missing; by
     default a new runs/<command>-<timestamp> directory, suffixed -2, -3,
-    ... when a run started in the same second already holds the name."""
+    ... when a run started in the same second already holds the name.
+    The command's result files that an earlier run left in a reused
+    directory are removed, so a run that fails leaves none of them beside
+    its own effective.cfg."""
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,6 +268,8 @@ def _start_run_dir(args: argparse.Namespace, command: str, effective: dict) -> P
             except FileExistsError:
                 continue
             break
+    for name in results:
+        (out_dir / name).unlink(missing_ok=True)
     lines = [f"[{command}]"]
     for key in sorted(effective):
         value = effective[key]
@@ -295,7 +301,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     else:
         boxes = parse_csv(opt["input"])
     ds = normalize_to_canvas(boxes, opt["canvas"], min_size=opt["min_size"])
-    out_path = _start_run_dir(args, "ingest", opt) / "dataset.canonical"
+    out_path = _start_run_dir(args, "ingest", opt, ("dataset.canonical",)) / "dataset.canonical"
     write_canonical(ds, out_path)
 
     print(f"parsed {len(boxes)} boxes from {opt['input']} ({fmt})")
@@ -320,7 +326,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     num_anchors = opt["num_anchors"]
     if len(ds) < num_anchors:
         raise ParseError(f"dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
-    out_dir = _start_run_dir(args, "cluster", opt)
+    out_dir = _start_run_dir(args, "cluster", opt, ("anchors.json", "anchors.txt"))
     result = kmeans_iou(ds.shapes(), num_anchors, max_iter=opt["max_iter"], seed=opt["seed"])
     anchors = anchors_from_centroids(result.centroids, opt["stride"])
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
@@ -417,10 +423,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise ParseError(f"dataset has {len(ds)} boxes but {opt['num_anchors']} anchors were requested")
 
     anchors0 = _initial_anchors(opt, ds)
-    out_dir = _start_run_dir(args, "optimize", opt)
-    # a reused run directory must not keep an earlier run's results should this run fail
-    for name in ("anchors.json", "anchors.txt", "summary.json"):
-        (out_dir / name).unlink(missing_ok=True)
+    out_dir = _start_run_dir(args, "optimize", opt, ("anchors.json", "anchors.txt", "summary.json", "trajectory.csv"))
 
     before = _coverage_summary(anchors0, ds)
     result = run_training(ds, anchors0, cfg, trajectory_path=out_dir / "trajectory.csv")
@@ -457,7 +460,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         taus=opt["taus"],
         threshold_tau=opt["tau"],
     )
-    out_dir = _start_run_dir(args, "eval", opt)
+    out_dir = _start_run_dir(args, "eval", opt, ("report.txt", "report.json"))
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")

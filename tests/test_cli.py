@@ -1024,6 +1024,30 @@ class TestRunDir:
         assert cfg["optimize"]["iters"] == "40"
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("command, step", [
+        ("ingest", "write_canonical"), ("cluster", "kmeans_iou"), ("eval", "render_text"),
+    ])
+    def test_failed_run_leaves_no_earlier_results(self, tmp_path, dataset_file, monkeypatch, capsys, command, step):
+        """A run that fails in a reused run directory removes the results an
+        earlier run of the same command left there, as optimize's does."""
+        anchors = tmp_path / "anchors.json"
+        anchorforge.write_anchors_json(anchors, anchorforge.init_uniform(), canvas=416)
+        argv = {
+            "ingest": ["ingest", "--format", "csv", "--input", str(tmp_path / "boxes.csv")],
+            "cluster": ["cluster", "--dataset", str(dataset_file), "--num-anchors", "2"],
+            "eval": ["eval", "--dataset", str(dataset_file), "--anchors", str(anchors)],
+        }[command] + ["--out-dir", str(tmp_path / "run")]
+        assert main(argv) == 0
+        assert len(list((tmp_path / "run").iterdir())) > 1
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(f"anchorforge.cli.{step}", fail)
+        assert main(argv) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["effective.cfg"]
+
 
 @pytest.mark.parametrize("kind", ["csv", "coco", "canonical", "anchors", "config"])
 def test_non_utf8_file_named(tmp_path, dataset_file, capsys, kind):
@@ -1150,9 +1174,19 @@ class TestConfigFile:
         assert "ANCHORFORGE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_env_beyond_digit_limit_exits_2(self, tmp_path, dataset_file, monkeypatch, capsys):
+    @pytest.mark.parametrize("text", ["abc", "+-5", "1.5", "5e3", "0x10"])
+    def test_seed_env_text_not_an_integer_keeps_its_message(self, tmp_path, dataset_file, monkeypatch, capsys, text):
+        monkeypatch.setenv("ANCHORFORGE_SEED", text)
+        out = tmp_path / "c"
+        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: ANCHORFORGE_SEED must be an integer, got {text!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["9" * 5000, " -" + "9" * 5000 + " "], ids=["5000 nines", "signed, spaced"])
+    def test_seed_env_beyond_digit_limit_exits_2(self, tmp_path, dataset_file, monkeypatch, capsys, text):
         """An integer of more digits than int() reads used to be called no integer, in a 5000-character message."""
-        monkeypatch.setenv("ANCHORFORGE_SEED", "9" * 5000)
+        monkeypatch.setenv("ANCHORFORGE_SEED", text)
         out = tmp_path / "c"
         rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
         assert rc == 2

@@ -101,13 +101,11 @@ def kernel_loss(w, member, s, g, lam, head=None, features=None, bn=True):
     return _loss_from_arrays(coef, gram, s, mean, lam)[0]
 
 
-# Where numpy has a float wider than float64, the differences are taken of the
-# longhand objective in it: float64 rounding in the moment-form kernel read
-# 1.8e-5 on the flat bias direction of a two-box BN group, whose exact
-# gradient is 0, against 1e-13 from the wide longhand.
-WIDE = np.longdouble if np.finfo(np.longdouble).eps < np.finfo(float).eps else None
-
-
+# The differences are taken of the longhand objective in np.longdouble, which
+# is float64 where numpy has nothing wider: float64 rounding in the
+# moment-form kernel read 1.8e-5 on the flat bias direction of a two-box BN
+# group, whose exact gradient is 0, against 1e-13 from the 80-bit longhand
+# and 1e-9 from the float64 longhand.
 def head_fd_check(w, member, s, g, lam, head, features, bn):
     """Worst relative error of the head gradients against finite differences."""
     u, c, gamma = head
@@ -115,14 +113,10 @@ def head_fd_check(w, member, s, g, lam, head, features, bn):
     coef, cache = head_outputs(u, c, gamma, member_gram, mean, bn=bn)
     _, _, dcoef = _loss_from_arrays(coef, gram, s, mean, lam)
     gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
-    if WIDE is None:
-        def loss(head):
-            return kernel_loss(w, member, s, g, lam, head, features, bn)
-    else:
-        s, g, features, u, c, gamma = (np.asarray(x, dtype=WIDE) for x in (s, g, features, u, c, gamma))
+    s, g, features, u, c, gamma = (np.asarray(x, dtype=np.longdouble) for x in (s, g, features, u, c, gamma))
 
-        def loss(head):
-            return head_loss_longhand(w, member, s, g, lam, head, features, bn, eps=BN_EPS)[0]
+    def loss(head):
+        return head_loss_longhand(w, member, s, g, lam, head, features, bn, eps=BN_EPS)[0]
 
     def f_u(x):
         return loss((x, c, gamma))
