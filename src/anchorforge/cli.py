@@ -123,7 +123,7 @@ class _Opt(NamedTuple):
 
 
 _FORMATS = ("coco", "voc", "csv")
-_INITS = ("uniform", "identical", "kmeans", "file")
+_INITS = ("uniform", "identical", "kmeans")
 _UNITS = ("pixels", "cells")
 
 _POSITIVE = ("must be a positive number", lambda v: 0.0 < v < math.inf)
@@ -152,8 +152,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
     "optimize": {
         "seed": _SEED,
         "dataset": _Opt(str),
-        "init": _Opt(str, "kmeans", _INITS),
-        "init_file": _Opt(str, "", help="anchors.json to start from; requires --init file"),
+        "init": _Opt(str, "kmeans", help=f"{', '.join(_INITS)}, or an anchors.json to start from"),
         "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
         "stride": _Opt(int, 32, check=_AT_LEAST_1),
         "iters": _Opt(int, _RECIPE.iters, check=_RANGES["iters"]),
@@ -197,6 +196,8 @@ def _load_config_section(path: str, command: str) -> dict[str, str]:
         cp.read_string(_read_utf8(path), source=path)
     except configparser.Error as e:
         raise ParseError(f"{path}: {e}") from e
+    if cp.defaults():  # configparser would merge them into every section
+        raise ParseError(f"{path}: [DEFAULT] sets {', '.join(cp.defaults())}; only the [{command}] section is read")
     if command not in cp:
         return {}
     section = dict(cp[command])
@@ -348,27 +349,20 @@ def _anchors_for_canvas(path: str, canvas: int, source: str) -> AnchorSet:
 
 
 def _initial_anchors(opt: dict, ds: CanonicalDataset) -> AnchorSet:
-    mode = opt["init"]
-    stride = opt["stride"]
-    num_anchors = opt["num_anchors"]
-    if mode == "uniform":
+    """The start named by init (a keyword, else an anchors file), held to stride and num_anchors."""
+    init, stride, num_anchors = opt["init"], opt["stride"], opt["num_anchors"]
+    if init == "uniform":
         anchors = init_uniform(stride)
-        if len(anchors) != num_anchors:
-            raise ParseError(
-                f"init=uniform provides {len(anchors)} anchors but num_anchors is {num_anchors}; "
-                f"use --init identical, kmeans or file for other counts"
-            )
-        return anchors
-    if mode == "identical":
-        return init_identical(stride, num_anchors)
-    if mode == "kmeans":
-        return init_kmeans(ds, num_anchors, seed=opt["seed"], stride=stride)
-    # mode == "file": the option's choices admit nothing else
-    anchors = _anchors_for_canvas(opt["init_file"], ds.canvas_size, f"dataset {opt['dataset']}")
+    elif init == "identical":
+        anchors = init_identical(stride, num_anchors)
+    elif init == "kmeans":
+        anchors = init_kmeans(ds, num_anchors, seed=opt["seed"], stride=stride)
+    else:
+        anchors = _anchors_for_canvas(init, ds.canvas_size, f"dataset {opt['dataset']}")
     if anchors.stride != stride:
-        raise ParseError(f"init_file {opt['init_file']} holds anchors for stride {anchors.stride} but stride is {stride}")
+        raise ParseError(f"init {init} holds anchors for stride {anchors.stride} but stride is {stride}")
     if len(anchors) != num_anchors:
-        raise ParseError(f"init_file {opt['init_file']} holds {len(anchors)} anchors but num_anchors is {num_anchors}")
+        raise ParseError(f"init {init} holds {len(anchors)} anchors but num_anchors is {num_anchors}")
     return anchors
 
 
@@ -399,10 +393,8 @@ def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, flo
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     opt = _merge_options("optimize", args)
-    if opt["init"] == "file" and not opt["init_file"]:
-        raise ParseError("init=file requires init_file")
-    if opt["init"] != "file" and opt["init_file"]:
-        raise ParseError(f"init_file {opt['init_file']} is read only with init=file, but init is {opt['init']}")
+    if opt["init"] not in _INITS and not Path(opt["init"]).is_file():
+        raise ParseError(f"init {opt['init']!r} is none of {', '.join(_INITS)} and no such file exists")
     scale = opt["scale"]
     iters = _scaled("iters", opt["iters"], scale)
     if iters == 0 < opt["iters"]:

@@ -240,7 +240,7 @@ class TestOptionChoices:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
-        ("ingest", "format"), ("optimize", "init"), ("optimize", "rule"), ("eval", "rule"),
+        ("ingest", "format"), ("optimize", "rule"), ("eval", "rule"),
     ])
     def test_config_and_flag_share_choices(self, tmp_path, capsys, command, key):
         from anchorforge.cli import _SPECS
@@ -368,11 +368,23 @@ class TestOptimize:
         assert f"error: {dataset}: empty file" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_init_file_without_a_file_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("init", ["kmean", "file"])
+    def test_unknown_init_rejected_before_dataset_is_read(self, tmp_path, capsys, monkeypatch, via, init):
+        """A value that is neither a keyword nor a file stops the run before
+        the dataset is read, so the error names init, not the missing
+        dataset. The keyword file is gone: it too names a path, of no file."""
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "opt"
-        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--out-dir", str(out)])
-        assert rc == 2
-        assert "error: init=file requires init_file" in capsys.readouterr().err
+        argv = ["optimize", "--dataset", "missing.canonical", "--out-dir", str(out)]
+        if via == "flag":
+            argv += ["--init", init]
+        else:
+            (tmp_path / "run.cfg").write_text(f"[optimize]\ninit = {init}\n")
+            argv += ["--config", "run.cfg"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: init '{init}' is none of uniform, identical, kmeans and no such file exists\n"
         assert not out.exists()
 
     def test_trailing_comma_in_lr_schedule_runs(self, tmp_path, dataset_file):
@@ -401,8 +413,7 @@ class TestOptimize:
             "--num-anchors", "3", "--iters", "20", "--no-head", "--out-dir", str(out),
         ])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "provides 5 anchors" in err and "num_anchors is 3" in err
+        assert capsys.readouterr().err == "error: init uniform holds 5 anchors but num_anchors is 3\n"
         assert not out.exists()
 
     def test_scale_merging_breakpoints_rejected_before_run_dir(self, tmp_path, dataset_file, capsys):
@@ -520,7 +531,7 @@ class TestOptimize:
         init = tmp_path / "init.json"
         init.write_text(json.dumps({"canvas": 416, "stride": 10**400, "anchors": [[30.0, 40.0], [60.0, 50.0]]}))
         out = tmp_path / "o"
-        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", str(init),
                    "--num-anchors", "2", "--units", "cells", "--iters", "20", "--no-head", "--out-dir", str(out)])
         assert rc == 2
         assert f"{init}: stride must lie within float range, got a 401-digit integer" in capsys.readouterr().err
@@ -536,16 +547,26 @@ class TestOptimize:
         assert not out.exists()
 
     def test_init_file_round_trip(self, tmp_path, dataset_file):
+        """cluster's anchors.json starts optimize; effective.cfg records the
+        path as init and reproduces the run byte for byte."""
         cluster_out = tmp_path / "c"
         main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2",
               "--out-dir", str(cluster_out)])
+        start = cluster_out / "anchors.json"
         opt_out = tmp_path / "o"
         rc = main([
-            "optimize", "--dataset", str(dataset_file), "--init", "file",
-            "--init-file", str(cluster_out / "anchors.json"), "--num-anchors", "2",
+            "optimize", "--dataset", str(dataset_file), "--init", str(start), "--num-anchors", "2",
             "--iters", "10", "--no-head", "--out-dir", str(opt_out),
         ])
         assert rc == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(opt_out / "effective.cfg")
+        assert cfg["optimize"]["init"] == str(start)
+        assert "init_file" not in cfg["optimize"]
+        again = tmp_path / "again"
+        assert main(["optimize", "--config", str(opt_out / "effective.cfg"), "--out-dir", str(again)]) == 0
+        for name in ("trajectory.csv", "anchors.json", "summary.json"):
+            assert (again / name).read_bytes() == (opt_out / name).read_bytes(), name
 
     def test_init_file_rejects_other_counts(self, tmp_path, dataset_file, capsys):
         cluster_out = tmp_path / "c"
@@ -553,30 +574,32 @@ class TestOptimize:
               "--out-dir", str(cluster_out)])
         opt_out = tmp_path / "o"
         rc = main([
-            "optimize", "--dataset", str(dataset_file), "--init", "file",
-            "--init-file", str(cluster_out / "anchors.json"), "--num-anchors", "3",
-            "--iters", "10", "--no-head", "--out-dir", str(opt_out),
+            "optimize", "--dataset", str(dataset_file), "--init", str(cluster_out / "anchors.json"),
+            "--num-anchors", "3", "--iters", "10", "--no-head", "--out-dir", str(opt_out),
         ])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "holds 2 anchors" in err and "num_anchors is 3" in err
+        assert f"error: init {cluster_out / 'anchors.json'} holds 2 anchors but num_anchors is 3\n" == err
         assert not opt_out.exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_init_file_without_init_file_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, via):
-        """An init_file used to be ignored unless init was file: the run
-        trained from k-means and effective.cfg recorded both values."""
-        missing = tmp_path / "nonexistent.json"
+    def test_init_file_option_is_unknown(self, tmp_path, dataset_file, capsys, via):
+        """--init names the start alone: a separate init_file used to be
+        ignored unless init was file, and effective.cfg recorded both."""
+        start = tmp_path / "init.json"
+        anchorforge.write_anchors_json(start, anchorforge.init_uniform(), canvas=416)
         out = tmp_path / "o"
         argv = ["optimize", "--dataset", str(dataset_file), "--iters", "10", "--out-dir", str(out)]
         if via == "flag":
-            argv += ["--init-file", str(missing)]
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--init-file", str(start)])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --init-file" in capsys.readouterr().err
         else:
-            (tmp_path / "run.cfg").write_text(f"[optimize]\ninit_file = {missing}\n")
-            argv += ["--config", str(tmp_path / "run.cfg")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"init_file {missing} is read only with init=file, but init is kmeans" in err
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"[optimize]\ninit_file = {start}\n")
+            assert main(argv + ["--config", str(cfg_file)]) == 2
+            assert f"{cfg_file}: unknown keys in [optimize]: init_file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_free_run_trains_the_default_config(self, tmp_path, dataset_file, monkeypatch):
@@ -630,7 +653,7 @@ class TestOptimize:
         anchorforge.write_anchors_json(init, anchorforge.init_uniform(), canvas=608)
         opt_out = tmp_path / "o"
         rc = main([
-            "optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+            "optimize", "--dataset", str(dataset_file), "--init", str(init),
             "--iters", "10", "--no-head", "--out-dir", str(opt_out),
         ])
         assert rc == 2
@@ -644,7 +667,7 @@ class TestOptimize:
         wh = [(30.0, 40.0), (61.5, 33.25), (120.0, 150.0)]
         anchorforge.write_anchors_json(init, anchorforge.AnchorSet.from_linear(wh, stride=16), canvas=416)
         out = tmp_path / "o"
-        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", str(init),
                    "--num-anchors", "3", "--stride", "16", "--iters", "60", "--anchor-lr-mult", "0",
                    "--out-dir", str(out)])
         assert rc == 0
@@ -661,10 +684,10 @@ class TestOptimize:
         init = tmp_path / "init.json"
         anchorforge.write_anchors_json(init, anchorforge.init_uniform(16), canvas=416)
         out = tmp_path / "o"
-        rc = main(["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(init),
+        rc = main(["optimize", "--dataset", str(dataset_file), "--init", str(init),
                    "--iters", "20", "--no-head", "--out-dir", str(out)])
         assert rc == 2
-        assert f"error: init_file {init} holds anchors for stride 16 but stride is 32\n" == capsys.readouterr().err
+        assert f"error: init {init} holds anchors for stride 16 but stride is 32\n" == capsys.readouterr().err
         assert not out.exists()
 
     def test_freeze_anchors_key_is_unknown(self, tmp_path, dataset_file, capsys):
@@ -809,8 +832,7 @@ class TestEvalAndCompare:
         argv = {
             "eval": ["eval", "--dataset", str(dataset_file), "--anchors", str(anchors)],
             "compare": ["compare", str(anchors), str(anchors)],
-            "optimize": ["optimize", "--dataset", str(dataset_file), "--init", "file", "--init-file", str(anchors),
-                         "--num-anchors", "2"],
+            "optimize": ["optimize", "--dataset", str(dataset_file), "--init", str(anchors), "--num-anchors", "2"],
         }[command]
         out = tmp_path / "run"
         rc = main(argv + (["--out-dir", str(out)] if command != "compare" else []))
@@ -1144,6 +1166,28 @@ class TestConfigFile:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg_file}: ") and match in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [("cluster", "max_iter", "0"), ("optimize", "iters", "0")])
+    @pytest.mark.parametrize("shape", ["alone", "beside-section", "bad-key"])
+    def test_default_section_keys_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, command, key,
+                                                          value, shape):
+        """configparser merges [DEFAULT] into every section: such a key used
+        to be ignored without a [command] section, applied with one, and
+        reported against [command] when unknown."""
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text({
+            "alone": f"[DEFAULT]\n{key} = {value}\n",
+            "beside-section": f"[DEFAULT]\n{key} = {value}\n[{command}]\n",
+            "bad-key": f"[DEFAULT]\nbogus = 1\n[{command}]\n{key} = {value}\n",
+        }[shape])
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(cfg_file), "--dataset", str(dataset_file), "--num-anchors", "2",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        sets = "bogus" if shape == "bad-key" else key
+        assert capsys.readouterr().err == (f"error: {cfg_file}: [DEFAULT] sets {sets}; "
+                                           f"only the [{command}] section is read\n")
         assert not out.exists()
 
     def test_config_without_the_commands_section_runs_on_defaults(self, tmp_path, dataset_file):
@@ -1483,6 +1527,81 @@ def _csv_cases(draw, text):
     return data
 
 
+_COCO_DOC = {
+    "images": [{"id": 1, "width": 400, "height": 300}, {"id": "b", "width": 640, "height": 480}],
+    "annotations": [
+        {"id": 10, "image_id": 1, "bbox": [10.5, 20, 60, 80], "iscrowd": 0},
+        {"id": 11, "image_id": "b", "bbox": [100, 50, 200, 120]},
+        {"id": 12, "image_id": "b", "bbox": [0, 0, 640, 480], "iscrowd": 1},
+    ],
+}
+
+
+@st.composite
+def _coco_cases(draw):
+    """A valid COCO file's bytes with one mutation: of a field's value or
+    presence, an item, a list, one byte or the line endings."""
+    doc = json.loads(json.dumps(_COCO_DOC))
+    kind = draw(st.sampled_from(["image", "annotation", "side", "item", "list", "byte", "crlf"]))
+    if kind in ("image", "annotation"):
+        item = draw(st.sampled_from(doc[kind + "s"]))
+        key = draw(st.sampled_from(sorted(item) + ["extra"]))
+        if draw(st.booleans()):
+            item.pop(key, None)
+        else:
+            item[key] = draw(_JSON_VALUES)
+    elif kind == "side":
+        draw(st.sampled_from(doc["annotations"]))["bbox"][draw(st.integers(0, 3))] = draw(_JSON_VALUES)
+    elif kind == "item":
+        items = doc[draw(st.sampled_from(["images", "annotations"]))]
+        items[draw(st.integers(0, len(items) - 1))] = draw(_JSON_VALUES)
+    elif kind == "list":
+        doc[draw(st.sampled_from(["images", "annotations"]))] = draw(_JSON_VALUES)
+    data = json.dumps(doc, indent=1).encode()
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    elif kind == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    return data, draw(st.booleans())
+
+
+_INI_TOKENS = _FIELD_TOKENS | st.sampled_from(["[", "]", "=", ":", ";", "%", "%(x)s", "[DEFAULT]", "[cluster]", "  "])
+
+
+@st.composite
+def _config_cases(draw, sections):
+    """A valid config file's bytes for one command, with one mutation: of a
+    value, a key, the section header, a line's presence, indentation or
+    repetition, one byte or the line endings."""
+    command = draw(st.sampled_from(sorted(sections)))
+    lines = [f"[{command}]"] + [f"{k} = {v}" for k, v in sections[command].items()]
+    line = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["value", "key", "insert", "drop", "duplicate", "indent", "section", "byte", "crlf"]))
+    key, sep, value = lines[line].partition(" = ")
+    if kind == "value" and sep:
+        lines[line] = f"{key} = {draw(_INI_TOKENS)}"
+    elif kind == "key" and sep:
+        at = draw(st.integers(0, len(key)))
+        lines[line] = f"{key[:at]}{draw(_INI_TOKENS)}{key[at:]} = {value}"
+    elif kind == "insert":
+        at = draw(st.integers(0, len(lines[line])))
+        lines[line] = lines[line][:at] + draw(_INI_TOKENS) + lines[line][at:]
+    elif kind == "drop":
+        del lines[line]
+    elif kind == "duplicate":
+        lines.insert(line, lines[line])
+    elif kind == "indent":
+        lines[line] = "  " + lines[line]
+    elif kind == "section":
+        lines.insert(line, draw(st.sampled_from(["[DEFAULT]", "[DEFAULT]\nmax_iter = 0", f"[{command}]", "[other]"])))
+    data = "".join(line + ("\r\n" if kind == "crlf" else "\n") for line in lines).encode()
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return command, data
+
+
 def _run_quietly(argv, run_dir):
     """main(argv) with its output and warnings caught: it must exit 0 or 2
     with no traceback or warning, and an exit 2 leaves no run directory."""
@@ -1499,7 +1618,8 @@ def _run_quietly(argv, run_dir):
 
 
 class TestReaderFuzz:
-    """Mutated anchors and canonical files, read by every command that takes one."""
+    """Mutated input files (anchors, canonical, CSV, COCO and config), read
+    by every command that takes one."""
 
     @settings(max_examples=100, deadline=None)
     @given(_anchors_file_cases())
@@ -1513,9 +1633,8 @@ class TestReaderFuzz:
         if reader == "eval":
             _run_quietly(["eval", "--dataset", dataset, "--anchors", anchors, "--out-dir", run], run)
         elif reader == "optimize":
-            _run_quietly(["optimize", "--dataset", dataset, "--init", "file", "--init-file", anchors,
-                          "--num-anchors", 2, "--iters", 3, "--batch-size", 8, "--warmup-iters", 1,
-                          "--out-dir", run], run)
+            _run_quietly(["optimize", "--dataset", dataset, "--init", anchors, "--num-anchors", 2, "--iters", 3,
+                          "--batch-size", 8, "--warmup-iters", 1, "--out-dir", run], run)
         else:
             _run_quietly(["compare", *((anchors, good) if reader == "compare-a" else (good, anchors))], None)
 
@@ -1544,3 +1663,24 @@ class TestReaderFuzz:
         boxes, run = work / "boxes.csv", work / "run"
         boxes.write_bytes(content)
         _run_quietly(["ingest", "--format", "csv", "--input", boxes, "--out-dir", run], run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coco_cases())
+    def test_coco_file(self, fuzz_inputs, case):
+        data, include_crowd = case
+        root, _ = fuzz_inputs
+        work = Path(tempfile.mkdtemp(dir=root))
+        coco, run = work / "ann.json", work / "run"
+        coco.write_bytes(data)
+        crowd = ["--include-crowd"] if include_crowd else []
+        _run_quietly(["ingest", "--format", "coco", "--input", coco, *crowd, "--out-dir", run], run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_config_file(self, fuzz_inputs, data):
+        root, sections = fuzz_inputs
+        command, content = data.draw(_config_cases(sections))
+        work = Path(tempfile.mkdtemp(dir=root))
+        cfg, run = work / "run.cfg", work / "run"
+        cfg.write_bytes(content)
+        _run_quietly([command, "--config", cfg, "--out-dir", run], run)

@@ -4,17 +4,21 @@ The python blocks under README's "Library use" run as written. They run
 in order and share one namespace, as a reader would paste them, from a
 directory that holds a synthetic runs/voc/dataset.canonical. An API
 change that breaks a documented call fails here, and so does a flag
-README names that no subcommand takes.
+README names that no subcommand takes. The documented --no-bn schedule
+must train where the recipe's own rates diverge.
 """
 
 import argparse
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import anchorforge
 import synth
 from anchorforge import write_canonical
-from anchorforge.cli import build_parser
+from anchorforge.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,6 +39,23 @@ def test_library_use_blocks_run(tmp_path, monkeypatch):
     namespace: dict = {}
     for number, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md, Library use block {number}", "exec"), namespace)
+
+
+def test_no_bn_schedule_trains(tmp_path, monkeypatch):
+    """README's --no-bn command trains at --scale 0.1 where the recipe's
+    own learning rates, with --no-bn, overflow an anchor shape (exit 3)."""
+    text = README.read_text(encoding="utf-8")
+    [block] = [b for b in re.findall(r"^```\n(.*?)^```$", text, flags=re.S | re.M) if "--no-bn" in b]
+    argv = shlex.split(block.replace("\\\n", " "))
+    assert argv[:2] == ["anchorforge", "optimize"] and "--lr-schedule" in argv
+    dataset = tmp_path / "runs" / "voc" / "dataset.canonical"
+    dataset.parent.mkdir(parents=True)
+    write_canonical(synth.mixture2(1), dataset)
+    monkeypatch.chdir(tmp_path)
+    recipe = argv[:argv.index("--lr-schedule")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv[1:] + ["--scale", "0.1", "--out-dir", "documented"]) == 0
+        assert main(recipe[1:] + ["--scale", "0.1", "--out-dir", "recipe"]) == 3
 
 
 # flags of other programs that README quotes
