@@ -3,8 +3,7 @@
 Subcommands: ingest, cluster, optimize, eval, compare. Options resolve
 in order: command-line flag, then the matching key in the [command]
 section of --config (a flat key=value INI), then the built-in default.
-The seed of cluster and optimize falls back to the ANCHORFORGE_SEED
-environment variable when neither flag nor config sets it.
+No environment variable is read.
 
 Every option is declared once, in the ``_SPECS`` table: its config
 parser, default, choices, flag help and range check.
@@ -29,8 +28,6 @@ import configparser
 import itertools
 import json
 import math
-import os
-import re
 import sys
 import time
 from dataclasses import fields
@@ -64,8 +61,6 @@ from .report import (
     write_anchors_json,
 )
 from .trainer import _AT_LEAST_0, _AT_LEAST_1, _NONNEGATIVE, _RANGES, NonFiniteLossError, TrainConfig, run_training
-
-SEED_ENV_VAR = "ANCHORFORGE_SEED"
 
 
 def _parse_bool(text: str) -> bool:
@@ -108,11 +103,11 @@ _REQUIRED = object()  # the default of an option that has none
 class _Opt(NamedTuple):
     """One option of a subcommand, for its flag and its config key alike.
 
-    parse reads the text of the config key and of the flag (argparse first
-    matches a flag with choices against them as typed); an option parsed
-    by _parse_bool is a --name/--no-name flag pair instead. An option
-    without a default is required. check is a (requirement, test) pair the
-    resolved value must pass.
+    parse reads the text of the config key and of the flag; a value with
+    choices must match one as typed. An option parsed by _parse_bool is a
+    --name/--no-name flag pair instead. An option without a default is
+    required. check is a (requirement, test) pair the resolved value must
+    pass.
     """
 
     parse: Callable[[str], object]
@@ -128,13 +123,13 @@ _UNITS = ("pixels", "cells")
 
 _POSITIVE = ("must be a positive number", lambda v: 0.0 < v < math.inf)
 
-_SEED = _Opt(int, None, help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)", check=_RANGES["seed"])
-
 _RECIPE = TrainConfig()
+
+_SEED = _Opt(int, _RECIPE.seed, help=f"random seed (default {_RECIPE.seed})", check=_RANGES["seed"])
 
 _SPECS: dict[str, dict[str, _Opt]] = {
     "ingest": {
-        "format": _Opt(str.lower, choices=_FORMATS),
+        "format": _Opt(str, choices=_FORMATS),
         "input": _Opt(str, help="annotation file (coco, csv) or directory (voc)"),
         "canvas": _Opt(int, 416, help="square canvas size in pixels (default 416)", check=_AT_LEAST_1),
         "min_size": _Opt(float, 1e-3, help="drop boxes smaller than this after scaling", check=_NONNEGATIVE),
@@ -232,15 +227,6 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     missing = [k for k, v in effective.items() if v is _REQUIRED]
     if missing:
         raise ParseError(f"{command}: missing required option(s): {', '.join(missing)}")
-    if "seed" in specs and effective["seed"] is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        try:
-            effective["seed"] = int(env) if env else 0
-        except ValueError as e:
-            # an integer of more digits than int() reads gets int()'s own message, as a flag's does
-            if re.fullmatch(r"\s*[+-]?\d+\s*", env):
-                raise ParseError(f"{SEED_ENV_VAR}: {e}") from None
-            raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     for key, spec in specs.items():
         if spec.check and not spec.check[1](effective[key]):
             raise ParseError(f"{key} {spec.check[0]}, got {effective[key]}")
@@ -326,7 +312,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     ds = read_canonical(opt["dataset"])
     num_anchors = opt["num_anchors"]
     if len(ds) < num_anchors:
-        raise ParseError(f"dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
+        raise ParseError(f"{opt['dataset']}: dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
     out_dir = _start_run_dir(args, "cluster", opt, ("anchors.json", "anchors.txt"))
     result = kmeans_iou(ds.shapes(), num_anchors, max_iter=opt["max_iter"], seed=opt["seed"])
     anchors = anchors_from_centroids(result.centroids, opt["stride"])
@@ -412,7 +398,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
     if len(ds) < opt["num_anchors"]:
-        raise ParseError(f"dataset has {len(ds)} boxes but {opt['num_anchors']} anchors were requested")
+        raise ParseError(f"{opt['dataset']}: dataset has {len(ds)} boxes "
+                         f"but {opt['num_anchors']} anchors were requested")
 
     anchors0 = _initial_anchors(opt, ds)
     out_dir = _start_run_dir(args, "optimize", opt, ("anchors.json", "anchors.txt", "summary.json", "trajectory.csv"))
@@ -445,6 +432,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     opt = _merge_options("eval", args)
     ds = read_canonical(opt["dataset"])
+    if len(ds) == 0:
+        raise ParseError(f"{opt['dataset']}: dataset is empty")
     anchors = _anchors_for_canvas(opt["anchors"], ds.canvas_size, f"dataset {opt['dataset']}")
     report = build_report(
         anchors, ds,
@@ -493,9 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI file with a [command] section of key=value options")
         p.add_argument("--out-dir", help="run directory for outputs (default: runs/<command>-<timestamp>)")
         for key, spec in _SPECS[command].items():
-            # a value flag reaches _merge_options as text, for spec.parse; argparse
-            # matches a flag with choices as typed ("--format CSV" is refused)
-            # while a config value is parsed first ("format = CSV" is not)
+            # a value flag reaches _merge_options as text, for spec.parse
             how = ({"action": argparse.BooleanOptionalAction} if spec.parse is _parse_bool
                    else {"choices": spec.choices or None})
             p.add_argument("--" + key.replace("_", "-"), help=spec.help, **how)

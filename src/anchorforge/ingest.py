@@ -17,8 +17,9 @@ field to within 1e-9 relative.
 
 Parsers are strict: malformed input raises ParseError naming the file,
 line (where a CSV record starts), or annotation at fault rather than
-producing partial data; an image id with a tab or a line break, which
-the canonical format cannot hold, is malformed.
+producing partial data; an image id with a tab, a line break or a lone
+surrogate (a COCO id's "\\ud800" escape, or a VOC file name that is not
+UTF-8), which the UTF-8 canonical format cannot hold, is malformed.
 
 Every parser pauses CPython's cyclic garbage collector while it runs.
 Each builds one large graph of containers that holds no reference cycles
@@ -53,7 +54,8 @@ import numpy as np
 _HEADER_RE = re.compile(r"anchorforge-dataset v(\d+) S=(\d+)")
 _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_max"]
 _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
-_ID_BREAK = re.compile("[\t\n\r]")  # what an image id in the canonical format must not hold
+_ID_BREAK = re.compile("[\t\n\r\ud800-\udfff]")  # what an image id in the canonical format must not hold
+_NO_SURROGATES = "nor surrogates that UTF-8 cannot encode"
 
 
 class ParseError(ValueError):
@@ -74,7 +76,7 @@ def _collector_paused():
 
 
 def _first_bad_id(ids: Sequence[str]) -> Optional[int]:
-    """Index of the first id holding a tab or a line break, or None."""
+    """Index of the first id holding a tab, a line break or a surrogate, or None."""
     if _ID_BREAK.search("".join(ids)):  # one pass over all the ids finds whether any does
         return next(i for i, x in enumerate(ids) if _ID_BREAK.search(x))
     return None
@@ -159,7 +161,7 @@ class CanonicalDataset:
             object.__setattr__(self, name, column)
         i = _first_bad_id(ids)
         if i is not None:
-            raise ValueError(f"record {i}: image_id must not contain tabs or line breaks")
+            raise ValueError(f"record {i}: image_id must not contain tabs or line breaks, {_NO_SURROGATES}")
         cx, cy, w, h = self.cx, self.cy, self.w, self.h
         size_ok = (w > 0.0) & (w <= s) & (h > 0.0) & (h <= s)
         ok = size_ok & (cx >= 0.0) & (cx <= s) & (cy >= 0.0) & (cy <= s)
@@ -193,14 +195,15 @@ def _clamped(
 ) -> ParsedBoxes:
     """Clamp every box to its image in one pass; counts pass through to the result.
 
-    The first image id holding a tab or a line break raises ParseError,
+    The first image id holding a tab, a line break or a surrogate raises ParseError,
     then the first row with a non-finite or non-positive image size, a
     non-finite corner, a max corner not above its min, or a box that is
     empty after clamping; where(i) names row i (file, line or annotation).
     """
     i = _first_bad_id(image_ids)
     if i is not None:
-        raise ParseError(f"{where(i)}: image id {image_ids[i]!r} must not contain tabs or line breaks")
+        raise ParseError(f"{where(i)}: image id {image_ids[i]!r} "
+                         f"must not contain tabs or line breaks, {_NO_SURROGATES}")
     sizes = np.array(sizes, dtype=float).reshape(-1, 2)
     corners = np.array(corners, dtype=float).reshape(-1, 4)
     clamped = np.minimum(np.maximum(corners, 0.0), np.tile(sizes, 2))

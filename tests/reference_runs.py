@@ -34,7 +34,7 @@ sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py, read-only)
-from anchorforge.cli import SEED_ENV_VAR, main  # noqa: E402
+from anchorforge.cli import main  # noqa: E402
 
 
 def commands(scale: float) -> list[tuple[str, list[str]]]:
@@ -63,7 +63,6 @@ def run(out: Path, scale: float, coco_boxes: int) -> int:
     if any(out.iterdir()):
         sys.exit(f"error: {out} is not empty")
     os.chdir(out)
-    os.environ.pop(SEED_ENV_VAR, None)  # every seed is the default
     inputs.write_mixture(Path("mixture2.canonical"), "mixture2", 1)
     inputs.write_mixture(Path("mixture3.canonical"), "mixture3", 1)
     inputs.write_coco(Path("coco.json"), coco_boxes, 31)

@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,11 @@ class TestIngest:
         ('{"images": [{"id": "a\\tb", "width": 10, "height": 10}], '
          '"annotations": [{"id": 8, "image_id": "a\\tb", "bbox": [1, 1, 5, 5]}]}',
          "annotation 8: image id 'a\\tb' must not contain tabs or line breaks"),
+        # json.loads reads an escaped lone surrogate, which UTF-8 cannot encode into the dataset file
+        ('{"images": [{"id": "a\\ud800b", "width": 100, "height": 100}], '
+         '"annotations": [{"id": 1, "image_id": "a\\ud800b", "bbox": [10, 10, 20, 30]}]}',
+         "annotation 1: image id 'a\\ud800b' must not contain tabs or line breaks, "
+         "nor surrogates that UTF-8 cannot encode"),
         # json.loads refuses an integer of more digits than int() reads with a bare ValueError
         pytest.param('{"images": [{"id": 1, "width": 1' + "0" * 5000 + ', "height": 10}], "annotations": []}',
                      "Exceeds the limit (4300 digits) for integer string conversion", id="5001-digit width"),
@@ -105,6 +112,26 @@ class TestIngest:
         err = capsys.readouterr().err
         assert str(p) in err and match in err
         assert not (tmp_path / "run").exists()
+
+    def test_voc_file_name_not_utf8_exits_2(self, tmp_path):
+        """A file name that is not UTF-8 reads back with surrogate escapes,
+        which the dataset file cannot hold: the run names the file and
+        leaves no run directory (it used to leave an empty dataset.canonical)."""
+        src = tmp_path / "ann"
+        src.mkdir()
+        xml = src / os.fsdecode(b"\xff\xfe.xml")
+        try:
+            xml.write_text("<annotation><size><width>100</width><height>100</height></size><object>"
+                           "<bndbox><xmin>10</xmin><ymin>10</ymin><xmax>30</xmax><ymax>30</ymax></bndbox>"
+                           "</object></annotation>")
+        except (OSError, ValueError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        out, err = tmp_path / "run", io.StringIO()  # the message holds the name's surrogates, which a StringIO takes
+        with contextlib.redirect_stderr(err):
+            assert main(["ingest", "--format", "voc", "--input", str(src), "--out-dir", str(out)]) == 2
+        assert err.getvalue() == (f"error: {xml}: image id '\\udcff\\udcfe' must not contain "
+                                  "tabs or line breaks, nor surrogates that UTF-8 cannot encode\n")
+        assert not out.exists()
 
     def test_infinite_image_size_exits_2(self, tmp_path, capsys):
         """An infinite image size used to drop its box as too small and exit 0."""
@@ -239,22 +266,23 @@ class TestOptionChoices:
         assert "unknown units 'furlongs' (expected pixels, cells)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, key", [
-        ("ingest", "format"), ("optimize", "rule"), ("eval", "rule"),
+    @pytest.mark.parametrize("command, key, value", [
+        ("ingest", "format", "bogus"), ("optimize", "rule", "bogus"), ("eval", "rule", "bogus"),
+        ("ingest", "format", "CSV"),  # matched as typed, from the config file too
     ])
-    def test_config_and_flag_share_choices(self, tmp_path, capsys, command, key):
+    def test_config_and_flag_share_choices(self, tmp_path, capsys, command, key, value):
         from anchorforge.cli import _SPECS
 
         choices = _SPECS[command][key].choices
         with pytest.raises(SystemExit) as info:
-            main([command, f"--{key}", "bogus"])
+            main([command, f"--{key}", value])
         assert info.value.code == 2
         assert "choose from " + ", ".join(f"'{c}'" for c in choices) in capsys.readouterr().err
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"[{command}]\n{key} = bogus\n")
+        cfg_file.write_text(f"[{command}]\n{key} = {value}\n")
         rc = main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")])
         assert rc == 2
-        assert f"unknown {key} 'bogus'" in capsys.readouterr().err
+        assert f"unknown {key} {value!r} (expected {', '.join(choices)})" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 
@@ -403,7 +431,8 @@ class TestOptimize:
         rc = main(["optimize", "--dataset", str(dataset_file), "--init", init,
                    "--num-anchors", "1000000000000", "--out-dir", str(out)])
         assert rc == 2
-        assert "dataset has 120 boxes but 1000000000000 anchors were requested" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{dataset_file}: dataset has 120 boxes but 1000000000000 anchors were requested" in err
         assert not out.exists()
 
     def test_uniform_init_rejects_other_counts(self, tmp_path, dataset_file, capsys):
@@ -605,7 +634,6 @@ class TestOptimize:
     def test_flag_free_run_trains_the_default_config(self, tmp_path, dataset_file, monkeypatch):
         """The default recipe is declared once: optimize without training
         flags hands run_training exactly TrainConfig()."""
-        monkeypatch.delenv("ANCHORFORGE_SEED", raising=False)
 
         class Captured(Exception):
             pass
@@ -714,6 +742,23 @@ class TestEvalAndCompare:
         assert doc["kind"] == "anchorforge-report"
         out = capsys.readouterr().out
         assert "avg_best_iou" in out
+
+    @pytest.mark.parametrize("command, message", [
+        ("eval", "dataset is empty"),
+        ("cluster", "dataset has 0 boxes but 5 clusters were requested"),
+    ])
+    def test_header_only_dataset_named(self, tmp_path, capsys, command, message):
+        """Each command refuses a dataset of too few boxes by its file name;
+        eval used to print 'dataset is empty' alone."""
+        dataset = tmp_path / "empty.canonical"
+        dataset.write_text("anchorforge-dataset v1 S=416\n")
+        anchors = tmp_path / "anchors.json"
+        anchorforge.write_anchors_json(anchors, anchorforge.init_uniform(), canvas=416)
+        extra = ["--anchors", str(anchors)] if command == "eval" else []
+        out = tmp_path / "run"
+        assert main([command, "--dataset", str(dataset), *extra, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {dataset}: {message}\n"
+        assert not out.exists()
 
     def test_eval_custom_taus(self, tmp_path, dataset_file):
         c = tmp_path / "c"
@@ -970,14 +1015,6 @@ class TestOptionChecks:
         assert f"error: {prefix}Exceeds the limit (4300 digits) for integer string conversion" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_env_held_to_the_check(self, tmp_path, dataset_file, monkeypatch, capsys):
-        monkeypatch.setenv("ANCHORFORGE_SEED", "-3")
-        out = tmp_path / "c"
-        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
-        assert rc == 2
-        assert "seed must be >= 0, got -3" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["ingest", "eval"])
     def test_no_seed_where_nothing_is_random(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as info:
@@ -1200,53 +1237,18 @@ class TestConfigFile:
         cfg.read(out / "effective.cfg")
         assert cfg["cluster"]["num_anchors"] == "5" and cfg["cluster"]["max_iter"] == "300"
 
-    def test_seed_env_fallback(self, tmp_path, dataset_file, monkeypatch):
+    def test_seed_environment_variable_is_not_read(self, tmp_path, dataset_file, monkeypatch):
+        """A run's seed comes from its flag or config file, else 0; the
+        ANCHORFORGE_SEED environment variable is not read."""
+        argv = ["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("ANCHORFORGE_SEED", "77")
         out = tmp_path / "c"
-        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2",
-                   "--out-dir", str(out)])
-        assert rc == 0
+        assert main(argv + [str(out)]) == 0
         cfg = configparser.ConfigParser()
         cfg.read(out / "effective.cfg")
-        assert cfg["cluster"]["seed"] == "77"
-
-    def test_bad_seed_env_exits_2(self, tmp_path, dataset_file, monkeypatch, capsys):
-        monkeypatch.setenv("ANCHORFORGE_SEED", "abc")
-        out = tmp_path / "c"
-        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
-        assert rc == 2
-        assert "ANCHORFORGE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", ["abc", "+-5", "1.5", "5e3", "0x10"])
-    def test_seed_env_text_not_an_integer_keeps_its_message(self, tmp_path, dataset_file, monkeypatch, capsys, text):
-        monkeypatch.setenv("ANCHORFORGE_SEED", text)
-        out = tmp_path / "c"
-        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: ANCHORFORGE_SEED must be an integer, got {text!r}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", ["9" * 5000, " -" + "9" * 5000 + " "], ids=["5000 nines", "signed, spaced"])
-    def test_seed_env_beyond_digit_limit_exits_2(self, tmp_path, dataset_file, monkeypatch, capsys, text):
-        """An integer of more digits than int() reads used to be called no integer, in a 5000-character message."""
-        monkeypatch.setenv("ANCHORFORGE_SEED", text)
-        out = tmp_path / "c"
-        rc = main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2", "--out-dir", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ANCHORFORGE_SEED: Exceeds the limit (4300 digits) for integer string conversion")
-        assert "999" not in err
-        assert not out.exists()
-
-    def test_seed_flag_beats_env(self, tmp_path, dataset_file, monkeypatch):
-        monkeypatch.setenv("ANCHORFORGE_SEED", "77")
-        out = tmp_path / "c"
-        main(["cluster", "--dataset", str(dataset_file), "--num-anchors", "2",
-              "--seed", "5", "--out-dir", str(out)])
-        cfg = configparser.ConfigParser()
-        cfg.read(out / "effective.cfg")
-        assert cfg["cluster"]["seed"] == "5"
+        assert cfg["cluster"]["seed"] == "0"
+        assert (out / "anchors.json").read_bytes() == (tmp_path / "plain" / "anchors.json").read_bytes()
 
 
 class TestArgparseBehavior:
@@ -1537,13 +1539,24 @@ _COCO_DOC = {
 }
 
 
+# the image ids a file can name: what the canonical format cannot hold among them
+_ID_TOKENS = _FIELD_TOKENS | st.sampled_from(["\ud800", "a\udcffb", "\U0001f600"])
+
+
 @st.composite
 def _coco_cases(draw):
     """A valid COCO file's bytes with one mutation: of a field's value or
-    presence, an item, a list, one byte or the line endings."""
+    presence, an item, a list, the string image id everywhere it appears,
+    one byte or the line endings."""
     doc = json.loads(json.dumps(_COCO_DOC))
-    kind = draw(st.sampled_from(["image", "annotation", "side", "item", "list", "byte", "crlf"]))
-    if kind in ("image", "annotation"):
+    kind = draw(st.sampled_from(["image", "annotation", "side", "item", "list", "rename", "byte", "crlf"]))
+    if kind == "rename":
+        new_id = draw(_ID_TOKENS)
+        for item in doc["images"] + doc["annotations"]:
+            for key in ("id", "image_id"):
+                if item.get(key) == "b":
+                    item[key] = new_id
+    elif kind in ("image", "annotation"):
         item = draw(st.sampled_from(doc[kind + "s"]))
         key = draw(st.sampled_from(sorted(item) + ["extra"]))
         if draw(st.booleans()):
@@ -1563,6 +1576,43 @@ def _coco_cases(draw):
         data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
     elif kind == "crlf":
         data = data.replace(b"\n", b"\r\n")
+    return data, draw(st.booleans())
+
+
+_VOC_XML = (
+    "<annotation><filename>a.jpg</filename><size><width>640</width><height>480</height><depth>3</depth></size>"
+    "<object><name>dog</name><difficult>0</difficult>"
+    "<bndbox><xmin>10.5</xmin><ymin>20</ymin><xmax>200</xmax><ymax>220</ymax></bndbox></object>"
+    "<object><name>cat</name><difficult>1</difficult>"
+    "<bndbox><xmin>0</xmin><ymin>0</ymin><xmax>640</xmax><ymax>480</ymax></bndbox></object>"
+    "</annotation>\n"
+)
+_XML_TOKENS = _FIELD_TOKENS | st.sampled_from(["<", ">", "&", "&amp;", "&#0;", "</object>", "<bndbox>", "<!--", "]]>"])
+
+
+@st.composite
+def _voc_cases(draw):
+    """A valid VOC annotation file's bytes with one mutation (of an element's
+    text, an element dropped or repeated, a token inserted, the bytes
+    truncated or one byte flipped), and whether to exclude difficult boxes."""
+    root = ET.fromstring(_VOC_XML)
+    parents = [(parent, child) for parent in root.iter() for child in parent]
+    parent, child = draw(st.sampled_from(parents))
+    kind = draw(st.sampled_from(["text", "drop", "repeat", "insert", "truncate", "byte"]))
+    if kind == "text":
+        child.text = draw(_FIELD_TOKENS)
+    elif kind == "drop":
+        parent.remove(child)
+    elif kind == "repeat":
+        parent.insert(list(parent).index(child), copy.deepcopy(child))
+    data = ET.tostring(root)
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "insert":
+        data = data[:at] + draw(_XML_TOKENS).encode() + data[at:]
+    elif kind == "truncate":
+        data = data[:at]
+    elif kind == "byte":
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
     return data, draw(st.booleans())
 
 
@@ -1618,7 +1668,7 @@ def _run_quietly(argv, run_dir):
 
 
 class TestReaderFuzz:
-    """Mutated input files (anchors, canonical, CSV, COCO and config), read
+    """Mutated input files (anchors, canonical, CSV, COCO, VOC and config), read
     by every command that takes one."""
 
     @settings(max_examples=100, deadline=None)
@@ -1674,6 +1724,18 @@ class TestReaderFuzz:
         coco.write_bytes(data)
         crowd = ["--include-crowd"] if include_crowd else []
         _run_quietly(["ingest", "--format", "coco", "--input", coco, *crowd, "--out-dir", run], run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_voc_cases())
+    def test_voc_file(self, fuzz_inputs, case):
+        data, exclude_difficult = case
+        root, _ = fuzz_inputs
+        work = Path(tempfile.mkdtemp(dir=root))
+        (work / "ann").mkdir()
+        (work / "ann" / "a.xml").write_bytes(data)
+        difficult = ["--exclude-difficult"] if exclude_difficult else []
+        _run_quietly(["ingest", "--format", "voc", "--input", work / "ann", *difficult, "--out-dir", work / "run"],
+                     work / "run")
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
