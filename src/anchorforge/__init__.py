@@ -8,14 +8,6 @@ clusterer is included both as an initializer and as a baseline.
 
 from __future__ import annotations
 
-from .assign import (
-    cluster_weight_at,
-    hard_assign_threshold,
-    hard_assign_yolo,
-    soft_assign,
-    temperature_at,
-    utilization_counts,
-)
 from .cluster import (
     KMeansResult,
     anchors_from_centroids,
@@ -24,12 +16,7 @@ from .cluster import (
     init_uniform,
     kmeans_iou,
 )
-from .geometry import (
-    METRICS,
-    AnchorSet,
-    iou_aligned_matrix,
-    shape_dist_matrix,
-)
+from .geometry import METRICS, AnchorSet
 from .ingest import (
     CanonicalDataset,
     ParseError,
@@ -40,14 +27,6 @@ from .ingest import (
     parse_voc,
     read_canonical,
     write_canonical,
-)
-from .lossgrad import (
-    BN_EPS,
-    batch_moments,
-    grad_head,
-    head_outputs,
-    initial_head,
-    make_features,
 )
 from .report import (
     AnchorReport,
@@ -72,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorReport",
     "AnchorSet",
-    "BN_EPS",
     "CanonicalDataset",
     "KMeansResult",
     "METRICS",
@@ -84,20 +62,11 @@ __all__ = [
     "TrajectoryRow",
     "anchors_from_centroids",
     "anchors_line",
-    "batch_moments",
     "build_report",
-    "cluster_weight_at",
-    "grad_head",
-    "hard_assign_threshold",
-    "hard_assign_yolo",
-    "head_outputs",
     "init_identical",
     "init_kmeans",
     "init_uniform",
-    "initial_head",
-    "iou_aligned_matrix",
     "kmeans_iou",
-    "make_features",
     "match_anchor_sets",
     "normalize_to_canvas",
     "parse_coco",
@@ -108,10 +77,6 @@ __all__ = [
     "render_text",
     "report_to_json",
     "run_training",
-    "shape_dist_matrix",
-    "soft_assign",
-    "temperature_at",
-    "utilization_counts",
     "write_anchors_json",
     "write_canonical",
 ]

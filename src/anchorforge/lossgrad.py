@@ -31,8 +31,31 @@ A training step runs four stages: :func:`batch_moments` (Grams),
 :func:`head_outputs` (each anchor's coefficient map and a cache),
 :func:`_loss_from_arrays` (loss, anchor gradient and coefficient
 gradient) and :func:`grad_head` (head gradients from the coefficient
-gradient and the cache). Like :func:`make_features`, they check nothing:
-each docstring states what its caller guarantees.
+gradient and the cache). Like :func:`make_features` and the rules of
+``anchorforge.assign``, they check nothing: each docstring states what
+its caller guarantees, as a checked ``TrainConfig`` and ``AnchorSet``
+provide it. One soft-assigned step, as ``run_training`` chains it:
+
+>>> import numpy as np
+>>> from anchorforge.assign import soft_assign
+>>> from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs
+>>> from anchorforge.lossgrad import initial_head, make_features
+>>> rng = np.random.default_rng(0)
+>>> g = np.log(rng.uniform(8.0, 300.0, size=(64, 2)))  # ground truths, log (w, h)
+>>> s = np.log([[30.0, 30.0], [90.0, 60.0], [200.0, 200.0]])  # anchors, log (w, h)
+>>> u, c, gamma = initial_head(len(s), init_scale=0.1, rng=rng)
+>>> w = soft_assign(g, s, "one_minus_iou", temperature=1.0)  # (n, A) weights
+>>> rows = np.vstack([np.ones(len(g)), make_features(g, 0.3, rng).T, g.T])  # columns (1, f_j, g_j)
+>>> gram, member_gram, mean = batch_moments(rows, w, soft=True)
+>>> coef, cache = head_outputs(u, c, gamma, member_gram, mean)
+>>> loss, anchor_grad, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.5)
+>>> gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
+>>> gram.shape, coef.shape, anchor_grad.shape, (gu.shape, gc.shape, ggamma.shape)
+((3, 5, 5), (3, 2, 5), (3, 2), ((3, 2, 2), (3, 2), (3, 2)))
+
+Without a head the map is ``np.zeros((len(s), 2, 5))`` and
+:func:`grad_head` is not called. ``tests/oracles.py`` keeps the dense
+(n, A, 2) form of the stages as the reference they are tested against.
 
 All functions are pure: they never mutate their inputs, and every
 reduction runs over arrays of fixed shape in a fixed order, so results

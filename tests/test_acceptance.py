@@ -13,27 +13,24 @@ import synth
 from anchorforge import (
     AnchorSet,
     TrainConfig,
-    batch_moments,
     build_report,
-    cluster_weight_at,
-    grad_head,
-    hard_assign_threshold,
-    hard_assign_yolo,
-    head_outputs,
     init_identical,
     init_kmeans,
     init_uniform,
-    initial_head,
-    make_features,
     match_anchor_sets,
     run_training,
-    soft_assign,
-    temperature_at,
     write_anchors_json,
 )
-from anchorforge.assign import TEMP_FLOOR
+from anchorforge.assign import (
+    TEMP_FLOOR,
+    cluster_weight_at,
+    hard_assign_threshold,
+    hard_assign_yolo,
+    soft_assign,
+    temperature_at,
+)
 from anchorforge.cli import main
-from anchorforge.lossgrad import _loss_from_arrays
+from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs, initial_head, make_features
 from oracles import fd_grad, lloyd_log_l2, moment_rows, rel_err, shape_dist
 
 

@@ -4,8 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorforge import (
-    AnchorSet,
+from anchorforge import AnchorSet
+from anchorforge.assign import (
+    LAMBDA_START,
+    TEMP_FLOOR,
+    TEMP_START,
     cluster_weight_at,
     hard_assign_threshold,
     hard_assign_yolo,
@@ -13,7 +16,6 @@ from anchorforge import (
     temperature_at,
     utilization_counts,
 )
-from anchorforge.assign import LAMBDA_START, TEMP_FLOOR, TEMP_START
 from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs
 from oracles import iou_of_wh, moment_rows, shape_dist, softmax_rows
 
@@ -178,7 +180,7 @@ class TestSoftAssign:
     def test_matches_reference_softmax(self):
         rng = np.random.default_rng(26)
         s = rng.normal(3.0, 1.0, size=(4, 2))
-        from anchorforge import shape_dist_matrix
+        from anchorforge.geometry import shape_dist_matrix
 
         for _ in range(20):
             g = rng.normal(3.0, 1.0, size=(8, 2))

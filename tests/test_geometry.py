@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorforge import AnchorSet, iou_aligned_matrix, shape_dist_matrix
+from anchorforge import AnchorSet
+from anchorforge.geometry import iou_aligned_matrix, shape_dist_matrix
 from oracles import iou_of_boxes, shape_dist
 
 

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorforge import (
+from anchorforge.assign import TEMP_FLOOR, hard_assign_threshold, hard_assign_yolo, soft_assign
+from anchorforge.lossgrad import (
     BN_EPS,
+    _loss_from_arrays,
     batch_moments,
     grad_head,
-    hard_assign_threshold,
-    hard_assign_yolo,
     head_outputs,
     initial_head,
     make_features,
-    soft_assign,
 )
-from anchorforge.assign import TEMP_FLOOR
-from anchorforge.lossgrad import _loss_from_arrays
 from oracles import (
     cluster_term,
     dense_grad_head,

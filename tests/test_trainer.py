@@ -10,12 +10,10 @@ from anchorforge import (
     CanonicalDataset,
     NonFiniteLossError,
     TrainConfig,
-    initial_head,
-    make_features,
     run_training,
-    soft_assign,
 )
-from anchorforge.assign import TEMP_START
+from anchorforge.assign import TEMP_START, soft_assign
+from anchorforge.lossgrad import initial_head, make_features
 from anchorforge.trainer import _RANGES
 from oracles import head_loss_longhand, lr_at, sgd_step
 
