@@ -151,7 +151,8 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
         "stride": _Opt(int, 32, check=_AT_LEAST_1),
         "iters": _Opt(int, _RECIPE.iters, check=_RANGES["iters"]),
-        "scale": _Opt(float, 1.0, help="scale iteration counts (schedule, warm-up) by this factor", check=_POSITIVE),
+        "scale": _Opt(float, 1.0, check=_POSITIVE,
+                      help="scale iteration counts by this factor (lr breakpoints before --warmup-iters stay)"),
         "batch_size": _Opt(int, _RECIPE.batch_size, check=_RANGES["batch_size"]),
         "momentum": _Opt(float, _RECIPE.momentum, check=_RANGES["momentum"]),
         "lr_schedule": _Opt(_parse_lr_schedule, _RECIPE.lr_schedule,
@@ -359,14 +360,19 @@ def _scaled(name: str, value: int, scale: float) -> int:
     return int(round(value * scale))
 
 
-def _scaled_schedule(schedule: tuple[tuple[int, float], ...], scale: float) -> tuple[tuple[int, float], ...]:
-    """Scale the schedule's breakpoints; reject a scale that merges two of them."""
-    scaled = tuple((_scaled("lr_schedule breakpoint", start, scale), lr) for start, lr in schedule)
+def _scaled_schedule(
+    schedule: tuple[tuple[int, float], ...], scale: float, warmup_iters: int
+) -> tuple[tuple[int, float], ...]:
+    """Scale the breakpoints from the unscaled warmup_iters on; those before it stay, so
+    a short run keeps the recipe's learning-rate ramp inside its soft warm-up. Reject a
+    scale that merges or reorders two breakpoints."""
+    scaled = tuple((start if start < warmup_iters else _scaled("lr_schedule breakpoint", start, scale), lr)
+                   for start, lr in schedule)
     for (a, _), (b, _), (sa, _), (sb, _) in zip(schedule, schedule[1:], scaled, scaled[1:]):
         if a < b and sa >= sb:
             raise ParseError(
-                f"scale {scale:g} maps lr_schedule breakpoints {a} and {b} "
-                f"both to iteration {sb}; use a larger scale or fewer breakpoints"
+                f"scale {scale:g} maps lr_schedule breakpoints {a} and {b} to iterations "
+                f"{sa} and {sb}, which do not increase; use a larger scale or fewer breakpoints"
             )
     return scaled
 
@@ -389,7 +395,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     # the counts are recorded scaled, so the recorded scale is 1
     opt |= {
         "iters": iters,
-        "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale),
+        "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale, opt["warmup_iters"]),
         "warmup_iters": _scaled("warmup_iters", opt["warmup_iters"], scale),
         "scale": 1,
     }

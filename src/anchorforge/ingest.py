@@ -319,7 +319,7 @@ def parse_voc(directory: "str | Path", exclude_difficult: bool = False) -> Parse
     if not directory.is_dir():
         raise ParseError(f"{directory}: not a directory of VOC annotations")
     files = sorted(directory.glob("*.xml"))
-    ids, sizes, corners = [], [], []
+    ids, paths, sizes, corners = [], [], [], []
     records = 0
     skipped_difficult = 0
     for f in files:
@@ -349,9 +349,9 @@ def parse_voc(directory: "str | Path", exclude_difficult: bool = False) -> Parse
             except (TypeError, ValueError):
                 raise ParseError(f"{f}: <bndbox> must contain numeric corners") from None
             ids.append(f.stem)
+            paths.append(f)
             sizes.append((iw, ih))
-    return _clamped(ids, sizes, corners, lambda i: str(directory / f"{ids[i]}.xml"),
-                    records=records, skipped_difficult=skipped_difficult)
+    return _clamped(ids, sizes, corners, lambda i: str(paths[i]), records=records, skipped_difficult=skipped_difficult)
 
 
 @_collector_paused()

@@ -451,8 +451,34 @@ class TestOptimize:
                    "--no-head", "--out-dir", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "scale 0.004" in err and "breakpoints 0 and 100" in err
+        assert "scale 0.004" in err and "breakpoints 100 and 15000" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mixture", [1, 11])
+    def test_scaled_recipe_strands_no_anchor(self, tmp_path, monkeypatch, mixture):
+        """The flag-free recipe at --scale 0.1 keeps its learning-rate ramp
+        inside the warm-up, so every anchor wins at least 20 boxes in the last
+        full epoch. With the ramp scaled to iteration 10 the full rate threw
+        an anchor out of the data in most of these runs."""
+        runs = []
+
+        def capture(ds, anchors0, cfg, trajectory_path=None):
+            runs.append((cfg, anchorforge.run_training(ds, anchors0, cfg, trajectory_path)))
+            return runs[-1][1]
+
+        monkeypatch.setattr("anchorforge.cli.run_training", capture)
+        ds = synth.mixture2(mixture)
+        dataset = tmp_path / "boxes.canonical"
+        anchorforge.write_canonical(ds, dataset)
+        least = []
+        for seed in range(4):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["optimize", "--dataset", str(dataset), "--scale", "0.1", "--seed", str(seed),
+                             "--out-dir", str(tmp_path / f"o{seed}")]) == 0
+            cfg, result = runs[-1]
+            full_epochs = cfg.iters // -(-len(ds) // cfg.batch_size)
+            least.append(int(result.epoch_utilization[full_epochs - 1].min()))
+        assert min(least) >= 20, f"least-used anchor's boxes in the last full epoch, seeds 0-3: {least}"
 
     @pytest.mark.parametrize("flags,match", [
         (["--iters", "-5"], "iters must be >= 0, got -5"),

@@ -276,6 +276,14 @@ class TestParseVoc:
         with pytest.raises(ParseError, match=r"b\tc\.xml: image id 'b\\tc' must not contain tabs or line breaks"):
             parse_voc(tmp_path)
 
+    def test_error_names_the_file_read(self, tmp_path):
+        """A file named .xml has the stem .xml; the error names the file
+        itself, not one rebuilt from its stem (.xml.xml)."""
+        write_voc_file(tmp_path, "", 640, 480, [("dog", False, 50, 10, 30, 30)])
+        with pytest.raises(ParseError) as info:
+            parse_voc(tmp_path)
+        assert str(info.value) == f"{tmp_path / '.xml'}: degenerate box (50.0, 10.0, 30.0, 30.0) (max must exceed min)"
+
 
 class TestParseCsv:
     HEADER = "image_id,image_w,image_h,x_min,y_min,x_max,y_max\n"
