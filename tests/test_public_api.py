@@ -2,8 +2,9 @@
 
 The assignment rules, the warm-up schedules, the geometry arrays and the
 moment-form stages are internals of ``run_training``: they are imported
-from their modules, and README documents only public names. The step
-walkthrough lives in ``anchorforge.lossgrad``'s docstring and runs here.
+from their modules, and README documents the public names and no private
+one. The step walkthrough lives in ``anchorforge.lossgrad``'s docstring
+and runs here.
 """
 
 import ast
@@ -39,6 +40,11 @@ def test_readme_imports_no_private_name():
     imports = readme_imports()
     assert imports, "README imports nothing from anchorforge"
     assert [f"{module}.{name}" for module, name in imports if name.startswith("_")] == []
+
+
+def test_readme_lists_every_public_name():
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in anchorforge.__all__ if f"`{name}`" not in section] == []
 
 
 def test_step_stages_are_not_at_the_package_root():
