@@ -152,7 +152,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "stride": _Opt(int, 32, check=_AT_LEAST_1),
         "iters": _Opt(int, _RECIPE.iters, check=_RANGES["iters"]),
         "scale": _Opt(float, 1.0, check=_POSITIVE,
-                      help="scale iteration counts by this factor (lr breakpoints before --warmup-iters stay)"),
+                      help="scale iteration counts by this factor (lr breakpoints before the scaled warm-up move no earlier)"),
         "batch_size": _Opt(int, _RECIPE.batch_size, check=_RANGES["batch_size"]),
         "momentum": _Opt(float, _RECIPE.momentum, check=_RANGES["momentum"]),
         "lr_schedule": _Opt(_parse_lr_schedule, _RECIPE.lr_schedule,
@@ -363,11 +363,14 @@ def _scaled(name: str, value: int, scale: float) -> int:
 def _scaled_schedule(
     schedule: tuple[tuple[int, float], ...], scale: float, warmup_iters: int
 ) -> tuple[tuple[int, float], ...]:
-    """Scale the breakpoints from the unscaled warmup_iters on; those before it stay, so
-    a short run keeps the recipe's learning-rate ramp inside its soft warm-up. Reject a
-    scale that merges or reorders two breakpoints."""
-    scaled = tuple((start if start < warmup_iters else _scaled("lr_schedule breakpoint", start, scale), lr)
-                   for start, lr in schedule)
+    """Scale the breakpoints, but one before the already scaled warmup_iters moves no
+    earlier, so a short run keeps the recipe's learning-rate ramp inside its soft warm-up
+    at every scale. Reject a scale that merges or reorders two breakpoints."""
+    def moved(start: int) -> int:
+        scaled = _scaled("lr_schedule breakpoint", start, scale)
+        return max(start, scaled) if start < warmup_iters else scaled
+
+    scaled = tuple((moved(start), lr) for start, lr in schedule)
     for (a, _), (b, _), (sa, _), (sb, _) in zip(schedule, schedule[1:], scaled, scaled[1:]):
         if a < b and sa >= sb:
             raise ParseError(
@@ -392,11 +395,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if iters == 0 < opt["iters"]:
         raise ParseError(f"scale {scale:g} turns iters {opt['iters']} into 0 iterations; "
                          f"use a larger scale, or iters 0 to score the initial anchors")
+    warmup_iters = _scaled("warmup_iters", opt["warmup_iters"], scale)
     # the counts are recorded scaled, so the recorded scale is 1
     opt |= {
         "iters": iters,
-        "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale, opt["warmup_iters"]),
-        "warmup_iters": _scaled("warmup_iters", opt["warmup_iters"], scale),
+        "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale, warmup_iters),
+        "warmup_iters": warmup_iters,
         "scale": 1,
     }
     cfg = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})

@@ -321,6 +321,27 @@ class TestOptimize:
         assert cfg["optimize"]["lr_schedule"] == "0:0.01,25:0.001"
         assert cfg["optimize"]["warmup_iters"] == "10"
 
+    @pytest.mark.parametrize("flags,warmup,schedule", [
+        # the recipe's ramp at 100 lies inside the scaled warm-up of 150 and stays
+        (["--scale", "0.1"], "150", "0:0.0001,100:0.001,1500:0.0001,2700:1e-05"),
+        # a warm-up longer than a breakpoint, or than the run, keeps only the
+        # breakpoints before the scaled warm-up; the others still shrink
+        (["--scale", "0.1", "--warmup-iters", "20000"], "2000", "0:0.0001,100:0.001,1500:0.0001,2700:1e-05"),
+        (["--scale", "0.1", "--warmup-iters", "40000"], "4000", "0:0.0001,100:0.001,1500:0.0001,2700:1e-05"),
+        # the scaled warm-up of 15 ends before 100, so the ramp shrinks with the rest
+        (["--scale", "0.01"], "15", "0:0.0001,1:0.001,150:0.0001,270:1e-05"),
+        # a scale above 1 moves every breakpoint
+        (["--scale", "2"], "3000", "0:0.0001,200:0.001,30000:0.0001,54000:1e-05"),
+    ])
+    def test_scale_keeps_breakpoints_before_scaled_warmup(self, tmp_path, dataset_file, flags, warmup, schedule):
+        out = tmp_path / "opt"
+        rc = main(["optimize", "--dataset", str(dataset_file), "--num-anchors", "2", "--iters", "100",
+                   *flags, "--no-head", "--out-dir", str(out)])
+        assert rc == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "effective.cfg")
+        assert (cfg["optimize"]["warmup_iters"], cfg["optimize"]["lr_schedule"]) == (warmup, schedule)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path, dataset_file, capsys):
@@ -451,7 +472,7 @@ class TestOptimize:
                    "--no-head", "--out-dir", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "scale 0.004" in err and "breakpoints 100 and 15000" in err
+        assert "scale 0.004" in err and "breakpoints 0 and 100" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mixture", [1, 11])

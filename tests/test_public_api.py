@@ -2,20 +2,14 @@
 
 The assignment rules, the warm-up schedules, the geometry arrays and the
 moment-form stages are internals of ``run_training``: they are imported
-from their modules, and README documents the public names and no private
-one. The step walkthrough lives in ``anchorforge.lossgrad``'s docstring
-and runs here.
+from their modules. The step walkthrough lives in ``anchorforge.lossgrad``'s
+docstring and runs here.
 """
 
-import ast
 import doctest
-import re
-from pathlib import Path
 
 import anchorforge
 import anchorforge.lossgrad
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 STEP_STAGES = (
     "batch_moments", "head_outputs", "grad_head", "initial_head", "make_features", "BN_EPS",
@@ -23,28 +17,6 @@ STEP_STAGES = (
     "temperature_at", "cluster_weight_at",
     "iou_aligned_matrix", "shape_dist_matrix",
 )
-
-
-def readme_imports():
-    """(module, name) of every import from anchorforge in README's python blocks."""
-    text = README.read_text(encoding="utf-8")
-    found = []
-    for block in re.findall(r"^```python\n(.*?)^```$", text, flags=re.S | re.M):
-        for node in ast.walk(ast.parse(block)):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "anchorforge":
-                found += [(node.module, alias.name) for alias in node.names]
-    return found
-
-
-def test_readme_imports_no_private_name():
-    imports = readme_imports()
-    assert imports, "README imports nothing from anchorforge"
-    assert [f"{module}.{name}" for module, name in imports if name.startswith("_")] == []
-
-
-def test_readme_lists_every_public_name():
-    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    assert [name for name in anchorforge.__all__ if f"`{name}`" not in section] == []
 
 
 def test_step_stages_are_not_at_the_package_root():

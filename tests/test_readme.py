@@ -4,11 +4,13 @@ The python blocks under README's "Library use" run as written. They run
 in order and share one namespace, as a reader would paste them, from a
 directory that holds a synthetic runs/voc/dataset.canonical. An API
 change that breaks a documented call fails here, and so does a flag
-README names that no subcommand takes. The documented --no-bn schedule
+README names that no subcommand takes. Library use imports no private
+name and names every public one. The documented --no-bn schedule
 must train where the recipe's own rates diverge.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import re
@@ -23,10 +25,12 @@ from anchorforge.cli import build_parser, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def library_use_section():
+    return README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_use_blocks():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^```python\n(.*?)^```$", section, flags=re.S | re.M)
+    return re.findall(r"^```python\n(.*?)^```$", library_use_section(), flags=re.S | re.M)
 
 
 def test_library_use_blocks_run(tmp_path, monkeypatch):
@@ -39,6 +43,21 @@ def test_library_use_blocks_run(tmp_path, monkeypatch):
     namespace: dict = {}
     for number, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md, Library use block {number}", "exec"), namespace)
+
+
+def test_library_use_imports_no_private_name():
+    imports = []
+    for block in library_use_blocks():
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "anchorforge":
+                imports += [(node.module, alias.name) for alias in node.names]
+    assert imports, "Library use imports nothing from anchorforge"
+    assert [f"{module}.{name}" for module, name in imports if name.startswith("_")] == []
+
+
+def test_library_use_names_every_public_name():
+    section = library_use_section()
+    assert [name for name in anchorforge.__all__ if f"`{name}`" not in section] == []
 
 
 def test_no_bn_schedule_trains(tmp_path, monkeypatch):
