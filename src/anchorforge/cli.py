@@ -5,16 +5,18 @@ in order: command-line flag, then the matching key in the [command]
 section of --config (a flat key=value INI), then the built-in default.
 No environment variable is read.
 
-Every option is declared once, in the ``_SPECS`` table: its config
-parser, default, choices, flag help and range check.
+Every option is declared once, in the ``_SPECS`` table (cluster and
+optimize share ``_SHARED``): its config parser, default, choices, flag
+help and range check.
 optimize's training settings read their defaults from ``TrainConfig()``
 and ranges from ``trainer._RANGES``, so the recipe is declared once.
 ``build_parser`` makes each subcommand's flags from the table, and
-``_merge_options`` holds the resolved value to the same choices and
-check whether it came from a flag, the config file or the default, so a
-bad value stops the command before its run directory exists. Each run
-directory is made holding the merged configuration as ``effective.cfg``,
-which reproduces the run when passed back as --config.
+``main`` resolves them with ``_merge_options``, which holds each value
+to the same choices and check whether it came from a flag, the config
+file or the default, so a bad value stops the command before its run
+directory exists. Each run directory is made holding the merged
+configuration as ``effective.cfg``, which reproduces the run when passed
+back as --config.
 
 Exit codes: 0 success, 2 bad input (unreadable or malformed files,
 unknown flags or config keys, values outside an option's range), 3
@@ -125,7 +127,13 @@ _POSITIVE = ("must be a positive number", lambda v: 0.0 < v < math.inf)
 
 _RECIPE = TrainConfig()
 
-_SEED = _Opt(int, _RECIPE.seed, help=f"random seed (default {_RECIPE.seed})", check=_RANGES["seed"])
+_SHARED = {
+    "seed": _Opt(int, _RECIPE.seed, help=f"random seed (default {_RECIPE.seed})", check=_RANGES["seed"]),
+    "dataset": _Opt(str),
+    "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
+    "stride": _Opt(int, 32, check=_AT_LEAST_1),
+    "units": _Opt(str, "pixels", _UNITS),
+}
 
 _SPECS: dict[str, dict[str, _Opt]] = {
     "ingest": {
@@ -133,23 +141,13 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "input": _Opt(str, help="annotation file (coco, csv) or directory (voc)"),
         "canvas": _Opt(int, 416, help="square canvas size in pixels (default 416)", check=_AT_LEAST_1),
         "min_size": _Opt(float, 1e-3, help="drop boxes smaller than this after scaling", check=_NONNEGATIVE),
-        "include_crowd": _Opt(_parse_bool, False),
-        "exclude_difficult": _Opt(_parse_bool, False),
+        "include_crowd": _Opt(_parse_bool, False, help="keep iscrowd annotations (coco only)"),
+        "exclude_difficult": _Opt(_parse_bool, False, help="drop objects marked difficult (voc only)"),
     },
-    "cluster": {
-        "seed": _SEED,
-        "dataset": _Opt(str),
-        "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
-        "stride": _Opt(int, 32, check=_AT_LEAST_1),
-        "max_iter": _Opt(int, 300, check=_AT_LEAST_0),
-        "units": _Opt(str, "pixels", _UNITS),
-    },
+    "cluster": {**_SHARED, "max_iter": _Opt(int, 300, check=_AT_LEAST_0)},
     "optimize": {
-        "seed": _SEED,
-        "dataset": _Opt(str),
+        **_SHARED,
         "init": _Opt(str, "kmeans", help=f"{', '.join(_INITS)}, or an anchors.json to start from"),
-        "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
-        "stride": _Opt(int, 32, check=_AT_LEAST_1),
         "iters": _Opt(int, _RECIPE.iters, check=_RANGES["iters"]),
         "scale": _Opt(float, 1.0, check=_POSITIVE,
                       help="scale iteration counts by this factor (lr breakpoints before the scaled warm-up move no earlier)"),
@@ -170,7 +168,6 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)"),
         "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_mult, check=_RANGES["anchor_lr_mult"]),
         "log_every": _Opt(int, _RECIPE.log_every, check=_RANGES["log_every"]),
-        "units": _Opt(str, "pixels", _UNITS),
     },
     "eval": {
         "dataset": _Opt(str),
@@ -203,9 +200,10 @@ def _load_config_section(path: str, command: str) -> dict[str, str]:
     return section
 
 
-def _merge_options(command: str, args: argparse.Namespace) -> dict:
-    """Resolve every option (CLI flag, then config file, then default) and
-    hold each resolved value to its option's check."""
+def _merge_options(args: argparse.Namespace) -> dict:
+    """Resolve every option of args.command (CLI flag, then config file,
+    then default) and hold each resolved value to its option's check."""
+    command = args.command
     specs = _SPECS[command]
     effective: dict[str, object] = {}
     file_section = _load_config_section(args.config, command) if args.config else {}
@@ -236,10 +234,10 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     return effective
 
 
-def _start_run_dir(args: argparse.Namespace, command: str, effective: dict, results: tuple[str, ...]) -> Path:
-    """Make the run directory and write the merged options into it as
-    effective.cfg. It is the --out-dir directory, made if missing; by
-    default a new runs/<command>-<timestamp> directory, suffixed -2, -3,
+def _start_run_dir(args: argparse.Namespace, effective: dict, results: tuple[str, ...]) -> Path:
+    """Make the run directory of args.command and write the merged options
+    into it as effective.cfg. It is the --out-dir directory, made if missing;
+    by default a new runs/<command>-<timestamp> directory, suffixed -2, -3,
     ... when a run started in the same second already holds the name.
     The command's result files that an earlier run left in a reused
     directory are removed, so a run that fails leaves none of them beside
@@ -248,7 +246,7 @@ def _start_run_dir(args: argparse.Namespace, command: str, effective: dict, resu
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
-        base = f"runs/{command}-{time.strftime('%Y%m%d-%H%M%S')}"
+        base = f"runs/{args.command}-{time.strftime('%Y%m%d-%H%M%S')}"
         for n in itertools.count(1):
             out_dir = Path(base if n == 1 else f"{base}-{n}")
             try:
@@ -258,7 +256,7 @@ def _start_run_dir(args: argparse.Namespace, command: str, effective: dict, resu
             break
     for name in results:
         (out_dir / name).unlink(missing_ok=True)
-    lines = [f"[{command}]"]
+    lines = [f"[{args.command}]"]
     for key in sorted(effective):
         value = effective[key]
         # repr keeps every digit of a float, so the file reproduces the run
@@ -279,9 +277,11 @@ def _quantile_block(name: str, values: np.ndarray) -> str:
     return f"{name:>6}: {cells}"
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    opt = _merge_options("ingest", args)
+def cmd_ingest(args: argparse.Namespace, opt: dict) -> None:
     fmt = opt["format"]
+    for key, only in (("include_crowd", "coco"), ("exclude_difficult", "voc")):
+        if opt[key] and fmt != only:
+            raise ParseError(f"{key} applies only to format {only}, not {fmt}")
     if fmt == "coco":
         boxes = parse_coco(opt["input"], include_crowd=opt["include_crowd"])
     elif fmt == "voc":
@@ -289,7 +289,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     else:
         boxes = parse_csv(opt["input"])
     ds = normalize_to_canvas(boxes, opt["canvas"], min_size=opt["min_size"])
-    out_path = _start_run_dir(args, "ingest", opt, ("dataset.canonical",)) / "dataset.canonical"
+    out_path = _start_run_dir(args, opt, ("dataset.canonical",)) / "dataset.canonical"
     write_canonical(ds, out_path)
 
     print(f"parsed {len(boxes)} boxes from {opt['input']} ({fmt})")
@@ -305,16 +305,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(_quantile_block("log w", np.log(shapes[:, 0])))
         print(_quantile_block("log h", np.log(shapes[:, 1])))
     print(f"wrote {out_path}")
-    return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    opt = _merge_options("cluster", args)
+def cmd_cluster(args: argparse.Namespace, opt: dict) -> None:
     ds = read_canonical(opt["dataset"])
     num_anchors = opt["num_anchors"]
     if len(ds) < num_anchors:
         raise ParseError(f"{opt['dataset']}: dataset has {len(ds)} boxes but {num_anchors} clusters were requested")
-    out_dir = _start_run_dir(args, "cluster", opt, ("anchors.json", "anchors.txt"))
+    out_dir = _start_run_dir(args, opt, ("anchors.json", "anchors.txt"))
     result = kmeans_iou(ds.shapes(), num_anchors, max_iter=opt["max_iter"], seed=opt["seed"])
     anchors = anchors_from_centroids(result.centroids, opt["stride"])
     write_anchors_json(out_dir / "anchors.json", anchors, ds.canvas_size)
@@ -324,7 +322,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     print(f"mean best IoU: {result.mean_best_iou:.4f}")
     print(f"anchors: {anchors_line(anchors, opt['units'])}")
     print(f"wrote {out_dir / 'anchors.json'}")
-    return 0
 
 
 def _anchors_for_canvas(path: str, canvas: int, source: str) -> AnchorSet:
@@ -386,8 +383,7 @@ def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, flo
     return {"avg_best_iou": report.avg_best_iou, "recall_at_0.5": recall[0.5], "recall_at_0.75": recall[0.75]}
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    opt = _merge_options("optimize", args)
+def cmd_optimize(args: argparse.Namespace, opt: dict) -> None:
     if opt["init"] not in _INITS and not Path(opt["init"]).is_file():
         raise ParseError(f"init {opt['init']!r} is none of {', '.join(_INITS)} and no such file exists")
     scale = opt["scale"]
@@ -412,7 +408,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                          f"but {opt['num_anchors']} anchors were requested")
 
     anchors0 = _initial_anchors(opt, ds)
-    out_dir = _start_run_dir(args, "optimize", opt, ("anchors.json", "anchors.txt", "summary.json", "trajectory.csv"))
+    out_dir = _start_run_dir(args, opt, ("anchors.json", "anchors.txt", "summary.json", "trajectory.csv"))
 
     before = _coverage_summary(anchors0, ds)
     result = run_training(ds, anchors0, cfg, trajectory_path=out_dir / "trajectory.csv")
@@ -436,11 +432,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"avg_best_iou: {before['avg_best_iou']:.4f} -> {after['avg_best_iou']:.4f}")
     print(f"anchors: {anchors_line(anchors, opt['units'])}")
     print(f"wrote {out_dir / 'anchors.json'}, trajectory.csv, summary.json")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    opt = _merge_options("eval", args)
+def cmd_eval(args: argparse.Namespace, opt: dict) -> None:
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")
@@ -451,16 +445,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         taus=opt["taus"],
         threshold_tau=opt["tau"],
     )
-    out_dir = _start_run_dir(args, "eval", opt, ("report.txt", "report.json"))
+    out_dir = _start_run_dir(args, opt, ("report.txt", "report.json"))
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
     print(text, end="")
     print(f"wrote {out_dir / 'report.json'}")
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     a, canvas = read_anchors_json(args.a)
     b = _anchors_for_canvas(args.b, canvas, args.a)
     if len(a) != len(b):
@@ -473,7 +466,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"  ({sa[i][0]:8.2f}, {sa[i][1]:8.2f})  ->  ({sb[j][0]:8.2f}, {sb[j][1]:8.2f})  "
               f"log-dist {d:.4f}")
     print(f"mean matched log-space distance: {dists.mean():.6f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,13 +502,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.func(args))
+        if args.command in _SPECS:
+            args.func(args, _merge_options(args))
+        else:
+            args.func(args)
     except NonFiniteLossError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as e:  # ParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -43,7 +43,7 @@ class AnchorSet:
         if bad.size:
             lw, lh = arr[bad[0]].tolist()
             raise ValueError(f"log shape must be finite, got ({lw}, {lh})")
-        if not isinstance(self.stride, int) or self.stride < 1:
+        if type(self.stride) is not int or self.stride < 1:  # bool is an int subclass
             raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "log_wh", arr)

@@ -82,6 +82,11 @@ def _first_bad_id(ids: Sequence[str]) -> Optional[int]:
     return None
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, but not a bool (an int subclass)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_float_range(name: str, value: int) -> None:
     """Raise ValueError for an integer beyond float range, which float and
     numpy arithmetic cannot take (they raise OverflowError)."""
@@ -148,7 +153,7 @@ class CanonicalDataset:
 
     def __post_init__(self) -> None:
         s = self.canvas_size
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:  # bool is an int subclass
             raise ValueError(f"canvas_size must be a positive integer, got {s!r}")
         _check_float_range("canvas_size", s)
         ids = tuple(self.image_ids)

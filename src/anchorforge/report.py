@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 from .assign import RULES
 from .cluster import best_iou
 from .geometry import AnchorSet, shape_dist_matrix
-from .ingest import CanonicalDataset, ParseError, _check_float_range, _read_json
+from .ingest import CanonicalDataset, ParseError, _check_float_range, _is_integer, _read_json
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
 
@@ -130,22 +130,20 @@ def render_text(report: AnchorReport) -> str:
 
 
 def report_to_json(report: AnchorReport) -> str:
-    payload = {
-        "kind": "anchorforge-report",
-        "version": 1,
-        "canvas": report.canvas,
-        "stride": report.stride,
-        "assignment_rule": report.assignment_rule,
-        "avg_best_iou": report.avg_best_iou,
-        "recall_at": {repr(float(t)): v for t, v in sorted(report.recall_at.items())},
-        "utilization": list(report.utilization),
-        "anchors": [[w, h] for w, h in report.anchors_wh],
-    }
+    """The report's fields in their order, after a kind/version header;
+    recall_at is keyed by each tau's repr and anchors_wh is named anchors."""
+    payload = {"kind": "anchorforge-report", "version": 1, **asdict(report)}
+    payload["recall_at"] = {repr(float(t)): v for t, v in sorted(report.recall_at.items())}
+    payload["anchors"] = payload.pop("anchors_wh")
     return json.dumps(payload, indent=2)
 
 
 def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> None:
-    """Write anchors (sorted by area, linear pixels) with canvas and stride."""
+    """Write anchors (sorted by area, linear pixels) with canvas and stride.
+    A canvas that read_anchors_json would refuse raises ValueError first."""
+    if not _is_integer(canvas) or canvas < 1:
+        raise ValueError(f"canvas must be an integer >= 1, got {canvas!r}")
+    _check_float_range("canvas", canvas)
     ordered = anchors.sorted_by_area()
     payload = {
         "canvas": int(canvas),

@@ -37,7 +37,7 @@ from .assign import (
     utilization_counts,
 )
 from .geometry import METRICS, AnchorSet, Metric
-from .ingest import CanonicalDataset
+from .ingest import CanonicalDataset, _is_integer
 from .lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs, initial_head, make_features
 
 SMOOTHING_WINDOW = 100
@@ -62,6 +62,9 @@ _AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
 _NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
 
+# the TrainConfig fields that count iterations or boxes, or seed the draws; bools are refused
+_INTEGERS = ("iters", "batch_size", "warmup_iters", "seed", "log_every")
+
 # the range of each numeric TrainConfig field; optimize holds its options to the same pairs
 _RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "iters": _AT_LEAST_0,
@@ -84,7 +87,8 @@ class TrainConfig:
 
     The defaults are the recipe of a flag-free ``anchorforge optimize``,
     which sets every field, each named as its option and held to its
-    range in ``_RANGES``; an anchor_lr_mult of 0 freezes the anchors.
+    range in ``_RANGES``; the counts in ``_INTEGERS`` and the schedule's
+    starts must be integers. An anchor_lr_mult of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -105,6 +109,9 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self) -> None:
+        for name in _INTEGERS:
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name, (requirement, test) in _RANGES.items():
             value = getattr(self, name)
             if not test(value):
@@ -112,6 +119,8 @@ class TrainConfig:
         if not self.lr_schedule or self.lr_schedule[0][0] != 0:
             raise ValueError("lr_schedule must be nonempty and start at iteration 0")
         starts = [s for s, _ in self.lr_schedule]
+        if not all(map(_is_integer, starts)):
+            raise ValueError(f"lr_schedule iterations must be integers, got {starts}")
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ValueError("lr_schedule iterations must be strictly increasing")
         if not all(0.0 < lr < math.inf for _, lr in self.lr_schedule):

@@ -226,6 +226,33 @@ class TestIngest:
         cfg.read(out / "effective.cfg")
         assert cfg["ingest"][key] == str(expect_set)
 
+    @pytest.mark.parametrize("key, fmt, only", [
+        ("include_crowd", "csv", "coco"), ("include_crowd", "voc", "coco"),
+        ("exclude_difficult", "csv", "voc"), ("exclude_difficult", "coco", "voc"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_format_only_option_with_other_format_exits_2(self, tmp_path, capsys, key, fmt, only, via):
+        """ingest --format csv --include-crowd --exclude-difficult used to exit
+        0, ignore both flags and record both as True in effective.cfg."""
+        csv_path = tmp_path / "boxes.csv"
+        write_csv(csv_path, n=5)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[ingest]\nformat = {fmt}\ninput = {csv_path}\n"
+                            + (f"{key} = true\n" if via == "config" else ""))
+        flags = ["--" + key.replace("_", "-")] if via == "flag" else []
+        rc = main(["ingest", "--config", str(cfg_file), *flags, "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {key} applies only to format {only}, not {fmt}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_format_only_options_off_pass_with_any_format(self, tmp_path):
+        csv_path = tmp_path / "boxes.csv"
+        write_csv(csv_path, n=5)
+        out = tmp_path / "run"
+        assert main(["ingest", "--format", "csv", "--input", str(csv_path),
+                     "--no-include-crowd", "--no-exclude-difficult", "--out-dir", str(out)]) == 0
+        assert (out / "dataset.canonical").exists()
+
 
 class TestCluster:
     def test_produces_anchor_files(self, tmp_path, dataset_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorforge import AnchorSet
+from anchorforge import AnchorSet, read_anchors_json, write_anchors_json
 from anchorforge.geometry import iou_aligned_matrix, shape_dist_matrix
 from oracles import iou_of_boxes, shape_dist
 
@@ -198,6 +198,16 @@ class TestAnchorSet:
             AnchorSet([[0.0, 0.0]], stride=0)
         with pytest.raises(ValueError):
             AnchorSet([[0.0, 0.0]], stride=2.5)
+
+    def test_bool_stride_refused_and_int_round_trips(self, tmp_path):
+        """stride=True used to pass and be written as "stride": true, which
+        read_anchors_json refuses; stride 1 is written and read back."""
+        with pytest.raises(ValueError, match=r"^stride must be a positive integer, got True$"):
+            AnchorSet([[0.0, 0.0]], stride=True)
+        p = tmp_path / "anchors.json"
+        write_anchors_json(p, AnchorSet([[0.0, 0.0]], stride=1), 416)
+        anchors, canvas = read_anchors_json(p)
+        assert (anchors.stride, canvas) == (1, 416)
 
 
 shape_sides = st.floats(min_value=1e-2, max_value=1e4, allow_nan=False, allow_infinity=False)

@@ -517,6 +517,17 @@ class TestCanonicalFile:
         want = canonical_text(416, zip(ids, cx.tolist(), cy.tolist(), w.tolist(), h.tolist()))
         assert p.read_bytes() == want.encode("utf-8")
 
+    def test_bool_canvas_refused_and_int_round_trips(self, tmp_path):
+        """canvas_size=True used to pass and be written as S=True, which
+        read_canonical refuses; canvas 1 is written and read back."""
+        with pytest.raises(ValueError, match=r"^canvas_size must be a positive integer, got True$"):
+            CanonicalDataset(True, ("a",), [0.5], [0.5], [1.0], [1.0])
+        p = tmp_path / "data.canonical"
+        write_canonical(CanonicalDataset(1, ("a",), [0.5], [0.5], [1.0], [1.0]), p)
+        back = read_canonical(p)
+        assert type(back.canvas_size) is int and back.canvas_size == 1
+        np.testing.assert_array_equal(back.shapes(), [[1.0, 1.0]])
+
     def test_unsupported_version(self, tmp_path):
         p = tmp_path / "data.canonical"
         p.write_text("anchorforge-dataset v2 S=416\n")

@@ -299,6 +299,27 @@ class TestAnchorsFile:
         got = back.wh()
         np.testing.assert_allclose(got, [(10.0, 12.0), (50.0, 60.0)], rtol=1e-9)
 
+    @pytest.mark.parametrize("canvas, message", [
+        (416.7, "canvas must be an integer >= 1, got 416.7"),
+        (0, "canvas must be an integer >= 1, got 0"),
+        (True, "canvas must be an integer >= 1, got True"),
+        ("416", "canvas must be an integer >= 1, got '416'"),
+        (10**400, "canvas must lie within float range, got a 401-digit integer"),
+    ], ids=["float", "zero", "bool", "string", "beyond float range"])
+    def test_canvas_read_back_would_refuse_is_not_written(self, tmp_path, canvas, message):
+        """int(canvas) used to write 416.7 as 416, and 0 or True as a file
+        that read_anchors_json refuses."""
+        p = tmp_path / "anchors.json"
+        with pytest.raises(ValueError) as info:
+            write_anchors_json(p, anchors_of([(10.0, 12.0)]), canvas)
+        assert str(info.value) == message
+        assert not p.exists()
+
+    def test_numpy_integer_canvas_written_as_int(self, tmp_path):
+        p = tmp_path / "anchors.json"
+        write_anchors_json(p, anchors_of([(10.0, 12.0)]), np.int64(416))
+        assert read_anchors_json(p)[1] == 416
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "anchors.json"
         p.write_text("{nope")

@@ -14,7 +14,7 @@ from anchorforge import (
 )
 from anchorforge.assign import TEMP_START, soft_assign
 from anchorforge.lossgrad import initial_head, make_features
-from anchorforge.trainer import _RANGES
+from anchorforge.trainer import _INTEGERS, _RANGES
 from oracles import head_loss_longhand, lr_at, sgd_step
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
@@ -164,6 +164,33 @@ class TestConfigValidation:
     def test_bad_warmup_iters(self):
         with pytest.raises(ValueError, match="warmup_iters must be >= 0"):
             TrainConfig(warmup_iters=-1)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0)])
+    @pytest.mark.parametrize("name", _INTEGERS)
+    def test_integer_fields_refuse_other_numbers(self, name, value):
+        """At log_every=2.5 a run used to log at iterations 0, 5, 10 and 11,
+        and iters=True ran one step."""
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: value})
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_schedule_starts_must_be_integers(self):
+        """The breakpoint 100.5 used to be passed over: the run trained
+        bit-identically to one without it."""
+        for schedule in (((0, 1e-4), (100.5, 1e-1)), ((0, 1e-4), (True, 1e-1)), ((0.0, 1e-4),)):
+            with pytest.raises(ValueError, match=r"^lr_schedule iterations must be integers, got \["):
+                TrainConfig(lr_schedule=schedule)
+
+    def test_numpy_integers_train_as_python_integers(self):
+        ints = dict(iters=40, batch_size=32, warmup_iters=20, seed=1, log_every=5)
+        schedule = ((0, 1e-2), (30, 1e-3))
+        a = run_training(tiny_ds(), start_anchors(), small_cfg(**ints, lr_schedule=schedule))
+        b = run_training(tiny_ds(), start_anchors(), small_cfg(
+            **{k: np.int64(v) for k, v in ints.items()},
+            lr_schedule=tuple((np.int32(s), lr) for s, lr in schedule),
+        ))
+        np.testing.assert_array_equal(a.anchors.log_wh, b.anchors.log_wh)
+        assert [r.iteration for r in a.rows] == [r.iteration for r in b.rows]
 
     def test_range_table_names_fields(self):
         fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
