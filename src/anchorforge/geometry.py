@@ -16,6 +16,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .ingest import _check_float_range
+
 Metric = Literal["one_minus_iou", "sq_l2_log"]
 
 METRICS: tuple[str, ...] = get_args(Metric)
@@ -45,6 +47,7 @@ class AnchorSet:
             raise ValueError(f"log shape must be finite, got ({lw}, {lh})")
         if type(self.stride) is not int or self.stride < 1:  # bool is an int subclass
             raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
+        _check_float_range("stride", self.stride)
         arr.flags.writeable = False
         object.__setattr__(self, "log_wh", arr)
 

@@ -21,6 +21,12 @@ producing partial data; an image id with a tab, a line break or a lone
 surrogate (a COCO id's "\\ud800" escape, or a VOC file name that is not
 UTF-8), which the UTF-8 canonical format cannot hold, is malformed.
 
+read_canonical checks a file's records in one bulk pass: the tab total
+of the body must be four per line, and one np.loadtxt call over all the
+lines must return a row for each. Only a file that fails it is read
+again line by line, to name the first faulty line: a wrong field count
+is looked for on every line before any number is.
+
 Every parser pauses CPython's cyclic garbage collector while it runs.
 Each builds one large graph of containers that holds no reference cycles
 (the decoded JSON document, the rows read, the XML trees), so the
@@ -54,6 +60,8 @@ import numpy as np
 _HEADER_RE = re.compile(r"anchorforge-dataset v(\d+) S=(\d+)")
 _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_max"]
 _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
+# the (n, 4) numbers of canonical record lines; "#" starts no comment there
+_parse_fields = functools.partial(np.loadtxt, delimiter="\t", usecols=(1, 2, 3, 4), comments=None, ndmin=2)
 _ID_BREAK = re.compile("[\t\n\r\ud800-\udfff]")  # what an image id in the canonical format must not hold
 _NO_SURROGATES = "nor surrogates that UTF-8 cannot encode"
 
@@ -421,10 +429,44 @@ def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _read_by_line(path: Path, body: list[str]) -> tuple[list[str], np.ndarray]:
+    """The ids and (n, 4) values of the (non-empty) body lines, checked line
+    by line so that a fault is named at its line: first every line's tab
+    count, then the numbers, parsed line by line only once the whole body
+    fails."""
+    ids = []
+    for lineno, line in enumerate(body, start=2):
+        tabs = line.count("\t")
+        if tabs != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {tabs + 1}")
+        ids.append(line[:line.index("\t")])
+    try:
+        return ids, _parse_fields(body)
+    except ValueError as e:
+        # loadtxt's row numbers count from 0 in some messages and 1 in others, so ask it line by line
+        for lineno, line in enumerate(body, start=2):
+            try:
+                _parse_fields([line])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
+        raise ParseError(f"{path}: {e}") from None
+
+
 def read_canonical(path: "str | Path") -> CanonicalDataset:
-    """Read a canonical dataset file, validating the version header."""
+    """Read a canonical dataset file, validating the version header.
+
+    The body is checked in one bulk pass: its tab total must be four per
+    line and np.loadtxt must return one row per line. loadtxt refuses a
+    line of fewer than four tabs and skips a blank one, so together these
+    hold only when every line has exactly four. A file that fails the bulk
+    pass is read again line by line, which raises ParseError at the first
+    faulty line: a wrong field count first, then a non-numeric field.
+    """
     path = Path(path)
-    lines = _read_utf8(path).split("\n")
+    text = _read_utf8(path)
+    tabs = text.count("\t")
+    lines = text.split("\n")
+    del text  # hold the text no longer than the split
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -438,25 +480,17 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
         raise ParseError(f"{path}: line 1: {e}") from None
     if version != 1:
         raise ParseError(f"{path}: unsupported dataset version {version} (this reader handles v1)")
-    ids = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        tabs = line.count("\t")
-        if tabs != 4:
-            raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {tabs + 1}")
-        ids.append(line[:line.index("\t")])
-    fields = functools.partial(np.loadtxt, delimiter="\t", usecols=(1, 2, 3, 4), comments=None, ndmin=2)
-    values = np.empty((0, 4))
-    if ids:
+    body = lines[1:]
+    values = None
+    if tabs - lines[0].count("\t") == 4 * len(body):  # the header may end in a tab, which strip() drops
         try:
-            values = fields(lines[1:])
-        except ValueError as e:
-            # loadtxt's row numbers count from 0 in some messages and 1 in others, so ask it line by line
-            for lineno, line in enumerate(lines[1:], start=2):
-                try:
-                    fields([line])
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
-            raise ParseError(f"{path}: {e}") from None
+            values = _parse_fields(body) if body else np.empty((0, 4))
+        except ValueError:
+            pass
+    if values is not None and len(values) == len(body):
+        ids = [line.partition("\t")[0] for line in body]
+    else:
+        ids, values = _read_by_line(path, body)
     try:
         return CanonicalDataset(canvas, ids, *values.T)
     except ValueError as e:  # its record i is the file's line i + 2

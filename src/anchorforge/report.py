@@ -138,17 +138,30 @@ def report_to_json(report: AnchorReport) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _check_areas(pairs: Sequence[tuple[float, float]]) -> None:
+    """Raise ValueError for a (w, h) pair of finite sides whose area, which
+    IoU needs, overflows a float."""
+    for w, h in pairs:
+        if not math.isfinite(w * h):
+            raise ValueError(f"anchor ({w}, {h}) has an area beyond float range")
+
+
 def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> None:
     """Write anchors (sorted by area, linear pixels) with canvas and stride.
-    A canvas that read_anchors_json would refuse raises ValueError first."""
+    A canvas or an anchor that read_anchors_json would refuse raises
+    ValueError first, in the reader's words."""
     if not _is_integer(canvas) or canvas < 1:
         raise ValueError(f"canvas must be an integer >= 1, got {canvas!r}")
     _check_float_range("canvas", canvas)
     ordered = anchors.sorted_by_area()
+    with np.errstate(over="ignore"):  # a side beyond float range is refused below
+        wh = ordered.wh().tolist()
+    AnchorSet.from_linear(wh)  # each side must be finite and positive: exp can overflow or reach 0
+    _check_areas(wh)
     payload = {
         "canvas": int(canvas),
         "stride": ordered.stride,
-        "anchors": ordered.wh().tolist(),
+        "anchors": wh,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -182,11 +195,9 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
         _check_float_range("canvas", canvas)
         _check_float_range("stride", stride)
         anchor_set = AnchorSet.from_linear(pairs, stride)
+        _check_areas(pairs)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
-    for w, h in pairs:  # finite sides can still overflow the area that IoU needs
-        if not math.isfinite(w * h):
-            raise ParseError(f"{path}: anchor ({w}, {h}) has an area beyond float range")
     return anchor_set, canvas
 
 

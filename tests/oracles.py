@@ -6,7 +6,9 @@ package, so a library bug cannot hide inside its own oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 
 import numpy as np
 
@@ -126,6 +128,57 @@ def canonical_text(canvas: int, rows) -> str:
     for image_id, *numbers in rows:
         lines.append("\t".join([image_id] + [format(float(x), ".10g") for x in numbers]))
     return "\n".join(lines) + "\n"
+
+
+def read_canonical_by_line(path, dataset, error):
+    """A canonical dataset file read by checking each record line on its own:
+    every line's tab count first, then the numbers of all lines at once and,
+    only if they fail, line by line to name the first bad one.
+
+    dataset(canvas, ids, cx, cy, w, h) builds the result, and its ValueError
+    has its "record i" renamed line i + 2; error is the class raised for a
+    malformed file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from None
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise error(f"{path}: empty file")
+    m = re.fullmatch(r"anchorforge-dataset v(\d+) S=(\d+)", lines[0].strip())
+    if m is None:
+        raise error(f"{path}: line 1: not a canonical dataset header")
+    try:
+        version, canvas = int(m.group(1)), int(m.group(2))
+    except ValueError as e:
+        raise error(f"{path}: line 1: {e}") from None
+    if version != 1:
+        raise error(f"{path}: unsupported dataset version {version} (this reader handles v1)")
+    ids = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        tabs = line.count("\t")
+        if tabs != 4:
+            raise error(f"{path}: line {lineno}: expected 5 tab-separated fields, got {tabs + 1}")
+        ids.append(line[:line.index("\t")])
+    fields = functools.partial(np.loadtxt, delimiter="\t", usecols=(1, 2, 3, 4), comments=None, ndmin=2)
+    values = np.empty((0, 4))
+    if ids:
+        try:
+            values = fields(lines[1:])
+        except ValueError as e:
+            for lineno, line in enumerate(lines[1:], start=2):
+                try:
+                    fields([line])
+                except ValueError:
+                    raise error(f"{path}: line {lineno}: non-numeric field") from None
+            raise error(f"{path}: {e}") from None
+    try:
+        return dataset(canvas, ids, *values.T)
+    except ValueError as e:
+        raise error(f"{path}: " + re.sub(r"^record (\d+)", lambda m: f"line {int(m[1]) + 2}", str(e))) from None
 
 
 def iou_table(wh: np.ndarray, cents: np.ndarray) -> np.ndarray:

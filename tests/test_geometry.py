@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorforge import AnchorSet, read_anchors_json, write_anchors_json
+from anchorforge import AnchorSet, anchors_line, read_anchors_json, write_anchors_json
 from anchorforge.geometry import iou_aligned_matrix, shape_dist_matrix
 from oracles import iou_of_boxes, shape_dist
 
@@ -208,6 +208,17 @@ class TestAnchorSet:
         write_anchors_json(p, AnchorSet([[0.0, 0.0]], stride=1), 416)
         anchors, canvas = read_anchors_json(p)
         assert (anchors.stride, canvas) == (1, 416)
+
+    def test_stride_beyond_float_range_refused(self, tmp_path):
+        """A 401-digit stride used to pass, to be written to a file that
+        read_anchors_json refuses, and to end anchors_line(..., "cells") in
+        an OverflowError; 10**308, which a float holds, still does all three."""
+        with pytest.raises(ValueError, match=r"^stride must lie within float range, got a 401-digit integer$"):
+            AnchorSet(np.zeros((1, 2)), stride=10**400)
+        anchors, p = AnchorSet(np.zeros((1, 2)), stride=10**308), tmp_path / "anchors.json"
+        write_anchors_json(p, anchors, 416)
+        assert read_anchors_json(p)[0].stride == 10**308
+        assert anchors_line(anchors, "cells") == "1e-308,1e-308"
 
 
 shape_sides = st.floats(min_value=1e-2, max_value=1e4, allow_nan=False, allow_infinity=False)

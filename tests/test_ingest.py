@@ -21,7 +21,8 @@ from anchorforge import (
     write_canonical,
 )
 from anchorforge import ingest
-from oracles import canonical_text
+from oracles import canonical_text, read_canonical_by_line
+from test_cli import _FIELD_TOKENS, _canonical_cases
 
 
 def coco_doc():
@@ -598,6 +599,117 @@ class TestCanonicalFile:
         back = read_canonical(p)
         assert back.canvas_size == 256
         assert len(back) == 0
+
+
+_BULK_BASE = canonical_text(416, [
+    ("a", 10.0, 20.0, 30.0, 40.0), ("img 2 \u00e9", 0.5, 415.9, 1e-3, 416.0), ("", 208.0, 208.0, 12.5, 7.25),
+    ("x y", 1.0, 2.0, 3.0, 4.0), ("42", 100.0, 100.0, 50.0, 60.0),
+])
+_BLANKISH = st.sampled_from(["", " ", "\t\t\t\t", " \t \t \t \t ", "\xa0", "\x0b", "\x0c", "\x00", "\x85", "\u2028"])
+
+
+def _add_tabs(draw, line, k):
+    """line with k more tabs: each after a drawn field token at its end, or at drawn places."""
+    if draw(st.booleans()):
+        return line + "".join("\t" + draw(_FIELD_TOKENS) for _ in range(k))
+    for _ in range(k):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + "\t" + line[at:]
+    return line
+
+
+def _drop_tabs(draw, line, k):
+    """line with k of its tabs (or all, if it has fewer) taken out."""
+    for _ in range(k):
+        tabs = [i for i, c in enumerate(line) if c == "\t"]
+        if not tabs:
+            break
+        at = draw(st.sampled_from(tabs))
+        line = line[:at] + line[at + 1:]
+    return line
+
+
+@st.composite
+def _bulk_pass_cases(draw, text):
+    """A valid canonical file's text with one to three mutations, many of
+    which keep the body's tab total at four per line: tabs moved from one
+    line to another, a blank or whitespace-only line or two trailing
+    newlines with four tabs added elsewhere, tabs added to a header, a
+    header-only file, CRLF or CR line endings."""
+    lines, ending = text.split("\n")[:-1], "\n"
+    kinds = ["move", "add", "blank", "newlines", "header-tab", "header-only", "crlf", "cr"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        k = draw(st.integers(1, 4))
+        if kind in ("move", "add") and len(lines) > 1:
+            i = draw(st.integers(1, len(lines) - 1))
+            lines[i] = _add_tabs(draw, lines[i], k)
+            if kind == "move" and len(lines) > 2:
+                j = draw(st.integers(1, len(lines) - 2))
+                j += j >= i  # a body line other than i
+                lines[j] = _drop_tabs(draw, lines[j], k)
+        elif kind in ("blank", "newlines"):
+            blank = draw(_BLANKISH) if kind == "blank" else ""
+            at = draw(st.integers(1, len(lines))) if kind == "blank" else len(lines)
+            lines.insert(at, blank)
+            others = [i for i in range(1, len(lines)) if i != at]
+            if others and draw(st.booleans()):  # the tabs the blank line lacks go to another line
+                i = draw(st.sampled_from(others))
+                lines[i] = _add_tabs(draw, lines[i], 4 - blank.count("\t"))
+        elif kind == "header-tab":
+            lines[0] = draw(st.sampled_from(["\t{}", "{}\t", "{} \t", "\t{}\t\t"])).format(lines[0])
+        elif kind == "header-only":
+            del lines[1:]
+        elif kind in ("crlf", "cr"):
+            ending = {"crlf": "\r\n", "cr": "\r"}[kind]
+    return "".join(line + ending for line in lines).encode()
+
+
+class TestBulkPass:
+    """read_canonical's one bulk check of the records, against the reader
+    that checks them line by line (tests/oracles.py)."""
+
+    @staticmethod
+    def outcome(read, path):
+        """canvas, ids and the columns' bytes of what read returns, or the text of its ParseError."""
+        try:
+            ds = read(path)
+        except ParseError as e:
+            return str(e)
+        return ds.canvas_size, ds.image_ids, tuple(getattr(ds, name).tobytes() for name in ("cx", "cy", "w", "h"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, data):
+        """The same dataset, bit for bit, or the same ParseError naming the same line."""
+        content = data.draw(_canonical_cases(_BULK_BASE).map(lambda case: case[0]) | _bulk_pass_cases(_BULK_BASE))
+        p = tmp_path_factory.mktemp("bulk") / "data.canonical"
+        p.write_bytes(content)
+        want = self.outcome(lambda q: read_canonical_by_line(q, CanonicalDataset, ParseError), p)
+        assert self.outcome(read_canonical, p) == want
+
+    @pytest.mark.parametrize("body, lineno, fields", [
+        ("a\t1\t2\t3\t4\t5\nb\t1\t2\t3\n", 2, 6),
+        ("a\t1\t2\t3\t4\t\t\t\t\n\n", 2, 9),
+        ("a\t1\t2\t3\t4\nb\t1\t2\t3\t4\n\n", 4, 1),
+        ("a\t1\t2\t3\t4\n\t\t\t\t\n", 3, None),
+    ], ids=["tab moved", "blank line", "two trailing newlines", "tabs only"])
+    def test_tab_total_that_holds_still_names_the_line(self, tmp_path, body, lineno, fields):
+        """Files whose tab total is four per line, but not line by line."""
+        p = tmp_path / "data.canonical"
+        p.write_text("anchorforge-dataset v1 S=416\n" + body, encoding="utf-8")
+        fault = f"expected 5 tab-separated fields, got {fields}" if fields else "non-numeric field"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line {lineno}: {fault}$"):
+            read_canonical(p)
+
+    @pytest.mark.parametrize("text, ids", [
+        ("\tanchorforge-dataset v1 S=416\t\na\t1\t2\t3\t4\n", ("a",)),
+        ("anchorforge-dataset v1 S=416\t\n", ()),
+    ], ids=["with records", "header only"])
+    def test_tabs_in_header_are_not_counted(self, tmp_path, text, ids):
+        """The header is read stripped, so its tabs are no record's."""
+        p = tmp_path / "data.canonical"
+        p.write_text(text, encoding="utf-8")
+        assert read_canonical(p).image_ids == ids
 
 
 class TestSyntheticCorpus:

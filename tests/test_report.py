@@ -315,6 +315,48 @@ class TestAnchorsFile:
         assert str(info.value) == message
         assert not p.exists()
 
+    @pytest.mark.parametrize("log_wh, message", [
+        (np.log([[1e308, 10.0]]), "anchor (1.0000000000000136e+308, 10.000000000000002) has an area beyond float range"),
+        ([[800.0, 0.0]], "shape must be finite, got (inf, 1.0)"),
+        ([[-800.0, 0.0]], "shape must be positive, got (0.0, 1.0)"),
+    ], ids=["area", "side overflows", "side underflows"])
+    def test_anchor_read_back_would_refuse_is_not_written(self, tmp_path, log_wh, message):
+        """An anchor whose area or decoded side is no positive finite float
+        used to be written and then refused on read."""
+        p = tmp_path / "anchors.json"
+        with pytest.raises(ValueError) as info:
+            write_anchors_json(p, AnchorSet(log_wh), 416)
+        assert str(info.value) == message
+        assert not p.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.floats(-800.0, 800.0) | st.sampled_from([-746.0, -744.0, 354.9, 709.7, 709.8])] * 2),
+                 min_size=1, max_size=4),
+        st.integers(1, 64) | st.just(10**308),
+        st.integers(1, 4096),
+    )
+    def test_whatever_is_written_reads_back(self, tmp_path_factory, log_wh, stride, canvas):
+        """A file write_anchors_json writes reads back as the anchors, canvas
+        and stride it holds; one it refuses, the reader refuses in the same words."""
+        anchors, p = AnchorSet(log_wh, stride), tmp_path_factory.mktemp("anchors") / "anchors.json"
+        try:
+            write_anchors_json(p, anchors, canvas)
+        except ValueError as e:
+            assert not p.exists()
+            with np.errstate(over="ignore"):
+                wh = anchors.sorted_by_area().wh().tolist()
+            p.write_text(json.dumps({"canvas": canvas, "stride": stride, "anchors": wh}))
+            with pytest.raises(ParseError) as info:
+                read_anchors_json(p)
+            assert str(info.value) == f"{p}: {e}"
+            return
+        back, back_canvas = read_anchors_json(p)
+        written = json.loads(p.read_text())["anchors"]
+        assert (back_canvas, back.stride) == (canvas, stride)
+        assert written == anchors.sorted_by_area().wh().tolist()
+        np.testing.assert_array_equal(back.log_wh, np.log(written))
+
     def test_numpy_integer_canvas_written_as_int(self, tmp_path):
         p = tmp_path / "anchors.json"
         write_anchors_json(p, anchors_of([(10.0, 12.0)]), np.int64(416))
