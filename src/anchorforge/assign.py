@@ -1,17 +1,24 @@
 """Responsibility assignment between ground-truth shapes and anchors.
 
-Every rule returns a dense (n, A) weight matrix W over n ground truths
-and A anchors (both given as log shapes). Hard rules pick winning
-anchors per ground-truth box: the yolo rule is one-hot, the threshold
-rule multi-hot. The soft rule spreads responsibility over all anchors
-with a temperature-controlled softmax so that every anchor receives
-gradient early in training; the temperature and the clustering-term
-coefficient both decay linearly over a warm-up window, after which
-training falls back to the hard rule.
+Every rule takes a batch of m ground truths and the A anchors as log
+shapes (g, s) and as linear (w, h) shapes (g_wh, s_wh): the squared log
+distance reads the first, the IoU the second. The training loop takes
+``np.exp`` of each ground truth once per epoch (a block of batches at a
+time) and of the anchors once per step, so no rule converts a shape. Each rule returns a dense (m, A)
+weight matrix W and its winners, the anchor each ground truth counts
+toward, which :func:`utilization_counts` tallies. Hard rules pick
+winning anchors per ground-truth box: the yolo rule is one-hot, the
+threshold rule multi-hot. The soft rule spreads responsibility over all
+anchors with a temperature-controlled softmax so that every anchor
+receives gradient early in training; the temperature and the
+clustering-term coefficient both decay linearly over a warm-up window,
+after which training falls back to the hard rule.
 
 These functions run on every training step and check nothing: each
 docstring states what its caller guarantees, as a checked
-``TrainConfig``, ``AnchorSet`` and dataset provide it.
+``TrainConfig``, ``AnchorSet`` and dataset provide it. The rules over
+log shapes alone, which convert inside, are kept in ``tests/oracles.py``
+as the reference these are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Metric, shape_dist_matrix
+from .geometry import Metric, iou_aligned_matrix
 
 # the hard assignment rules, by the name that configs and reports use
 RULES: tuple[str, ...] = ("yolo", "threshold")
@@ -53,76 +60,82 @@ def cluster_weight_at(t: int, warmup_iters: int) -> float:
     return LAMBDA_START * max(0.0, 1.0 - t / warmup_iters)
 
 
+def _distance(g: np.ndarray, g_wh: np.ndarray, s: np.ndarray, s_wh: np.ndarray, metric: Metric) -> np.ndarray:
+    """(m, A) distances: 1 - aligned IoU of the linear shapes, or the
+    squared Euclidean distance of the log shapes."""
+    if metric == "sq_l2_log":
+        diff = g[:, None, :] - s[None, :, :]
+        return np.sum(diff * diff, axis=2)
+    return 1.0 - iou_aligned_matrix(g_wh, s_wh)
+
+
 def hard_assign_yolo(
-    gts: np.ndarray,
-    anchors: np.ndarray,
-    metric: Metric = "one_minus_iou",
-) -> np.ndarray:
-    """One-hot (n, A) weights: each ground truth goes to its nearest anchor.
+    g: np.ndarray,
+    g_wh: np.ndarray,
+    s: np.ndarray,
+    s_wh: np.ndarray,
+    metric: Metric,
+    eye: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot (m, A) weights and the (m,) winners: each ground truth goes to its nearest anchor.
 
-    gts and anchors are (n, 2) and (A, 2) log-shape arrays. Exact
-    distance ties break toward the lowest anchor index.
+    eye is ``np.eye(A)``, whose rows W is built from. Exact distance ties
+    break toward the lowest anchor index.
     """
-    dist = shape_dist_matrix(gts, anchors, metric)
-    winners = np.argmin(dist, axis=1)
-    # the distance matrix is not needed again: reuse its memory for W
-    w = dist
-    w.fill(0.0)
-    w[np.arange(w.shape[0]), winners] = 1.0
-    return w
+    winners = np.argmin(_distance(g, g_wh, s, s_wh, metric), axis=1)
+    return eye[winners], winners
 
 
-def hard_assign_threshold(
-    gts: np.ndarray,
-    anchors: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    """Multi-hot (n, A) weights: 1 for every anchor whose aligned IoU reaches ``tau``.
+def hard_assign_threshold(g_wh: np.ndarray, s_wh: np.ndarray, tau: float) -> tuple[np.ndarray, None]:
+    """Multi-hot (m, A) weights: 1 for every anchor whose aligned IoU reaches ``tau``.
 
-    gts and anchors are (n, 2) and (A, 2) log-shape arrays and ``tau``
-    lies in (0, 1). Each ground truth additionally activates its best-IoU
-    anchor, so no ground truth is left unassigned even when no anchor
-    clears ``tau``.
+    ``tau`` lies in (0, 1). Each ground truth additionally activates its
+    best-IoU anchor, so no ground truth is left unassigned even when no
+    anchor clears ``tau``. The IoU compared is 1 - (1 - IoU), as the
+    distance gives it. A ground truth may have several winners, W's
+    nonzeros, so None stands in their place.
     """
-    iou = shape_dist_matrix(gts, anchors, "one_minus_iou")
+    iou = 1.0 - iou_aligned_matrix(g_wh, s_wh)
     np.subtract(1.0, iou, out=iou)
     best = np.argmax(iou, axis=1)
     w = np.greater_equal(iou, tau, out=iou)
     w[np.arange(w.shape[0]), best] = 1.0
-    return w
+    return w, None
 
 
 def soft_assign(
-    gts: np.ndarray,
-    anchors: np.ndarray,
+    g: np.ndarray,
+    g_wh: np.ndarray,
+    s: np.ndarray,
+    s_wh: np.ndarray,
     metric: Metric,
     temperature: float,
-) -> np.ndarray:
-    """Softmax responsibilities (n, A) over all anchors per ground truth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax responsibilities (m, A) over all anchors per ground truth, and the (m,) winners.
 
-    gts and anchors are (n, 2) and (A, 2) log-shape arrays and the
-    temperature is positive. Row weights are softmax(-distance /
+    The temperature is positive. Row weights are softmax(-distance /
     temperature) computed with the usual max subtraction, so they are
     finite and sum to 1 per ground truth. At low temperatures some
     weights underflow to exactly 0; every pair still belongs to the soft
-    assignment, so callers must not read membership off ``W > 0``.
+    assignment, so callers must not read membership off ``W > 0``. A
+    ground truth's winner is its highest-weight anchor, ties toward the
+    lowest anchor index.
     """
-    z = shape_dist_matrix(gts, anchors, metric)
+    z = _distance(g, g_wh, s, s_wh, metric)
     z /= -temperature
     z -= z.max(axis=1, keepdims=True)
     w = np.exp(z, out=z)
     w /= w.sum(axis=1, keepdims=True)
-    return w
+    return w, np.argmax(w, axis=1)
 
 
-def utilization_counts(w: np.ndarray, soft: bool = False) -> np.ndarray:
-    """Per-anchor counts of ground truths the (n, A) weights make it responsible for.
+def utilization_counts(w: np.ndarray, winners: Optional[np.ndarray]) -> np.ndarray:
+    """Per-anchor counts of the ground truths an assignment makes each anchor responsible for.
 
-    Hard weights count every nonzero entry (the threshold rule may count
-    a ground truth toward several anchors). Soft weights count only the
-    highest-weight anchor per ground truth, ties toward the lowest
-    anchor index.
+    The counts of a rule's winners, or, where the rule returned None for
+    them (the threshold rule may count a ground truth toward several
+    anchors), the column sums of its 0/1 weights w.
     """
-    if soft:
-        return np.bincount(np.argmax(w, axis=1), minlength=w.shape[1])
-    return (w != 0.0).sum(axis=0)
+    if winners is None:
+        return w.sum(axis=0, dtype=np.int64)
+    return np.bincount(winners, minlength=w.shape[1])

@@ -22,31 +22,38 @@ of a ground truth's features and log shape: residual channel i of pair
 is then sum_ki a_ki^T G_k a_ki with the per-anchor Gram
 G_k = sum_j W_jk x_j x_j^T, and the batch-normalization statistics come
 from the membership Gram in the same way. No stage touches an
-(n, A, 2) array: :func:`batch_moments` reduces a batch to (A, 5, 5)
-Grams, and everything after it is (A, 2, 5)-sized algebra. Rows are
-centred by the batch mean before the Grams are built, so the variances
-read off them keep their digits.
+(n, A, 2) array: :func:`moment_table` fills each row's 5 x 5 outer
+product x_j x_j^T once per epoch, :func:`table_grams` reduces a batch's
+rows of that table to (A, 5, 5) Grams, and everything after it is
+(A, 2, 5)-sized algebra. Rows are centred by the epoch mean before the
+table is filled, so the variances read off the Grams keep their digits.
+``run_training`` fills the table one block of at most ``TABLE_ROWS``
+rows at a time, so its size does not grow with the dataset.
 
-A training step runs four stages: :func:`batch_moments` (Grams),
+A training step runs four stages: :func:`table_grams` (Grams),
 :func:`head_outputs` (each anchor's coefficient map and a cache),
 :func:`_loss_from_arrays` (loss, anchor gradient and coefficient
 gradient) and :func:`grad_head` (head gradients from the coefficient
 gradient and the cache). Like :func:`make_features` and the rules of
 ``anchorforge.assign``, they check nothing: each docstring states what
 its caller guarantees, as a checked ``TrainConfig`` and ``AnchorSet``
-provide it. One soft-assigned step, as ``run_training`` chains it:
+provide it. One soft-assigned step on a one-batch epoch, as
+``run_training`` chains it:
 
 >>> import numpy as np
 >>> from anchorforge.assign import soft_assign
->>> from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs
->>> from anchorforge.lossgrad import initial_head, make_features
+>>> from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs, initial_head
+>>> from anchorforge.lossgrad import make_features, moment_table, table_grams
 >>> rng = np.random.default_rng(0)
 >>> g = np.log(rng.uniform(8.0, 300.0, size=(64, 2)))  # ground truths, log (w, h)
 >>> s = np.log([[30.0, 30.0], [90.0, 60.0], [200.0, 200.0]])  # anchors, log (w, h)
 >>> u, c, gamma = initial_head(len(s), init_scale=0.1, rng=rng)
->>> w = soft_assign(g, s, "one_minus_iou", temperature=1.0)  # (n, A) weights
 >>> rows = np.vstack([np.ones(len(g)), make_features(g, 0.3, rng).T, g.T])  # columns (1, f_j, g_j)
->>> gram, member_gram, mean = batch_moments(rows, w, soft=True)
+>>> mean = rows.mean(axis=1) * [0, 1, 1, 1, 1]  # (0, f-bar, g-bar)
+>>> table = np.empty((len(g), 25))
+>>> moment_table(rows, mean, table)  # the epoch's outer products
+>>> w, winners = soft_assign(g, np.exp(g), s, np.exp(s), "one_minus_iou", temperature=1.0)
+>>> gram, member_gram = table_grams(table, w, soft=True)
 >>> coef, cache = head_outputs(u, c, gamma, member_gram, mean)
 >>> loss, anchor_grad, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.5)
 >>> gu, gc, ggamma = grad_head(dcoef, cache, mean, gamma)
@@ -55,11 +62,13 @@ provide it. One soft-assigned step, as ``run_training`` chains it:
 
 Without a head the map is ``np.zeros((len(s), 2, 5))`` and
 :func:`grad_head` is not called. ``tests/oracles.py`` keeps the dense
-(n, A, 2) form of the stages as the reference they are tested against.
+(n, A, 2) form of the stages, and the Grams of one batch centred by its
+own mean, as the reference they are tested against.
 
-All functions are pure: they never mutate their inputs, and every
-reduction runs over arrays of fixed shape in a fixed order, so results
-for the same inputs are bitwise reproducible.
+The functions never mutate their inputs (:func:`moment_table` writes
+only the buffer it is handed), and every reduction runs over arrays of
+fixed shape in a fixed order, so results for the same inputs are
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -69,6 +78,9 @@ from typing import Optional
 import numpy as np
 
 BN_EPS = 1e-5
+
+# the most rows of the outer-product table run_training fills at a time: 3.3 MB
+TABLE_ROWS = 16384
 
 # the residual's ground-truth part: channel i subtracts column 3 + i (log w, log h) of x
 _MINUS_G = np.zeros((2, 5))
@@ -96,32 +108,35 @@ def make_features(gts: np.ndarray, sigma: float, rng: np.random.Generator) -> np
     return gts + sigma * rng.standard_normal(gts.shape)
 
 
-def batch_moments(
-    rows: np.ndarray, w: np.ndarray, soft: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centred Grams of one batch.
+def moment_table(rows: np.ndarray, mean: np.ndarray, out: np.ndarray) -> None:
+    """Fill the first m rows of ``out`` with the centred outer products of ``rows``' columns.
 
     rows is the (5, m) array whose column j is x_j = (1, f_j, g_j): a
     one, the features of :func:`make_features` and the log shape of
-    ground truth j; w is the (m, A) assignment. Columns are centred as
-    x_j - mean with mean = (0, f-bar, g-bar), the batch means of the
-    features and log shapes. Returns
+    ground truth j. mean is (0, f-bar, g-bar), the means of the features
+    and log shapes over the whole epoch, and out an (r, 25) float array
+    with r >= m. Row j of out becomes the 5 x 5 product
+    (x_j - mean)(x_j - mean)^T, row-major, written in place.
+    """
+    m = rows.shape[1]
+    x = rows - mean[:, None]
+    np.multiply(x[:, None, :], x[None, :, :], out=out[:m].reshape(m, 5, 5).transpose(1, 2, 0))
+
+
+def table_grams(table: np.ndarray, w: np.ndarray, soft: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Centred Grams of one batch from its (m, 25) rows of :func:`moment_table`.
+
+    w is the batch's (m, A) assignment. Returns
 
     - gram, the (A, 5, 5) stack G_k = sum_j w_jk x_j x_j^T of centred columns;
     - member_gram, the same sum over each anchor's batch-normalization
       group: gram itself under a hard rule, whose weights are 0 or 1,
-      and the batch's own Gram for every anchor under the soft rule,
-      which covers every pair;
-    - mean, the (5,) vector the columns were centred by.
+      and the batch's own Gram (the table's column sums) for every anchor
+      under the soft rule, which covers every pair.
     """
-    m = rows.shape[1]
-    mean = rows.sum(axis=1) / max(m, 1)
-    mean[0] = 0.0
-    x = rows - mean[:, None]
-    # (A, m) @ (m, 25): one product over the batch's outer products
-    gram = (w.T @ (x[:, None, :] * x[None, :, :]).reshape(25, m).T).reshape(-1, 5, 5)
-    member_gram = (x @ x.T)[None].repeat(len(gram), axis=0) if soft else gram
-    return gram, member_gram, mean
+    gram = (w.T @ table).reshape(-1, 5, 5)
+    member_gram = table.sum(axis=0).reshape(1, 5, 5).repeat(len(gram), axis=0) if soft else gram
+    return gram, member_gram
 
 
 def head_outputs(
@@ -136,7 +151,8 @@ def head_outputs(
 
     u, c and gamma are the head parameters of :func:`initial_head`: per
     anchor a (2, 2) linear map, a bias and a positive scale per output
-    channel. member_gram and mean come from :func:`batch_moments`.
+    channel. member_gram comes from :func:`table_grams` and mean is the
+    vector its rows were centred by.
     Raw offsets are ``u[k] @ f_j + c[k]``. With ``bn``, the member
     pairs of each anchor form its normalization group; a group of at
     least 2 pairs is normalized per channel with its own mean and biased
@@ -186,8 +202,9 @@ def _loss_from_arrays(
     """Weighted size loss plus the normalized clustering term, with gradients.
 
     coef is the (A, 2, 5) coefficient map of the offsets from
-    :func:`head_outputs` (zeros without a head), gram and mean come from
-    :func:`batch_moments` and s is the (A, 2) array of log anchors. The
+    :func:`head_outputs` (zeros without a head), gram comes from
+    :func:`table_grams` with mean the vector its rows were centred by,
+    and s is the (A, 2) array of log anchors. The
     residual of anchor k in channel i has the coefficients
     a_ki = coef_ki + b_ki, with b_ki = (s_ki - g-bar_i, 0, 0, -e_i) those
     of the zero-offset gap s_k - g_j, so

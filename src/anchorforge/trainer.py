@@ -14,7 +14,10 @@ afterwards training falls back to the configured hard rule with the
 clustering coefficient at 0, unless the config pins it. Batches are
 drawn from a seeded shuffle that reshuffles every epoch, and every
 reduction runs in a fixed order, so a run is bitwise reproducible for a
-given config and seed.
+given config and seed. Each epoch's rows are centred by the epoch's
+means; the boxes' linear shapes and their outer-product table are built
+one block of whole batches (at most ``TABLE_ROWS`` rows) at a time, so a
+step converts no ground truth and builds no outer product itself.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .assign import (
 )
 from .geometry import METRICS, AnchorSet, Metric
 from .ingest import CanonicalDataset, _is_integer
-from .lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs, initial_head, make_features
+from .lossgrad import TABLE_ROWS, _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
+from .lossgrad import moment_table, table_grams
 
 SMOOTHING_WINDOW = 100
 
@@ -212,10 +216,17 @@ def run_training(
 
     log_g = ds.log_shapes()
     n = log_g.shape[0]
-    per_epoch = -(-n // cfg.batch_size)  # batches per epoch; the last one may be short
+    size = cfg.batch_size
+    per_epoch = -(-n // size)  # batches per epoch; the last one may be short
     # the epoch's columns x_j = (1, f_j, g_j) in shuffled order; without a
     # head the feature rows repeat the log shapes and no coefficient reads them
     rows = np.ones((5, n))
+    # a block of whole batches at a time: the linear shapes of its log rows
+    # and the outer products of its columns
+    block = max(1, TABLE_ROWS // size)  # batches per block
+    linear = np.empty((min(n, block * size), 2))
+    table = np.empty((len(linear), 25))
+    eye = np.eye(num_anchors)
     no_head = np.zeros((num_anchors, 2, 5))
 
     logged: list[TrajectoryRow] = []
@@ -237,19 +248,28 @@ def run_training(
                 rows[3:] = shuffled.T
                 # one draw per epoch gives the noise stream of one draw per batch
                 rows[1:3] = make_features(shuffled, cfg.sigma, rng).T if head else rows[3:]
+                mean = rows.sum(axis=1) / n
+                mean[0] = 0.0
                 epoch_counts = np.zeros(num_anchors, dtype=np.int64)
                 epochs.append(epoch_counts)
-            batch = rows[:, b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch_g = batch[3:].T
+            lo = b * size
+            if b % block == 0:
+                start, end = lo, min(n, lo + len(table))
+                np.exp(shuffled[start:end], out=linear[: end - start])
+                moment_table(rows[:, start:end], mean, table)
+            hi = min(lo + size, n)
+            # the batch: its log rows, linear shapes and outer products
+            g, g_wh, outer = shuffled[lo:hi], linear[lo - start : hi - start], table[lo - start : hi - start]
+            s_wh = np.exp(s)
 
             temp = temperature_at(t, cfg.warmup_iters)
             soft = temp is not None
             if soft:
-                w = soft_assign(batch_g, s, cfg.metric, temp)
+                w, winners = soft_assign(g, g_wh, s, s_wh, cfg.metric, temp)
             elif cfg.rule == "threshold":
-                w = hard_assign_threshold(batch_g, s, cfg.tau)
+                w, winners = hard_assign_threshold(g_wh, s_wh, cfg.tau)
             else:
-                w = hard_assign_yolo(batch_g, s, cfg.metric)
+                w, winners = hard_assign_yolo(g, g_wh, s, s_wh, cfg.metric, eye)
 
             lam = cfg.cluster_weight
             if lam is None:
@@ -257,7 +277,7 @@ def run_training(
 
             # every pair belongs to a soft assignment, even where its weight
             # underflowed to 0; a hard one covers its nonzeros
-            gram, member_gram, mean = batch_moments(batch, w, soft)
+            gram, member_gram = table_grams(outer, w, soft)
             coef = no_head
             if head:
                 coef, cache = head_outputs(*head, member_gram, mean, bn=cfg.bn)
@@ -282,7 +302,7 @@ def run_training(
                 # the loss landscape does not need the sign
                 np.maximum(head[2], 1e-6, out=head[2])
 
-            counts = utilization_counts(w, soft)
+            counts = utilization_counts(w, winners)
             epoch_counts += counts
             window_counts += counts
 

@@ -1,18 +1,25 @@
-"""Time read_canonical from two source trees, in alternating pinned pairs.
+"""Time two source trees against each other, in alternating pinned pairs.
 
-    python tests/bench_reader.py PARENT_SRC CHANGE_SRC OUT [--pairs 12] [--boxes 300000]
+    python tests/bench_reader.py PARENT_SRC CHANGE_SRC OUT [--measure read|train] [--pairs 12]
+                                 [--boxes 300000] [--scale 0.1]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
-The script writes the benchmark's COCO file of ``--boxes`` boxes (seed 31,
-``perfbench/inputs.write_coco``) and turns it into a canonical file with
-PARENT_SRC's ``ingest`` command, in a temporary directory. Then, for
-``--pairs`` pairs, it runs two fresh processes per side, the side that
-goes first alternating between pairs:
+For ``--pairs`` pairs, the script runs fresh processes for each side, the
+side that goes first alternating between pairs. The measures:
 
-- the benchmark's set-up probe, ``import sys, anchorforge;
-  anchorforge.read_canonical(sys.argv[1])``, timed from outside;
-- an in-process timing: one untimed read, then the median of three timed
+- ``read`` (the default): the script writes the benchmark's COCO file of
+  ``--boxes`` boxes (seed 31, ``perfbench/inputs.write_coco``) and turns
+  it into a canonical file with PARENT_SRC's ``ingest`` command. Each side
+  then runs the benchmark's set-up probe, ``import sys, anchorforge;
+  anchorforge.read_canonical(sys.argv[1])``, timed from outside, and an
+  in-process timing: one untimed read, then the median of three timed
   ``read_canonical`` calls.
+- ``train``: the commands of the benchmark's ``train`` workload, each
+  ``optimize --scale`` with the flags of ``perfbench/run.py``'s
+  ``WORKLOADS`` on its ``tests/synth.py`` mixture (seed 1). Each side runs
+  every command once, timed from outside (and their sum, a repetition of
+  the workload), then the same command in one process four times with
+  ``anchorforge.cli.run_training`` timed: the median of the last three.
 
 Every process of a pair runs pinned to the same CPU, the next pair on the
 next CPU, with one BLAS thread and bytecode compiled beforehand into a
@@ -42,8 +49,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import inputs  # noqa: E402  (perfbench/inputs.py, read-only)
+import run as perfbench_run  # noqa: E402  (perfbench/run.py, read-only)
 
 SEED = 31
+TRAIN_SEED = 1  # the mixtures of tests/reference_runs.py
 PROBE_CODE = "import sys, anchorforge; anchorforge.read_canonical(sys.argv[1])"  # perfbench/run.py's SETUP_CODE
 IN_PROCESS_CODE = """
 import statistics, sys, time
@@ -55,6 +64,22 @@ for _ in range(3):
     read_canonical(sys.argv[1])
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
+"""
+TRAIN_IN_PROCESS_CODE = """
+import contextlib, io, json, statistics, sys, time
+import anchorforge.cli as cli
+times = []
+train = cli.run_training
+def timed(*args, **kwargs):
+    start = time.perf_counter()
+    result = train(*args, **kwargs)
+    times.append(time.perf_counter() - start)
+    return result
+cli.run_training = timed
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(4):
+        cli.main(json.loads(sys.argv[1]))
+print(statistics.median(times[1:]))
 """
 SIDES = ("parent", "change")
 
@@ -107,37 +132,72 @@ def summary(parent: list[float], change: list[float]) -> dict:
     return out
 
 
-def bench(srcs: dict[str, Path], pairs: int, boxes: int, work: Path) -> dict:
+def prepare(srcs: dict[str, Path], work: Path) -> dict[str, dict]:
+    """Each side's child environment; compiles each tree's bytecode and
+    checks that each side imports its own tree."""
     envs = {side: child_env(src, work / f"pycache-{side}") for side, src in srcs.items()}
-    inputs.write_coco(work / "coco.json", boxes, SEED)
-    run(["-m", "anchorforge", "ingest", "--format", "coco", "--input", "coco.json", "--out-dir", "ingest"],
-        envs["parent"], work)
-    canonical = work / "ingest" / "dataset.canonical"
-    for side, src in srcs.items():  # compile the bytecode, and check which tree each side imports
+    for side, src in srcs.items():
         _, where = run(["-c", "import anchorforge.cli; print(anchorforge.__file__)"], envs[side], work)
         if not Path(where.strip()).resolve().is_relative_to(src):
             sys.exit(f"error: the {side} side imports anchorforge from {where.strip()}, not from {src}")
+    return envs
+
+
+def paired(pairs: int, measure_side) -> dict[str, dict]:
+    """The summary of each measure that ``measure_side(side)`` returns as a
+    {name: seconds} dict, over alternating pairs pinned one CPU per pair."""
     cpus = sorted(os.sched_getaffinity(0))
-    probe = {side: [] for side in SIDES}
-    in_process = {side: [] for side in SIDES}
+    runs: dict[str, dict[str, list[float]]] = {}
     try:
         for i in range(pairs):
             os.sched_setaffinity(0, {cpus[i % len(cpus)]})
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                probe[side].append(run(["-c", PROBE_CODE, str(canonical)], envs[side], work)[0])
-                in_process[side].append(float(run(["-c", IN_PROCESS_CODE, str(canonical)], envs[side], work)[1]))
+                for name, seconds in measure_side(side).items():
+                    runs.setdefault(name, {s: [] for s in SIDES})[side].append(seconds)
     finally:
         os.sched_setaffinity(0, cpus)
-    return {
-        "machine": machine(),
-        "sources": {side: {"sha256": source_sha256(src)} for side, src in srcs.items()},
-        "input": {"coco_boxes": boxes, "seed": SEED, "canonical_bytes": canonical.stat().st_size},
-        "method": (f"{pairs} pairs of fresh processes, the first side alternating between pairs; both sides of a "
-                   "pair pinned to one CPU, the next pair to the next; one BLAS thread; wall seconds, not calibrated"),
-        "pairs": pairs,
-        "setup_probe_s": summary(probe["parent"], probe["change"]),
-        "read_canonical_in_process_s": summary(in_process["parent"], in_process["change"]),
-    }
+    return {name: summary(r["parent"], r["change"]) for name, r in runs.items()}
+
+
+def bench_read(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, work: Path) -> tuple[dict, dict]:
+    """The input facts and the measures of ``--measure read``."""
+    envs = prepare(srcs, work)
+    inputs.write_coco(work / "coco.json", args.boxes, SEED)
+    run(["-m", "anchorforge", "ingest", "--format", "coco", "--input", "coco.json", "--out-dir", "ingest"],
+        envs["parent"], work)
+    canonical = work / "ingest" / "dataset.canonical"
+
+    def measure_side(side: str) -> dict[str, float]:
+        return {"setup_probe_s": run(["-c", PROBE_CODE, str(canonical)], envs[side], work)[0],
+                "read_canonical_in_process_s": float(run(["-c", IN_PROCESS_CODE, str(canonical)], envs[side], work)[1])}
+
+    facts = {"coco_boxes": args.boxes, "seed": SEED, "canonical_bytes": canonical.stat().st_size}
+    return facts, paired(pairs, measure_side)
+
+
+def bench_train(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, work: Path) -> tuple[dict, dict]:
+    """The input facts and the measures of ``--measure train``."""
+    envs = prepare(srcs, work)
+    commands = {}
+    facts = {"seed": TRAIN_SEED, "scale": args.scale, "commands": {}}
+    for t in perfbench_run.WORKLOADS["train"].trainings:
+        dataset = f"{t.mixture}.canonical"
+        boxes = inputs.write_mixture(work / dataset, t.mixture, TRAIN_SEED)
+        commands[t.name] = ["optimize", "--dataset", dataset, "--scale", repr(args.scale), "--out-dir", t.name, *t.flags]
+        facts["commands"][t.name] = {"argv": commands[t.name], "boxes": boxes}
+
+    def measure_side(side: str) -> dict[str, float]:
+        out = {f"{name}_s": run(["-m", "anchorforge", *argv], envs[side], work)[0] for name, argv in commands.items()}
+        out["optimize_commands_s"] = sum(out.values())
+        for name, argv in commands.items():
+            code = ["-c", TRAIN_IN_PROCESS_CODE, json.dumps(argv)]
+            out[f"{name}.run_training_in_process_s"] = float(run(code, envs[side], work)[1])
+        return out
+
+    return facts, paired(pairs, measure_side)
+
+
+MEASURES = {"read": bench_read, "train": bench_train}
 
 
 def main() -> int:
@@ -145,8 +205,11 @@ def main() -> int:
     parser.add_argument("parent_src", type=Path, help="the parent checkout's src directory")
     parser.add_argument("change_src", type=Path, help="the changed checkout's src directory")
     parser.add_argument("out", type=Path, help="the JSON file to write")
+    parser.add_argument("--measure", choices=sorted(MEASURES), default="read", help="what to time (default read)")
     parser.add_argument("--pairs", type=int, default=12, help="parent/change pairs (default 12)")
-    parser.add_argument("--boxes", type=int, default=300_000, help="boxes in the COCO file (default 300000)")
+    parser.add_argument("--boxes", type=int, default=300_000, help="read: boxes in the COCO file (default 300000)")
+    parser.add_argument("--scale", type=float, default=perfbench_run.Sizes().scale,
+                        help="train: optimize's --scale (default the benchmark's, %(default)s)")
     args = parser.parse_args()
     srcs = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
     for side, src in srcs.items():
@@ -155,12 +218,22 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with tempfile.TemporaryDirectory() as work:
-        doc = bench(srcs, args.pairs, args.boxes, Path(work))
+        facts, measures = MEASURES[args.measure](srcs, args.pairs, args, Path(work))
+    doc = {
+        "machine": machine(),
+        "sources": {side: {"sha256": source_sha256(src)} for side, src in srcs.items()},
+        "measure": args.measure,
+        "input": facts,
+        "method": (f"{args.pairs} pairs of fresh processes, the first side alternating between pairs; both sides of a "
+                   "pair pinned to one CPU, the next pair to the next; one BLAS thread; wall seconds, not calibrated"),
+        "pairs": args.pairs,
+        **measures,
+    }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    for measure in ("setup_probe_s", "read_canonical_in_process_s"):
-        parent, change = doc[measure]["parent"]["median"], doc[measure]["change"]["median"]
-        print(f"{measure}: parent {parent:.4f}, change {change:.4f} (median), "
-              f"change won {doc[measure]['change_won']} of {args.pairs}")
+    for name, result in measures.items():
+        parent, change = result["parent"]["median"], result["change"]["median"]
+        print(f"{name}: parent {parent:.4f}, change {change:.4f} (median), "
+              f"change won {result['change_won']} of {args.pairs}")
     return 0
 
 

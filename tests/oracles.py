@@ -300,6 +300,74 @@ def moment_rows(features, g) -> np.ndarray:
     return np.vstack([np.ones(len(g)), features.T, g.T])
 
 
+def log_shape_dist(log1: np.ndarray, log2: np.ndarray, metric: str) -> np.ndarray:
+    """Pairwise distances between (n, 2) and (m, 2) log-shape arrays, each
+    call converting both to linear shapes with numpy's exp for the IoU."""
+    log1 = np.asarray(log1, dtype=float)
+    log2 = np.asarray(log2, dtype=float)
+    if metric == "sq_l2_log":
+        diff = log1[:, None, :] - log2[None, :, :]
+        return np.sum(diff * diff, axis=2)
+    if metric == "one_minus_iou":
+        return 1.0 - iou_matrix(np.exp(log1), np.exp(log2))
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def hard_assign_yolo(gts: np.ndarray, anchors: np.ndarray, metric: str = "one_minus_iou") -> np.ndarray:
+    """The yolo rule on log shapes: one-hot (n, A) weights, each ground truth
+    to its nearest anchor, exact ties to the lowest index."""
+    dist = log_shape_dist(gts, anchors, metric)
+    winners = np.argmin(dist, axis=1)
+    w = np.zeros_like(dist)
+    w[np.arange(w.shape[0]), winners] = 1.0
+    return w
+
+
+def hard_assign_threshold(gts: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
+    """The threshold rule on log shapes: 1 for every anchor whose IoU,
+    read as 1 - (1 - IoU), reaches tau, and for each ground truth's
+    best-IoU anchor."""
+    iou = 1.0 - log_shape_dist(gts, anchors, "one_minus_iou")
+    w = (iou >= tau).astype(float)
+    w[np.arange(w.shape[0]), np.argmax(iou, axis=1)] = 1.0
+    return w
+
+
+def soft_assign(gts: np.ndarray, anchors: np.ndarray, metric: str, temperature: float) -> np.ndarray:
+    """The soft rule on log shapes: the row softmax of -distance / temperature."""
+    z = log_shape_dist(gts, anchors, metric)
+    z /= -temperature
+    z -= z.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def utilization_counts(w: np.ndarray, soft: bool = False) -> np.ndarray:
+    """Per-anchor counts read off the (n, A) weights: every nonzero of hard
+    weights, the highest-weight anchor (ties to the lowest) of soft ones."""
+    if soft:
+        return np.bincount(np.argmax(w, axis=1), minlength=w.shape[1])
+    return (w != 0.0).sum(axis=0)
+
+
+def batch_moments(rows: np.ndarray, w: np.ndarray, soft: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centred Grams of one batch, its columns centred by the batch's own mean.
+
+    rows is the (5, m) array of columns x_j = (1, f_j, g_j) and w the
+    (m, A) assignment. Returns the (A, 5, 5) stack
+    G_k = sum_j w_jk x_j x_j^T, the membership Grams (G itself under a
+    hard rule, the batch's own Gram for every anchor under the soft one)
+    and the (5,) mean (0, f-bar, g-bar) the columns were centred by.
+    """
+    m = rows.shape[1]
+    mean = rows.sum(axis=1) / max(m, 1)
+    mean[0] = 0.0
+    x = rows - mean[:, None]
+    gram = (w.T @ (x[:, None, :] * x[None, :, :]).reshape(25, m).T).reshape(-1, 5, 5)
+    member_gram = (x @ x.T)[None].repeat(len(gram), axis=0) if soft else gram
+    return gram, member_gram, mean
+
+
 def dense_head_outputs(u, c, gamma, features, member, bn=True, eps=1e-5):
     """Head forward pass for every (ground truth, anchor) pair, on (n, A, 2) arrays.
 

@@ -21,17 +21,20 @@ from anchorforge import (
     run_training,
     write_anchors_json,
 )
-from anchorforge.assign import (
-    TEMP_FLOOR,
-    cluster_weight_at,
+from anchorforge.assign import TEMP_FLOOR, cluster_weight_at, temperature_at
+from anchorforge.cli import main
+from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
+from oracles import (
+    batch_moments,
+    fd_grad,
     hard_assign_threshold,
     hard_assign_yolo,
+    lloyd_log_l2,
+    moment_rows,
+    rel_err,
+    shape_dist,
     soft_assign,
-    temperature_at,
 )
-from anchorforge.cli import main
-from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs, initial_head, make_features
-from oracles import fd_grad, lloyd_log_l2, moment_rows, rel_err, shape_dist
 
 
 def report(passed, number, description):

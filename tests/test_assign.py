@@ -5,19 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorforge import AnchorSet
-from anchorforge.assign import (
-    LAMBDA_START,
-    TEMP_FLOOR,
-    TEMP_START,
-    cluster_weight_at,
+from anchorforge.assign import LAMBDA_START, TEMP_FLOOR, TEMP_START, cluster_weight_at, temperature_at
+from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs
+from oracles import (
+    batch_moments,
     hard_assign_threshold,
     hard_assign_yolo,
+    iou_of_wh,
+    moment_rows,
+    shape_dist,
     soft_assign,
-    temperature_at,
+    softmax_rows,
     utilization_counts,
 )
-from anchorforge.lossgrad import _loss_from_arrays, batch_moments, grad_head, head_outputs
-from oracles import iou_of_wh, moment_rows, shape_dist, softmax_rows
 
 
 def random_log_shapes(rng, n):

@@ -1,25 +1,66 @@
-"""tests/bench_reader.py runs end to end on a small file."""
+"""tests/bench_reader.py runs end to end at small sizes."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent / "bench_reader.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_one_tree_against_itself(tmp_path):
+def bench(tmp_path, *options):
     out = tmp_path / "bench.json"
-    proc = subprocess.run([sys.executable, str(SCRIPT), str(SRC), str(SRC), str(out), "--pairs", "2", "--boxes", "500"],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(SRC), str(SRC), str(out), "--pairs", "2", *options],
+                          capture_output=True, text=True, timeout=180)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["sources"]["parent"] == doc["sources"]["change"]
-    assert (doc["input"]["coco_boxes"], doc["input"]["seed"], doc["pairs"]) == (500, 31, 2)
-    for measure in ("setup_probe_s", "read_canonical_in_process_s"):
+    assert doc["pairs"] == 2
+    return doc
+
+
+def check_measures(doc, measures):
+    for measure in measures:
         for side in ("parent", "change"):
             runs = doc[measure][side]["runs_s"]
             assert len(runs) == 2 and all(x > 0 for x in runs)
             assert doc[measure][side]["q1"] <= doc[measure][side]["median"] <= doc[measure][side]["q3"]
         assert 0 <= doc[measure]["change_won"] <= 2
+
+
+def test_one_tree_against_itself(tmp_path):
+    doc = bench(tmp_path, "--boxes", "500")
+    assert doc["measure"] == "read"
+    assert (doc["input"]["coco_boxes"], doc["input"]["seed"]) == (500, 31)
+    check_measures(doc, ("setup_probe_s", "read_canonical_in_process_s"))
+
+
+def test_train_measure_runs_the_benchmark_commands(tmp_path):
+    """The train measure runs perfbench's train workload commands with their
+    flags, end to end and with run_training timed in-process."""
+    saved = sys.dont_write_bytecode
+    sys.path.insert(0, str(SCRIPT.parents[1] / "perfbench"))
+    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+    try:
+        import run as perfbench_run
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = saved
+        sys.modules.pop("run", None)
+    doc = bench(tmp_path, "--measure", "train", "--scale", "0.01")
+    trainings = perfbench_run.WORKLOADS["train"].trainings
+    assert doc["measure"] == "train" and doc["input"]["scale"] == 0.01
+    assert list(doc["input"]["commands"]) == [t.name for t in trainings]
+    for t in trainings:
+        argv = doc["input"]["commands"][t.name]["argv"]
+        assert argv[0] == "optimize" and argv[len(argv) - len(t.flags):] == list(t.flags)
+        assert argv[argv.index("--scale") + 1] == "0.01"
+    measures = [f"{t.name}{suffix}" for t in trainings for suffix in ("_s", ".run_training_in_process_s")]
+    check_measures(doc, measures + ["optimize_commands_s"])
+    for side in ("parent", "change"):
+        total = doc["optimize_commands_s"][side]["runs_s"]
+        parts = zip(*(doc[f"{t.name}_s"][side]["runs_s"] for t in trainings))
+        assert total == pytest.approx([sum(p) for p in parts], abs=1e-5)

@@ -6,26 +6,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchorforge.assign import TEMP_FLOOR, hard_assign_threshold, hard_assign_yolo, soft_assign
+from anchorforge.assign import TEMP_FLOOR
 from anchorforge.lossgrad import (
     BN_EPS,
     _loss_from_arrays,
-    batch_moments,
     grad_head,
     head_outputs,
     initial_head,
     make_features,
 )
 from oracles import (
+    batch_moments,
     cluster_term,
     dense_grad_head,
     dense_head_outputs,
     dense_loss,
     fd_grad,
+    hard_assign_threshold,
+    hard_assign_yolo,
     head_loss_longhand,
     moment_rows,
     pair_loss,
     rel_err,
+    soft_assign,
 )
 
 RULES = ("yolo", "threshold", "soft")

@@ -12,7 +12,7 @@ import anchorforge
 import anchorforge.lossgrad
 
 STEP_STAGES = (
-    "batch_moments", "head_outputs", "grad_head", "initial_head", "make_features", "BN_EPS",
+    "moment_table", "table_grams", "TABLE_ROWS", "head_outputs", "grad_head", "initial_head", "make_features", "BN_EPS",
     "soft_assign", "hard_assign_yolo", "hard_assign_threshold", "utilization_counts",
     "temperature_at", "cluster_weight_at",
     "iou_aligned_matrix", "shape_dist_matrix",

@@ -12,10 +12,10 @@ from anchorforge import (
     TrainConfig,
     run_training,
 )
-from anchorforge.assign import TEMP_START, soft_assign
+from anchorforge.assign import TEMP_START
 from anchorforge.lossgrad import initial_head, make_features
 from anchorforge.trainer import _INTEGERS, _RANGES
-from oracles import head_loss_longhand, lr_at, sgd_step
+from oracles import head_loss_longhand, lr_at, sgd_step, soft_assign
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
 
