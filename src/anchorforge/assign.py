@@ -2,17 +2,18 @@
 
 Every rule takes a batch of m ground truths and the A anchors as log
 shapes (g, s) and as linear (w, h) shapes (g_wh, s_wh): the squared log
-distance reads the first, the IoU the second. The training loop takes
-``np.exp`` of each ground truth once per epoch (a block of batches at a
-time) and of the anchors once per step, so no rule converts a shape. Each rule returns a dense (m, A)
-weight matrix W and its winners, the anchor each ground truth counts
-toward, which :func:`utilization_counts` tallies. Hard rules pick
-winning anchors per ground-truth box: the yolo rule is one-hot, the
-threshold rule multi-hot. The soft rule spreads responsibility over all
-anchors with a temperature-controlled softmax so that every anchor
-receives gradient early in training; the temperature and the
-clustering-term coefficient both decay linearly over a warm-up window,
-after which training falls back to the hard rule.
+distance reads the first, the IoU the second, compared as IoU, as
+``eval`` compares it. The training loop takes g_wh from the dataset's
+own shapes and ``np.exp`` of the anchors once per step, so no rule
+converts a shape. Each rule returns a dense (m, A) weight matrix W and
+its winners, the anchor each ground truth counts toward, which
+:func:`utilization_counts` tallies. Hard rules pick winning anchors per
+ground-truth box: the yolo rule is one-hot, the threshold rule
+multi-hot. The soft rule spreads responsibility over all anchors with a
+temperature-controlled softmax so that every anchor receives gradient
+early in training; the temperature and the clustering-term coefficient
+both decay linearly over a warm-up window, after which training falls
+back to the hard rule.
 
 These functions run on every training step and check nothing: each
 docstring states what its caller guarantees, as a checked
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Metric, iou_aligned_matrix
+from .geometry import Metric, iou_aligned_matrix, shape_dist_matrix
 
 # the hard assignment rules, by the name that configs and reports use
 RULES: tuple[str, ...] = ("yolo", "threshold")
@@ -61,12 +62,13 @@ def cluster_weight_at(t: int, warmup_iters: int) -> float:
 
 
 def _distance(g: np.ndarray, g_wh: np.ndarray, s: np.ndarray, s_wh: np.ndarray, metric: Metric) -> np.ndarray:
-    """(m, A) distances: 1 - aligned IoU of the linear shapes, or the
-    squared Euclidean distance of the log shapes."""
+    """(m, A) distances: minus the aligned IoU of the linear shapes, or the
+    squared Euclidean distance of the log shapes. ``one_minus_iou`` drops
+    the constant 1, which moves neither an argmin nor a softmax."""
     if metric == "sq_l2_log":
-        diff = g[:, None, :] - s[None, :, :]
-        return np.sum(diff * diff, axis=2)
-    return 1.0 - iou_aligned_matrix(g_wh, s_wh)
+        return shape_dist_matrix(g, s)
+    iou = iou_aligned_matrix(g_wh, s_wh)
+    return np.negative(iou, out=iou)
 
 
 def hard_assign_yolo(
@@ -79,8 +81,9 @@ def hard_assign_yolo(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-hot (m, A) weights and the (m,) winners: each ground truth goes to its nearest anchor.
 
-    eye is ``np.eye(A)``, whose rows W is built from. Exact distance ties
-    break toward the lowest anchor index.
+    Under ``one_minus_iou`` that is its highest-IoU anchor, the winner
+    ``eval`` gives it. eye is ``np.eye(A)``, whose rows W is built from.
+    Exact ties break toward the lowest anchor index.
     """
     winners = np.argmin(_distance(g, g_wh, s, s_wh, metric), axis=1)
     return eye[winners], winners
@@ -90,13 +93,12 @@ def hard_assign_threshold(g_wh: np.ndarray, s_wh: np.ndarray, tau: float) -> tup
     """Multi-hot (m, A) weights: 1 for every anchor whose aligned IoU reaches ``tau``.
 
     ``tau`` lies in (0, 1). Each ground truth additionally activates its
-    best-IoU anchor, so no ground truth is left unassigned even when no
-    anchor clears ``tau``. The IoU compared is 1 - (1 - IoU), as the
-    distance gives it. A ground truth may have several winners, W's
-    nonzeros, so None stands in their place.
+    best-IoU anchor (ties to the lowest index), so no ground truth is
+    left unassigned even when no anchor clears ``tau``: the hits and the
+    fallback ``build_report`` counts. A ground truth may have several
+    winners, W's nonzeros, so None stands in their place.
     """
-    iou = 1.0 - iou_aligned_matrix(g_wh, s_wh)
-    np.subtract(1.0, iou, out=iou)
+    iou = iou_aligned_matrix(g_wh, s_wh)
     best = np.argmax(iou, axis=1)
     w = np.greater_equal(iou, tau, out=iou)
     w[np.arange(w.shape[0]), best] = 1.0

@@ -16,7 +16,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .ingest import _check_float_range
+from .ingest import _check_float_range, _is_integer
 
 Metric = Literal["one_minus_iou", "sq_l2_log"]
 
@@ -45,11 +45,12 @@ class AnchorSet:
         if bad.size:
             lw, lh = arr[bad[0]].tolist()
             raise ValueError(f"log shape must be finite, got ({lw}, {lh})")
-        if type(self.stride) is not int or self.stride < 1:  # bool is an int subclass
+        if not _is_integer(self.stride) or self.stride < 1:
             raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
         _check_float_range("stride", self.stride)
         arr.flags.writeable = False
         object.__setattr__(self, "log_wh", arr)
+        object.__setattr__(self, "stride", int(self.stride))  # a numpy integer would not write to JSON
 
     def __len__(self) -> int:
         return self.log_wh.shape[0]
@@ -98,17 +99,7 @@ def iou_aligned_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
     return inter / (w1 * h1 + w2 * h2 - inter)
 
 
-def shape_dist_matrix(log1: np.ndarray, log2: np.ndarray, metric: Metric) -> np.ndarray:
-    """Pairwise distance between (n, 2) and (m, 2) log-shape arrays.
-
-    ``one_minus_iou`` is 1 - aligned IoU of the decoded shapes;
-    ``sq_l2_log`` is the squared Euclidean distance in log space.
-    """
-    log1 = np.asarray(log1, dtype=float)
-    log2 = np.asarray(log2, dtype=float)
-    if metric == "sq_l2_log":
-        diff = log1[:, None, :] - log2[None, :, :]
-        return np.sum(diff * diff, axis=2)
-    if metric == "one_minus_iou":
-        return 1.0 - iou_aligned_matrix(np.exp(log1), np.exp(log2))
-    raise ValueError(f"unknown metric {metric!r}")
+def shape_dist_matrix(log1: np.ndarray, log2: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distance between (n, 2) and (m, 2) log-shape arrays."""
+    diff = np.asarray(log1, dtype=float)[:, None, :] - np.asarray(log2, dtype=float)[None, :, :]
+    return np.sum(diff * diff, axis=2)

@@ -161,9 +161,10 @@ class CanonicalDataset:
 
     def __post_init__(self) -> None:
         s = self.canvas_size
-        if type(s) is not int or s < 1:  # bool is an int subclass
+        if not _is_integer(s) or s < 1:
             raise ValueError(f"canvas_size must be a positive integer, got {s!r}")
         _check_float_range("canvas_size", s)
+        object.__setattr__(self, "canvas_size", int(s))  # a numpy integer would not write as one
         ids = tuple(self.image_ids)
         object.__setattr__(self, "image_ids", ids)
         for name in ("cx", "cy", "w", "h"):

@@ -38,21 +38,23 @@ gradient and the cache). Like :func:`make_features` and the rules of
 ``anchorforge.assign``, they check nothing: each docstring states what
 its caller guarantees, as a checked ``TrainConfig`` and ``AnchorSet``
 provide it. One soft-assigned step on a one-batch epoch, as
-``run_training`` chains it:
+``run_training`` chains it, the rule reading the boxes' own linear
+shapes and their logs:
 
 >>> import numpy as np
 >>> from anchorforge.assign import soft_assign
 >>> from anchorforge.lossgrad import _loss_from_arrays, grad_head, head_outputs, initial_head
 >>> from anchorforge.lossgrad import make_features, moment_table, table_grams
 >>> rng = np.random.default_rng(0)
->>> g = np.log(rng.uniform(8.0, 300.0, size=(64, 2)))  # ground truths, log (w, h)
+>>> wh = rng.uniform(8.0, 300.0, size=(64, 2))  # ground truths (w, h), as ds.shapes() gives them
+>>> g = np.log(wh)
 >>> s = np.log([[30.0, 30.0], [90.0, 60.0], [200.0, 200.0]])  # anchors, log (w, h)
 >>> u, c, gamma = initial_head(len(s), init_scale=0.1, rng=rng)
 >>> rows = np.vstack([np.ones(len(g)), make_features(g, 0.3, rng).T, g.T])  # columns (1, f_j, g_j)
 >>> mean = rows.mean(axis=1) * [0, 1, 1, 1, 1]  # (0, f-bar, g-bar)
 >>> table = np.empty((len(g), 25))
 >>> moment_table(rows, mean, table)  # the epoch's outer products
->>> w, winners = soft_assign(g, np.exp(g), s, np.exp(s), "one_minus_iou", temperature=1.0)
+>>> w, winners = soft_assign(g, wh, s, np.exp(s), "one_minus_iou", temperature=1.0)
 >>> gram, member_gram = table_grams(table, w, soft=True)
 >>> coef, cache = head_outputs(u, c, gamma, member_gram, mean)
 >>> loss, anchor_grad, dcoef = _loss_from_arrays(coef, gram, s, mean, 0.5)

@@ -39,7 +39,7 @@ def match_anchor_sets(a: AnchorSet, b: AnchorSet) -> tuple[tuple[tuple[int, int]
     n = len(a)
     if n > _MAX_EXACT_MATCH:
         raise ValueError(f"exact matching supports up to {_MAX_EXACT_MATCH} anchors, got {n}")
-    dist = np.sqrt(shape_dist_matrix(a.log_wh, b.log_wh, "sq_l2_log"))
+    dist = np.sqrt(shape_dist_matrix(a.log_wh, b.log_wh))
     # best[mask]: rows 0 .. popcount(mask) - 1 of a placed on b's indices in mask. Layer i fills
     # the masks of i + 1 bits; a j outside the mask reads an unfilled inf, which never wins
     masks, bits = np.arange(1 << n), 1 << np.arange(n)

@@ -14,10 +14,11 @@ afterwards training falls back to the configured hard rule with the
 clustering coefficient at 0, unless the config pins it. Batches are
 drawn from a seeded shuffle that reshuffles every epoch, and every
 reduction runs in a fixed order, so a run is bitwise reproducible for a
-given config and seed. Each epoch's rows are centred by the epoch's
-means; the boxes' linear shapes and their outer-product table are built
-one block of whole batches (at most ``TABLE_ROWS`` rows) at a time, so a
-step converts no ground truth and builds no outer product itself.
+given config and seed. Each epoch takes its boxes' linear shapes from
+``ds.shapes()``, as ``eval`` does, and centres its rows by the epoch's
+means; their outer-product table is built one block of whole batches (at
+most ``TABLE_ROWS`` rows) at a time, so a step converts no ground truth
+and builds no outer product itself.
 """
 
 from __future__ import annotations
@@ -214,18 +215,16 @@ def run_training(
     rate[: s.size] = cfg.anchor_lr_mult
     breakpoints = dict(cfg.lr_schedule)
 
-    log_g = ds.log_shapes()
+    wh, log_g = ds.shapes(), ds.log_shapes()
     n = log_g.shape[0]
     size = cfg.batch_size
     per_epoch = -(-n // size)  # batches per epoch; the last one may be short
     # the epoch's columns x_j = (1, f_j, g_j) in shuffled order; without a
     # head the feature rows repeat the log shapes and no coefficient reads them
     rows = np.ones((5, n))
-    # a block of whole batches at a time: the linear shapes of its log rows
-    # and the outer products of its columns
+    # the outer products of the columns, a block of whole batches at a time
     block = max(1, TABLE_ROWS // size)  # batches per block
-    linear = np.empty((min(n, block * size), 2))
-    table = np.empty((len(linear), 25))
+    table = np.empty((min(n, block * size), 25))
     eye = np.eye(num_anchors)
     no_head = np.zeros((num_anchors, 2, 5))
 
@@ -244,22 +243,23 @@ def run_training(
         for t in range(cfg.iters):
             b = t % per_epoch  # the batch's index in its epoch
             if b == 0:
-                shuffled = log_g[rng.permutation(n)]
-                rows[3:] = shuffled.T
+                order = rng.permutation(n)
+                rows[3:] = np.take(log_g, order, axis=0).T
+                epoch_wh = np.take(wh, order, axis=0)
+                del order  # before the feature draw, the first epoch's allocation peak
                 # one draw per epoch gives the noise stream of one draw per batch
-                rows[1:3] = make_features(shuffled, cfg.sigma, rng).T if head else rows[3:]
+                rows[1:3] = make_features(rows[3:].T, cfg.sigma, rng).T if head else rows[3:]
                 mean = rows.sum(axis=1) / n
                 mean[0] = 0.0
                 epoch_counts = np.zeros(num_anchors, dtype=np.int64)
                 epochs.append(epoch_counts)
             lo = b * size
             if b % block == 0:
-                start, end = lo, min(n, lo + len(table))
-                np.exp(shuffled[start:end], out=linear[: end - start])
-                moment_table(rows[:, start:end], mean, table)
+                start = lo
+                moment_table(rows[:, start : start + len(table)], mean, table)
             hi = min(lo + size, n)
             # the batch: its log rows, linear shapes and outer products
-            g, g_wh, outer = shuffled[lo:hi], linear[lo - start : hi - start], table[lo - start : hi - start]
+            g, g_wh, outer = rows[3:, lo:hi].T, epoch_wh[lo:hi], table[lo - start : hi - start]
             s_wh = np.exp(s)
 
             temp = temperature_at(t, cfg.warmup_iters)

@@ -300,43 +300,47 @@ def moment_rows(features, g) -> np.ndarray:
     return np.vstack([np.ones(len(g)), features.T, g.T])
 
 
-def log_shape_dist(log1: np.ndarray, log2: np.ndarray, metric: str) -> np.ndarray:
-    """Pairwise distances between (n, 2) and (m, 2) log-shape arrays, each
-    call converting both to linear shapes with numpy's exp for the IoU."""
-    log1 = np.asarray(log1, dtype=float)
-    log2 = np.asarray(log2, dtype=float)
-    if metric == "sq_l2_log":
-        diff = log1[:, None, :] - log2[None, :, :]
-        return np.sum(diff * diff, axis=2)
-    if metric == "one_minus_iou":
-        return 1.0 - iou_matrix(np.exp(log1), np.exp(log2))
-    raise ValueError(f"unknown metric {metric!r}")
+def log_shape_iou(log1: np.ndarray, log2: np.ndarray) -> np.ndarray:
+    """Aligned IoU between (n, 2) and (m, 2) log-shape arrays, each call
+    converting both to linear shapes with numpy's exp."""
+    return iou_matrix(np.exp(np.asarray(log1, dtype=float)), np.exp(np.asarray(log2, dtype=float)))
+
+
+def sq_log_dist(log1: np.ndarray, log2: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between (n, 2) and (m, 2) log-shape arrays."""
+    diff = np.asarray(log1, dtype=float)[:, None, :] - np.asarray(log2, dtype=float)[None, :, :]
+    return np.sum(diff * diff, axis=2)
 
 
 def hard_assign_yolo(gts: np.ndarray, anchors: np.ndarray, metric: str = "one_minus_iou") -> np.ndarray:
     """The yolo rule on log shapes: one-hot (n, A) weights, each ground truth
-    to its nearest anchor, exact ties to the lowest index."""
-    dist = log_shape_dist(gts, anchors, metric)
-    winners = np.argmin(dist, axis=1)
-    w = np.zeros_like(dist)
+    to its highest-IoU anchor (or, under sq_l2_log, its nearest in log
+    space), exact ties to the lowest index."""
+    if metric == "one_minus_iou":
+        winners = np.argmax(log_shape_iou(gts, anchors), axis=1)
+    else:
+        winners = np.argmin(sq_log_dist(gts, anchors), axis=1)
+    w = np.zeros((len(winners), len(anchors)))
     w[np.arange(w.shape[0]), winners] = 1.0
     return w
 
 
 def hard_assign_threshold(gts: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
-    """The threshold rule on log shapes: 1 for every anchor whose IoU,
-    read as 1 - (1 - IoU), reaches tau, and for each ground truth's
-    best-IoU anchor."""
-    iou = 1.0 - log_shape_dist(gts, anchors, "one_minus_iou")
+    """The threshold rule on log shapes: 1 for every anchor whose IoU
+    reaches tau, and for each ground truth's best-IoU anchor."""
+    iou = log_shape_iou(gts, anchors)
     w = (iou >= tau).astype(float)
     w[np.arange(w.shape[0]), np.argmax(iou, axis=1)] = 1.0
     return w
 
 
 def soft_assign(gts: np.ndarray, anchors: np.ndarray, metric: str, temperature: float) -> np.ndarray:
-    """The soft rule on log shapes: the row softmax of -distance / temperature."""
-    z = log_shape_dist(gts, anchors, metric)
-    z /= -temperature
+    """The soft rule on log shapes: the row softmax of IoU / temperature,
+    or, under sq_l2_log, of -distance / temperature."""
+    if metric == "one_minus_iou":
+        z = log_shape_iou(gts, anchors) / temperature
+    else:
+        z = sq_log_dist(gts, anchors) / -temperature
     z -= z.max(axis=1, keepdims=True)
     w = np.exp(z)
     return w / w.sum(axis=1, keepdims=True)

@@ -185,7 +185,7 @@ class TestSoftAssign:
         for _ in range(20):
             g = rng.normal(3.0, 1.0, size=(8, 2))
             temp = float(rng.uniform(0.05, 3.0))
-            want = softmax_rows(-shape_dist_matrix(g, s, "sq_l2_log") / temp)
+            want = softmax_rows(-shape_dist_matrix(g, s) / temp)
             np.testing.assert_allclose(soft_assign(g, s, "sq_l2_log", temp), want, rtol=0, atol=1e-12)
 
     def test_extreme_distances_stay_finite(self):

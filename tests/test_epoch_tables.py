@@ -1,12 +1,13 @@
 """The training step's epoch tables against the log-shape references.
 
-``run_training`` takes ``np.exp`` of each epoch's shuffled log rows once,
-hands the rules both the log and the linear rows, counts utilization
-from the rules' winners, and reads each batch's Grams off an
-outer-product table centred by the epoch mean and filled one block of
-batches at a time. These tests hold each of those to the reference in
-``tests/oracles.py``: the rules bit for bit, the Grams and the loss to
-1e-12 relative, and the table's memory to one block.
+``run_training`` gathers each epoch's linear rows from ``ds.shapes()``
+and its log rows from ``ds.log_shapes()`` in one shuffled order, hands
+the rules both, counts utilization from the rules' winners, and reads
+each batch's Grams off an outer-product table centred by the epoch mean
+and filled one block of batches at a time. These tests hold each of
+those to the reference in ``tests/oracles.py``: the rules bit for bit,
+the Grams and the loss to 1e-12 relative, and the table's memory to one
+block.
 """
 
 import tracemalloc
@@ -34,9 +35,9 @@ METRICS = ("one_minus_iou", "sq_l2_log")
 
 
 def batch_rows(rng, n, a, ties):
-    """Log ground truths, log anchors and an epoch of linear rows to slice
-    the batch from. With ties, anchors repeat (as ``--init identical``
-    makes them) and some ground truths sit exactly on an anchor."""
+    """Log ground truths, their linear shapes and log anchors. With ties,
+    anchors repeat (as ``--init identical`` makes them) and some ground
+    truths sit exactly on an anchor."""
     s = rng.normal(3.0, 1.2, size=(a, 2))
     if ties:
         s[rng.integers(a, size=a) % 2 == 0] = s[0]
@@ -44,9 +45,7 @@ def batch_rows(rng, n, a, ties):
     if ties:
         on = rng.integers(n, size=n // 3 + 1)
         g[on] = s[rng.integers(a, size=len(on))]
-    # the linear rows are sliced from an exp over a longer table, as in training
-    epoch = np.vstack([rng.normal(3.0, 1.2, size=(7, 2)), g, rng.normal(3.0, 1.2, size=(5, 2))])
-    return g, np.exp(epoch)[7 : 7 + n], s
+    return g, np.exp(g), s
 
 
 class TestRulesMatchLogShapeRules:
@@ -82,8 +81,8 @@ class TestRulesMatchLogShapeRules:
         rng = np.random.default_rng(seed)
         g, g_wh, s = batch_rows(rng, n, a, ties)
         if tau_on_a_pair:
-            # tau exactly at one pair's 1 - (1 - IoU): the comparison decides it
-            iou = 1.0 - oracles.log_shape_dist(g, s, "one_minus_iou")
+            # tau exactly at one pair's IoU: the comparison decides it
+            iou = oracles.log_shape_iou(g, s)
             inside = iou[(iou > 0.0) & (iou < 1.0)]
             if inside.size:
                 tau = float(inside[rng.integers(inside.size)])
@@ -132,23 +131,43 @@ def test_stages_leave_the_tables_alone():
         utilization_counts(w, winners)
 
 
-def test_epoch_exp_matches_batch_exp():
-    """``np.exp`` over an epoch's shuffled log rows gives each batch the bits
-    that ``np.exp`` of the batch alone gives, whether the batch is a
-    contiguous slice or the strided view of a (5, n) row table."""
-    for ds in (synth.mixture2(1), synth.mixture3(1)):
-        log_g = ds.log_shapes()
-        n = len(log_g)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            shuffled = log_g[rng.permutation(n)]
-            linear = np.exp(shuffled)
-            rows = np.ones((5, n))
-            rows[3:] = shuffled.T
-            for size in (64, 7, 1000):
-                for lo in range(0, n, size):
-                    np.testing.assert_array_equal(np.exp(shuffled[lo : lo + size]), linear[lo : lo + size])
-                    np.testing.assert_array_equal(np.exp(rows[3:, lo : lo + size].T), linear[lo : lo + size])
+def _check_linear_rows(steps, epochs, ds, batch_size):
+    """Each batch's linear rows are rows of ``ds.shapes()``, bit for bit,
+    whose ``np.log`` is the batch's log rows, and a whole epoch's batches
+    take each of the dataset's rows once."""
+    n, per_epoch = len(ds), -(-len(ds) // batch_size)
+    for e, (shuffled, _) in enumerate(epochs):
+        batches = [step["g_wh"] for step in steps[e * per_epoch : (e + 1) * per_epoch]]
+        for b, g_wh in enumerate(batches):
+            np.testing.assert_array_equal(np.log(g_wh), shuffled[b * batch_size : (b + 1) * batch_size])
+        epoch = np.concatenate(batches)
+        if len(epoch) == n:
+            np.testing.assert_array_equal(epoch[np.lexsort(epoch.T)], ds.shapes()[np.lexsort(ds.shapes().T)])
+        else:
+            rows = set(map(tuple, ds.shapes().tolist()))
+            assert all(row in rows for row in map(tuple, epoch.tolist()))
+
+
+def uniform_boxes(seed, n=1000):
+    """Boxes of uniformly drawn pixel sizes: ``np.exp`` of its ``np.log``
+    gives most of them back in other bits, unlike the shapes ``synth``
+    draws as ``exp`` of a log size."""
+    wh = np.random.default_rng(seed).uniform(2.0, 400.0, size=(n, 2))
+    return CanonicalDataset(416, [f"b{i}" for i in range(n)], np.full(n, 208.0), np.full(n, 208.0), *wh.T)
+
+
+@pytest.mark.parametrize("rule", ["yolo", "threshold"])
+@pytest.mark.parametrize("boxes", [synth.mixture2, uniform_boxes])
+def test_batch_linear_rows_are_the_datasets(monkeypatch, boxes, rule):
+    """The rules read each batch's (w, h) from ``ds.shapes()``, the rows
+    ``eval`` scores, gathered in the order of the batch's log rows."""
+    steps, epochs = _record_steps(monkeypatch)
+    ds = boxes(1)
+    per_epoch = -(-len(ds) // 64)
+    cfg = TrainConfig(iters=2 * per_epoch + 5, warmup_iters=per_epoch, rule=rule, lr_schedule=((0, 1e-3),))
+    run_training(ds, AnchorSet(np.log([[20.0, 30.0], [60.0, 50.0], [120.0, 90.0]])), cfg)
+    assert len(steps) == cfg.iters and len(epochs) == 3
+    _check_linear_rows(steps, epochs, ds, 64)
 
 
 def _record_steps(monkeypatch):
@@ -205,7 +224,7 @@ def test_table_grams_match_dense_oracles(monkeypatch, n, batch_size, table_rows,
     """Every step's Grams and loss equal those built from the batch's own
     columns (``oracles.moment_rows``) and the dense loss, to 1e-12 relative,
     through block boundaries, short batches and soft and hard steps; and
-    each batch's linear rows are ``np.exp`` of its log rows, bit for bit."""
+    each batch's linear rows are the dataset's own, whose log is its log rows."""
     monkeypatch.setattr(anchorforge.trainer, "TABLE_ROWS", table_rows)
     steps, epochs = _record_steps(monkeypatch)
     ds = synth.lognormal_mixture([(30.0, 40.0), (90.0, 70.0)], 0.3, [n - n // 2, n // 2], seed=n + batch_size)
@@ -222,7 +241,6 @@ def test_table_grams_match_dense_oracles(monkeypatch, n, batch_size, table_rows,
         assert step["epoch"] == t // per_epoch
         lo = t % per_epoch * batch_size
         g, f = shuffled[lo : lo + batch_size], features[lo : lo + batch_size]
-        np.testing.assert_array_equal(step["g_wh"], np.exp(g))
 
         mean = oracles.moment_rows(features, shuffled).mean(axis=1)
         mean[0] = 0.0
@@ -239,6 +257,7 @@ def test_table_grams_match_dense_oracles(monkeypatch, n, batch_size, table_rows,
         dense = oracles.dense_loss(np.zeros((len(g),) + coef.shape[:2]), w, step["s"], g, step["lam"])[0]
         worst_loss = max(worst_loss, abs(loss - dense) / abs(dense))
     assert {step["soft"] for step in steps} == {True, False}
+    _check_linear_rows(steps, epochs, ds, batch_size)
     assert worst_gram < 1e-12 and worst_loss < 1e-12, (worst_gram, worst_loss)
 
 
@@ -251,11 +270,11 @@ def test_table_memory_is_one_block():
     ds = CanonicalDataset(416, [f"b{i}" for i in range(n)], np.full(n, 208.0), np.full(n, 208.0), *wh.T)
     anchors = AnchorSet(np.log([[20.0, 30.0], [60.0, 50.0], [120.0, 90.0], [200.0, 150.0], [300.0, 300.0]]))
     cfg = TrainConfig(iters=4, warmup_iters=2)
-    # per box: the log shapes (16 bytes), the permutation (8), the shuffled
-    # log rows (16), the (5, n) columns (40) and the feature draw (3 x 16
-    # while it is made); per block row: the linear shapes and the table
+    # per box: the log shapes (16 bytes), the permutation (8), the epoch's
+    # linear rows (16), the (5, n) columns (40) and the feature draw (3 x 16
+    # while it is made); per block row: the table
     per_box = 16 + 8 + 16 + 40 + 3 * 16
-    block = TABLE_ROWS * (2 + 25) * 8
+    block = TABLE_ROWS * 25 * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

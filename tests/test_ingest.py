@@ -529,6 +529,17 @@ class TestCanonicalFile:
         assert type(back.canvas_size) is int and back.canvas_size == 1
         np.testing.assert_array_equal(back.shapes(), [[1.0, 1.0]])
 
+    def test_numpy_integer_canvas_is_stored_as_int(self, tmp_path):
+        """canvas_size=np.int64(416) used to be refused; it is stored as an
+        int and written as one."""
+        ds = CanonicalDataset(np.int64(416), ("a",), [0.5], [0.5], [1.0], [1.0])
+        assert type(ds.canvas_size) is int and ds.canvas_size == 416
+        p = tmp_path / "data.canonical"
+        write_canonical(ds, p)
+        assert read_canonical(p).canvas_size == 416
+        with pytest.raises(ValueError, match=r"^canvas_size must be a positive integer, got np.int64\(0\)$"):
+            CanonicalDataset(np.int64(0), ("a",), [0.5], [0.5], [1.0], [1.0])
+
     def test_unsupported_version(self, tmp_path):
         p = tmp_path / "data.canonical"
         p.write_text("anchorforge-dataset v2 S=416\n")

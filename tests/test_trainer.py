@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
 from anchorforge import (
@@ -10,12 +12,13 @@ from anchorforge import (
     CanonicalDataset,
     NonFiniteLossError,
     TrainConfig,
+    build_report,
     run_training,
 )
-from anchorforge.assign import TEMP_START
+from anchorforge.assign import RULES, TEMP_START
 from anchorforge.lossgrad import initial_head, make_features
 from anchorforge.trainer import _INTEGERS, _RANGES
-from oracles import head_loss_longhand, lr_at, sgd_step, soft_assign
+from oracles import head_loss_longhand, iou_matrix, lr_at, sgd_step, soft_assign
 
 VOC_SCHEDULE = ((0, 1e-4), (100, 1e-3), (15000, 1e-4), (27000, 1e-5))
 
@@ -412,3 +415,57 @@ class TestRules:
         wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 1.0, params, feats)
         assert math.isclose(res.rows[0].loss, want, rel_tol=1e-9)
         assert not math.isclose(wrong, want, rel_tol=1e-9)
+
+
+def frozen_epoch_counts(wh, log_anchors, rule, tau=0.5, batch_size=4):
+    """Utilization of one training epoch with frozen, area-sorted anchors and
+    no warm-up, and that of ``build_report`` for the same anchors and tau."""
+    wh = np.asarray(wh, dtype=float)
+    n = len(wh)
+    ds = CanonicalDataset(416, [f"b{i}" for i in range(n)], np.full(n, 208.0), np.full(n, 208.0), *wh.T)
+    anchors = AnchorSet(log_anchors).sorted_by_area()
+    cfg = TrainConfig(iters=-(-n // batch_size), batch_size=batch_size, warmup_iters=0, anchor_lr_mult=0.0,
+                      rule=rule, tau=tau)
+    trained = run_training(ds, anchors, cfg).epoch_utilization[0]
+    return trained.tolist(), list(build_report(anchors, ds, rule, threshold_tau=tau).utilization)
+
+
+class TestHardRulesCountAsEval:
+    """Training's hard rules give each box the winner and the tau hits that
+    ``eval`` gives it: the same IoU of the dataset's own shapes, compared
+    as IoU. Both constructed cases disagreed when the step took ``np.exp``
+    of the log shapes and compared 1 - IoU."""
+
+    def test_yolo_winner_between_anchors_an_ulp_apart(self):
+        log_anchors = [[2.4289049641462244, 3.1655727067762487], [2.428904964146225, 3.1655727067762487]]
+        trained, evaluated = frozen_epoch_counts([(52.775619818828474, 59.10504533355089)], log_anchors, "yolo")
+        assert trained == evaluated == [0, 1]
+
+    def test_threshold_hit_at_exactly_tau(self):
+        """A (10, 1) box has IoU exactly 0.1 with a (1, 1) anchor; 1 - (1 - 0.1)
+        falls just below 0.1."""
+        wh = [(10.0, 1.0)] * 3 + [(50.0, 50.0)]
+        trained, evaluated = frozen_epoch_counts(wh, np.log([[1.0, 1.0], [10.0, 1.2]]), "threshold", tau=0.1)
+        assert trained == evaluated == [3, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5), st.sampled_from(RULES),
+           st.floats(0.01, 0.99), st.booleans())
+    def test_hard_rules_count_as_eval(self, seed, n, a, rule, tau, tau_on_a_pair):
+        """Anchors repeat or sit an ulp apart, some boxes sit on an anchor, and
+        tau may be one pair's IoU exactly."""
+        rng = np.random.default_rng(seed)
+        log_anchors = rng.uniform(0.0, 6.0, size=(a, 2))
+        copies = rng.integers(a, size=a)
+        log_anchors[1:] = np.where(rng.random((a - 1, 1)) < 0.5, log_anchors[copies[1:]], log_anchors[1:])
+        log_anchors[1:] = np.where(rng.random((a - 1, 1)) < 0.3, np.nextafter(log_anchors[1:], 7.0), log_anchors[1:])
+        wh = np.minimum(np.exp(rng.uniform(0.0, np.log(416.0), size=(n, 2))), 416.0)
+        on = rng.random(n) < 0.3
+        wh[on] = np.exp(log_anchors[rng.integers(a, size=int(on.sum()))])
+        if tau_on_a_pair:
+            iou = iou_matrix(wh, AnchorSet(log_anchors).wh())
+            inside = iou[(iou > 0.0) & (iou < 1.0)]
+            if inside.size:
+                tau = float(inside[rng.integers(inside.size)])
+        trained, evaluated = frozen_epoch_counts(wh, log_anchors, rule, tau)
+        assert trained == evaluated
