@@ -42,7 +42,6 @@ from .trainer import (
     NonFiniteLossError,
     TrainConfig,
     TrainResult,
-    TrajectoryRow,
     run_training,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "ParsedBoxes",
     "TrainConfig",
     "TrainResult",
-    "TrajectoryRow",
     "anchors_from_centroids",
     "anchors_line",
     "build_report",

@@ -419,7 +419,7 @@ def cmd_optimize(args: argparse.Namespace, opt: dict) -> None:
     (out_dir / "anchors.txt").write_text(anchors_line(anchors, opt["units"]) + "\n", encoding="utf-8")
     summary = {
         "iterations": iters,
-        "final_loss": result.rows[-1].loss if result.rows else None,
+        "final_loss": result.final_loss,
         "final_smoothed_loss": result.final_smoothed_loss,
         "metrics_before": before,
         "metrics_after": after,

@@ -69,6 +69,8 @@ _NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
 
 # the TrainConfig fields that count iterations or boxes, or seed the draws; bools are refused
 _INTEGERS = ("iters", "batch_size", "warmup_iters", "seed", "log_every")
+# the float fields; cluster_weight may also be None
+_FLOATS = ("momentum", "anchor_lr_mult", "tau", "cluster_weight", "sigma", "init_scale")
 
 # the range of each numeric TrainConfig field; optimize holds its options to the same pairs
 _RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
@@ -93,7 +95,8 @@ class TrainConfig:
     The defaults are the recipe of a flag-free ``anchorforge optimize``,
     which sets every field, each named as its option and held to its
     range in ``_RANGES``; the counts in ``_INTEGERS`` and the schedule's
-    starts must be integers. An anchor_lr_mult of 0 freezes the anchors.
+    starts must be integers. Numpy scalars are stored as Python ``int``
+    and ``float``. An anchor_lr_mult of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -134,23 +137,21 @@ class TrainConfig:
             raise ValueError(f"unknown assignment rule {self.rule!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
-
-
-@dataclass(frozen=True)
-class TrajectoryRow:
-    iteration: int
-    loss: float
-    cluster_weight: float
-    temperature: float
-    anchors_wh: np.ndarray
-    utilization: np.ndarray
+        # numpy scalars are stored as Python ones, whose repr trajectory.csv writes
+        for name in _INTEGERS:
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in _FLOATS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "lr_schedule", tuple((int(s), float(lr)) for s, lr in self.lr_schedule))
 
 
 @dataclass
 class TrainResult:
-    """Trained anchors and the run's history: a row every log_every
-    iterations and at the last, each epoch's utilization, and the loss
-    smoothed over SMOOTHING_WINDOW iterations (None without iterations).
+    """Trained anchors, the loss of the last iteration, that loss smoothed
+    over SMOOTHING_WINDOW iterations (both None without iterations) and
+    each epoch's utilization. The logged trajectory is the file at
+    run_training's trajectory_path.
 
     epoch_utilization is an (epochs, A) int64 array: row e counts each
     anchor's boxes from iteration e * ceil(n / batch_size) on, for n
@@ -158,9 +159,9 @@ class TrainResult:
     """
 
     anchors: AnchorSet
-    rows: list[TrajectoryRow]
-    epoch_utilization: np.ndarray
+    final_loss: Optional[float]
     final_smoothed_loss: Optional[float]
+    epoch_utilization: np.ndarray
 
 
 def _csv_header(num_anchors: int) -> str:
@@ -171,11 +172,12 @@ def _csv_header(num_anchors: int) -> str:
     return ",".join(cols)
 
 
-def _csv_row(row: TrajectoryRow) -> str:
-    parts = [str(row.iteration), repr(row.loss), repr(row.cluster_weight), repr(row.temperature)]
-    for w, h in row.anchors_wh:
+def _csv_row(t: int, loss: float, lam: float, temp: Optional[float], anchors_wh: np.ndarray,
+             utilization: np.ndarray) -> str:
+    parts = [str(t), repr(loss), repr(lam), repr(0.0 if temp is None else temp)]
+    for w, h in anchors_wh:
         parts += [repr(float(w)), repr(float(h))]
-    parts += [str(int(u)) for u in row.utilization]
+    parts += [str(int(u)) for u in utilization]
     return ",".join(parts)
 
 
@@ -190,11 +192,11 @@ def run_training(
 ) -> TrainResult:
     """Train anchors (and the head, when enabled) on a canonical dataset.
 
-    With iters=0 the inputs are returned unchanged. The trajectory is
-    logged every cfg.log_every iterations plus the final iteration, and
-    written incrementally when trajectory_path is given, so an
-    interrupted run keeps its partial history on disk. Raises
-    NonFiniteLossError as soon as the loss stops being finite.
+    With iters=0 the inputs are returned unchanged. When trajectory_path
+    is given, a row is written to it every cfg.log_every iterations and
+    at the final one, and flushed as it is written, so an interrupted run
+    keeps its partial history on disk; without it no trajectory is kept.
+    Raises NonFiniteLossError as soon as the loss stops being finite.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -228,11 +230,11 @@ def run_training(
     eye = np.eye(num_anchors)
     no_head = np.zeros((num_anchors, 2, 5))
 
-    logged: list[TrajectoryRow] = []
-    epochs: list[np.ndarray] = []  # one row of counts per epoch begun
+    epoch_utilization = np.zeros((-(-cfg.iters // per_epoch), num_anchors), dtype=np.int64)
     window_counts = np.zeros(num_anchors, dtype=np.int64)
     alpha = 1.0 / SMOOTHING_WINDOW
     ema: Optional[float] = None
+    loss: Optional[float] = None
 
     csv_file = (open(trajectory_path, "w", encoding="utf-8", newline="\n")
                 if trajectory_path is not None else nullcontext())
@@ -243,6 +245,7 @@ def run_training(
         for t in range(cfg.iters):
             b = t % per_epoch  # the batch's index in its epoch
             if b == 0:
+                epoch_wh = g_wh = None  # drop the last epoch's linear rows (and its view) before the gathers
                 order = rng.permutation(n)
                 rows[3:] = np.take(log_g, order, axis=0).T
                 epoch_wh = np.take(wh, order, axis=0)
@@ -251,8 +254,7 @@ def run_training(
                 rows[1:3] = make_features(rows[3:].T, cfg.sigma, rng).T if head else rows[3:]
                 mean = rows.sum(axis=1) / n
                 mean[0] = 0.0
-                epoch_counts = np.zeros(num_anchors, dtype=np.int64)
-                epochs.append(epoch_counts)
+                epoch_counts = epoch_utilization[t // per_epoch]  # a view: the step adds into the table
             lo = b * size
             if b % block == 0:
                 start = lo
@@ -311,19 +313,9 @@ def run_training(
                 # a finite log shape can still overflow (or underflow) its linear one
                 if not np.all((anchors_wh > 0.0) & (anchors_wh < np.inf)):
                     raise NonFiniteLossError(t, loss, s.copy(), shape_overflow=True)
-                row = TrajectoryRow(
-                    iteration=t,
-                    loss=loss,
-                    cluster_weight=lam,
-                    temperature=temp if temp is not None else 0.0,
-                    anchors_wh=anchors_wh,
-                    utilization=window_counts.copy(),
-                )
-                logged.append(row)
-                window_counts[:] = 0
                 if fh is not None:
-                    fh.write(_csv_row(row) + "\n")
+                    fh.write(_csv_row(t, loss, lam, temp, anchors_wh, window_counts) + "\n")
                     fh.flush()
+                window_counts[:] = 0
 
-    epoch_utilization = np.array(epochs, dtype=np.int64).reshape(-1, num_anchors)
-    return TrainResult(AnchorSet.from_array(s, anchors0.stride), logged, epoch_utilization, ema)
+    return TrainResult(AnchorSet.from_array(s, anchors0.stride), loss, ema, epoch_utilization)

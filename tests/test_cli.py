@@ -331,6 +331,19 @@ class TestOptimize:
         assert "avg_best_iou" in summary["metrics_before"]
         assert "avg_best_iou" in summary["metrics_after"]
 
+    def test_final_loss_is_the_trajectory_last_loss(self, tmp_path, dataset_file):
+        """The last logged row is iteration 36, between two log_every steps."""
+        out = tmp_path / "opt"
+        rc = main([
+            "optimize", "--dataset", str(dataset_file), "--num-anchors", "2",
+            "--iters", "37", "--batch-size", "16", "--log-every", "10", "--warmup-iters", "20",
+            "--out-dir", str(out),
+        ])
+        assert rc == 0
+        last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "36"
+        assert json.loads((out / "summary.json").read_text())["final_loss"] == float(last[1])
+
     def test_scale_shrinks_run(self, tmp_path, dataset_file):
         out = tmp_path / "opt"
         rc = main([

@@ -264,12 +264,14 @@ def test_table_grams_match_dense_oracles(monkeypatch, n, batch_size, table_rows,
 def test_table_memory_is_one_block():
     """On 120k boxes, ``run_training``'s allocation peak stays within the
     epoch's per-box arrays plus one block's tables: an outer-product table
-    of every box would add 200 bytes per box, 24 MB here."""
+    of every box would add 200 bytes per box, 24 MB here. The run enters a
+    second epoch, whose gather used to keep the first epoch's linear rows
+    alive beside the new ones."""
     n = 120_000
     wh = np.exp(np.random.default_rng(2).normal(np.log(60.0), 0.6, size=(n, 2))).clip(2.0, 400.0)
     ds = CanonicalDataset(416, [f"b{i}" for i in range(n)], np.full(n, 208.0), np.full(n, 208.0), *wh.T)
     anchors = AnchorSet(np.log([[20.0, 30.0], [60.0, 50.0], [120.0, 90.0], [200.0, 150.0], [300.0, 300.0]]))
-    cfg = TrainConfig(iters=4, warmup_iters=2)
+    cfg = TrainConfig(iters=-(-n // 64) + 1, batch_size=64, warmup_iters=2)
     # per box: the log shapes (16 bytes), the permutation (8), the epoch's
     # linear rows (16), the (5, n) columns (40) and the feature draw (3 x 16
     # while it is made); per block row: the table

@@ -46,9 +46,27 @@ def start_anchors():
     return AnchorSet.from_linear([[30.0, 30.0], [150.0, 150.0]])
 
 
+def read_trajectory(path):
+    """A trajectory.csv's columns: iter, loss, lambda and T by name, the
+    anchors as wh, (rows, A, 2), and the util columns as util, (rows, A).
+    float() reads back every repr the file holds exactly."""
+    header, *lines = path.read_text().splitlines()
+    a = header.count(",") // 3 - 1  # 4 + 3A columns
+    cells = [line.split(",") for line in lines]
+    floats = np.array([[float(v) for v in c[1 : 4 + 2 * a]] for c in cells]).reshape(-1, 3 + 2 * a)
+    return {
+        "iter": [int(c[0]) for c in cells],
+        "loss": floats[:, 0],
+        "lambda": floats[:, 1],
+        "T": floats[:, 2],
+        "wh": floats[:, 3:].reshape(-1, a, 2),
+        "util": np.array([[int(v) for v in c[4 + 2 * a :]] for c in cells], dtype=np.int64).reshape(-1, a),
+    }
+
+
 class TestMomentumUpdate:
     @pytest.mark.parametrize("momentum, mult", [(0.0, 1.0), (0.9, 1.0), (0.0, 0.37), (0.9, 0.37), (0.9, 0.0)])
-    def test_anchor_follows_heavy_ball_recurrence(self, momentum, mult):
+    def test_anchor_follows_heavy_ball_recurrence(self, tmp_path, momentum, mult):
         """One anchor, no head and no clustering term, on boxes of one shape
         g: every box in a batch of B has weight 1, so the anchor gradient is
         2 B (s - log g), and the logged anchor must follow v <- m v + grad,
@@ -66,7 +84,9 @@ class TestMomentumUpdate:
             head=False, log_every=1,
         )
         s = [math.log(50.0), math.log(20.0)]
-        res = run_training(ds, AnchorSet.from_array(np.array([s])), cfg)
+        path = tmp_path / "trajectory.csv"
+        res = run_training(ds, AnchorSet.from_array(np.array([s])), cfg, trajectory_path=path)
+        logged = read_trajectory(path)
 
         v = [0.0, 0.0]
         want = []
@@ -75,8 +95,8 @@ class TestMomentumUpdate:
                 grad = 0.0 if frozen else 2.0 * batch * (s[i] - math.log(box[i]))
                 s[i], v[i] = sgd_step(s[i], grad, v[i], lr_at(t, cfg.lr_schedule) * mult, momentum)
             want.append(list(s))
-        assert [r.iteration for r in res.rows] == list(range(cfg.iters))
-        got = np.log([r.anchors_wh[0] for r in res.rows])
+        assert logged["iter"] == list(range(cfg.iters))
+        got = np.log(logged["wh"][:, 0])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         if frozen:
             np.testing.assert_array_equal(res.anchors.log_wh, [[math.log(50.0), math.log(20.0)]])
@@ -184,16 +204,40 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"^lr_schedule iterations must be integers, got \["):
                 TrainConfig(lr_schedule=schedule)
 
-    def test_numpy_integers_train_as_python_integers(self):
+    def test_numpy_integers_train_as_python_integers(self, tmp_path):
+        """A numpy warmup_iters used to make the temperature and lambda numpy
+        floats, which trajectory.csv wrote as np.float64(2.0)."""
         ints = dict(iters=40, batch_size=32, warmup_iters=20, seed=1, log_every=5)
         schedule = ((0, 1e-2), (30, 1e-3))
-        a = run_training(tiny_ds(), start_anchors(), small_cfg(**ints, lr_schedule=schedule))
-        b = run_training(tiny_ds(), start_anchors(), small_cfg(
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        a = run_training(tiny_ds(), start_anchors(), small_cfg(**ints, lr_schedule=schedule), trajectory_path=pa)
+        cfg = small_cfg(
             **{k: np.int64(v) for k, v in ints.items()},
             lr_schedule=tuple((np.int32(s), lr) for s, lr in schedule),
-        ))
+        )
+        b = run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=pb)
         np.testing.assert_array_equal(a.anchors.log_wh, b.anchors.log_wh)
-        assert [r.iteration for r in a.rows] == [r.iteration for r in b.rows]
+        assert read_trajectory(pa)["iter"] == read_trajectory(pb)["iter"]
+        assert pa.read_bytes() == pb.read_bytes()
+        assert all(type(getattr(cfg, name)) is int for name in _INTEGERS)
+        assert all(type(start) is int for start, _ in cfg.lr_schedule)
+
+    @pytest.mark.parametrize("cluster_weight", [np.float64(0.5), np.float32(0.5), 1], ids=["float64", "float32", "int"])
+    def test_numpy_and_integer_floats_write_as_python_floats(self, tmp_path, cluster_weight):
+        """A numpy cluster_weight used to write the loss and lambda columns as
+        np.float64(...), and cluster_weight=1 wrote lambda as 1, not 1.0."""
+        floats = dict(momentum=0.9, anchor_lr_mult=1.0, tau=0.5, sigma=0.3, init_scale=0.1)
+        schedule = ((0, 1e-2), (30, 1e-3))
+        base = dict(iters=40, warmup_iters=0, head=True, log_every=5)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_training(tiny_ds(), start_anchors(), small_cfg(
+            **base, **floats, lr_schedule=schedule, cluster_weight=float(cluster_weight)), trajectory_path=pa)
+        cfg = small_cfg(**base, **{k: np.float64(v) for k, v in floats.items()},
+                        lr_schedule=tuple((s, np.float64(lr)) for s, lr in schedule), cluster_weight=cluster_weight)
+        run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=pb)
+        assert pa.read_bytes() == pb.read_bytes()
+        assert all(type(getattr(cfg, name)) is float for name in (*floats, "cluster_weight"))
+        assert all(type(lr) is float for _, lr in cfg.lr_schedule)
 
     def test_range_table_names_fields(self):
         fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -224,23 +268,26 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="empty"):
             run_training(CanonicalDataset(416, (), [], [], [], []), start_anchors(), small_cfg())
 
-    def test_zero_iters_returns_init(self):
+    def test_zero_iters_returns_init(self, tmp_path):
         ds = tiny_ds()
-        res = run_training(ds, start_anchors(), small_cfg(iters=0))
+        path = tmp_path / "trajectory.csv"
+        res = run_training(ds, start_anchors(), small_cfg(iters=0), trajectory_path=path)
         np.testing.assert_array_equal(res.anchors.log_wh, start_anchors().log_wh)
-        assert res.rows == []
+        assert path.read_text() == "iter,loss,lambda,T,w1,h1,w2,h2,util1,util2\n"
+        assert res.final_loss is None
         assert res.final_smoothed_loss is None
 
-    def test_deterministic_rerun(self):
+    def test_deterministic_rerun(self, tmp_path):
         ds = tiny_ds()
         cfg = small_cfg(head=True, sigma=0.3)
-        a = run_training(ds, start_anchors(), cfg)
-        b = run_training(ds, start_anchors(), cfg)
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        a = run_training(ds, start_anchors(), cfg, trajectory_path=pa)
+        b = run_training(ds, start_anchors(), cfg, trajectory_path=pb)
         np.testing.assert_array_equal(a.anchors.log_wh, b.anchors.log_wh)
         assert a.final_smoothed_loss == b.final_smoothed_loss
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.loss == rb.loss
-            np.testing.assert_array_equal(ra.anchors_wh, rb.anchors_wh)
+        ra, rb = read_trajectory(pa), read_trajectory(pb)
+        np.testing.assert_array_equal(ra["loss"], rb["loss"])
+        np.testing.assert_array_equal(ra["wh"], rb["wh"])
 
     def test_seed_changes_run(self):
         ds = tiny_ds()
@@ -269,27 +316,31 @@ class TestRunTraining:
         assert exc.value.iteration >= 0
         assert "iteration" in str(exc.value)
 
-    def test_smoothed_loss_decreases(self):
+    def test_smoothed_loss_decreases(self, tmp_path):
         ds = tiny_ds()
-        res = run_training(ds, start_anchors(), small_cfg())
-        first = res.rows[0].loss
+        path = tmp_path / "trajectory.csv"
+        res = run_training(ds, start_anchors(), small_cfg(), trajectory_path=path)
+        first = read_trajectory(path)["loss"][0]
         assert res.final_smoothed_loss < first
 
 
 class TestTrajectory:
-    def test_rows_at_log_every_and_final(self):
-        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=103, log_every=25))
-        its = [r.iteration for r in res.rows]
+    def test_rows_at_log_every_and_final(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        run_training(tiny_ds(), start_anchors(), small_cfg(iters=103, log_every=25), trajectory_path=path)
+        its = read_trajectory(path)["iter"]
         assert its == [0, 25, 50, 75, 100, 102]
 
-    def test_temperature_and_lambda_columns(self):
-        res = run_training(tiny_ds(), start_anchors(), small_cfg())
-        rows = res.rows
-        assert rows[0].temperature == 2.0
-        assert rows[0].cluster_weight == 1.0
-        late = [r for r in rows if r.iteration >= 60]
-        assert all(r.temperature == 0.0 for r in late)
-        assert all(r.cluster_weight == 0.0 for r in late)
+    def test_temperature_and_lambda_columns(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        run_training(tiny_ds(), start_anchors(), small_cfg(), trajectory_path=path)
+        rows = read_trajectory(path)
+        assert rows["T"][0] == 2.0
+        assert rows["lambda"][0] == 1.0
+        late = np.array(rows["iter"]) >= 60
+        assert late.any()
+        assert np.all(rows["T"][late] == 0.0)
+        assert np.all(rows["lambda"][late] == 0.0)
 
     def test_epoch_utilization_complete_epochs(self):
         ds = tiny_ds()  # 300 boxes; batch 32 -> epoch boundary every 10 iters
@@ -313,28 +364,24 @@ class TestTrajectory:
         assert res.epoch_utilization.dtype == np.int64
 
     @pytest.mark.parametrize("rule, iters", [("yolo", 95), ("threshold", 103)])
-    def test_epoch_utilization_totals_match_trajectory(self, rule, iters):
+    def test_epoch_utilization_totals_match_trajectory(self, tmp_path, rule, iters):
         """Both tables count every iteration once, so their per-anchor totals agree."""
-        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=iters, log_every=7, rule=rule))
-        logged = np.sum([row.utilization for row in res.rows], axis=0)
+        path = tmp_path / "trajectory.csv"
+        res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=iters, log_every=7, rule=rule),
+                           trajectory_path=path)
+        logged = read_trajectory(path)["util"].sum(axis=0)
         np.testing.assert_array_equal(res.epoch_utilization.sum(axis=0), logged)
 
     def test_csv_written_and_parses_back(self, tmp_path):
         path = tmp_path / "trajectory.csv"
         res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=60), trajectory_path=path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,loss,lambda,T,w1,h1,w2,h2,util1,util2"
-        assert len(lines) == 1 + len(res.rows)
-        for line, row in zip(lines[1:], res.rows):
-            parts = line.split(",")
-            assert int(parts[0]) == row.iteration
-            assert float(parts[1]) == row.loss
-            assert float(parts[2]) == row.cluster_weight
-            assert float(parts[3]) == row.temperature
-            np.testing.assert_array_equal(
-                np.array([float(v) for v in parts[4:8]]).reshape(2, 2), row.anchors_wh
-            )
-            np.testing.assert_array_equal([int(v) for v in parts[8:10]], row.utilization)
+        assert path.read_text().splitlines()[0] == "iter,loss,lambda,T,w1,h1,w2,h2,util1,util2"
+        rows = read_trajectory(path)
+        assert rows["iter"] == [0, 25, 50, 59]
+        # the last row is the result's: its anchors bit for bit and its loss
+        np.testing.assert_array_equal(rows["wh"][-1], res.anchors.wh())
+        assert rows["loss"][-1] == res.final_loss
+        np.testing.assert_array_equal(rows["util"].sum(axis=0), res.epoch_utilization.sum(axis=0))
 
     def test_csv_bytes_identical_across_reruns(self, tmp_path):
         cfg = small_cfg(head=True, sigma=0.2, iters=80)
@@ -371,10 +418,11 @@ class TestRules:
         res = run_training(tiny_ds(), start_anchors(), cfg)
         assert np.all(np.isfinite(res.anchors.log_wh))
 
-    def test_fixed_cluster_weight(self):
+    def test_fixed_cluster_weight(self, tmp_path):
         cfg = small_cfg(cluster_weight=0.5, warmup_iters=0)
-        res = run_training(tiny_ds(), start_anchors(), cfg)
-        assert all(r.cluster_weight == 0.5 for r in res.rows)
+        path = tmp_path / "trajectory.csv"
+        run_training(tiny_ds(), start_anchors(), cfg, trajectory_path=path)
+        assert np.all(read_trajectory(path)["lambda"] == 0.5)
 
     def test_anchor_lr_mult_scales_motion(self):
         ds = tiny_ds()
@@ -386,7 +434,7 @@ class TestRules:
         d_fast = np.abs(fast.anchors.log_wh - start_anchors().log_wh).sum()
         assert d_slow < d_fast
 
-    def test_soft_membership_covers_zero_weight_pairs(self):
+    def test_soft_membership_covers_zero_weight_pairs(self, tmp_path):
         """At the starting temperature with sq_l2_log, a softmax weight is
         exactly 0 only across a squared log-distance gap of about 1500. A
         far anchor at log shape (-30, -30) with a cluster of boxes around it
@@ -401,7 +449,8 @@ class TestRules:
                               np.r_[base.w, far[:, 0]], np.r_[base.h, far[:, 1]])
         anchors = AnchorSet.from_array(np.log([[4.0, 4.0], [45.0, 45.0], [400.0, 400.0], [np.exp(-30.0)] * 2]))
         cfg = small_cfg(iters=1, warmup_iters=1, head=True, sigma=0.3, bn=True)
-        res = run_training(ds, anchors, cfg)
+        path = tmp_path / "trajectory.csv"
+        run_training(ds, anchors, cfg, trajectory_path=path)
 
         # replay the run's random draws: head init, epoch shuffle, features
         rng = np.random.default_rng(cfg.seed)
@@ -413,7 +462,7 @@ class TestRules:
         assert np.all(np.any(w == 0.0, axis=0) & np.any(w > 0.0, axis=0))
         want, _ = head_loss_longhand(w, np.ones(w.shape, dtype=bool), s, g, 1.0, params, feats)
         wrong, _ = head_loss_longhand(w, w > 0.0, s, g, 1.0, params, feats)
-        assert math.isclose(res.rows[0].loss, want, rel_tol=1e-9)
+        assert math.isclose(read_trajectory(path)["loss"][0], want, rel_tol=1e-9)
         assert not math.isclose(wrong, want, rel_tol=1e-9)
 
 
