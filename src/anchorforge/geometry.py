@@ -71,15 +71,20 @@ class AnchorSet:
 
     @classmethod
     def from_linear(cls, wh: np.ndarray, stride: int = 32) -> "AnchorSet":
-        """Anchor set from an (A, 2) array of finite, positive linear (w, h)."""
+        """Anchor set from an (A, 2) array of linear (w, h), each side finite
+        and positive and each area w * h, which IoU reads, within float range."""
         arr = np.asarray(wh, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected an (A, 2) array of (w, h), got shape {arr.shape}")
-        for what, bad in (("finite", ~np.isfinite(arr)), ("positive", arr <= 0.0)):
-            rows = np.flatnonzero(bad.any(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN; the sides are refused first
+            area = arr[:, 0] * arr[:, 1]
+        for fault, bad in (("shape must be finite, got {}", ~np.isfinite(arr).all(axis=1)),
+                           ("shape must be positive, got {}", (arr <= 0.0).any(axis=1)),
+                           ("anchor {} has an area beyond float range", ~np.isfinite(area))):
+            rows = np.flatnonzero(bad)
             if rows.size:
                 w, h = arr[rows[0]].tolist()
-                raise ValueError(f"shape must be {what}, got ({w}, {h})")
+                raise ValueError(fault.format(f"({w}, {h})"))
         return cls(np.log(arr), stride)
 
 

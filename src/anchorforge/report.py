@@ -8,7 +8,6 @@ the precision of a trained detector.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -138,14 +137,6 @@ def report_to_json(report: AnchorReport) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _check_areas(pairs: Sequence[tuple[float, float]]) -> None:
-    """Raise ValueError for a (w, h) pair of finite sides whose area, which
-    IoU needs, overflows a float."""
-    for w, h in pairs:
-        if not math.isfinite(w * h):
-            raise ValueError(f"anchor ({w}, {h}) has an area beyond float range")
-
-
 def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> None:
     """Write anchors (sorted by area, linear pixels) with canvas and stride.
     A canvas or an anchor that read_anchors_json would refuse raises
@@ -156,8 +147,7 @@ def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> N
     ordered = anchors.sorted_by_area()
     with np.errstate(over="ignore"):  # a side beyond float range is refused below
         wh = ordered.wh().tolist()
-    AnchorSet.from_linear(wh)  # each side must be finite and positive: exp can overflow or reach 0
-    _check_areas(wh)
+    AnchorSet.from_linear(wh)  # exp can overflow or reach 0, and the area can overflow
     payload = {
         "canvas": int(canvas),
         "stride": ordered.stride,
@@ -195,7 +185,6 @@ def read_anchors_json(path: "str | Path") -> tuple[AnchorSet, int]:
         _check_float_range("canvas", canvas)
         _check_float_range("stride", stride)
         anchor_set = AnchorSet.from_linear(pairs, stride)
-        _check_areas(pairs)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
     return anchor_set, canvas

@@ -41,7 +41,7 @@ from .assign import (
     utilization_counts,
 )
 from .geometry import METRICS, AnchorSet, Metric
-from .ingest import CanonicalDataset, _is_integer
+from .ingest import CanonicalDataset, _check_float_range, _is_integer
 from .lossgrad import TABLE_ROWS, _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
 from .lossgrad import moment_table, table_grams
 
@@ -50,8 +50,8 @@ SMOOTHING_WINDOW = 100
 
 class NonFiniteLossError(RuntimeError):
     """Raised when training stops being finite: the loss, or (with
-    shape_overflow) a linear anchor shape exp(s) that over- or underflows
-    from a finite log shape. Carries the iteration."""
+    shape_overflow) a linear anchor shape exp(s), from a finite log shape,
+    that AnchorSet.from_linear refuses. Carries the iteration."""
 
     def __init__(self, iteration: int, loss: float, anchors: np.ndarray, shape_overflow: bool = False):
         self.iteration = iteration
@@ -95,8 +95,9 @@ class TrainConfig:
     The defaults are the recipe of a flag-free ``anchorforge optimize``,
     which sets every field, each named as its option and held to its
     range in ``_RANGES``; the counts in ``_INTEGERS`` and the schedule's
-    starts must be integers. Numpy scalars are stored as Python ``int``
-    and ``float``. An anchor_lr_mult of 0 freezes the anchors.
+    starts must be integers, and the fields in ``_FLOATS`` and the rates
+    numbers within float range, not bools. Numpy scalars are stored as
+    Python ``int`` and ``float``. An anchor_lr_mult of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -120,6 +121,13 @@ class TrainConfig:
         for name in _INTEGERS:
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        floats = [(name, getattr(self, name)) for name in _FLOATS if getattr(self, name) is not None]
+        for name, value in floats + [("lr_schedule", lr) for _, lr in self.lr_schedule]:
+            # bool is an int subclass, and float() of a huge integer raises OverflowError
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if _is_integer(value):  # a float beyond range is inf, which the range tests refuse
+                _check_float_range(name, value)
         for name, (requirement, test) in _RANGES.items():
             value = getattr(self, name)
             if not test(value):
@@ -196,7 +204,8 @@ def run_training(
     is given, a row is written to it every cfg.log_every iterations and
     at the final one, and flushed as it is written, so an interrupted run
     keeps its partial history on disk; without it no trajectory is kept.
-    Raises NonFiniteLossError as soon as the loss stops being finite.
+    Raises NonFiniteLossError as soon as the loss stops being finite, or
+    at a logged step whose linear anchors AnchorSet.from_linear refuses.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -310,9 +319,10 @@ def run_training(
 
             if t % cfg.log_every == 0 or t == cfg.iters - 1:
                 anchors_wh = np.exp(s)
-                # a finite log shape can still overflow (or underflow) its linear one
-                if not np.all((anchors_wh > 0.0) & (anchors_wh < np.inf)):
-                    raise NonFiniteLossError(t, loss, s.copy(), shape_overflow=True)
+                try:  # a finite log shape can still overflow (or underflow) its side or area
+                    AnchorSet.from_linear(anchors_wh)
+                except ValueError:
+                    raise NonFiniteLossError(t, loss, s.copy(), shape_overflow=True) from None
                 if fh is not None:
                     fh.write(_csv_row(t, loss, lam, temp, anchors_wh, window_counts) + "\n")
                     fh.flush()

@@ -439,6 +439,26 @@ class TestOptimize:
         assert [str(w.message) for w in caught] == []
         assert "Warning" not in err
 
+    def test_anchor_area_overflow_exits_3(self, tmp_path, capsys):
+        """Sides of about e^487 x e^485 are finite, but their area is not: the
+        run used to train to the end and exit 2 when scoring refused it, after
+        a numpy overflow warning."""
+        dataset = tmp_path / "mixture2.canonical"
+        anchorforge.write_canonical(synth.mixture2(1), dataset)
+        out = tmp_path / "opt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["optimize", "--dataset", str(dataset), "--init", "uniform", "--stride", "1", "--no-head",
+                       "--warmup-iters", "0", "--metric", "sq_l2_log", "--iters", "1", "--lr-schedule", "0:2",
+                       "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: anchor shape overflowed to a non-finite or zero size (loss ")
+        assert " at iteration 0; anchor log-shapes: " in err
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err
+        assert not (out / "anchors.json").exists() and not (out / "summary.json").exists()
+
     def test_empty_dataset_rejected_before_run_dir(self, tmp_path, capsys):
         dataset = tmp_path / "empty.canonical"
         dataset.write_text("anchorforge-dataset v1 S=416\n")

@@ -37,6 +37,18 @@ class TestBoxShape:
         with pytest.raises(ValueError, match="must be finite"):
             AnchorSet.from_linear([[1.0, math.inf]])
 
+    def test_rejects_area_beyond_float_range(self):
+        """Every IoU reads w * h; this pair of finite sides used to build."""
+        with pytest.raises(ValueError, match=r"^anchor \(1e\+308, 10\.0\) has an area beyond float range$"):
+            AnchorSet.from_linear([[1e308, 10.0]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_side_fault_before_area_fault_without_warning(self):
+        """0 * inf is NaN: the area is taken quietly, and the row is
+        reported for its side."""
+        with pytest.raises(ValueError, match=r"^shape must be finite, got \(0\.0, inf\)$"):
+            AnchorSet.from_linear([[0.0, math.inf]])
+
     def test_names_first_bad_row(self):
         with pytest.raises(ValueError, match=r"positive, got \(-2\.0, 3\.0\)"):
             AnchorSet.from_linear([[1.0, 1.0], [-2.0, 3.0], [0.0, 1.0]])

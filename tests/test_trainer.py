@@ -197,6 +197,20 @@ class TestConfigValidation:
             TrainConfig(**{name: value})
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("name, value", [
+        *((name, True) for name in ("sigma", "anchor_lr_mult", "init_scale", "cluster_weight", "lr_schedule")),
+        ("sigma", "0.3"),
+        *((name, 10**400) for name in ("sigma", "anchor_lr_mult", "init_scale", "lr_schedule")),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
+    def test_float_fields_refuse_bools_non_numbers_and_huge_integers(self, name, value):
+        """True used to be stored as 1.0, a 401-digit integer to end in a bare
+        OverflowError from float(), and "0.3" in a TypeError from the range
+        test; a rate is named as its field, lr_schedule."""
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: ((0, value),) if name == "lr_schedule" else value})
+        assert str(info.value) == (f"{name} must lie within float range, got a 401-digit integer"
+                                   if value == 10**400 else f"{name} must be a number, got {value!r}")
+
     def test_schedule_starts_must_be_integers(self):
         """The breakpoint 100.5 used to be passed over: the run trained
         bit-identically to one without it."""
@@ -399,6 +413,15 @@ class TestTrajectory:
             run_training(tiny_ds(), start_anchors(), cfg)
         # the loss itself is finite: the message must not call it non-finite
         assert str(exc.value).startswith("anchor shape overflowed to a non-finite or zero size (loss ")
+
+    def test_anchor_area_overflow_raises(self):
+        """Frozen sides of e^355 are finite, but their area is not: the run
+        used to return them, and only write_anchors_json refused them."""
+        cfg = TrainConfig(iters=2, anchor_lr_mult=0.0, head=False, warmup_iters=0, metric="sq_l2_log")
+        with pytest.raises(NonFiniteLossError, match="at iteration 0;") as exc:
+            run_training(synth.mixture2(1), AnchorSet(np.full((2, 2), 355.0)), cfg)
+        assert str(exc.value).startswith("anchor shape overflowed to a non-finite or zero size (loss ")
+        assert exc.value.iteration == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
