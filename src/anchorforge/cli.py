@@ -289,7 +289,7 @@ def cmd_ingest(args: argparse.Namespace, opt: dict) -> None:
     else:
         boxes = parse_csv(opt["input"])
     ds = normalize_to_canvas(boxes, opt["canvas"], min_size=opt["min_size"])
-    out_path = _start_run_dir(args, opt, ("dataset.canonical",)) / "dataset.canonical"
+    out_path = _start_run_dir(args, opt, ("dataset.canonical", "dataset.canonical.cache")) / "dataset.canonical"
     write_canonical(ds, out_path)
 
     print(f"parsed {len(boxes)} boxes from {opt['input']} ({fmt})")

@@ -21,11 +21,26 @@ producing partial data; an image id with a tab, a line break or a lone
 surrogate (a COCO id's "\\ud800" escape, or a VOC file name that is not
 UTF-8), which the UTF-8 canonical format cannot hold, is malformed.
 
-read_canonical checks a file's records in one bulk pass: the tab total
-of the body must be four per line, and one np.loadtxt call over all the
-lines must return a row for each. Only a file that fails it is read
-again line by line, to name the first faulty line: a wrong field count
-is looked for on every line before any number is.
+write_canonical also writes a binary sidecar beside the file, the
+path with ".cache" appended:
+
+    anchorforge-dataset-cache v1 sha256=<hex> rows=<n> ids=<byte length>
+
+then the rows' (cx, cy, w, h) as n * 4 little-endian float64, exactly as
+np.loadtxt reads the lines just written, then the image ids as UTF-8,
+joined by LF. The digest is the sha256 of the canonical file's bytes.
+
+read_canonical reads a file's bytes once and has three passes. The
+cached pass takes the sidecar's arrays only when its digest matches the
+file's bytes and its row count, id count and payload length all match;
+they then pass the same validation as parsed ones. A missing, stale or
+damaged sidecar, or any fault on that pass, leaves the file to the text
+passes, so a result or an error never depends on the sidecar. The bulk
+pass checks the records at once: the tab total of the body must be four
+per line, and one np.loadtxt call over all the lines must return a row
+for each. Only a file that fails it is read again line by line, to name
+the first faulty line: a wrong field count is looked for on every line
+before any number is. The reader writes nothing.
 
 Every parser pauses CPython's cyclic garbage collector while it runs.
 Each builds one large graph of containers that holds no reference cycles
@@ -43,6 +58,7 @@ from __future__ import annotations
 import csv
 import functools
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -58,6 +74,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _HEADER_RE = re.compile(r"anchorforge-dataset v(\d+) S=(\d+)")
+_CACHE_HEADER = "anchorforge-dataset-cache v1 sha256={} rows={} ids={}\n"
+_CACHE_HEADER_RE = re.compile(rb"anchorforge-dataset-cache v1 sha256=([0-9a-f]{64}) rows=(\d{1,19}) ids=(\d{1,19})\n")
 _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_max"]
 _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 # the (n, 4) numbers of canonical record lines; "#" starts no comment there
@@ -99,17 +117,30 @@ def _check_float_range(name: str, value: int) -> None:
     """Raise ValueError for an integer beyond float range, which float and
     numpy arithmetic cannot take (they raise OverflowError)."""
     if abs(value) > sys.float_info.max:
-        raise ValueError(f"{name} must lie within float range, got a {len(str(abs(value)))}-digit integer")
+        # str() refuses an integer of more than 4300 digits, so they are counted
+        # from log10, corrected where it rounds across a power of ten
+        magnitude = abs(int(value))
+        digits = int(math.log10(magnitude)) + 1
+        digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
+        raise ValueError(f"{name} must lie within float range, got a {digits}-digit integer")
+
+
+def _decode_utf8(path: "str | Path", stream: io.BufferedIOBase, newline: Optional[str] = None) -> str:
+    """The rest of a binary stream of the file at path, decoded as open()
+    in text mode decodes a file: as UTF-8, with the given newline mode.
+    Bytes that are not UTF-8 raise ParseError naming the file."""
+    try:
+        with io.TextIOWrapper(stream, encoding="utf-8", newline=newline) as text:  # closes stream too
+            return text.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
     """The text of a UTF-8 file, read with the given newline mode; a file
     that is not UTF-8 raises ParseError naming it."""
-    try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+    with open(path, "rb") as fh:
+        return _decode_utf8(path, fh, newline)
 
 
 def _read_json(path: Path) -> object:
@@ -422,12 +453,69 @@ def normalize_to_canvas(
     return CanonicalDataset(canvas_size, ids, cx[keep], cy[keep], w[keep], h[keep])
 
 
+def _cache_path(path: Path) -> Path:
+    """The sidecar of a canonical file: its path with ".cache" appended."""
+    return path.with_name(path.name + ".cache")
+
+
 def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
-    """Write the canonical line format (see module docstring)."""
+    """Write the canonical line format and its sidecar (see module docstring)."""
+    path = Path(path)
     lines = [f"anchorforge-dataset v1 S={ds.canvas_size}"]
     columns = (ds.cx.tolist(), ds.cy.tolist(), ds.w.tolist(), ds.h.tolist())
     lines.extend(map(_ROW_FORMAT.__mod__, zip(ds.image_ids, *columns)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    del columns  # each copy goes once the next is made: ingest's peak memory is set here or in the parser
+    lines.append("")  # the final line break
+    data = "\n".join(lines).encode("utf-8")
+    path.write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
+    del data
+    # the numbers as the reader's bulk pass parses these lines, not as ds holds them
+    values = _parse_fields(lines[1:-1]) if len(ds) else np.empty((0, 4))
+    del lines
+    ids = "\n".join(ds.image_ids).encode("utf-8")
+    with open(_cache_path(path), "wb") as fh:
+        fh.write(_CACHE_HEADER.format(digest, len(ds), len(ids)).encode("ascii"))
+        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+        fh.write(ids)
+
+
+def _canvas_of(path: Path, header: str) -> int:
+    """The canvas size of a canonical file's first line, read stripped;
+    ParseError unless it is a v1 header."""
+    m = _HEADER_RE.fullmatch(header.strip())
+    if m is None:
+        raise ParseError(f"{path}: line 1: not a canonical dataset header")
+    try:
+        version, canvas = int(m.group(1)), int(m.group(2))
+    except ValueError as e:  # the digit limit of int()
+        raise ParseError(f"{path}: line 1: {e}") from None
+    if version != 1:
+        raise ParseError(f"{path}: unsupported dataset version {version} (this reader handles v1)")
+    return canvas
+
+
+def _read_cached(path: Path, data: bytes) -> Optional[CanonicalDataset]:
+    """The dataset of a canonical file's bytes from its sidecar, or None
+    when the sidecar is missing or does not match the bytes, or when
+    anything on the way fails: the text passes then read the file."""
+    try:
+        with open(_cache_path(path), "rb") as fh:
+            m = _CACHE_HEADER_RE.fullmatch(fh.readline(256))  # a header is at most 150 bytes
+            if m is None or m[1].decode() != hashlib.sha256(data).hexdigest():
+                return None
+            rows = int(m[2])
+            if data.count(b"\n") != rows + 1:
+                return None
+            payload = fh.read()
+        if len(payload) != 32 * rows + int(m[3]):
+            return None
+        ids = str(memoryview(payload)[32 * rows:], "utf-8").split("\n") if rows else []
+        values = np.frombuffer(payload, dtype="<f8", count=4 * rows).reshape(rows, 4)
+        canvas = _canvas_of(path, data[:data.index(b"\n")].decode("utf-8"))
+        return CanonicalDataset(canvas, ids, *values.T)  # which refuses an id count other than rows
+    except (OSError, ValueError):  # ParseError and UnicodeDecodeError included
+        return None
 
 
 def _read_by_line(path: Path, body: list[str]) -> tuple[list[str], np.ndarray]:
@@ -456,15 +544,23 @@ def _read_by_line(path: Path, body: list[str]) -> tuple[list[str], np.ndarray]:
 def read_canonical(path: "str | Path") -> CanonicalDataset:
     """Read a canonical dataset file, validating the version header.
 
-    The body is checked in one bulk pass: its tab total must be four per
-    line and np.loadtxt must return one row per line. loadtxt refuses a
-    line of fewer than four tabs and skips a blank one, so together these
-    hold only when every line has exactly four. A file that fails the bulk
-    pass is read again line by line, which raises ParseError at the first
-    faulty line: a wrong field count first, then a non-numeric field.
+    A sidecar that matches the file's bytes gives the records without
+    parsing them (see module docstring). Otherwise the body is checked in
+    one bulk pass: its tab total must be four per line and np.loadtxt
+    must return one row per line. loadtxt refuses a line of fewer than
+    four tabs and skips a blank one, so together these hold only when
+    every line has exactly four. A file that fails the bulk pass is read
+    again line by line, which raises ParseError at the first faulty line:
+    a wrong field count first, then a non-numeric field.
     """
     path = Path(path)
-    text = _read_utf8(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cached = _read_cached(path, data)
+    if cached is not None:
+        return cached
+    text = _decode_utf8(path, io.BytesIO(data))
+    del data
     tabs = text.count("\t")
     lines = text.split("\n")
     del text  # hold the text no longer than the split
@@ -472,15 +568,7 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
         lines.pop()
     if not lines:
         raise ParseError(f"{path}: empty file")
-    m = _HEADER_RE.fullmatch(lines[0].strip())
-    if m is None:
-        raise ParseError(f"{path}: line 1: not a canonical dataset header")
-    try:
-        version, canvas = int(m.group(1)), int(m.group(2))
-    except ValueError as e:  # the digit limit of int()
-        raise ParseError(f"{path}: line 1: {e}") from None
-    if version != 1:
-        raise ParseError(f"{path}: unsupported dataset version {version} (this reader handles v1)")
+    canvas = _canvas_of(path, lines[0])
     body = lines[1:]
     values = None
     if tabs - lines[0].count("\t") == 4 * len(body):  # the header may end in a tab, which strip() drops

@@ -1,6 +1,6 @@
 """Time two source trees against each other, in alternating pinned pairs.
 
-    python tests/bench_reader.py PARENT_SRC CHANGE_SRC OUT [--measure read|train] [--pairs 12]
+    python tests/bench_reader.py PARENT_SRC CHANGE_SRC OUT [--measure read|pipeline|train] [--pairs 12]
                                  [--boxes 300000] [--scale 0.1]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
@@ -8,12 +8,19 @@ For ``--pairs`` pairs, the script runs fresh processes for each side, the
 side that goes first alternating between pairs. The measures:
 
 - ``read`` (the default): the script writes the benchmark's COCO file of
-  ``--boxes`` boxes (seed 31, ``perfbench/inputs.write_coco``) and turns
-  it into a canonical file with PARENT_SRC's ``ingest`` command. Each side
+  ``--boxes`` boxes (seed 31, ``perfbench/inputs.write_coco``), and each
+  side turns it into a canonical file with its own ``ingest`` command, so
+  that what a side's writer leaves beside the file (a sidecar) is what its
+  reader finds; the two canonical files must be byte-identical. Each side
   then runs the benchmark's set-up probe, ``import sys, anchorforge;
-  anchorforge.read_canonical(sys.argv[1])``, timed from outside, and an
-  in-process timing: one untimed read, then the median of three timed
-  ``read_canonical`` calls.
+  anchorforge.read_canonical(sys.argv[1])``, on its own file, timed from
+  outside, and an in-process timing: one untimed read, then the median of
+  three timed ``read_canonical`` calls.
+- ``pipeline``: the commands of the benchmark's ``dataset-300k`` workload
+  on the same COCO file, each timed from outside: ``ingest``, ``cluster
+  --num-anchors 9 --max-iter 40`` and ``eval``, and their sum. The two
+  sides' ``dataset.canonical``, ``anchors.json`` and ``report.json`` must
+  be byte-identical.
 - ``train``: the commands of the benchmark's ``train`` workload, each
   ``optimize --scale`` with the flags of ``perfbench/run.py``'s
   ``WORKLOADS`` on its ``tests/synth.py`` mixture (seed 1). Each side runs
@@ -53,6 +60,7 @@ import run as perfbench_run  # noqa: E402  (perfbench/run.py, read-only)
 
 SEED = 31
 TRAIN_SEED = 1  # the mixtures of tests/reference_runs.py
+INGEST = ["ingest", "--format", "coco", "--input", "../coco.json", "--out-dir", "ingest"]  # run in a side's directory
 PROBE_CODE = "import sys, anchorforge; anchorforge.read_canonical(sys.argv[1])"  # perfbench/run.py's SETUP_CODE
 IN_PROCESS_CODE = """
 import statistics, sys, time
@@ -159,20 +167,57 @@ def paired(pairs: int, measure_side) -> dict[str, dict]:
     return {name: summary(r["parent"], r["change"]) for name, r in runs.items()}
 
 
+def same_outputs(work: Path, names: list[str]) -> None:
+    """End the script unless each named file is byte-identical in the two sides' directories."""
+    for name in names:
+        if (work / "parent" / name).read_bytes() != (work / "change" / name).read_bytes():
+            sys.exit(f"error: the two sides wrote different {name}")
+
+
+def run_in_side(side: str, argv: list[str], envs: dict, work: Path) -> float:
+    """Wall seconds of one side's anchorforge command, run in its own directory <side>."""
+    (work / side).mkdir(exist_ok=True)
+    return run(["-m", "anchorforge", *argv], envs[side], work / side)[0]
+
+
 def bench_read(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, work: Path) -> tuple[dict, dict]:
     """The input facts and the measures of ``--measure read``."""
     envs = prepare(srcs, work)
     inputs.write_coco(work / "coco.json", args.boxes, SEED)
-    run(["-m", "anchorforge", "ingest", "--format", "coco", "--input", "coco.json", "--out-dir", "ingest"],
-        envs["parent"], work)
-    canonical = work / "ingest" / "dataset.canonical"
+    for side in SIDES:
+        run_in_side(side, INGEST, envs, work)
+    same_outputs(work, ["ingest/dataset.canonical"])
 
     def measure_side(side: str) -> dict[str, float]:
-        return {"setup_probe_s": run(["-c", PROBE_CODE, str(canonical)], envs[side], work)[0],
-                "read_canonical_in_process_s": float(run(["-c", IN_PROCESS_CODE, str(canonical)], envs[side], work)[1])}
+        canonical = str(work / side / "ingest" / "dataset.canonical")
+        return {"setup_probe_s": run(["-c", PROBE_CODE, canonical], envs[side], work)[0],
+                "read_canonical_in_process_s": float(run(["-c", IN_PROCESS_CODE, canonical], envs[side], work)[1])}
 
-    facts = {"coco_boxes": args.boxes, "seed": SEED, "canonical_bytes": canonical.stat().st_size}
+    facts = {"coco_boxes": args.boxes, "seed": SEED,
+             "canonical_bytes": (work / "parent" / "ingest" / "dataset.canonical").stat().st_size}
     return facts, paired(pairs, measure_side)
+
+
+def bench_pipeline(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, work: Path) -> tuple[dict, dict]:
+    """The input facts and the measures of ``--measure pipeline``."""
+    envs = prepare(srcs, work)
+    inputs.write_coco(work / "coco.json", args.boxes, SEED)
+    canonical = "ingest/dataset.canonical"
+    commands = {
+        "ingest": INGEST,
+        "cluster": ["cluster", "--dataset", canonical, "--num-anchors", "9", "--max-iter", str(perfbench_run.LLOYD_ROUNDS),
+                    "--out-dir", "cluster"],
+        "eval": ["eval", "--dataset", canonical, "--anchors", "cluster/anchors.json", "--out-dir", "eval"],
+    }
+
+    def measure_side(side: str) -> dict[str, float]:
+        out = {f"{name}_s": run_in_side(side, argv, envs, work) for name, argv in commands.items()}
+        out["pipeline_s"] = sum(out.values())
+        return out
+
+    measures = paired(pairs, measure_side)
+    same_outputs(work, [canonical, "cluster/anchors.json", "eval/report.json"])
+    return {"coco_boxes": args.boxes, "seed": SEED, "commands": commands}, measures
 
 
 def bench_train(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, work: Path) -> tuple[dict, dict]:
@@ -197,7 +242,7 @@ def bench_train(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, wor
     return facts, paired(pairs, measure_side)
 
 
-MEASURES = {"read": bench_read, "train": bench_train}
+MEASURES = {"read": bench_read, "pipeline": bench_pipeline, "train": bench_train}
 
 
 def main() -> int:
@@ -207,7 +252,7 @@ def main() -> int:
     parser.add_argument("out", type=Path, help="the JSON file to write")
     parser.add_argument("--measure", choices=sorted(MEASURES), default="read", help="what to time (default read)")
     parser.add_argument("--pairs", type=int, default=12, help="parent/change pairs (default 12)")
-    parser.add_argument("--boxes", type=int, default=300_000, help="read: boxes in the COCO file (default 300000)")
+    parser.add_argument("--boxes", type=int, default=300_000, help="read and pipeline: boxes in the COCO file (default 300000)")
     parser.add_argument("--scale", type=float, default=perfbench_run.Sizes().scale,
                         help="train: optimize's --scale (default the benchmark's, %(default)s)")
     args = parser.parse_args()

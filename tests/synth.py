@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anchorforge import CanonicalDataset
+from anchorforge import CanonicalDataset, ParsedBoxes, normalize_to_canvas
 
 
 def lognormal_mixture(
@@ -62,6 +62,33 @@ def mixture2(seed: int = 11) -> CanonicalDataset:
         canvas=416,
         seed=seed,
     )
+
+
+def pixel_corners(num_images: int = 200, canvas: int = 416, seed: int = 17) -> CanonicalDataset:
+    """Boxes with integer pixel corners on images of varied integer sizes,
+    normalized onto the canvas by ingest's own normalize_to_canvas, as real
+    annotations are.
+
+    Each image is 32 to 1280 pixels a side and holds 1 to 6 boxes, each
+    corner an integer inside it. A coordinate scaled by canvas / image size
+    (37 * 416 / 375) mostly needs all 17 significant digits, so its
+    canonical text, printed to 10, reads back as another float; a few, such
+    as a box spanning its image, read back exactly. About four in five of
+    the shapes change under ``np.exp(np.log(.))``, where no shape of
+    ``lognormal_mixture``, a ``float(np.exp(.))`` draw, does.
+    """
+    rng = np.random.default_rng(seed)
+    ids, sizes, corners = [], [], []
+    for i in range(num_images):
+        iw, ih = (int(x) for x in rng.integers(32, 1281, size=2))
+        for _ in range(int(rng.integers(1, 7))):
+            x0, x1 = sorted(int(x) for x in rng.choice(iw + 1, size=2, replace=False))
+            y0, y1 = sorted(int(y) for y in rng.choice(ih + 1, size=2, replace=False))
+            ids.append(f"img{i:04d}")
+            sizes.append((iw, ih))
+            corners.append((x0, y0, x1, y1))
+    boxes = ParsedBoxes(tuple(ids), np.array(sizes, dtype=float), np.array(corners, dtype=float))
+    return normalize_to_canvas(boxes, canvas)
 
 
 _XML_SIZES = ((500, 375), (375, 500), (500, 333), (640, 480), (486, 500))

@@ -64,3 +64,33 @@ def test_train_measure_runs_the_benchmark_commands(tmp_path):
         total = doc["optimize_commands_s"][side]["runs_s"]
         parts = zip(*(doc[f"{t.name}_s"][side]["runs_s"] for t in trainings))
         assert total == pytest.approx([sum(p) for p in parts], abs=1e-5)
+
+
+def test_pipeline_measure_runs_the_dataset_commands(tmp_path):
+    """The pipeline measure times ingest, cluster and eval, and their sum."""
+    doc = bench(tmp_path, "--measure", "pipeline", "--boxes", "500")
+    assert doc["measure"] == "pipeline" and doc["input"]["coco_boxes"] == 500
+    commands = doc["input"]["commands"]
+    assert [argv[0] for argv in commands.values()] == list(commands) == ["ingest", "cluster", "eval"]
+    assert commands["cluster"][commands["cluster"].index("--max-iter") + 1] == "40"
+    check_measures(doc, ("ingest_s", "cluster_s", "eval_s", "pipeline_s"))
+    for side in ("parent", "change"):
+        parts = zip(*(doc[f"{name}_s"][side]["runs_s"] for name in commands))
+        assert doc["pipeline_s"][side]["runs_s"] == pytest.approx([sum(p) for p in parts], abs=1e-5)
+
+
+def test_sides_that_write_different_files_end_the_script(tmp_path):
+    saved, path = sys.dont_write_bytecode, list(sys.path)
+    sys.path.insert(0, str(SCRIPT.parent))
+    try:
+        import bench_reader  # puts src, tests and perfbench on sys.path, and leaves no __pycache__ there
+    finally:
+        sys.path[:] = path
+        sys.dont_write_bytecode = saved
+        for name in ("bench_reader", "run", "inputs"):
+            sys.modules.pop(name, None)
+    for side, text in (("parent", "a"), ("change", "b")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "f").write_text(text)
+    with pytest.raises(SystemExit, match="^error: the two sides wrote different f$"):
+        bench_reader.same_outputs(tmp_path, ["f"])

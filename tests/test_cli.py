@@ -1205,6 +1205,8 @@ class TestRunDir:
         }[command] + ["--out-dir", str(tmp_path / "run")]
         assert main(argv) == 0
         assert len(list((tmp_path / "run").iterdir())) > 1
+        if command == "ingest":  # the sidecar goes with the file it belongs to
+            assert (tmp_path / "run" / "dataset.canonical.cache").is_file()
 
         def fail(*args, **kwargs):
             raise OSError("disk full")

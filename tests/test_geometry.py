@@ -228,6 +228,9 @@ class TestAnchorSet:
         an OverflowError; 10**308, which a float holds, still does all three."""
         with pytest.raises(ValueError, match=r"^stride must lie within float range, got a 401-digit integer$"):
             AnchorSet(np.zeros((1, 2)), stride=10**400)
+        # more digits than str() prints used to raise Python's "Exceeds the limit", naming no stride
+        with pytest.raises(ValueError, match=r"^stride must lie within float range, got a 5001-digit integer$"):
+            AnchorSet(np.zeros((1, 2)), stride=10**5000)
         anchors, p = AnchorSet(np.zeros((1, 2)), stride=10**308), tmp_path / "anchors.json"
         write_anchors_json(p, anchors, 416)
         assert read_anchors_json(p)[0].stride == 10**308

@@ -1,8 +1,10 @@
 import csv
 import gc
+import hashlib
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from anchorforge import (
     read_canonical,
     write_canonical,
 )
+import synth
 from anchorforge import ingest
 from oracles import canonical_text, read_canonical_by_line
 from test_cli import _FIELD_TOKENS, _canonical_cases
@@ -721,6 +724,174 @@ class TestBulkPass:
         p = tmp_path / "data.canonical"
         p.write_text(text, encoding="utf-8")
         assert read_canonical(p).image_ids == ids
+
+
+_CORPUS = synth.pixel_corners()
+_ID_CHARS = (st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+             | st.sampled_from(["\x00", " ", "#", "\u00e9", "\u56fe", "\U0001f600"]))
+
+
+@st.composite
+def _corpus_datasets(draw):
+    """n = 0 to 12 consecutive boxes of synth.pixel_corners, some values set
+    to -0.0 (a center) or the canvas (any column), under drawn ids."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(0, 12))
+    start = draw(st.integers(0, len(_CORPUS) - n))
+    canvas = _CORPUS.canvas_size
+    columns = {name: getattr(_CORPUS, name)[start:start + n].copy() for name in ("cx", "cy", "w", "h")}
+    for name, column in columns.items():
+        edges = [-0.0, float(canvas)] if name in ("cx", "cy") else [float(canvas)]
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else ():
+            column[i] = draw(st.sampled_from(edges))
+    ids = draw(st.lists(st.text(_ID_CHARS, max_size=6), min_size=n, max_size=n))
+    return CanonicalDataset(canvas, ids, **columns)
+
+
+def _corpus_slice(n):
+    """The ids and columns of the corpus's first n boxes."""
+    return _CORPUS.image_ids[:n], _CORPUS.cx[:n], _CORPUS.cy[:n], _CORPUS.w[:n], _CORPUS.h[:n]
+
+
+def _split_sidecar(cache):
+    """The digest, row count and payload of a sidecar."""
+    header, _, payload = cache.read_bytes().partition(b"\n")
+    m = re.fullmatch(rb"anchorforge-dataset-cache v1 sha256=(\w+) rows=(\d+) ids=\d+", header)
+    return m[1].decode(), int(m[2]), payload
+
+
+def _write_sidecar(cache, digest, rows, payload):
+    """A sidecar with a header that agrees with the payload's length."""
+    ids = len(payload) - 32 * rows
+    cache.write_bytes(f"anchorforge-dataset-cache v1 sha256={digest} rows={rows} ids={ids}\n".encode() + payload)
+
+
+def _with_ids(edit):
+    """A damage that passes the ids of the sidecar's payload through edit."""
+    def damage(p, cache):
+        digest, rows, payload = _split_sidecar(cache)
+        _write_sidecar(cache, digest, rows, payload[:32 * rows] + edit(payload[32 * rows:]))
+    return damage
+
+
+def _other_digest(p, cache):
+    _write_sidecar(cache, hashlib.sha256(b"").hexdigest(), *_split_sidecar(cache)[1:])
+
+
+def _row_short(p, cache):
+    """The sidecar of the file's records but the last."""
+    digest, rows, payload = _split_sidecar(cache)
+    _write_sidecar(cache, digest, rows - 1, payload[:32 * (rows - 1)] + payload[32 * rows:].rpartition(b"\n")[0])
+
+
+def _nan_first(p, cache):
+    digest, rows, payload = _split_sidecar(cache)
+    _write_sidecar(cache, digest, rows, np.array([np.nan]).tobytes() + payload[8:])
+
+
+def _other_sidecar(p, cache):
+    other = p.with_name("other.canonical")
+    write_canonical(CanonicalDataset(416, ["x"] * 20, *(np.full(20, 2.0) for _ in range(4))), other)
+    ingest._cache_path(other).replace(cache)
+
+
+def _edit_canonical(old, new):
+    def damage(p, cache):
+        p.write_bytes(p.read_bytes().replace(old, new, 1))
+    return damage
+
+
+_DAMAGES = {
+    "missing": lambda p, cache: cache.unlink(),
+    "a directory": lambda p, cache: (cache.unlink(), cache.mkdir()),
+    "empty": lambda p, cache: cache.write_bytes(b""),
+    "garbage": lambda p, cache: cache.write_bytes(bytes(range(256)) * 8),
+    "truncated in the header": lambda p, cache: cache.write_bytes(cache.read_bytes()[:40]),
+    "truncated by a byte": lambda p, cache: cache.write_bytes(cache.read_bytes()[:-1]),
+    "a byte longer": lambda p, cache: cache.write_bytes(cache.read_bytes() + b"\0"),
+    "another digest": _other_digest,
+    "another dataset's sidecar": _other_sidecar,
+    "a row short": _row_short,
+    "an id split in two": _with_ids(lambda ids: ids.replace(b"g0", b"\n0", 1)),
+    "two ids joined": _with_ids(lambda ids: ids.replace(b"\n", b"_", 1)),
+    "ids not UTF-8": _with_ids(lambda ids: b"\xff" * len(ids)),
+    "a value the dataset refuses": _nan_first,
+    "canonical edited": _edit_canonical(b"img0000\t", b"img0009\t"),
+    "canonical edited to a bad line": _edit_canonical(b"img0001\t", b"img0001\tx"),
+    "canonical cut after the header": lambda p, cache: p.write_bytes(p.read_bytes().partition(b"\n")[0] + b"\n"),
+    "canonical in CRLF": lambda p, cache: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")),
+}
+
+
+class TestSidecar:
+    """write_canonical's sidecar, which read_canonical takes only when it
+    matches the file's bytes, and otherwise passes over."""
+
+    outcome = staticmethod(TestBulkPass.outcome)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_corpus_datasets())
+    def test_reads_as_the_text(self, tmp_path_factory, ds):
+        """The same canvas, ids and columns, bit for bit, with the sidecar
+        and with it deleted."""
+        p = tmp_path_factory.mktemp("sidecar") / "data.canonical"
+        write_canonical(ds, p)
+        assert ingest._read_cached(p, p.read_bytes()) is not None
+        cached = self.outcome(read_canonical, p)
+        ingest._cache_path(p).unlink()
+        assert self.outcome(read_canonical, p) == cached
+
+    def test_layout(self, tmp_path):
+        """A header with the file's digest and sizes, the numbers as the text
+        reads back (not as the dataset held them), then the ids."""
+        ds = CanonicalDataset(416, ["a b", "#\u00e9"], [-0.0, 416.0], [1 / 3, 2.0], [416.0, 0.1], [1.0, 2 / 3])
+        p = tmp_path / "data.canonical"
+        write_canonical(ds, p)
+        assert ingest._cache_path(p).name == "data.canonical.cache"
+        data = ingest._cache_path(p).read_bytes()
+        ids = "a b\n#\u00e9".encode()
+        header = f"anchorforge-dataset-cache v1 sha256={hashlib.sha256(p.read_bytes()).hexdigest()} rows=2 ids={len(ids)}\n"
+        values = np.loadtxt(p, delimiter="\t", usecols=(1, 2, 3, 4), skiprows=1, comments=None, encoding="utf-8")
+        assert data == header.encode() + values.astype("<f8").tobytes() + ids
+        assert values[0, 0].tobytes() == np.float64(-0.0).tobytes() and values[0, 1] != ds.cy[0]
+
+    @pytest.mark.parametrize("damage", list(_DAMAGES.values()), ids=list(_DAMAGES))
+    def test_mismatch_reads_the_text(self, tmp_path, damage):
+        """A sidecar that does not match its file gives the text's own
+        result or ParseError, as if it were not there."""
+        p = tmp_path / "data.canonical"
+        cache = ingest._cache_path(p)
+        write_canonical(CanonicalDataset(416, *_corpus_slice(20)), p)
+        damage(p, cache)
+        assert ingest._read_cached(p, p.read_bytes()) is None
+        got = self.outcome(read_canonical, p)
+        shutil.rmtree(cache) if cache.is_dir() else cache.unlink(missing_ok=True)
+        assert got == self.outcome(read_canonical, p)
+
+    @pytest.mark.parametrize("sidecar", ["matching", "missing", "stale"])
+    def test_reader_writes_nothing(self, tmp_path, sidecar):
+        """read_canonical leaves its directory as it found it: it neither
+        writes a sidecar nor mends or removes one."""
+        p = tmp_path / "data.canonical"
+        write_canonical(CanonicalDataset(416, *_corpus_slice(5)), p)
+        if sidecar == "missing":
+            ingest._cache_path(p).unlink()
+        elif sidecar == "stale":
+            p.write_bytes(p.read_bytes() + b"z\t1\t1\t1\t1\n")
+
+        def listing():
+            return {q.name: (q.read_bytes(), q.stat().st_mtime_ns) for q in tmp_path.iterdir()}
+
+        before = listing()
+        read_canonical(p)
+        assert listing() == before
+
+
+@pytest.mark.parametrize("value", [10**309 - 1, 10**309, -(10**309), 10**4299 - 1, 10**4299],
+                         ids=["10**309-1", "10**309", "-10**309", "10**4299-1", "10**4299"])
+def test_float_range_counts_the_digits(value):
+    """The digit count of the message is str()'s, also next to a power of ten."""
+    with pytest.raises(ValueError, match=f"^x must lie within float range, got a {len(str(abs(value)))}-digit integer$"):
+        ingest._check_float_range("x", value)
 
 
 class TestSyntheticCorpus:

@@ -211,6 +211,12 @@ class TestConfigValidation:
         assert str(info.value) == (f"{name} must lie within float range, got a 401-digit integer"
                                    if value == 10**400 else f"{name} must be a number, got {value!r}")
 
+    def test_integer_beyond_str_digit_limit_named(self):
+        """The message's digit count used to come from str(), which refuses
+        more than 4300 digits: Python's "Exceeds the limit" named no field."""
+        with pytest.raises(ValueError, match=r"^sigma must lie within float range, got a 5001-digit integer$"):
+            TrainConfig(sigma=10**5000)
+
     def test_schedule_starts_must_be_integers(self):
         """The breakpoint 100.5 used to be passed over: the run trained
         bit-identically to one without it."""
