@@ -24,23 +24,21 @@ UTF-8), which the UTF-8 canonical format cannot hold, is malformed.
 write_canonical also writes a binary sidecar beside the file, the
 path with ".cache" appended:
 
-    anchorforge-dataset-cache v1 sha256=<hex> rows=<n> ids=<byte length>
+    anchorforge-dataset-cache v2 rows=<n> sha256=<hex>
 
-then the rows' (cx, cy, w, h) as n * 4 little-endian float64, exactly as
-np.loadtxt reads the lines just written, then the image ids as UTF-8,
-joined by LF. The digest is the sha256 of the canonical file's bytes.
+then the payload: the rows' (cx, cy, w, h) as n * 4 little-endian
+float64, exactly as np.loadtxt reads the lines just written, then the
+image ids as UTF-8, joined by LF. The digest is one sha256 over the
+canonical file's bytes, the row count as 8 little-endian bytes and the
+payload, so it binds every byte of the sidecar to the file.
 
-read_canonical reads a file's bytes once and has three passes. The
-cached pass takes the sidecar's arrays only when its digest matches the
-file's bytes and its row count, id count and payload length all match;
-they then pass the same validation as parsed ones. A missing, stale or
-damaged sidecar, or any fault on that pass, leaves the file to the text
-passes, so a result or an error never depends on the sidecar. The bulk
-pass checks the records at once: the tab total of the body must be four
-per line, and one np.loadtxt call over all the lines must return a row
-for each. Only a file that fails it is read again line by line, to name
-the first faulty line: a wrong field count is looked for on every line
-before any number is. The reader writes nothing.
+read_canonical reads a file's bytes once and has two passes. The cached
+pass takes the sidecar on its digest alone, and its arrays then pass the
+same validation as parsed ones. A file without a matching v2 sidecar
+(missing, v1, stale or damaged), or with any fault on that pass, is read
+as text line by line, so a result or an error never depends on the
+sidecar: a wrong field count is looked for on every line before any
+number is, and the first faulty line is named. The reader writes nothing.
 
 Every parser pauses CPython's cyclic garbage collector while it runs.
 Each builds one large graph of containers that holds no reference cycles
@@ -74,8 +72,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _HEADER_RE = re.compile(r"anchorforge-dataset v(\d+) S=(\d+)")
-_CACHE_HEADER = "anchorforge-dataset-cache v1 sha256={} rows={} ids={}\n"
-_CACHE_HEADER_RE = re.compile(rb"anchorforge-dataset-cache v1 sha256=([0-9a-f]{64}) rows=(\d{1,19}) ids=(\d{1,19})\n")
+_CACHE_HEADER = "anchorforge-dataset-cache v2 rows={} sha256={}\n"
+_CACHE_HEADER_RE = re.compile(rb"anchorforge-dataset-cache v2 rows=(\d{1,19}) sha256=([0-9a-f]{64})\n")
 _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_max"]
 _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 # the (n, 4) numbers of canonical record lines; "#" starts no comment there
@@ -458,6 +456,16 @@ def _cache_path(path: Path) -> Path:
     return path.with_name(path.name + ".cache")
 
 
+def _sidecar_digest(data: bytes, rows: int, *payload: "bytes | memoryview") -> str:
+    """The sidecar's sha256 over the canonical file's bytes, its row count
+    as 8 little-endian bytes and its payload, given whole or in parts."""
+    digest = hashlib.sha256(data)
+    digest.update(rows.to_bytes(8, "little"))
+    for part in payload:
+        digest.update(part)
+    return digest.hexdigest()
+
+
 def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
     """Write the canonical line format and its sidecar (see module docstring)."""
     path = Path(path)
@@ -468,15 +476,14 @@ def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
     lines.append("")  # the final line break
     data = "\n".join(lines).encode("utf-8")
     path.write_bytes(data)
-    digest = hashlib.sha256(data).hexdigest()
-    del data
-    # the numbers as the reader's bulk pass parses these lines, not as ds holds them
+    # the numbers as the reader's text pass parses these lines, not as ds holds them
     values = _parse_fields(lines[1:-1]) if len(ds) else np.empty((0, 4))
     del lines
+    numbers = np.ascontiguousarray(values, dtype="<f8").data
     ids = "\n".join(ds.image_ids).encode("utf-8")
     with open(_cache_path(path), "wb") as fh:
-        fh.write(_CACHE_HEADER.format(digest, len(ds), len(ids)).encode("ascii"))
-        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+        fh.write(_CACHE_HEADER.format(len(ds), _sidecar_digest(data, len(ds), numbers, ids)).encode("ascii"))
+        fh.write(numbers)
         fh.write(ids)
 
 
@@ -497,18 +504,15 @@ def _canvas_of(path: Path, header: str) -> int:
 
 def _read_cached(path: Path, data: bytes) -> Optional[CanonicalDataset]:
     """The dataset of a canonical file's bytes from its sidecar, or None
-    when the sidecar is missing or does not match the bytes, or when
-    anything on the way fails: the text passes then read the file."""
+    when the sidecar is missing or not v2, when its digest does not match,
+    or when anything after that fails: the text pass then reads the file."""
     try:
         with open(_cache_path(path), "rb") as fh:
-            m = _CACHE_HEADER_RE.fullmatch(fh.readline(256))  # a header is at most 150 bytes
-            if m is None or m[1].decode() != hashlib.sha256(data).hexdigest():
+            m = _CACHE_HEADER_RE.fullmatch(fh.readline(256))  # a header is at most 126 bytes
+            if m is None:
                 return None
-            rows = int(m[2])
-            if data.count(b"\n") != rows + 1:
-                return None
-            payload = fh.read()
-        if len(payload) != 32 * rows + int(m[3]):
+            rows, payload = int(m[1]), fh.read()
+        if m[2].decode() != _sidecar_digest(data, rows, payload):
             return None
         ids = str(memoryview(payload)[32 * rows:], "utf-8").split("\n") if rows else []
         values = np.frombuffer(payload, dtype="<f8", count=4 * rows).reshape(rows, 4)
@@ -519,10 +523,11 @@ def _read_cached(path: Path, data: bytes) -> Optional[CanonicalDataset]:
 
 
 def _read_by_line(path: Path, body: list[str]) -> tuple[list[str], np.ndarray]:
-    """The ids and (n, 4) values of the (non-empty) body lines, checked line
-    by line so that a fault is named at its line: first every line's tab
-    count, then the numbers, parsed line by line only once the whole body
-    fails."""
+    """The ids and (n, 4) values of the body lines, checked line by line so
+    that a fault is named at its line: first every line's tab count, then
+    the numbers, parsed line by line only once the whole body fails."""
+    if not body:
+        return [], np.empty((0, 4))  # np.loadtxt warns on no lines
     ids = []
     for lineno, line in enumerate(body, start=2):
         tabs = line.count("\t")
@@ -544,14 +549,11 @@ def _read_by_line(path: Path, body: list[str]) -> tuple[list[str], np.ndarray]:
 def read_canonical(path: "str | Path") -> CanonicalDataset:
     """Read a canonical dataset file, validating the version header.
 
-    A sidecar that matches the file's bytes gives the records without
-    parsing them (see module docstring). Otherwise the body is checked in
-    one bulk pass: its tab total must be four per line and np.loadtxt
-    must return one row per line. loadtxt refuses a line of fewer than
-    four tabs and skips a blank one, so together these hold only when
-    every line has exactly four. A file that fails the bulk pass is read
-    again line by line, which raises ParseError at the first faulty line:
-    a wrong field count first, then a non-numeric field.
+    Two passes (see module docstring): a v2 sidecar whose one digest
+    matches the file's bytes gives the records without parsing them;
+    any other file is read line by line, which raises ParseError at the
+    first faulty line: a wrong field count first, then a non-numeric
+    field.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -561,7 +563,6 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
         return cached
     text = _decode_utf8(path, io.BytesIO(data))
     del data
-    tabs = text.count("\t")
     lines = text.split("\n")
     del text  # hold the text no longer than the split
     if lines and lines[-1] == "":
@@ -569,17 +570,7 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
     if not lines:
         raise ParseError(f"{path}: empty file")
     canvas = _canvas_of(path, lines[0])
-    body = lines[1:]
-    values = None
-    if tabs - lines[0].count("\t") == 4 * len(body):  # the header may end in a tab, which strip() drops
-        try:
-            values = _parse_fields(body) if body else np.empty((0, 4))
-        except ValueError:
-            pass
-    if values is not None and len(values) == len(body):
-        ids = [line.partition("\t")[0] for line in body]
-    else:
-        ids, values = _read_by_line(path, body)
+    ids, values = _read_by_line(path, lines[1:])
     try:
         return CanonicalDataset(canvas, ids, *values.T)
     except ValueError as e:  # its record i is the file's line i + 2

@@ -615,7 +615,7 @@ class TestCanonicalFile:
         assert len(back) == 0
 
 
-_BULK_BASE = canonical_text(416, [
+_TEXT_BASE = canonical_text(416, [
     ("a", 10.0, 20.0, 30.0, 40.0), ("img 2 \u00e9", 0.5, 415.9, 1e-3, 416.0), ("", 208.0, 208.0, 12.5, 7.25),
     ("x y", 1.0, 2.0, 3.0, 4.0), ("42", 100.0, 100.0, 50.0, 60.0),
 ])
@@ -644,7 +644,7 @@ def _drop_tabs(draw, line, k):
 
 
 @st.composite
-def _bulk_pass_cases(draw, text):
+def _tab_total_cases(draw, text):
     """A valid canonical file's text with one to three mutations, many of
     which keep the body's tab total at four per line: tabs moved from one
     line to another, a blank or whitespace-only line or two trailing
@@ -678,9 +678,9 @@ def _bulk_pass_cases(draw, text):
     return "".join(line + ending for line in lines).encode()
 
 
-class TestBulkPass:
-    """read_canonical's one bulk check of the records, against the reader
-    that checks them line by line (tests/oracles.py)."""
+class TestTextPass:
+    """read_canonical's text pass, against the reader that checks the
+    records line by line (tests/oracles.py)."""
 
     @staticmethod
     def outcome(read, path):
@@ -695,8 +695,8 @@ class TestBulkPass:
     @given(st.data())
     def test_matches_line_by_line_reader(self, tmp_path_factory, data):
         """The same dataset, bit for bit, or the same ParseError naming the same line."""
-        content = data.draw(_canonical_cases(_BULK_BASE).map(lambda case: case[0]) | _bulk_pass_cases(_BULK_BASE))
-        p = tmp_path_factory.mktemp("bulk") / "data.canonical"
+        content = data.draw(_canonical_cases(_TEXT_BASE).map(lambda case: case[0]) | _tab_total_cases(_TEXT_BASE))
+        p = tmp_path_factory.mktemp("text") / "data.canonical"
         p.write_bytes(content)
         want = self.outcome(lambda q: read_canonical_by_line(q, CanonicalDataset, ParseError), p)
         assert self.outcome(read_canonical, p) == want
@@ -752,40 +752,66 @@ def _corpus_slice(n):
     return _CORPUS.image_ids[:n], _CORPUS.cx[:n], _CORPUS.cy[:n], _CORPUS.w[:n], _CORPUS.h[:n]
 
 
+def _sign(p, rows, payload):
+    """The v2 digest of a sidecar of rows and payload for the file at p."""
+    digest = hashlib.sha256(p.read_bytes() + rows.to_bytes(8, "little") + payload)
+    return digest.hexdigest()
+
+
 def _split_sidecar(cache):
-    """The digest, row count and payload of a sidecar."""
+    """The row count and payload of a v2 sidecar."""
     header, _, payload = cache.read_bytes().partition(b"\n")
-    m = re.fullmatch(rb"anchorforge-dataset-cache v1 sha256=(\w+) rows=(\d+) ids=\d+", header)
-    return m[1].decode(), int(m[2]), payload
+    m = re.fullmatch(rb"anchorforge-dataset-cache v2 rows=(\d+) sha256=[0-9a-f]{64}", header)
+    return int(m[1]), payload
 
 
-def _write_sidecar(cache, digest, rows, payload):
-    """A sidecar with a header that agrees with the payload's length."""
-    ids = len(payload) - 32 * rows
-    cache.write_bytes(f"anchorforge-dataset-cache v1 sha256={digest} rows={rows} ids={ids}\n".encode() + payload)
+def _write_sidecar(p, cache, rows, payload, digest=None):
+    """A v2 sidecar signed with digest, by default re-signed for the file at
+    p as write_canonical signs one, so that the reader looks past the digest."""
+    digest = digest or _sign(p, rows, payload)
+    cache.write_bytes(f"anchorforge-dataset-cache v2 rows={rows} sha256={digest}\n".encode() + payload)
 
 
 def _with_ids(edit):
-    """A damage that passes the ids of the sidecar's payload through edit."""
+    """A re-signed damage that passes the ids of the sidecar's payload through edit."""
     def damage(p, cache):
-        digest, rows, payload = _split_sidecar(cache)
-        _write_sidecar(cache, digest, rows, payload[:32 * rows] + edit(payload[32 * rows:]))
+        rows, payload = _split_sidecar(cache)
+        _write_sidecar(p, cache, rows, payload[:32 * rows] + edit(payload[32 * rows:]))
     return damage
 
 
 def _other_digest(p, cache):
-    _write_sidecar(cache, hashlib.sha256(b"").hexdigest(), *_split_sidecar(cache)[1:])
+    _write_sidecar(p, cache, *_split_sidecar(cache), digest=hashlib.sha256(b"").hexdigest())
 
 
 def _row_short(p, cache):
-    """The sidecar of the file's records but the last."""
-    digest, rows, payload = _split_sidecar(cache)
-    _write_sidecar(cache, digest, rows - 1, payload[:32 * (rows - 1)] + payload[32 * rows:].rpartition(b"\n")[0])
+    """Re-signed, a header and numbers a row short of the ids."""
+    rows, payload = _split_sidecar(cache)
+    _write_sidecar(p, cache, rows - 1, payload[:32 * (rows - 1)] + payload[32 * rows:])
 
 
 def _nan_first(p, cache):
-    digest, rows, payload = _split_sidecar(cache)
-    _write_sidecar(cache, digest, rows, np.array([np.nan]).tobytes() + payload[8:])
+    rows, payload = _split_sidecar(cache)
+    _write_sidecar(p, cache, rows, np.array([np.nan]).tobytes() + payload[8:])
+
+
+def _v1_sidecar(p, cache):
+    """The same payload under the v1 header, whose digest covered the canonical file alone."""
+    rows, payload = _split_sidecar(cache)
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    cache.write_bytes(f"anchorforge-dataset-cache v1 sha256={digest} rows={rows} ids={len(payload) - 32 * rows}\n"
+                      .encode() + payload)
+
+
+def _flip_payload_byte(at):
+    """A damage that changes the byte at payload offset at(rows), keeping the
+    sidecar's length and digest."""
+    def damage(p, cache):
+        data = bytearray(cache.read_bytes())
+        header_end = data.index(b"\n") + 1
+        data[header_end + at(_split_sidecar(cache)[0])] ^= 0x01
+        cache.write_bytes(data)
+    return damage
 
 
 def _other_sidecar(p, cache):
@@ -815,6 +841,9 @@ _DAMAGES = {
     "two ids joined": _with_ids(lambda ids: ids.replace(b"\n", b"_", 1)),
     "ids not UTF-8": _with_ids(lambda ids: b"\xff" * len(ids)),
     "a value the dataset refuses": _nan_first,
+    "a v1 sidecar": _v1_sidecar,
+    "a number byte flipped": _flip_payload_byte(lambda rows: 0),
+    "an id byte flipped": _flip_payload_byte(lambda rows: 32 * rows + 5),
     "canonical edited": _edit_canonical(b"img0000\t", b"img0009\t"),
     "canonical edited to a bad line": _edit_canonical(b"img0001\t", b"img0001\tx"),
     "canonical cut after the header": lambda p, cache: p.write_bytes(p.read_bytes().partition(b"\n")[0] + b"\n"),
@@ -823,10 +852,10 @@ _DAMAGES = {
 
 
 class TestSidecar:
-    """write_canonical's sidecar, which read_canonical takes only when it
-    matches the file's bytes, and otherwise passes over."""
+    """write_canonical's sidecar, which read_canonical takes only when its
+    digest matches the file's bytes, and otherwise passes over."""
 
-    outcome = staticmethod(TestBulkPass.outcome)
+    outcome = staticmethod(TestTextPass.outcome)
 
     @settings(max_examples=150, deadline=None)
     @given(_corpus_datasets())
@@ -841,23 +870,24 @@ class TestSidecar:
         assert self.outcome(read_canonical, p) == cached
 
     def test_layout(self, tmp_path):
-        """A header with the file's digest and sizes, the numbers as the text
-        reads back (not as the dataset held them), then the ids."""
+        """A header with the row count and the one digest of the file, the
+        row count and the payload; then the numbers as the text reads back
+        (not as the dataset held them), then the ids."""
         ds = CanonicalDataset(416, ["a b", "#\u00e9"], [-0.0, 416.0], [1 / 3, 2.0], [416.0, 0.1], [1.0, 2 / 3])
         p = tmp_path / "data.canonical"
         write_canonical(ds, p)
         assert ingest._cache_path(p).name == "data.canonical.cache"
         data = ingest._cache_path(p).read_bytes()
-        ids = "a b\n#\u00e9".encode()
-        header = f"anchorforge-dataset-cache v1 sha256={hashlib.sha256(p.read_bytes()).hexdigest()} rows=2 ids={len(ids)}\n"
         values = np.loadtxt(p, delimiter="\t", usecols=(1, 2, 3, 4), skiprows=1, comments=None, encoding="utf-8")
-        assert data == header.encode() + values.astype("<f8").tobytes() + ids
+        payload = values.astype("<f8").tobytes() + "a b\n#\u00e9".encode()
+        assert data == f"anchorforge-dataset-cache v2 rows=2 sha256={_sign(p, 2, payload)}\n".encode() + payload
         assert values[0, 0].tobytes() == np.float64(-0.0).tobytes() and values[0, 1] != ds.cy[0]
 
     @pytest.mark.parametrize("damage", list(_DAMAGES.values()), ids=list(_DAMAGES))
     def test_mismatch_reads_the_text(self, tmp_path, damage):
-        """A sidecar that does not match its file gives the text's own
-        result or ParseError, as if it were not there."""
+        """A sidecar that does not match its file, or one re-signed around
+        contents the dataset refuses, gives the text's own result or
+        ParseError, as if it were not there."""
         p = tmp_path / "data.canonical"
         cache = ingest._cache_path(p)
         write_canonical(CanonicalDataset(416, *_corpus_slice(20)), p)
@@ -865,6 +895,21 @@ class TestSidecar:
         assert ingest._read_cached(p, p.read_bytes()) is None
         got = self.outcome(read_canonical, p)
         shutil.rmtree(cache) if cache.is_dir() else cache.unlink(missing_ok=True)
+        assert got == self.outcome(read_canonical, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corpus_datasets(), st.booleans(), st.data())
+    def test_one_flipped_byte_reads_as_the_text(self, tmp_path_factory, ds, in_sidecar, data):
+        """Any one byte of the sidecar or of the canonical file changed: the
+        same dataset or the same ParseError as with no sidecar."""
+        p = tmp_path_factory.mktemp("flip") / "data.canonical"
+        write_canonical(ds, p)
+        target = ingest._cache_path(p) if in_sidecar else p
+        content = bytearray(target.read_bytes())
+        content[data.draw(st.integers(0, len(content) - 1), label="at")] ^= data.draw(st.integers(1, 255), label="xor")
+        target.write_bytes(content)
+        got = self.outcome(read_canonical, p)
+        ingest._cache_path(p).unlink()
         assert got == self.outcome(read_canonical, p)
 
     @pytest.mark.parametrize("sidecar", ["matching", "missing", "stale"])
