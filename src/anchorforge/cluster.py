@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import AnchorSet, iou_aligned_matrix
+from .geometry import AnchorSet, _aligned_iou, iou_aligned_matrix
 from .ingest import CanonicalDataset
 
 UNIFORM_MULTIPLIERS = ((3.0, 3.0), (3.0, 9.0), (9.0, 9.0), (9.0, 3.0), (6.0, 6.0))
@@ -160,7 +160,10 @@ def kmeans_iou(
         if converged:
             break
 
-    mean_best = float(best_iou(wh, cents)[0].mean())
+    # the bounds keep every shape assigned to its IoU argmax among the final
+    # centroids, so its own centroid's IoU is its best one, bit for bit
+    own = np.take(cents, assignments, axis=0)
+    mean_best = float(_aligned_iou(wh[:, 0], wh[:, 1], own[:, 0], own[:, 1]).mean())
     return KMeansResult(cents, assignments, mean_best, iterations_run)
 
 

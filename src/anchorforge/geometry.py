@@ -98,8 +98,11 @@ def iou_aligned_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
     """
     wh1 = np.asarray(wh1, dtype=float)
     wh2 = np.asarray(wh2, dtype=float)
-    w1, h1 = wh1[:, None, 0], wh1[:, None, 1]
-    w2, h2 = wh2[None, :, 0], wh2[None, :, 1]
+    return _aligned_iou(wh1[:, None, 0], wh1[:, None, 1], wh2[None, :, 0], wh2[None, :, 1])
+
+
+def _aligned_iou(w1: np.ndarray, h1: np.ndarray, w2: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """Aligned IoU of shapes (w1, h1) and (w2, h2), elementwise under broadcasting."""
     inter = np.minimum(w1, w2) * np.minimum(h1, h2)
     return inter / (w1 * h1 + w2 * h2 - inter)
 

@@ -32,13 +32,21 @@ image ids as UTF-8, joined by LF. The digest is one sha256 over the
 canonical file's bytes, the row count as 8 little-endian bytes and the
 payload, so it binds every byte of the sidecar to the file.
 
+A CanonicalDataset keeps its ids as that same LF-joined text and checks
+them there, with one LF count and one scan for tabs, CRs and
+surrogates; only a refused text is scanned id by id, to name the
+record. The text is split into the image_ids tuple on first read, so a
+command that never reads the ids never splits them.
+
 read_canonical reads a file's bytes once and has two passes. The cached
-pass takes the sidecar on its digest alone, and its arrays then pass the
-same validation as parsed ones. A file without a matching v2 sidecar
-(missing, v1, stale or damaged), or with any fault on that pass, is read
-as text line by line, so a result or an error never depends on the
-sidecar: a wrong field count is looked for on every line before any
-number is, and the first faulty line is named. The reader writes nothing.
+pass takes the sidecar on its digest alone, reading it unbuffered so
+that the payload is read in one copy, and hands the arrays and the
+decoded id text to the same validation as parsed ones. A file without a
+matching v2 sidecar (missing, v1, stale or damaged), or with any fault
+on that pass, is read as text line by line, so a result or an error
+never depends on the sidecar: a wrong field count is looked for on
+every line before any number is, and the first faulty line is named.
+The reader writes nothing.
 
 Every parser pauses CPython's cyclic garbage collector while it runs.
 Each builds one large graph of containers that holds no reference cycles
@@ -79,6 +87,7 @@ _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 # the (n, 4) numbers of canonical record lines; "#" starts no comment there
 _parse_fields = functools.partial(np.loadtxt, delimiter="\t", usecols=(1, 2, 3, 4), comments=None, ndmin=2)
 _ID_BREAK = re.compile("[\t\n\r\ud800-\udfff]")  # what an image id in the canonical format must not hold
+_JOINED_BREAK = re.compile("[\t\r\ud800-\udfff]")  # the same, but for LF, in ids joined by LF
 _NO_SURROGATES = "nor surrogates that UTF-8 cannot encode"
 
 
@@ -99,11 +108,22 @@ def _collector_paused():
             gc.enable()
 
 
-def _first_bad_id(ids: Sequence[str]) -> Optional[int]:
-    """Index of the first id holding a tab, a line break or a surrogate, or None."""
-    if _ID_BREAK.search("".join(ids)):  # one pass over all the ids finds whether any does
-        return next(i for i, x in enumerate(ids) if _ID_BREAK.search(x))
-    return None
+def _ids_clean(text: str, n: int) -> bool:
+    """Whether text is n image ids joined by LF ("" for none), none of them
+    holding a tab, a line break or a surrogate. One LF count and one scan
+    of the text decide it; ASCII text, which holds no surrogate, needs no
+    regex."""
+    if not (text.count("\n") == n - 1 if n else text == ""):
+        return False
+    if text.isascii():
+        return "\t" not in text and "\r" not in text
+    return _JOINED_BREAK.search(text) is None
+
+
+def _first_bad_id(ids: Sequence[str]) -> int:
+    """Index of the first id holding a tab, a line break or a surrogate: the
+    per-id scan that names the record once _ids_clean has refused the ids."""
+    return next(i for i, x in enumerate(ids) if _ID_BREAK.search(x))
 
 
 def _is_integer(value: object) -> bool:
@@ -172,39 +192,61 @@ class ParsedBoxes:
         return len(self.image_ids)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CanonicalDataset:
     """Normalized boxes on a square canvas of side canvas_size, as columns.
 
-    cx, cy, w and h are read-only float64 arrays with one entry per image
-    id. All of them are validated once, at construction.
+    CanonicalDataset(canvas_size, image_ids, cx, cy, w, h): cx, cy, w and h
+    are read-only float64 arrays with one entry per image id. All of them
+    are validated once, at construction. The ids are kept as one text,
+    joined by LF as the canonical file and its sidecar store them, and
+    checked there; image_ids is that text split into a tuple on first
+    read, or the tuple the dataset was built from.
     """
 
     canvas_size: int
-    image_ids: tuple[str, ...]
     cx: np.ndarray
     cy: np.ndarray
     w: np.ndarray
     h: np.ndarray
+    _ids_text: str = field(init=False, repr=False)
     _shapes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        s = self.canvas_size
+    def __init__(self, canvas_size: int, image_ids: Sequence[str], cx, cy, w, h) -> None:
+        self._build(canvas_size, (cx, cy, w, h), ids=image_ids)
+
+    @classmethod
+    def _of_joined(cls, canvas_size: int, ids_text: str, columns: Sequence[np.ndarray]) -> "CanonicalDataset":
+        """A dataset of one id per entry of the (cx, cy, w, h) columns, the
+        ids given joined by LF, as the sidecar holds them."""
+        ds = cls.__new__(cls)
+        ds._build(canvas_size, columns, ids_text=ids_text)
+        return ds
+
+    def _build(self, s: int, columns: Sequence, ids: Sequence[str] = (), ids_text: Optional[str] = None) -> None:
         if not _is_integer(s) or s < 1:
             raise ValueError(f"canvas_size must be a positive integer, got {s!r}")
         _check_float_range("canvas_size", s)
         object.__setattr__(self, "canvas_size", int(s))  # a numpy integer would not write as one
-        ids = tuple(self.image_ids)
-        object.__setattr__(self, "image_ids", ids)
-        for name in ("cx", "cy", "w", "h"):
-            column = np.array(getattr(self, name), dtype=np.float64)
-            if column.shape != (len(ids),):
-                raise ValueError(f"{name} must hold one value per image id ({len(ids)}), got shape {column.shape}")
+        if ids_text is None:
+            ids = tuple(ids)
+            self.__dict__["image_ids"] = ids  # image_ids' cached value: reading it splits nothing
+        n = len(ids) if ids_text is None else len(columns[0])
+        for name, values in zip(("cx", "cy", "w", "h"), columns):
+            column = np.array(values, dtype=np.float64)
+            if column.shape != (n,):
+                raise ValueError(f"{name} must hold one value per image id ({n}), got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        i = _first_bad_id(ids)
-        if i is not None:
-            raise ValueError(f"record {i}: image_id must not contain tabs or line breaks, {_NO_SURROGATES}")
+        if ids_text is None:
+            ids_text = "\n".join(ids)
+        object.__setattr__(self, "_ids_text", ids_text)
+        if not _ids_clean(ids_text, n):
+            ids = self.image_ids  # as given, or split from the text
+            if len(ids) != n:  # only ids given joined can hold another count
+                raise ValueError(f"cx must hold one value per image id ({len(ids)}), got shape ({n},)")
+            raise ValueError(f"record {_first_bad_id(ids)}: image_id must not contain tabs or line breaks, "
+                             f"{_NO_SURROGATES}")
         cx, cy, w, h = self.cx, self.cy, self.w, self.h
         size_ok = (w > 0.0) & (w <= s) & (h > 0.0) & (h <= s)
         ok = size_ok & (cx >= 0.0) & (cx <= s) & (cy >= 0.0) & (cy <= s)
@@ -218,7 +260,12 @@ class CanonicalDataset:
         object.__setattr__(self, "_shapes", shapes)
 
     def __len__(self) -> int:
-        return len(self.image_ids)
+        return len(self.cx)
+
+    @functools.cached_property
+    def image_ids(self) -> tuple[str, ...]:
+        """The image ids, one per record."""
+        return tuple(self._ids_text.split("\n")) if self._ids_text or len(self) else ()
 
     def shapes(self) -> np.ndarray:
         """Read-only (n, 2) array of linear (w, h), built once."""
@@ -243,8 +290,8 @@ def _clamped(
     non-finite corner, a max corner not above its min, or a box that is
     empty after clamping; where(i) names row i (file, line or annotation).
     """
-    i = _first_bad_id(image_ids)
-    if i is not None:
+    if not _ids_clean("\n".join(image_ids), len(image_ids)):
+        i = _first_bad_id(image_ids)
         raise ParseError(f"{where(i)}: image id {image_ids[i]!r} "
                          f"must not contain tabs or line breaks, {_NO_SURROGATES}")
     sizes = np.array(sizes, dtype=float).reshape(-1, 2)
@@ -480,7 +527,7 @@ def write_canonical(ds: CanonicalDataset, path: "str | Path") -> None:
     values = _parse_fields(lines[1:-1]) if len(ds) else np.empty((0, 4))
     del lines
     numbers = np.ascontiguousarray(values, dtype="<f8").data
-    ids = "\n".join(ds.image_ids).encode("utf-8")
+    ids = ds._ids_text.encode("utf-8")
     with open(_cache_path(path), "wb") as fh:
         fh.write(_CACHE_HEADER.format(len(ds), _sidecar_digest(data, len(ds), numbers, ids)).encode("ascii"))
         fh.write(numbers)
@@ -507,17 +554,22 @@ def _read_cached(path: Path, data: bytes) -> Optional[CanonicalDataset]:
     when the sidecar is missing or not v2, when its digest does not match,
     or when anything after that fails: the text pass then reads the file."""
     try:
-        with open(_cache_path(path), "rb") as fh:
-            m = _CACHE_HEADER_RE.fullmatch(fh.readline(256))  # a header is at most 126 bytes
+        # unbuffered, so that the payload is read into one bytes object, not
+        # joined from a buffer and the rest
+        with open(_cache_path(path), "rb", buffering=0) as fh:
+            m = _CACHE_HEADER_RE.match(fh.read(256))  # a header is at most 126 bytes
             if m is None:
                 return None
+            fh.seek(m.end())
             rows, payload = int(m[1]), fh.read()
+        if 32 * rows > len(payload):  # more numbers than the payload holds; 2**61 rows would overflow numpy's count
+            return None
         if m[2].decode() != _sidecar_digest(data, rows, payload):
             return None
-        ids = str(memoryview(payload)[32 * rows:], "utf-8").split("\n") if rows else []
+        ids_text = str(memoryview(payload)[32 * rows:], "utf-8")
         values = np.frombuffer(payload, dtype="<f8", count=4 * rows).reshape(rows, 4)
         canvas = _canvas_of(path, data[:data.index(b"\n")].decode("utf-8"))
-        return CanonicalDataset(canvas, ids, *values.T)  # which refuses an id count other than rows
+        return CanonicalDataset._of_joined(canvas, ids_text, values.T)  # which refuses an id count other than rows
     except (OSError, ValueError):  # ParseError and UnicodeDecodeError included
         return None
 

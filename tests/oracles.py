@@ -122,6 +122,17 @@ def iou_of_boxes(a, b) -> float:
     return inter / (a[2] * a[3] + b[2] * b[3] - inter)
 
 
+def first_bad_image_id(ids):
+    """Index of the first image id the canonical format cannot hold, or None:
+    one holding a tab, LF, CR or a code point in U+D800-U+DFFF (a surrogate
+    that UTF-8 cannot encode), looked for character by character."""
+    for i, image_id in enumerate(ids):
+        for ch in image_id:
+            if ch in "\t\n\r" or 0xD800 <= ord(ch) <= 0xDFFF:
+                return i
+    return None
+
+
 def canonical_text(canvas: int, rows) -> str:
     """The v1 canonical file for (image_id, cx, cy, w, h) rows, one line at a time."""
     lines = [f"anchorforge-dataset v1 S={canvas}"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synth
 from anchorforge import (
     AnchorSet,
     anchors_from_centroids,
@@ -192,6 +193,36 @@ class TestMatchesLloyd:
         np.testing.assert_array_equal(got.assignments, assignments)
         assert got.mean_best_iou == mean_best
         assert got.iterations_run == iterations_run
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        extra=st.integers(0, 150),
+        distinct=st.integers(1, 40),
+        max_iter=st.integers(0, 60),
+        captures_nothing=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_best_iou_is_the_full_pass(self, k, extra, distinct, max_iter, captures_nothing, seed):
+        """The mean best IoU, read from each shape's own centroid, equals a
+        full best_iou pass over the final centroids bit for bit, also on
+        exact ties and after an empty cluster is re-seeded."""
+        rng = np.random.default_rng(seed)
+        palette = np.maximum(np.round(2.0 * np.exp(rng.normal(3.0, 1.0, size=(distinct, 2)))) / 2.0, 0.5)
+        wh = palette[rng.integers(distinct, size=k + extra)]
+        init = None
+        if captures_nothing:
+            init = wh[rng.integers(len(wh), size=k)]
+            init[-1] = (wh[:, 0].min() * 1e-9, wh[:, 1].max() * 1e9)
+        got = kmeans_iou(wh, k, init=init, max_iter=max_iter, seed=seed)
+        assert got.mean_best_iou == float(cluster.best_iou(wh, got.centroids)[0].mean())
+
+    @pytest.mark.parametrize("k, max_iter", [(9, 40), (5, 300), (3, 2), (9, 0)])
+    @pytest.mark.parametrize("dataset", ["mixture2", "mixture3", "pixel_corners"])
+    def test_mean_best_iou_on_the_synthetic_sets(self, dataset, k, max_iter):
+        wh = getattr(synth, dataset)().shapes()
+        got = kmeans_iou(wh, k, max_iter=max_iter, seed=0)
+        assert got.mean_best_iou == float(cluster.best_iou(wh, got.centroids)[0].mean())
 
 
 class TestSeeding:

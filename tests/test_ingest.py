@@ -24,7 +24,7 @@ from anchorforge import (
 )
 import synth
 from anchorforge import ingest
-from oracles import canonical_text, read_canonical_by_line
+from oracles import canonical_text, first_bad_image_id, read_canonical_by_line
 from test_cli import _FIELD_TOKENS, _canonical_cases
 
 
@@ -429,6 +429,41 @@ class TestCanonicalDataset:
         for bad in ("a\tb", "a\nb", "a\rb"):
             with pytest.raises(ValueError, match="record 1: image_id must not contain tabs or line breaks"):
                 dataset_of([("ok", 1.0, 1.0, 1.0, 1.0), (bad, 0.0, 0.0, 1.0, 1.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.characters(),
+        st.sampled_from("\t\n\r\ud7ff\ue000\u00e9"),
+        st.integers(0xD800, 0xDFFF).map(chr),
+    ), max_size=6), max_size=8))
+    def test_refuses_what_the_longhand_rule_refuses(self, ids):
+        """The ids are checked as one LF-joined text, and refused exactly when
+        one of them, read character by character, holds a tab, LF, CR or
+        surrogate; the message names the first such record."""
+        n = len(ids)
+        columns = [np.full(n, 1.0)] * 4
+        bad = first_bad_image_id(ids)
+        if bad is None:
+            ds = CanonicalDataset(416, ids, *columns)
+            assert ds.image_ids == tuple(ids) and len(ds) == n
+            if "\n".join(ids) or n:  # one joined text for no ids and for one empty id
+                assert CanonicalDataset._of_joined(416, "\n".join(ids), columns).image_ids == tuple(ids)
+        else:
+            message = f"^record {bad}: image_id must not contain tabs or line breaks"
+            with pytest.raises(ValueError, match=message):
+                CanonicalDataset(416, ids, *columns)
+            if not any("\n" in x for x in ids):  # joined, the same ids as text
+                with pytest.raises(ValueError, match=message):
+                    CanonicalDataset._of_joined(416, "\n".join(ids), columns)
+
+    def test_joined_ids_count_checked(self):
+        """Ids given joined whose LF count does not match the columns are refused."""
+        for text, n in (("a\nb", 1), ("a", 2), ("a", 0), ("", 2)):
+            with pytest.raises(ValueError, match=r"^cx must hold one value per image id \(\d\), got shape"):
+                CanonicalDataset._of_joined(416, text, [np.full(n, 1.0)] * 4)
+        assert CanonicalDataset._of_joined(416, "", [np.full(1, 1.0)] * 4).image_ids == ("",)
+        assert CanonicalDataset._of_joined(416, "", [np.empty(0)] * 4).image_ids == ()
 
     def test_columns_checked_and_read_only(self):
         with pytest.raises(ValueError, match="one value per image id"):
@@ -841,6 +876,10 @@ _DAMAGES = {
     "two ids joined": _with_ids(lambda ids: ids.replace(b"\n", b"_", 1)),
     "ids not UTF-8": _with_ids(lambda ids: b"\xff" * len(ids)),
     "a value the dataset refuses": _nan_first,
+    "an id holding a tab": _with_ids(lambda ids: ids.replace(b"g0", b"\t0", 1)),
+    "an id holding a CR": _with_ids(lambda ids: ids.replace(b"g0", b"\r0", 1)),
+    "an id holding an encoded surrogate": _with_ids(lambda ids: ids.replace(b"g0", b"\xed\xa0\x80", 1)),
+    "a row count beyond the payload": lambda p, cache: _write_sidecar(p, cache, 2**61, _split_sidecar(cache)[1]),
     "a v1 sidecar": _v1_sidecar,
     "a number byte flipped": _flip_payload_byte(lambda rows: 0),
     "an id byte flipped": _flip_payload_byte(lambda rows: 32 * rows + 5),
