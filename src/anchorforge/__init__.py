@@ -4,77 +4,48 @@ Anchors live in log width/height space and are fitted to a dataset of
 box shapes by stochastic gradient descent, with an optional surrogate
 regression head standing in for a detector. A classic IoU k-means
 clusterer is included both as an initializer and as a baseline.
+
+The root imports a submodule only when one of its names is first used:
+``import anchorforge`` loads no submodule, and ``anchorforge.read_canonical``
+loads ``anchorforge.ingest`` alone. Each name resolves to the object its
+submodule defines, and the submodules resolve as attributes too
+(``anchorforge.trainer``).
 """
 
 from __future__ import annotations
 
-from .cluster import (
-    KMeansResult,
-    anchors_from_centroids,
-    init_identical,
-    init_kmeans,
-    init_uniform,
-    kmeans_iou,
-)
-from .geometry import METRICS, AnchorSet
-from .ingest import (
-    CanonicalDataset,
-    ParseError,
-    ParsedBoxes,
-    normalize_to_canvas,
-    parse_coco,
-    parse_csv,
-    parse_voc,
-    read_canonical,
-    write_canonical,
-)
-from .report import (
-    AnchorReport,
-    anchors_line,
-    build_report,
-    match_anchor_sets,
-    read_anchors_json,
-    render_text,
-    report_to_json,
-    write_anchors_json,
-)
-from .trainer import (
-    NonFiniteLossError,
-    TrainConfig,
-    TrainResult,
-    run_training,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorReport",
-    "AnchorSet",
-    "CanonicalDataset",
-    "KMeansResult",
-    "METRICS",
-    "NonFiniteLossError",
-    "ParseError",
-    "ParsedBoxes",
-    "TrainConfig",
-    "TrainResult",
-    "anchors_from_centroids",
-    "anchors_line",
-    "build_report",
-    "init_identical",
-    "init_kmeans",
-    "init_uniform",
-    "kmeans_iou",
-    "match_anchor_sets",
-    "normalize_to_canvas",
-    "parse_coco",
-    "parse_csv",
-    "parse_voc",
-    "read_anchors_json",
-    "read_canonical",
-    "render_text",
-    "report_to_json",
-    "run_training",
-    "write_anchors_json",
-    "write_canonical",
-]
+_EXPORTS = {
+    "cluster": ("KMeansResult", "anchors_from_centroids", "init_identical", "init_kmeans", "init_uniform", "kmeans_iou"),
+    "geometry": ("METRICS", "AnchorSet"),
+    "ingest": (
+        "CanonicalDataset", "ParseError", "ParsedBoxes", "normalize_to_canvas", "parse_coco", "parse_csv", "parse_voc",
+        "read_canonical", "write_canonical",
+    ),
+    "report": (
+        "AnchorReport", "anchors_line", "build_report", "match_anchor_sets", "read_anchors_json", "render_text",
+        "report_to_json", "write_anchors_json",
+    ),
+    "trainer": ("NonFiniteLossError", "TrainConfig", "TrainResult", "run_training"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(("assign", "cli", "cluster", "geometry", "ingest", "lossgrad", "report", "trainer"))
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns ``name`` and cache the name here."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)  # the import binds it here
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -61,17 +61,16 @@ the duration of the call.
 
 from __future__ import annotations
 
-import csv
+# csv, json and xml.etree are imported inside their one user each, so that
+# reading a canonical file loads none of them.
 import functools
 import gc
 import hashlib
 import io
 import itertools
-import json
 import math
 import re
 import sys
-import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,6 +163,8 @@ def _read_utf8(path: "str | Path", newline: Optional[str] = None) -> str:
 def _read_json(path: Path) -> object:
     """The document of a UTF-8 JSON file; malformed JSON, or an integer of
     more digits than int() reads, raises ParseError naming the file."""
+    import json
+
     text = _read_utf8(path)
     try:
         return json.loads(text)
@@ -405,6 +406,8 @@ def parse_voc(directory: "str | Path", exclude_difficult: bool = False) -> Parse
     stable regardless of filesystem enumeration. Boxes marked difficult
     are kept by default; pass exclude_difficult=True to drop them.
     """
+    import xml.etree.ElementTree as ET
+
     directory = Path(directory)
     if not directory.is_dir():
         raise ParseError(f"{directory}: not a directory of VOC annotations")
@@ -447,6 +450,8 @@ def parse_voc(directory: "str | Path", exclude_difficult: bool = False) -> Parse
 @_collector_paused()
 def parse_csv(path: "str | Path") -> ParsedBoxes:
     """Read corner-format CSV rows: image_id,image_w,image_h,x_min,y_min,x_max,y_max."""
+    import csv
+
     path = Path(path)
     ids, values, linenos = [], [], []
     reader = csv.reader(io.StringIO(_read_utf8(path, newline=""), newline=""))

@@ -29,10 +29,17 @@ side that goes first alternating between pairs. The measures:
   ``anchorforge.cli.run_training`` timed: the median of the last three.
 
 Every process of a pair runs pinned to the same CPU, the next pair on the
-next CPU, with one BLAS thread and bytecode compiled beforehand into a
-cache outside the source trees. OUT is a JSON file: the machine facts,
+next CPU, with one BLAS thread. The caller's ``PYTHONDONTWRITEBYTECODE``
+is kept, as perfbench keeps it: when it is set, every process compiles
+the package from source, else the package's bytecode is compiled
+beforehand into a cache outside the source trees. OUT is a JSON file: the machine facts,
 each tree's sha256, and for each measure both sides' runs, medians and
-quartiles and the number of pairs the change won.
+quartiles, the number of pairs the change won, the per-pair ratios
+(change over parent), their median with a 95% interval for it, and a
+verdict: faster or slower when the interval excludes 1, else unresolved.
+The interval is the sign test's: the order statistics that cover the
+median with at least 95% probability whatever the ratios' distribution.
+Below 6 pairs no such interval exists.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -113,9 +121,14 @@ def machine() -> dict:
 
 
 def child_env(src: Path, cache: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env.update(PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(cache),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    """The caller's environment, as perfbench passes it, with one BLAS thread
+    and src first on the path. Bytecode goes to ``cache``, outside the source
+    trees, unless PYTHONDONTWRITEBYTECODE is set: then nothing is written, and
+    a cache prefix would only hide the installed bytecode of numpy and the
+    standard library, so that every process compiled them too."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    if not env.get("PYTHONDONTWRITEBYTECODE"):
+        env["PYTHONPYCACHEPREFIX"] = str(cache)
     return env
 
 
@@ -129,20 +142,44 @@ def run(argv: list[str], env: dict, cwd: Path) -> tuple[float, str]:
     return wall, proc.stdout
 
 
+def median_interval(ratios: list[float]) -> "tuple[float, float] | None":
+    """The sign test's 95% interval for the median of ``ratios``: the j-th
+    smallest and j-th largest, for the largest j with P(Binomial(n, 1/2) < j)
+    <= 2.5%; None when even the extremes cover less than 95% (n < 6)."""
+    n, ordered = len(ratios), sorted(ratios)
+    j = 0
+    while 40 * sum(math.comb(n, i) for i in range(j + 1)) <= 2**n:
+        j += 1
+    return (ordered[j - 1], ordered[n - j]) if j else None
+
+
+def verdict(interval: "tuple[float, float] | None") -> str:
+    """Faster or slower when the interval excludes 1, else unresolved."""
+    low, high = interval or (1, 1)
+    return "faster" if high < 1 else "slower" if low > 1 else "unresolved"
+
+
 def summary(parent: list[float], change: list[float]) -> dict:
-    """Each side's runs, median and quartiles, and the pairs the change took less time in."""
+    """Each side's runs, median and quartiles, the pairs the change took less
+    time in, and the per-pair ratios, their median, its interval and the verdict."""
     out = {}
     for side, runs in zip(SIDES, (parent, change)):
         q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
         out[side] = {"runs_s": [round(x, 6) for x in runs], "median": round(median, 6),
                      "q1": round(q1, 6), "q3": round(q3, 6)}
     out["change_won"] = sum(c < p for p, c in zip(parent, change))
+    ratios = [c / p for p, c in zip(parent, change)]
+    interval = median_interval(ratios)
+    out.update(ratios=[round(r, 6) for r in ratios], ratio_median=round(statistics.median(ratios), 6),
+               ratio_interval_95=None if interval is None else [round(x, 6) for x in interval],
+               verdict=verdict(interval))
     return out
 
 
 def prepare(srcs: dict[str, Path], work: Path) -> dict[str, dict]:
-    """Each side's child environment; compiles each tree's bytecode and
-    checks that each side imports its own tree."""
+    """Each side's child environment; compiles each tree's bytecode, unless
+    the caller's PYTHONDONTWRITEBYTECODE is set, and checks that each side
+    imports its own tree."""
     envs = {side: child_env(src, work / f"pycache-{side}") for side, src in srcs.items()}
     for side, src in srcs.items():
         _, where = run(["-c", "import anchorforge.cli; print(anchorforge.__file__)"], envs[side], work)
@@ -270,15 +307,17 @@ def main() -> int:
         "measure": args.measure,
         "input": facts,
         "method": (f"{args.pairs} pairs of fresh processes, the first side alternating between pairs; both sides of a "
-                   "pair pinned to one CPU, the next pair to the next; one BLAS thread; wall seconds, not calibrated"),
+                   "pair pinned to one CPU, the next pair to the next; one BLAS thread; wall seconds, not calibrated; "
+                   + ("bytecode compiled in every process (PYTHONDONTWRITEBYTECODE set)"
+                      if os.environ.get("PYTHONDONTWRITEBYTECODE") else "bytecode cached beforehand")),
         "pairs": args.pairs,
         **measures,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, result in measures.items():
         parent, change = result["parent"]["median"], result["change"]["median"]
-        print(f"{name}: parent {parent:.4f}, change {change:.4f} (median), "
-              f"change won {result['change_won']} of {args.pairs}")
+        print(f"{name}: parent {parent:.4f}, change {change:.4f} (median), change won {result['change_won']} of "
+              f"{args.pairs}, ratio {result['ratio_median']:.4f} {result['ratio_interval_95']}: {result['verdict']}")
     return 0
 
 

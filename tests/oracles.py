@@ -7,6 +7,7 @@ package, so a library bug cannot hide inside its own oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 
@@ -529,3 +530,19 @@ def subset_dp_match(la: np.ndarray, lb: np.ndarray) -> tuple[tuple[tuple[int, in
         cols[i] = j
         mask ^= 1 << j
     return tuple(enumerate(cols)), dist[np.arange(n), cols]
+
+
+def sign_test_interval(ratios):
+    """The narrowest pair of order statistics (k-th smallest, k-th largest)
+    that holds the median with probability at least 95% whatever the
+    distribution, or None, found by counting all 2**n equally likely patterns
+    of which ratios fall below the median."""
+    n, ordered = len(ratios), sorted(ratios)
+    best = None
+    for k in range(1, n // 2 + 1):
+        # the median lies in [k-th smallest, k-th largest] when at least k
+        # ratios fall below it and at least k above it
+        covered = sum(1 for pattern in itertools.product((0, 1), repeat=n) if k <= sum(pattern) <= n - k)
+        if covered >= 0.95 * 2**n:
+            best = (ordered[k - 1], ordered[n - k])
+    return best

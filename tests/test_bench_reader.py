@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import sign_test_interval
+
 SCRIPT = Path(__file__).resolve().parent / "bench_reader.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,7 +81,8 @@ def test_pipeline_measure_runs_the_dataset_commands(tmp_path):
         assert doc["pipeline_s"][side]["runs_s"] == pytest.approx([sum(p) for p in parts], abs=1e-5)
 
 
-def test_sides_that_write_different_files_end_the_script(tmp_path):
+@pytest.fixture
+def bench_reader():
     saved, path = sys.dont_write_bytecode, list(sys.path)
     sys.path.insert(0, str(SCRIPT.parent))
     try:
@@ -89,8 +92,38 @@ def test_sides_that_write_different_files_end_the_script(tmp_path):
         sys.dont_write_bytecode = saved
         for name in ("bench_reader", "run", "inputs"):
             sys.modules.pop(name, None)
+    return bench_reader
+
+
+def test_sides_that_write_different_files_end_the_script(tmp_path, bench_reader):
     for side, text in (("parent", "a"), ("change", "b")):
         (tmp_path / side).mkdir()
         (tmp_path / side / "f").write_text(text)
     with pytest.raises(SystemExit, match="^error: the two sides wrote different f$"):
         bench_reader.same_outputs(tmp_path, ["f"])
+
+
+# (ratios, the sign test's 95% interval, verdict)
+RATIO_CASES = [
+    ([0.9, 0.8, 0.85, 0.95, 0.9], None, "unresolved"),  # below 6 pairs, though every pair is faster
+    ([0.9, 0.95, 0.97, 0.92, 0.91, 0.99], (0.9, 0.99), "faster"),  # 6 pairs: the extremes, 96.9%
+    ([1.02, 0.98, 1.0, 1.0, 1.01, 0.97, 1.0, 1.03, 0.99, 1.0, 1.05], (0.98, 1.03), "unresolved"),  # odd, ties at 1
+    ([1.1, 1.04, 1.04, 1.2, 1.04, 1.07, 1.3, 1.02, 1.04, 1.06, 1.01, 0.98], (1.02, 1.1), "slower"),  # ties inside
+    ([0.97] * 7 + [1.0] * 7, (0.97, 1.0), "unresolved"),  # the interval reaches 1
+]
+
+
+@pytest.mark.parametrize("ratios, interval, verdict", RATIO_CASES)
+def test_median_interval_matches_the_sign_test_longhand(bench_reader, ratios, interval, verdict):
+    assert bench_reader.median_interval(ratios) == sign_test_interval(ratios) == interval
+    assert bench_reader.verdict(interval) == verdict
+
+
+def test_summary_judges_the_per_pair_ratios(bench_reader):
+    parent = [2.0, 1.0, 4.0, 2.0, 1.0, 2.0, 3.0]
+    change = [1.8, 0.95, 3.6, 1.9, 0.8, 1.9, 2.7]
+    out = bench_reader.summary(parent, change)
+    assert out["ratios"] == pytest.approx([0.9, 0.95, 0.9, 0.95, 0.8, 0.95, 0.9])
+    assert out["ratio_median"] == pytest.approx(0.9)
+    assert out["ratio_interval_95"] == pytest.approx([0.8, 0.95])
+    assert (out["verdict"], out["change_won"]) == ("faster", 7)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shutil
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -1027,7 +1028,7 @@ class TestCollectorPaused:
         def spy(text):
             seen.append(gc.isenabled())
             return loads(text)
-        monkeypatch.setattr(ingest.json, "loads", spy)
+        monkeypatch.setattr(json, "loads", spy)
         gc.enable()
         parse_coco(self.coco_file(tmp_path))
         assert seen == [False]
@@ -1049,18 +1050,18 @@ class TestCollectorPaused:
             @property
             def line_num(self):
                 return self.rows.line_num
-        monkeypatch.setattr(ingest.csv, "reader", Spy)
+        monkeypatch.setattr(csv, "reader", Spy)
         gc.enable()
         parse_csv(self.csv_file(tmp_path, "img1,640,480,10,20,110,70\nimg2,500,375,0,0,50,50\n"))
         assert seen == [False, False, False]  # the header and two rows
         assert gc.isenabled()
 
     def test_off_while_voc_files_are_parsed(self, tmp_path, monkeypatch):
-        seen, et_parse = [], ingest.ET.parse
+        seen, et_parse = [], ET.parse
         def spy(source):
             seen.append(gc.isenabled())
             return et_parse(source)
-        monkeypatch.setattr(ingest.ET, "parse", spy)
+        monkeypatch.setattr(ET, "parse", spy)
         gc.enable()
         parse_voc(self.voc_dir(tmp_path))
         assert seen == [False, False]  # a.xml and b.xml
