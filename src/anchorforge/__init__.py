@@ -8,8 +8,9 @@ clusterer is included both as an initializer and as a baseline.
 The root imports a submodule only when one of its names is first used:
 ``import anchorforge`` loads no submodule, and ``anchorforge.read_canonical``
 loads ``anchorforge.ingest`` alone. Each name resolves to the object its
-submodule defines, and the submodules resolve as attributes too
-(``anchorforge.trainer``).
+submodule defines, and the submodules other than ``cli`` resolve as
+attributes too (``anchorforge.trainer``). The commands gain nothing from
+this: ``anchorforge.cli`` imports every module.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _EXPORTS = {
     "trainer": ("NonFiniteLossError", "TrainConfig", "TrainResult", "run_training"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(("assign", "cli", "cluster", "geometry", "ingest", "lossgrad", "report", "trainer"))
+_SUBMODULES = frozenset(("assign", "cluster", "geometry", "ingest", "lossgrad", "report", "trainer"))
 
 __all__ = sorted(_OWNER)
 

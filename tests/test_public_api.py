@@ -59,8 +59,11 @@ import json, sys
 import anchorforge
 listed = dir(anchorforge)
 trainer = anchorforge.trainer
-print(json.dumps({"dir": listed, "trainer": trainer.__name__, "cached": trainer is sys.modules["anchorforge.trainer"]}))
+print(json.dumps({"dir": listed, "trainer": trainer.__name__, "cached": trainer is sys.modules["anchorforge.trainer"],
+                  "submodules": [m for m in sys.argv[1:] if getattr(anchorforge, m).__name__ == "anchorforge." + m],
+                  "cli": hasattr(anchorforge, "cli") or "anchorforge.cli" in sys.modules}))
 """
+SUBMODULES = ("assign", "cluster", "geometry", "ingest", "lossgrad", "report", "trainer")
 
 
 def child(code, *args):
@@ -110,9 +113,11 @@ def test_star_import_binds_exactly_all():
 
 
 def test_a_bare_root_lists_all_and_resolves_submodules():
-    seen = child(BARE_ROOT_CODE)
+    seen = child(BARE_ROOT_CODE, *SUBMODULES)
     assert set(anchorforge.__all__) <= set(seen["dir"])
     assert (seen["trainer"], seen["cached"]) == ("anchorforge.trainer", True)
+    assert seen["submodules"] == list(SUBMODULES)
+    assert not seen["cli"], "a bare import binds anchorforge.cli, which only `import anchorforge.cli` should load"
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "table_grams", "__wrapped__"])
