@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import AnchorSet, _aligned_iou, iou_aligned_matrix
-from .ingest import CanonicalDataset
+from .ingest import CanonicalDataset, _integer
 
 UNIFORM_MULTIPLIERS = ((3.0, 3.0), (3.0, 9.0), (9.0, 9.0), (9.0, 3.0), (6.0, 6.0))
 IDENTICAL_MULTIPLIER = (5.0, 5.0)
@@ -127,8 +127,7 @@ def kmeans_iou(
     """
     wh = _shape_array(shapes, "shapes")
     n = wh.shape[0]
-    if num_clusters < 1:
-        raise ValueError("num_clusters must be >= 1")
+    num_clusters = _integer("num_clusters", num_clusters, positive=True)
     if n < num_clusters:
         raise ValueError(f"need at least {num_clusters} shapes, got {n}")
     if init is not None:
@@ -186,8 +185,7 @@ def init_uniform(stride: int = 32) -> AnchorSet:
 
 def init_identical(stride: int = 32, num_anchors: int = 5) -> AnchorSet:
     """num_anchors copies of one square shape; training must break the tie."""
-    if num_anchors < 1:
-        raise ValueError("num_anchors must be >= 1")
+    num_anchors = _integer("num_anchors", num_anchors, positive=True)
     return AnchorSet.from_linear(np.tile(np.array(IDENTICAL_MULTIPLIER) * stride, (num_anchors, 1)), stride)
 
 

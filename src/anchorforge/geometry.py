@@ -16,7 +16,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .ingest import _check_float_range, _is_integer
+from .ingest import _integer
 
 Metric = Literal["one_minus_iou", "sq_l2_log"]
 
@@ -45,12 +45,10 @@ class AnchorSet:
         if bad.size:
             lw, lh = arr[bad[0]].tolist()
             raise ValueError(f"log shape must be finite, got ({lw}, {lh})")
-        if not _is_integer(self.stride) or self.stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
-        _check_float_range("stride", self.stride)
+        stride = _integer("stride", self.stride, positive=True)  # a numpy integer would not write to JSON
         arr.flags.writeable = False
         object.__setattr__(self, "log_wh", arr)
-        object.__setattr__(self, "stride", int(self.stride))  # a numpy integer would not write to JSON
+        object.__setattr__(self, "stride", stride)
 
     def __len__(self) -> int:
         return self.log_wh.shape[0]

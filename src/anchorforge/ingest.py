@@ -85,9 +85,9 @@ _CSV_HEADER = ["image_id", "image_w", "image_h", "x_min", "y_min", "x_max", "y_m
 _ROW_FORMAT = "%s\t%.10g\t%.10g\t%.10g\t%.10g"
 # the (n, 4) numbers of canonical record lines; "#" starts no comment there
 _parse_fields = functools.partial(np.loadtxt, delimiter="\t", usecols=(1, 2, 3, 4), comments=None, ndmin=2)
-_ID_BREAK = re.compile("[\t\n\r\ud800-\udfff]")  # what an image id in the canonical format must not hold
-_JOINED_BREAK = re.compile("[\t\r\ud800-\udfff]")  # the same, but for LF, in ids joined by LF
+_JOINED_BREAK = re.compile("[\t\r\ud800-\udfff]")  # what an image id in ids joined by LF must not hold
 _NO_SURROGATES = "nor surrogates that UTF-8 cannot encode"
+_RECORD = "record {}".format  # how a dataset's error names its record i, unless its file's line is named
 
 
 class ParseError(ValueError):
@@ -122,7 +122,7 @@ def _ids_clean(text: str, n: int) -> bool:
 def _first_bad_id(ids: Sequence[str]) -> int:
     """Index of the first id holding a tab, a line break or a surrogate: the
     per-id scan that names the record once _ids_clean has refused the ids."""
-    return next(i for i, x in enumerate(ids) if _ID_BREAK.search(x))
+    return next(i for i, x in enumerate(ids) if not _ids_clean(x, 1))
 
 
 def _is_integer(value: object) -> bool:
@@ -140,6 +140,16 @@ def _check_float_range(name: str, value: int) -> None:
         digits = int(math.log10(magnitude)) + 1
         digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
         raise ValueError(f"{name} must lie within float range, got a {digits}-digit integer")
+
+
+def _integer(name: str, value: object, positive: bool = False) -> int:
+    """value as a Python int: an integer, not a bool, within float range and,
+    if positive, at least 1; anything else raises ValueError naming it."""
+    if _is_integer(value):
+        _check_float_range(name, value)
+        if not positive or value >= 1:
+            return int(value)
+    raise ValueError(f"{name} must be {'a positive' if positive else 'an'} integer, got {value!r}")
 
 
 def _decode_utf8(path: "str | Path", stream: io.BufferedIOBase, newline: Optional[str] = None) -> str:
@@ -214,39 +224,34 @@ class CanonicalDataset:
     _shapes: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, canvas_size: int, image_ids: Sequence[str], cx, cy, w, h) -> None:
-        self._build(canvas_size, (cx, cy, w, h), ids=image_ids)
+        ids = tuple(image_ids)
+        self.__dict__["image_ids"] = ids  # image_ids' cached value: reading it splits nothing
+        self._build(canvas_size, "\n".join(ids), len(ids), (cx, cy, w, h))
 
     @classmethod
-    def _of_joined(cls, canvas_size: int, ids_text: str, columns: Sequence[np.ndarray]) -> "CanonicalDataset":
-        """A dataset of one id per entry of the (cx, cy, w, h) columns, the
-        ids given joined by LF, as the sidecar holds them."""
+    def _of_joined(cls, canvas_size: int, ids_text: str, columns: Sequence[np.ndarray],
+                   where: Callable[[int], str] = _RECORD) -> "CanonicalDataset":
+        """A dataset of (cx, cy, w, h) columns and their ids joined by LF, as the file and its sidecar hold them."""
         ds = cls.__new__(cls)
-        ds._build(canvas_size, columns, ids_text=ids_text)
+        ds._build(canvas_size, ids_text, len(columns[0]), columns, where)
         return ds
 
-    def _build(self, s: int, columns: Sequence, ids: Sequence[str] = (), ids_text: Optional[str] = None) -> None:
-        if not _is_integer(s) or s < 1:
-            raise ValueError(f"canvas_size must be a positive integer, got {s!r}")
-        _check_float_range("canvas_size", s)
-        object.__setattr__(self, "canvas_size", int(s))  # a numpy integer would not write as one
-        if ids_text is None:
-            ids = tuple(ids)
-            self.__dict__["image_ids"] = ids  # image_ids' cached value: reading it splits nothing
-        n = len(ids) if ids_text is None else len(columns[0])
+    def _build(self, s: int, ids_text: str, n: int, columns: Sequence, where: Callable[[int], str] = _RECORD) -> None:
+        """Validate and set n ids joined by LF and n rows; where(i) names row i in an error."""
+        s = _integer("canvas_size", s, positive=True)  # a numpy integer would not write as one
+        object.__setattr__(self, "canvas_size", s)
         for name, values in zip(("cx", "cy", "w", "h"), columns):
             column = np.array(values, dtype=np.float64)
             if column.shape != (n,):
                 raise ValueError(f"{name} must hold one value per image id ({n}), got shape {column.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if ids_text is None:
-            ids_text = "\n".join(ids)
         object.__setattr__(self, "_ids_text", ids_text)
         if not _ids_clean(ids_text, n):
             ids = self.image_ids  # as given, or split from the text
             if len(ids) != n:  # only ids given joined can hold another count
                 raise ValueError(f"cx must hold one value per image id ({len(ids)}), got shape ({n},)")
-            raise ValueError(f"record {_first_bad_id(ids)}: image_id must not contain tabs or line breaks, "
+            raise ValueError(f"{where(_first_bad_id(ids))}: image_id must not contain tabs or line breaks, "
                              f"{_NO_SURROGATES}")
         cx, cy, w, h = self.cx, self.cy, self.w, self.h
         size_ok = (w > 0.0) & (w <= s) & (h > 0.0) & (h <= s)
@@ -254,8 +259,8 @@ class CanonicalDataset:
         if not ok.all():
             i = int(np.argmin(ok))
             if not size_ok[i]:
-                raise ValueError(f"record {i}: size ({float(w[i])}, {float(h[i])}) outside (0, {s}]")
-            raise ValueError(f"record {i}: center ({float(cx[i])}, {float(cy[i])}) outside [0, {s}]")
+                raise ValueError(f"{where(i)}: size ({float(w[i])}, {float(h[i])}) outside (0, {s}]")
+            raise ValueError(f"{where(i)}: center ({float(cx[i])}, {float(cy[i])}) outside [0, {s}]")
         shapes = np.column_stack((w, h))
         shapes.flags.writeable = False
         object.__setattr__(self, "_shapes", shapes)
@@ -629,6 +634,6 @@ def read_canonical(path: "str | Path") -> CanonicalDataset:
     canvas = _canvas_of(path, lines[0])
     ids, values = _read_by_line(path, lines[1:])
     try:
-        return CanonicalDataset(canvas, ids, *values.T)
-    except ValueError as e:  # its record i is the file's line i + 2
-        raise ParseError(f"{path}: " + re.sub(r"^record (\d+)", lambda m: f"line {int(m[1]) + 2}", str(e))) from None
+        return CanonicalDataset._of_joined(canvas, "\n".join(ids), values.T, lambda i: f"line {i + 2}")
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None

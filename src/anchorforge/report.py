@@ -17,7 +17,7 @@ import numpy as np
 from .assign import RULES
 from .cluster import best_iou
 from .geometry import AnchorSet, shape_dist_matrix
-from .ingest import CanonicalDataset, ParseError, _check_float_range, _is_integer, _read_json
+from .ingest import CanonicalDataset, ParseError, _check_float_range, _integer, _read_json
 
 PROXY_BANNER = "Anchor-quality proxy metrics (shape coverage); not detector accuracy."
 
@@ -140,16 +140,14 @@ def report_to_json(report: AnchorReport) -> str:
 def write_anchors_json(path: "str | Path", anchors: AnchorSet, canvas: int) -> None:
     """Write anchors (sorted by area, linear pixels) with canvas and stride.
     A canvas or an anchor that read_anchors_json would refuse raises
-    ValueError first, in the reader's words."""
-    if not _is_integer(canvas) or canvas < 1:
-        raise ValueError(f"canvas must be an integer >= 1, got {canvas!r}")
-    _check_float_range("canvas", canvas)
+    ValueError first."""
+    canvas = _integer("canvas", canvas, positive=True)
     ordered = anchors.sorted_by_area()
     with np.errstate(over="ignore"):  # a side beyond float range is refused below
         wh = ordered.wh().tolist()
     AnchorSet.from_linear(wh)  # exp can overflow or reach 0, and the area can overflow
     payload = {
-        "canvas": int(canvas),
+        "canvas": canvas,
         "stride": ordered.stride,
         "anchors": wh,
     }

@@ -41,7 +41,7 @@ from .assign import (
     utilization_counts,
 )
 from .geometry import METRICS, AnchorSet, Metric
-from .ingest import CanonicalDataset, _check_float_range, _is_integer
+from .ingest import CanonicalDataset, _check_float_range, _integer, _is_integer
 from .lossgrad import TABLE_ROWS, _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
 from .lossgrad import moment_table, table_grams
 
@@ -69,8 +69,6 @@ _NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
 
 # the TrainConfig fields that count iterations or boxes, or seed the draws; bools are refused
 _INTEGERS = ("iters", "batch_size", "warmup_iters", "seed", "log_every")
-# the float fields; cluster_weight may also be None
-_FLOATS = ("momentum", "anchor_lr_mult", "tau", "cluster_weight", "sigma", "init_scale")
 
 # the range of each numeric TrainConfig field; optimize holds its options to the same pairs
 _RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
@@ -86,6 +84,8 @@ _RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "seed": _AT_LEAST_0,
     "log_every": _AT_LEAST_1,
 }
+# the float fields: the other ranged ones; cluster_weight may also be None
+_FLOATS = tuple(name for name in _RANGES if name not in _INTEGERS)
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class TrainConfig:
     The defaults are the recipe of a flag-free ``anchorforge optimize``,
     which sets every field, each named as its option and held to its
     range in ``_RANGES``; the counts in ``_INTEGERS`` and the schedule's
-    starts must be integers, and the fields in ``_FLOATS`` and the rates
-    numbers within float range, not bools. Numpy scalars are stored as
-    Python ``int`` and ``float``. An anchor_lr_mult of 0 freezes the anchors.
+    starts must be integers, and the counts, the fields in ``_FLOATS`` and
+    the rates numbers within float range, none a bool. Numpy scalars are
+    stored as Python ``int`` and ``float``; an anchor_lr_mult of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -118,9 +118,9 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self) -> None:
+        # numpy scalars are stored as Python ones, whose repr trajectory.csv writes
         for name in _INTEGERS:
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         floats = [(name, getattr(self, name)) for name in _FLOATS if getattr(self, name) is not None]
         for name, value in floats + [("lr_schedule", lr) for _, lr in self.lr_schedule]:
             # bool is an int subclass, and float() of a huge integer raises OverflowError
@@ -145,9 +145,6 @@ class TrainConfig:
             raise ValueError(f"unknown assignment rule {self.rule!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
-        # numpy scalars are stored as Python ones, whose repr trajectory.csv writes
-        for name in _INTEGERS:
-            object.__setattr__(self, name, int(getattr(self, name)))
         for name in _FLOATS:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
@@ -239,7 +236,7 @@ def run_training(
     eye = np.eye(num_anchors)
     no_head = np.zeros((num_anchors, 2, 5))
 
-    epoch_utilization = np.zeros((-(-cfg.iters // per_epoch), num_anchors), dtype=np.int64)
+    epoch_rows = []  # each epoch's utilization, added as it begins
     window_counts = np.zeros(num_anchors, dtype=np.int64)
     alpha = 1.0 / SMOOTHING_WINDOW
     ema: Optional[float] = None
@@ -263,7 +260,8 @@ def run_training(
                 rows[1:3] = make_features(rows[3:].T, cfg.sigma, rng).T if head else rows[3:]
                 mean = rows.sum(axis=1) / n
                 mean[0] = 0.0
-                epoch_counts = epoch_utilization[t // per_epoch]  # a view: the step adds into the table
+                epoch_counts = np.zeros(num_anchors, dtype=np.int64)  # the step adds into it
+                epoch_rows.append(epoch_counts)
             lo = b * size
             if b % block == 0:
                 start = lo
@@ -328,4 +326,5 @@ def run_training(
                     fh.flush()
                 window_counts[:] = 0
 
-    return TrainResult(AnchorSet.from_array(s, anchors0.stride), loss, ema, epoch_utilization)
+    return TrainResult(AnchorSet.from_array(s, anchors0.stride), loss, ema,
+                       np.array(epoch_rows, dtype=np.int64).reshape(-1, num_anchors))

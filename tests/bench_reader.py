@@ -12,8 +12,8 @@ side that goes first alternating between pairs. The measures:
   side turns it into a canonical file with its own ``ingest`` command, so
   that what a side's writer leaves beside the file (a sidecar) is what its
   reader finds; the two canonical files must be byte-identical. Each side
-  then runs the benchmark's set-up probe, ``import sys, anchorforge;
-  anchorforge.read_canonical(sys.argv[1])``, on its own file, timed from
+  then runs the benchmark's set-up probe, ``perfbench/run.py``'s
+  ``SETUP_CODE`` (one ``read_canonical``), on its own file, timed from
   outside, and an in-process timing: one untimed read, then the median of
   three timed ``read_canonical`` calls.
 - ``pipeline``: the commands of the benchmark's ``dataset-300k`` workload
@@ -69,7 +69,6 @@ import run as perfbench_run  # noqa: E402  (perfbench/run.py, read-only)
 SEED = 31
 TRAIN_SEED = 1  # the mixtures of tests/reference_runs.py
 INGEST = ["ingest", "--format", "coco", "--input", "../coco.json", "--out-dir", "ingest"]  # run in a side's directory
-PROBE_CODE = "import sys, anchorforge; anchorforge.read_canonical(sys.argv[1])"  # perfbench/run.py's SETUP_CODE
 IN_PROCESS_CODE = """
 import statistics, sys, time
 from anchorforge import read_canonical
@@ -227,7 +226,7 @@ def bench_read(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, work
 
     def measure_side(side: str) -> dict[str, float]:
         canonical = str(work / side / "ingest" / "dataset.canonical")
-        return {"setup_probe_s": run(["-c", PROBE_CODE, canonical], envs[side], work)[0],
+        return {"setup_probe_s": run(["-c", perfbench_run.SETUP_CODE, canonical], envs[side], work)[0],
                 "read_canonical_in_process_s": float(run(["-c", IN_PROCESS_CODE, canonical], envs[side], work)[1])}
 
     facts = {"coco_boxes": args.boxes, "seed": SEED,

@@ -80,6 +80,13 @@ class TestKMeans:
             with pytest.raises(ValueError, match="finite, positive"):
                 kmeans_iou(shapes_from([(2.0, 2.0), (4.0, bad)]), 1)
 
+    @pytest.mark.parametrize("count", [True, 2.5, np.float64(2.0)])
+    def test_cluster_count_must_be_an_integer(self, count):
+        """num_clusters=True used to make one cluster and 2.5 to end in a bare TypeError."""
+        with pytest.raises(ValueError) as info:
+            kmeans_iou(shapes_from([(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)]), count)
+        assert str(info.value) == f"num_clusters must be a positive integer, got {count!r}"
+
     def test_fixed_point_of_reference_lloyd(self):
         """One more assign/update round of an independent implementation
         must leave the returned centroids where they are."""
@@ -265,6 +272,13 @@ class TestInits:
     def test_identical_validation(self):
         with pytest.raises(ValueError):
             init_identical(num_anchors=0)
+
+    @pytest.mark.parametrize("count", [True, 2.5, np.float64(2.0)])
+    def test_identical_count_must_be_an_integer(self, count):
+        """num_anchors=True used to build one anchor and 2.5 to end in a bare TypeError."""
+        with pytest.raises(ValueError) as info:
+            init_identical(32, count)
+        assert str(info.value) == f"num_anchors must be a positive integer, got {count!r}"
 
     def test_centroids_sorted_as_anchor_sets_sort(self):
         """A pair whose products w * h are equal in floating point while

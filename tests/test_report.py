@@ -300,10 +300,10 @@ class TestAnchorsFile:
         np.testing.assert_allclose(got, [(10.0, 12.0), (50.0, 60.0)], rtol=1e-9)
 
     @pytest.mark.parametrize("canvas, message", [
-        (416.7, "canvas must be an integer >= 1, got 416.7"),
-        (0, "canvas must be an integer >= 1, got 0"),
-        (True, "canvas must be an integer >= 1, got True"),
-        ("416", "canvas must be an integer >= 1, got '416'"),
+        (416.7, "canvas must be a positive integer, got 416.7"),
+        (0, "canvas must be a positive integer, got 0"),
+        (True, "canvas must be a positive integer, got True"),
+        ("416", "canvas must be a positive integer, got '416'"),
         (10**400, "canvas must lie within float range, got a 401-digit integer"),
     ], ids=["float", "zero", "bool", "string", "beyond float range"])
     def test_canvas_read_back_would_refuse_is_not_written(self, tmp_path, canvas, message):

@@ -15,6 +15,7 @@ from anchorforge import (
     build_report,
     run_training,
 )
+from anchorforge import trainer
 from anchorforge.assign import RULES, TEMP_START
 from anchorforge.lossgrad import initial_head, make_features
 from anchorforge.trainer import _INTEGERS, _RANGES
@@ -196,6 +197,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as info:
             TrainConfig(**{name: value})
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("name", _INTEGERS)
+    def test_integer_fields_refuse_integers_beyond_float_range(self, name):
+        """iters=10**400 used to be accepted and to fail inside numpy with
+        "Maximum allowed dimension exceeded"; so did the other counts."""
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: 10**400})
+        assert str(info.value) == f"{name} must lie within float range, got a 401-digit integer"
 
     @pytest.mark.parametrize("name, value", [
         *((name, True) for name in ("sigma", "anchor_lr_mult", "init_scale", "cluster_weight", "lr_schedule")),
@@ -382,6 +391,23 @@ class TestTrajectory:
         res = run_training(tiny_ds(), start_anchors(), small_cfg(iters=0))
         assert res.epoch_utilization.shape == (0, 2)
         assert res.epoch_utilization.dtype == np.int64
+
+    def test_epoch_utilization_grows_with_the_run(self, monkeypatch):
+        """The table used to be allocated for every epoch of iters up front, so
+        iters=10**15 ended in a MemoryError before the first step; now the run
+        reaches its second step."""
+        class SecondStep(Exception):
+            pass
+
+        def temperature_at(t, warmup_iters):
+            if t == 1:
+                raise SecondStep
+            return real(t, warmup_iters)
+
+        real = trainer.temperature_at
+        monkeypatch.setattr(trainer, "temperature_at", temperature_at)
+        with pytest.raises(SecondStep):
+            run_training(tiny_ds(), start_anchors(), small_cfg(iters=10**15))
 
     @pytest.mark.parametrize("rule, iters", [("yolo", 95), ("threshold", 103)])
     def test_epoch_utilization_totals_match_trajectory(self, tmp_path, rule, iters):
