@@ -8,8 +8,9 @@ No environment variable is read.
 Every option is declared once, in the ``_SPECS`` table (cluster and
 optimize share ``_SHARED``): its config parser, default, choices, flag
 help and range check.
-optimize's training settings read their defaults from ``TrainConfig()``
-and ranges from ``trainer._RANGES``, so the recipe is declared once.
+optimize's training settings read their defaults from ``TrainConfig()``,
+and ``TrainConfig`` alone checks them, built from the options before
+--scale touches the counts; ``build_report`` alone checks eval's taus.
 ``build_parser`` makes each subcommand's flags from the table, and
 ``main`` resolves them with ``_merge_options``, which holds each value
 to the same choices and check whether it came from a flag, the config
@@ -32,7 +33,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -62,7 +63,7 @@ from .report import (
     report_to_json,
     write_anchors_json,
 )
-from .trainer import _AT_LEAST_0, _AT_LEAST_1, _NONNEGATIVE, _RANGES, NonFiniteLossError, TrainConfig, run_training
+from .trainer import _AT_LEAST_0, _AT_LEAST_1, _NONNEGATIVE, NonFiniteLossError, TrainConfig, run_training
 
 
 def _parse_bool(text: str) -> bool:
@@ -79,9 +80,7 @@ def _parse_lr_schedule(text: str) -> tuple[tuple[int, float], ...]:
         if not part:
             continue
         start_str, _, lr_str = part.partition(":")
-        start = int(start_str)
-        _check_float_range("breakpoint", start)
-        segments.append((start, float(lr_str)))
+        segments.append((int(start_str), float(lr_str)))
     if not segments:
         raise ValueError("empty learning-rate schedule")
     return tuple(segments)
@@ -128,7 +127,7 @@ _POSITIVE = ("must be a positive number", lambda v: 0.0 < v < math.inf)
 _RECIPE = TrainConfig()
 
 _SHARED = {
-    "seed": _Opt(int, _RECIPE.seed, help=f"random seed (default {_RECIPE.seed})", check=_RANGES["seed"]),
+    "seed": _Opt(int, _RECIPE.seed, help=f"random seed (default {_RECIPE.seed})", check=_AT_LEAST_0),
     "dataset": _Opt(str),
     "num_anchors": _Opt(int, 5, check=_AT_LEAST_1),
     "stride": _Opt(int, 32, check=_AT_LEAST_1),
@@ -147,35 +146,34 @@ _SPECS: dict[str, dict[str, _Opt]] = {
     "cluster": {**_SHARED, "max_iter": _Opt(int, 300, check=_AT_LEAST_0)},
     "optimize": {
         **_SHARED,
+        "seed": _SHARED["seed"]._replace(check=None),  # TrainConfig checks it
         "init": _Opt(str, "kmeans", help=f"{', '.join(_INITS)}, or an anchors.json to start from"),
-        "iters": _Opt(int, _RECIPE.iters, check=_RANGES["iters"]),
+        "iters": _Opt(int, _RECIPE.iters),
         "scale": _Opt(float, 1.0, check=_POSITIVE,
                       help="scale iteration counts by this factor (lr breakpoints before the scaled warm-up move no earlier)"),
-        "batch_size": _Opt(int, _RECIPE.batch_size, check=_RANGES["batch_size"]),
-        "momentum": _Opt(float, _RECIPE.momentum, check=_RANGES["momentum"]),
+        "batch_size": _Opt(int, _RECIPE.batch_size),
+        "momentum": _Opt(float, _RECIPE.momentum),
         "lr_schedule": _Opt(_parse_lr_schedule, _RECIPE.lr_schedule,
-                            help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3",
-                            check=("breakpoints must be >= 0", lambda v: all(start >= 0 for start, _ in v))),
-        "warmup_iters": _Opt(int, _RECIPE.warmup_iters, check=_RANGES["warmup_iters"]),
+                            help="comma list of start:lr pairs, e.g. 0:1e-4,100:1e-3"),
+        "warmup_iters": _Opt(int, _RECIPE.warmup_iters),
         "metric": _Opt(str, _RECIPE.metric, METRICS),
         "rule": _Opt(str, _RECIPE.rule, RULES),
-        "tau": _Opt(float, _RECIPE.tau, help="IoU threshold for the threshold rule", check=_RANGES["tau"]),
+        "tau": _Opt(float, _RECIPE.tau, help="IoU threshold for the threshold rule"),
         "cluster_weight": _Opt(_parse_cluster_weight, _RECIPE.cluster_weight,
-                               help="'anneal' or a fixed coefficient in [0, 1]", check=_RANGES["cluster_weight"]),
+                               help="'anneal' or a fixed coefficient in [0, 1]"),
         "head": _Opt(_parse_bool, _RECIPE.head),
-        "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head", check=_RANGES["sigma"]),
-        "init_scale": _Opt(float, _RECIPE.init_scale, check=_RANGES["init_scale"]),
+        "sigma": _Opt(float, _RECIPE.sigma, help="feature noise level for the surrogate head"),
+        "init_scale": _Opt(float, _RECIPE.init_scale),
         "bn": _Opt(_parse_bool, _RECIPE.bn, help="batch-normalize head outputs (scale only, no shift)"),
-        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_mult, check=_RANGES["anchor_lr_mult"]),
-        "log_every": _Opt(int, _RECIPE.log_every, check=_RANGES["log_every"]),
+        "anchor_lr_mult": _Opt(float, _RECIPE.anchor_lr_mult),
+        "log_every": _Opt(int, _RECIPE.log_every),
     },
     "eval": {
         "dataset": _Opt(str),
         "anchors": _Opt(str),
-        "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds",
-                     check=("list: each tau must lie in (0, 1)", lambda v: all(0.0 < t < 1.0 for t in v))),
+        "taus": _Opt(_parse_taus, (0.5, 0.75), help="comma list of recall thresholds"),
         "rule": _Opt(str, "yolo", RULES),
-        "tau": _Opt(float, 0.5, check=_RANGES["tau"]),
+        "tau": _Opt(float, 0.5),
     },
 }
 
@@ -384,6 +382,7 @@ def _coverage_summary(anchors: AnchorSet, ds: CanonicalDataset) -> dict[str, flo
 
 
 def cmd_optimize(args: argparse.Namespace, opt: dict) -> None:
+    cfg = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})  # checks the options before --scale
     if opt["init"] not in _INITS and not Path(opt["init"]).is_file():
         raise ParseError(f"init {opt['init']!r} is none of {', '.join(_INITS)} and no such file exists")
     scale = opt["scale"]
@@ -392,14 +391,10 @@ def cmd_optimize(args: argparse.Namespace, opt: dict) -> None:
         raise ParseError(f"scale {scale:g} turns iters {opt['iters']} into 0 iterations; "
                          f"use a larger scale, or iters 0 to score the initial anchors")
     warmup_iters = _scaled("warmup_iters", opt["warmup_iters"], scale)
+    lr_schedule = _scaled_schedule(cfg.lr_schedule, scale, warmup_iters)
+    cfg = replace(cfg, iters=iters, warmup_iters=warmup_iters, lr_schedule=lr_schedule)
     # the counts are recorded scaled, so the recorded scale is 1
-    opt |= {
-        "iters": iters,
-        "lr_schedule": _scaled_schedule(opt["lr_schedule"], scale, warmup_iters),
-        "warmup_iters": warmup_iters,
-        "scale": 1,
-    }
-    cfg = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})
+    opt |= {"iters": iters, "lr_schedule": lr_schedule, "warmup_iters": warmup_iters, "scale": 1}
     ds = read_canonical(opt["dataset"])
     if len(ds) == 0:
         raise ParseError(f"{opt['dataset']}: dataset is empty")

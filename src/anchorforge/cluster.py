@@ -109,7 +109,8 @@ def kmeans_iou(
     rounds. Empty clusters are re-seeded at the shape the current
     centroids cover worst. When init is omitted, seeds are drawn by
     farthest-in-IoU sampling with the given seed, so the same seed always
-    produces the same result.
+    produces the same result. max_iter and seed must be integers of at
+    least 0, as num_clusters must be a positive one.
 
     The assignment step uses Hamerly's bounds (*Making k-means even
     faster*, SDM 2010) on d = 1 - IoU, which is a metric: the Jaccard
@@ -128,6 +129,9 @@ def kmeans_iou(
     wh = _shape_array(shapes, "shapes")
     n = wh.shape[0]
     num_clusters = _integer("num_clusters", num_clusters, positive=True)
+    for name, value in (("max_iter", max_iter), ("seed", seed)):
+        if _integer(name, value) < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if n < num_clusters:
         raise ValueError(f"need at least {num_clusters} shapes, got {n}")
     if init is not None:

@@ -152,6 +152,16 @@ def _integer(name: str, value: object, positive: bool = False) -> int:
     raise ValueError(f"{name} must be {'a positive' if positive else 'an'} integer, got {value!r}")
 
 
+def _real(name: str, value: object) -> float:
+    """value as a Python float: a float, or an integer within float range,
+    not a bool; anything else raises ValueError naming it."""
+    if _is_integer(value):
+        _check_float_range(name, value)
+    elif not isinstance(value, (float, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _decode_utf8(path: "str | Path", stream: io.BufferedIOBase, newline: Optional[str] = None) -> str:
     """The rest of a binary stream of the file at path, decoded as open()
     in text mode decodes a file: as UTF-8, with the given newline mode.

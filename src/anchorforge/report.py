@@ -86,12 +86,13 @@ def build_report(
     reaches each tau. Utilization counts how many boxes each anchor is
     responsible for under the chosen rule. With the yolo rule the counts
     sum to the dataset size; the threshold rule may count a box more
-    than once.
+    than once. threshold_tau and each tau must lie in (0, 1) under
+    either rule.
     """
     if assignment_rule not in RULES:
         raise ValueError(f"unknown assignment rule {assignment_rule!r}")
     threshold = assignment_rule == "threshold"
-    for t in (threshold_tau, *taus) if threshold else taus:
+    for t in (threshold_tau, *taus):
         if not 0.0 < t < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {t}")
     if len(ds) == 0:

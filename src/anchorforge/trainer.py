@@ -41,7 +41,7 @@ from .assign import (
     utilization_counts,
 )
 from .geometry import METRICS, AnchorSet, Metric
-from .ingest import CanonicalDataset, _check_float_range, _integer, _is_integer
+from .ingest import CanonicalDataset, _integer, _is_integer, _real
 from .lossgrad import TABLE_ROWS, _loss_from_arrays, grad_head, head_outputs, initial_head, make_features
 from .lossgrad import moment_table, table_grams
 
@@ -67,10 +67,10 @@ _AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
 _NONNEGATIVE = ("must be a nonnegative number", lambda v: 0.0 <= v < math.inf)
 
-# the TrainConfig fields that count iterations or boxes, or seed the draws; bools are refused
+# the TrainConfig fields that count iterations or boxes, or seed the draws; the other ranged fields are numbers
 _INTEGERS = ("iters", "batch_size", "warmup_iters", "seed", "log_every")
 
-# the range of each numeric TrainConfig field; optimize holds its options to the same pairs
+# the range of each numeric TrainConfig field; optimize's options have no other range check
 _RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "iters": _AT_LEAST_0,
     "batch_size": _AT_LEAST_1,
@@ -84,8 +84,6 @@ _RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "seed": _AT_LEAST_0,
     "log_every": _AT_LEAST_1,
 }
-# the float fields: the other ranged ones; cluster_weight may also be None
-_FLOATS = tuple(name for name in _RANGES if name not in _INTEGERS)
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,10 @@ class TrainConfig:
     The defaults are the recipe of a flag-free ``anchorforge optimize``,
     which sets every field, each named as its option and held to its
     range in ``_RANGES``; the counts in ``_INTEGERS`` and the schedule's
-    starts must be integers, and the counts, the fields in ``_FLOATS`` and
-    the rates numbers within float range, none a bool. Numpy scalars are
-    stored as Python ``int`` and ``float``; an anchor_lr_mult of 0 freezes the anchors.
+    starts must be integers, the other ranged fields and the rates
+    numbers, each within float range and none a bool, and head and bn
+    must be bools. Numpy scalars are stored as Python ones; an
+    anchor_lr_mult of 0 freezes the anchors.
     """
 
     iters: int = 30000
@@ -119,36 +118,33 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # numpy scalars are stored as Python ones, whose repr trajectory.csv writes
-        for name in _INTEGERS:
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        floats = [(name, getattr(self, name)) for name in _FLOATS if getattr(self, name) is not None]
-        for name, value in floats + [("lr_schedule", lr) for _, lr in self.lr_schedule]:
-            # bool is an int subclass, and float() of a huge integer raises OverflowError
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if _is_integer(value):  # a float beyond range is inf, which the range tests refuse
-                _check_float_range(name, value)
         for name, (requirement, test) in _RANGES.items():
             value = getattr(self, name)
+            if value is not None or name != "cluster_weight":  # a None cluster_weight anneals
+                value = (_integer if name in _INTEGERS else _real)(name, value)
             if not test(value):
                 raise ValueError(f"{name} {requirement}, got {value}")
-        if not self.lr_schedule or self.lr_schedule[0][0] != 0:
-            raise ValueError("lr_schedule must be nonempty and start at iteration 0")
+            object.__setattr__(self, name, value)
+        for name in ("head", "bn"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         starts = [s for s, _ in self.lr_schedule]
         if not all(map(_is_integer, starts)):
             raise ValueError(f"lr_schedule iterations must be integers, got {starts}")
-        if starts != sorted(starts) or len(set(starts)) != len(starts):
+        schedule = tuple((_integer("lr_schedule", s), _real("lr_schedule", lr)) for s, lr in self.lr_schedule)
+        if not schedule or schedule[0][0] != 0:
+            raise ValueError("lr_schedule must be nonempty and start at iteration 0")
+        if any(a >= b for (a, _), (b, _) in zip(schedule, schedule[1:])):
             raise ValueError("lr_schedule iterations must be strictly increasing")
-        if not all(0.0 < lr < math.inf for _, lr in self.lr_schedule):
-            raise ValueError(f"learning rates must be positive numbers, got {self.lr_schedule}")
+        if not all(0.0 < lr < math.inf for _, lr in schedule):
+            raise ValueError(f"learning rates must be positive numbers, got {schedule}")
+        object.__setattr__(self, "lr_schedule", schedule)
         if self.rule not in RULES:
             raise ValueError(f"unknown assignment rule {self.rule!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r} (expected one of {', '.join(METRICS)})")
-        for name in _FLOATS:
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "lr_schedule", tuple((int(s), float(lr)) for s, lr in self.lr_schedule))
 
 
 @dataclass

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 import anchorforge
 import synth
 from anchorforge.cli import _SPECS, _parse_bool, main
-from anchorforge.trainer import _RANGES
+from anchorforge.trainer import _RANGES, TrainConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("ingest", "cluster", "optimize", "eval", "compare")
+TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 def write_csv(path, n=120, seed=5):
@@ -564,6 +565,9 @@ class TestOptimize:
     @pytest.mark.parametrize("flags,match", [
         (["--iters", "-5"], "iters must be >= 0, got -5"),
         (["--warmup-iters", "-20"], "warmup_iters must be >= 0, got -20"),
+        # scaled, each would round to 0 and train: the counts are checked before --scale
+        (["--iters", "-1", "--scale", "0.5"], "iters must be >= 0, got -1"),
+        (["--warmup-iters", "-1", "--scale", "0.4"], "warmup_iters must be >= 0, got -1"),
         (["--scale", "0"], "scale must be a positive number, got 0.0"),
         (["--scale", "-0.5"], "scale must be a positive number, got -0.5"),
         (["--scale", "inf"], "scale must be a positive number, got inf"),
@@ -1011,8 +1015,10 @@ class TestEvalAndCompare:
 
 
 class TestOptionChecks:
-    """Each option's range check comes from the option table. It holds a
-    flag and a config value alike, before any run directory exists."""
+    """Each option's range check comes from the option table, or for
+    optimize's training options from TrainConfig and for eval's taus from
+    build_report. It holds a flag and a config value alike, before any run
+    directory exists."""
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value, match", [
@@ -1026,8 +1032,8 @@ class TestOptionChecks:
         ("optimize", "init_scale", "inf", "init_scale must be a nonnegative number, got inf"),
         ("optimize", "lr_schedule", "0:nan", "learning rates must be positive numbers"),
         ("optimize", "lr_schedule", "0:1e-4,10:inf", "learning rates must be positive numbers"),
-        ("optimize", "lr_schedule", "-5:0.1,10:0.01", "lr_schedule breakpoints must be >= 0, got ((-5, 0.1), (10, 0.01))"),
-        ("eval", "taus", "0.5,1.5", "taus list: each tau must lie in (0, 1), got (0.5, 1.5)"),
+        ("optimize", "lr_schedule", "-5:0.1,10:0.01", "lr_schedule must be nonempty and start at iteration 0"),
+        ("eval", "taus", "0.5,1.5", "tau must lie in (0, 1), got 1.5"),
         ("optimize", "cluster_weight", "2", "cluster_weight must lie in [0, 1], got 2.0"),
         ("optimize", "lr_schedule", ",", "empty learning-rate schedule"),
     ])
@@ -1046,8 +1052,7 @@ class TestOptionChecks:
         traceback (exit 1), for some options after the run directory was made."""
         value = f"0:1e-3,{10**400}:1e-4" if key == "lr_schedule" else str(10**400)
         out = self.run_with(tmp_path, dataset_file, command, key, value, via)
-        name = "breakpoint" if key == "lr_schedule" else key
-        assert f"{name} must lie within float range, got a 401-digit integer" in capsys.readouterr().err
+        assert f"{key} must lie within float range, got a 401-digit integer" in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod
@@ -1058,9 +1063,11 @@ class TestOptionChecks:
             "ingest": {"format": "csv", "input": tmp_path / "boxes.csv"},
             "cluster": {"dataset": dataset_file, "num_anchors": 2},
             "optimize": {"dataset": dataset_file, "num_anchors": 2, "iters": 20},
-            # both files are missing: the error names the bad value only if the check runs first
-            "eval": {"dataset": tmp_path / "missing.canonical", "anchors": tmp_path / "missing.json"},
+            # build_report checks the taus, after eval has read both files
+            "eval": {"dataset": dataset_file, "anchors": tmp_path / "anchors.json"},
         }[command]
+        if command == "eval":
+            anchorforge.write_anchors_json(tmp_path / "anchors.json", anchorforge.init_identical(32, 2), canvas=416)
         argv = []
         if via == "flag":
             argv = [f"--{key.replace('_', '-')}={value}"]
@@ -1086,13 +1093,34 @@ class TestOptionChecks:
         assert f"{dataset}: canvas_size must lie within float range, got a 401-digit integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_training_ranges_come_from_train_config(self):
-        """An option that a TrainConfig field mirrors is held to the field's own range pair."""
-        shared = [(command, key) for command, specs in _SPECS.items() for key in specs if key in _RANGES]
-        assert ("cluster", "seed") in shared and ("eval", "tau") in shared
-        assert {key for command, key in shared if command == "optimize"} == set(_RANGES)
-        for command, key in shared:
-            assert _SPECS[command][key].check is _RANGES[key], (command, key)
+    # one refused value for each option that TrainConfig checks
+    BAD_TRAINING = {
+        "iters": "-1", "batch_size": "0", "momentum": "1", "warmup_iters": "-1", "anchor_lr_mult": "-1",
+        "tau": "0", "cluster_weight": "2", "sigma": "nan", "init_scale": "inf", "seed": "-1", "log_every": "0",
+        "head": "maybe", "bn": "2", "lr_schedule": "0:1e-3,0:1e-4",
+    }
+
+    def test_training_and_tau_options_have_no_check_of_their_own(self):
+        """TrainConfig checks optimize's training options and build_report
+        eval's taus; the option table repeats neither. cluster keeps its
+        own seed check, since it makes its run directory before k-means
+        would check the seed."""
+        checked = [key for key, spec in _SPECS["optimize"].items() if key in TRAIN_FIELDS and spec.check is not None]
+        assert checked == [] and _SPECS["cluster"]["seed"].check is not None
+        assert _SPECS["eval"]["tau"].check is None and _SPECS["eval"]["taus"].check is None
+        assert not hasattr(anchorforge.cli, "_RANGES")
+        assert set(self.BAD_TRAINING) == set(_RANGES) | {"head", "bn", "lr_schedule"}
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(BAD_TRAINING))
+    def test_training_option_rejected_before_run_dir(self, tmp_path, dataset_file, capsys, key, via):
+        try:
+            out = self.run_with(tmp_path, dataset_file, "optimize", key, self.BAD_TRAINING[key], via)
+        except SystemExit as e:  # argparse refuses a value given to a --head or --bn flag
+            assert e.code == 2
+            out = tmp_path / "run"
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["coco width", "eval canvas", "compare canvas", "header v", "header S"])
     def test_integer_beyond_digit_limit_names_the_file(self, tmp_path, dataset_file, capsys, case):
@@ -1497,8 +1525,11 @@ def _option_cases(draw):
     return command, key, draw(st.sampled_from(["flag", "config"])), draw(_value_texts(key, _SPECS[command][key]))
 
 
-def _refused(spec, via, text):
-    """Whether the option table itself must refuse this value."""
+def _refused(command, key, via, text):
+    """Whether this value must be refused: by the option table, or by the
+    check that takes the option, TrainConfig's for optimize's training
+    options and build_report's (0, 1) for eval's taus."""
+    spec = _SPECS[command][key]
     if spec.parse is _parse_bool:
         if via == "flag":
             return text != ""  # only the bare flag takes no value
@@ -1507,7 +1538,16 @@ def _refused(spec, via, text):
         value = (str if via == "flag" and spec.choices else spec.parse)(text if via == "flag" else text.strip())
     except ValueError:
         return True
-    return bool(spec.choices) and value not in spec.choices or spec.check is not None and not spec.check[1](value)
+    if spec.choices and value not in spec.choices or spec.check is not None and not spec.check[1](value):
+        return True
+    if command == "optimize" and key in TRAIN_FIELDS:
+        try:
+            TrainConfig(**{key: value})
+        except ValueError:
+            return True
+    if command == "eval" and key in ("tau", "taus"):
+        return not all(0.0 < t < 1.0 for t in (value if key == "taus" else (value,)))
+    return False
 
 
 @pytest.fixture(scope="module")
@@ -1552,7 +1592,7 @@ class TestOptionFuzz:
         assert "Traceback" not in err.getvalue()
         if rc == 2:
             assert not (work / "run").exists()
-        if _refused(_SPECS[command][key], via, text):
+        if _refused(command, key, via, text):
             assert rc == 2, (case, out.getvalue())
 
 

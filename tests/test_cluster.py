@@ -87,6 +87,20 @@ class TestKMeans:
             kmeans_iou(shapes_from([(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)]), count)
         assert str(info.value) == f"num_clusters must be a positive integer, got {count!r}"
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_iter", 2.5, "max_iter must be an integer, got 2.5"),
+        ("max_iter", True, "max_iter must be an integer, got True"),
+        ("max_iter", -3, "max_iter must be >= 0, got -3"),
+        ("seed", 2.5, "seed must be an integer, got 2.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_max_iter_and_seed_checked(self, name, value, message):
+        """2.5 used to end in a bare TypeError, max_iter=True ran one round and
+        -3 none, and seed=-1 failed with numpy's message, naming nothing."""
+        with pytest.raises(ValueError) as info:
+            kmeans_iou(shapes_from([(2.0, 2.0), (4.0, 4.0), (8.0, 8.0)]), 2, **{name: value})
+        assert str(info.value) == message
+
     def test_fixed_point_of_reference_lloyd(self):
         """One more assign/update round of an independent implementation
         must leave the returned centroids where they are."""

@@ -179,6 +179,7 @@ class TestBuildReport:
 
     @pytest.mark.parametrize("rule,threshold_tau,taus", [
         ("threshold", 1.0, (0.5,)), ("threshold", 0.0, (0.5,)), ("yolo", 0.5, (0.5, 1.5)),
+        ("yolo", 1.0, (0.5,)),  # eval's --tau has no other check
     ])
     def test_bad_tau(self, rule, threshold_tau, taus):
         ds = ds_of([(10.0, 10.0)])

@@ -233,6 +233,20 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"^lr_schedule iterations must be integers, got \["):
                 TrainConfig(lr_schedule=schedule)
 
+    def test_schedule_start_beyond_float_range(self):
+        """A 401-digit start used to be accepted, where the CLI refused it."""
+        with pytest.raises(ValueError, match=r"^lr_schedule must lie within float range, got a 401-digit integer$"):
+            TrainConfig(lr_schedule=((0, 1e-3), (10**400, 1e-4)))
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, 1.0, None])
+    @pytest.mark.parametrize("name", ["head", "bn"])
+    def test_switches_must_be_bools(self, name, value):
+        """head="no" used to train the head as head=True does, and bn=0 was stored as given."""
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: value})
+        assert str(info.value) == f"{name} must be True or False, got {value!r}"
+        assert getattr(TrainConfig(**{name: np.False_}), name) is False
+
     def test_numpy_integers_train_as_python_integers(self, tmp_path):
         """A numpy warmup_iters used to make the temperature and lambda numpy
         floats, which trajectory.csv wrote as np.float64(2.0)."""
