@@ -26,8 +26,8 @@ class KMeansResult:
 
 ASSIGN_BLOCK = 16384  # rows per scoring block: its column temporaries stay in cache
 
-# a re-score is skipped only when its bound test passes by more than this,
-# far above the rounding of the distances and movements the bounds add up
+# a re-score is skipped only when the slack exceeds this, far above the
+# rounding of the IoUs and movements it adds up
 BOUND_MARGIN = 1e-9
 
 
@@ -112,19 +112,19 @@ def kmeans_iou(
     produces the same result. max_iter and seed must be integers of at
     least 0, as num_clusters must be a positive one.
 
-    The assignment step uses Hamerly's bounds (*Making k-means even
-    faster*, SDM 2010) on d = 1 - IoU, which is a metric: the Jaccard
-    distance of two shapes sharing a center. Each shape keeps an upper
-    bound on d to its own centroid, raised by that centroid's movement
-    d(old, new) after each update, and a lower bound on d to every other
-    centroid, lowered by the largest movement among them. A shape is
-    re-scored against all centroids only when its upper bound reaches
-    the larger of its lower bound and half the distance from its
-    centroid to the nearest other one, less BOUND_MARGIN. Any other
-    shape's own centroid is strictly nearer than all the others by more
-    than the bounds' rounding, so its IoU argmax cannot have moved. The
-    centroids, assignments, round count and mean best IoU are therefore
-    bit-identical to a full argmax over every shape in every round.
+    The assignment step bounds d = 1 - IoU, which is a metric: the
+    Jaccard distance of two shapes sharing a center. Each shape keeps one
+    slack, a lower bound on d to every other centroid less an upper bound
+    on d to its own: its best less its second-best IoU when scored, then
+    lowered after each update by its own centroid's movement d(old, new)
+    plus the largest movement among the others. Only shapes whose slack
+    falls to BOUND_MARGIN are re-scored; any other shape's IoU argmax
+    cannot have moved, so the centroids, assignments, round count and mean
+    best IoU are bit-identical to a full argmax over every shape in every
+    round. Hamerly's second test (*Making k-means even faster*, SDM 2010),
+    half the gap from the own centroid to the nearest other one, is left
+    out: without it a shape is still skipped only when its argmax cannot
+    move, and the re-scores it saved cost less than its per-round work.
     """
     wh = _shape_array(shapes, "shapes")
     n = wh.shape[0]
@@ -143,27 +143,23 @@ def kmeans_iou(
 
     own = np.eye(num_clusters, dtype=bool)  # each centroid's own entry, left out of "the others"
     iou, assignments, second, _ = best_iou(wh, cents)
-    upper = 1.0 - iou  # >= distance to the own centroid
-    lower = 1.0 - second  # <= distance to every other centroid
+    slack = iou - second  # <= d to every other centroid less d to the own one
     iterations_run = 0
     for _ in range(max_iter):
         iterations_run += 1
         old, cents = cents, _update_step(wh, cents, assignments)
         moved = 1.0 - np.diagonal(iou_aligned_matrix(old, cents))
-        upper += moved[assignments]
-        lower -= np.where(own, 0.0, moved).max(axis=1)[assignments]
-        half_gap = np.where(own, np.inf, 1.0 - iou_aligned_matrix(cents, cents)).min(axis=1) / 2.0
-        stale = np.flatnonzero(upper >= np.maximum(half_gap[assignments], lower) - BOUND_MARGIN)
+        slack -= (moved + np.where(own, 0.0, moved).max(axis=1))[assignments]
+        stale = np.flatnonzero(slack <= BOUND_MARGIN)
         # np.take gathers rows several times faster than fancy indexing
         iou, nearest, second, _ = best_iou(np.take(wh, stale, axis=0), cents)
         converged = bool(np.array_equal(nearest, assignments[stale]))
         assignments[stale] = nearest
-        upper[stale] = 1.0 - iou
-        lower[stale] = 1.0 - second
+        slack[stale] = iou - second
         if converged:
             break
 
-    # the bounds keep every shape assigned to its IoU argmax among the final
+    # the slack keeps every shape assigned to its IoU argmax among the final
     # centroids, so its own centroid's IoU is its best one, bit for bit
     own = np.take(cents, assignments, axis=0)
     mean_best = float(_aligned_iou(wh[:, 0], wh[:, 1], own[:, 0], own[:, 1]).mean())

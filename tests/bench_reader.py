@@ -18,9 +18,11 @@ side that goes first alternating between pairs. The measures:
   three timed ``read_canonical`` calls.
 - ``pipeline``: the commands of the benchmark's ``dataset-300k`` workload
   on the same COCO file, each timed from outside: ``ingest``, ``cluster
-  --num-anchors 9 --max-iter 40`` and ``eval``, and their sum. The two
-  sides' ``dataset.canonical``, ``anchors.json`` and ``report.json`` must
-  be byte-identical.
+  --num-anchors 9 --max-iter 40`` and ``eval``, and their sum; then the
+  ``cluster`` command in one process four times with
+  ``anchorforge.cli.kmeans_iou`` timed: the median of the last three. The
+  two sides' ``dataset.canonical``, ``anchors.json`` and ``report.json``
+  must be byte-identical.
 - ``train``: the commands of the benchmark's ``train`` workload, each
   ``optimize --scale`` with the flags of ``perfbench/run.py``'s
   ``WORKLOADS`` on its ``tests/synth.py`` mixture (seed 1). Each side runs
@@ -80,20 +82,22 @@ for _ in range(3):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
-TRAIN_IN_PROCESS_CODE = """
+# runs the command argv[2] (JSON) four times in one process, timing the
+# anchorforge.cli binding named argv[1]; prints the median of the last three
+COMMAND_IN_PROCESS_CODE = """
 import contextlib, io, json, statistics, sys, time
 import anchorforge.cli as cli
 times = []
-train = cli.run_training
+inner = getattr(cli, sys.argv[1])
 def timed(*args, **kwargs):
     start = time.perf_counter()
-    result = train(*args, **kwargs)
+    result = inner(*args, **kwargs)
     times.append(time.perf_counter() - start)
     return result
-cli.run_training = timed
+setattr(cli, sys.argv[1], timed)
 with contextlib.redirect_stdout(io.StringIO()):
     for _ in range(4):
-        cli.main(json.loads(sys.argv[1]))
+        cli.main(json.loads(sys.argv[2]))
 print(statistics.median(times[1:]))
 """
 SIDES = ("parent", "change")
@@ -249,6 +253,8 @@ def bench_pipeline(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, 
     def measure_side(side: str) -> dict[str, float]:
         out = {f"{name}_s": run_in_side(side, argv, envs, work) for name, argv in commands.items()}
         out["pipeline_s"] = sum(out.values())
+        code = ["-c", COMMAND_IN_PROCESS_CODE, "kmeans_iou", json.dumps(commands["cluster"])]
+        out["cluster.kmeans_in_process_s"] = float(run(code, envs[side], work / side)[1])
         return out
 
     measures = paired(pairs, measure_side)
@@ -271,7 +277,7 @@ def bench_train(srcs: dict[str, Path], pairs: int, args: argparse.Namespace, wor
         out = {f"{name}_s": run(["-m", "anchorforge", *argv], envs[side], work)[0] for name, argv in commands.items()}
         out["optimize_commands_s"] = sum(out.values())
         for name, argv in commands.items():
-            code = ["-c", TRAIN_IN_PROCESS_CODE, json.dumps(argv)]
+            code = ["-c", COMMAND_IN_PROCESS_CODE, "run_training", json.dumps(argv)]
             out[f"{name}.run_training_in_process_s"] = float(run(code, envs[side], work)[1])
         return out
 

@@ -69,13 +69,14 @@ def test_train_measure_runs_the_benchmark_commands(tmp_path):
 
 
 def test_pipeline_measure_runs_the_dataset_commands(tmp_path):
-    """The pipeline measure times ingest, cluster and eval, and their sum."""
+    """The pipeline measure times ingest, cluster and eval, and their sum,
+    and k-means in-process."""
     doc = bench(tmp_path, "--measure", "pipeline", "--boxes", "500")
     assert doc["measure"] == "pipeline" and doc["input"]["coco_boxes"] == 500
     commands = doc["input"]["commands"]
     assert [argv[0] for argv in commands.values()] == list(commands) == ["ingest", "cluster", "eval"]
     assert commands["cluster"][commands["cluster"].index("--max-iter") + 1] == "40"
-    check_measures(doc, ("ingest_s", "cluster_s", "eval_s", "pipeline_s"))
+    check_measures(doc, ("ingest_s", "cluster_s", "eval_s", "pipeline_s", "cluster.kmeans_in_process_s"))
     for side in ("parent", "change"):
         parts = zip(*(doc[f"{name}_s"][side]["runs_s"] for name in commands))
         assert doc["pipeline_s"][side]["runs_s"] == pytest.approx([sum(p) for p in parts], abs=1e-5)

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,8 @@ from anchorforge import (
     init_kmeans,
     init_uniform,
     kmeans_iou,
+    normalize_to_canvas,
+    parse_coco,
 )
 from anchorforge import cluster
 from anchorforge.cluster import _seed_plus_plus, _update_step
@@ -180,6 +184,25 @@ class TestKMeans:
         assert res.iterations_run == 1
 
 
+@pytest.fixture(scope="module")
+def benchmark_scale_shapes(tmp_path_factory):
+    """The training mixtures, pixel_corners, and the shapes of a 20k-box
+    draw of the benchmark's COCO file (seed 31) on the 416 canvas."""
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+    try:
+        import inputs  # perfbench/inputs.py, read-only
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+        sys.modules.pop("inputs", None)
+    coco = tmp_path_factory.mktemp("coco") / "coco.json"
+    inputs.write_coco(coco, 20_000, 31)
+    return {"mixture2": synth.mixture2(1).shapes(), "mixture3": synth.mixture3(1).shapes(),
+            "pixel_corners": synth.pixel_corners().shapes(), "coco_20k": normalize_to_canvas(parse_coco(coco), 416).shapes()}
+
+
 class TestMatchesLloyd:
     """The bounded assignment re-scores only shapes whose cluster can
     change, so every result must equal plain Lloyd's rounds bit for bit."""
@@ -244,6 +267,20 @@ class TestMatchesLloyd:
         wh = getattr(synth, dataset)().shapes()
         got = kmeans_iou(wh, k, max_iter=max_iter, seed=0)
         assert got.mean_best_iou == float(cluster.best_iou(wh, got.centroids)[0].mean())
+
+    @pytest.mark.parametrize("k, max_iter", [(9, 40), (5, 300)])
+    @pytest.mark.parametrize("dataset", ["mixture2", "mixture3", "pixel_corners", "coco_20k"])
+    def test_bit_identical_at_the_benchmark_scale(self, benchmark_scale_shapes, dataset, k, max_iter):
+        """Thousands of shapes over tens of rounds of accumulated centroid
+        movement: still plain Lloyd's rounds, bit for bit."""
+        wh = benchmark_scale_shapes[dataset]
+        got = kmeans_iou(wh, k, max_iter=max_iter, seed=0)
+        start = _seed_plus_plus(wh, k, np.random.default_rng(0))
+        cents, assignments, mean_best, iterations_run = lloyd_kmeans_iou(wh, start, max_iter, _update_step)
+        np.testing.assert_array_equal(got.centroids, cents)
+        np.testing.assert_array_equal(got.assignments, assignments)
+        assert got.mean_best_iou == mean_best
+        assert got.iterations_run == iterations_run
 
 
 class TestSeeding:
